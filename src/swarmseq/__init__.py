@@ -4,13 +4,11 @@ from .barriers import (
     Collision,
     Connectivity,
     ConstraintRow,
-    Custom,
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
     class_k,
     constraint_row,
-    eval_barrier,
     settling_time_bound,
     team_settling_bound,
 )

@@ -31,13 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import behaviors
-from .barriers import (
-    Collision,
-    Connectivity,
-    KeepWithin,
-    ObstacleAvoid,
-    constraint_row,
-)
+from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
 from .geometry import RobotState
 from .qp import QpProblem, solve
 
@@ -120,7 +114,7 @@ class StepEnv:
     delta: float
     min_sep: float
     speed_limit: float
-    obstacles: tuple
+    domain: object  # Domain: its obstacles are known to every robot
     sigma_bar: float = 0.8
     eta_bar: float = 0.8
     staleness_ticks: int = 50
@@ -256,50 +250,39 @@ def _connectivity_rows(node, my_state, graphs, env, events, delta):
                     {"event": "missing_position", "robot": node.id, "other": j}
                 )
                 continue
-            states = [my_state, RobotState(j, pos)]
             rows.append(
-                constraint_row(
-                    Connectivity(node.id, j, delta), states, env.params, node.id, "half"
-                )
+                constraint_row(Connectivity(node.id, j, delta), env.params, my_state.position, pos)
             )
     return rows
 
 
 def _safety_rows(node, my_state, env):
     rows = []
+    x = my_state.position
     for j in sorted(env.live_neighbors):
         pos = env.sensed.get(j)
         if pos is None:
             continue
-        states = [my_state, RobotState(j, pos)]
-        rows.append(
-            constraint_row(Collision(node.id, j, env.min_sep), states, env.params, node.id, "half")
-        )
-    px, py = float(my_state.position[0]), float(my_state.position[1])
-    for obst in env.obstacles:
-        # rows activate inside the doubled ellipse (h <= 3); farther obstacles
-        # cannot be reached before their rows activate, so invariance holds
-        dx = px - obst.center[0]
-        dy = py - obst.center[1]
-        if obst.a * dx * dx + obst.b * dy * dy - 1.0 > OBSTACLE_ACTIVATION:
-            continue
-        rows.append(
-            constraint_row(ObstacleAvoid(node.id, obst), [my_state], env.params, node.id, "full")
-        )
+        rows.append(constraint_row(Collision(node.id, j, env.min_sep), env.params, x, pos))
+    if not env.domain.obstacles:
+        return rows
+    # rows activate inside the doubled ellipse (h <= 3); farther obstacles
+    # cannot be reached before their rows activate, so invariance holds
+    h = ObstacleAvoid(node.id, env.domain.obstacle_stack).value(x)
+    for m in np.flatnonzero(h <= OBSTACLE_ACTIVATION):
+        kind = ObstacleAvoid(node.id, env.domain.obstacles[m])
+        rows.append(constraint_row(kind, env.params, x))
     return rows
 
 
 def _initial_rows(node, my_state, spec, env):
-    rows = []
     if spec is None:
-        return rows
-    for kind in spec.initial_constraints:
-        if isinstance(kind, KeepWithin) and kind.i != node.id:
-            continue
-        if node.id not in kind.participants:
-            continue
-        rows.append(constraint_row(kind, [my_state], env.params, node.id, "full"))
-    return rows
+        return []
+    return [
+        constraint_row(kind, env.params, my_state.position)
+        for kind in spec.initial_constraints
+        if kind.i == node.id
+    ]
 
 
 def step(node, my_state, inbox, behavior, next_behavior, env, dt):

@@ -9,19 +9,22 @@ bound, and forward invariance once inside.
 Constraint rows are the single-robot linearizations used by the QP filter:
 for single-integrator dynamics the admissibility condition
     dh/dt + rate(h) >= 0
-restricted to robot i's input becomes  (dh/dx_i) . u_i >= -rate(h) / c,
-where c = 2 splits a pairwise barrier between its two participants and
-c = 1 keeps the full rate for single-robot barriers.
+restricted to robot i's input becomes  (dh/dx_i) . u_i >= -share * rate(h).
+A pairwise barrier is enforced once by each of its two robots, so each takes
+share 1/2 of the rate; a single-robot barrier keeps the full rate.
+
+Each barrier kind owns its value and gradient. Both work over the trailing
+2-axis of position arrays, so the same method serves one robot on one tick
+and a whole (ticks, 2) trajectory; every barrier squares distances with
+``sq_dist``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import Obstacle
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,15 @@ def team_settling_bound(entries, params):
 # --- barrier kinds ---------------------------------------------------------
 
 
+def sq_dist(d):
+    """|d|^2 over the trailing 2-axis.
+
+    Written elementwise rather than as a BLAS dot, so that a single tick and a
+    whole trajectory round alike.
+    """
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+
+
 @dataclass(frozen=True)
 class Connectivity:
     """h = delta^2 - |x_i - x_j|^2: robots i and j within sensing range."""
@@ -72,13 +84,19 @@ class Connectivity:
     j: int
     delta: float
 
+    hard = False
+    share = 0.5
+
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError("connectivity barrier needs two distinct robots")
 
-    @property
-    def participants(self):
-        return (self.i, self.j)
+    def value(self, xi, xj):
+        return self.delta**2 - sq_dist(xi - xj)
+
+    def gradient(self, xi, xj):
+        """dh/dx_i; the gradient in x_j is its negation."""
+        return -2.0 * (xi - xj)
 
 
 @dataclass(frozen=True)
@@ -89,25 +107,46 @@ class Collision:
     j: int
     min_sep: float
 
+    hard = True
+    share = 0.5
+
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError("collision barrier needs two distinct robots")
 
-    @property
-    def participants(self):
-        return (self.i, self.j)
+    def value(self, xi, xj):
+        return sq_dist(xi - xj) - self.min_sep**2
+
+    def gradient(self, xi, xj):
+        """dh/dx_i; the gradient in x_j is its negation."""
+        return 2.0 * (xi - xj)
 
 
 @dataclass(frozen=True)
 class ObstacleAvoid:
-    """h = (x_i - o)' P (x_i - o) - 1: robot i outside an ellipsoidal region."""
+    """h = (x_i - o)' diag(a, b) (x_i - o) - 1: robot i outside an ellipse.
+
+    The obstacle may be a stack of ellipses (see ``Domain.obstacle_stack``);
+    the value then broadcasts over them, one entry per obstacle.
+    """
 
     i: int
     obstacle: Obstacle
 
-    @property
-    def participants(self):
-        return (self.i,)
+    hard = True
+    share = 1.0
+
+    def value(self, x):
+        o = self.obstacle
+        v = x - o.center
+        # squares with libm's pow (float_power), not numpy's ** 2, which
+        # multiplies: the two differ in the last bit for ~0.1% of inputs, and
+        # securing_a_building's tick count depends on that bit
+        return o.a * np.float_power(v[..., 0], 2) + o.b * np.float_power(v[..., 1], 2) - 1.0
+
+    def gradient(self, x):
+        o = self.obstacle
+        return 2.0 * (x - o.center) * (o.a, o.b)
 
 
 @dataclass(frozen=True)
@@ -118,80 +157,19 @@ class KeepWithin:
     center: tuple
     radius: float
 
+    hard = False
+    share = 1.0
+
     def __post_init__(self):
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         if self.radius <= 0:
             raise ValueError("keep-within radius must be positive")
 
-    @property
-    def participants(self):
-        return (self.i,)
+    def value(self, x):
+        return self.radius**2 - sq_dist(x - self.center)
 
-
-@dataclass(frozen=True)
-class Custom:
-    """Arbitrary single-robot barrier: fn(position) -> (h, gradient)."""
-
-    label: str
-    i: int
-    fn: object = field(compare=False)
-
-    @property
-    def participants(self):
-        return (self.i,)
-
-
-def _position(states, idx):
-    for s in states:
-        if s.id == idx:
-            return s.position
-    raise IndexError(f"no state for robot {idx}")
-
-
-def eval_barrier(kind, states):
-    """Barrier value for the given kind at the given robot states."""
-    if isinstance(kind, Connectivity):
-        d = _position(states, kind.i) - _position(states, kind.j)
-        return kind.delta**2 - float(d @ d)
-    if isinstance(kind, Collision):
-        d = _position(states, kind.i) - _position(states, kind.j)
-        return float(d @ d) - kind.min_sep**2
-    if isinstance(kind, ObstacleAvoid):
-        v = _position(states, kind.i) - kind.obstacle.center
-        return kind.obstacle.a * v[0] ** 2 + kind.obstacle.b * v[1] ** 2 - 1.0
-    if isinstance(kind, KeepWithin):
-        v = _position(states, kind.i) - np.asarray(kind.center)
-        return kind.radius**2 - float(v @ v)
-    if isinstance(kind, Custom):
-        h, _ = kind.fn(_position(states, kind.i))
-        return float(h)
-    raise TypeError(f"unknown barrier kind {kind!r}")
-
-
-def barrier_gradient(kind, states, robot):
-    """dh/dx_robot for a participating robot."""
-    if robot not in kind.participants:
-        raise ValueError(f"robot {robot} does not participate in {kind!r}")
-    if isinstance(kind, Connectivity):
-        other = kind.j if robot == kind.i else kind.i
-        return -2.0 * (_position(states, robot) - _position(states, other))
-    if isinstance(kind, Collision):
-        other = kind.j if robot == kind.i else kind.i
-        return 2.0 * (_position(states, robot) - _position(states, other))
-    if isinstance(kind, ObstacleAvoid):
-        v = _position(states, robot) - kind.obstacle.center
-        return 2.0 * np.array([kind.obstacle.a * v[0], kind.obstacle.b * v[1]])
-    if isinstance(kind, KeepWithin):
-        return -2.0 * (_position(states, robot) - np.asarray(kind.center))
-    if isinstance(kind, Custom):
-        _, g = kind.fn(_position(states, robot))
-        return np.asarray(g, dtype=float).reshape(2)
-    raise TypeError(f"unknown barrier kind {kind!r}")
-
-
-def is_hard(kind):
-    """Safety barriers are hard (never relaxed); connectivity and anchors are soft."""
-    return isinstance(kind, (Collision, ObstacleAvoid))
+    def gradient(self, x):
+        return -2.0 * (x - self.center)
 
 
 @dataclass(frozen=True)
@@ -220,23 +198,15 @@ class ConstraintRow:
         return float(self.normal @ u) >= self.offset - tol
 
 
-def constraint_row(kind, states, params, robot, share="half"):
-    """Constraint row (dh/dx_robot) . u >= -rate(h)/c for one participant.
+def constraint_row(kind, params, *positions):
+    """Row (dh/dx_i) . u_i >= -share * rate(h) on robot ``kind.i``'s input.
 
-    share "half" (c = 2) is the distributed form for pairwise barriers, where
-    the same condition is enforced once by each endpoint; "full" (c = 1) is
-    the centralized form and the right choice for single-robot barriers,
-    which appear only once across the team.
+    ``positions`` are x_i, then x_j for a pairwise kind.
     """
-    if share not in ("half", "full"):
-        raise ValueError(f"share must be 'half' or 'full', got {share!r}")
-    c = 2.0 if share == "half" else 1.0
-    h = eval_barrier(kind, states)
-    grad = barrier_gradient(kind, states, robot)
     return ConstraintRow(
-        robot=robot,
-        normal=grad,
-        offset=-class_k(h, params) / c,
+        robot=kind.i,
+        normal=kind.gradient(*positions),
+        offset=-kind.share * class_k(float(kind.value(*positions)), params),
         source=kind,
-        hard=is_hard(kind),
+        hard=kind.hard,
     )

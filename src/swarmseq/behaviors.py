@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (
     Domain,
     GeometryError,
+    InteractionGraph,
     induced_subgraph_is_cycle,
     is_cycle_graph,
     voronoi_centroids,
@@ -71,16 +72,13 @@ class Formation:
 class LeaderFollower:
     """Formation kept by followers while the leader steers to a goal.
 
-    The leader's own formation term is zero by default; followers alone
-    maintain the shape. ``leader_formation_term`` turns the term on for
-    experimentation.
+    The leader runs pure goal seeking; followers alone maintain the shape.
     """
 
     leader: int
     goal: tuple
     gain: float
     distances: dict = field(default_factory=dict)
-    leader_formation_term: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
@@ -267,10 +265,7 @@ def nominal_control(behavior, me, my_state, neighbor_states, required_neighbors)
     if isinstance(behavior, LeaderFollower):
         pairs = _neighbor_positions(neighbor_states, required_neighbors)
         if me == behavior.leader:
-            u = behavior.gain * (np.asarray(behavior.goal) - my_pos)
-            if behavior.leader_formation_term:
-                u = u + _formation_sum(me, my_pos, pairs, behavior.distance)
-            return u
+            return behavior.gain * (np.asarray(behavior.goal) - my_pos)
         return _formation_sum(me, my_pos, pairs, behavior.distance)
 
     if isinstance(behavior, CyclicPursuit):
@@ -430,9 +425,12 @@ def _composite_violations(behavior, required_graph, delta):
             except GeometryError as exc:
                 out.append(f"composite {label}: {exc}")
         elif isinstance(ctrl, (Formation, LeaderFollower)):
-            sub_edges = set(g.edges)
-            sub = _SubgraphView(required_graph.n, sub_edges)
             label = "formation" if isinstance(ctrl, Formation) else "leader-follower"
+            try:
+                sub = InteractionGraph.from_edges(required_graph.n, g.edges)
+            except GeometryError as exc:
+                out.append(f"composite {label}: {exc}")
+                continue
             out.extend(_distance_violations(sub, ctrl.distances, delta, f"composite {label}"))
         elif isinstance(ctrl, Lattice):
             if ctrl.spacing > delta:
@@ -440,17 +438,3 @@ def _composite_violations(behavior, required_graph, delta):
         elif isinstance(ctrl, Composite):
             out.append("composite: nested composites are not supported")
     return out
-
-
-class _SubgraphView:
-    """Just enough of the graph interface for distance validation on group edges."""
-
-    def __init__(self, n, edges):
-        self.n = n
-        self.edges = set(edges)
-
-    def has_edge(self, i, j):
-        return _edge_key(i, j) in self.edges
-
-    def sorted_edges(self):
-        return sorted(self.edges)

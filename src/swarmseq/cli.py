@@ -1,7 +1,7 @@
 """Command-line mission runner.
 
-Exit codes are a stable contract: 0 done, 1 validation failure, 2 I/O or
-parse error, 3 timeout, 4 hard infeasibility.
+Exit codes are a stable contract: 0 done, 1 validation failure, 2 I/O,
+parse or override error, 3 timeout, 4 hard infeasibility.
 """
 
 from __future__ import annotations
@@ -50,15 +50,39 @@ def _parse_delay(text):
 
 def _apply_overrides(config, args):
     fields = {}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.dt is not None:
-        fields["dt"] = args.dt
-    if args.delay is not None:
-        fields["delay"] = _parse_delay(args.delay)
-    if getattr(args, "max_ticks", None) is not None:
-        fields["max_ticks"] = args.max_ticks
+    for name in ("seed", "dt", "delay", "max_ticks"):
+        value = getattr(args, name, None)
+        if value is not None:
+            fields[name] = _parse_delay(value) if name == "delay" else value
     return replace(config, **fields) if fields else config
+
+
+class _Exit(Exception):
+    """Ends a command early with an exit code; the reason is already printed."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
+def _prepare(args):
+    """Load and validate the mission, then apply any command-line overrides."""
+    try:
+        plan, config = _load(args.mission)
+    except (OSError, MissionFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise _Exit(EXIT_IO) from None
+    violations = validate(plan)
+    if violations:
+        for v in violations:
+            print(f"violation: {v}", file=sys.stderr)
+        print(f"{len(violations)} violation(s)", file=sys.stderr)
+        raise _Exit(EXIT_INVALID)
+    try:
+        return plan, _apply_overrides(config, args)
+    except ValueError as exc:  # includes SimConfigError
+        print(f"error: {exc}", file=sys.stderr)
+        raise _Exit(EXIT_IO) from None
 
 
 def run_metrics(record):
@@ -113,17 +137,7 @@ def _outcome_exit(outcome):
 
 
 def cmd_validate(args):
-    try:
-        plan, _ = _load(args.mission)
-    except (OSError, MissionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    violations = validate(plan)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        print(f"{len(violations)} violation(s)", file=sys.stderr)
-        return EXIT_INVALID
+    plan, _ = _prepare(args)
     print(f"ok: {len(plan.behaviors)} behaviors, {plan.n} robots", file=sys.stderr)
     return EXIT_DONE
 
@@ -141,17 +155,7 @@ def _print_behavior_table(metrics, out=sys.stdout):
 
 
 def cmd_run(args):
-    try:
-        plan, config = _load(args.mission)
-    except (OSError, MissionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    violations = validate(plan)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_INVALID
-    config = _apply_overrides(config, args)
+    plan, config = _prepare(args)
     record = run(plan, config)
     metrics = run_metrics(record)
     if args.out:
@@ -196,17 +200,7 @@ def transition_comparison(plan, config):
 
 
 def cmd_compare_glue(args):
-    try:
-        plan, config = _load(args.mission)
-    except (OSError, MissionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    violations = validate(plan)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_INVALID
-    config = _apply_overrides(config, args)
+    plan, config = _prepare(args)
     report = transition_comparison(plan, config)
     mi, glue = report["minimally_invasive"], report["rendezvous_glue"]
     print("transition  mi_ticks  mi_mean|u|  glue_ticks  glue_mean|u|")
@@ -272,7 +266,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -6,10 +6,13 @@ package (index 0 is never a robot).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .barriers import Connectivity
 
 
 class GeometryError(ValueError):
@@ -74,16 +77,21 @@ class InteractionGraph:
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Ellipse (x-center)' diag(a, b) (x-center) = 1; interior is the keep-out set."""
+    """Ellipse (x-center)' diag(a, b) (x-center) = 1; interior is the keep-out set.
+
+    Array ``a`` and ``b`` of shape (m,) with an (m, 2) ``center`` stack m
+    ellipses, so that one barrier evaluation covers all of them.
+    """
 
     center: np.ndarray
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if np.any(np.asarray(self.a) <= 0) or np.any(np.asarray(self.b) <= 0):
             raise GeometryError(f"obstacle shape coefficients must be positive, got {self.a}, {self.b}")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(2))
+        center = np.asarray(self.center, dtype=float).reshape(np.shape(self.a) + (2,))
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -95,11 +103,19 @@ class Domain:
     ymin: float
     ymax: float
     obstacles: tuple = ()
+    obstacle_stack: Obstacle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise GeometryError("domain bounds are degenerate")
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        obstacles = tuple(self.obstacles)
+        object.__setattr__(self, "obstacles", obstacles)
+        stack = Obstacle(
+            [o.center for o in obstacles],
+            np.array([o.a for o in obstacles], dtype=float),
+            np.array([o.b for o in obstacles], dtype=float),
+        )
+        object.__setattr__(self, "obstacle_stack", stack)
 
     @property
     def area(self):
@@ -123,8 +139,9 @@ class Domain:
 def proximity_graph(states, delta):
     """Graph with an edge wherever two robots are within sensing range.
 
-    The range test is boundary-inclusive: a pair at distance exactly ``delta``
-    is connected.
+    A pair is connected exactly when its connectivity barrier is nonnegative,
+    so the test is boundary-inclusive: a pair at distance ``delta`` is
+    connected.
     """
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
@@ -136,12 +153,20 @@ def proximity_graph(states, delta):
         raise GeometryError(f"robot ids must be 1..{n}, got {ids}")
     by_id = {s.id: s.position for s in states}
     edges = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d = by_id[i] - by_id[j]
-            if float(d @ d) <= delta * delta:
-                edges.add((i, j))
+    for kind in _pair_barriers(n, delta):
+        if kind.value(by_id[kind.i], by_id[kind.j]) >= 0:
+            edges.add((kind.i, kind.j))
     return InteractionGraph(n, frozenset(edges))
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_barriers(n, delta):
+    """The connectivity barrier of every pair i < j of n robots.
+
+    Cached because a run asks for the same pairs every tick, and building the
+    kinds anew cost as much as the range tests themselves.
+    """
+    return tuple(Connectivity(i, j, delta) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def is_spanning_subgraph(required, live):

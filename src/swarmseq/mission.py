@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import behaviors as bh
-from .barriers import FcbfParams, KeepWithin
+from .barriers import Collision, FcbfParams, KeepWithin
 from .geometry import Domain, InteractionGraph, Obstacle
 from .sim import DelaySpec, SimConfig
 
@@ -81,13 +81,11 @@ def validate(plan):
     for idx, pos in enumerate(plan.initial_positions, start=1):
         if not plan.domain.contains(pos):
             out.append(f"initial position of robot {idx} lies outside the domain")
-    for i in range(plan.n):
-        for j in range(i + 1, plan.n):
-            d = plan.initial_positions[i] - plan.initial_positions[j]
-            if float(np.linalg.norm(d)) <= plan.min_sep:
-                out.append(
-                    f"robots {i + 1} and {j + 1} start within the minimum separation"
-                )
+    x = plan.initial_positions
+    for i in range(1, plan.n + 1):
+        for j in range(i + 1, plan.n + 1):
+            if Collision(i, j, plan.min_sep).value(x[i - 1], x[j - 1]) <= 0:
+                out.append(f"robots {i} and {j} start within the minimum separation")
     for k, spec in enumerate(plan.behaviors, start=1):
         label = spec.name or f"behavior {k}"
         if spec.required_graph.n != plan.n:
@@ -148,7 +146,6 @@ def _parse_controller(doc, n, where):
             goal=_vec(_req(doc, "goal", where), where),
             gain=float(doc.get("gain", 1.0)),
             distances=dist,
-            leader_formation_term=bool(doc.get("leader_formation_term", False)),
         )
     if kind == "cyclic_pursuit":
         return bh.CyclicPursuit(angle=float(_req(doc, "angle", where)))
@@ -279,6 +276,11 @@ def parse_mission(text):
     )
 
     sim_doc = doc.get("sim", {})
+    if "delta" in sim_doc and float(sim_doc["delta"]) != delta:
+        raise MissionFormatError(
+            f"[sim] delta {sim_doc['delta']} differs from [mission] delta {delta:g}; "
+            "the sensing range is set in [mission] only"
+        )
     delay_doc = sim_doc.get("delay", "none")
     if delay_doc == "none" or delay_doc is None:
         delay = DelaySpec.none()
@@ -287,7 +289,6 @@ def parse_mission(text):
     config = SimConfig(
         dt=float(sim_doc.get("dt", 0.02)),
         max_ticks=int(sim_doc.get("max_ticks", 20000)),
-        delta=float(sim_doc.get("delta", delta)),
         speed_limit=float(sim_doc.get("speed_limit", 0.2)),
         delay=delay,
         seed=int(sim_doc.get("seed", 0)),
@@ -313,16 +314,13 @@ def _controller_doc(controller):
             "distances": [[i, j, t] for (i, j), t in sorted(controller.distances.items())],
         }
     if isinstance(controller, bh.LeaderFollower):
-        doc = {
+        return {
             "controller": "leader_follower",
             "leader": controller.leader,
             "goal": list(controller.goal),
             "gain": controller.gain,
             "distances": [[i, j, t] for (i, j), t in sorted(controller.distances.items())],
         }
-        if controller.leader_formation_term:
-            doc["leader_formation_term"] = True
-        return doc
     if isinstance(controller, bh.CyclicPursuit):
         return {"controller": "cyclic_pursuit", "angle": controller.angle}
     if isinstance(controller, bh.Lattice):
@@ -390,7 +388,6 @@ def serialize_mission(plan, config):
         "sim": {
             "dt": config.dt,
             "max_ticks": config.max_ticks,
-            "delta": config.delta,
             "speed_limit": config.speed_limit,
             "delay": (
                 "none"

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import EXECUTING, AgentNode, Delivery, StepEnv, step
+from .barriers import Collision, Connectivity, ObstacleAvoid
 from .geometry import RobotState, proximity_graph
 
 
@@ -50,7 +51,6 @@ class DelaySpec:
 class SimConfig:
     dt: float = 0.02
     max_ticks: int = 20000
-    delta: float = 0.5
     speed_limit: float = 0.2
     delay: DelaySpec = field(default_factory=DelaySpec.none)
     seed: int = 0
@@ -63,8 +63,6 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise SimConfigError("dt must be positive")
-        if self.delta <= 0:
-            raise SimConfigError("delta must be positive")
         if self.speed_limit <= 0:
             raise SimConfigError("speed limit must be positive")
         if self.max_ticks < 1:
@@ -134,7 +132,7 @@ def make_nodes(plan):
 def make_world(plan, config):
     positions = plan.initial_positions.copy()
     graph = proximity_graph(
-        [RobotState(i + 1, positions[i]) for i in range(plan.n)], config.delta
+        [RobotState(i + 1, positions[i]) for i in range(plan.n)], plan.delta
     )
     return WorldState(tick=0, positions=positions, live_graph=graph, in_flight=[], event_log=[])
 
@@ -169,10 +167,10 @@ def tick(world, nodes, plan, config):
             sensed=sensed,
             oracle=oracle,
             params=plan.fcbf,
-            delta=config.delta,
+            delta=plan.delta,
             min_sep=plan.min_sep,
             speed_limit=config.speed_limit,
-            obstacles=plan.domain.obstacles,
+            domain=plan.domain,
             sigma_bar=config.sigma_bar,
             eta_bar=config.eta_bar,
             staleness_ticks=config.staleness_ticks,
@@ -190,7 +188,7 @@ def tick(world, nodes, plan, config):
     np.clip(controls, -config.speed_limit, config.speed_limit, out=controls)
     world.positions = positions + config.dt * controls
     world.live_graph = proximity_graph(
-        [RobotState(i + 1, world.positions[i]) for i in range(plan.n)], config.delta
+        [RobotState(i + 1, world.positions[i]) for i in range(plan.n)], plan.delta
     )
     for sender, msg, recipients in outboxes:
         delay = _delay_ticks(config, sender, t)
@@ -202,10 +200,6 @@ def tick(world, nodes, plan, config):
 
 def run(plan, config):
     """Run the mission to completion, timeout, or hard infeasibility."""
-    if abs(config.delta - plan.delta) > 1e-12:
-        raise SimConfigError(
-            f"config sensing range {config.delta:g} differs from the plan's {plan.delta:g}"
-        )
     nodes = make_nodes(plan)
     world = make_world(plan, config)
 
@@ -225,7 +219,7 @@ def run(plan, config):
         mode_log.append([n.mode for n in nodes])
         k_log.append([n.behavior_index for n in nodes])
         if rescue_state is not None:
-            rescue_state.observe(world, nodes, config)
+            rescue_state.observe(world, nodes)
         if all(n.done for n in nodes):
             outcome = "done"
             break
@@ -261,12 +255,12 @@ class _RescueTracker:
         self.located = False
         self.escorted = False
 
-    def observe(self, world, nodes, config):
+    def observe(self, world, nodes):
         r = self.plan.rescue
         target = np.asarray(r.target)
         if not self.located:
             dists = np.linalg.norm(world.positions - target, axis=1)
-            if float(np.min(dists)) <= config.delta:
+            if float(np.min(dists)) <= self.plan.delta:
                 self.located = True
                 world.event_log.append(
                     {"tick": world.tick - 1, "event": "target_located", "robot": int(np.argmin(dists)) + 1}
@@ -344,23 +338,16 @@ def _first_tick(mask):
 def connectivity_trace(record, edge):
     """Barrier value of one connectivity edge across the whole run."""
     i, j = edge
-    delta = record.config.delta
-    d = record.positions[:, i - 1, :] - record.positions[:, j - 1, :]
-    return delta**2 - np.sum(d * d, axis=1)
-
-
-def collision_trace(record, pair):
-    i, j = pair
-    d = record.positions[:, i - 1, :] - record.positions[:, j - 1, :]
-    return np.sum(d * d, axis=1) - record.plan.min_sep**2
-
-
-def obstacle_trace(record, robot, obstacle):
-    v = record.positions[:, robot - 1, :] - np.asarray(obstacle.center)
-    return obstacle.a * v[:, 0] ** 2 + obstacle.b * v[:, 1] ** 2 - 1.0
+    pos = record.positions
+    return Connectivity(i, j, record.plan.delta).value(pos[:, i - 1], pos[:, j - 1])
 
 
 # --- serialization ----------------------------------------------------------------
+
+
+def _per_tick(traces, positions):
+    """Barrier traces over the run as a (ticks + 1, len(traces)) array."""
+    return np.array(traces).reshape(len(traces), len(positions)).T
 
 
 def write_outputs(record, outdir):
@@ -395,33 +382,38 @@ def write_outputs(record, outdir):
     paths["trajectory"] = path
 
     path = os.path.join(outdir, "barriers.csv")
-    all_edges = sorted({e for spec in record.plan.behaviors for e in spec.required_graph.edges})
-    delta2 = record.config.delta**2
-    minsep2 = record.plan.min_sep**2
-    obstacles = record.plan.domain.obstacles
+    plan = record.plan
+    pos = record.positions
+    edges = sorted({e for spec in plan.behaviors for e in spec.required_graph.edges})
+    pairs = [(i, j) for i in range(1, record.n + 1) for j in range(i + 1, record.n + 1)]
+    conn = _per_tick([connectivity_trace(record, e) for e in edges], pos)
+    in_range = _per_tick(
+        [Connectivity(i, j, plan.delta).value(pos[:, i - 1], pos[:, j - 1]) >= 0 for i, j in pairs],
+        pos,
+    )
+    coll = _per_tick(
+        [Collision(i, j, plan.min_sep).value(pos[:, i - 1], pos[:, j - 1]) for i, j in pairs], pos
+    )
+    # each robot's worst obstacle: the first one attaining the minimum
+    worst = np.full(pos.shape[:2], np.inf)
+    worst_m = np.zeros(pos.shape[:2], dtype=int)
+    for m, o in enumerate(plan.domain.obstacles, start=1):
+        for i in range(1, record.n + 1):
+            h = ObstacleAvoid(i, o).value(pos[:, i - 1])
+            better = h < worst[:, i - 1]
+            worst[better, i - 1] = h[better]
+            worst_m[better, i - 1] = m
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tick,kind,a,b,h\n")
         for t in range(record.ticks):
-            pos = record.positions[t]
-            for i, j in all_edges:
-                d = pos[i - 1] - pos[j - 1]
-                fh.write(f"{t},conn,{i},{j},{float(delta2 - d @ d)!r}\n")
-            for i in range(1, record.n + 1):
-                for j in range(i + 1, record.n + 1):
-                    d = pos[i - 1] - pos[j - 1]
-                    dist2 = float(d @ d)
-                    if dist2 <= delta2:
-                        fh.write(f"{t},coll,{i},{j},{float(dist2 - minsep2)!r}\n")
-            for i in range(1, record.n + 1):
-                worst = None
-                worst_m = 0
-                for m, o in enumerate(obstacles, start=1):
-                    v = pos[i - 1] - o.center
-                    h = o.a * v[0] ** 2 + o.b * v[1] ** 2 - 1.0
-                    if worst is None or h < worst:
-                        worst, worst_m = h, m
-                if worst is not None:
-                    fh.write(f"{t},obst,{i},{worst_m},{float(worst)!r}\n")
+            for (i, j), h in zip(edges, conn[t].tolist()):
+                fh.write(f"{t},conn,{i},{j},{h!r}\n")
+            for (i, j), near, h in zip(pairs, in_range[t].tolist(), coll[t].tolist()):
+                if near:
+                    fh.write(f"{t},coll,{i},{j},{h!r}\n")
+            if plan.domain.obstacles:
+                for i, (m, h) in enumerate(zip(worst_m[t].tolist(), worst[t].tolist()), start=1):
+                    fh.write(f"{t},obst,{i},{m},{h!r}\n")
     paths["barriers"] = path
 
     path = os.path.join(outdir, "consensus.csv")

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from swarmseq.agent import EXECUTING, consensus_update
-from swarmseq.barriers import ConstraintRow, FcbfParams, team_settling_bound
+from swarmseq.barriers import (
+    Collision,
+    ConstraintRow,
+    FcbfParams,
+    ObstacleAvoid,
+    team_settling_bound,
+)
 from swarmseq.cli import transition_comparison
 from swarmseq.geometry import (
     Domain,
@@ -83,7 +89,7 @@ def test_criterion_1_settling_time_bound():
             delta=0.5,
             min_sep=0.12,
         )
-        config = SimConfig(dt=dt, max_ticks=600, delta=0.5, speed_limit=3.0)
+        config = SimConfig(dt=dt, max_ticks=600, speed_limit=3.0)
         rec = run(plan, config)
         h = connectivity_trace(rec, (1, 2))
         h0 = float(h[0])
@@ -102,17 +108,25 @@ def test_criterion_1_settling_time_bound():
 
 
 def _hard_barrier_minima(plan, rec):
-    worst_coll = np.inf
-    for i in range(1, plan.n + 1):
-        for j in range(i + 1, plan.n + 1):
-            d = rec.positions[:, i - 1] - rec.positions[:, j - 1]
-            h = np.sum(d * d, axis=1) - plan.min_sep**2
-            worst_coll = min(worst_coll, float(h.min()))
-    worst_obst = np.inf
-    for o in plan.domain.obstacles:
-        v = rec.positions - np.asarray(o.center)
-        h = o.a * v[:, :, 0] ** 2 + o.b * v[:, :, 1] ** 2 - 1.0
-        worst_obst = min(worst_obst, float(h.min()))
+    x = rec.positions
+    robots = range(1, plan.n + 1)
+    worst_coll = min(
+        (
+            float(Collision(i, j, plan.min_sep).value(x[:, i - 1], x[:, j - 1]).min())
+            for i in robots
+            for j in robots
+            if i < j
+        ),
+        default=np.inf,
+    )
+    worst_obst = min(
+        (
+            float(ObstacleAvoid(i, o).value(x[:, i - 1]).min())
+            for o in plan.domain.obstacles
+            for i in robots
+        ),
+        default=np.inf,
+    )
     return worst_coll, worst_obst
 
 
@@ -375,7 +389,7 @@ def test_criterion_8_securing_a_building(securing_record):
             spanning = False
             break
         states = [RobotState(i + 1, rec.positions[t, i]) for i in range(rec.n)]
-        live = proximity_graph(states, config.delta)
+        live = proximity_graph(states, plan.delta)
         if not is_spanning_subgraph(plan.behaviors[w["k"] - 1].required_graph, live):
             spanning = False
     if not spanning:

@@ -14,7 +14,7 @@ from swarmseq.agent import (
 )
 from swarmseq.barriers import FcbfParams
 from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
-from swarmseq.geometry import InteractionGraph, RobotState
+from swarmseq.geometry import Domain, InteractionGraph, RobotState
 from swarmseq.mission import BehaviorSpec
 
 
@@ -93,7 +93,7 @@ def env_for(tick, positions, me, delta=0.5, **kw):
         delta=delta,
         min_sep=0.12,
         speed_limit=0.2,
-        obstacles=(),
+        domain=Domain(-10, 10, -10, 10),
     )
     defaults.update(kw)
     return StepEnv(**defaults)

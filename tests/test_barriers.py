@@ -10,15 +10,18 @@ from swarmseq.barriers import (
     ObstacleAvoid,
     class_k,
     constraint_row,
-    eval_barrier,
     settling_time_bound,
     team_settling_bound,
 )
-from swarmseq.geometry import Obstacle, RobotState, proximity_graph
+from swarmseq.geometry import Domain, Obstacle, RobotState, proximity_graph
 
 
 def states(*positions):
     return [RobotState(i + 1, np.array(p, dtype=float)) for i, p in enumerate(positions)]
+
+
+def pts(*positions):
+    return [np.array(p, dtype=float) for p in positions]
 
 
 class TestClassK:
@@ -55,41 +58,67 @@ class TestClassK:
 
 class TestEvalBarrier:
     def test_connectivity_boundary(self):
-        h = eval_barrier(Connectivity(1, 2, 0.5), states((0, 0), (0.3, 0.4)))
+        h = Connectivity(1, 2, 0.5).value(*pts((0, 0), (0.3, 0.4)))
         assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_connectivity_interior(self):
-        h = eval_barrier(Connectivity(1, 2, 0.5), states((0, 0), (0.3, 0.0)))
+        h = Connectivity(1, 2, 0.5).value(*pts((0, 0), (0.3, 0.0)))
         assert h == pytest.approx(0.16)
 
     def test_obstacle_boundary(self):
         kind = ObstacleAvoid(1, Obstacle(np.zeros(2), 1.0, 1.0))
-        assert eval_barrier(kind, states((1, 0))) == pytest.approx(0.0)
+        assert kind.value(*pts((1, 0))) == pytest.approx(0.0)
 
     def test_collision_sign(self):
-        st2 = states((0, 0), (0.1, 0.0))
-        assert eval_barrier(Collision(1, 2, 0.12), st2) < 0
-        assert eval_barrier(Collision(1, 2, 0.05), st2) > 0
+        x = pts((0, 0), (0.1, 0.0))
+        assert Collision(1, 2, 0.12).value(*x) < 0
+        assert Collision(1, 2, 0.05).value(*x) > 0
 
     def test_keep_within(self):
         kind = KeepWithin(1, (0.0, 0.0), 1.0)
-        assert eval_barrier(kind, states((1, 0))) == pytest.approx(0.0)
-        assert eval_barrier(kind, states((0.5, 0))) > 0
+        assert kind.value(*pts((1, 0))) == pytest.approx(0.0)
+        assert kind.value(*pts((0.5, 0))) > 0
 
     def test_connectivity_matches_proximity_graph(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            pts = rng.uniform(-1, 1, size=(4, 2))
-            st4 = states(*pts)
-            g = proximity_graph(st4, 0.5)
+            x = rng.uniform(-1, 1, size=(4, 2))
+            g = proximity_graph(states(*x), 0.5)
             for i in range(1, 5):
                 for j in range(i + 1, 5):
-                    h = eval_barrier(Connectivity(i, j, 0.5), st4)
+                    h = Connectivity(i, j, 0.5).value(x[i - 1], x[j - 1])
                     assert (h >= 0) == g.has_edge(i, j)
 
-    def test_bad_index(self):
-        with pytest.raises(IndexError):
-            eval_barrier(Connectivity(1, 9, 0.5), states((0, 0), (1, 1)))
+    def test_trajectory_equals_tick_by_tick(self):
+        # one method serves one tick and a whole (ticks, 2) trajectory, bitwise
+        rng = np.random.default_rng(8)
+        xi, xj = rng.uniform(-2, 2, size=(2, 300, 2))
+        obstacle = Obstacle(np.array([0.2, -0.1]), 2.0, 0.5)
+        kinds = [
+            (Connectivity(1, 2, 0.5), (xi, xj)),
+            (Collision(1, 2, 0.12), (xi, xj)),
+            (ObstacleAvoid(1, obstacle), (xi,)),
+            (KeepWithin(1, (0.1, 0.3), 0.8), (xi,)),
+        ]
+        for kind, x in kinds:
+            values = kind.value(*x)
+            assert values.shape == (300,)
+            for t in range(300):
+                at_t = [p[t] for p in x]
+                assert values[t] == kind.value(*at_t)
+                np.testing.assert_array_equal(kind.gradient(*x)[t], kind.gradient(*at_t))
+
+    def test_stacked_obstacles_equal_one_by_one(self):
+        rng = np.random.default_rng(9)
+        obstacles = [
+            Obstacle(rng.uniform(-1, 1, 2), float(a), float(b))
+            for a, b in rng.uniform(0.5, 20, size=(7, 2))
+        ]
+        domain = Domain(-2, 2, -2, 2, tuple(obstacles))
+        for x in rng.uniform(-2, 2, size=(50, 2)):
+            stacked = ObstacleAvoid(1, domain.obstacle_stack).value(x)
+            single = [ObstacleAvoid(1, o).value(x) for o in obstacles]
+            np.testing.assert_array_equal(stacked, single)
 
 
 class TestConstraintRow:
@@ -97,61 +126,55 @@ class TestConstraintRow:
         # h = 0.25 - 1 = -0.75; rate = sign(h)*|h|^0.5 = -0.86603;
         # offset = -rate/2 = +0.43301; gradient wrt robot 1 = -2*(x1 - x2).
         row = constraint_row(
-            Connectivity(1, 2, 0.5),
-            states((1, 0), (0, 0)),
-            FcbfParams(rho=0.5, gamma=1.0),
-            robot=1,
-            share="half",
+            Connectivity(1, 2, 0.5), FcbfParams(rho=0.5, gamma=1.0), *pts((1, 0), (0, 0))
         )
+        assert row.robot == 1
         np.testing.assert_allclose(row.normal, [-2.0, 0.0])
         assert row.offset == pytest.approx(0.4330127018922193, abs=1e-12)
         assert not row.hard
 
     def test_collision_at_boundary_reduces_to_homogeneous(self):
-        st2 = states((0.12, 0), (0, 0))
-        row = constraint_row(Collision(1, 2, 0.12), st2, FcbfParams(), 1, "half")
+        row = constraint_row(Collision(1, 2, 0.12), FcbfParams(), *pts((0.12, 0), (0, 0)))
         assert row.offset == pytest.approx(0.0, abs=1e-15)
         assert row.hard
 
     def test_obstacle_boundary_gradient(self):
         kind = ObstacleAvoid(1, Obstacle(np.zeros(2), 1.0, 1.0))
-        row = constraint_row(kind, states((1, 0)), FcbfParams(), 1, "full")
+        row = constraint_row(kind, FcbfParams(), *pts((1, 0)))
         np.testing.assert_allclose(row.normal, [2.0, 0.0])
         assert row.offset == pytest.approx(0.0, abs=1e-15)
 
     def test_full_share_doubles_offset(self):
-        st2 = states((1, 0), (0, 0))
-        kind = Connectivity(1, 2, 0.5)
-        half = constraint_row(kind, st2, FcbfParams(), 1, "half")
-        full = constraint_row(kind, st2, FcbfParams(), 1, "full")
-        assert full.offset == pytest.approx(2 * half.offset)
-
-    def test_non_participant_rejected(self):
-        with pytest.raises(ValueError):
-            constraint_row(Connectivity(1, 2, 0.5), states((0, 0), (1, 1), (2, 2)), FcbfParams(), 3)
+        # the same h = -0.75 as a pairwise and as a single-robot barrier: the
+        # pairwise row, enforced by both endpoints, carries half the rate
+        params = FcbfParams()
+        pair = constraint_row(Connectivity(1, 2, 0.5), params, *pts((1, 0), (0, 0)))
+        single = constraint_row(KeepWithin(1, (0.0, 0.0), 0.5), params, *pts((1, 0)))
+        assert pair.offset == -class_k(-0.75, params) / 2
+        assert single.offset == -class_k(-0.75, params)
+        assert single.offset == 2 * pair.offset
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         obstacle = Obstacle(np.array([0.2, -0.1]), 2.0, 0.5)
         for _ in range(30):
-            pts = rng.uniform(-1, 1, size=(2, 2))
+            x1, x2 = rng.uniform(-1, 1, size=(2, 2))
             kinds = [
-                (Connectivity(1, 2, 0.5), 1),
-                (Connectivity(1, 2, 0.5), 2),
-                (Collision(1, 2, 0.12), 1),
-                (ObstacleAvoid(1, obstacle), 1),
-                (KeepWithin(2, (0.1, 0.3), 0.8), 2),
+                (Connectivity(1, 2, 0.5), [x1, x2]),
+                (Connectivity(2, 1, 0.5), [x2, x1]),
+                (Collision(1, 2, 0.12), [x1, x2]),
+                (ObstacleAvoid(1, obstacle), [x1]),
+                (KeepWithin(2, (0.1, 0.3), 0.8), [x2]),
             ]
-            for kind, robot in kinds:
-                row = constraint_row(kind, states(*pts), FcbfParams(), robot, "full")
+            for kind, x in kinds:
+                row = constraint_row(kind, FcbfParams(), *x)
                 step = 1e-6
                 fd = np.zeros(2)
                 for axis in range(2):
-                    for sign, slot in ((1, 0), (-1, 1)):
-                        shifted = pts.copy()
-                        shifted[robot - 1, axis] += sign * step
-                        h = eval_barrier(kind, states(*shifted))
-                        fd[axis] += sign * h
+                    for sign in (1, -1):
+                        shifted = [p.copy() for p in x]
+                        shifted[0][axis] += sign * step
+                        fd[axis] += sign * kind.value(*shifted)
                     fd[axis] /= 2 * step
                 np.testing.assert_allclose(row.normal, fd, rtol=1e-4, atol=1e-6)
 
@@ -177,25 +200,26 @@ class TestSettlingBounds:
         dt = 0.02
         rng = np.random.default_rng(3)
         for _ in range(20):
-            pts = rng.uniform(-1, 1, size=(2, 2))
-            kind = Connectivity(1, 2, 0.5)
-            h0 = eval_barrier(kind, states(*pts))
+            x = rng.uniform(-1, 1, size=(2, 2))
+            h0 = Connectivity(1, 2, 0.5).value(x[0], x[1])
             if h0 >= 0:
                 continue
             bound = settling_time_bound(h0, params)
             t = 0.0
             crossed = None
             while t <= bound + 5 * dt:
-                st2 = states(*pts)
-                h = eval_barrier(kind, st2)
+                h = Connectivity(1, 2, 0.5).value(x[0], x[1])
                 if h >= 0:
                     crossed = t
                     break
-                for robot in (1, 2):
-                    row = constraint_row(kind, st2, params, robot, "half")
+                rows = [
+                    constraint_row(Connectivity(1, 2, 0.5), params, x[0], x[1]),
+                    constraint_row(Connectivity(2, 1, 0.5), params, x[1], x[0]),
+                ]
+                for row in rows:
                     n2 = float(row.normal @ row.normal)
                     u = row.normal * (row.offset / n2)
-                    pts[robot - 1] += dt * u
+                    x[row.robot - 1] += dt * u
                 t += dt
             assert crossed is not None
             assert crossed <= bound + dt + 1e-9

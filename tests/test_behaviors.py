@@ -109,15 +109,6 @@ class TestControlLaws:
         u2 = u_of(beh, 2, st, [1])
         np.testing.assert_allclose(u2, [0, 0], atol=1e-12)
 
-    def test_leader_formation_term_flag(self):
-        beh = LeaderFollower(
-            leader=1, goal=(0.0, 0.0), gain=1.0, distances={(1, 2): 0.5},
-            leader_formation_term=True,
-        )
-        st = states((0, 0), (0.3, 0))
-        u = u_of(beh, 1, st, [2])
-        assert abs(u[0]) > 0  # formation correction active on top of the goal term
-
     def test_lattice_uses_all_given_states(self):
         beh = Lattice(spacing=0.4)
         st = states((0, 0), (0.4, 0))
@@ -200,6 +191,20 @@ class TestValidation:
         )
         out = validate_requirements(beh, g, 0.5)
         assert any("more than one group" in v for v in out)
+
+    def test_composite_group_edge_out_of_range_is_a_violation(self):
+        g = InteractionGraph.from_edges(4, [(1, 2)])
+        beh = Composite(
+            groups=(
+                CompositeGroup(
+                    robots=(1, 9),
+                    controller=Formation(distances={(1, 9): 0.3}),
+                    edges=((1, 9),),
+                ),
+            )
+        )
+        out = validate_requirements(beh, g, 0.5)
+        assert any("composite formation" in v and "(1,9)" in v for v in out)
 
 
 class TestCompletion:

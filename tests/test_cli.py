@@ -71,6 +71,35 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
 
 
+class TestRejectedInput:
+    def test_sim_delta_mismatch(self, tmp_path, capsys):
+        text = TINY.replace("  delta: 0.5\n  speed_limit", "  delta: 0.7\n  speed_limit")
+        assert text != TINY
+        path = tmp_path / "mismatch.yaml"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            ["--delay", "bogus"],
+            ["--delay", "uniform:5:1"],
+            ["--delay", "uniform:x:1"],
+            ["--dt", "0"],
+            ["--max-ticks", "0"],
+        ],
+    )
+    def test_bad_override(self, tiny_mission, capsys, override):
+        assert main(["run", tiny_mission, *override]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_override_compare_glue(self, tiny_mission, capsys):
+        assert main(["compare-glue", tiny_mission, "--delay", "uniform:5:1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def test_run_writes_outputs(self, tiny_mission, tmp_path):
         out = tmp_path / "out"

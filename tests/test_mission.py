@@ -28,10 +28,10 @@ behaviors:
 
 class TestParsing:
     def test_minimal_document(self):
-        plan, config = parse_mission(MINIMAL)
+        plan, _ = parse_mission(MINIMAL)
         assert plan.n == 2
         assert len(plan.behaviors) == 1
-        assert config.delta == 0.5
+        assert plan.delta == 0.5
         assert validate(plan) == []
 
     def test_not_yaml(self):
@@ -46,6 +46,12 @@ class TestParsing:
         bad = MINIMAL.replace("rendezvous", "teleport")
         with pytest.raises(MissionFormatError, match="teleport"):
             parse_mission(bad)
+
+    def test_sim_delta_must_match_mission_delta(self):
+        plan, _ = parse_mission(MINIMAL + "sim:\n  delta: 0.5\n")
+        assert plan.delta == 0.5
+        with pytest.raises(MissionFormatError, match="delta"):
+            parse_mission(MINIMAL + "sim:\n  delta: 0.7\n")
 
     def test_wrong_position_count(self):
         bad = MINIMAL.replace("n: 2", "n: 3")
@@ -113,7 +119,7 @@ class TestBuiltins:
             builtin_scenario("lost_in_space")
 
     def test_demo_structure(self):
-        plan, config = builtin_scenario("two_behavior_demo")
+        plan, _ = builtin_scenario("two_behavior_demo")
         assert len(plan.behaviors) == 2
         b1, b2 = plan.behaviors
         assert isinstance(b1.controller, CyclicPursuit)
@@ -121,7 +127,7 @@ class TestBuiltins:
         cycle = InteractionGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         assert b1.required_graph.edges == cycle.edges
         assert b2.required_graph.edges == cycle.edges | {(2, 5), (3, 5)}
-        assert config.delta == 0.5
+        assert plan.delta == 0.5
 
     def test_seven_behavior_structure(self):
         plan, _ = builtin_scenario("seven_behavior_energy")
@@ -131,9 +137,9 @@ class TestBuiltins:
         assert any(a != b for a, b in zip(graphs, graphs[1:]))
 
     def test_securing_structure(self):
-        plan, config = builtin_scenario("securing_a_building")
+        plan, _ = builtin_scenario("securing_a_building")
         assert plan.n == 8
-        assert config.delta == 0.5
+        assert plan.delta == 0.5
         assert plan.rescue is not None
         assert plan.rescue.escort_robots == (1, 2, 3, 4)
         assert len(plan.domain.obstacles) > 5

@@ -1,10 +1,13 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from swarmseq.barriers import FcbfParams, settling_time_bound
+from swarmseq.barriers import Connectivity, FcbfParams, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
-from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
-from swarmseq.mission import BehaviorSpec, MissionPlan
+from swarmseq.geometry import Domain, InteractionGraph, RobotState, proximity_graph
+from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import (
     DelaySpec,
     SimConfig,
@@ -96,7 +99,7 @@ class TestTickMechanics:
         world = make_world(plan, config)
         for _ in range(20):
             tick(world, nodes, plan, config)
-            expected = proximity_graph(world.states(), config.delta)
+            expected = proximity_graph(world.states(), plan.delta)
             assert world.live_graph.edges == expected.edges
 
     def test_config_validation(self):
@@ -104,9 +107,6 @@ class TestTickMechanics:
             SimConfig(dt=0.0)
         with pytest.raises(SimConfigError):
             DelaySpec.uniform(3, 1)
-        plan = tiny_plan([[0.0, 0.0]], [spec(1, GoToGoal(goals={}), ElapsedTime(1.0))])
-        with pytest.raises(SimConfigError):
-            run(plan, SimConfig(delta=0.7))  # plan says 0.5
 
 
 class TestRunOutcomes:
@@ -234,3 +234,31 @@ class TestOutputs:
         p2 = write_outputs(run(plan, cfg), tmp_path / "b")
         for key in p1:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+
+    def test_barrier_copies_agree_bitwise(self, tmp_path):
+        # barriers.csv, connectivity_trace (summary.json) and the proximity
+        # graph all evaluate the same barrier methods, so they agree exactly
+        plan, config = builtin_scenario("two_behavior_demo")
+        rec = run(plan, replace(config, max_ticks=500))
+        path = write_outputs(rec, tmp_path)["barriers"]
+        conn, coll = {}, {}
+        with open(path, encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                key = (int(row["tick"]), int(row["a"]), int(row["b"]))
+                if row["kind"] == "conn":
+                    conn[key] = row["h"]
+                elif row["kind"] == "coll":
+                    coll.setdefault(key[0], set()).add(key[1:])
+        edges = sorted({e for spec in plan.behaviors for e in spec.required_graph.edges})
+        for i, j in edges:
+            trace = connectivity_trace(rec, (i, j))
+            for t in range(rec.ticks):
+                assert conn[(t, i, j)] == repr(float(trace[t]))
+        for t in range(rec.ticks):
+            x = rec.positions[t]
+            graph = proximity_graph([RobotState(i + 1, x[i]) for i in range(rec.n)], plan.delta)
+            assert coll.get(t, set()) == set(graph.edges)
+            for i in range(1, rec.n + 1):
+                for j in range(i + 1, rec.n + 1):
+                    h = Connectivity(i, j, plan.delta).value(x[i - 1], x[j - 1])
+                    assert (h >= 0) == graph.has_edge(i, j)
