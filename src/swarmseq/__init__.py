@@ -3,10 +3,10 @@
 from .barriers import (
     Collision,
     Connectivity,
-    ConstraintRow,
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
+    RowBlock,
     class_k,
     constraint_row,
     settling_time_bound,

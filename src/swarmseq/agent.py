@@ -76,10 +76,7 @@ class Delivery:
 
 @dataclass
 class CacheEntry:
-    position: np.ndarray
-    sigma: float
-    eta: float
-    behavior_index: int
+    message: AgentMessage
     send_tick: int
     received_tick: int
 
@@ -145,12 +142,12 @@ def _aligned_values(node, env, attr):
         entry = node.neighbor_cache.get(j)
         if entry is None:
             vals.append(0.0)
-        elif entry.behavior_index > node.behavior_index:
+        elif entry.message.behavior_index > node.behavior_index:
             vals.append(1.0)
-        elif entry.behavior_index < node.behavior_index:
+        elif entry.message.behavior_index < node.behavior_index:
             vals.append(0.0)
         else:
-            vals.append(getattr(entry, attr))
+            vals.append(getattr(entry.message, attr))
     return vals
 
 
@@ -160,14 +157,7 @@ def _ingest(node, inbox, tick, staleness):
         prev = node.neighbor_cache.get(msg.sender)
         if prev is not None and prev.send_tick > d.send_tick:
             continue
-        node.neighbor_cache[msg.sender] = CacheEntry(
-            position=np.asarray(msg.position, dtype=float),
-            sigma=msg.sigma,
-            eta=msg.eta,
-            behavior_index=msg.behavior_index,
-            send_tick=d.send_tick,
-            received_tick=tick,
-        )
+        node.neighbor_cache[msg.sender] = CacheEntry(msg, d.send_tick, tick)
     expired = [j for j, e in node.neighbor_cache.items() if tick - e.received_tick > staleness]
     for j in expired:
         del node.neighbor_cache[j]
@@ -181,7 +171,7 @@ def _lookup_position(node, env, j):
         return env.oracle[j]
     entry = node.neighbor_cache.get(j)
     if entry is not None:
-        return entry.position
+        return np.asarray(entry.message.position)
     return None
 
 
@@ -236,8 +226,11 @@ def _nominal(node, my_state, spec, env):
     return behaviors.nominal_control(spec.controller, node.id, my_state, states, required)
 
 
-def _connectivity_rows(node, my_state, graphs, env, events, delta):
-    rows = []
+def _connectivity_rows(node, x, graphs, env, events, delta):
+    """One connectivity row per partner of this robot in ``graphs`` whose
+    position is known, in graph order, then by id."""
+    others = []
+    positions = []
     seen = set()
     for graph in graphs:
         for j in sorted(graph.neighbors(node.id)):
@@ -250,36 +243,36 @@ def _connectivity_rows(node, my_state, graphs, env, events, delta):
                     {"event": "missing_position", "robot": node.id, "other": j}
                 )
                 continue
-            rows.append(
-                constraint_row(Connectivity(node.id, j, delta), env.params, my_state.position, pos)
-            )
-    return rows
+            others.append(j)
+            positions.append(pos)
+    if not others:
+        return []
+    kind = Connectivity(node.id, tuple(others), delta)
+    return [constraint_row(kind, env.params, x, np.array(positions))]
 
 
-def _safety_rows(node, my_state, env):
-    rows = []
-    x = my_state.position
-    for j in sorted(env.live_neighbors):
-        pos = env.sensed.get(j)
-        if pos is None:
-            continue
-        rows.append(constraint_row(Collision(node.id, j, env.min_sep), env.params, x, pos))
-    if not env.domain.obstacles:
-        return rows
-    # rows activate inside the doubled ellipse (h <= 3); farther obstacles
-    # cannot be reached before their rows activate, so invariance holds
-    h = ObstacleAvoid(node.id, env.domain.obstacle_stack).value(x)
-    for m in np.flatnonzero(h <= OBSTACLE_ACTIVATION):
-        kind = ObstacleAvoid(node.id, env.domain.obstacles[m])
-        rows.append(constraint_row(kind, env.params, x))
-    return rows
+def _safety_rows(node, x, env):
+    blocks = []
+    others = [j for j in sorted(env.live_neighbors) if j in env.sensed]
+    if others:
+        kind = Collision(node.id, tuple(others), env.min_sep)
+        positions = np.array([env.sensed[j] for j in others])
+        blocks.append(constraint_row(kind, env.params, x, positions))
+    if env.domain.obstacles:
+        # rows activate inside the doubled ellipse (h <= 3); farther obstacles
+        # cannot be reached before their rows activate, so invariance holds
+        kind = ObstacleAvoid(node.id, env.domain.obstacle_stack)
+        active = np.flatnonzero(kind.value(x) <= OBSTACLE_ACTIVATION)
+        if len(active):
+            blocks.append(constraint_row(kind, env.params, x).take(active))
+    return blocks
 
 
-def _initial_rows(node, my_state, spec, env):
+def _initial_rows(node, x, spec, env):
     if spec is None:
         return []
     return [
-        constraint_row(kind, env.params, my_state.position)
+        constraint_row(kind, env.params, x)
         for kind in spec.initial_constraints
         if kind.i == node.id
     ]
@@ -314,7 +307,7 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
         behind = False
         for j in env.live_neighbors:
             entry = node.neighbor_cache.get(j)
-            if entry is None or entry.behavior_index < node.behavior_index:
+            if entry is None or entry.message.behavior_index < node.behavior_index:
                 behind = True
                 break
         if behind:
@@ -405,10 +398,11 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
                 graphs.append(behavior.required_graph)
             constraint_spec = next_behavior
             row_delta = env.delta * ASSEMBLY_RANGE_FACTOR
-        rows = _connectivity_rows(node, my_state, graphs, env, events, row_delta)
-        rows += _safety_rows(node, my_state, env)
-        rows += _initial_rows(node, my_state, constraint_spec, env)
-        problem = QpProblem(u_hat, tuple(rows), env.speed_limit)
+        x = my_state.position
+        blocks = _connectivity_rows(node, x, graphs, env, events, row_delta)
+        blocks += _safety_rows(node, x, env)
+        blocks += _initial_rows(node, x, constraint_spec, env)
+        problem = QpProblem(u_hat, blocks, env.speed_limit)
         solution = solve(problem)
         u = solution.u
         if solution.status == "infeasible_hard":

@@ -14,14 +14,15 @@ A pairwise barrier is enforced once by each of its two robots, so each takes
 share 1/2 of the rate; a single-robot barrier keeps the full rate.
 
 Each barrier kind owns its value and gradient. Both work over the trailing
-2-axis of position arrays, so the same method serves one robot on one tick
-and a whole (ticks, 2) trajectory; every barrier squares distances with
-``sq_dist``.
+2-axis of position arrays, so the same method serves one robot on one tick,
+a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
+pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
+stack. Every barrier squares distances with ``sq_dist``. ``constraint_row``
+turns one such stack into a ``RowBlock``, one row per barrier.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,18 @@ class FcbfParams:
 
 
 def class_k(h, params):
-    """Signed-power class-K rate: gamma * sign(h) * |h|^rho, with sign(0) = 0."""
-    if h == 0.0:
-        return 0.0
-    return params.gamma * math.copysign(abs(h) ** params.rho, h)
+    """Signed-power class-K rate: gamma * sign(h) * |h|^rho, with sign(0) = 0.
+
+    Elementwise over an array of h. The power is libm's ``pow``
+    (``np.float_power``), as in Python's ``abs(h) ** rho``; numpy's ``**``
+    differs from it in the last bit for some inputs.
+    """
+    h = np.asarray(h, dtype=float)
+    rate = np.float_power(np.abs(h), params.rho, out=np.empty(h.shape))
+    np.copysign(rate, h, out=rate)
+    rate *= params.gamma
+    rate[h == 0.0] = 0.0
+    return rate[()]
 
 
 def settling_time_bound(h0, params):
@@ -76,6 +85,12 @@ def sq_dist(d):
     return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
 
 
+def _pairs_a_robot_with_itself(i, j):
+    """For robots i and j, one robot i and a tuple j, or id arrays paired elementwise."""
+    same = i in j if isinstance(j, tuple) else i == j
+    return same if isinstance(same, bool) else bool(same.any())
+
+
 @dataclass(frozen=True)
 class Connectivity:
     """h = delta^2 - |x_i - x_j|^2: robots i and j within sensing range."""
@@ -88,7 +103,7 @@ class Connectivity:
     share = 0.5
 
     def __post_init__(self):
-        if self.i == self.j:
+        if _pairs_a_robot_with_itself(self.i, self.j):
             raise ValueError("connectivity barrier needs two distinct robots")
 
     def value(self, xi, xj):
@@ -111,7 +126,7 @@ class Collision:
     share = 0.5
 
     def __post_init__(self):
-        if self.i == self.j:
+        if _pairs_a_robot_with_itself(self.i, self.j):
             raise ValueError("collision barrier needs two distinct robots")
 
     def value(self, xi, xj):
@@ -146,7 +161,7 @@ class ObstacleAvoid:
 
     def gradient(self, x):
         o = self.obstacle
-        return 2.0 * (x - o.center) * (o.a, o.b)
+        return 2.0 * (x - o.center) * np.stack((o.a, o.b), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -173,40 +188,59 @@ class KeepWithin:
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """Affine inequality normal . u >= offset on one robot's control input."""
+class RowBlock:
+    """Rows normals[r] . u >= offsets[r] on one robot's input, as arrays
+    normals (k, 2), offsets (k,) and the hard mask (k,), with each row's
+    identity: its barrier class ``kinds[r]``, and ``others[r]``, the other
+    robot of a pairwise barrier, else the row's 1-based index in its kind's
+    stack (the obstacle index for ``Domain.obstacle_stack``).
+    """
 
     robot: int
-    normal: np.ndarray
-    offset: float
-    source: object
-    hard: bool
+    normals: np.ndarray
+    offsets: np.ndarray
+    hard: np.ndarray
+    others: np.ndarray
+    kinds: tuple
 
-    def __post_init__(self):
-        normal = self.normal
-        if not (
-            isinstance(normal, np.ndarray) and normal.dtype == np.float64 and normal.shape == (2,)
-        ):
-            normal = np.asarray(normal, dtype=float).reshape(2)
-            object.__setattr__(self, "normal", normal)
-        if not (
-            math.isfinite(normal[0]) and math.isfinite(normal[1]) and math.isfinite(self.offset)
-        ):
-            raise ValueError("constraint row has non-finite coefficients")
+    def __len__(self):
+        return len(self.offsets)
 
-    def satisfied_by(self, u, tol=1e-9):
-        return float(self.normal @ u) >= self.offset - tol
+    def take(self, index):
+        """The rows at ``index`` (an integer array), in that order."""
+        return RowBlock(self.robot, self.normals[index], self.offsets[index], self.hard[index],
+                        self.others[index], tuple(self.kinds[k] for k in index))
+
+    @classmethod
+    def concat(cls, blocks):
+        """The rows of a sequence of blocks, in order; all must be one robot's."""
+        robots = {b.robot for b in blocks}
+        if len(robots) > 1:
+            raise ValueError(f"rows reference multiple robots: {sorted(robots)}")
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return cls(0, np.empty((0, 2)), np.empty(0), np.empty(0, bool), np.empty(0, int), ())
+        arrays = zip(*((b.normals, b.offsets, b.hard, b.others) for b in blocks))
+        kinds = sum((b.kinds for b in blocks), ())
+        return cls(blocks[0].robot, *map(np.concatenate, arrays), kinds)
 
 
 def constraint_row(kind, params, *positions):
-    """Row (dh/dx_i) . u_i >= -share * rate(h) on robot ``kind.i``'s input.
+    """Rows (dh/dx_i) . u_i >= -share * rate(h) on robot ``kind.i``'s input,
+    one per barrier of the kind's stack.
 
-    ``positions`` are x_i, then x_j for a pairwise kind.
+    ``positions`` are x_i, then for a pairwise kind the positions of its
+    ``j`` robots, stacked along the leading axis.
     """
-    return ConstraintRow(
-        robot=kind.i,
-        normal=kind.gradient(*positions),
-        offset=-kind.share * class_k(float(kind.value(*positions)), params),
-        source=kind,
-        hard=kind.hard,
+    h = kind.value(*positions).reshape(-1)
+    k = len(h)
+    others = getattr(kind, "j", None)
+    return RowBlock(
+        kind.i,
+        kind.gradient(*positions).reshape(k, 2),
+        -kind.share * class_k(h, params),
+        np.full(k, kind.hard),
+        np.arange(1, k + 1) if others is None else np.array(others, ndmin=1),
+        (type(kind),) * k,
     )

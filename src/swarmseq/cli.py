@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 
 from .mission import (
-    MissionFormatError,
     builtin_scenario,
     builtin_scenario_names,
     load_mission_file,
@@ -69,7 +68,7 @@ def _prepare(args):
     """Load and validate the mission, then apply any command-line overrides."""
     try:
         plan, config = _load(args.mission)
-    except (OSError, MissionFormatError) as exc:
+    except (OSError, ValueError) as exc:  # MissionFormatError, or a value a plan type rejects
         print(f"error: {exc}", file=sys.stderr)
         raise _Exit(EXIT_IO) from None
     violations = validate(plan)

@@ -60,13 +60,16 @@ class InteractionGraph:
         return (min(i, j), max(i, j)) in self.edges
 
     def neighbors(self, i):
-        out = set()
+        """The vertices adjacent to i, as a frozenset (empty outside 1..n)."""
+        return self._adjacency.get(i, frozenset())
+
+    @functools.cached_property
+    def _adjacency(self):
+        adj = {}
         for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        return {v: frozenset(out) for v, out in adj.items()}
 
     def degree(self, i):
         return len(self.neighbors(i))
@@ -136,37 +139,34 @@ class Domain:
         )
 
 
-def proximity_graph(states, delta):
+def proximity_graph(positions, delta):
     """Graph with an edge wherever two robots are within sensing range.
 
-    A pair is connected exactly when its connectivity barrier is nonnegative,
-    so the test is boundary-inclusive: a pair at distance ``delta`` is
-    connected.
+    ``positions`` is the (n, 2) array of robots 1..n. A pair is connected
+    exactly when its connectivity barrier is nonnegative, so the test is
+    boundary-inclusive: a pair at distance ``delta`` is connected.
     """
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
-    if not states:
-        raise GeometryError("states must be non-empty")
-    n = len(states)
-    ids = sorted(s.id for s in states)
-    if ids != list(range(1, n + 1)):
-        raise GeometryError(f"robot ids must be 1..{n}, got {ids}")
-    by_id = {s.id: s.position for s in states}
-    edges = set()
-    for kind in _pair_barriers(n, delta):
-        if kind.value(by_id[kind.i], by_id[kind.j]) >= 0:
-            edges.add((kind.i, kind.j))
-    return InteractionGraph(n, frozenset(edges))
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1:] != (2,) or not len(positions):
+        raise GeometryError(f"positions must be a non-empty (n, 2) array, got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise GeometryError("non-finite robot position")
+    n = len(positions)
+    i, j = _pairs(n)
+    near = Connectivity(i, j, delta).value(positions[i - 1], positions[j - 1]) >= 0
+    return InteractionGraph(n, frozenset(zip(i[near].tolist(), j[near].tolist())))
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_barriers(n, delta):
-    """The connectivity barrier of every pair i < j of n robots.
-
-    Cached because a run asks for the same pairs every tick, and building the
-    kinds anew cost as much as the range tests themselves.
-    """
-    return tuple(Connectivity(i, j, delta) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+def _pairs(n):
+    """Robots i < j of every pair of n robots, as two read-only id arrays."""
+    i, j = np.triu_indices(n, 1)
+    i += 1
+    j += 1
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def is_spanning_subgraph(required, live):

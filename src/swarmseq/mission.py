@@ -109,10 +109,32 @@ def validate(plan):
 # --- document parsing ---------------------------------------------------------
 
 
-def _req(section, key, where):
-    if key not in section:
+def _req(section, key, where, default=None):
+    """``section[key]``; a missing key is an error unless a default is given."""
+    if not isinstance(section, dict):
+        raise MissionFormatError(f"{where} must be a mapping, got {section!r}")
+    if key not in section and default is None:
         raise MissionFormatError(f"missing '{key}' in {where}")
-    return section[key]
+    return section.get(key, default)
+
+
+def _num(section, key, where, default=None, cast=float):
+    raw = _req(section, key, where, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise MissionFormatError(f"'{key}' in {where} is not a number: {raw!r}") from None
+
+
+def _nums(raw, count, where, cast=float):
+    """A list of ``count`` numbers (of any length when count is None)."""
+    try:
+        out = [cast(v) for v in raw]
+        if count is None or len(out) == count:
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise MissionFormatError(f"expected {count or 'a list of'} numbers in {where}, got {raw!r}")
 
 
 def _edges(raw, where):
@@ -130,6 +152,11 @@ def _vec(raw, where):
     return (x, y)
 
 
+def _distances(doc, where):
+    triples = (_nums(t, 3, f"{where} distances") for t in _req(doc, "distances", where))
+    return {(int(i), int(j)): t for i, j, t in triples}
+
+
 def _parse_controller(doc, n, where):
     kind = _req(doc, "controller", where)
     if kind == "rendezvous":
@@ -137,31 +164,28 @@ def _parse_controller(doc, n, where):
     if kind == "scatter":
         return bh.Scatter()
     if kind == "formation":
-        dist = {(int(i), int(j)): float(t) for i, j, t in _req(doc, "distances", where)}
-        return bh.Formation(distances=dist)
+        return bh.Formation(distances=_distances(doc, where))
     if kind == "leader_follower":
-        dist = {(int(i), int(j)): float(t) for i, j, t in _req(doc, "distances", where)}
         return bh.LeaderFollower(
-            leader=int(_req(doc, "leader", where)),
+            leader=_num(doc, "leader", where, cast=int),
             goal=_vec(_req(doc, "goal", where), where),
-            gain=float(doc.get("gain", 1.0)),
-            distances=dist,
+            gain=_num(doc, "gain", where, 1.0),
+            distances=_distances(doc, where),
         )
     if kind == "cyclic_pursuit":
-        return bh.CyclicPursuit(angle=float(_req(doc, "angle", where)))
+        return bh.CyclicPursuit(angle=_num(doc, "angle", where))
     if kind == "lattice":
-        return bh.Lattice(spacing=float(_req(doc, "spacing", where)))
+        return bh.Lattice(spacing=_num(doc, "spacing", where))
     if kind == "coverage":
-        b = _req(doc, "coverage_bounds", where)
-        return bh.Coverage(domain=Domain(float(b[0]), float(b[1]), float(b[2]), float(b[3])))
+        return bh.Coverage(domain=Domain(*_nums(_req(doc, "coverage_bounds", where), 4, where)))
     if kind == "go_to_goal":
         goals = {int(i): _vec(g, where) for i, g in _req(doc, "goals", where).items()}
-        return bh.GoToGoal(goals=goals, gain=float(doc.get("gain", 1.0)))
+        return bh.GoToGoal(goals=goals, gain=_num(doc, "gain", where, 1.0))
     if kind == "containment":
         return bh.Containment(
-            angle=float(_req(doc, "angle", where)),
+            angle=_num(doc, "angle", where),
             goal=_vec(_req(doc, "goal", where), where),
-            gain=float(doc.get("gain", 1.0)),
+            gain=_num(doc, "gain", where, 1.0),
         )
     if kind == "composite":
         groups = []
@@ -169,7 +193,7 @@ def _parse_controller(doc, n, where):
             gwhere = f"{where} group {gi}"
             groups.append(
                 bh.CompositeGroup(
-                    robots=tuple(int(r) for r in _req(g, "robots", gwhere)),
+                    robots=tuple(_nums(_req(g, "robots", gwhere), None, gwhere, int)),
                     controller=_parse_controller(g, n, gwhere),
                     edges=tuple(_edges(g.get("edges", []), gwhere)),
                 )
@@ -181,12 +205,12 @@ def _parse_controller(doc, n, where):
 def _parse_completion(doc, where):
     kind = _req(doc, "type", where)
     if kind == "control_norm_below":
-        return bh.ControlNormBelow(epsilon=float(_req(doc, "epsilon", where)))
+        return bh.ControlNormBelow(epsilon=_num(doc, "epsilon", where))
     if kind == "elapsed":
-        return bh.ElapsedTime(duration=float(_req(doc, "duration", where)))
+        return bh.ElapsedTime(duration=_num(doc, "duration", where))
     if kind == "goal_reached":
         return bh.GoalReached(
-            goal=_vec(_req(doc, "goal", where), where), radius=float(_req(doc, "radius", where))
+            goal=_vec(_req(doc, "goal", where), where), radius=_num(doc, "radius", where)
         )
     raise MissionFormatError(f"unknown completion type '{kind}' in {where}")
 
@@ -195,9 +219,9 @@ def _parse_initial_constraint(doc, where):
     kind = _req(doc, "type", where)
     if kind == "keep_within":
         return KeepWithin(
-            i=int(_req(doc, "robot", where)),
+            i=_num(doc, "robot", where, cast=int),
             center=_vec(_req(doc, "center", where), where),
-            radius=float(_req(doc, "radius", where)),
+            radius=_num(doc, "radius", where),
         )
     raise MissionFormatError(f"unknown initial constraint type '{kind}' in {where}")
 
@@ -212,23 +236,22 @@ def parse_mission(text):
         raise MissionFormatError("mission document must be a mapping")
 
     mission = _req(doc, "mission", "document")
-    n = int(_req(mission, "n", "[mission]"))
-    delta = float(_req(mission, "delta", "[mission]"))
+    n = _num(mission, "n", "[mission]", cast=int)
+    delta = _num(mission, "delta", "[mission]")
     positions = [_vec(p, "[mission] initial_positions") for p in _req(mission, "initial_positions", "[mission]")]
     if len(positions) != n:
         raise MissionFormatError(f"expected {n} initial positions, got {len(positions)}")
 
     dom_doc = _req(doc, "domain", "document")
-    b = _req(dom_doc, "bounds", "[domain]")
     obstacles = tuple(
         Obstacle(
             center=np.asarray(_vec(_req(o, "center", "[domain] obstacle"), "[domain] obstacle")),
-            a=float(_req(o, "a", "[domain] obstacle")),
-            b=float(_req(o, "b", "[domain] obstacle")),
+            a=_num(o, "a", "[domain] obstacle"),
+            b=_num(o, "b", "[domain] obstacle"),
         )
-        for o in dom_doc.get("obstacles", [])
+        for o in _req(dom_doc, "obstacles", "[domain]", [])
     )
-    domain = Domain(float(b[0]), float(b[1]), float(b[2]), float(b[3]), obstacles)
+    domain = Domain(*_nums(_req(dom_doc, "bounds", "[domain]"), 4, "[domain] bounds"), obstacles)
 
     specs = []
     for bi, bdoc in enumerate(_req(doc, "behaviors", "document"), start=1):
@@ -257,9 +280,9 @@ def parse_mission(text):
         rescue = RescueProbe(
             target=_vec(_req(r, "target", "[rescue]"), "[rescue]"),
             safe_center=_vec(_req(sz, "center", "[rescue] safe_zone"), "[rescue]"),
-            safe_radius=float(_req(sz, "radius", "[rescue] safe_zone")),
-            escort_behavior=int(_req(r, "escort_behavior", "[rescue]")),
-            escort_robots=tuple(int(i) for i in _req(r, "escort_robots", "[rescue]")),
+            safe_radius=_num(sz, "radius", "[rescue] safe_zone"),
+            escort_behavior=_num(r, "escort_behavior", "[rescue]", cast=int),
+            escort_robots=_nums(_req(r, "escort_robots", "[rescue]"), None, "[rescue]", int),
         )
 
     plan = MissionPlan(
@@ -268,34 +291,36 @@ def parse_mission(text):
         behaviors=tuple(specs),
         domain=domain,
         fcbf=FcbfParams(
-            rho=float(mission.get("rho", 0.5)), gamma=float(mission.get("gamma", 1.0))
+            rho=_num(mission, "rho", "[mission]", 0.5),
+            gamma=_num(mission, "gamma", "[mission]", 1.0),
         ),
         delta=delta,
-        min_sep=float(mission.get("min_sep", 0.12)),
+        min_sep=_num(mission, "min_sep", "[mission]", 0.12),
         rescue=rescue,
     )
 
     sim_doc = doc.get("sim", {})
-    if "delta" in sim_doc and float(sim_doc["delta"]) != delta:
+    if _num(sim_doc, "delta", "[sim]", delta) != delta:
         raise MissionFormatError(
             f"[sim] delta {sim_doc['delta']} differs from [mission] delta {delta:g}; "
             "the sensing range is set in [mission] only"
         )
-    delay_doc = sim_doc.get("delay", "none")
+    delay_doc = _req(sim_doc, "delay", "[sim]", "none")
     if delay_doc == "none" or delay_doc is None:
         delay = DelaySpec.none()
     else:
-        delay = DelaySpec.uniform(int(delay_doc["min"]), int(delay_doc["max"]))
+        lo, hi = (_num(delay_doc, key, "[sim] delay", cast=int) for key in ("min", "max"))
+        delay = DelaySpec.uniform(lo, hi)
     config = SimConfig(
-        dt=float(sim_doc.get("dt", 0.02)),
-        max_ticks=int(sim_doc.get("max_ticks", 20000)),
-        speed_limit=float(sim_doc.get("speed_limit", 0.2)),
+        dt=_num(sim_doc, "dt", "[sim]", 0.02),
+        max_ticks=_num(sim_doc, "max_ticks", "[sim]", 20000, int),
+        speed_limit=_num(sim_doc, "speed_limit", "[sim]", 0.2),
         delay=delay,
-        seed=int(sim_doc.get("seed", 0)),
-        oracle_sensing=bool(sim_doc.get("oracle_sensing", True)),
-        sigma_bar=float(sim_doc.get("sigma_bar", 0.8)),
-        eta_bar=float(sim_doc.get("eta_bar", 0.8)),
-        staleness_ticks=int(sim_doc.get("staleness_ticks", 50)),
+        seed=_num(sim_doc, "seed", "[sim]", 0, int),
+        oracle_sensing=bool(_req(sim_doc, "oracle_sensing", "[sim]", True)),
+        sigma_bar=_num(sim_doc, "sigma_bar", "[sim]", 0.8),
+        eta_bar=_num(sim_doc, "eta_bar", "[sim]", 0.8),
+        staleness_ticks=_num(sim_doc, "staleness_ticks", "[sim]", 50, int),
     )
     return plan, config
 

@@ -26,6 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .barriers import RowBlock
+
 SLACK_PENALTY = 1e4
 
 _FEAS_TOL = 1e-9
@@ -35,8 +37,11 @@ _ZERO_STEP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QpProblem:
+    """One robot's QP; ``rows``, given as one ``RowBlock`` or a sequence of
+    them, is kept as one block, whose coefficients must be finite."""
+
     nominal: np.ndarray
-    rows: tuple
+    rows: RowBlock
     speed_limit: float
 
     def __post_init__(self):
@@ -48,12 +53,11 @@ class QpProblem:
             raise ValueError("nominal input is not finite")
         if self.speed_limit <= 0:
             raise ValueError("speed limit must be positive")
-        rows = tuple(self.rows)
+        rows = self.rows if isinstance(self.rows, RowBlock) else RowBlock.concat(self.rows)
         if len(rows) > 64:
             raise ValueError(f"too many rows ({len(rows)}); desk-scale cap is 64")
-        robots = {r.robot for r in rows}
-        if len(robots) > 1:
-            raise ValueError(f"rows reference multiple robots: {sorted(robots)}")
+        if not (np.isfinite(rows.normals).all() and np.isfinite(rows.offsets).all()):
+            raise ValueError("constraint row has non-finite coefficients")
         object.__setattr__(self, "rows", rows)
 
 
@@ -72,21 +76,16 @@ class QpSolution:
 def _box_rows(limit):
     """The speed box |u|_inf <= limit as four inequality rows a.u >= b."""
     normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    offsets = np.full(4, -limit)
-    return normals, offsets
+    return normals, np.array((-limit,) * 4)
 
 
 def _stack(problem, include_soft=True):
-    normals = []
-    offsets = []
-    for r in problem.rows:
-        if include_soft or r.hard:
-            normals.append(r.normal)
-            offsets.append(r.offset)
+    rows = problem.rows
+    normals, offsets = rows.normals, rows.offsets
+    if not include_soft:
+        normals, offsets = normals[rows.hard], offsets[rows.hard]
     bn, bo = _box_rows(problem.speed_limit)
-    normals.extend(bn)
-    offsets.extend(bo)
-    return np.array(normals), np.array(offsets)
+    return np.concatenate([normals, bn]), np.concatenate([offsets, bo])
 
 
 def _dual_active_set(target, gdiag, normals, offsets, max_iter=None):
@@ -157,15 +156,18 @@ def _dual_active_set(target, gdiag, normals, offsets, max_iter=None):
 
 
 def _soft_indices(problem):
-    return [k for k, r in enumerate(problem.rows) if not r.hard]
+    return np.flatnonzero(~problem.rows.hard)
 
 
-def _split_multipliers(problem, lam, kept_indices):
-    row_mult = [0.0] * len(problem.rows)
-    for pos, k in enumerate(kept_indices):
-        row_mult[k] = float(lam[pos])
-    box_mult = tuple(float(v) for v in lam[len(kept_indices):len(kept_indices) + 4])
-    return tuple(row_mult), box_mult
+def _split_multipliers(lam, nrows):
+    """(row multipliers, box multipliers) from a multiplier vector that
+    lists the rows first, then the four box rows."""
+    return tuple(lam[:nrows].tolist()), tuple(lam[nrows:nrows + 4].tolist())
+
+
+def _zero_input_slacks(problem, soft):
+    """Slacks of the soft rows at u = 0, the frozen robot's input."""
+    return tuple(max(0.0, b) for b in problem.rows.offsets[soft].tolist())
 
 
 def solve(problem):
@@ -175,39 +177,33 @@ def solve(problem):
     inconsistent, and to a zero input with status ``infeasible_hard`` when
     even the hard rows admit no input.
     """
+    nrows = len(problem.rows)
     normals, offsets = _stack(problem)
     res = _dual_active_set(problem.nominal, np.ones(2), normals, offsets)
     if res is not None:
         x, lam = res
-        row_mult, box_mult = _split_multipliers(problem, lam, list(range(len(problem.rows))))
+        row_mult, box_mult = _split_multipliers(lam, nrows)
         return QpSolution(
             u=x,
-            slacks=tuple(0.0 for _ in _soft_indices(problem)),
+            slacks=(0.0,) * (nrows - int(np.count_nonzero(problem.rows.hard))),
             status="optimal",
             row_multipliers=row_mult,
             box_multipliers=box_mult,
         )
 
+    soft = _soft_indices(problem)
     h_normals, h_offsets = _stack(problem, include_soft=False)
     hard_res = _dual_active_set(problem.nominal, np.ones(2), h_normals, h_offsets)
     if hard_res is None:
-        soft = _soft_indices(problem)
-        zero = np.zeros(2)
-        slacks = tuple(
-            max(0.0, problem.rows[k].offset - float(problem.rows[k].normal @ zero)) for k in soft
+        return QpSolution(
+            u=np.zeros(2), slacks=_zero_input_slacks(problem, soft), status="infeasible_hard"
         )
-        return QpSolution(u=zero, slacks=slacks, status="infeasible_hard")
 
-    soft = _soft_indices(problem)
     x, lam = _relaxed_solve(problem, soft)
-    u = x[:2]
-    slacks = tuple(max(0.0, float(x[2 + s])) for s in range(len(soft)))
-    nrows = len(problem.rows)
-    row_mult = tuple(float(lam[k]) for k in range(nrows))
-    box_mult = tuple(float(lam[nrows + b]) for b in range(4))
+    row_mult, box_mult = _split_multipliers(lam, nrows)
     return QpSolution(
-        u=u,
-        slacks=slacks,
+        u=x[:2],
+        slacks=tuple(np.maximum(0.0, x[2:]).tolist()),
         status="relaxed",
         row_multipliers=row_mult,
         box_multipliers=box_mult,
@@ -217,6 +213,8 @@ def solve(problem):
 def _relaxed_solve(problem, soft):
     """Re-solve with slack variables xi on soft rows: a.u + xi >= b, xi >= 0,
     penalized by SLACK_PENALTY * xi^2. Hard rows and the box stay exact."""
+    rows = problem.rows
+    m = len(rows)
     ns = len(soft)
     dim = 2 + ns
     target = np.zeros(dim)
@@ -224,28 +222,17 @@ def _relaxed_solve(problem, soft):
     gdiag = np.ones(dim)
     gdiag[2:] = SLACK_PENALTY
 
-    normals = []
-    offsets = []
-    for k, r in enumerate(problem.rows):
-        row = np.zeros(dim)
-        row[:2] = r.normal
-        if not r.hard:
-            row[2 + soft.index(k)] = 1.0
-        normals.append(row)
-        offsets.append(r.offset)
+    # rows, then the box, then xi >= 0; soft row soft[s] carries slack s
     bn, bo = _box_rows(problem.speed_limit)
-    for v, b in zip(bn, bo):
-        row = np.zeros(dim)
-        row[:2] = v
-        normals.append(row)
-        offsets.append(b)
-    for s in range(ns):
-        row = np.zeros(dim)
-        row[2 + s] = 1.0
-        normals.append(row)
-        offsets.append(0.0)
+    normals = np.zeros((m + 4 + ns, dim))
+    normals[:m, :2] = rows.normals
+    normals[m:m + 4, :2] = bn
+    slack = np.arange(ns)
+    normals[soft, 2 + slack] = 1.0
+    normals[m + 4 + slack, 2 + slack] = 1.0
+    offsets = np.concatenate([rows.offsets, bo, np.zeros(ns)])
 
-    res = _dual_active_set(target, gdiag, np.array(normals), np.array(offsets))
+    res = _dual_active_set(target, gdiag, normals, offsets)
     if res is None:
         raise RuntimeError("relaxed problem infeasible despite feasible hard rows")
     return res
@@ -261,35 +248,19 @@ def kkt_residuals(problem, solution):
     so the large penalty multipliers of relaxed rows do not inflate a
     machine-precision residual.
     """
+    rows = problem.rows
     u = solution.u
-    grad = u - problem.nominal
-    for r, lam in zip(problem.rows, solution.row_multipliers):
-        grad = grad - lam * r.normal
-    bn, bo = _box_rows(problem.speed_limit)
-    comp = 0.0
-    dual = 0.0
-    for v, b, lam in zip(bn, bo, solution.box_multipliers):
-        grad = grad - lam * v
-        comp = max(comp, abs(lam * (float(v @ u) - b)) / (1.0 + abs(lam)))
-        dual = max(dual, -lam)
-    slack_iter = iter(solution.slacks)
-    residuals = []
-    for r in problem.rows:
-        resid = float(r.normal @ u) - r.offset
-        if not r.hard and solution.status == "relaxed":
-            resid += next(slack_iter)
-        residuals.append(resid)
-    for r, lam, resid in zip(problem.rows, solution.row_multipliers, residuals):
-        comp = max(comp, abs(lam * resid) / (1.0 + abs(lam)))
-        dual = max(dual, -lam)
-    primal = max((-resid for resid in residuals), default=0.0)
-    for v, b in zip(bn, bo):
-        primal = max(primal, b - float(v @ u))
+    normals, offsets = _stack(problem)
+    lam = np.array(solution.row_multipliers + tuple(solution.box_multipliers), dtype=float)
+    resid = normals @ u - offsets
+    if solution.status == "relaxed":
+        resid[:len(rows)][~rows.hard] += solution.slacks
+    grad = u - problem.nominal - lam @ normals
     return {
         "stationarity": float(np.max(np.abs(grad))),
-        "primal": primal,
-        "dual": dual,
-        "complementarity": comp,
+        "primal": max(0.0, float(np.max(-resid))),
+        "dual": max(0.0, float(np.max(-lam))),
+        "complementarity": float(np.max(np.abs(lam * resid) / (1.0 + np.abs(lam)))),
     }
 
 
@@ -301,17 +272,20 @@ def oracle_solve(problem):
     vector in a finitely generated cone in R^2 is a nonnegative combination
     of at most two generators.
     """
-    if len(problem.rows) > 12:
-        raise ValueError(f"oracle enumeration capped at 12 rows, got {len(problem.rows)}")
+    rows = problem.rows
+    nrows = len(rows)
+    if nrows > 12:
+        raise ValueError(f"oracle enumeration capped at 12 rows, got {nrows}")
 
+    soft = _soft_indices(problem)
     normals, offsets = _stack(problem)
     cand = _enumerate_projection(problem.nominal, normals, offsets)
     if cand is not None:
         x, lam = cand
-        row_mult, box_mult = _split_multipliers(problem, lam, list(range(len(problem.rows))))
+        row_mult, box_mult = _split_multipliers(lam, nrows)
         return QpSolution(
             u=x,
-            slacks=tuple(0.0 for _ in _soft_indices(problem)),
+            slacks=(0.0,) * len(soft),
             status="optimal",
             row_multipliers=row_mult,
             box_multipliers=box_mult,
@@ -319,35 +293,22 @@ def oracle_solve(problem):
 
     h_normals, h_offsets = _stack(problem, include_soft=False)
     if _enumerate_projection(problem.nominal, h_normals, h_offsets) is None:
-        soft = _soft_indices(problem)
-        zero = np.zeros(2)
-        slacks = tuple(
-            max(0.0, problem.rows[k].offset - float(problem.rows[k].normal @ zero)) for k in soft
+        return QpSolution(
+            u=np.zeros(2), slacks=_zero_input_slacks(problem, soft), status="infeasible_hard"
         )
-        return QpSolution(u=zero, slacks=slacks, status="infeasible_hard")
 
     u, hardbox_mu = _enumerate_relaxed(problem)
-    soft = _soft_indices(problem)
-    slacks = tuple(
-        max(0.0, problem.rows[k].offset - float(problem.rows[k].normal @ u)) for k in soft
-    )
-    row_mult = []
-    hard_pos = 0
-    soft_pos = 0
-    for r in problem.rows:
-        if r.hard:
-            row_mult.append(float(hardbox_mu[hard_pos]))
-            hard_pos += 1
-        else:
-            row_mult.append(SLACK_PENALTY * slacks[soft_pos])
-            soft_pos += 1
-    box_mult = tuple(float(v) for v in hardbox_mu[hard_pos:hard_pos + 4])
+    slacks = np.maximum(0.0, rows.offsets[soft] - rows.normals[soft] @ u)
+    row_mult = np.zeros(nrows)
+    nhard = nrows - len(soft)
+    row_mult[rows.hard] = hardbox_mu[:nhard]
+    row_mult[soft] = SLACK_PENALTY * slacks
     return QpSolution(
         u=u,
-        slacks=slacks,
+        slacks=tuple(slacks.tolist()),
         status="relaxed",
-        row_multipliers=tuple(row_mult),
-        box_multipliers=box_mult,
+        row_multipliers=tuple(row_mult.tolist()),
+        box_multipliers=tuple(hardbox_mu[nhard:nhard + 4].tolist()),
     )
 
 
@@ -401,26 +362,27 @@ def _enumerate_relaxed(problem):
     pattern-consistent candidate with the smallest true objective.
     """
     w = SLACK_PENALTY
-    soft_rows = [r for r in problem.rows if not r.hard]
+    soft = ~problem.rows.hard
+    soft_normals, soft_offsets = problem.rows.normals[soft], problem.rows.offsets[soft]
     hard_normals, hard_offsets = _stack(problem, include_soft=False)
     mh = len(hard_normals)
 
     def true_objective(u):
         val = float((u - problem.nominal) @ (u - problem.nominal))
-        for r in soft_rows:
-            val += w * max(0.0, r.offset - float(r.normal @ u)) ** 2
+        for a, b in zip(soft_normals, soft_offsets):
+            val += w * max(0.0, b - float(a @ u)) ** 2
         return val
 
     best = None
-    ns = len(soft_rows)
+    ns = len(soft_offsets)
     for mask in range(1 << ns):
         pattern = [s for s in range(ns) if mask >> s & 1]
         hess = np.eye(2)
         lin = problem.nominal.copy()
         for s in pattern:
-            a = soft_rows[s].normal
+            a = soft_normals[s]
             hess = hess + w * np.outer(a, a)
-            lin = lin + w * soft_rows[s].offset * a
+            lin = lin + w * soft_offsets[s] * a
         subsets = [()]
         subsets += [(i,) for i in range(mh)]
         subsets += list(combinations(range(mh), 2))
@@ -451,7 +413,7 @@ def _enumerate_relaxed(problem):
                 continue
             ok = True
             for s in range(ns):
-                resid = soft_rows[s].offset - float(soft_rows[s].normal @ u)
+                resid = soft_offsets[s] - float(soft_normals[s] @ u)
                 if s in pattern:
                     if resid < -1e-8:
                         ok = False

@@ -77,9 +77,6 @@ class WorldState:
     in_flight: list  # (deliver_tick, recipient, send_tick, AgentMessage)
     event_log: list
 
-    def states(self):
-        return [RobotState(i + 1, self.positions[i]) for i in range(len(self.positions))]
-
 
 @dataclass
 class RunRecord:
@@ -96,9 +93,6 @@ class RunRecord:
     events: list
     config: SimConfig
     plan: object
-
-    def behavior_windows(self):
-        return compute_behavior_windows(self)
 
 
 def _delay_ticks(config, sender, tick):
@@ -131,9 +125,7 @@ def make_nodes(plan):
 
 def make_world(plan, config):
     positions = plan.initial_positions.copy()
-    graph = proximity_graph(
-        [RobotState(i + 1, positions[i]) for i in range(plan.n)], plan.delta
-    )
+    graph = proximity_graph(positions, plan.delta)
     return WorldState(tick=0, positions=positions, live_graph=graph, in_flight=[], event_log=[])
 
 
@@ -150,20 +142,19 @@ def tick(world, nodes, plan, config):
     world.in_flight = remaining
 
     graph = world.live_graph
-    positions = world.positions
-    oracle = None
-    if config.oracle_sensing:
-        oracle = {i + 1: positions[i].copy() for i in range(plan.n)}
+    # views, not copies: the tick replaces world.positions rather than writing into it
+    rows = list(world.positions)
+    oracle = dict(enumerate(rows, start=1)) if config.oracle_sensing else None
 
     controls = np.zeros((plan.n, 2))
     outboxes = []
     for node in nodes:
         i = node.id
         neighbors = graph.neighbors(i)
-        sensed = {j: positions[j - 1].copy() for j in neighbors}
+        sensed = {j: rows[j - 1] for j in neighbors}
         env = StepEnv(
             tick=t,
-            live_neighbors=frozenset(neighbors),
+            live_neighbors=neighbors,
             sensed=sensed,
             oracle=oracle,
             params=plan.fcbf,
@@ -176,20 +167,18 @@ def tick(world, nodes, plan, config):
             staleness_ticks=config.staleness_ticks,
             glue_transitions=config.glue_transitions,
         )
-        my_state = RobotState(i, positions[i - 1])
+        my_state = RobotState(i, rows[i - 1])
         behavior, upcoming = _specs_for(node, plan)
         node, u, outbox, events = step(node, my_state, due.get(i, []), behavior, upcoming, env, config.dt)
         controls[i - 1] = u
-        outboxes.append((i, outbox, sorted(graph.neighbors(i))))
+        outboxes.append((i, outbox, sorted(neighbors)))
         for ev in events:
             ev["tick"] = t
             world.event_log.append(ev)
 
     np.clip(controls, -config.speed_limit, config.speed_limit, out=controls)
-    world.positions = positions + config.dt * controls
-    world.live_graph = proximity_graph(
-        [RobotState(i + 1, world.positions[i]) for i in range(plan.n)], plan.delta
-    )
+    world.positions = world.positions + config.dt * controls
+    world.live_graph = proximity_graph(world.positions, plan.delta)
     for sender, msg, recipients in outboxes:
         delay = _delay_ticks(config, sender, t)
         for r in recipients:
@@ -257,13 +246,14 @@ class _RescueTracker:
 
     def observe(self, world, nodes):
         r = self.plan.rescue
-        target = np.asarray(r.target)
         if not self.located:
-            dists = np.linalg.norm(world.positions - target, axis=1)
-            if float(np.min(dists)) <= self.plan.delta:
+            # the subject is sensed like a robot: within the connectivity range
+            robots = np.arange(1, self.plan.n + 1)
+            h = Connectivity(robots, 0, self.plan.delta).value(world.positions, r.target)
+            if np.any(h >= 0):
                 self.located = True
                 world.event_log.append(
-                    {"tick": world.tick - 1, "event": "target_located", "robot": int(np.argmin(dists)) + 1}
+                    {"tick": world.tick - 1, "event": "target_located", "robot": int(np.argmax(h)) + 1}
                 )
         if self.located and not self.escorted:
             escorting = all(
@@ -285,11 +275,6 @@ class _RescueTracker:
 
 
 # --- post-run analysis ----------------------------------------------------------
-
-
-def stage_rank(mode, k):
-    """Total order on mission progress: Assembling(k) < Executing(k) < Assembling(k+1)."""
-    return 2 * k if mode == EXECUTING else 2 * k - 1
 
 
 def compute_behavior_windows(record):
@@ -366,19 +351,15 @@ def write_outputs(record, outdir):
     os.makedirs(outdir, exist_ok=True)
     paths = {}
 
+    # one string per tick, formatted from tolist() rows: repr of a Python float
+    # is the text the CSV formats promise
     path = os.path.join(outdir, "trajectory.csv")
+    controls = np.concatenate([record.controls, np.zeros((1, record.n, 2))])  # final row: 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tick,robot,x,y,ux,uy\n")
-        for t in range(record.ticks):
-            for i in range(record.n):
-                x, y = record.positions[t, i]
-                ux, uy = record.controls[t, i]
-                fh.write(
-                    f"{t},{i + 1},{float(x)!r},{float(y)!r},{float(ux)!r},{float(uy)!r}\n"
-                )
-        for i in range(record.n):
-            x, y = record.positions[record.ticks, i]
-            fh.write(f"{record.ticks},{i + 1},{float(x)!r},{float(y)!r},0.0,0.0\n")
+        for t, (xs, us) in enumerate(zip(record.positions, controls)):
+            rows = enumerate(zip(xs.tolist(), us.tolist()), start=1)
+            fh.write("".join(f"{t},{i},{x!r},{y!r},{ux!r},{uy!r}\n" for i, ((x, y), (ux, uy)) in rows))
     paths["trajectory"] = path
 
     path = os.path.join(outdir, "barriers.csv")
@@ -403,28 +384,32 @@ def write_outputs(record, outdir):
             better = h < worst[:, i - 1]
             worst[better, i - 1] = h[better]
             worst_m[better, i - 1] = m
+    conn_keys = [f"conn,{i},{j}," for i, j in edges]
+    coll_keys = [f"coll,{i},{j}," for i, j in pairs]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tick,kind,a,b,h\n")
         for t in range(record.ticks):
-            for (i, j), h in zip(edges, conn[t].tolist()):
-                fh.write(f"{t},conn,{i},{j},{h!r}\n")
-            for (i, j), near, h in zip(pairs, in_range[t].tolist(), coll[t].tolist()):
-                if near:
-                    fh.write(f"{t},coll,{i},{j},{h!r}\n")
+            lines = [f"{t},{key}{h!r}\n" for key, h in zip(conn_keys, conn[t].tolist())]
+            lines += [
+                f"{t},{key}{h!r}\n"
+                for key, near, h in zip(coll_keys, in_range[t].tolist(), coll[t].tolist())
+                if near
+            ]
             if plan.domain.obstacles:
-                for i, (m, h) in enumerate(zip(worst_m[t].tolist(), worst[t].tolist()), start=1):
-                    fh.write(f"{t},obst,{i},{m},{h!r}\n")
+                lines += [
+                    f"{t},obst,{i},{m},{h!r}\n"
+                    for i, (m, h) in enumerate(zip(worst_m[t].tolist(), worst[t].tolist()), start=1)
+                ]
+            fh.write("".join(lines))
     paths["barriers"] = path
 
     path = os.path.join(outdir, "consensus.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tick,robot,sigma,eta,mode,k\n")
         for t in range(record.ticks):
-            for i in range(record.n):
-                fh.write(
-                    f"{t},{i + 1},{float(record.sigma[t, i])!r},{float(record.eta[t, i])!r},"
-                    f"{int(record.mode[t, i])},{int(record.behavior_index[t, i])}\n"
-                )
+            rows = enumerate(zip(record.sigma[t].tolist(), record.eta[t].tolist(),
+                                 record.mode[t].tolist(), record.behavior_index[t].tolist()), start=1)
+            fh.write("".join(f"{t},{i},{s!r},{e!r},{m},{k}\n" for i, (s, e, m, k) in rows))
     paths["consensus"] = path
 
     path = os.path.join(outdir, "events.jsonl")

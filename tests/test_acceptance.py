@@ -10,16 +10,15 @@ import pytest
 from swarmseq.agent import EXECUTING, consensus_update
 from swarmseq.barriers import (
     Collision,
-    ConstraintRow,
     FcbfParams,
     ObstacleAvoid,
+    RowBlock,
     team_settling_bound,
 )
 from swarmseq.cli import transition_comparison
 from swarmseq.geometry import (
     Domain,
     InteractionGraph,
-    RobotState,
     is_spanning_subgraph,
     proximity_graph,
 )
@@ -182,14 +181,14 @@ def test_criterion_3_qp_oracle_equivalence():
     for _ in range(1000):
         nominal = rng.uniform(-1, 1, 2)
         m = int(rng.integers(0, 7))
-        rows = []
-        for _ in range(m):
+        normals, offsets, hard = np.zeros((m, 2)), np.zeros(m), np.zeros(m, dtype=bool)
+        for r in range(m):
             a = rng.normal(size=2)
-            a = a / np.linalg.norm(a) * rng.uniform(0.3, 3.0)
-            rows.append(
-                ConstraintRow(1, a, float(rng.uniform(-1, 1)), None, bool(rng.random() < 0.4))
-            )
-        problem = QpProblem(nominal, tuple(rows), float(rng.uniform(0.3, 2.0)))
+            normals[r] = a / np.linalg.norm(a) * rng.uniform(0.3, 3.0)
+            offsets[r] = rng.uniform(-1, 1)
+            hard[r] = rng.random() < 0.4
+        rows = RowBlock(1, normals, offsets, hard, np.zeros(m, dtype=int), (None,) * m)
+        problem = QpProblem(nominal, rows, float(rng.uniform(0.3, 2.0)))
         got = solve(problem)
         ref = oracle_solve(problem)
         assert got.status == ref.status
@@ -388,8 +387,7 @@ def test_criterion_8_securing_a_building(securing_record):
         if t is None:
             spanning = False
             break
-        states = [RobotState(i + 1, rec.positions[t, i]) for i in range(rec.n)]
-        live = proximity_graph(states, plan.delta)
+        live = proximity_graph(rec.positions[t], plan.delta)
         if not is_spanning_subgraph(plan.behaviors[w["k"] - 1].required_graph, live):
             spanning = False
     if not spanning:

@@ -12,7 +12,7 @@ from swarmseq.agent import (
     consensus_update,
     step,
 )
-from swarmseq.barriers import FcbfParams
+from swarmseq.barriers import Connectivity, FcbfParams
 from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
 from swarmseq.geometry import Domain, InteractionGraph, RobotState
 from swarmseq.mission import BehaviorSpec
@@ -220,11 +220,8 @@ class TestStep:
         env = env_for(2, positions, me=1)
         step(node, RobotState(1, np.array(positions[1])), [], prev, nxt, env, 0.02)
         rows = captured[-1].rows
-        conn_partners = set()
-        for r in rows:
-            src = r.source
-            if type(src).__name__ == "Connectivity":
-                conn_partners.add(src.j if src.i == 1 else src.i)
+        assert rows.robot == 1
+        conn_partners = {j for kind, j in zip(rows.kinds, rows.others.tolist()) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
     def test_assembling_requires_target(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,20 +10,29 @@ from swarmseq.barriers import (
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
+    RowBlock,
     class_k,
     constraint_row,
     settling_time_bound,
     team_settling_bound,
 )
-from swarmseq.geometry import Domain, Obstacle, RobotState, proximity_graph
-
-
-def states(*positions):
-    return [RobotState(i + 1, np.array(p, dtype=float)) for i, p in enumerate(positions)]
+from swarmseq.geometry import Domain, Obstacle, proximity_graph
 
 
 def pts(*positions):
     return [np.array(p, dtype=float) for p in positions]
+
+
+def scalar_rate(h, params):
+    """The class-K rate one value at a time, with Python's libm pow."""
+    if h == 0.0:
+        return 0.0
+    return params.gamma * math.copysign(abs(h) ** params.rho, h)
+
+
+def bits(a):
+    """The float64 bit patterns of an array, so that -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 class TestClassK:
@@ -83,7 +94,7 @@ class TestEvalBarrier:
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.uniform(-1, 1, size=(4, 2))
-            g = proximity_graph(states(*x), 0.5)
+            g = proximity_graph(x, 0.5)
             for i in range(1, 5):
                 for j in range(i + 1, 5):
                     h = Connectivity(i, j, 0.5).value(x[i - 1], x[j - 1])
@@ -128,21 +139,22 @@ class TestConstraintRow:
         row = constraint_row(
             Connectivity(1, 2, 0.5), FcbfParams(rho=0.5, gamma=1.0), *pts((1, 0), (0, 0))
         )
-        assert row.robot == 1
-        np.testing.assert_allclose(row.normal, [-2.0, 0.0])
-        assert row.offset == pytest.approx(0.4330127018922193, abs=1e-12)
-        assert not row.hard
+        assert row.robot == 1 and len(row) == 1
+        np.testing.assert_allclose(row.normals, [[-2.0, 0.0]])
+        assert row.offsets[0] == pytest.approx(0.4330127018922193, abs=1e-12)
+        assert not row.hard[0]
+        assert row.kinds == (Connectivity,) and row.others.tolist() == [2]
 
     def test_collision_at_boundary_reduces_to_homogeneous(self):
         row = constraint_row(Collision(1, 2, 0.12), FcbfParams(), *pts((0.12, 0), (0, 0)))
-        assert row.offset == pytest.approx(0.0, abs=1e-15)
-        assert row.hard
+        assert row.offsets[0] == pytest.approx(0.0, abs=1e-15)
+        assert row.hard[0]
 
     def test_obstacle_boundary_gradient(self):
         kind = ObstacleAvoid(1, Obstacle(np.zeros(2), 1.0, 1.0))
         row = constraint_row(kind, FcbfParams(), *pts((1, 0)))
-        np.testing.assert_allclose(row.normal, [2.0, 0.0])
-        assert row.offset == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(row.normals, [[2.0, 0.0]])
+        assert row.offsets[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_full_share_doubles_offset(self):
         # the same h = -0.75 as a pairwise and as a single-robot barrier: the
@@ -150,9 +162,9 @@ class TestConstraintRow:
         params = FcbfParams()
         pair = constraint_row(Connectivity(1, 2, 0.5), params, *pts((1, 0), (0, 0)))
         single = constraint_row(KeepWithin(1, (0.0, 0.0), 0.5), params, *pts((1, 0)))
-        assert pair.offset == -class_k(-0.75, params) / 2
-        assert single.offset == -class_k(-0.75, params)
-        assert single.offset == 2 * pair.offset
+        assert pair.offsets[0] == -class_k(-0.75, params) / 2
+        assert single.offsets[0] == -class_k(-0.75, params)
+        assert single.offsets[0] == 2 * pair.offsets[0]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -176,7 +188,103 @@ class TestConstraintRow:
                         shifted[0][axis] += sign * step
                         fd[axis] += sign * kind.value(*shifted)
                     fd[axis] /= 2 * step
-                np.testing.assert_allclose(row.normal, fd, rtol=1e-4, atol=1e-6)
+                np.testing.assert_allclose(row.normals[0], fd, rtol=1e-4, atol=1e-6)
+
+
+class TestRowBlocks:
+    """The array paths equal the scalar formulas they replace, bit for bit."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.75])
+    def test_vector_rate_equals_scalar_rate(self, rho):
+        rng = np.random.default_rng(int(rho * 100))
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0, 0.75, -0.75]
+        h = np.concatenate([
+            special,
+            rng.uniform(-1, 1, 4000),
+            rng.standard_normal(2000) * 1e-6,
+            -np.exp(rng.uniform(-700, 700, 2000)),
+            np.exp(rng.uniform(-700, 700, 2000)),
+        ])
+        for gamma in (1.0, 1.7):
+            params = FcbfParams(rho=rho, gamma=gamma)
+            expected = [scalar_rate(v, params) for v in h.tolist()]
+            np.testing.assert_array_equal(bits(class_k(h, params)), bits(expected))
+            for v, e in zip(h[:len(special)].tolist(), expected):
+                assert bits(class_k(v, params)) == bits(e)
+
+    def test_pairwise_blocks_equal_rows_one_at_a_time(self):
+        rng = np.random.default_rng(21)
+        params = FcbfParams(rho=0.5, gamma=1.3)
+        for _ in range(200):
+            xi = rng.uniform(-1, 1, 2)
+            others = tuple(int(j) for j in rng.choice(np.arange(2, 12), rng.integers(1, 8), replace=False))
+            xs = rng.uniform(-1, 1, (len(others), 2))
+            if rng.random() < 0.2:  # a partner exactly at the barrier boundary
+                xs[0] = xi + [0.5, 0.0]
+            for make in (lambda j: Connectivity(1, j, 0.5), lambda j: Collision(1, j, 0.5)):
+                block = constraint_row(make(others), params, xi, xs)
+                assert block.robot == 1 and len(block) == len(others)
+                assert block.others.tolist() == list(others)
+                assert block.kinds == (type(make(2)),) * len(others)
+                for r, (j, xj) in enumerate(zip(others, xs)):
+                    kind = make(j)
+                    h = float(kind.value(xi, xj))
+                    assert bits(block.normals[r]).tolist() == bits(kind.gradient(xi, xj)).tolist()
+                    assert bits(block.offsets[r]) == bits(-kind.share * scalar_rate(h, params))
+                    assert block.hard[r] == kind.hard
+
+    def test_obstacle_block_equals_rows_one_at_a_time(self):
+        rng = np.random.default_rng(22)
+        obstacles = [
+            Obstacle(rng.uniform(-1, 1, 2), float(a), float(b))
+            for a, b in rng.uniform(0.5, 20, size=(9, 2))
+        ]
+        domain = Domain(-2, 2, -2, 2, tuple(obstacles))
+        params = FcbfParams()
+        for x in rng.uniform(-2, 2, size=(300, 2)):
+            kind = ObstacleAvoid(3, domain.obstacle_stack)
+            active = np.flatnonzero(kind.value(x) <= 3.0)
+            block = constraint_row(kind, params, x).take(active)
+            assert block.robot == 3 and block.others.tolist() == (active + 1).tolist()
+            assert block.kinds == (ObstacleAvoid,) * len(active) and block.hard.all()
+            for r, m in enumerate(active):
+                single = ObstacleAvoid(3, obstacles[m])
+                h = float(single.value(x))
+                assert bits(block.normals[r]).tolist() == bits(single.gradient(x)).tolist()
+                assert bits(block.offsets[r]) == bits(-single.share * scalar_rate(h, params))
+
+    def test_keep_within_block_equals_its_scalar_row(self):
+        params = FcbfParams(rho=0.3, gamma=2.0)
+        kind = KeepWithin(2, (0.1, -0.2), 0.4)
+        for x in np.random.default_rng(23).uniform(-1, 1, size=(100, 2)):
+            block = constraint_row(kind, params, x)
+            assert block.robot == 2 and block.others.tolist() == [1] and not block.hard[0]
+            assert bits(block.normals[0]).tolist() == bits(kind.gradient(x)).tolist()
+            assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
+
+    def test_concat_and_take_keep_rows_and_identity(self):
+        params = FcbfParams()
+        x = np.array([0.0, 0.0])
+        conn = constraint_row(Connectivity(1, (2, 3), 0.5), params, x, np.array([[0.1, 0], [0, 0.7]]))
+        coll = constraint_row(Collision(1, (2,), 0.12), params, x, np.array([[0.1, 0]]))
+        rows = RowBlock.concat([conn, coll])
+        assert len(rows) == 3 and rows.others.tolist() == [2, 3, 2]
+        assert rows.kinds == (Connectivity, Connectivity, Collision)
+        assert rows.hard.tolist() == [False, False, True]
+        np.testing.assert_array_equal(rows.offsets, np.concatenate([conn.offsets, coll.offsets]))
+        picked = rows.take(np.array([2, 0]))
+        assert picked.kinds == (Collision, Connectivity) and picked.others.tolist() == [2, 2]
+        np.testing.assert_array_equal(picked.normals, rows.normals[[2, 0]])
+        assert len(RowBlock.concat([])) == 0
+        with pytest.raises(ValueError):
+            RowBlock.concat([conn, constraint_row(Collision(2, 1, 0.12), params, x, x + 0.5)])
+
+    def test_a_stack_may_not_pair_a_robot_with_itself(self):
+        with pytest.raises(ValueError):
+            Connectivity(2, (1, 2, 3), 0.5)
+        with pytest.raises(ValueError):
+            Collision(np.array([1, 2]), np.array([3, 2]), 0.12)
+        Connectivity(np.array([1, 2]), np.array([2, 3]), 0.5)
 
 
 class TestSettlingBounds:
@@ -217,8 +325,8 @@ class TestSettlingBounds:
                     constraint_row(Connectivity(2, 1, 0.5), params, x[1], x[0]),
                 ]
                 for row in rows:
-                    n2 = float(row.normal @ row.normal)
-                    u = row.normal * (row.offset / n2)
+                    normal, offset = row.normals[0], row.offsets[0]
+                    u = normal * (offset / float(normal @ normal))
                     x[row.robot - 1] += dt * u
                 t += dt
             assert crossed is not None

@@ -82,6 +82,26 @@ class TestRejectedInput:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("  dt: 0.02", "  dt: abc"),
+            ("  delay: none", "  delay: {min: 1}"),
+            ("  dt: 0.02", "  dt: 0"),
+            ("  delta: 0.5\n  initial", "  delta: 0.5\n  rho: 1.0\n  initial"),
+        ],
+        ids=["dt", "delay-max-missing", "dt-zero", "rho-out-of-range"],
+    )
+    def test_malformed_or_rejected_value(self, tmp_path, capsys, old, new):
+        text = TINY.replace(old, new)
+        assert text != TINY
+        path = tmp_path / "malformed.yaml"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "override",
         [
             ["--delay", "bogus"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swarmseq.barriers import Connectivity
 from swarmseq.geometry import (
     Domain,
     GeometryError,
@@ -23,11 +24,11 @@ def states(*positions):
 
 class TestProximityGraph:
     def test_boundary_distance_is_included(self):
-        g = proximity_graph(states((0, 0), (0.3, 0.4)), 0.5)
+        g = proximity_graph([(0, 0), (0.3, 0.4)], 0.5)
         assert g.has_edge(1, 2)
 
     def test_collinear_distances(self):
-        g = proximity_graph(states((0, 0), (1, 0), (2, 0)), 1.0)
+        g = proximity_graph([(0, 0), (1, 0), (2, 0)], 1.0)
         assert g.has_edge(1, 2) and g.has_edge(2, 3)
         assert not g.has_edge(1, 3)
 
@@ -35,7 +36,7 @@ class TestProximityGraph:
         rng = np.random.default_rng(0)
         for _ in range(25):
             pts = rng.uniform(-1, 1, size=(6, 2))
-            g = proximity_graph(states(*pts), 0.5)
+            g = proximity_graph(pts, 0.5)
             for i, j in g.edges:
                 assert i < j and i != j
                 assert g.has_edge(j, i)
@@ -44,18 +45,54 @@ class TestProximityGraph:
         rng = np.random.default_rng(1)
         for _ in range(25):
             pts = rng.uniform(-1, 1, size=(7, 2))
-            st = states(*pts)
             d1, d2 = sorted(rng.uniform(0.1, 2.0, size=2))
-            assert proximity_graph(st, d1).edges <= proximity_graph(st, d2).edges
+            assert proximity_graph(pts, d1).edges <= proximity_graph(pts, d2).edges
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(GeometryError):
-            proximity_graph(states((0, 0)), 0.0)
+            proximity_graph([(0, 0)], 0.0)
         with pytest.raises(GeometryError):
             proximity_graph([], 1.0)
+        with pytest.raises(GeometryError):
+            proximity_graph([(0, 0), (np.nan, 0)], 1.0)
+        with pytest.raises(GeometryError):
+            proximity_graph([0.0, 1.0], 1.0)
+
+    def test_equals_pairwise_barrier_test(self):
+        # the broadcast range test agrees with the connectivity barrier of
+        # each pair evaluated on its own, also for pairs exactly delta apart
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 5, 13):
+            for _ in range(20):
+                x = rng.uniform(-1, 1, size=(n, 2))
+                if n > 1:
+                    x[1] = x[0] + [0.5, 0.0]
+                g = proximity_graph(x, 0.5)
+                expected = {
+                    (i, j)
+                    for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1)
+                    if Connectivity(i, j, 0.5).value(x[i - 1], x[j - 1]) >= 0
+                }
+                assert g.n == n and g.edges == expected
+                if n > 1:
+                    assert g.has_edge(1, 2)
 
 
 class TestGraphPredicates:
+    def test_neighbors_equal_the_edge_scan(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(1, 12))
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            edges = [p for p in pairs if rng.random() < 0.3]
+            g = InteractionGraph.from_edges(n, [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges])
+            for v in range(0, n + 2):
+                scan = {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
+                assert g.neighbors(v) == scan
+                assert isinstance(g.neighbors(v), frozenset)
+                assert g.degree(v) == len(scan)
+
     def test_spanning_reflexive(self):
         g = InteractionGraph.from_edges(4, [(1, 2), (3, 4)])
         assert is_spanning_subgraph(g, g)

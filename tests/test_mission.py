@@ -53,6 +53,31 @@ class TestParsing:
         with pytest.raises(MissionFormatError, match="delta"):
             parse_mission(MINIMAL + "sim:\n  delta: 0.7\n")
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("dt: 0.02", "dt: abc", "dt"),
+            ("dt: 0.02", "delay: {min: 1}", "max"),
+            ("dt: 0.02", "delay: {min: 1, max: x}", "max"),
+            ("dt: 0.02", "delay: uniform", "delay"),
+            ("dt: 0.02", "seed: [1]", "seed"),
+            ("delta: 0.5", "delta: far", "delta"),
+            ("n: 2", "n: two", "'n'"),
+            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, x, 1]", "bounds"),
+            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1]", "bounds"),
+            ("duration: 1.0", "duration: soon", "duration"),
+        ],
+        ids=[
+            "dt", "delay-max-missing", "delay-max", "delay-not-a-mapping", "seed", "delta", "n",
+            "bounds-entry", "bounds-length", "duration",
+        ],
+    )
+    def test_malformed_scalar(self, old, new, match):
+        text = MINIMAL + "sim:\n  dt: 0.02\n"
+        assert old in text
+        with pytest.raises(MissionFormatError, match=match):
+            parse_mission(text.replace(old, new))
+
     def test_wrong_position_count(self):
         bad = MINIMAL.replace("n: 2", "n: 3")
         with pytest.raises(MissionFormatError, match="initial positions"):

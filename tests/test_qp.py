@@ -1,23 +1,37 @@
 import numpy as np
 import pytest
 
-from swarmseq.barriers import ConstraintRow
+from swarmseq.barriers import RowBlock
 from swarmseq.qp import QpProblem, kkt_residuals, oracle_solve, solve
 
 
+def block(normals, offsets, hard, robot=1):
+    """Bare rows (no barrier kind) on one robot's input."""
+    k = len(offsets)
+    return RowBlock(
+        robot,
+        np.array(normals, dtype=float).reshape(k, 2),
+        np.array(offsets, dtype=float),
+        np.array(hard, dtype=bool).reshape(k),
+        np.zeros(k, dtype=int),
+        (None,) * k,
+    )
+
+
 def row(nx, ny, b, hard=False):
-    return ConstraintRow(1, np.array([nx, ny], dtype=float), b, None, hard)
+    return block([[nx, ny]], [b], [hard])
 
 
 def random_problem(rng, max_rows=6, hard_fraction=0.4):
     nominal = rng.uniform(-1, 1, 2)
     m = int(rng.integers(0, max_rows + 1))
-    rows = []
+    normals, offsets, hard = [], [], []
     for _ in range(m):
         a = rng.normal(size=2)
-        a = a / np.linalg.norm(a) * rng.uniform(0.3, 3.0)
-        rows.append(ConstraintRow(1, a, float(rng.uniform(-1, 1)), None, bool(rng.random() < hard_fraction)))
-    return QpProblem(nominal, tuple(rows), float(rng.uniform(0.3, 2.0)))
+        normals.append(a / np.linalg.norm(a) * rng.uniform(0.3, 3.0))
+        offsets.append(float(rng.uniform(-1, 1)))
+        hard.append(bool(rng.random() < hard_fraction))
+    return QpProblem(nominal, block(normals, offsets, hard), float(rng.uniform(0.3, 2.0)))
 
 
 class TestBasics:
@@ -46,9 +60,10 @@ class TestBasics:
             s = solve(p)
             if s.status != "optimal":
                 continue
-            feasible = all(r.satisfied_by(p.nominal, tol=-1e-9) for r in p.rows) and (
-                float(np.max(np.abs(p.nominal))) <= p.speed_limit
-            )
+            rows = p.rows
+            feasible = all(
+                float(a @ p.nominal) >= b + 1e-9 for a, b in zip(rows.normals, rows.offsets)
+            ) and float(np.max(np.abs(p.nominal))) <= p.speed_limit
             if feasible:
                 assert np.array_equal(s.u, p.nominal) or float(
                     np.max(np.abs(s.u - p.nominal))
@@ -63,13 +78,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             QpProblem(np.array([np.inf, 0.0]), (), 1.0)
         with pytest.raises(ValueError):
-            ConstraintRow(1, np.array([np.nan, 1.0]), 0.0, None, False)
+            QpProblem(np.zeros(2), (row(np.nan, 1.0, 0.0),), 1.0)
+        with pytest.raises(ValueError):
+            QpProblem(np.zeros(2), (row(1.0, 0.0, 0.0), row(0.0, 1.0, np.inf)), 1.0)
 
     def test_mixed_robots_rejected(self):
-        r1 = ConstraintRow(1, np.array([1.0, 0.0]), 0.0, None, False)
-        r2 = ConstraintRow(2, np.array([1.0, 0.0]), 0.0, None, False)
+        r1 = block([[1.0, 0.0]], [0.0], [False], robot=1)
+        r2 = block([[1.0, 0.0]], [0.0], [False], robot=2)
         with pytest.raises(ValueError):
             QpProblem(np.zeros(2), (r1, r2), 1.0)
+
+    def test_row_cap(self):
+        rows = tuple(row(1, 0, -k) for k in range(64))
+        assert len(QpProblem(np.zeros(2), rows, 1.0).rows) == 64
+        with pytest.raises(ValueError):
+            QpProblem(np.zeros(2), rows + (row(0, 1, 0),), 1.0)
 
 
 class TestInfeasibility:
@@ -132,14 +155,8 @@ class TestObjectiveProperties:
         rng = np.random.default_rng(9)
         for _ in range(150):
             p = random_problem(rng, max_rows=5)
-            extra = ConstraintRow(
-                1,
-                rng.normal(size=2),
-                float(rng.uniform(-1, 1)),
-                None,
-                False,
-            )
-            bigger = QpProblem(p.nominal, p.rows + (extra,), p.speed_limit)
+            extra = block([rng.normal(size=2)], [float(rng.uniform(-1, 1))], [False])
+            bigger = QpProblem(p.nominal, (p.rows, extra), p.speed_limit)
             s0, s1 = solve(p), solve(bigger)
             if s0.status == "optimal" and s1.status == "optimal":
                 o0 = float((s0.u - p.nominal) @ (s0.u - p.nominal))
@@ -151,5 +168,5 @@ class TestObjectiveProperties:
         for _ in range(50):
             p = random_problem(rng)
             perm = rng.permutation(len(p.rows))
-            shuffled = QpProblem(p.nominal, tuple(p.rows[k] for k in perm), p.speed_limit)
+            shuffled = QpProblem(p.nominal, p.rows.take(perm), p.speed_limit)
             np.testing.assert_allclose(solve(p).u, solve(shuffled).u, atol=1e-9)

@@ -6,7 +6,7 @@ import pytest
 
 from swarmseq.barriers import Connectivity, FcbfParams, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
-from swarmseq.geometry import Domain, InteractionGraph, RobotState, proximity_graph
+from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import (
     DelaySpec,
@@ -99,7 +99,7 @@ class TestTickMechanics:
         world = make_world(plan, config)
         for _ in range(20):
             tick(world, nodes, plan, config)
-            expected = proximity_graph(world.states(), plan.delta)
+            expected = proximity_graph(world.positions, plan.delta)
             assert world.live_graph.edges == expected.edges
 
     def test_config_validation(self):
@@ -256,7 +256,7 @@ class TestOutputs:
                 assert conn[(t, i, j)] == repr(float(trace[t]))
         for t in range(rec.ticks):
             x = rec.positions[t]
-            graph = proximity_graph([RobotState(i + 1, x[i]) for i in range(rec.n)], plan.delta)
+            graph = proximity_graph(x, plan.delta)
             assert coll.get(t, set()) == set(graph.edges)
             for i in range(1, rec.n + 1):
                 for j in range(i + 1, rec.n + 1):
