@@ -1,5 +1,11 @@
 """Per-robot node logic: mode machine, completion consensus, constraint assembly.
 
+A tick runs in two phases. ``step`` advances one robot: it ingests its inbox,
+updates its consensus, computes its nominal input, runs the mode machine and
+leaves on the node a ``RowRequest``: the nominal and everything its QP rows
+are built from, all taken from the robot's own local view. ``filter_team``
+then builds every robot's rows and solves every robot's QP in one pass.
+
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
 sigma aggregates task completion while executing, eta aggregates graph
@@ -26,13 +32,14 @@ alignment the reset-to-zero at each switch deadlocks sparse graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import behaviors
-from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
-from .geometry import RobotState
+from .barriers import Collision, Connectivity, ObstacleAvoid, RowBlock, constraint_row
+from .geometry import Obstacle, RobotState
 from .qp import QpProblem, solve
 
 EXECUTING = 0
@@ -93,10 +100,29 @@ class AgentNode:
     s_assembly: bool = False
     elapsed: float = 0.0
     neighbor_cache: dict = field(default_factory=dict)
+    request: RowRequest | None = None  # of the last step; None once done
 
     @property
     def done(self):
         return self.behavior_index > self.n_behaviors
+
+
+class RowRequest(NamedTuple):
+    """One robot's QP for this tick, before its rows are built.
+
+    Every position is the robot's own view of a partner (sensed, oracle or
+    cached message; see ``_lookup_position``).
+    """
+
+    robot: int
+    position: np.ndarray  # its own
+    nominal: np.ndarray  # u_hat, the input the filter perturbs minimally
+    delta: float  # the range its connectivity rows drive partners into
+    partners: list  # connectivity partners with a known position, in row order
+    partner_positions: list
+    colliders: list  # sensed robots, ascending
+    collider_positions: list
+    initial: tuple  # the active spec's initial-constraint kinds on this robot
 
 
 @dataclass(frozen=True)
@@ -226,11 +252,12 @@ def _nominal(node, my_state, spec, env):
     return behaviors.nominal_control(spec.controller, node.id, my_state, states, required)
 
 
-def _connectivity_rows(node, x, graphs, env, events, delta):
-    """One connectivity row per partner of this robot in ``graphs`` whose
-    position is known, in graph order, then by id."""
-    others = []
-    positions = []
+def _row_request(node, x, u_hat, graphs, spec, env, events, delta):
+    """The robot's row request: a connectivity partner per robot adjacent to
+    it in ``graphs`` whose position is known, in graph order, then by id;
+    every sensed robot as a collision partner; its initial constraints."""
+    partners = []
+    partner_positions = []
     seen = set()
     for graph in graphs:
         for j in sorted(graph.neighbors(node.id)):
@@ -243,39 +270,76 @@ def _connectivity_rows(node, x, graphs, env, events, delta):
                     {"event": "missing_position", "robot": node.id, "other": j}
                 )
                 continue
-            others.append(j)
-            positions.append(pos)
-    if not others:
-        return []
-    kind = Connectivity(node.id, tuple(others), delta)
-    return [constraint_row(kind, env.params, x, np.array(positions))]
+            partners.append(j)
+            partner_positions.append(pos)
+    sensed = env.sensed
+    colliders = [j for j in sorted(env.live_neighbors) if j in sensed]
+    initial = () if spec is None else tuple(
+        kind for kind in spec.initial_constraints if kind.i == node.id
+    )
+    return RowRequest(
+        node.id, x, u_hat, delta, partners, partner_positions,
+        colliders, [sensed[j] for j in colliders], initial,
+    )
 
 
-def _safety_rows(node, x, env):
+def _flatten(requests, ids, positions):
+    """(request index, partner id, partner position) of every partner listed
+    in the requests' ``ids`` and ``positions`` fields, request by request."""
+    slot = [s for s, r in enumerate(requests) for _ in getattr(r, ids)]
+    others = [j for r in requests for j in getattr(r, ids)]
+    where = [p for r in requests for p in getattr(r, positions)]
+    return np.array(slot, dtype=int), np.array(others, dtype=int), np.array(where)
+
+
+def team_rows(requests, params, min_sep, domain):
+    """Every request's QP rows as one block, kind by kind.
+
+    Each barrier kind is one ``constraint_row`` call for the whole team. A
+    robot's rows keep the order of its own constraint set (connectivity,
+    collision, obstacle, initial constraints), and each equals, bit for bit,
+    the row of the robot's own one-robot stack.
+    """
+    ids = np.array([r.robot for r in requests])
+    x = np.array([r.position for r in requests])
     blocks = []
-    others = [j for j in sorted(env.live_neighbors) if j in env.sensed]
-    if others:
-        kind = Collision(node.id, tuple(others), env.min_sep)
-        positions = np.array([env.sensed[j] for j in others])
-        blocks.append(constraint_row(kind, env.params, x, positions))
-    if env.domain.obstacles:
+    slot, others, where = _flatten(requests, "partners", "partner_positions")
+    if len(slot):
+        delta = np.array([requests[s].delta for s in slot.tolist()])
+        kind = Connectivity(ids[slot], others, delta)
+        blocks.append(constraint_row(kind, params, x[slot], where))
+    slot, others, where = _flatten(requests, "colliders", "collider_positions")
+    if len(slot):
+        kind = Collision(ids[slot], others, min_sep)
+        blocks.append(constraint_row(kind, params, x[slot], where))
+    if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
-        kind = ObstacleAvoid(node.id, env.domain.obstacle_stack)
-        active = np.flatnonzero(kind.value(x) <= OBSTACLE_ACTIVATION)
-        if len(active):
-            blocks.append(constraint_row(kind, env.params, x).take(active))
-    return blocks
+        stack = domain.obstacle_stack
+        h = ObstacleAvoid(ids[:, None], stack).value(x[:, None])
+        slot, m = np.nonzero(h <= OBSTACLE_ACTIVATION)
+        if len(slot):
+            near = Obstacle(stack.center[m], stack.a[m], stack.b[m])
+            block = constraint_row(ObstacleAvoid(ids[slot], near), params, x[slot])
+            blocks.append(replace(block, others=m + 1))  # the index in the domain's stack
+    for s, r in enumerate(requests):
+        blocks += [constraint_row(kind, params, x[s]) for kind in r.initial]
+    return RowBlock.team(blocks)
 
 
-def _initial_rows(node, x, spec, env):
-    if spec is None:
-        return []
-    return [
-        constraint_row(kind, env.params, x)
-        for kind in spec.initial_constraints
-        if kind.i == node.id
-    ]
+def filter_team(requests, params, min_sep, speed_limit, domain):
+    """Every request's QP, built and solved in one pass for the whole team.
+
+    ``requests`` come in ascending robot order; returns the team's
+    ``QpSolution``, with one control and one status per request.
+    """
+    problem = QpProblem(
+        np.array([r.nominal for r in requests]),
+        team_rows(requests, params, min_sep, domain),
+        speed_limit,
+        robots=tuple(r.robot for r in requests),
+    )
+    return solve(problem)
 
 
 def step(node, my_state, inbox, behavior, next_behavior, env, dt):
@@ -284,8 +348,10 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
     ``behavior`` is the spec whose controller is nominal right now (the
     active one while executing, the just-concluded one while assembling,
     None during the initial assembly), ``next_behavior`` the upcoming spec
-    (None when none remains). Returns (node, control, outbox, events); the
-    control is the QP output before the simulator's saturation.
+    (None when none remains). Returns (node, nominal, outbox, events) and
+    leaves the robot's row request on ``node.request``, for ``filter_team``
+    to turn into its control. A robot that is done asks for nothing and
+    returns a zero nominal.
     """
     events = []
     _ingest(node, inbox, env.tick, env.staleness_ticks)
@@ -298,6 +364,7 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
             eta=node.eta,
             behavior_index=node.behavior_index,
         )
+        node.request = None
         return node, np.zeros(2), outbox, events
 
     if env.glue_transitions and node.mode == ASSEMBLING:
@@ -381,39 +448,6 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
                 }
             )
 
-    u = np.zeros(2)
-    if not node.done:
-        row_delta = env.delta
-        if node.mode == EXECUTING:
-            active = next_behavior if switched_to_executing else behavior
-            graphs = [active.required_graph]
-            constraint_spec = active
-        elif env.glue_transitions:
-            # glue baseline: rendezvous does the assembling, no transition rows
-            graphs = []
-            constraint_spec = None
-        else:
-            graphs = [next_behavior.required_graph]
-            if behavior is not None:
-                graphs.append(behavior.required_graph)
-            constraint_spec = next_behavior
-            row_delta = env.delta * ASSEMBLY_RANGE_FACTOR
-        x = my_state.position
-        blocks = _connectivity_rows(node, x, graphs, env, events, row_delta)
-        blocks += _safety_rows(node, x, env)
-        blocks += _initial_rows(node, x, constraint_spec, env)
-        problem = QpProblem(u_hat, blocks, env.speed_limit)
-        solution = solve(problem)
-        u = solution.u
-        if solution.status == "infeasible_hard":
-            events.append(
-                {"event": "qp_infeasible_hard", "robot": node.id, "k": node.behavior_index}
-            )
-        elif solution.status == "relaxed":
-            events.append(
-                {"event": "qp_relaxed", "robot": node.id, "k": node.behavior_index}
-            )
-
     outbox = AgentMessage(
         sender=node.id,
         position=tuple(my_state.position),
@@ -421,4 +455,26 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
         eta=node.eta,
         behavior_index=node.behavior_index,
     )
-    return node, u, outbox, events
+    if node.done:
+        node.request = None
+        return node, np.zeros(2), outbox, events
+
+    row_delta = env.delta
+    if node.mode == EXECUTING:
+        active = next_behavior if switched_to_executing else behavior
+        graphs = [active.required_graph]
+        constraint_spec = active
+    elif env.glue_transitions:
+        # glue baseline: rendezvous does the assembling, no transition rows
+        graphs = []
+        constraint_spec = None
+    else:
+        graphs = [next_behavior.required_graph]
+        if behavior is not None:
+            graphs.append(behavior.required_graph)
+        constraint_spec = next_behavior
+        row_delta = env.delta * ASSEMBLY_RANGE_FACTOR
+    node.request = _row_request(
+        node, my_state.position, u_hat, graphs, constraint_spec, env, events, row_delta
+    )
+    return node, u_hat, outbox, events

@@ -18,12 +18,13 @@ Each barrier kind owns its value and gradient. Both work over the trailing
 a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
 pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
 stack. Every barrier squares distances with ``sq_dist``. ``constraint_row``
-turns one such stack into a ``RowBlock``, one row per barrier.
+turns one such stack into a ``RowBlock``, one row per barrier; a stack whose
+``i`` is an array of robots gives a team's rows, one robot per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +108,9 @@ class Connectivity:
             raise ValueError("connectivity barrier needs two distinct robots")
 
     def value(self, xi, xj):
-        return self.delta**2 - sq_dist(xi - xj)
+        # libm's pow (float_power), as Python's delta**2, also for a per-row
+        # delta array, where numpy's ** 2 would multiply
+        return np.float_power(self.delta, 2) - sq_dist(xi - xj)
 
     def gradient(self, xi, xj):
         """dh/dx_i; the gradient in x_j is its negation."""
@@ -189,11 +192,14 @@ class KeepWithin:
 
 @dataclass(frozen=True)
 class RowBlock:
-    """Rows normals[r] . u >= offsets[r] on one robot's input, as arrays
-    normals (k, 2), offsets (k,) and the hard mask (k,), with each row's
-    identity: its barrier class ``kinds[r]``, and ``others[r]``, the other
-    robot of a pairwise barrier, else the row's 1-based index in its kind's
-    stack (the obstacle index for ``Domain.obstacle_stack``).
+    """Rows normals[r] . u >= offsets[r] on robot inputs, as arrays normals
+    (k, 2), offsets (k,) and the hard mask (k,), with each row's identity:
+    its barrier class ``kinds[r]``, and ``others[r]``, the other robot of a
+    pairwise barrier, else the row's 1-based index in its kind's stack (the
+    obstacle index for ``Domain.obstacle_stack``).
+
+    ``robot`` is the robot whose input the rows act on: one id for a block of
+    one robot's rows, or a (k,) array with each row's robot for a team's.
     """
 
     robot: int
@@ -206,9 +212,15 @@ class RowBlock:
     def __len__(self):
         return len(self.offsets)
 
+    @property
+    def owners(self):
+        """The robot of each row, as a (k,) array."""
+        return np.full(len(self), self.robot) if np.ndim(self.robot) == 0 else self.robot
+
     def take(self, index):
         """The rows at ``index`` (an integer array), in that order."""
-        return RowBlock(self.robot, self.normals[index], self.offsets[index], self.hard[index],
+        robot = self.robot if np.ndim(self.robot) == 0 else self.robot[index]
+        return RowBlock(robot, self.normals[index], self.offsets[index], self.hard[index],
                         self.others[index], tuple(self.kinds[k] for k in index))
 
     @classmethod
@@ -219,28 +231,48 @@ class RowBlock:
             raise ValueError(f"rows reference multiple robots: {sorted(robots)}")
         if len(blocks) == 1:
             return blocks[0]
+        return replace(cls.team(blocks), robot=robots.pop() if robots else 0)
+
+    @classmethod
+    def team(cls, blocks):
+        """The rows of blocks of any robots, in order, as one block with the
+        robot of each row."""
         if not blocks:
-            return cls(0, np.empty((0, 2)), np.empty(0), np.empty(0, bool), np.empty(0, int), ())
+            return cls(np.empty(0, int), np.empty((0, 2)), np.empty(0), np.empty(0, bool),
+                       np.empty(0, int), ())
+        owners = np.concatenate([b.owners for b in blocks])
         arrays = zip(*((b.normals, b.offsets, b.hard, b.others) for b in blocks))
-        kinds = sum((b.kinds for b in blocks), ())
-        return cls(blocks[0].robot, *map(np.concatenate, arrays), kinds)
+        return cls(owners, *map(np.concatenate, arrays), sum((b.kinds for b in blocks), ()))
 
 
 def constraint_row(kind, params, *positions):
-    """Rows (dh/dx_i) . u_i >= -share * rate(h) on robot ``kind.i``'s input,
-    one per barrier of the kind's stack.
+    """Rows (dh/dx_i) . u_i >= -share * rate(h) on the input of robot
+    ``kind.i``, one per barrier of the kind's stack, in C order.
 
     ``positions`` are x_i, then for a pairwise kind the positions of its
-    ``j`` robots, stacked along the leading axis.
+    ``j`` robots, broadcasting together. ``kind.i`` is one robot or, for a
+    team's rows, an id array broadcasting against the barrier values.
     """
-    h = kind.value(*positions).reshape(-1)
-    k = len(h)
+    h = kind.value(*positions)
+    shape = h.shape or (1,)
+    k = h.size
     others = getattr(kind, "j", None)
+    if others is None:
+        others = np.arange(1, shape[-1] + 1)  # the index in the kind's stack
+    robot = kind.i if np.ndim(kind.i) == 0 else _per_row(kind.i, shape)
     return RowBlock(
-        kind.i,
+        robot,
         kind.gradient(*positions).reshape(k, 2),
-        -kind.share * class_k(h, params),
+        -kind.share * class_k(h.reshape(k), params),
         np.full(k, kind.hard),
-        np.arange(1, k + 1) if others is None else np.array(others, ndmin=1),
+        _per_row(others, shape),
         (type(kind),) * k,
     )
+
+
+def _per_row(values, shape):
+    """``values`` broadcast to the shape of a stack's barrier values, flat."""
+    values = np.asarray(values)
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape)
+    return values.reshape(-1)

@@ -1,9 +1,10 @@
 """Deterministic tick-based world: motion integration, sensing, delayed messages.
 
 Every tick: deliver due messages, step every agent against the previous
-tick's snapshot (so agents are order-independent within a tick), saturate
-controls, integrate positions with explicit Euler, recompute the proximity
-graph, and enqueue the new broadcasts with sampled delays. Identical
+tick's snapshot (so agents are order-independent within a tick), filter the
+team's nominal inputs through their QPs in one pass, saturate controls,
+integrate positions with explicit Euler, recompute the proximity graph, and
+enqueue the new broadcasts with sampled delays. Identical
 (mission, config, seed) triples produce byte-identical outputs; message
 delays are drawn from a stream keyed by (seed, sender, tick) so scheduling
 order cannot perturb them.
@@ -11,13 +12,14 @@ order cannot perturb them.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import EXECUTING, AgentNode, Delivery, StepEnv, step
+from .agent import EXECUTING, AgentNode, Delivery, StepEnv, filter_team, step
 from .barriers import Collision, Connectivity, ObstacleAvoid
 from .geometry import RobotState, proximity_graph
 
@@ -74,8 +76,9 @@ class WorldState:
     tick: int
     positions: np.ndarray  # (n, 2)
     live_graph: object
-    in_flight: list  # (deliver_tick, recipient, send_tick, AgentMessage)
+    in_flight: list  # heap of (deliver_tick, seq, send_tick, (recipient, Delivery))
     event_log: list
+    sent: int = 0  # messages posted so far; the next one's seq
 
 
 @dataclass
@@ -95,12 +98,36 @@ class RunRecord:
     plan: object
 
 
+# re-seeded before every draw, so no state carries from one call to the next:
+# the same draws as random.Random(key), without building a generator per
+# sender per tick (not safe to share between threads)
+_DELAY_RNG = random.Random()
+
+
 def _delay_ticks(config, sender, tick):
     if config.delay.kind == "none":
         return 0
     key = (config.seed * 1000003 + sender) * 1000003 + tick
-    rng = random.Random(key & 0xFFFFFFFFFFFFFFFF)
-    return rng.randint(config.delay.min_ticks, config.delay.max_ticks)
+    _DELAY_RNG.seed(key & 0xFFFFFFFFFFFFFFFF)
+    return _DELAY_RNG.randint(config.delay.min_ticks, config.delay.max_ticks)
+
+
+def _post(world, deliver_tick, recipient, delivery):
+    """Queue one delivery for its recipient at the start of ``deliver_tick``;
+    the recipients of one broadcast share its (immutable) delivery."""
+    entry = (deliver_tick, world.sent, delivery.send_tick, (recipient, delivery))
+    heapq.heappush(world.in_flight, entry)
+    world.sent += 1
+
+
+def _deliver(world, t):
+    """Pop the messages due by tick t: recipient -> deliveries, in post order."""
+    due = {}
+    queue = world.in_flight
+    while queue and queue[0][0] <= t:
+        recipient, delivery = heapq.heappop(queue)[3]
+        due.setdefault(recipient, []).append(delivery)
+    return due
 
 
 def _specs_for(node, plan):
@@ -132,14 +159,7 @@ def make_world(plan, config):
 def tick(world, nodes, plan, config):
     """Advance the world and all nodes by one tick; returns applied controls."""
     t = world.tick
-    due = {}
-    remaining = []
-    for deliver_tick, recipient, send_tick, msg in world.in_flight:
-        if deliver_tick <= t:
-            due.setdefault(recipient, []).append(Delivery(send_tick, msg))
-        else:
-            remaining.append((deliver_tick, recipient, send_tick, msg))
-    world.in_flight = remaining
+    due = _deliver(world, t)
 
     graph = world.live_graph
     # views, not copies: the tick replaces world.positions rather than writing into it
@@ -148,6 +168,7 @@ def tick(world, nodes, plan, config):
 
     controls = np.zeros((plan.n, 2))
     outboxes = []
+    step_events = []
     for node in nodes:
         i = node.id
         neighbors = graph.neighbors(i)
@@ -169,9 +190,21 @@ def tick(world, nodes, plan, config):
         )
         my_state = RobotState(i, rows[i - 1])
         behavior, upcoming = _specs_for(node, plan)
-        node, u, outbox, events = step(node, my_state, due.get(i, []), behavior, upcoming, env, config.dt)
-        controls[i - 1] = u
+        node, _, outbox, events = step(node, my_state, due.get(i, []), behavior, upcoming, env, config.dt)
         outboxes.append((i, outbox, sorted(neighbors)))
+        step_events.append(events)
+
+    requests = [node.request for node in nodes if node.request is not None]
+    if requests:
+        solution = filter_team(requests, plan.fcbf, plan.min_sep, config.speed_limit, plan.domain)
+        for request, u, status in zip(requests, solution.u, solution.statuses):
+            i = request.robot
+            controls[i - 1] = u
+            if status != "optimal":
+                # each robot's QP event follows its own step events
+                k = nodes[i - 1].behavior_index
+                step_events[i - 1].append({"event": "qp_" + status, "robot": i, "k": k})
+    for events in step_events:
         for ev in events:
             ev["tick"] = t
             world.event_log.append(ev)
@@ -181,8 +214,9 @@ def tick(world, nodes, plan, config):
     world.live_graph = proximity_graph(world.positions, plan.delta)
     for sender, msg, recipients in outboxes:
         delay = _delay_ticks(config, sender, t)
+        delivery = Delivery(t, msg)
         for r in recipients:
-            world.in_flight.append((t + 1 + delay, r, t, msg))
+            _post(world, t + 1 + delay, r, delivery)
     world.tick = t + 1
     return controls
 

@@ -10,7 +10,9 @@ from swarmseq.agent import (
     Delivery,
     StepEnv,
     consensus_update,
+    filter_team,
     step,
+    team_rows,
 )
 from swarmseq.barriers import Connectivity, FcbfParams
 from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
@@ -111,11 +113,16 @@ class TestStep:
         node = AgentNode(id=1, n_behaviors=1, mode=EXECUTING, behavior_index=1)
         positions = {1: (0.0, 0.0), 2: (0.15, 0.0)}
         env = env_for(5, positions, me=1)
-        node, u, outbox, _ = step(
+        node, u_hat, outbox, _ = step(
             node, RobotState(1, np.array(positions[1])), [msg(2, positions[2])],
             spec, None, env, 0.02,
         )
-        np.testing.assert_allclose(u, [0.15, 0.0], atol=1e-9)
+        np.testing.assert_allclose(u_hat, [0.15, 0.0], atol=1e-9)
+        request = node.request
+        assert request.partners == [2] and request.colliders == [2]
+        solution = filter_team([request], env.params, env.min_sep, env.speed_limit, env.domain)
+        assert solution.statuses == ("optimal",)
+        np.testing.assert_array_equal(solution.u[0], u_hat)
         assert outbox.behavior_index == 1
 
     def test_halts_after_last_behavior(self):
@@ -193,7 +200,7 @@ class TestStep:
             assert 0.0 <= node.sigma <= 1.0
             assert 0.0 <= node.eta <= 1.0
 
-    def test_assembling_rows_cover_union(self, monkeypatch):
+    def test_assembling_rows_cover_union(self):
         # three robots; previous graph 1-2, next graph 1-3: while assembling,
         # robot 1's connectivity rows must cover both edges
         prev = BehaviorSpec(
@@ -209,18 +216,12 @@ class TestStep:
         node = AgentNode(id=1, n_behaviors=2, mode=ASSEMBLING, behavior_index=2)
         positions = {1: (0.0, 0.0), 2: (0.3, 0.0), 3: (0.9, 0.0)}
 
-        captured = []
-        real_solve = agent_mod.solve
-
-        def spy(problem):
-            captured.append(problem)
-            return real_solve(problem)
-
-        monkeypatch.setattr(agent_mod, "solve", spy)
         env = env_for(2, positions, me=1)
-        step(node, RobotState(1, np.array(positions[1])), [], prev, nxt, env, 0.02)
-        rows = captured[-1].rows
-        assert rows.robot == 1
+        node, _, _, _ = step(node, RobotState(1, np.array(positions[1])), [], prev, nxt, env, 0.02)
+        request = node.request
+        assert request.robot == 1 and set(request.partners) == {2, 3}
+        rows = team_rows([request], env.params, env.min_sep, env.domain)
+        assert rows.owners.tolist() == [1] * len(rows)
         conn_partners = {j for kind, j in zip(rows.kinds, rows.others.tolist()) if kind is Connectivity}
         assert conn_partners == {2, 3}
 

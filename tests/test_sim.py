@@ -1,9 +1,12 @@
 import csv
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import swarmseq.sim as sim_mod
+from swarmseq.agent import AgentMessage, Delivery
 from swarmseq.barriers import Connectivity, FcbfParams, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
 from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
@@ -262,3 +265,40 @@ class TestOutputs:
                 for j in range(i + 1, rec.n + 1):
                     h = Connectivity(i, j, plan.delta).value(x[i - 1], x[j - 1])
                     assert (h >= 0) == graph.has_edge(i, j)
+
+
+class TestMessageQueue:
+    def test_heap_delivers_what_a_list_scan_delivers(self):
+        # the reference: every tick, scan the whole in-flight list for due messages
+        rng = random.Random(5)
+        world = make_world(tiny_plan([[0.0, 0.0]], [spec(1, Rendezvous(), ElapsedTime(1.0))]), SimConfig())
+        scan = []
+        for t in range(400):
+            due = {}
+            remaining = []
+            for deliver_tick, recipient, send_tick, msg in scan:
+                if deliver_tick <= t:
+                    due.setdefault(recipient, []).append(Delivery(send_tick, msg))
+                else:
+                    remaining.append((deliver_tick, recipient, send_tick, msg))
+            scan = remaining
+            assert sim_mod._deliver(world, t) == due
+            assert len(world.in_flight) == len(scan)
+            for _ in range(rng.randint(0, 6)):
+                sender = rng.randint(1, 6)
+                msg = AgentMessage(sender, (rng.random(), rng.random()), rng.random(), 0.0, 1)
+                deliver = t + 1 + rng.randint(0, 10)
+                for r in rng.sample(range(1, 7), rng.randint(0, 5)):
+                    scan.append((deliver, r, t, msg))
+                    sim_mod._post(world, deliver, r, Delivery(t, msg))
+
+    def test_delay_draws_equal_a_fresh_generator_per_key(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            seed, sender, t = rng.randint(0, 2**40), rng.randint(1, 64), rng.randint(0, 20000)
+            lo = rng.randint(0, 5)
+            hi = lo + rng.randint(0, 10)
+            config = SimConfig(delay=DelaySpec.uniform(lo, hi), seed=seed)
+            key = (seed * 1000003 + sender) * 1000003 + t
+            expected = random.Random(key & 0xFFFFFFFFFFFFFFFF).randint(lo, hi)
+            assert sim_mod._delay_ticks(config, sender, t) == expected
