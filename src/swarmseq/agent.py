@@ -32,15 +32,15 @@ alignment the reset-to-zero at each switch deadlocks sparse graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import behaviors
-from .barriers import Collision, Connectivity, ObstacleAvoid, RowBlock, constraint_row
-from .geometry import Obstacle, RobotState
-from .qp import QpProblem, solve
+from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
+from .geometry import RobotState
+from .qp import QpProblem, RowLayout, solve
 
 EXECUTING = 0
 ASSEMBLING = 1
@@ -283,48 +283,62 @@ def _row_request(node, x, u_hat, graphs, spec, env, events, delta):
     )
 
 
-def _flatten(requests, ids, positions):
-    """(request index, partner id, partner position) of every partner listed
-    in the requests' ``ids`` and ``positions`` fields, request by request."""
-    slot = [s for s, r in enumerate(requests) for _ in getattr(r, ids)]
-    others = [j for r in requests for j in getattr(r, ids)]
-    where = [p for r in requests for p in getattr(r, positions)]
-    return np.array(slot, dtype=int), np.array(others, dtype=int), np.array(where)
-
-
 def team_rows(requests, params, min_sep, domain):
-    """Every request's QP rows as one block, kind by kind.
+    """Every request's QP rows, written straight into the solver's layout.
 
-    Each barrier kind is one ``constraint_row`` call for the whole team. A
-    robot's rows keep the order of its own constraint set (connectivity,
-    collision, obstacle, initial constraints), and each equals, bit for bit,
-    the row of the robot's own one-robot stack.
+    Each barrier kind is one ``constraint_row`` call for the whole team, and
+    each row goes to its robot's layout row in the order of the robot's own
+    constraint set (connectivity, collision, obstacle, initial constraints),
+    bit for bit the row of the robot's own one-robot stack.
     """
     ids = np.array([r.robot for r in requests])
     x = np.array([r.position for r in requests])
-    blocks = []
-    slot, others, where = _flatten(requests, "partners", "partner_positions")
-    if len(slot):
-        delta = np.array([requests[s].delta for s in slot.tolist()])
-        kind = Connectivity(ids[slot], others, delta)
-        blocks.append(constraint_row(kind, params, x[slot], where))
-    slot, others, where = _flatten(requests, "colliders", "collider_positions")
-    if len(slot):
-        kind = Collision(ids[slot], others, min_sep)
-        blocks.append(constraint_row(kind, params, x[slot], where))
+    counts = np.zeros(len(requests), dtype=int)
+    # each connectivity and collision row's robot slot, column, other robot
+    # and that robot's position; all connectivity rows precede the collision rows
+    conn, coll = ([], [], [], []), ([], [], [], [])
+    deltas = []
+    for s, r in enumerate(requests):
+        k, m = len(r.partners), len(r.colliders)
+        conn[0].extend([s] * k)
+        conn[1].extend(range(k))
+        conn[2].extend(r.partners)
+        conn[3].extend(r.partner_positions)
+        deltas.extend([r.delta] * k)
+        coll[0].extend([s] * m)
+        coll[1].extend(range(k, k + m))
+        coll[2].extend(r.colliders)
+        coll[3].extend(r.collider_positions)
+        counts[s] = k + m
+    placed = []  # (robot slots, columns, rows)
+    if counts.any():
+        k = len(deltas)
+        slot, column, others, where = (np.array(a + b) for a, b in zip(conn, coll))
+        robots, xs = ids.take(slot), x.take(slot, axis=0)
+        if k:
+            kind = Connectivity(robots[:k], others[:k], np.array(deltas))
+            placed.append((slot[:k], column[:k], constraint_row(kind, params, xs[:k], where[:k])))
+        if k < len(slot):
+            kind = Collision(robots[k:], others[k:], min_sep)
+            placed.append((slot[k:], column[k:], constraint_row(kind, params, xs[k:], where[k:])))
     if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
-        stack = domain.obstacle_stack
-        h = ObstacleAvoid(ids[:, None], stack).value(x[:, None])
-        slot, m = np.nonzero(h <= OBSTACLE_ACTIVATION)
-        if len(slot):
-            near = Obstacle(stack.center[m], stack.a[m], stack.b[m])
-            block = constraint_row(ObstacleAvoid(ids[slot], near), params, x[slot])
-            blocks.append(replace(block, others=m + 1))  # the index in the domain's stack
+        block = constraint_row(ObstacleAvoid(ids[:, None], domain.obstacle_stack), params, x[:, None])
+        active = np.flatnonzero(block.values <= OBSTACLE_ACTIVATION)
+        if len(active):
+            slot = active // len(domain.obstacles)  # ascending, so each robot's run is contiguous
+            column = counts[slot] + np.arange(len(slot)) - np.searchsorted(slot, slot)
+            placed.append((slot, column, block.take(active)))
+            counts += np.bincount(slot, minlength=len(counts))
     for s, r in enumerate(requests):
-        blocks += [constraint_row(kind, params, x[s]) for kind in r.initial]
-    return RowBlock.team(blocks)
+        for kind in r.initial:
+            placed.append(([s], [counts[s]], constraint_row(kind, params, x[s])))
+            counts[s] += 1
+    layout = RowLayout.empty(ids, counts)
+    for slot, column, block in placed:
+        layout.place(slot, column, block)
+    return layout
 
 
 def filter_team(requests, params, min_sep, speed_limit, domain):
@@ -333,13 +347,8 @@ def filter_team(requests, params, min_sep, speed_limit, domain):
     ``requests`` come in ascending robot order; returns the team's
     ``QpSolution``, with one control and one status per request.
     """
-    problem = QpProblem(
-        np.array([r.nominal for r in requests]),
-        team_rows(requests, params, min_sep, domain),
-        speed_limit,
-        robots=tuple(r.robot for r in requests),
-    )
-    return solve(problem)
+    rows = team_rows(requests, params, min_sep, domain)
+    return solve(QpProblem(np.array([r.nominal for r in requests]), rows, speed_limit))
 
 
 def step(node, my_state, inbox, behavior, next_behavior, env, dt):

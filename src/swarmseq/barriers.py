@@ -18,13 +18,14 @@ Each barrier kind owns its value and gradient. Both work over the trailing
 a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
 pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
 stack. Every barrier squares distances with ``sq_dist``. ``constraint_row``
-turns one such stack into a ``RowBlock``, one row per barrier; a stack whose
-``i`` is an array of robots gives a team's rows, one robot per row.
+turns one such stack into a ``RowBlock``, one row per barrier, with the
+barrier values it computed them from; a stack whose ``i`` is an array of
+robots gives a team's rows, which ``qp.RowLayout`` places robot by robot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,7 +165,7 @@ class ObstacleAvoid:
 
     def gradient(self, x):
         o = self.obstacle
-        return 2.0 * (x - o.center) * np.stack((o.a, o.b), axis=-1)
+        return 2.0 * (x - o.center) * o.axes
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,16 @@ class KeepWithin:
 
 @dataclass(frozen=True)
 class RowBlock:
-    """Rows normals[r] . u >= offsets[r] on robot inputs, as arrays normals
-    (k, 2), offsets (k,) and the hard mask (k,), with each row's identity:
-    its barrier class ``kinds[r]``, and ``others[r]``, the other robot of a
-    pairwise barrier, else the row's 1-based index in its kind's stack (the
-    obstacle index for ``Domain.obstacle_stack``).
+    """Rows normals[r] . u >= offsets[r] on one robot's input, as arrays
+    normals (k, 2), offsets (k,) and the hard mask (k,), or one flag for the
+    rows of one barrier kind, with each row's identity: its barrier class
+    ``kinds[r]``, and ``others[r]``, the other robot of a pairwise barrier,
+    else the row's 1-based index in its kind's stack (the obstacle index for
+    ``Domain.obstacle_stack``). ``values`` are the rows' barrier values h
+    when ``constraint_row`` built them.
 
-    ``robot`` is the robot whose input the rows act on: one id for a block of
-    one robot's rows, or a (k,) array with each row's robot for a team's.
+    ``robot`` is the robot whose input the rows act on; for a team's stack it
+    is the kind's ``i`` as given (``qp.RowLayout`` places each row).
     """
 
     robot: int
@@ -208,20 +211,17 @@ class RowBlock:
     hard: np.ndarray
     others: np.ndarray
     kinds: tuple
+    values: np.ndarray | None = None
 
     def __len__(self):
         return len(self.offsets)
 
-    @property
-    def owners(self):
-        """The robot of each row, as a (k,) array."""
-        return np.full(len(self), self.robot) if np.ndim(self.robot) == 0 else self.robot
-
     def take(self, index):
         """The rows at ``index`` (an integer array), in that order."""
-        robot = self.robot if np.ndim(self.robot) == 0 else self.robot[index]
-        return RowBlock(robot, self.normals[index], self.offsets[index], self.hard[index],
-                        self.others[index], tuple(self.kinds[k] for k in index))
+        hard = self.hard if np.ndim(self.hard) == 0 else self.hard[index]
+        return RowBlock(self.robot, self.normals[index], self.offsets[index], hard,
+                        self.others[index], tuple(self.kinds[k] for k in index),
+                        None if self.values is None else self.values[index])
 
     @classmethod
     def concat(cls, blocks):
@@ -229,20 +229,9 @@ class RowBlock:
         robots = {b.robot for b in blocks}
         if len(robots) > 1:
             raise ValueError(f"rows reference multiple robots: {sorted(robots)}")
-        if len(blocks) == 1:
-            return blocks[0]
-        return replace(cls.team(blocks), robot=robots.pop() if robots else 0)
-
-    @classmethod
-    def team(cls, blocks):
-        """The rows of blocks of any robots, in order, as one block with the
-        robot of each row."""
-        if not blocks:
-            return cls(np.empty(0, int), np.empty((0, 2)), np.empty(0), np.empty(0, bool),
-                       np.empty(0, int), ())
-        owners = np.concatenate([b.owners for b in blocks])
-        arrays = zip(*((b.normals, b.offsets, b.hard, b.others) for b in blocks))
-        return cls(owners, *map(np.concatenate, arrays), sum((b.kinds for b in blocks), ()))
+        blocks = [cls(0, np.empty((0, 2)), np.empty(0), np.empty(0, bool), np.empty(0, int), ()), *blocks]
+        arrays = zip(*((b.normals, b.offsets, np.broadcast_to(b.hard, len(b)), b.others) for b in blocks))
+        return cls(next(iter(robots), 0), *map(np.concatenate, arrays), sum((b.kinds for b in blocks), ()))
 
 
 def constraint_row(kind, params, *positions):
@@ -256,23 +245,9 @@ def constraint_row(kind, params, *positions):
     h = kind.value(*positions)
     shape = h.shape or (1,)
     k = h.size
-    others = getattr(kind, "j", None)
-    if others is None:
-        others = np.arange(1, shape[-1] + 1)  # the index in the kind's stack
-    robot = kind.i if np.ndim(kind.i) == 0 else _per_row(kind.i, shape)
-    return RowBlock(
-        robot,
-        kind.gradient(*positions).reshape(k, 2),
-        -kind.share * class_k(h.reshape(k), params),
-        np.full(k, kind.hard),
-        _per_row(others, shape),
-        (type(kind),) * k,
-    )
-
-
-def _per_row(values, shape):
-    """``values`` broadcast to the shape of a stack's barrier values, flat."""
-    values = np.asarray(values)
-    if values.shape != shape:
-        values = np.broadcast_to(values, shape)
-    return values.reshape(-1)
+    others = np.empty(shape, dtype=int)  # the other robot, else the index in the kind's stack
+    j = getattr(kind, "j", None)
+    others[...] = np.arange(1, shape[-1] + 1) if j is None else j
+    h = h.reshape(k)
+    return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h, params),
+                    kind.hard, others.reshape(k), (type(kind),) * k, h)

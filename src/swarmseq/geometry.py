@@ -89,12 +89,14 @@ class Obstacle:
     center: np.ndarray
     a: float
     b: float
+    axes: np.ndarray = field(init=False, repr=False, compare=False)  # (a, b) on the last axis
 
     def __post_init__(self):
         if np.any(np.asarray(self.a) <= 0) or np.any(np.asarray(self.b) <= 0):
             raise GeometryError(f"obstacle shape coefficients must be positive, got {self.a}, {self.b}")
         center = np.asarray(self.center, dtype=float).reshape(np.shape(self.a) + (2,))
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "axes", np.stack((self.a, self.b), axis=-1))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ the packaged scenario files are the reference examples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,43 +119,50 @@ def _req(section, key, where, default=None):
     return section.get(key, default)
 
 
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+
+
+def _cast(raw, cast=float):
+    """``cast(raw)``, refusing a non-finite number and, for an int, a fractional one."""
+    value = cast(raw)
+    if not math.isfinite(value) or value != float(raw):
+        raise ValueError(f"not a finite {cast.__name__}: {raw!r}")
+    return value
+
+
 def _num(section, key, where, default=None, cast=float):
     raw = _req(section, key, where, default)
     try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise MissionFormatError(f"'{key}' in {where} is not a number: {raw!r}") from None
+        return _cast(raw, cast)
+    except _NOT_A_NUMBER:
+        raise MissionFormatError(f"'{key}' in {where} is not a finite {cast.__name__}: {raw!r}") from None
 
 
 def _nums(raw, count, where, cast=float):
     """A list of ``count`` numbers (of any length when count is None)."""
     try:
-        out = [cast(v) for v in raw]
+        out = [_cast(v, cast) for v in raw]
         if count is None or len(out) == count:
             return out
-    except (TypeError, ValueError):
+    except _NOT_A_NUMBER:
         pass
-    raise MissionFormatError(f"expected {count or 'a list of'} numbers in {where}, got {raw!r}")
+    raise MissionFormatError(f"expected {count or 'a list of'} finite {cast.__name__}s in {where}, got {raw!r}")
 
 
 def _edges(raw, where):
     try:
-        return [(int(i), int(j)) for i, j in raw]
-    except (TypeError, ValueError) as exc:
+        return [(_cast(i, int), _cast(j, int)) for i, j in raw]
+    except _NOT_A_NUMBER as exc:
         raise MissionFormatError(f"bad edge list in {where}: {exc}") from None
 
 
 def _vec(raw, where):
-    try:
-        x, y = float(raw[0]), float(raw[1])
-    except (TypeError, ValueError, IndexError):
-        raise MissionFormatError(f"bad 2-vector in {where}: {raw!r}") from None
-    return (x, y)
+    return tuple(_nums(raw, 2, f"{where} (a 2-vector)"))
 
 
 def _distances(doc, where):
     triples = (_nums(t, 3, f"{where} distances") for t in _req(doc, "distances", where))
-    return {(int(i), int(j)): t for i, j, t in triples}
+    return {tuple(_nums((i, j), 2, f"{where} distances", int)): t for i, j, t in triples}
 
 
 def _parse_controller(doc, n, where):

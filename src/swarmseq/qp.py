@@ -17,11 +17,14 @@ whole team at once, each stage on the robots the earlier ones left unsolved:
   3. the best vertex of two rows, at least one of them violated, that lies
      in the polygon and has non-negative multipliers (Cramer's rule).
 
-Each robot's rows are padded to a common count with rows 0 . u >= -1, which
-never bind, and followed by the four speed-box rows. Every dot product is
-written out as a0*x0 + a1*x1, so a robot's answer is bitwise the same in any
-team. ``oracle_solve`` independently enumerates the active sets of one
-robot's problem; tests require the two to agree to 1e-6.
+The rows arrive in a ``RowLayout``, the layout ``solve`` works on: one
+layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
+bind, up to the team's largest row count, then the four speed-box rows. The
+padding happens when the rows are assembled (``agent.team_rows`` writes each
+row straight into its place), so the solver neither gathers nor pads. Every
+dot product is written out as a0*x0 + a1*x1, so a robot's answer is bitwise
+the same in any team. ``oracle_solve`` independently enumerates the active
+sets of one robot's problem; tests require the two to agree to 1e-6.
 
 A robot with no feasible candidate is re-solved with quadratically penalized
 slacks on its soft rows by a dual active-set iteration; hard rows
@@ -53,48 +56,97 @@ _BOX_NORMALS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    """One robot's QP, or a team's.
+class RowLayout:
+    """Every robot's rows in the solver's layout, one layout row per robot.
 
-    For one robot (``robots`` None), ``nominal`` is its (2,) input and every
-    row acts on it; ``rows`` may be one ``RowBlock`` or a sequence of one
-    robot's blocks, kept as one block. For a team, ``nominal`` is (n, 2),
-    ``robots`` the n robot ids in ascending order, and each row acts on the
-    input of its ``rows.robot``. Coefficients must be finite, and no robot
-    may have more than MAX_ROWS rows.
+    Robot ``robots[r]``'s ``counts[r]`` rows fill columns 0..counts[r]-1 of
+    ``normals`` (n, width + 4, 2) and ``offsets`` (n, width + 4), pad rows
+    0 . u >= -1 the columns up to ``width``, the largest count, and the speed
+    box, which ``QpProblem`` writes, the last four. ``hard`` marks the rows a
+    relaxation keeps: hard rows, pad rows and the box. Each row's identity
+    stays with the blocks placed, and ``block`` reads it back.
+    """
+
+    robots: np.ndarray
+    counts: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    hard: np.ndarray
+    placed: list = field(default_factory=list, repr=False)  # (slots, columns, block)
+
+    @classmethod
+    def empty(cls, robots, counts):
+        """A layout of pad rows only, for ``counts[r]`` rows of ``robots[r]``."""
+        shape = (len(counts), int(counts.max(initial=0)) + 4)
+        return cls(robots, counts, np.zeros(shape + (2,)), np.full(shape, -1.0), np.ones(shape, dtype=bool))
+
+    @classmethod
+    def of(cls, blocks):
+        """One robot's rows per block, robot by robot."""
+        layout = cls.empty(np.array([b.robot for b in blocks], dtype=int),
+                           np.array([len(b) for b in blocks], dtype=int))
+        for r, b in enumerate(blocks):
+            layout.place(np.full(len(b), r), np.arange(len(b)), b)
+        return layout
+
+    def place(self, slots, columns, block):
+        """Write ``block``'s rows into the layout, row k at (slots[k], columns[k])."""
+        self.normals[slots, columns] = block.normals
+        self.offsets[slots, columns] = block.offsets
+        self.hard[slots, columns] = block.hard
+        self.placed.append((slots, columns, block))
+
+    def block(self, r):
+        """The rows of the layout's robot r, with their identity, as a ``RowBlock``."""
+        m = self.counts[r]
+        kinds, others = [None] * m, np.zeros(m, dtype=int)
+        for slots, columns, placed in self.placed:
+            for k in np.flatnonzero(np.equal(slots, r)):
+                kinds[columns[k]], others[columns[k]] = placed.kinds[k], placed.others[k]
+        return RowBlock(int(self.robots[r]), self.normals[r, :m], self.offsets[r, :m], self.hard[r, :m],
+                        others, tuple(kinds))
+
+    @property
+    def width(self):
+        return self.offsets.shape[1] - 4
+
+    def __len__(self):
+        return int(self.counts.sum())
+
+
+@dataclass(frozen=True)
+class QpProblem:
+    """A team's QPs: ``rows`` a ``RowLayout`` and ``nominal`` (n, 2), each
+    robot's input; or one robot's: ``nominal`` (2,) and ``rows`` one
+    ``RowBlock`` or a sequence of them, laid out as a team of one.
+    Coefficients must be finite, and no robot may have more than MAX_ROWS rows.
     """
 
     nominal: np.ndarray
-    rows: RowBlock
+    rows: RowLayout
     speed_limit: float
-    robots: tuple | None = None
-    slots: np.ndarray = field(init=False, repr=False, compare=False)  # each row's robot index
 
     def __post_init__(self):
         nom = np.asarray(self.nominal, dtype=float)
-        shape = (2,) if self.robots is None else (len(self.robots), 2)
+        rows = self.rows
+        if not isinstance(rows, RowLayout):  # one robot's blocks, laid out as a team of one
+            rows = RowLayout.of([rows if isinstance(rows, RowBlock) else RowBlock.concat(rows)])
+        shape = (len(rows.counts), 2) if rows is self.rows else (2,)
         if nom.shape != shape:
             raise ValueError(f"nominal input has shape {nom.shape}, expected {shape}")
         if not np.isfinite(nom).all():
             raise ValueError("nominal input is not finite")
-        if self.speed_limit <= 0:
+        if not self.speed_limit > 0:
             raise ValueError("speed limit must be positive")
-        rows = self.rows if isinstance(self.rows, RowBlock) else RowBlock.concat(self.rows)
-        if self.robots is None:
-            slots = np.zeros(len(rows), dtype=int)
-        else:
-            # with ascending ids, a row whose slot holds its robot is placed right
-            robots = np.asarray(self.robots)
-            slots = np.searchsorted(robots, rows.owners)
-            if np.any(slots >= len(robots)) or np.any(robots[slots] != rows.owners):
-                raise ValueError("rows reference robots outside the team, or the team is not ascending")
-        if len(rows) and np.bincount(slots).max() > MAX_ROWS:
-            raise ValueError(f"too many rows ({np.bincount(slots).max()}) for one robot; cap is {MAX_ROWS}")
+        width = rows.width
+        if width > MAX_ROWS:
+            raise ValueError(f"too many rows ({width}) for one robot; cap is {MAX_ROWS}")
+        rows.normals[:, width:] = _BOX_NORMALS
+        rows.offsets[:, width:] = -self.speed_limit
         if not (np.isfinite(rows.normals).all() and np.isfinite(rows.offsets).all()):
             raise ValueError("constraint row has non-finite coefficients")
         object.__setattr__(self, "nominal", nom)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "slots", slots)
 
 
 @dataclass(frozen=True)
@@ -103,8 +155,8 @@ class QpSolution:
 
     For a team, ``u`` is (n, 2), ``box_multipliers`` has one 4-tuple per
     robot, ``statuses`` one status per robot, and ``status`` is the worst of
-    them; ``slacks`` lists the soft rows and ``row_multipliers`` every row, in
-    row order.
+    them; ``slacks`` lists the soft rows and ``row_multipliers`` every row,
+    robot by robot in the layout's order.
     """
 
     u: np.ndarray
@@ -120,18 +172,10 @@ class QpSolution:
             object.__setattr__(self, "statuses", (self.status,))
 
 
-def _box_rows(limit):
-    """The speed box |u|_inf <= limit as four inequality rows a.u >= b."""
-    return _BOX_NORMALS, np.array((-limit,) * 4)
-
-
 def _stack(problem, include_soft=True):
-    rows = problem.rows
-    normals, offsets = rows.normals, rows.offsets
-    if not include_soft:
-        normals, offsets = normals[rows.hard], offsets[rows.hard]
-    bn, bo = _box_rows(problem.speed_limit)
-    return np.concatenate([normals, bn]), np.concatenate([offsets, bo])
+    """A one-robot problem's rows, then its box, as (normals, offsets)."""
+    keep = slice(None) if include_soft else problem.rows.hard[0]
+    return problem.rows.normals[0, keep], problem.rows.offsets[0, keep]
 
 
 def _dual_active_set(target, gdiag, normals, offsets, max_iter=None):
@@ -142,7 +186,6 @@ def _dual_active_set(target, gdiag, normals, offsets, max_iter=None):
     rows whose multiplier would turn negative otherwise. Returns (x, lam)
     with lam aligned to ``normals``, or None when the rows are inconsistent.
     """
-    d = len(target)
     m = len(normals)
     if max_iter is None:
         max_iter = 50 + 10 * m
@@ -199,21 +242,6 @@ def _dual_active_set(target, gdiag, normals, offsets, max_iter=None):
                 break
             del active[blocker], lam_active[blocker]
     raise RuntimeError("active-set iteration failed to terminate")
-
-
-def _soft_indices(problem):
-    return np.flatnonzero(~problem.rows.hard)
-
-
-def _split_multipliers(lam, nrows):
-    """(row multipliers, box multipliers) from a multiplier vector that
-    lists the rows first, then the four box rows."""
-    return tuple(lam[:nrows].tolist()), tuple(lam[nrows:nrows + 4].tolist())
-
-
-def _zero_input_slacks(problem, soft):
-    """Slacks of the soft rows at u = 0, the frozen robot's input."""
-    return tuple(max(0.0, b) for b in problem.rows.offsets[soft].tolist())
 
 
 @functools.lru_cache(maxsize=16)
@@ -297,93 +325,67 @@ def solve(problem):
     """
     rows = problem.rows
     nominal = problem.nominal.reshape(-1, 2)
-    n = len(nominal)
-    slots = problem.slots
+    width = rows.width
 
-    # each robot's rows in order, then pad rows, then the box: (n, width + 4)
-    order = np.argsort(slots, kind="stable")
-    slot = slots[order]
-    counts = np.bincount(slots, minlength=n)
-    width = int(counts.max(initial=0))
-    pos = np.arange(len(slot)) - (np.cumsum(counts) - counts)[slot]
-    normals = np.zeros((n, width + 4, 2))
-    offsets = np.full((n, width + 4), -1.0)
-    normals[slot, pos] = rows.normals[order]
-    offsets[slot, pos] = rows.offsets[order]
-    normals[:, width:] = _BOX_NORMALS
-    offsets[:, width:] = -problem.speed_limit
-
-    found, u, lam = _project(nominal, normals, offsets)
-    statuses = ["optimal"] * n
-    slacks = np.zeros(len(rows))
+    found, u, lam = _project(nominal, rows.normals, rows.offsets)
+    statuses = ["optimal"] * len(nominal)
+    slacks = np.zeros(rows.hard.shape)
     stuck = (~found).nonzero()[0]
     if len(stuck):
         # the hard rows and the box alone, soft rows masked as pad rows
-        soft = np.zeros((n, width + 4), dtype=bool)
-        soft[slot, pos] = ~rows.hard[order]
-        soft = soft[stuck]
+        soft = ~rows.hard[stuck]
         hard_ok, _, _ = _project(
             nominal[stuck],
-            np.where(soft[..., None], 0.0, normals[stuck]),
-            np.where(soft, -1.0, offsets[stuck]),
+            np.where(soft[..., None], 0.0, rows.normals[stuck]),
+            np.where(soft, -1.0, rows.offsets[stuck]),
         )
         for r, ok in zip(stuck.tolist(), hard_ok.tolist()):
-            mine = (slots == r).nonzero()[0]
-            m = len(mine)
             if ok:
-                x, lam_r = _relaxed_solve(nominal[r], rows.take(mine), problem.speed_limit)
+                mine = np.r_[:rows.counts[r], width:width + 4]  # its rows, then its box
+                relax = ~rows.hard[r, mine]
+                x, lam[r, mine] = _relaxed_solve(nominal[r], rows.normals[r, mine], rows.offsets[r, mine], relax)
                 u[r] = x[:2]
-                lam[r, :m] = lam_r[:m]
-                lam[r, width:] = lam_r[m:m + 4]
-                slacks[mine[~rows.hard[mine]]] = np.maximum(0.0, x[2:])
+                slacks[r, mine[relax]] = np.maximum(0.0, x[2:])
                 statuses[r] = "relaxed"
             else:
                 u[r] = 0.0
-                slacks[mine] = np.maximum(0.0, rows.offsets[mine])
+                slacks[r] = np.maximum(0.0, rows.offsets[r])
                 statuses[r] = "infeasible_hard"
 
-    row_mult = np.empty(len(rows))
-    row_mult[order] = lam[slot, pos]
     box_mult = lam[:, width:].tolist()
-    single = problem.robots is None
+    single = problem.nominal.ndim == 1
     return QpSolution(
         u=u[0] if single else u,
         slacks=tuple(slacks[~rows.hard].tolist()),
         status=next((s for s in _STATUSES if s in statuses), "optimal"),
-        row_multipliers=tuple(row_mult.tolist()),
+        row_multipliers=tuple(lam[:, :width][np.arange(width) < rows.counts[:, None]].tolist()),
         box_multipliers=tuple(box_mult[0]) if single else tuple(map(tuple, box_mult)),
         statuses=tuple(statuses),
     )
 
 
-def _relaxed_solve(nominal, rows, speed_limit):
-    """Re-solve one robot's QP with slack variables xi on its soft rows:
-    a.u + xi >= b, xi >= 0, penalized by SLACK_PENALTY * xi^2. Hard rows and
-    the box stay exact. Returns (x, lam): x is u then the slacks, lam lists
-    the rows, then the box, then xi >= 0."""
-    soft = np.flatnonzero(~rows.hard)
-    m = len(rows)
-    ns = len(soft)
-    dim = 2 + ns
-    target = np.zeros(dim)
+def _relaxed_solve(nominal, normals, offsets, soft):
+    """Re-solve one robot's QP, its rows and box given as ``normals`` (m, 2)
+    and ``offsets`` (m,), with slack variables xi on the rows ``soft`` marks:
+    a.u + xi >= b, xi >= 0, penalized by SLACK_PENALTY * xi^2. The other rows
+    stay exact. Returns (x, lam): x is u then the slacks, lam the multipliers
+    of the m rows."""
+    soft = np.flatnonzero(soft)
+    m, ns = len(offsets), len(soft)
+    target = np.zeros(2 + ns)
     target[:2] = nominal
-    gdiag = np.ones(dim)
+    gdiag = np.ones(2 + ns)
     gdiag[2:] = SLACK_PENALTY
-
-    # rows, then the box, then xi >= 0; soft row soft[s] carries slack s
-    bn, bo = _box_rows(speed_limit)
-    normals = np.zeros((m + 4 + ns, dim))
-    normals[:m, :2] = rows.normals
-    normals[m:m + 4, :2] = bn
+    # the rows, then xi >= 0; soft row soft[s] carries slack s
     slack = np.arange(ns)
-    normals[soft, 2 + slack] = 1.0
-    normals[m + 4 + slack, 2 + slack] = 1.0
-    offsets = np.concatenate([rows.offsets, bo, np.zeros(ns)])
-
-    res = _dual_active_set(target, gdiag, normals, offsets)
+    a = np.zeros((m + ns, 2 + ns))
+    a[:m, :2] = normals
+    a[soft, 2 + slack] = 1.0
+    a[m + slack, 2 + slack] = 1.0
+    res = _dual_active_set(target, gdiag, a, np.concatenate([offsets, np.zeros(ns)]))
     if res is None:
         raise RuntimeError("relaxed problem infeasible despite feasible hard rows")
-    return res
+    return res[0], res[1][:m]
 
 
 def kkt_residuals(problem, solution):
@@ -397,13 +399,12 @@ def kkt_residuals(problem, solution):
     so the large penalty multipliers of relaxed rows do not inflate a
     machine-precision residual.
     """
-    rows = problem.rows
     u = solution.u
     normals, offsets = _stack(problem)
     lam = np.array(solution.row_multipliers + tuple(solution.box_multipliers), dtype=float)
     resid = normals @ u - offsets
     if solution.status == "relaxed":
-        resid[:len(rows)][~rows.hard] += solution.slacks
+        resid[~problem.rows.hard[0]] += solution.slacks
     grad = u - problem.nominal - lam @ normals
     return {
         "stationarity": float(np.max(np.abs(grad))),
@@ -421,30 +422,29 @@ def oracle_solve(problem):
     vector in a finitely generated cone in R^2 is a nonnegative combination
     of at most two generators.
     """
-    rows = problem.rows
+    rows = problem.rows.block(0)
     nrows = len(rows)
     if nrows > 12:
         raise ValueError(f"oracle enumeration capped at 12 rows, got {nrows}")
 
-    soft = _soft_indices(problem)
+    soft = np.flatnonzero(~rows.hard)
     normals, offsets = _stack(problem)
     cand = _enumerate_projection(problem.nominal, normals, offsets)
     if cand is not None:
         x, lam = cand
-        row_mult, box_mult = _split_multipliers(lam, nrows)
         return QpSolution(
             u=x,
             slacks=(0.0,) * len(soft),
             status="optimal",
-            row_multipliers=row_mult,
-            box_multipliers=box_mult,
+            row_multipliers=tuple(lam[:nrows].tolist()),
+            box_multipliers=tuple(lam[nrows:].tolist()),
         )
 
     h_normals, h_offsets = _stack(problem, include_soft=False)
     if _enumerate_projection(problem.nominal, h_normals, h_offsets) is None:
-        return QpSolution(
-            u=np.zeros(2), slacks=_zero_input_slacks(problem, soft), status="infeasible_hard"
-        )
+        # the frozen robot's input is zero
+        slacks = tuple(max(0.0, b) for b in rows.offsets[soft].tolist())
+        return QpSolution(u=np.zeros(2), slacks=slacks, status="infeasible_hard")
 
     u, hardbox_mu = _enumerate_relaxed(problem)
     slacks = np.maximum(0.0, rows.offsets[soft] - rows.normals[soft] @ u)
@@ -469,9 +469,7 @@ def _enumerate_projection(target, normals, offsets):
     """
     m = len(normals)
     best = None
-    subsets = [()]
-    subsets += [(i,) for i in range(m)]
-    subsets += list(combinations(range(m), 2))
+    subsets = [(), *combinations(range(m), 1), *combinations(range(m), 2)]
     for sub in subsets:
         if not sub:
             x = target.copy()
@@ -511,8 +509,9 @@ def _enumerate_relaxed(problem):
     pattern-consistent candidate with the smallest true objective.
     """
     w = SLACK_PENALTY
-    soft = ~problem.rows.hard
-    soft_normals, soft_offsets = problem.rows.normals[soft], problem.rows.offsets[soft]
+    rows = problem.rows.block(0)
+    soft = ~rows.hard
+    soft_normals, soft_offsets = rows.normals[soft], rows.offsets[soft]
     hard_normals, hard_offsets = _stack(problem, include_soft=False)
     mh = len(hard_normals)
 
@@ -532,9 +531,7 @@ def _enumerate_relaxed(problem):
             a = soft_normals[s]
             hess = hess + w * np.outer(a, a)
             lin = lin + w * soft_offsets[s] * a
-        subsets = [()]
-        subsets += [(i,) for i in range(mh)]
-        subsets += list(combinations(range(mh), 2))
+        subsets = [(), *combinations(range(mh), 1), *combinations(range(mh), 2)]
         for sub in subsets:
             if not sub:
                 try:

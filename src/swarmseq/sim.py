@@ -63,12 +63,18 @@ class SimConfig:
     glue_transitions: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise SimConfigError("dt must be positive")
-        if self.speed_limit <= 0:
-            raise SimConfigError("speed limit must be positive")
+        if not 0 < self.dt < np.inf:
+            raise SimConfigError("dt must be positive and finite")
+        if not 0 < self.speed_limit < np.inf:
+            raise SimConfigError("speed limit must be positive and finite")
         if self.max_ticks < 1:
             raise SimConfigError("max_ticks must be at least 1")
+        # consensus values lie in [0, 1] and a robot moves on only when its
+        # value exceeds the threshold, so a threshold of 1 or more never passes
+        if not (0 <= self.sigma_bar < 1 and 0 <= self.eta_bar < 1):
+            raise SimConfigError("sigma_bar and eta_bar must be in [0, 1)")
+        if self.staleness_ticks < 0:
+            raise SimConfigError("staleness_ticks must be non-negative")
 
 
 @dataclass
@@ -222,7 +228,9 @@ def tick(world, nodes, plan, config):
 
 
 def run(plan, config):
-    """Run the mission to completion, timeout, or hard infeasibility."""
+    """Run the mission to completion, timeout, or hard infeasibility: the
+    tick cap reached with some robot frozen (``qp_infeasible_hard``) on the
+    final tick."""
     nodes = make_nodes(plan)
     world = make_world(plan, config)
 
@@ -246,8 +254,8 @@ def run(plan, config):
         if all(n.done for n in nodes):
             outcome = "done"
             break
-    if outcome != "done" and any(
-        ev["event"] == "qp_infeasible_hard" for ev in world.event_log
+    if outcome != "done" and any(  # a freeze that has ended leaves a timeout
+        ev["event"] == "qp_infeasible_hard" and ev["tick"] == world.tick - 1 for ev in world.event_log
     ):
         outcome = "infeasible_hard"
 

@@ -221,8 +221,9 @@ class TestStep:
         request = node.request
         assert request.robot == 1 and set(request.partners) == {2, 3}
         rows = team_rows([request], env.params, env.min_sep, env.domain)
-        assert rows.owners.tolist() == [1] * len(rows)
-        conn_partners = {j for kind, j in zip(rows.kinds, rows.others.tolist()) if kind is Connectivity}
+        assert rows.robots.tolist() == [1]
+        mine = rows.block(0)
+        conn_partners = {j for kind, j in zip(mine.kinds, mine.others.tolist()) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
     def test_assembling_requires_target(self):

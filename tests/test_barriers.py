@@ -142,13 +142,13 @@ class TestConstraintRow:
         assert row.robot == 1 and len(row) == 1
         np.testing.assert_allclose(row.normals, [[-2.0, 0.0]])
         assert row.offsets[0] == pytest.approx(0.4330127018922193, abs=1e-12)
-        assert not row.hard[0]
+        assert row.hard is False
         assert row.kinds == (Connectivity,) and row.others.tolist() == [2]
 
     def test_collision_at_boundary_reduces_to_homogeneous(self):
         row = constraint_row(Collision(1, 2, 0.12), FcbfParams(), *pts((0.12, 0), (0, 0)))
         assert row.offsets[0] == pytest.approx(0.0, abs=1e-15)
-        assert row.hard[0]
+        assert row.hard is True
 
     def test_obstacle_boundary_gradient(self):
         kind = ObstacleAvoid(1, Obstacle(np.zeros(2), 1.0, 1.0))
@@ -231,7 +231,7 @@ class TestRowBlocks:
                     h = float(kind.value(xi, xj))
                     assert bits(block.normals[r]).tolist() == bits(kind.gradient(xi, xj)).tolist()
                     assert bits(block.offsets[r]) == bits(-kind.share * scalar_rate(h, params))
-                    assert block.hard[r] == kind.hard
+                    assert block.hard is kind.hard
 
     def test_obstacle_block_equals_rows_one_at_a_time(self):
         rng = np.random.default_rng(22)
@@ -246,7 +246,7 @@ class TestRowBlocks:
             active = np.flatnonzero(kind.value(x) <= 3.0)
             block = constraint_row(kind, params, x).take(active)
             assert block.robot == 3 and block.others.tolist() == (active + 1).tolist()
-            assert block.kinds == (ObstacleAvoid,) * len(active) and block.hard.all()
+            assert block.kinds == (ObstacleAvoid,) * len(active) and block.hard is True
             for r, m in enumerate(active):
                 single = ObstacleAvoid(3, obstacles[m])
                 h = float(single.value(x))
@@ -258,7 +258,7 @@ class TestRowBlocks:
         kind = KeepWithin(2, (0.1, -0.2), 0.4)
         for x in np.random.default_rng(23).uniform(-1, 1, size=(100, 2)):
             block = constraint_row(kind, params, x)
-            assert block.robot == 2 and block.others.tolist() == [1] and not block.hard[0]
+            assert block.robot == 2 and block.others.tolist() == [1] and block.hard is False
             assert bits(block.normals[0]).tolist() == bits(kind.gradient(x)).tolist()
             assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
 

@@ -4,7 +4,9 @@
 (``sim.tick``, ``agent.constraint_row``, ``agent.solve``, ...) for the
 duration of a run. A renamed function, or a call that no longer goes through
 the module attribute, would silently report zero for that layer. This runs
-the tracer, unchanged, around a short two_behavior_demo.
+the tracer, unchanged, around a short two_behavior_demo. Two golden digests
+pin the outputs' bytes, one of them on the obstacle, relaxed and frozen
+paths of the filter.
 """
 
 import hashlib
@@ -30,6 +32,10 @@ IN_TICK_LAYERS = (
 # digests them (file name, then bytes, in name order). A change that alters
 # the arithmetic on purpose updates this value and says why in CHANGES.md.
 GOLDEN_DIGEST = "937ff7fbcb7bfa6509af8e7d4473a3a827beaa713978c3d176bb91ea45b61023"
+
+# the same digest of the first 1300 ticks of securing_a_building: obstacle
+# rows, 167 relaxed QPs and robot 4's 103 frozen ones (ticks 1013-1239)
+BUILDING_GOLDEN_DIGEST = "99517e2e1991c9bb5908a31a140084c64dae5a72c3f2c689eace50d84e510e79"
 
 
 def load_tracer():
@@ -62,3 +68,13 @@ def test_tracer_sees_every_in_tick_layer(tmp_path):
     assert 0 < metrics["qp.rows_per_solve_mean"][0] <= 64
     assert metrics["sim.output_bytes"][0] > 0
     assert digest(paths) == GOLDEN_DIGEST
+
+
+def test_building_obstacle_relaxed_and_frozen_paths_keep_their_bytes(tmp_path):
+    plan, config = mission.builtin_scenario("securing_a_building")
+    record = sim.run(plan, replace(config, max_ticks=1300))
+    events = [ev["event"] for ev in record.events]
+    assert events.count("qp_relaxed") == 167 and events.count("qp_infeasible_hard") == 103
+    # robot 4 was last frozen on tick 1239, before the cap
+    assert record.outcome == "timeout"
+    assert digest(sim.write_outputs(record, tmp_path)) == BUILDING_GOLDEN_DIGEST

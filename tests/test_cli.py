@@ -88,8 +88,25 @@ class TestRejectedInput:
             ("  delay: none", "  delay: {min: 1}"),
             ("  dt: 0.02", "  dt: 0"),
             ("  delta: 0.5\n  initial", "  delta: 0.5\n  rho: 1.0\n  initial"),
+            ("duration: 0.5}\n  - name: spread", "duration: .inf}\n  - name: spread"),
+            ("  dt: 0.02", "  dt: .nan"),
+            ("  speed_limit: 0.2", "  speed_limit: .nan"),
+            ("  speed_limit: 0.2", "  speed_limit: .inf"),
+            ("  n: 2", "  n: 2.5"),
+            ("graph: [[1, 2]]\n    completion: {type: elapsed, duration: 0.5}\n  - name: spread",
+             "graph: [[1.5, 2]]\n    completion: {type: elapsed, duration: 0.5}\n  - name: spread"),
+            ("  seed: 7", "  seed: 7\n  sigma_bar: 2.0"),
+            ("  seed: 7", "  seed: 7\n  sigma_bar: 1.0"),
+            ("  seed: 7", "  seed: 7\n  eta_bar: 1.5"),
+            ("  seed: 7", "  seed: 7\n  eta_bar: -0.1"),
+            ("  seed: 7", "  seed: 7\n  staleness_ticks: -1"),
         ],
-        ids=["dt", "delay-max-missing", "dt-zero", "rho-out-of-range"],
+        ids=[
+            "dt", "delay-max-missing", "dt-zero", "rho-out-of-range", "duration-inf", "dt-nan",
+            "speed-limit-nan", "speed-limit-inf", "n-fractional", "edge-fractional",
+            "sigma-bar-above-one", "sigma-bar-one", "eta-bar-above-one", "eta-bar-negative",
+            "staleness-negative",
+        ],
     )
     def test_malformed_or_rejected_value(self, tmp_path, capsys, old, new):
         text = TINY.replace(old, new)
@@ -109,6 +126,8 @@ class TestRejectedInput:
             ["--delay", "uniform:x:1"],
             ["--dt", "0"],
             ["--max-ticks", "0"],
+            ["--dt", "nan"],
+            ["--dt", "inf"],
         ],
     )
     def test_bad_override(self, tiny_mission, capsys, override):

@@ -66,10 +66,24 @@ class TestParsing:
             ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, x, 1]", "bounds"),
             ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1]", "bounds"),
             ("duration: 1.0", "duration: soon", "duration"),
+            ("delta: 0.5", "delta: .inf", "delta"),
+            ("dt: 0.02", "dt: .nan", "dt"),
+            ("dt: 0.02", "speed_limit: .nan", "speed_limit"),
+            ("n: 2", "n: 2.5", "'n'"),
+            ("[[0.0, 0.0], [0.3, 0.0]]", "[[0.0, .nan], [0.3, 0.0]]", "2-vector"),
+            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, .inf]", "bounds"),
+            ("graph: [[1, 2]]", "graph: [[1.5, 2]]", "edge"),
+            ("dt: 0.02", "seed: 1.5", "seed"),
+            ("dt: 0.02", "staleness_ticks: 2.5", "staleness_ticks"),
+            ("controller: rendezvous", "controller: cyclic_pursuit\n    angle: .nan", "angle"),
+            ("controller: rendezvous", "controller: formation\n    distances: [[1.5, 2, 0.3]]", "distances"),
+            ("controller: rendezvous", "controller: formation\n    distances: [[1, 2, .inf]]", "distances"),
         ],
         ids=[
             "dt", "delay-max-missing", "delay-max", "delay-not-a-mapping", "seed", "delta", "n",
-            "bounds-entry", "bounds-length", "duration",
+            "bounds-entry", "bounds-length", "duration", "delta-inf", "dt-nan", "speed-limit-nan",
+            "n-fractional", "position-nan", "bounds-inf", "edge-fractional", "seed-fractional",
+            "staleness-fractional", "angle-nan", "distance-robot-fractional", "distance-inf",
         ],
     )
     def test_malformed_scalar(self, old, new, match):

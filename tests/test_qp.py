@@ -60,7 +60,7 @@ class TestBasics:
             s = solve(p)
             if s.status != "optimal":
                 continue
-            rows = p.rows
+            rows = p.rows.block(0)
             feasible = all(
                 float(a @ p.nominal) >= b + 1e-9 for a, b in zip(rows.normals, rows.offsets)
             ) and float(np.max(np.abs(p.nominal))) <= p.speed_limit
@@ -156,7 +156,7 @@ class TestObjectiveProperties:
         for _ in range(150):
             p = random_problem(rng, max_rows=5)
             extra = block([rng.normal(size=2)], [float(rng.uniform(-1, 1))], [False])
-            bigger = QpProblem(p.nominal, (p.rows, extra), p.speed_limit)
+            bigger = QpProblem(p.nominal, (p.rows.block(0), extra), p.speed_limit)
             s0, s1 = solve(p), solve(bigger)
             if s0.status == "optimal" and s1.status == "optimal":
                 o0 = float((s0.u - p.nominal) @ (s0.u - p.nominal))
@@ -168,5 +168,5 @@ class TestObjectiveProperties:
         for _ in range(50):
             p = random_problem(rng)
             perm = rng.permutation(len(p.rows))
-            shuffled = QpProblem(p.nominal, p.rows.take(perm), p.speed_limit)
+            shuffled = QpProblem(p.nominal, p.rows.block(0).take(perm), p.speed_limit)
             np.testing.assert_allclose(solve(p).u, solve(shuffled).u, atol=1e-9)

@@ -9,7 +9,7 @@ import swarmseq.sim as sim_mod
 from swarmseq.agent import AgentMessage, Delivery
 from swarmseq.barriers import Connectivity, FcbfParams, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
-from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
+from swarmseq.geometry import Domain, InteractionGraph, Obstacle, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import (
     DelaySpec,
@@ -132,6 +132,33 @@ class TestRunOutcomes:
         rec = run(plan, SimConfig(max_ticks=40))
         assert rec.outcome == "timeout"
         assert rec.ticks == 40
+
+    @staticmethod
+    def frozen_start_plan():
+        # robot 1 sits on the unit disc's boundary with robot 2 inside its
+        # minimum separation, on the far side: the obstacle row asks it to move
+        # out, the collision row to move in, so it freezes until robot 2 has
+        # backed off alone (ticks 0-11)
+        return MissionPlan(
+            n=2,
+            initial_positions=np.array([[1.0, 0.0], [1.1, 0.0]]),
+            behaviors=(spec(2, GoToGoal(goals={}), ElapsedTime(1e6)),),
+            domain=Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),)),
+            fcbf=FcbfParams(),
+            delta=0.5,
+            min_sep=0.12,
+        )
+
+    def test_frozen_on_the_final_tick_is_infeasible(self):
+        rec = run(self.frozen_start_plan(), SimConfig(max_ticks=3))
+        assert rec.outcome == "infeasible_hard"
+        assert [e["tick"] for e in rec.events if e["event"] == "qp_infeasible_hard"] == [0, 1, 2]
+
+    def test_a_freeze_that_has_ended_is_a_timeout(self):
+        rec = run(self.frozen_start_plan(), SimConfig(max_ticks=40))
+        assert rec.outcome == "timeout"
+        frozen = [e["tick"] for e in rec.events if e["event"] == "qp_infeasible_hard"]
+        assert frozen and max(frozen) < 39
 
     def test_delay_uniform_zero_matches_none(self):
         plan = tiny_plan(

@@ -1,9 +1,9 @@
 """The batched team tick: one row assembly and one QP solve for every robot.
 
 Each robot's rows and solution must not depend on the team it is solved in:
-the team rows equal the rows of each robot's own one-robot stacks bit for
-bit, and a robot's solution, status and multipliers are the same solved
-alone or in any team.
+the rows ``team_rows`` writes into a robot's layout row equal the rows of
+its own one-robot stacks bit for bit, and a robot's solution, status and
+multipliers are the same solved alone or in any team.
 """
 
 import math
@@ -22,7 +22,7 @@ from swarmseq.barriers import (
     constraint_row,
 )
 from swarmseq.geometry import Domain, Obstacle
-from swarmseq.qp import QpProblem, kkt_residuals, oracle_solve, solve
+from swarmseq.qp import QpProblem, RowLayout, kkt_residuals, oracle_solve, solve
 
 
 def bits(a):
@@ -92,15 +92,21 @@ class TestTeamRows:
                 # a robot exactly at h = 3 of the last obstacle: its row is active
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
             team = team_rows(requests, params, 0.12, domain)
-            for request in requests:
-                mine = np.flatnonzero(team.owners == request.robot)
-                got = team.take(mine)
+            assert team.robots.tolist() == [r.robot for r in requests]
+            assert len(team) == int(team.counts.sum())
+            for s, request in enumerate(requests):
+                got = team.block(s)
                 want = own_rows(request, params, 0.12, domain)
+                assert got.robot == request.robot
                 assert got.kinds == want.kinds
                 assert got.others.tolist() == want.others.tolist()
                 assert got.hard.tolist() == want.hard.tolist()
                 assert bits(got.normals).tolist() == bits(want.normals).tolist()
                 assert bits(got.offsets).tolist() == bits(want.offsets).tolist()
+                # the columns past the robot's rows are pad rows 0 . u >= -1
+                pad = slice(len(got), team.width)
+                assert not team.normals[s, pad].any() and (team.offsets[s, pad] == -1.0).all()
+                assert team.hard[s, pad].all()
                 kinds_seen.update(got.kinds)
                 # connectivity offsets square delta with Python's pow
                 x = request.position.tolist()
@@ -130,14 +136,16 @@ class TestTeamRows:
         ]
         rows = team_rows(requests, params, 0.12, Domain(-2, 2, -2, 2))
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
-        assert bits(rows.offsets).tolist() == bits(want).tolist()
+        assert rows.width == 1
+        assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
 
     def test_a_robot_without_partners_gets_its_obstacle_rows(self):
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
         request = RowRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
         rows = team_rows([request], FcbfParams(), 0.12, domain)
-        assert len(rows) == 1 and rows.owners.tolist() == [3]
-        assert len(RowBlock.team([])) == 0
+        assert len(rows) == 1 and rows.robots.tolist() == [3]
+        assert rows.block(0).kinds == (ObstacleAvoid,) and rows.block(0).others.tolist() == [1]
+        assert len(RowLayout.of([])) == 0
 
 
 def random_rows(rng, robot, m):
@@ -159,25 +167,21 @@ class TestTeamSolve:
             blocks = [random_rows(rng, i, m) for i, m in zip(ids, counts)]
             nominal = rng.uniform(-1, 1, (n, 2))
             limit = float(rng.uniform(0.3, 2.0))
-            # interleave the robots' rows; each robot's own order is kept
-            team = RowBlock.team(blocks)
-            labels = rng.permutation(team.owners)
-            order = np.empty(len(team), dtype=int)
-            order[np.argsort(labels, kind="stable")] = np.arange(len(team))
-            team = team.take(order)
-            assert team.owners.tolist() == labels.tolist()
-            problem = QpProblem(nominal, team, limit, robots=tuple(ids))
-            got = solve(problem)
+            team = RowLayout.of(blocks)
+            assert len(team) == sum(counts)
+            got = solve(QpProblem(nominal, team, limit))
             assert got.u.shape == (n, 2) and len(got.statuses) == n
-            soft = np.flatnonzero(~team.hard)
-            for r, (i, block) in enumerate(zip(ids, blocks)):
+            # rows are listed robot by robot, each robot's in its own order
+            start = np.cumsum([0] + counts)
+            soft_start = np.cumsum([0] + [int((~b.hard).sum()) for b in blocks])
+            for r, block in enumerate(blocks):
                 alone = solve(QpProblem(nominal[r], block, limit))
-                mine = np.flatnonzero(team.owners == i)
+                mine = slice(start[r], start[r + 1])
                 assert got.statuses[r] == alone.status
                 assert bits(got.u[r]).tolist() == bits(alone.u).tolist()
-                assert bits(np.array(got.row_multipliers)[mine]).tolist() == bits(alone.row_multipliers).tolist()
+                assert bits(got.row_multipliers[mine]).tolist() == bits(alone.row_multipliers).tolist()
                 assert bits(got.box_multipliers[r]).tolist() == bits(alone.box_multipliers).tolist()
-                team_slacks = np.array(got.slacks)[np.isin(soft, mine)]
+                team_slacks = got.slacks[soft_start[r]:soft_start[r + 1]]
                 assert bits(team_slacks).tolist() == bits(alone.slacks).tolist()
                 statuses.add(alone.status)
             worst = [s for s in ("infeasible_hard", "relaxed", "optimal") if s in got.statuses][0]
@@ -188,26 +192,30 @@ class TestTeamSolve:
         rng = np.random.default_rng(44)
         blocks = [random_rows(rng, 1, 0), random_rows(rng, 2, 20), random_rows(rng, 5, 0)]
         nominal = np.array([[0.1, -0.2], [0.5, 0.5], [3.0, 0.0]])
-        got = solve(QpProblem(nominal, RowBlock.team(blocks), 0.4, robots=(1, 2, 5)))
+        got = solve(QpProblem(nominal, RowLayout.of(blocks), 0.4))
         np.testing.assert_array_equal(got.u[0], [0.1, -0.2])
         np.testing.assert_allclose(got.u[2], [0.4, 0.0], atol=1e-15)
         alone = solve(QpProblem(nominal[1], blocks[1], 0.4))
         assert bits(got.u[1]).tolist() == bits(alone.u).tolist()
 
     def test_team_problem_checks(self):
-        rows = RowBlock.team([random_rows(np.random.default_rng(0), 2, 3)])
+        rows = RowLayout.of([random_rows(np.random.default_rng(0), 2, 3)])
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((1, 2)), rows, 1.0, robots=(1,))
+            QpProblem(np.zeros(2), rows, 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), rows, 1.0, robots=(2,))
+            QpProblem(np.zeros((1, 2)), rows.block(0), 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.array([[0.0, np.nan]]), rows, 1.0, robots=(2,))
-        many = RowBlock.team([random_rows(np.random.default_rng(1), 2, 64),
-                              random_rows(np.random.default_rng(2), 3, 64)])
-        assert len(QpProblem(np.zeros((2, 2)), many, 1.0, robots=(2, 3)).rows) == 128
+            QpProblem(np.array([[0.0, np.nan]]), rows, 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((2, 2)), RowBlock.team([many, random_rows(np.random.default_rng(3), 3, 1)]),
-                      1.0, robots=(2, 3))
+            QpProblem(np.zeros((1, 2)), rows, 0.0)
+        bad = random_rows(np.random.default_rng(4), 2, 3)
+        bad.normals[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            QpProblem(np.zeros((1, 2)), RowLayout.of([bad]), 1.0)
+        many = [random_rows(np.random.default_rng(1), 2, 64), random_rows(np.random.default_rng(2), 3, 64)]
+        assert len(QpProblem(np.zeros((2, 2)), RowLayout.of(many), 1.0).rows) == 128
+        with pytest.raises(ValueError):
+            QpProblem(np.zeros((2, 2)), RowLayout.of([many[0], random_rows(np.random.default_rng(3), 3, 65)]), 1.0)
 
 
 def rows_of(spec):
