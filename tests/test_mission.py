@@ -1,5 +1,9 @@
+import copy
+import re
+
 import numpy as np
 import pytest
+import yaml
 
 from swarmseq.behaviors import CyclicPursuit, LeaderFollower
 from swarmseq.geometry import InteractionGraph
@@ -96,6 +100,122 @@ class TestParsing:
         bad = MINIMAL.replace("n: 2", "n: 3")
         with pytest.raises(MissionFormatError, match="initial positions"):
             parse_mission(bad)
+
+
+# one valid behavior per controller, completion type and initial constraint;
+# every key not listed as optional is required
+CONTROLLERS = {
+    "rendezvous": {},
+    "scatter": {},
+    "formation": {"distances": [[1, 2, 0.3]]},
+    "leader_follower": {"leader": 1, "goal": [0.5, 0.5], "gain": 1.0, "distances": [[1, 2, 0.3]]},
+    "cyclic_pursuit": {"angle": 0.5},
+    "lattice": {"spacing": 0.3},
+    "coverage": {"coverage_bounds": [-1, 1, -1, 1]},
+    "go_to_goal": {"goals": {1: [0.5, 0.5]}, "gain": 1.0},
+    "containment": {"angle": 0.5, "goal": [0.5, 0.5], "gain": 1.0},
+    "composite": {"groups": [{"robots": [1, 2], "edges": [[1, 2]], "controller": "rendezvous"}]},
+}
+COMPLETIONS = {
+    "control_norm_below": {"epsilon": 0.01},
+    "elapsed": {"duration": 1.0},
+    "goal_reached": {"goal": [0.5, 0.5], "radius": 0.1},
+}
+KEEP_WITHIN = {"type": "keep_within", "robot": 1, "center": [0.0, 0.0], "radius": 1.0}
+OPTIONAL = {"gain"}
+SCALARS = {"leader", "gain", "angle", "spacing", "epsilon", "duration", "radius", "robot"}
+
+
+def behavior_doc(controller="rendezvous", completion="elapsed"):
+    return copy.deepcopy({
+        "controller": controller,
+        **CONTROLLERS[controller],
+        "graph": [[1, 2]],
+        "completion": {"type": completion, **COMPLETIONS[completion]},
+        "initial_constraints": [KEEP_WITHIN],
+    })
+
+
+def mission_text(behavior):
+    doc = yaml.safe_load(MINIMAL)
+    doc["behaviors"] = [behavior]
+    return yaml.safe_dump(doc)
+
+
+def _parse_error_cases():
+    """(id, edit of a valid behavior document, expected error text)."""
+
+    def drop(path, key):
+        return lambda b: path(b).pop(key)
+
+    def put(path, key, value):
+        return lambda b: path(b).__setitem__(key, value)
+
+    def top(b):
+        return b
+
+    def completion(b):
+        return b["completion"]
+
+    def initial(b):
+        return b["initial_constraints"][0]
+
+    cases = [("controller/missing", "rendezvous", "elapsed", drop(top, "controller"),
+              "missing 'controller' in behavior 1")]
+    for name, keys in CONTROLLERS.items():
+        for key in keys:
+            if key not in OPTIONAL:
+                cases.append((f"{name}/missing-{key}", name, "elapsed", drop(top, key),
+                              f"missing '{key}' in behavior 1"))
+            if key in SCALARS:
+                cases.append((f"{name}/nan-{key}", name, "elapsed", put(top, key, float("nan")), "not a finite"))
+    for key in ("robots", "controller"):
+        cases.append((f"composite/group-missing-{key}", "composite", "elapsed",
+                      drop(lambda b: b["groups"][0], key), f"missing '{key}' in behavior 1"))
+    cases.append(("controller/unknown", "rendezvous", "elapsed", put(top, "controller", "teleport"),
+                  "unknown controller"))
+    cases.append(("completion/missing-type", "rendezvous", "elapsed", drop(completion, "type"),
+                  "missing 'type' in behavior 1"))
+    for name, keys in COMPLETIONS.items():
+        for key in keys:
+            cases.append((f"{name}/missing-{key}", "rendezvous", name, drop(completion, key),
+                          f"missing '{key}' in behavior 1"))
+            if key in SCALARS:
+                cases.append((f"{name}/nan-{key}", "rendezvous", name, put(completion, key, float("nan")),
+                              "not a finite"))
+    cases.append(("completion/unknown", "rendezvous", "elapsed", put(completion, "type", "whenever"),
+                  "unknown completion type"))
+    for key in KEEP_WITHIN:
+        cases.append((f"keep_within/missing-{key}", "rendezvous", "elapsed", drop(initial, key),
+                      f"missing '{key}' in behavior 1"))
+        if key in SCALARS:
+            cases.append((f"keep_within/nan-{key}", "rendezvous", "elapsed", put(initial, key, float("nan")),
+                          "not a finite"))
+    cases.append(("keep_within/unknown", "rendezvous", "elapsed", put(initial, "type", "keep_out"),
+                  "unknown initial constraint type"))
+    return cases
+
+
+PARSE_ERRORS = _parse_error_cases()
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("controller", sorted(CONTROLLERS))
+    @pytest.mark.parametrize("completion", sorted(COMPLETIONS))
+    def test_every_controller_and_completion_parses(self, controller, completion):
+        plan, _ = parse_mission(mission_text(behavior_doc(controller, completion)))
+        assert len(plan.behaviors) == 1 and len(plan.behaviors[0].initial_constraints) == 1
+
+    @pytest.mark.parametrize(
+        "controller, completion, edit, match",
+        [case[1:] for case in PARSE_ERRORS],
+        ids=[case[0] for case in PARSE_ERRORS],
+    )
+    def test_malformed_behavior(self, controller, completion, edit, match):
+        behavior = behavior_doc(controller, completion)
+        edit(behavior)
+        with pytest.raises(MissionFormatError, match=re.escape(match)):
+            parse_mission(mission_text(behavior))
 
 
 class TestRoundTrip:
