@@ -39,7 +39,6 @@ import numpy as np
 
 from . import behaviors
 from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
-from .geometry import RobotState
 from .qp import QpProblem, RowLayout, solve
 
 EXECUTING = 0
@@ -201,55 +200,32 @@ def _lookup_position(node, env, j):
     return None
 
 
-def _known_states(node, env, exclude):
-    out = []
-    ids = set(env.sensed)
-    if env.oracle is not None:
-        ids |= set(env.oracle)
-    ids |= set(node.neighbor_cache)
-    for j in sorted(ids):
-        if j == exclude:
-            continue
-        pos = _lookup_position(node, env, j)
-        if pos is not None:
-            out.append(RobotState(j, pos))
-    return out
-
-
-def _controller_inputs(node, my_state, spec, env):
-    """Neighbor states and required ids for the given behavior's controller."""
-    controller = spec.controller
-    if isinstance(controller, behaviors.Composite):
-        group = controller.group_of(node.id)
-        inner = group.controller
+def _partners(node, env, reads, graph):
+    """The robots a controller's law reads (see ``behaviors.REQUIRED``), as
+    (ids, positions) in ascending id order; ``graph`` is the behavior's
+    required graph."""
+    if reads == behaviors.IN_RANGE:
+        ids = [j for j in sorted(env.live_neighbors) if j in env.sensed]
+        return ids, [env.sensed[j] for j in ids]
+    if reads == behaviors.KNOWN:
+        ids = set(env.sensed) | set(env.oracle or ()) | set(node.neighbor_cache)
+        ids.discard(node.id)
     else:
-        inner = controller
-    if isinstance(inner, behaviors.Lattice):
-        states = [
-            RobotState(j, env.sensed[j]) for j in sorted(env.live_neighbors) if j in env.sensed
-        ]
-        return states, []
-    if isinstance(inner, behaviors.Coverage):
-        return _known_states(node, env, exclude=node.id), []
-    required = sorted(spec.required_graph.neighbors(node.id))
-    states = []
-    missing = []
-    for j in required:
-        pos = _lookup_position(node, env, j)
-        if pos is None:
-            missing.append(j)
-        else:
-            states.append(RobotState(j, pos))
+        ids = graph.neighbors(node.id)
+    ids = sorted(ids)
+    positions = [_lookup_position(node, env, j) for j in ids]
+    missing = [j for j, pos in zip(ids, positions) if pos is None]
     if missing:
         raise AgentError(f"robot {node.id}: no position available for required neighbors {missing}")
-    return states, required
+    return ids, positions
 
 
-def _nominal(node, my_state, spec, env):
+def _nominal(node, x, spec, env):
     if spec is None:
         return np.zeros(2)
-    states, required = _controller_inputs(node, my_state, spec, env)
-    return behaviors.nominal_control(spec.controller, node.id, my_state, states, required)
+    controller = spec.controller
+    ids, positions = _partners(node, env, controller.reads(node.id), spec.required_graph)
+    return behaviors.nominal_control(controller, node.id, x, ids, positions)
 
 
 def _row_request(node, x, u_hat, graphs, spec, env, events, delta):
@@ -389,16 +365,10 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
         if behind:
             u_hat = np.zeros(2)
         else:
-            live = [
-                RobotState(j, env.sensed[j])
-                for j in sorted(env.live_neighbors)
-                if j in env.sensed
-            ]
-            u_hat = behaviors.nominal_control(
-                behaviors.Rendezvous(), node.id, my_state, live, [s.id for s in live]
-            )
+            ids, positions = _partners(node, env, behaviors.IN_RANGE, None)
+            u_hat = behaviors.nominal_control(behaviors.Rendezvous(), node.id, my_state.position, ids, positions)
     else:
-        u_hat = _nominal(node, my_state, behavior, env)
+        u_hat = _nominal(node, my_state.position, behavior, env)
 
     switched_to_executing = False
     if node.mode == EXECUTING:
@@ -407,9 +377,7 @@ def step(node, my_state, inbox, behavior, next_behavior, env, dt):
         # completion latches for the rest of the behavior: teammates that
         # switch early may perturb the configuration, which must not revoke
         # an already-achieved completion and deadlock the consensus
-        node.s_task = node.s_task or behaviors.is_complete(
-            behavior.completion, u_hat, node.elapsed, my_state
-        )
+        node.s_task = node.s_task or behavior.completion.done(u_hat, node.elapsed, my_state.position)
         node.sigma = consensus_update(
             node.s_task, node.sigma, _aligned_values(node, env, "sigma")
         )

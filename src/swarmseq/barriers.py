@@ -25,7 +25,7 @@ robots gives a team's rows, which ``qp.RowLayout`` places robot by robot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,9 +172,10 @@ class ObstacleAvoid:
 class KeepWithin:
     """h = radius^2 - |x_i - center|^2: robot i inside a disc (anchor constraint)."""
 
-    i: int
-    center: tuple
-    radius: float
+    yaml = "keep_within"
+    i: int = field(metadata={"kind": "int", "key": "robot"})
+    center: tuple = field(metadata={"kind": "vec"})
+    radius: float = field(metadata={"kind": "num"})
 
     hard = False
     share = 1.0

@@ -1,9 +1,17 @@
 """Coordinated behavior controllers, their graph requirements, and completion tests.
 
-Each behavior maps a robot's own state plus neighbor states to a nominal
-velocity command for a single integrator. The commands here are nominal
-only: the barrier QP may override them, and the simulator saturates them to
-the speed limit (scatter in particular grows without bound otherwise).
+Each controller class owns its behavior: its YAML name (``yaml``), what its
+law reads besides the robot's own position (``reads``), its control law
+(``control``) and its requirement checks (``violations``). Each field's
+``metadata`` gives its YAML form: a converter ``kind`` and, where it differs
+from the field's name, its ``key`` (``mission`` holds the converters). A
+field with a default may be left out of the YAML.
+
+A law maps a robot's own position plus its partners' ids and positions, in
+ascending id order, to a nominal velocity command for a single integrator.
+The commands here are nominal only: the barrier QP may override them, and
+the simulator saturates them to the speed limit (scatter in particular grows
+without bound otherwise). Each completion predicate owns ``done``.
 """
 
 from __future__ import annotations
@@ -17,11 +25,17 @@ from .geometry import (
     Domain,
     GeometryError,
     InteractionGraph,
+    RobotState,
     induced_subgraph_is_cycle,
-    is_cycle_graph,
     voronoi_centroids,
 )
-from .geometry import RobotState
+
+# what a controller's law reads: the neighbors its behavior's graph
+# prescribes, every robot in sensing range, or every robot whose position
+# the robot knows (sensed, oracle or cached message)
+REQUIRED = "required"
+IN_RANGE = "in_range"
+KNOWN = "known"
 
 
 class BehaviorError(ValueError):
@@ -37,26 +51,61 @@ def _edge_key(i, j):
     return (min(i, j), max(i, j))
 
 
-# --- behavior parameter variants --------------------------------------------
+def _yaml(kind, key=None, **kw):
+    """A field whose YAML form is converter ``kind`` under ``key`` (default: the field's name)."""
+    return field(metadata={"kind": kind, "key": key}, **kw)
+
+
+def nominal_control(controller, me, x, ids, positions):
+    """Nominal velocity command for robot ``me`` at ``x`` under ``controller``,
+    given the partners it reads (``controller.reads(me)``) as ids and
+    positions in ascending id order."""
+    return controller.control(me, x, ids, positions)
+
+
+# --- controllers --------------------------------------------------------------
+
+
+class Controller:
+    """A behavior's controller: its law reads the required neighbors unless
+    it says otherwise, and it has no requirements beyond its graph."""
+
+    yaml = ""
+
+    @property
+    def label(self):
+        return self.yaml.replace("_", " ")
+
+    def reads(self, me):
+        return REQUIRED
+
+    def violations(self, graph, robots, delta):
+        """Structural feasibility checks on the required ``graph`` of the
+        ``robots`` running this controller; violations are data."""
+        return []
 
 
 @dataclass(frozen=True)
-class Rendezvous:
-    pass
+class Rendezvous(Controller):
+    yaml = "rendezvous"
+
+    def control(self, me, x, ids, positions):
+        return sum((pj - x for pj in positions), np.zeros(2))
 
 
 @dataclass(frozen=True)
-class Scatter:
-    pass
+class Scatter(Controller):
+    yaml = "scatter"
+
+    def control(self, me, x, ids, positions):
+        return sum((x - pj for pj in positions), np.zeros(2))
 
 
-@dataclass(frozen=True)
-class Formation:
-    """Maintain prescribed inter-robot distances on the required edges."""
+class _Shape(Controller):
+    """Prescribed inter-robot distances on the required edges, and the
+    formation law that holds them."""
 
-    distances: dict = field(default_factory=dict)  # (i, j) sorted tuple -> meters
-
-    def __post_init__(self):
+    def _key_distances(self):
         object.__setattr__(
             self, "distances", {_edge_key(*k): float(v) for k, v in self.distances.items()}
         )
@@ -67,65 +116,185 @@ class Formation:
             raise BehaviorError(f"no target distance for edge {key}")
         return self.distances[key]
 
+    def control(self, me, x, ids, positions):
+        u = np.zeros(2)
+        for j, pj in zip(ids, positions):
+            diff = x - pj
+            theta = self.distance(me, j)
+            u += (float(diff @ diff) - theta * theta) * (pj - x)
+        return u
+
+    def violations(self, graph, robots, delta):
+        label = self.label
+        missing = [e for e in graph.sorted_edges() if e not in self.distances]
+        if missing:
+            return [f"{label}: required edges without target distance: {missing}"]
+        out = []
+        for e, theta in sorted(self.distances.items()):
+            if theta <= 0:
+                out.append(f"{label}: nonpositive distance {theta:g} on edge {e}")
+            elif theta > delta:
+                out.append(f"{label}: distance {theta:g} on edge {e} exceeds sensing range {delta:g}")
+        verts = range(1, graph.n + 1)
+        for i in verts:
+            for j in verts:
+                for k in verts:
+                    if not (i < j < k):
+                        continue
+                    if graph.has_edge(i, j) and graph.has_edge(j, k) and graph.has_edge(i, k):
+                        a, b, c = self.distance(i, j), self.distance(j, k), self.distance(i, k)
+                        if a > b + c or b > a + c or c > a + b:
+                            out.append(
+                                f"{label}: triangle inequality fails on ({i},{j},{k}): "
+                                f"{a:g}, {b:g}, {c:g}"
+                            )
+        return out
+
 
 @dataclass(frozen=True)
-class LeaderFollower:
+class Formation(_Shape):
+    """Maintain prescribed inter-robot distances on the required edges."""
+
+    yaml = "formation"
+    distances: dict = _yaml("distances")  # (i, j) sorted tuple -> meters
+
+    def __post_init__(self):
+        self._key_distances()
+
+
+@dataclass(frozen=True)
+class LeaderFollower(_Shape):
     """Formation kept by followers while the leader steers to a goal.
 
     The leader runs pure goal seeking; followers alone maintain the shape.
     """
 
-    leader: int
-    goal: tuple
-    gain: float
-    distances: dict = field(default_factory=dict)
+    yaml = "leader_follower"
+    label = "leader-follower"
+    leader: int = _yaml("int")
+    goal: tuple = _yaml("vec")
+    distances: dict = _yaml("distances")
+    gain: float = _yaml("num", default=1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
-        object.__setattr__(
-            self, "distances", {_edge_key(*k): float(v) for k, v in self.distances.items()}
-        )
+        self._key_distances()
         if self.gain <= 0:
             raise BehaviorError("leader gain must be positive")
 
-    def distance(self, i, j):
-        key = _edge_key(i, j)
-        if key not in self.distances:
-            raise BehaviorError(f"no target distance for edge {key}")
-        return self.distances[key]
+    def control(self, me, x, ids, positions):
+        if me == self.leader:
+            return self.gain * (np.asarray(self.goal) - x)
+        return super().control(me, x, ids, positions)
+
+    def violations(self, graph, robots, delta):
+        out = super().violations(graph, robots, delta)
+        if self.leader not in robots:
+            out.append(f"{self.label}: leader index {self.leader} out of range")
+        return out
 
 
 @dataclass(frozen=True)
-class CyclicPursuit:
+class CyclicPursuit(Controller):
     """Chase rotated neighbor offsets around a cycle graph."""
 
-    angle: float
+    yaml = "cyclic_pursuit"
+    angle: float = _yaml("num")
+
+    def control(self, me, x, ids, positions):
+        rot = rotation(self.angle)
+        return sum((rot @ (pj - x) for pj in positions), np.zeros(2))
+
+    def violations(self, graph, robots, delta):
+        try:
+            if not induced_subgraph_is_cycle(graph, robots):
+                return [f"{self.label}: required graph is not a cycle"]
+        except GeometryError as exc:
+            return [f"{self.label}: {exc}"]
+        return []
 
 
 @dataclass(frozen=True)
-class Lattice:
+class Containment(CyclicPursuit):
+    """Rotate around cycle neighbors while the ring drifts toward a goal point."""
+
+    yaml = "containment"
+    goal: tuple = _yaml("vec")
+    gain: float = _yaml("num", default=1.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
+        if self.gain <= 0:
+            raise BehaviorError("containment gain must be positive")
+
+    def control(self, me, x, ids, positions):
+        u = super().control(me, x, ids, positions)
+        return u + self.gain * (np.asarray(self.goal) - x)
+
+
+@dataclass(frozen=True)
+class Lattice(Controller):
     """Hold a common spacing against all robots currently in sensing range."""
 
-    spacing: float
+    yaml = "lattice"
+    spacing: float = _yaml("num")
 
     def __post_init__(self):
         if self.spacing <= 0:
             raise BehaviorError("lattice spacing must be positive")
 
+    def reads(self, me):
+        return IN_RANGE
+
+    def control(self, me, x, ids, positions):
+        u = np.zeros(2)
+        theta2 = self.spacing**2
+        for pj in positions:
+            diff = x - pj
+            u += (float(diff @ diff) - theta2) * (pj - x)
+        return u
+
+    def violations(self, graph, robots, delta):
+        if self.spacing > delta:
+            return [f"{self.label}: spacing {self.spacing:g} exceeds sensing range {delta:g}"]
+        return []
+
 
 @dataclass(frozen=True)
-class Coverage:
+class Coverage(Controller):
     """Move to the centroid of the robot's Voronoi cell in the given domain."""
 
-    domain: Domain
+    yaml = "coverage"
+    domain: Domain = _yaml("bounds", "coverage_bounds")
+
+    def reads(self, me):
+        return KNOWN
+
+    def control(self, me, x, ids, positions):
+        """Toward the centroid of my cell among the robots I know, clipped to
+        the domain. Positions are nudged into the rectangle first: transient
+        boundary overshoot from the safety filter must not kill the
+        tessellation."""
+        d, eps = self.domain, 1e-9
+
+        def site(i, p):
+            return RobotState(
+                i,
+                np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
+                          min(max(p[1], d.ymin + eps), d.ymax - eps)]),
+            )
+
+        sites = [site(me, x)] + [site(j, pj) for j, pj in zip(ids, positions)]
+        return voronoi_centroids(sites, d)[0] - x
 
 
 @dataclass(frozen=True)
-class GoToGoal:
+class GoToGoal(Controller):
     """Proportional drive to per-robot goals; robots without a goal hold position."""
 
-    goals: dict = field(default_factory=dict)  # robot -> (x, y)
-    gain: float = 1.0
+    yaml = "go_to_goal"
+    goals: dict = _yaml("goals")  # robot -> (x, y)
+    gain: float = _yaml("num", default=1.0)
 
     def __post_init__(self):
         object.__setattr__(
@@ -136,37 +305,31 @@ class GoToGoal:
         if self.gain <= 0:
             raise BehaviorError("goal gain must be positive")
 
-
-@dataclass(frozen=True)
-class Containment:
-    """Rotate around cycle neighbors while the ring drifts toward a goal point."""
-
-    angle: float
-    goal: tuple
-    gain: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
-        if self.gain <= 0:
-            raise BehaviorError("containment gain must be positive")
+    def control(self, me, x, ids, positions):
+        goal = self.goals.get(me)
+        if goal is None:
+            return np.zeros(2)
+        return self.gain * (np.asarray(goal) - x)
 
 
 @dataclass(frozen=True)
 class CompositeGroup:
     robots: tuple
-    controller: object
+    controller: Controller
     edges: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "robots", tuple(sorted(int(r) for r in self.robots)))
-        object.__setattr__(self, "edges", tuple(_edge_key(*e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(sorted(_edge_key(*e) for e in self.edges)))
 
 
 @dataclass(frozen=True)
-class Composite:
-    """Different controllers on disjoint robot subsets within one behavior step."""
+class Composite(Controller):
+    """Different controllers on disjoint robot subsets within one behavior
+    step; each robot's law, inputs and checks are its group's controller's."""
 
-    groups: tuple
+    yaml = "composite"
+    groups: tuple = _yaml("groups")
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -177,264 +340,84 @@ class Composite:
                 return g
         raise BehaviorError(f"robot {robot} belongs to no composite group")
 
+    def reads(self, me):
+        return self.group_of(me).controller.reads(me)
+
+    def control(self, me, x, ids, positions):
+        group = self.group_of(me)
+        mine = [k for k, j in enumerate(ids) if j in group.robots]
+        return group.controller.control(me, x, [ids[k] for k in mine], [positions[k] for k in mine])
+
+    def violations(self, graph, robots, delta):
+        out = []
+        seen = set()
+        for g in self.groups:
+            overlap = seen & set(g.robots)
+            if overlap:
+                out.append(f"composite: robots {sorted(overlap)} appear in more than one group")
+            seen |= set(g.robots)
+        edge_union = set()
+        for g in self.groups:
+            for a, b in g.edges:
+                if a not in g.robots or b not in g.robots:
+                    out.append(f"composite: group edge ({a},{b}) leaves its group")
+            edge_union |= set(g.edges)
+        if edge_union != set(graph.edges):
+            out.append("composite: union of group edges does not match the required graph")
+        for g in self.groups:
+            if isinstance(g.controller, Composite):
+                out.append("composite: nested composites are not supported")
+                continue
+            try:
+                sub = InteractionGraph.from_edges(graph.n, g.edges)
+            except GeometryError as exc:
+                out.append(f"composite {g.controller.label}: {exc}")
+                continue
+            out.extend(
+                f"composite {v} (group {g.robots})" for v in g.controller.violations(sub, g.robots, delta)
+            )
+        return out
+
 
 # --- completion predicates ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ControlNormBelow:
-    epsilon: float
+    yaml = "control_norm_below"
+    epsilon: float = _yaml("num")
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise BehaviorError("completion threshold must be positive")
 
+    def done(self, u_hat, elapsed, x):
+        return float(np.linalg.norm(u_hat)) < self.epsilon
+
 
 @dataclass(frozen=True)
 class ElapsedTime:
-    duration: float
+    yaml = "elapsed"
+    duration: float = _yaml("num")
 
     def __post_init__(self):
         if self.duration <= 0:
             raise BehaviorError("completion duration must be positive")
 
+    def done(self, u_hat, elapsed, x):
+        return elapsed >= self.duration
+
 
 @dataclass(frozen=True)
 class GoalReached:
-    goal: tuple
-    radius: float
+    yaml = "goal_reached"
+    goal: tuple = _yaml("vec")
+    radius: float = _yaml("num")
 
     def __post_init__(self):
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
         if self.radius <= 0:
             raise BehaviorError("completion radius must be positive")
 
-
-def is_complete(pred, nominal_u, elapsed, state):
-    if isinstance(pred, ControlNormBelow):
-        return float(np.linalg.norm(nominal_u)) < pred.epsilon
-    if isinstance(pred, ElapsedTime):
-        return elapsed >= pred.duration
-    if isinstance(pred, GoalReached):
-        return float(np.linalg.norm(state.position - np.asarray(pred.goal))) <= pred.radius
-    raise BehaviorError(f"unknown completion predicate {pred!r}")
-
-
-# --- control laws ------------------------------------------------------------
-
-
-def _neighbor_positions(neighbor_states, required):
-    by_id = {s.id: s.position for s in neighbor_states}
-    missing = [j for j in required if j not in by_id]
-    if missing:
-        raise BehaviorError(f"missing neighbor state for robots {missing}")
-    return [(j, by_id[j]) for j in required]
-
-
-def _formation_sum(me, my_pos, pairs, dist_of):
-    u = np.zeros(2)
-    for j, pj in pairs:
-        diff = my_pos - pj
-        theta = dist_of(me, j)
-        u += (float(diff @ diff) - theta * theta) * (pj - my_pos)
-    return u
-
-
-def nominal_control(behavior, me, my_state, neighbor_states, required_neighbors):
-    """Nominal velocity command for robot ``me`` under the active behavior.
-
-    ``required_neighbors`` are the neighbors the behavior's graph prescribes;
-    lattice and coverage instead consume every state handed to them (their
-    interaction set is whoever is currently in range / in the same cell
-    region, which the caller supplies).
-    """
-    my_pos = my_state.position
-
-    if isinstance(behavior, Rendezvous):
-        pairs = _neighbor_positions(neighbor_states, required_neighbors)
-        return sum((pj - my_pos for _, pj in pairs), np.zeros(2))
-
-    if isinstance(behavior, Scatter):
-        pairs = _neighbor_positions(neighbor_states, required_neighbors)
-        return sum((my_pos - pj for _, pj in pairs), np.zeros(2))
-
-    if isinstance(behavior, Formation):
-        pairs = _neighbor_positions(neighbor_states, required_neighbors)
-        return _formation_sum(me, my_pos, pairs, behavior.distance)
-
-    if isinstance(behavior, LeaderFollower):
-        pairs = _neighbor_positions(neighbor_states, required_neighbors)
-        if me == behavior.leader:
-            return behavior.gain * (np.asarray(behavior.goal) - my_pos)
-        return _formation_sum(me, my_pos, pairs, behavior.distance)
-
-    if isinstance(behavior, CyclicPursuit):
-        pairs = _neighbor_positions(neighbor_states, required_neighbors)
-        rot = rotation(behavior.angle)
-        return sum((rot @ (pj - my_pos) for _, pj in pairs), np.zeros(2))
-
-    if isinstance(behavior, Lattice):
-        u = np.zeros(2)
-        theta2 = behavior.spacing**2
-        for s in neighbor_states:
-            diff = my_pos - s.position
-            u += (float(diff @ diff) - theta2) * (s.position - my_pos)
-        return u
-
-    if isinstance(behavior, Coverage):
-        centroid = _coverage_centroid(behavior.domain, my_state, neighbor_states)
-        return centroid - my_pos
-
-    if isinstance(behavior, GoToGoal):
-        goal = behavior.goals.get(me)
-        if goal is None:
-            return np.zeros(2)
-        return behavior.gain * (np.asarray(goal) - my_pos)
-
-    if isinstance(behavior, Containment):
-        pairs = _neighbor_positions(neighbor_states, required_neighbors)
-        rot = rotation(behavior.angle)
-        u = sum((rot @ (pj - my_pos) for _, pj in pairs), np.zeros(2))
-        return u + behavior.gain * (np.asarray(behavior.goal) - my_pos)
-
-    if isinstance(behavior, Composite):
-        group = behavior.group_of(me)
-        group_required = [j for j in required_neighbors if j in group.robots]
-        group_states = [s for s in neighbor_states if s.id in group.robots]
-        return nominal_control(group.controller, me, my_state, group_states, group_required)
-
-    raise BehaviorError(f"unknown behavior {behavior!r}")
-
-
-def _coverage_centroid(domain, my_state, neighbor_states):
-    """Centroid of my cell among the cell-sharing robots, clipped to the domain.
-
-    Positions are nudged into the rectangle first: transient boundary
-    overshoot from the safety filter must not kill the tessellation.
-    """
-    eps = 1e-9
-
-    def clamp(s):
-        x = min(max(s.position[0], domain.xmin + eps), domain.xmax - eps)
-        y = min(max(s.position[1], domain.ymin + eps), domain.ymax - eps)
-        return RobotState(s.id, np.array([x, y]))
-
-    sites = [clamp(my_state)] + [clamp(s) for s in neighbor_states]
-    centroids = voronoi_centroids(sites, domain)
-    return centroids[0]
-
-
-# --- requirement validation ---------------------------------------------------
-
-
-def _triangle_violations(graph, dist_of, label):
-    out = []
-    verts = range(1, graph.n + 1)
-    for i in verts:
-        for j in verts:
-            for k in verts:
-                if not (i < j < k):
-                    continue
-                if graph.has_edge(i, j) and graph.has_edge(j, k) and graph.has_edge(i, k):
-                    a, b, c = dist_of(i, j), dist_of(j, k), dist_of(i, k)
-                    if a > b + c or b > a + c or c > a + b:
-                        out.append(
-                            f"{label}: triangle inequality fails on ({i},{j},{k}): "
-                            f"{a:g}, {b:g}, {c:g}"
-                        )
-    return out
-
-
-def _distance_violations(graph, distances, delta, label):
-    out = []
-    missing = [e for e in graph.sorted_edges() if e not in distances]
-    if missing:
-        out.append(f"{label}: required edges without target distance: {missing}")
-        return out
-    for e, theta in sorted(distances.items()):
-        if theta <= 0:
-            out.append(f"{label}: nonpositive distance {theta:g} on edge {e}")
-        elif theta > delta:
-            out.append(f"{label}: distance {theta:g} on edge {e} exceeds sensing range {delta:g}")
-
-    def dist_of(i, j):
-        return distances[_edge_key(i, j)]
-
-    out.extend(_triangle_violations(graph, dist_of, label))
-    return out
-
-
-def validate_requirements(behavior, required_graph, delta):
-    """Structural feasibility checks for one behavior; violations are data."""
-    out = []
-    if isinstance(behavior, CyclicPursuit):
-        try:
-            if not is_cycle_graph(required_graph):
-                out.append("cyclic pursuit: required graph is not a cycle")
-        except GeometryError as exc:
-            out.append(f"cyclic pursuit: {exc}")
-    elif isinstance(behavior, Containment):
-        try:
-            if not is_cycle_graph(required_graph):
-                out.append("containment: required graph is not a cycle")
-        except GeometryError as exc:
-            out.append(f"containment: {exc}")
-    elif isinstance(behavior, Formation):
-        out.extend(_distance_violations(required_graph, behavior.distances, delta, "formation"))
-    elif isinstance(behavior, LeaderFollower):
-        out.extend(
-            _distance_violations(required_graph, behavior.distances, delta, "leader-follower")
-        )
-        if not (1 <= behavior.leader <= required_graph.n):
-            out.append(f"leader-follower: leader index {behavior.leader} out of range")
-    elif isinstance(behavior, Lattice):
-        if behavior.spacing > delta:
-            out.append(
-                f"lattice: spacing {behavior.spacing:g} exceeds sensing range {delta:g}"
-            )
-    elif isinstance(behavior, Composite):
-        out.extend(_composite_violations(behavior, required_graph, delta))
-    return out
-
-
-def _composite_violations(behavior, required_graph, delta):
-    out = []
-    seen = set()
-    for g in behavior.groups:
-        overlap = seen & set(g.robots)
-        if overlap:
-            out.append(f"composite: robots {sorted(overlap)} appear in more than one group")
-        seen |= set(g.robots)
-    edge_union = set()
-    for g in behavior.groups:
-        for a, b in g.edges:
-            if a not in g.robots or b not in g.robots:
-                out.append(f"composite: group edge ({a},{b}) leaves its group")
-        edge_union |= set(g.edges)
-    if edge_union != set(required_graph.edges):
-        out.append(
-            "composite: union of group edges does not match the required graph"
-        )
-    for g in behavior.groups:
-        ctrl = g.controller
-        if isinstance(ctrl, (CyclicPursuit, Containment)):
-            label = "cyclic pursuit" if isinstance(ctrl, CyclicPursuit) else "containment"
-            try:
-                if not induced_subgraph_is_cycle(required_graph, g.robots):
-                    out.append(f"composite {label}: group {g.robots} edges are not a cycle")
-            except GeometryError as exc:
-                out.append(f"composite {label}: {exc}")
-        elif isinstance(ctrl, (Formation, LeaderFollower)):
-            label = "formation" if isinstance(ctrl, Formation) else "leader-follower"
-            try:
-                sub = InteractionGraph.from_edges(required_graph.n, g.edges)
-            except GeometryError as exc:
-                out.append(f"composite {label}: {exc}")
-                continue
-            out.extend(_distance_violations(sub, ctrl.distances, delta, f"composite {label}"))
-        elif isinstance(ctrl, Lattice):
-            if ctrl.spacing > delta:
-                out.append(f"composite lattice: spacing {ctrl.spacing:g} exceeds {delta:g}")
-        elif isinstance(ctrl, Composite):
-            out.append("composite: nested composites are not supported")
-    return out
+    def done(self, u_hat, elapsed, x):
+        return float(np.linalg.norm(x - np.asarray(self.goal))) <= self.radius

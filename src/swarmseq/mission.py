@@ -9,7 +9,7 @@ the packaged scenario files are the reference examples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -92,7 +92,7 @@ def validate(plan):
         if spec.required_graph.n != plan.n:
             out.append(f"{label}: required graph has {spec.required_graph.n} vertices, not {plan.n}")
             continue
-        for v in bh.validate_requirements(spec.controller, spec.required_graph, plan.delta):
+        for v in spec.controller.violations(spec.required_graph, range(1, plan.n + 1), plan.delta):
             out.append(f"{label}: {v}")
         for kind in spec.initial_constraints:
             if not (1 <= kind.i <= plan.n):
@@ -130,12 +130,15 @@ def _cast(raw, cast=float):
     return value
 
 
-def _num(section, key, where, default=None, cast=float):
-    raw = _req(section, key, where, default)
+def _number(raw, key, where, cast=float):
     try:
         return _cast(raw, cast)
     except _NOT_A_NUMBER:
         raise MissionFormatError(f"'{key}' in {where} is not a finite {cast.__name__}: {raw!r}") from None
+
+
+def _num(section, key, where, default=None, cast=float):
+    return _number(_req(section, key, where, default), key, where, cast)
 
 
 def _nums(raw, count, where, cast=float):
@@ -160,78 +163,82 @@ def _vec(raw, where):
     return tuple(_nums(raw, 2, f"{where} (a 2-vector)"))
 
 
-def _distances(doc, where):
-    triples = (_nums(t, 3, f"{where} distances") for t in _req(doc, "distances", where))
-    return {tuple(_nums((i, j), 2, f"{where} distances", int)): t for i, j, t in triples}
+def _distances(raw, key, where):
+    triples = (_nums(t, 3, f"{where} {key}") for t in raw)
+    return {tuple(_nums((i, j), 2, f"{where} {key}", int)): t for i, j, t in triples}
 
 
-def _parse_controller(doc, n, where):
-    kind = _req(doc, "controller", where)
-    if kind == "rendezvous":
-        return bh.Rendezvous()
-    if kind == "scatter":
-        return bh.Scatter()
-    if kind == "formation":
-        return bh.Formation(distances=_distances(doc, where))
-    if kind == "leader_follower":
-        return bh.LeaderFollower(
-            leader=_num(doc, "leader", where, cast=int),
-            goal=_vec(_req(doc, "goal", where), where),
-            gain=_num(doc, "gain", where, 1.0),
-            distances=_distances(doc, where),
-        )
-    if kind == "cyclic_pursuit":
-        return bh.CyclicPursuit(angle=_num(doc, "angle", where))
-    if kind == "lattice":
-        return bh.Lattice(spacing=_num(doc, "spacing", where))
-    if kind == "coverage":
-        return bh.Coverage(domain=Domain(*_nums(_req(doc, "coverage_bounds", where), 4, where)))
-    if kind == "go_to_goal":
-        goals = {int(i): _vec(g, where) for i, g in _req(doc, "goals", where).items()}
-        return bh.GoToGoal(goals=goals, gain=_num(doc, "gain", where, 1.0))
-    if kind == "containment":
-        return bh.Containment(
-            angle=_num(doc, "angle", where),
-            goal=_vec(_req(doc, "goal", where), where),
-            gain=_num(doc, "gain", where, 1.0),
-        )
-    if kind == "composite":
-        groups = []
-        for gi, g in enumerate(_req(doc, "groups", where)):
-            gwhere = f"{where} group {gi}"
-            groups.append(
-                bh.CompositeGroup(
-                    robots=tuple(_nums(_req(g, "robots", gwhere), None, gwhere, int)),
-                    controller=_parse_controller(g, n, gwhere),
-                    edges=tuple(_edges(g.get("edges", []), gwhere)),
-                )
+def _groups(raw, key, where):
+    groups = []
+    for gi, g in enumerate(raw):
+        gwhere = f"{where} group {gi}"
+        groups.append(
+            bh.CompositeGroup(
+                robots=tuple(_nums(_req(g, "robots", gwhere), None, gwhere, int)),
+                controller=_named(CONTROLLERS, "controller", "controller", g, gwhere),
+                edges=tuple(_edges(g.get("edges", []), gwhere)),
             )
-        return bh.Composite(groups=tuple(groups))
-    raise MissionFormatError(f"unknown controller '{kind}' in {where}")
-
-
-def _parse_completion(doc, where):
-    kind = _req(doc, "type", where)
-    if kind == "control_norm_below":
-        return bh.ControlNormBelow(epsilon=_num(doc, "epsilon", where))
-    if kind == "elapsed":
-        return bh.ElapsedTime(duration=_num(doc, "duration", where))
-    if kind == "goal_reached":
-        return bh.GoalReached(
-            goal=_vec(_req(doc, "goal", where), where), radius=_num(doc, "radius", where)
         )
-    raise MissionFormatError(f"unknown completion type '{kind}' in {where}")
+    return tuple(groups)
 
 
-def _parse_initial_constraint(doc, where):
-    kind = _req(doc, "type", where)
-    if kind == "keep_within":
-        return KeepWithin(
-            i=_num(doc, "robot", where, cast=int),
-            center=_vec(_req(doc, "center", where), where),
-            radius=_num(doc, "radius", where),
-        )
-    raise MissionFormatError(f"unknown initial constraint type '{kind}' in {where}")
+def _group_doc(g):
+    return {"robots": list(g.robots), "edges": [list(e) for e in g.edges], **_doc(g.controller, "controller")}
+
+
+# converter kind of a field (its ``metadata["kind"]``) -> (parse(raw, key, where), dump(value))
+_KINDS = {
+    "num": (_number, lambda v: v),
+    "int": (lambda raw, key, where: _number(raw, key, where, int), lambda v: v),
+    "vec": (lambda raw, key, where: _vec(raw, where), list),
+    "distances": (_distances, lambda d: [[i, j, t] for (i, j), t in sorted(d.items())]),
+    "bounds": (lambda raw, key, where: Domain(*_nums(raw, 4, where)), lambda d: [d.xmin, d.xmax, d.ymin, d.ymax]),
+    "goals": (
+        lambda raw, key, where: {int(i): _vec(g, where) for i, g in raw.items()},
+        lambda goals: {i: list(g) for i, g in sorted(goals.items())},
+    ),
+    "groups": (_groups, lambda groups: [_group_doc(g) for g in groups]),
+}
+
+# the YAML name of each controller, completion predicate and initial constraint -> its class
+CONTROLLERS = {
+    c.yaml: c
+    for c in (
+        bh.Rendezvous, bh.Scatter, bh.Formation, bh.LeaderFollower, bh.CyclicPursuit,
+        bh.Lattice, bh.Coverage, bh.GoToGoal, bh.Containment, bh.Composite,
+    )
+}
+COMPLETIONS = {c.yaml: c for c in (bh.ControlNormBelow, bh.ElapsedTime, bh.GoalReached)}
+INITIAL_CONSTRAINTS = {KeepWithin.yaml: KeepWithin}
+
+
+def _key(f):
+    """A field's YAML key: its ``metadata["key"]``, else its name."""
+    return f.metadata.get("key") or f.name
+
+
+def _named(table, what, tag, doc, where):
+    """The instance of the class ``table`` names under ``doc[tag]``, each of
+    its fields read from ``doc`` by its kind's parser; a field with a default
+    may be left out."""
+    name = _req(doc, tag, where)
+    cls = table.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise MissionFormatError(f"unknown {what} '{name}' in {where}")
+    values = {}
+    for f in fields(cls):
+        key = _key(f)
+        raw = _req(doc, key, where, None if f.default is MISSING else f.default)
+        values[f.name] = _KINDS[f.metadata["kind"]][0](raw, key, where)
+    return cls(**values)
+
+
+def _doc(obj, tag):
+    """The YAML mapping of a named object, the inverse of ``_named``."""
+    doc = {tag: obj.yaml}
+    for f in fields(obj):
+        doc[_key(f)] = _KINDS[f.metadata["kind"]][1](getattr(obj, f.name))
+    return doc
 
 
 def parse_mission(text):
@@ -264,11 +271,11 @@ def parse_mission(text):
     specs = []
     for bi, bdoc in enumerate(_req(doc, "behaviors", "document"), start=1):
         where = f"behavior {bi}"
-        controller = _parse_controller(bdoc, n, where)
+        controller = _named(CONTROLLERS, "controller", "controller", bdoc, where)
         graph = InteractionGraph.from_edges(n, _edges(bdoc.get("graph", []), where))
-        completion = _parse_completion(_req(bdoc, "completion", where), where)
+        completion = _named(COMPLETIONS, "completion type", "type", _req(bdoc, "completion", where), where)
         init = tuple(
-            _parse_initial_constraint(c, f"{where} initial constraint")
+            _named(INITIAL_CONSTRAINTS, "initial constraint type", "type", c, f"{where} initial constraint")
             for c in bdoc.get("initial_constraints", [])
         )
         specs.append(
@@ -336,69 +343,6 @@ def parse_mission(text):
 # --- document serialization ----------------------------------------------------
 
 
-def _controller_doc(controller):
-    if isinstance(controller, bh.Rendezvous):
-        return {"controller": "rendezvous"}
-    if isinstance(controller, bh.Scatter):
-        return {"controller": "scatter"}
-    if isinstance(controller, bh.Formation):
-        return {
-            "controller": "formation",
-            "distances": [[i, j, t] for (i, j), t in sorted(controller.distances.items())],
-        }
-    if isinstance(controller, bh.LeaderFollower):
-        return {
-            "controller": "leader_follower",
-            "leader": controller.leader,
-            "goal": list(controller.goal),
-            "gain": controller.gain,
-            "distances": [[i, j, t] for (i, j), t in sorted(controller.distances.items())],
-        }
-    if isinstance(controller, bh.CyclicPursuit):
-        return {"controller": "cyclic_pursuit", "angle": controller.angle}
-    if isinstance(controller, bh.Lattice):
-        return {"controller": "lattice", "spacing": controller.spacing}
-    if isinstance(controller, bh.Coverage):
-        d = controller.domain
-        return {"controller": "coverage", "coverage_bounds": [d.xmin, d.xmax, d.ymin, d.ymax]}
-    if isinstance(controller, bh.GoToGoal):
-        return {
-            "controller": "go_to_goal",
-            "gain": controller.gain,
-            "goals": {i: list(g) for i, g in sorted(controller.goals.items())},
-        }
-    if isinstance(controller, bh.Containment):
-        return {
-            "controller": "containment",
-            "angle": controller.angle,
-            "goal": list(controller.goal),
-            "gain": controller.gain,
-        }
-    if isinstance(controller, bh.Composite):
-        return {
-            "controller": "composite",
-            "groups": [
-                {
-                    "robots": list(g.robots),
-                    "edges": [list(e) for e in sorted(g.edges)],
-                    **_controller_doc(g.controller),
-                }
-                for g in controller.groups
-            ],
-        }
-    raise MissionFormatError(f"cannot serialize controller {controller!r}")
-
-
-def _completion_doc(completion):
-    if isinstance(completion, bh.ControlNormBelow):
-        return {"type": "control_norm_below", "epsilon": completion.epsilon}
-    if isinstance(completion, bh.ElapsedTime):
-        return {"type": "elapsed", "duration": completion.duration}
-    if isinstance(completion, bh.GoalReached):
-        return {"type": "goal_reached", "goal": list(completion.goal), "radius": completion.radius}
-    raise MissionFormatError(f"cannot serialize completion {completion!r}")
-
-
 def serialize_mission(plan, config):
     """Serialize a plan and config back to the YAML document form."""
     doc = {
@@ -436,19 +380,11 @@ def serialize_mission(plan, config):
     }
     for spec in plan.behaviors:
         bdoc = {"name": spec.name} if spec.name else {}
-        bdoc.update(_controller_doc(spec.controller))
+        bdoc.update(_doc(spec.controller, "controller"))
         bdoc["graph"] = [list(e) for e in spec.required_graph.sorted_edges()]
-        bdoc["completion"] = _completion_doc(spec.completion)
+        bdoc["completion"] = _doc(spec.completion, "type")
         if spec.initial_constraints:
-            bdoc["initial_constraints"] = [
-                {
-                    "type": "keep_within",
-                    "robot": c.i,
-                    "center": list(c.center),
-                    "radius": c.radius,
-                }
-                for c in spec.initial_constraints
-            ]
+            bdoc["initial_constraints"] = [_doc(c, "type") for c in spec.initial_constraints]
         doc["behaviors"].append(bdoc)
     if plan.rescue is not None:
         doc["rescue"] = {

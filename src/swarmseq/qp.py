@@ -153,23 +153,18 @@ class QpProblem:
 class QpSolution:
     """The solution of a ``QpProblem``, shaped like it.
 
-    For a team, ``u`` is (n, 2), ``box_multipliers`` has one 4-tuple per
-    robot, ``statuses`` one status per robot, and ``status`` is the worst of
-    them; ``slacks`` lists the soft rows and ``row_multipliers`` every row,
-    robot by robot in the layout's order.
+    ``u`` is (n, 2) for a team and (2,) for one robot. ``multipliers`` and
+    ``slacks`` are shaped like the layout's offsets, (n, width + 4): every
+    row's multiplier, the speed box's in the last four columns, and every
+    soft row's slack, zero on the other rows. ``statuses`` has one status per
+    robot and ``status`` is the worst of them.
     """
 
     u: np.ndarray
-    slacks: tuple
     status: str  # optimal | relaxed | infeasible_hard
-    row_multipliers: tuple = ()
-    box_multipliers: tuple = (0.0, 0.0, 0.0, 0.0)
-    statuses: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if not self.statuses:
-            object.__setattr__(self, "statuses", (self.status,))
+    statuses: tuple
+    multipliers: np.ndarray
+    slacks: np.ndarray
 
 
 def _stack(problem, include_soft=True):
@@ -349,18 +344,15 @@ def solve(problem):
                 statuses[r] = "relaxed"
             else:
                 u[r] = 0.0
-                slacks[r] = np.maximum(0.0, rows.offsets[r])
+                slacks[r] = np.where(rows.hard[r], 0.0, np.maximum(0.0, rows.offsets[r]))
                 statuses[r] = "infeasible_hard"
 
-    box_mult = lam[:, width:].tolist()
-    single = problem.nominal.ndim == 1
     return QpSolution(
-        u=u[0] if single else u,
-        slacks=tuple(slacks[~rows.hard].tolist()),
+        u=u[0] if problem.nominal.ndim == 1 else u,
         status=next((s for s in _STATUSES if s in statuses), "optimal"),
-        row_multipliers=tuple(lam[:, :width][np.arange(width) < rows.counts[:, None]].tolist()),
-        box_multipliers=tuple(box_mult[0]) if single else tuple(map(tuple, box_mult)),
         statuses=tuple(statuses),
+        multipliers=lam,
+        slacks=slacks,
     )
 
 
@@ -401,10 +393,10 @@ def kkt_residuals(problem, solution):
     """
     u = solution.u
     normals, offsets = _stack(problem)
-    lam = np.array(solution.row_multipliers + tuple(solution.box_multipliers), dtype=float)
+    lam = solution.multipliers[0]
     resid = normals @ u - offsets
     if solution.status == "relaxed":
-        resid[~problem.rows.hard[0]] += solution.slacks
+        resid += solution.slacks[0]
     grad = u - problem.nominal - lam @ normals
     return {
         "stationarity": float(np.max(np.abs(grad))),
@@ -429,36 +421,24 @@ def oracle_solve(problem):
 
     soft = np.flatnonzero(~rows.hard)
     normals, offsets = _stack(problem)
+    lam = np.zeros((1, nrows + 4))
+    slacks = np.zeros((1, nrows + 4))
     cand = _enumerate_projection(problem.nominal, normals, offsets)
     if cand is not None:
-        x, lam = cand
-        return QpSolution(
-            u=x,
-            slacks=(0.0,) * len(soft),
-            status="optimal",
-            row_multipliers=tuple(lam[:nrows].tolist()),
-            box_multipliers=tuple(lam[nrows:].tolist()),
-        )
+        u, lam[0] = cand
+        return QpSolution(u, "optimal", ("optimal",), lam, slacks)
 
     h_normals, h_offsets = _stack(problem, include_soft=False)
     if _enumerate_projection(problem.nominal, h_normals, h_offsets) is None:
         # the frozen robot's input is zero
-        slacks = tuple(max(0.0, b) for b in rows.offsets[soft].tolist())
-        return QpSolution(u=np.zeros(2), slacks=slacks, status="infeasible_hard")
+        slacks[0, soft] = np.maximum(0.0, rows.offsets[soft])
+        return QpSolution(np.zeros(2), "infeasible_hard", ("infeasible_hard",), lam, slacks)
 
     u, hardbox_mu = _enumerate_relaxed(problem)
-    slacks = np.maximum(0.0, rows.offsets[soft] - rows.normals[soft] @ u)
-    row_mult = np.zeros(nrows)
-    nhard = nrows - len(soft)
-    row_mult[rows.hard] = hardbox_mu[:nhard]
-    row_mult[soft] = SLACK_PENALTY * slacks
-    return QpSolution(
-        u=u,
-        slacks=tuple(slacks.tolist()),
-        status="relaxed",
-        row_multipliers=tuple(row_mult.tolist()),
-        box_multipliers=tuple(hardbox_mu[nhard:nhard + 4].tolist()),
-    )
+    slacks[0, soft] = np.maximum(0.0, rows.offsets[soft] - rows.normals[soft] @ u)
+    lam[0, problem.rows.hard[0]] = hardbox_mu
+    lam[0, soft] = SLACK_PENALTY * slacks[0, soft]
+    return QpSolution(u, "relaxed", ("relaxed",), lam, slacks)
 
 
 def _enumerate_projection(target, normals, offsets):

@@ -17,22 +17,28 @@ from swarmseq.behaviors import (
     LeaderFollower,
     Rendezvous,
     Scatter,
-    is_complete,
     nominal_control,
     rotation,
-    validate_requirements,
 )
+from swarmseq.agent import EXECUTING, AgentError, AgentNode, StepEnv, step
+from swarmseq.barriers import FcbfParams
 from swarmseq.geometry import Domain, InteractionGraph, RobotState
+from swarmseq.mission import BehaviorSpec
 
 
 def states(*positions):
-    return [RobotState(i + 1, np.array(p, dtype=float)) for i, p in enumerate(positions)]
+    """Robot i + 1 at positions[i]."""
+    return [np.array(p, dtype=float) for p in positions]
 
 
-def u_of(behavior, me, all_states, required):
-    mine = next(s for s in all_states if s.id == me)
-    others = [s for s in all_states if s.id != me]
-    return nominal_control(behavior, me, mine, others, required)
+def u_of(behavior, me, positions, partners):
+    """Robot me's nominal command, its law reading the robots ``partners``."""
+    ids = sorted(partners)
+    return nominal_control(behavior, me, positions[me - 1], ids, [positions[j - 1] for j in ids])
+
+
+def violations(behavior, graph, delta):
+    return behavior.violations(graph, range(1, graph.n + 1), delta)
 
 
 class TestControlLaws:
@@ -90,14 +96,14 @@ class TestControlLaws:
 
     def test_coverage_single_robot_moves_to_domain_center(self):
         beh = Coverage(domain=Domain(0, 1, 0, 1))
-        u = nominal_control(beh, 1, RobotState(1, np.array([0.2, 0.2])), [], [])
+        u = nominal_control(beh, 1, np.array([0.2, 0.2]), [], [])
         np.testing.assert_allclose(u, [0.3, 0.3], atol=1e-12)
 
     def test_coverage_closed_loop_converges_to_center(self):
         beh = Coverage(domain=Domain(0, 1, 0, 1))
         pos = np.array([0.05, 0.9])
         for _ in range(400):
-            u = nominal_control(beh, 1, RobotState(1, pos), [], [])
+            u = nominal_control(beh, 1, pos, [], [])
             pos = pos + 0.05 * u
         np.testing.assert_allclose(pos, [0.5, 0.5], atol=1e-3)
 
@@ -112,9 +118,9 @@ class TestControlLaws:
     def test_lattice_uses_all_given_states(self):
         beh = Lattice(spacing=0.4)
         st = states((0, 0), (0.4, 0))
-        np.testing.assert_allclose(u_of(beh, 1, st, []), [0, 0], atol=1e-12)
+        np.testing.assert_allclose(u_of(beh, 1, st, [2]), [0, 0], atol=1e-12)
         st2 = states((0, 0), (0.2, 0))
-        u = u_of(beh, 1, st2, [])
+        u = u_of(beh, 1, st2, [2])
         assert u[0] < 0  # too close: push away
 
     def test_go_to_goal_and_hold(self):
@@ -143,42 +149,62 @@ class TestControlLaws:
         np.testing.assert_allclose(u_of(beh, 3, st, [4]), [0, -1])
 
     def test_missing_neighbor_state(self):
+        # a required neighbor's position is read before the law runs: with
+        # none sensed, cached or given by the oracle, the step fails
+        spec = BehaviorSpec(Rendezvous(), InteractionGraph.from_edges(2, [(1, 2)]), ElapsedTime(1.0))
+        env = StepEnv(
+            tick=0, live_neighbors=frozenset(), sensed={}, oracle=None, params=FcbfParams(),
+            delta=0.5, min_sep=0.12, speed_limit=0.2, domain=Domain(-1, 1, -1, 1),
+        )
+        node = AgentNode(id=1, n_behaviors=1, mode=EXECUTING)
+        with pytest.raises(AgentError, match=r"required neighbors \[2\]"):
+            step(node, RobotState(1, np.zeros(2)), [], spec, None, env, 0.02)
+
+    def test_composite_reads_its_groups_input(self):
+        beh = Composite(
+            groups=(
+                CompositeGroup(robots=(1, 2), controller=Lattice(spacing=0.3), edges=()),
+                CompositeGroup(robots=(3, 4), controller=Coverage(Domain(0, 1, 0, 1)), edges=()),
+                CompositeGroup(robots=(5,), controller=Rendezvous(), edges=()),
+            )
+        )
+        assert [beh.reads(i) for i in (1, 3, 5)] == ["in_range", "known", "required"]
         with pytest.raises(BehaviorError):
-            nominal_control(Rendezvous(), 1, RobotState(1, np.zeros(2)), [], [2])
+            beh.reads(6)
 
 
 class TestValidation:
     def test_cyclic_pursuit_needs_cycle(self):
         path = InteractionGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-        out = validate_requirements(CyclicPursuit(0.1), path, 0.5)
+        out = violations(CyclicPursuit(0.1), path, 0.5)
         assert any("not a cycle" in v for v in out)
 
     def test_cyclic_pursuit_on_cycle_passes(self):
         cyc = InteractionGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-        assert validate_requirements(CyclicPursuit(0.1), cyc, 0.5) == []
+        assert violations(CyclicPursuit(0.1), cyc, 0.5) == []
 
     def test_formation_triangle_inequality(self):
         tri = InteractionGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
         beh = Formation(distances={(1, 2): 0.1, (2, 3): 0.1, (3, 1): 0.3})
-        out = validate_requirements(beh, tri, 0.5)
+        out = violations(beh, tri, 0.5)
         assert any("triangle inequality" in v for v in out)
 
     def test_formation_distance_exceeding_range(self):
         g = InteractionGraph.from_edges(2, [(1, 2)])
         beh = Formation(distances={(1, 2): 0.6})
-        out = validate_requirements(beh, g, 0.5)
+        out = violations(beh, g, 0.5)
         assert any("exceeds sensing range" in v for v in out)
 
     def test_formation_missing_edge_distance(self):
         g = InteractionGraph.from_edges(3, [(1, 2), (2, 3)])
         beh = Formation(distances={(1, 2): 0.3})
-        out = validate_requirements(beh, g, 0.5)
+        out = violations(beh, g, 0.5)
         assert any("without target distance" in v for v in out)
 
     def test_lattice_spacing_against_range(self):
         g = InteractionGraph(4)
-        assert validate_requirements(Lattice(spacing=0.4), g, 0.5) == []
-        out = validate_requirements(Lattice(spacing=0.6), g, 0.5)
+        assert violations(Lattice(spacing=0.4), g, 0.5) == []
+        out = violations(Lattice(spacing=0.6), g, 0.5)
         assert any("exceeds sensing range" in v for v in out)
 
     def test_composite_group_checks(self):
@@ -189,7 +215,7 @@ class TestValidation:
                 CompositeGroup(robots=(2, 3, 4), controller=Rendezvous(), edges=((3, 4),)),
             )
         )
-        out = validate_requirements(beh, g, 0.5)
+        out = violations(beh, g, 0.5)
         assert any("more than one group" in v for v in out)
 
     def test_composite_group_edge_out_of_range_is_a_violation(self):
@@ -203,23 +229,38 @@ class TestValidation:
                 ),
             )
         )
-        out = validate_requirements(beh, g, 0.5)
+        out = violations(beh, g, 0.5)
         assert any("composite formation" in v and "(1,9)" in v for v in out)
+
+
+    def test_a_composite_group_gets_its_controllers_own_checks(self):
+        g = InteractionGraph.from_edges(6, [(1, 2), (2, 3), (4, 5)])
+        beh = Composite(
+            groups=(
+                CompositeGroup(robots=(1, 2, 3), controller=CyclicPursuit(0.1), edges=((1, 2), (2, 3))),
+                CompositeGroup(
+                    robots=(4, 5, 6),
+                    controller=LeaderFollower(leader=1, goal=(0.0, 0.0), distances={(4, 5): 0.3}),
+                    edges=((4, 5),),
+                ),
+            )
+        )
+        assert violations(beh, g, 0.5) == [
+            "composite cyclic pursuit: required graph is not a cycle (group (1, 2, 3))",
+            "composite leader-follower: leader index 1 out of range (group (4, 5, 6))",
+        ]
 
 
 class TestCompletion:
     def test_control_norm(self):
-        assert is_complete(ControlNormBelow(1e-3), np.zeros(2), 0.0, RobotState(1, np.zeros(2)))
-        assert not is_complete(
-            ControlNormBelow(1e-3), np.array([0.1, 0]), 0.0, RobotState(1, np.zeros(2))
-        )
+        assert ControlNormBelow(1e-3).done(np.zeros(2), 0.0, np.zeros(2))
+        assert not ControlNormBelow(1e-3).done(np.array([0.1, 0]), 0.0, np.zeros(2))
 
     def test_elapsed(self):
-        st = RobotState(1, np.zeros(2))
-        assert not is_complete(ElapsedTime(5.0), np.zeros(2), 4.9, st)
-        assert is_complete(ElapsedTime(5.0), np.zeros(2), 5.0, st)
+        assert not ElapsedTime(5.0).done(np.zeros(2), 4.9, np.zeros(2))
+        assert ElapsedTime(5.0).done(np.zeros(2), 5.0, np.zeros(2))
 
     def test_goal_reached(self):
         pred = GoalReached(goal=(1.0, 2.0), radius=0.05)
-        assert is_complete(pred, np.zeros(2), 0.0, RobotState(1, np.array([1.0, 2.0])))
-        assert not is_complete(pred, np.zeros(2), 0.0, RobotState(1, np.array([0.0, 0.0])))
+        assert pred.done(np.zeros(2), 0.0, np.array([1.0, 2.0]))
+        assert not pred.done(np.zeros(2), 0.0, np.array([0.0, 0.0]))

@@ -1,11 +1,14 @@
 import copy
+import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
 
 from swarmseq.behaviors import CyclicPursuit, LeaderFollower
+from swarmseq import mission
 from swarmseq.geometry import InteractionGraph
 from swarmseq.mission import (
     MissionFormatError,
@@ -218,6 +221,12 @@ class TestParseErrors:
             parse_mission(mission_text(behavior))
 
 
+def domain(plan):
+    """The bounds and obstacles by value (an obstacle's center is an array)."""
+    d = plan.domain
+    return (d.xmin, d.xmax, d.ymin, d.ymax), [(o.center.tolist(), o.a, o.b) for o in d.obstacles]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_serialize_parse_fixed_point(self, name):
@@ -228,13 +237,18 @@ class TestRoundTrip:
         assert text1 == text2
         assert config2 == config
         assert plan2.n == plan.n
-        assert len(plan2.behaviors) == len(plan.behaviors)
         np.testing.assert_array_equal(plan2.initial_positions, plan.initial_positions)
-        for a, b in zip(plan.behaviors, plan2.behaviors):
-            assert a.required_graph.edges == b.required_graph.edges
-            assert a.completion == b.completion
-            assert type(a.controller) is type(b.controller)
+        assert plan2.behaviors == plan.behaviors
+        assert domain(plan2) == domain(plan)
+        assert (plan2.fcbf, plan2.delta, plan2.min_sep) == (plan.fcbf, plan.delta, plan.min_sep)
         assert plan2.rescue == plan.rescue
+
+    @pytest.mark.parametrize("controller", sorted(CONTROLLERS))
+    @pytest.mark.parametrize("completion", sorted(COMPLETIONS))
+    def test_every_controller_and_completion_round_trips(self, controller, completion):
+        plan, config = parse_mission(mission_text(behavior_doc(controller, completion)))
+        plan2, _ = parse_mission(serialize_mission(plan, config))
+        assert plan2.behaviors == plan.behaviors
 
 
 class TestValidate:
@@ -302,3 +316,24 @@ class TestBuiltins:
         assert plan.rescue is not None
         assert plan.rescue.escort_robots == (1, 2, 3, 4)
         assert len(plan.domain.obstacles) > 5
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+class TestReadme:
+    def grammar(self):
+        with open(README, encoding="utf-8") as fh:
+            return fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+
+    def test_grammar_lists_every_controller(self):
+        listed = re.search(r"controller: \w+ +#(.*?)\n +graph:", self.grammar(), re.S).group(1)
+        assert sorted(re.findall(r"[a-z_]+", listed)) == sorted(mission.CONTROLLERS)
+
+    def test_grammar_lists_every_completion_type_with_its_keys(self):
+        listed = self.grammar().split("# completion types:", 1)[1].split("initial_constraints:", 1)[0]
+        keys = {name: sorted(k.strip() for k in ks.split(",")) for name, ks in re.findall(r"(\w+) \{(.*?)\}", listed)}
+        assert keys == {
+            name: sorted(f.metadata.get("key") or f.name for f in fields(cls))
+            for name, cls in mission.COMPLETIONS.items()
+        }

@@ -171,18 +171,19 @@ class TestTeamSolve:
             assert len(team) == sum(counts)
             got = solve(QpProblem(nominal, team, limit))
             assert got.u.shape == (n, 2) and len(got.statuses) == n
-            # rows are listed robot by robot, each robot's in its own order
-            start = np.cumsum([0] + counts)
-            soft_start = np.cumsum([0] + [int((~b.hard).sum()) for b in blocks])
+            # multipliers and slacks are shaped like the layout: a robot's rows,
+            # then pad rows up to the team's widest robot, then its box
+            assert got.multipliers.shape == got.slacks.shape == team.offsets.shape
             for r, block in enumerate(blocks):
                 alone = solve(QpProblem(nominal[r], block, limit))
-                mine = slice(start[r], start[r + 1])
+                m = counts[r]
                 assert got.statuses[r] == alone.status
                 assert bits(got.u[r]).tolist() == bits(alone.u).tolist()
-                assert bits(got.row_multipliers[mine]).tolist() == bits(alone.row_multipliers).tolist()
-                assert bits(got.box_multipliers[r]).tolist() == bits(alone.box_multipliers).tolist()
-                team_slacks = got.slacks[soft_start[r]:soft_start[r + 1]]
-                assert bits(team_slacks).tolist() == bits(alone.slacks).tolist()
+                for mine, theirs in ((got.multipliers[r], alone.multipliers[0]), (got.slacks[r], alone.slacks[0])):
+                    assert bits(mine[:m]).tolist() == bits(theirs[:m]).tolist()
+                    assert bits(mine[-4:]).tolist() == bits(theirs[-4:]).tolist()
+                    assert not mine[m:-4].any()  # pad rows never bind
+                assert not got.slacks[r, :m][block.hard].any() and not got.slacks[r, -4:].any()
                 statuses.add(alone.status)
             worst = [s for s in ("infeasible_hard", "relaxed", "optimal") if s in got.statuses][0]
             assert got.status == worst
@@ -254,5 +255,5 @@ def test_degenerate_cases_match_the_oracle(name):
     assert got.status == ref.status
     assert float(np.max(np.abs(got.u - ref.u))) <= 1e-6
     if got.status != "infeasible_hard":
-        assert min(got.row_multipliers + got.box_multipliers, default=0.0) >= 0.0
+        assert got.multipliers.min() >= 0.0
         assert max(kkt_residuals(problem, got).values()) <= 1e-8
