@@ -168,6 +168,12 @@ def _distances(raw, key, where):
     return {tuple(_nums((i, j), 2, f"{where} {key}", int)): t for i, j, t in triples}
 
 
+def _goals(raw, key, where):
+    if not isinstance(raw, dict):
+        raise MissionFormatError(f"'{key}' in {where} must be a mapping of robot to [x, y], got {raw!r}")
+    return {_number(i, key, where, int): _vec(g, where) for i, g in raw.items()}
+
+
 def _groups(raw, key, where):
     groups = []
     for gi, g in enumerate(raw):
@@ -193,10 +199,7 @@ _KINDS = {
     "vec": (lambda raw, key, where: _vec(raw, where), list),
     "distances": (_distances, lambda d: [[i, j, t] for (i, j), t in sorted(d.items())]),
     "bounds": (lambda raw, key, where: Domain(*_nums(raw, 4, where)), lambda d: [d.xmin, d.xmax, d.ymin, d.ymax]),
-    "goals": (
-        lambda raw, key, where: {int(i): _vec(g, where) for i, g in raw.items()},
-        lambda goals: {i: list(g) for i, g in sorted(goals.items())},
-    ),
+    "goals": (_goals, lambda goals: {i: list(g) for i, g in sorted(goals.items())}),
     "groups": (_groups, lambda groups: [_group_doc(g) for g in groups]),
 }
 

@@ -100,12 +100,13 @@ class TestRejectedInput:
             ("  seed: 7", "  seed: 7\n  eta_bar: 1.5"),
             ("  seed: 7", "  seed: 7\n  eta_bar: -0.1"),
             ("  seed: 7", "  seed: 7\n  staleness_ticks: -1"),
+            ("controller: scatter", "controller: go_to_goal\n    goals: [[0, 0]]"),
         ],
         ids=[
             "dt", "delay-max-missing", "dt-zero", "rho-out-of-range", "duration-inf", "dt-nan",
             "speed-limit-nan", "speed-limit-inf", "n-fractional", "edge-fractional",
             "sigma-bar-above-one", "sigma-bar-one", "eta-bar-above-one", "eta-bar-negative",
-            "staleness-negative",
+            "staleness-negative", "goals-not-a-mapping",
         ],
     )
     def test_malformed_or_rejected_value(self, tmp_path, capsys, old, new):

@@ -85,12 +85,16 @@ class TestParsing:
             ("controller: rendezvous", "controller: cyclic_pursuit\n    angle: .nan", "angle"),
             ("controller: rendezvous", "controller: formation\n    distances: [[1.5, 2, 0.3]]", "distances"),
             ("controller: rendezvous", "controller: formation\n    distances: [[1, 2, .inf]]", "distances"),
+            ("controller: rendezvous", "controller: go_to_goal\n    goals: {first: [0, 0]}", "'goals'.*finite int"),
+            ("controller: rendezvous", "controller: go_to_goal\n    goals: {1.5: [0, 0]}", "'goals'.*finite int"),
+            ("controller: rendezvous", "controller: go_to_goal\n    goals: [[0, 0]]", "'goals'.*mapping"),
         ],
         ids=[
             "dt", "delay-max-missing", "delay-max", "delay-not-a-mapping", "seed", "delta", "n",
             "bounds-entry", "bounds-length", "duration", "delta-inf", "dt-nan", "speed-limit-nan",
             "n-fractional", "position-nan", "bounds-inf", "edge-fractional", "seed-fractional",
             "staleness-fractional", "angle-nan", "distance-robot-fractional", "distance-inf",
+            "goal-robot", "goal-robot-fractional", "goals-not-a-mapping",
         ],
     )
     def test_malformed_scalar(self, old, new, match):
