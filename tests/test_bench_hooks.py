@@ -6,7 +6,8 @@ duration of a run. A renamed function, or a call that no longer goes through
 the module attribute, would silently report zero for that layer. This runs
 the tracer, unchanged, around a short two_behavior_demo. Two golden digests
 pin the outputs' bytes, one of them on the obstacle, relaxed and frozen
-paths of the filter.
+paths of the filter. Two more pin the oracle-off view under delay, and the
+glue baseline's hold-still test, which reads the cached behavior indices.
 """
 
 import hashlib
@@ -36,6 +37,15 @@ GOLDEN_DIGEST = "937ff7fbcb7bfa6509af8e7d4473a3a827beaa713978c3d176bb91ea45b6102
 # the same digest of the first 1300 ticks of securing_a_building: obstacle
 # rows, 167 relaxed QPs and robot 4's 103 frozen ones (ticks 1013-1239)
 BUILDING_GOLDEN_DIGEST = "99517e2e1991c9bb5908a31a140084c64dae5a72c3f2c689eace50d84e510e79"
+
+# 400 ticks of two_behavior_demo without the oracle under uniform 0-10 tick
+# delay: positions come from sensing and cached messages, and the event order
+# includes every missing_position
+ORACLE_OFF_GOLDEN_DIGEST = "5353722fc6d9fe293d38ff06af200a214cf8a2290a5741cf22855cadfb5148f3"
+
+# 800 ticks of seven_behavior_energy with glue transitions: an assembling
+# robot holds still while a visible neighbor's cached index lags its own
+GLUE_GOLDEN_DIGEST = "63e48e1aa490978f0d1fdb8fd47237303663a245f68dd0d39eecb09ec1fa4569"
 
 
 def load_tracer():
@@ -78,3 +88,22 @@ def test_building_obstacle_relaxed_and_frozen_paths_keep_their_bytes(tmp_path):
     # robot 4 was last frozen on tick 1239, before the cap
     assert record.outcome == "timeout"
     assert digest(sim.write_outputs(record, tmp_path)) == BUILDING_GOLDEN_DIGEST
+
+
+def test_oracle_off_view_under_delay_keeps_its_bytes(tmp_path):
+    plan, config = mission.builtin_scenario("two_behavior_demo")
+    config = replace(config, max_ticks=400, oracle_sensing=False, delay=sim.DelaySpec.uniform(0, 10), seed=0)
+    record = sim.run(plan, config)
+    events = [ev["event"] for ev in record.events]
+    assert record.outcome == "timeout"
+    assert events.count("mode_switch") == 15 and events.count("behavior_complete_local") == 5
+    assert events.count("missing_position") == 383
+    assert digest(sim.write_outputs(record, tmp_path)) == ORACLE_OFF_GOLDEN_DIGEST
+
+
+def test_glue_hold_still_path_keeps_its_bytes(tmp_path):
+    plan, config = mission.builtin_scenario("seven_behavior_energy")
+    record = sim.run(plan, replace(config, max_ticks=800, glue_transitions=True))
+    events = [ev["event"] for ev in record.events]
+    assert events.count("mode_switch") == 30 and events.count("behavior_complete_local") == 12
+    assert digest(sim.write_outputs(record, tmp_path)) == GLUE_GOLDEN_DIGEST
