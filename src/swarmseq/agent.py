@@ -1,10 +1,14 @@
-"""Per-robot node logic: mode machine, completion consensus, constraint assembly.
+"""Team node logic: message caches, completion consensus, mode machine, row requests.
 
-A tick runs in two phases. ``step`` advances one robot: it ingests its inbox,
-updates its consensus, computes its nominal input, runs the mode machine and
-leaves on the node a ``RowRequest``: the nominal and everything its QP rows
-are built from, all taken from the robot's own local view. ``filter_team``
-then builds every robot's rows and solves every robot's QP in one pass.
+The team is one ``Team`` of arrays, robot i + 1 at index i. A tick runs in
+two phases. ``step`` advances every robot at once: it files the delivered
+``Mail`` in each robot's message cache, builds each robot's view of the
+others, runs each robot's nominal law and completion test, then updates the
+consensus and the mode machine as array passes. It returns a
+``TeamRequest``: every robot's nominal and the index arrays its QP rows are
+built from, all read from the robot's own row of the view and the cache.
+``filter_team`` then builds every robot's rows and solves every robot's QP
+in one pass.
 
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
@@ -32,13 +36,14 @@ alignment the reset-to-zero at each switch deadlocks sparse graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import behaviors
 from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
+from .geometry import Obstacle
 from .qp import QpProblem, RowLayout, solve
 
 EXECUTING = 0
@@ -55,403 +60,416 @@ ASSEMBLY_RANGE_FACTOR = 0.96
 
 
 class AgentError(RuntimeError):
-    """Node stepped against an inconsistent mission view."""
+    """Team stepped against an inconsistent mission view."""
 
 
 @dataclass(frozen=True)
-class AgentMessage:
-    """The only inter-robot wire type."""
+class Mail:
+    """Messages on the wire, one row per (recipient, message) pair. ``head``
+    holds the pair's recipient, the sender, the send tick and the sender's
+    behavior index k; ``body`` the sender's position, sigma and eta. Robots
+    are indices, robot i + 1 at i; ``len`` counts the pairs."""
 
-    sender: int
-    position: tuple
-    sigma: float
-    eta: float
-    behavior_index: int
+    head: np.ndarray  # (pairs, 4) int
+    body: np.ndarray  # (pairs, 4) float
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
+    recipient = property(lambda self: self.head[:, 0])
+    sender = property(lambda self: self.head[:, 1])
+    send_tick = property(lambda self: self.head[:, 2])
 
+    def __len__(self):
+        return len(self.head)
 
-@dataclass(frozen=True)
-class Delivery:
-    """Inbox envelope: the message plus the tick it was sent on."""
+    def take(self, index):
+        return Mail(self.head[index], self.body[index])
 
-    send_tick: int
-    message: AgentMessage
+    @classmethod
+    def broadcast(cls, tick, sensed, positions, sigma, eta, k):
+        """Every robot's message of ``tick`` to each robot in its range."""
+        recipient, sender = sensed.nonzero()
+        head = np.empty((len(sender), 4), dtype=int)
+        head[:, 0], head[:, 1], head[:, 2], head[:, 3] = recipient, sender, tick, k[sender]
+        body = np.empty((len(sigma), 4))
+        body[:, :2], body[:, 2], body[:, 3] = positions, sigma, eta
+        return cls(head, body[sender])
+
+    @classmethod
+    def concat(cls, batches):
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls(np.empty((0, 4), dtype=int), np.empty((0, 4)))
+        return cls(np.concatenate([b.head for b in batches]), np.concatenate([b.body for b in batches]))
 
 
 @dataclass
-class CacheEntry:
-    message: AgentMessage
-    send_tick: int
-    received_tick: int
+class Cache:
+    """Every robot's newest message from each robot: entry [i, j] is what
+    robot i + 1 last heard from robot j + 1, where ``present``. Robot i reads
+    row i only."""
+
+    position: np.ndarray  # (n, n, 2)
+    sigma: np.ndarray
+    eta: np.ndarray
+    k: np.ndarray
+    send_tick: np.ndarray
+    receive_tick: np.ndarray
+    present: np.ndarray
+
+    @classmethod
+    def empty(cls, n):
+        ticks = np.zeros((n, n), dtype=int)
+        return cls(np.zeros((n, n, 2)), np.zeros((n, n)), np.zeros((n, n)), ticks, ticks.copy(), ticks.copy(),
+                   np.zeros((n, n), dtype=bool))
+
+    def ingest(self, mail, tick, staleness):
+        """File the mail delivered on ``tick``. Per (recipient, sender) the
+        newest send tick wins, also against the cached entry; then every entry
+        that no message refreshed for more than ``staleness`` ticks expires."""
+        if len(mail):
+            cell = mail.recipient * len(self.present) + mail.sender
+            order = np.lexsort((mail.send_tick, cell))
+            cell = cell[order]
+            last = np.ones(len(cell), dtype=bool)
+            last[:-1] = cell[1:] != cell[:-1]
+            newest, cell = order[last], cell[last]
+            present = self.present.reshape(-1)
+            fresh = ~present[cell] | (self.send_tick.reshape(-1)[cell] <= mail.send_tick[newest])
+            cell, head, body = cell[fresh], mail.head[newest[fresh]], mail.body[newest[fresh]]
+            self.position.reshape(-1, 2)[cell] = body[:, :2]
+            self.sigma.reshape(-1)[cell] = body[:, 2]
+            self.eta.reshape(-1)[cell] = body[:, 3]
+            self.k.reshape(-1)[cell] = head[:, 3]
+            self.send_tick.reshape(-1)[cell] = head[:, 2]
+            self.receive_tick.reshape(-1)[cell] = tick
+            present[cell] = True
+        self.present &= tick - self.receive_tick <= staleness
+
+    def view(self, positions, sensed, oracle):
+        """(view, known): ``view[i, j]`` is robot i's best position of robot
+        j, the sensed one, else the oracle's, else its cached message's, and
+        ``known[i, j]`` whether it has one (never for j = i)."""
+        seen = sensed | oracle
+        known = seen | self.present
+        np.fill_diagonal(known, False)
+        return np.where(seen[..., None], positions, self.position), known
+
+    def aligned(self, k, executing):
+        """Each robot's consensus values of the others, relative to its own
+        stage k: the cached sigma (while executing) or eta of a robot at the
+        same index, 1 for one ahead, 0 for one behind or never heard."""
+        mine = k[:, None]
+        value = np.where(executing[:, None], self.sigma, self.eta)
+        return np.where(self.present & (self.k == mine), value, self.present & (self.k > mine))
 
 
 @dataclass
-class AgentNode:
-    id: int
-    n_behaviors: int
-    mode: int = ASSEMBLING
-    behavior_index: int = 1
-    sigma: float = 0.0
-    eta: float = 0.0
-    s_task: bool = False
-    s_assembly: bool = False
-    elapsed: float = 0.0
-    neighbor_cache: dict = field(default_factory=dict)
-    request: RowRequest | None = None  # of the last step; None once done
+class Team:
+    """Every robot's stage and consensus state, robot i + 1 at index i, and
+    the robots' message caches. ``graphs[k]`` is behavior k's required graph
+    as an adjacency mask; ``graphs[0]`` has no edges."""
+
+    k: np.ndarray  # behavior index, past the last behavior once done
+    mode: np.ndarray
+    sigma: np.ndarray
+    eta: np.ndarray
+    s_task: np.ndarray
+    s_assembly: np.ndarray
+    elapsed: np.ndarray
+    cache: Cache
+    graphs: np.ndarray  # (behaviors + 1, n, n)
+    stage: Stage | None = None  # of the robots' current stages
+
+    @classmethod
+    def start(cls, plan):
+        """Every robot assembling toward the first behavior, having heard nothing."""
+        n = plan.n
+        graphs = np.zeros((len(plan.behaviors) + 1, n, n), dtype=bool)
+        for k, spec in enumerate(plan.behaviors, start=1):
+            graphs[k] = spec.required_graph.mask
+        return cls(np.ones(n, dtype=int), np.full(n, ASSEMBLING), np.zeros(n), np.zeros(n),
+                   np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n), Cache.empty(n), graphs)
 
     @property
     def done(self):
-        return self.behavior_index > self.n_behaviors
+        return self.k >= len(self.graphs)
 
 
-class RowRequest(NamedTuple):
-    """One robot's QP for this tick, before its rows are built.
+class TeamRequest(NamedTuple):
+    """The team's QPs for this tick, before their rows are built.
 
-    Every position is the robot's own view of a partner (sensed, oracle or
-    cached message; see ``_lookup_position``).
+    Slot s is robot ``robots[s]`` (ids ascending) at ``position[s]``, asking
+    for the input nearest its ``nominal[s]``. ``conn`` (slots, partner ids,
+    positions, deltas) and ``coll`` (slots, partner ids, positions) give one
+    row each, ordered by slot and within a slot in the robot's row order;
+    every position is the robot's own view of that partner. ``initial`` holds
+    (slot, kind) for the active spec's initial constraints, in slot order.
     """
 
-    robot: int
-    position: np.ndarray  # its own
-    nominal: np.ndarray  # u_hat, the input the filter perturbs minimally
-    delta: float  # the range its connectivity rows drive partners into
-    partners: list  # connectivity partners with a known position, in row order
-    partner_positions: list
-    colliders: list  # sensed robots, ascending
-    collider_positions: list
-    initial: tuple  # the active spec's initial-constraint kinds on this robot
+    robots: np.ndarray
+    position: np.ndarray
+    nominal: np.ndarray
+    conn: tuple
+    coll: tuple
+    initial: tuple = ()
 
 
-@dataclass(frozen=True)
-class StepEnv:
-    """Everything a node can observe this tick besides its own state."""
+def consensus_update(own_flag, own_value, neighbor_values, neighbors):
+    """Gated averaging step toward team agreement for every robot at once;
+    results clamped to [0, 1].
 
-    tick: int
-    live_neighbors: frozenset  # ids currently within sensing range
-    sensed: dict  # id -> position, for robots in range
-    oracle: dict | None  # id -> position for all robots, None when oracle off
-    params: object  # FcbfParams
-    delta: float
-    min_sep: float
-    speed_limit: float
-    domain: object  # Domain: its obstacles are known to every robot
-    sigma_bar: float = 0.8
-    eta_bar: float = 0.8
-    staleness_ticks: int = 50
-    # comparison baseline: assemble graphs by running rendezvous on the live
-    # graph instead of minimally invasive connectivity rows
-    glue_transitions: bool = False
-
-
-def consensus_update(own_flag, own_value, neighbor_values):
-    """Gated averaging step toward team agreement; result clamped to [0, 1].
-
+    Robot i averages ``neighbor_values[i, j]`` over the robots j that
+    ``neighbors[i]`` marks, plus a +1 bias. The sum is a left fold in
+    ascending j (a cumulative sum), as Python's ``sum`` was up to 3.11.
     ``own_value`` is part of the update contract but the map itself depends
     only on the flag and the neighbors: completion information enters through
     the +1 numerator bias and diffuses via the neighbors.
     """
     del own_value
-    if not own_flag:
-        return 0.0
-    total = sum(neighbor_values) + 1.0
-    value = total / (len(neighbor_values) + 1.0)
-    return min(1.0, max(0.0, value))
+    total = np.where(neighbors, neighbor_values, 0.0).cumsum(axis=1)[:, -1] + 1.0
+    value = total / (neighbors.sum(axis=1) + 1.0)
+    return np.where(own_flag, np.minimum(1.0, np.maximum(0.0, value)), 0.0)
 
 
-def _aligned_values(node, env, attr):
-    """Neighbor consensus values re-expressed relative to this node's stage."""
-    vals = []
-    for j in sorted(env.live_neighbors):
-        entry = node.neighbor_cache.get(j)
-        if entry is None:
-            vals.append(0.0)
-        elif entry.message.behavior_index > node.behavior_index:
-            vals.append(1.0)
-        elif entry.message.behavior_index < node.behavior_index:
-            vals.append(0.0)
+def _switch(robot, mode, k):
+    return {"event": "mode_switch", "robot": robot, "mode": mode, "k": k}
+
+
+# the glue baseline's assembly law
+_RENDEZVOUS = behaviors.Rendezvous()
+
+
+class Stage(NamedTuple):
+    """What the robots' stages (their k and mode) fix until one switches.
+
+    ``laws`` lists (robot, controller, executing) for every robot that runs
+    a law: the controller of the behavior it executes or has just concluded,
+    or the glue baseline's rendezvous. Which robots a law reads is fixed
+    (``reads``: its behavior's required neighbors) or else every sensed
+    robot (``in_range``) or every known one (``knows``); ``partners`` are the
+    laws' partners (see ``_partners``) when all are fixed. ``targets`` holds
+    each assembling robot's required neighbors in the behavior it assembles.
+    ``conn`` gives the connectivity rows as (robots, partners, slots,
+    deltas), before the known-position filter, and ``initial`` the (slot,
+    kind) pairs of the initial constraints; a slot indexes ``ids``.
+    """
+
+    key: tuple
+    live: np.ndarray
+    executing: np.ndarray
+    assembling: np.ndarray
+    ids: np.ndarray
+    laws: list
+    reads: np.ndarray
+    in_range: np.ndarray  # (n, 1)
+    knows: np.ndarray  # (n, 1)
+    partners: tuple | None
+    targets: np.ndarray
+    conn: tuple
+    initial: tuple
+
+
+def _partners(reading):
+    """The robots each row of the mask ``reading`` marks, as (rows, columns,
+    partner ids, bounds): robot i's are entries bounds[i] to bounds[i + 1]."""
+    rows, cols = reading.nonzero()
+    return rows, cols, (cols + 1).tolist(), rows.searchsorted(np.arange(len(reading) + 1)).tolist()
+
+
+def _stage(team, plan, config):
+    """The team's ``Stage``, rebuilt only when some robot's k or mode changed."""
+    key = (team.k.tobytes(), team.mode.tobytes())
+    if team.stage is not None and team.stage.key == key:
+        return team.stage
+    specs, n, glue = plan.behaviors, plan.n, config.glue_transitions
+    k, robots = team.k, np.arange(n)
+    live = ~team.done
+    executing = live & (team.mode == EXECUTING)
+    assembling = live & ~executing
+    laws = []
+    reads = np.zeros((n, n), dtype=bool)
+    in_range, knows = np.zeros((n, 1), dtype=bool), np.zeros((n, 1), dtype=bool)
+    ks, ex = k.tolist(), executing.tolist()
+    for i in live.nonzero()[0].tolist():
+        g = ks[i] if ex[i] else ks[i] - 1  # the behavior whose controller is nominal
+        if glue and not ex[i]:
+            controller, kind = _RENDEZVOUS, behaviors.IN_RANGE
+        elif g:
+            controller = specs[g - 1].controller
+            kind = controller.reads(i + 1)
         else:
-            vals.append(getattr(entry.message, attr))
-    return vals
-
-
-def _ingest(node, inbox, tick, staleness):
-    for d in sorted(inbox, key=lambda d: (d.message.sender, d.send_tick)):
-        msg = d.message
-        prev = node.neighbor_cache.get(msg.sender)
-        if prev is not None and prev.send_tick > d.send_tick:
             continue
-        node.neighbor_cache[msg.sender] = CacheEntry(msg, d.send_tick, tick)
-    expired = [j for j, e in node.neighbor_cache.items() if tick - e.received_tick > staleness]
-    for j in expired:
-        del node.neighbor_cache[j]
-
-
-def _lookup_position(node, env, j):
-    """Best available position of robot j: sensed, then oracle, then cache."""
-    if j in env.sensed:
-        return env.sensed[j]
-    if env.oracle is not None and j in env.oracle:
-        return env.oracle[j]
-    entry = node.neighbor_cache.get(j)
-    if entry is not None:
-        return np.asarray(entry.message.position)
-    return None
-
-
-def _partners(node, env, reads, graph):
-    """The robots a controller's law reads (see ``behaviors.REQUIRED``), as
-    (ids, positions) in ascending id order; ``graph`` is the behavior's
-    required graph."""
-    if reads == behaviors.IN_RANGE:
-        ids = [j for j in sorted(env.live_neighbors) if j in env.sensed]
-        return ids, [env.sensed[j] for j in ids]
-    if reads == behaviors.KNOWN:
-        ids = set(env.sensed) | set(env.oracle or ()) | set(node.neighbor_cache)
-        ids.discard(node.id)
-    else:
-        ids = graph.neighbors(node.id)
-    ids = sorted(ids)
-    positions = [_lookup_position(node, env, j) for j in ids]
-    missing = [j for j, pos in zip(ids, positions) if pos is None]
-    if missing:
-        raise AgentError(f"robot {node.id}: no position available for required neighbors {missing}")
-    return ids, positions
-
-
-def _nominal(node, x, spec, env):
-    if spec is None:
-        return np.zeros(2)
-    controller = spec.controller
-    ids, positions = _partners(node, env, controller.reads(node.id), spec.required_graph)
-    return behaviors.nominal_control(controller, node.id, x, ids, positions)
-
-
-def _row_request(node, x, u_hat, graphs, spec, env, events, delta):
-    """The robot's row request: a connectivity partner per robot adjacent to
-    it in ``graphs`` whose position is known, in graph order, then by id;
-    every sensed robot as a collision partner; its initial constraints."""
-    partners = []
-    partner_positions = []
-    seen = set()
-    for graph in graphs:
-        for j in sorted(graph.neighbors(node.id)):
-            if j in seen:
-                continue
-            seen.add(j)
-            pos = _lookup_position(node, env, j)
-            if pos is None:
-                events.append(
-                    {"event": "missing_position", "robot": node.id, "other": j}
-                )
-                continue
-            partners.append(j)
-            partner_positions.append(pos)
-    sensed = env.sensed
-    colliders = [j for j in sorted(env.live_neighbors) if j in sensed]
-    initial = () if spec is None else tuple(
-        kind for kind in spec.initial_constraints if kind.i == node.id
+        laws.append((i, controller, ex[i]))
+        if kind == behaviors.IN_RANGE:
+            in_range[i] = True
+        elif kind == behaviors.KNOWN:
+            knows[i] = True
+        else:
+            reads[i] = team.graphs[g, i]
+    # connectivity partners: each robot adjacent to it in the active spec's
+    # graph, by id, then (while assembling) in the concluded one's; the glue
+    # baseline assembles by rendezvous, without transition rows
+    ruled = executing if glue else live
+    target = np.where(ruled, k, 0)
+    first = team.graphs[target, robots]
+    then = team.graphs[np.where(ruled & ~executing, k - 1, 0), robots] & ~first
+    r, p = np.concatenate((first, then), axis=1).nonzero()
+    p %= n
+    ids = live.nonzero()[0]
+    delta = np.where(executing[r], plan.delta, plan.delta * ASSEMBLY_RANGE_FACTOR)
+    initial = sorted(
+        ((int(np.searchsorted(ids, kind.i - 1)), kind) for g in sorted(set(target.tolist()) - {0})
+         for kind in specs[g - 1].initial_constraints if target[kind.i - 1] == g),
+        key=lambda entry: entry[0],
     )
-    return RowRequest(
-        node.id, x, u_hat, delta, partners, partner_positions,
-        colliders, [sensed[j] for j in colliders], initial,
+    targets = team.graphs[np.where(assembling, k, 0), robots]
+    fixed = None if in_range.any() or knows.any() else _partners(reads)
+    team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, fixed, targets,
+                       (r, p, ids.searchsorted(r), delta), tuple(initial))
+    return team.stage
+
+
+def step(team, world, mail, plan, config):
+    """Advance every robot by one tick.
+
+    ``world`` is the tick's snapshot (``tick``, ``positions`` and the
+    proximity graph ``live_graph``) and ``mail`` the messages delivered on
+    it. Returns (request, outbox, events): the ``TeamRequest`` of the robots
+    not done, every robot's broadcast to the robots in its range, and each
+    robot's events in order, by robot id. A robot's nominal law and
+    completion test read its own row of the view and the cache, in ascending
+    partner id order.
+    """
+    t, x, specs = world.tick, world.positions, plan.behaviors
+    if len(team.graphs) != len(specs) + 1 or len(team.k) != plan.n:
+        raise AgentError("the team was started for another plan")
+    cache = team.cache
+    cache.ingest(mail, t, config.staleness_ticks)
+    sensed = world.live_graph.mask
+    view, known = cache.view(x, sensed, config.oracle_sensing)
+    stage = _stage(team, plan, config)
+    k, executing, assembling = team.k, stage.executing, stage.assembling
+    hold = ()
+    if config.glue_transitions:
+        # the glue baseline starts rendezvous only upon collective completion:
+        # hold still while any visible neighbor is still on the previous
+        # behavior, otherwise its task would be perturbed before it finishes
+        behind = (sensed & ~(cache.present & (cache.k >= k[:, None]))).any(axis=1)
+        hold = set((assembling & behind).nonzero()[0].tolist())
+
+    rows, cols, partners, bounds = stage.partners or _partners(
+        stage.reads | (sensed & stage.in_range) | (known & stage.knows))
+    missing = ~known[rows, cols]
+    if missing.any():
+        i = rows[missing][0]
+        raise AgentError(f"robot {i + 1}: no position available for required neighbors "
+                         f"{(cols[missing & (rows == i)] + 1).tolist()}")
+    seen_at = view[rows, cols]
+    nominal = np.zeros((plan.n, 2))
+    latched, elapsed = team.s_task.tolist(), team.elapsed.tolist()
+    for i, controller, runs_task in stage.laws:
+        if i in hold:
+            continue
+        a, b = bounds[i], bounds[i + 1]
+        u = nominal[i] = behaviors.nominal_control(controller, i + 1, x[i], partners[a:b], seen_at[a:b])
+        if runs_task and not latched[i]:
+            # completion latches for the rest of the behavior: teammates that
+            # switch early may perturb the configuration, which must not revoke
+            # an already-achieved completion and deadlock the consensus
+            team.s_task[i] = specs[k[i] - 1].completion.done(u, elapsed[i], x[i])
+
+    ready = ~(stage.targets & ~sensed).any(axis=1)
+    team.s_assembly = np.where(assembling, ready, team.s_assembly)
+    value = consensus_update(
+        np.where(executing, team.s_task, team.s_assembly),
+        np.where(executing, team.sigma, team.eta),
+        cache.aligned(k, executing),
+        sensed,
     )
+    team.sigma = np.where(executing, value, team.sigma)
+    team.eta = np.where(assembling, value, team.eta)
+    team.elapsed = np.where(executing, team.elapsed + config.dt, team.elapsed)
+
+    finish = executing & (team.sigma > config.sigma_bar)
+    start = assembling & (team.eta > config.eta_bar)
+    events = {}
+    if finish.any() or start.any():
+        team.k = k = k + finish
+        done = team.done
+        team.mode = np.where(finish & ~done, ASSEMBLING, np.where(start, EXECUTING, team.mode))
+        team.sigma[finish] = team.eta[finish] = 0.0
+        team.s_task[finish | start] = team.s_assembly[finish] = False
+        team.elapsed[start] = 0.0
+        for i in (finish | start).nonzero()[0].tolist():
+            robot, now = i + 1, int(k[i])
+            if start[i]:
+                events[robot] = [_switch(robot, "executing", now)]
+            else:
+                events[robot] = [
+                    {"event": "behavior_complete_local", "robot": robot, "k": now - 1},
+                    {"event": "mission_done_local", "robot": robot} if done[i] else _switch(robot, "assembling", now),
+                ]
+        stage = _stage(team, plan, config)
+    outbox = Mail.broadcast(t, sensed, x, team.sigma, team.eta, k)
+
+    r, p, slot, delta = stage.conn
+    ok = known[r, p]
+    if not ok.all():
+        for i, j in zip(r[~ok].tolist(), p[~ok].tolist()):
+            events.setdefault(i + 1, []).append({"event": "missing_position", "robot": i + 1, "other": j + 1})
+        r, p, slot, delta = r[ok], p[ok], slot[ok], delta[ok]
+    cr, cp = (sensed & stage.live[:, None]).nonzero()
+    ids = stage.ids
+    request = TeamRequest(
+        ids + 1, x[ids], nominal[ids], (slot, p + 1, view[r, p], delta),
+        (ids.searchsorted(cr), cp + 1, view[cr, cp]), stage.initial,
+    )
+    return request, outbox, events
 
 
-def team_rows(requests, params, min_sep, domain):
-    """Every request's QP rows, written straight into the solver's layout.
+def team_rows(request, params, min_sep, domain):
+    """Every robot's QP rows, written straight into the solver's layout.
 
     Each barrier kind is one ``constraint_row`` call for the whole team, and
     each row goes to its robot's layout row in the order of the robot's own
     constraint set (connectivity, collision, obstacle, initial constraints),
-    bit for bit the row of the robot's own one-robot stack.
+    bit for bit the row of the robot's own one-robot stack. Obstacle rows are
+    built only for the (robot, obstacle) pairs inside the activation margin.
     """
-    ids = np.array([r.robot for r in requests])
-    x = np.array([r.position for r in requests])
-    counts = np.zeros(len(requests), dtype=int)
-    # each connectivity and collision row's robot slot, column, other robot
-    # and that robot's position; all connectivity rows precede the collision rows
-    conn, coll = ([], [], [], []), ([], [], [], [])
-    deltas = []
-    for s, r in enumerate(requests):
-        k, m = len(r.partners), len(r.colliders)
-        conn[0].extend([s] * k)
-        conn[1].extend(range(k))
-        conn[2].extend(r.partners)
-        conn[3].extend(r.partner_positions)
-        deltas.extend([r.delta] * k)
-        coll[0].extend([s] * m)
-        coll[1].extend(range(k, k + m))
-        coll[2].extend(r.colliders)
-        coll[3].extend(r.collider_positions)
-        counts[s] = k + m
-    placed = []  # (robot slots, columns, rows)
-    if counts.any():
-        k = len(deltas)
-        slot, column, others, where = (np.array(a + b) for a, b in zip(conn, coll))
-        robots, xs = ids.take(slot), x.take(slot, axis=0)
-        if k:
-            kind = Connectivity(robots[:k], others[:k], np.array(deltas))
-            placed.append((slot[:k], column[:k], constraint_row(kind, params, xs[:k], where[:k])))
-        if k < len(slot):
-            kind = Collision(robots[k:], others[k:], min_sep)
-            placed.append((slot[k:], column[k:], constraint_row(kind, params, xs[k:], where[k:])))
+    ids, x = request.robots, request.position
+    stacks = []  # (robot slots, barrier kind, positions)
+    slot, others, where, deltas = request.conn
+    if len(slot):
+        stacks.append((slot, Connectivity(ids[slot], others, deltas), (x[slot], where)))
+    slot, others, where = request.coll
+    if len(slot):
+        stacks.append((slot, Collision(ids[slot], others, min_sep), (x[slot], where)))
     if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
-        block = constraint_row(ObstacleAvoid(ids[:, None], domain.obstacle_stack), params, x[:, None])
-        active = np.flatnonzero(block.values <= OBSTACLE_ACTIVATION)
-        if len(active):
-            slot = active // len(domain.obstacles)  # ascending, so each robot's run is contiguous
-            column = counts[slot] + np.arange(len(slot)) - np.searchsorted(slot, slot)
-            placed.append((slot, column, block.take(active)))
-            counts += np.bincount(slot, minlength=len(counts))
-    for s, r in enumerate(requests):
-        for kind in r.initial:
-            placed.append(([s], [counts[s]], constraint_row(kind, params, x[s])))
-            counts[s] += 1
+        stack = domain.obstacle_stack
+        slot, m = np.nonzero(ObstacleAvoid(ids[:, None], stack).value(x[:, None]) <= OBSTACLE_ACTIVATION)
+        if len(slot):
+            near = Obstacle(stack.center[m], stack.a[m], stack.b[m])
+            stacks.append((slot, ObstacleAvoid(ids[slot], near, m + 1), (x[slot],)))
+    counts = np.zeros(len(ids), dtype=int)
+    placed = []  # (robot slots, columns, rows)
+    for slot, kind, positions in stacks:
+        # slots ascend, so each robot's rows are one run, after its earlier kinds' rows
+        column = counts[slot] + np.arange(len(slot)) - np.searchsorted(slot, slot)
+        placed.append((slot, column, constraint_row(kind, params, *positions)))
+        counts += np.bincount(slot, minlength=len(counts))
+    for s, kind in request.initial:
+        placed.append(([s], [counts[s]], constraint_row(kind, params, x[s])))
+        counts[s] += 1
     layout = RowLayout.empty(ids, counts)
     for slot, column, block in placed:
         layout.place(slot, column, block)
     return layout
 
 
-def filter_team(requests, params, min_sep, speed_limit, domain):
-    """Every request's QP, built and solved in one pass for the whole team.
-
-    ``requests`` come in ascending robot order; returns the team's
-    ``QpSolution``, with one control and one status per request.
-    """
-    rows = team_rows(requests, params, min_sep, domain)
-    return solve(QpProblem(np.array([r.nominal for r in requests]), rows, speed_limit))
-
-
-def step(node, my_state, inbox, behavior, next_behavior, env, dt):
-    """Advance one robot by one tick.
-
-    ``behavior`` is the spec whose controller is nominal right now (the
-    active one while executing, the just-concluded one while assembling,
-    None during the initial assembly), ``next_behavior`` the upcoming spec
-    (None when none remains). Returns (node, nominal, outbox, events) and
-    leaves the robot's row request on ``node.request``, for ``filter_team``
-    to turn into its control. A robot that is done asks for nothing and
-    returns a zero nominal.
-    """
-    events = []
-    _ingest(node, inbox, env.tick, env.staleness_ticks)
-
-    if node.done:
-        outbox = AgentMessage(
-            sender=node.id,
-            position=tuple(my_state.position),
-            sigma=node.sigma,
-            eta=node.eta,
-            behavior_index=node.behavior_index,
-        )
-        node.request = None
-        return node, np.zeros(2), outbox, events
-
-    if env.glue_transitions and node.mode == ASSEMBLING:
-        # the glue baseline starts rendezvous only upon collective completion:
-        # hold still while any visible neighbor is still on the previous
-        # behavior, otherwise its task would be perturbed before it finishes
-        behind = False
-        for j in env.live_neighbors:
-            entry = node.neighbor_cache.get(j)
-            if entry is None or entry.message.behavior_index < node.behavior_index:
-                behind = True
-                break
-        if behind:
-            u_hat = np.zeros(2)
-        else:
-            ids, positions = _partners(node, env, behaviors.IN_RANGE, None)
-            u_hat = behaviors.nominal_control(behaviors.Rendezvous(), node.id, my_state.position, ids, positions)
-    else:
-        u_hat = _nominal(node, my_state.position, behavior, env)
-
-    switched_to_executing = False
-    if node.mode == EXECUTING:
-        if behavior is None:
-            raise AgentError(f"robot {node.id}: executing with no behavior spec")
-        # completion latches for the rest of the behavior: teammates that
-        # switch early may perturb the configuration, which must not revoke
-        # an already-achieved completion and deadlock the consensus
-        node.s_task = node.s_task or behavior.completion.done(u_hat, node.elapsed, my_state.position)
-        node.sigma = consensus_update(
-            node.s_task, node.sigma, _aligned_values(node, env, "sigma")
-        )
-        node.elapsed += dt
-        if node.sigma > env.sigma_bar:
-            events.append(
-                {"event": "behavior_complete_local", "robot": node.id, "k": node.behavior_index}
-            )
-            node.behavior_index += 1
-            node.sigma = 0.0
-            node.eta = 0.0
-            node.s_task = False
-            node.s_assembly = False
-            if node.done:
-                events.append({"event": "mission_done_local", "robot": node.id})
-            else:
-                node.mode = ASSEMBLING
-                events.append(
-                    {
-                        "event": "mode_switch",
-                        "robot": node.id,
-                        "mode": "assembling",
-                        "k": node.behavior_index,
-                    }
-                )
-    else:
-        if next_behavior is None:
-            raise AgentError(f"robot {node.id}: assembling with no target behavior")
-        required = next_behavior.required_graph.neighbors(node.id)
-        node.s_assembly = all(j in env.live_neighbors for j in required)
-        node.eta = consensus_update(
-            node.s_assembly, node.eta, _aligned_values(node, env, "eta")
-        )
-        if node.eta > env.eta_bar:
-            node.mode = EXECUTING
-            node.s_task = False
-            node.elapsed = 0.0
-            switched_to_executing = True
-            events.append(
-                {
-                    "event": "mode_switch",
-                    "robot": node.id,
-                    "mode": "executing",
-                    "k": node.behavior_index,
-                }
-            )
-
-    outbox = AgentMessage(
-        sender=node.id,
-        position=tuple(my_state.position),
-        sigma=node.sigma,
-        eta=node.eta,
-        behavior_index=node.behavior_index,
-    )
-    if node.done:
-        node.request = None
-        return node, np.zeros(2), outbox, events
-
-    row_delta = env.delta
-    if node.mode == EXECUTING:
-        active = next_behavior if switched_to_executing else behavior
-        graphs = [active.required_graph]
-        constraint_spec = active
-    elif env.glue_transitions:
-        # glue baseline: rendezvous does the assembling, no transition rows
-        graphs = []
-        constraint_spec = None
-    else:
-        graphs = [next_behavior.required_graph]
-        if behavior is not None:
-            graphs.append(behavior.required_graph)
-        constraint_spec = next_behavior
-        row_delta = env.delta * ASSEMBLY_RANGE_FACTOR
-    node.request = _row_request(
-        node, my_state.position, u_hat, graphs, constraint_spec, env, events, row_delta
-    )
-    return node, u_hat, outbox, events
+def filter_team(request, params, min_sep, speed_limit, domain):
+    """Every robot's QP of a ``TeamRequest``, built and solved in one pass;
+    returns the team's ``QpSolution``, with one control and one status per slot."""
+    rows = team_rows(request, params, min_sep, domain)
+    return solve(QpProblem(request.nominal, rows, speed_limit))

@@ -146,11 +146,13 @@ class ObstacleAvoid:
     """h = (x_i - o)' diag(a, b) (x_i - o) - 1: robot i outside an ellipse.
 
     The obstacle may be a stack of ellipses (see ``Domain.obstacle_stack``);
-    the value then broadcasts over them, one entry per obstacle.
+    the value then broadcasts over them, one entry per obstacle. A stack
+    selected from a larger one keeps each ellipse's 1-based ``index`` in it.
     """
 
     i: int
     obstacle: Obstacle
+    index: object = None
 
     hard = True
     share = 1.0
@@ -247,7 +249,7 @@ def constraint_row(kind, params, *positions):
     shape = h.shape or (1,)
     k = h.size
     others = np.empty(shape, dtype=int)  # the other robot, else the index in the kind's stack
-    j = getattr(kind, "j", None)
+    j = getattr(kind, "j", getattr(kind, "index", None))
     others[...] = np.arange(1, shape[-1] + 1) if j is None else j
     h = h.reshape(k)
     return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h, params),

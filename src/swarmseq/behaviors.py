@@ -311,6 +311,10 @@ class GoToGoal(Controller):
             return np.zeros(2)
         return self.gain * (np.asarray(goal) - x)
 
+    def violations(self, graph, robots, delta):
+        outside = sorted(i for i in self.goals if i not in robots)
+        return [f"{self.label}: goals for robots {outside} out of range"] if outside else []
+
 
 @dataclass(frozen=True)
 class CompositeGroup:

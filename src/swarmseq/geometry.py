@@ -71,6 +71,15 @@ class InteractionGraph:
             adj.setdefault(b, set()).add(a)
         return {v: frozenset(out) for v, out in adj.items()}
 
+    @functools.cached_property
+    def mask(self):
+        """The adjacency as an (n, n) boolean mask, robot i + 1 at index i."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for i, j in self.edges:
+            mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+        mask.flags.writeable = False
+        return mask
+
     def degree(self, i):
         return len(self.neighbors(i))
 
@@ -158,7 +167,13 @@ def proximity_graph(positions, delta):
     n = len(positions)
     i, j = _pairs(n)
     near = Connectivity(i, j, delta).value(positions[i - 1], positions[j - 1]) >= 0
-    return InteractionGraph(n, frozenset(zip(i[near].tolist(), j[near].tolist())))
+    i, j = i[near], j[near]
+    graph = InteractionGraph(n, frozenset(zip(i.tolist(), j.tolist())))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+    mask.flags.writeable = False
+    graph.__dict__["mask"] = mask  # the cached property, from the pairs at hand
+    return graph
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,10 +1,10 @@
 """Deterministic tick-based world: motion integration, sensing, delayed messages.
 
-Every tick: deliver due messages, step every agent against the previous
-tick's snapshot (so agents are order-independent within a tick), filter the
-team's nominal inputs through their QPs in one pass, saturate controls,
-integrate positions with explicit Euler, recompute the proximity graph, and
-enqueue the new broadcasts with sampled delays. Identical
+Every tick: deliver due messages, step the team against the tick's
+snapshot (so robots are order-independent within a tick), filter the team's
+nominal inputs through their QPs in one pass, saturate controls, integrate
+positions with explicit Euler, recompute the proximity graph, and post the
+new broadcasts with sampled delays. Identical
 (mission, config, seed) triples produce byte-identical outputs; message
 delays are drawn from a stream keyed by (seed, sender, tick) so scheduling
 order cannot perturb them.
@@ -12,16 +12,15 @@ order cannot perturb them.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import EXECUTING, AgentNode, Delivery, StepEnv, filter_team, step
+from .agent import EXECUTING, Mail, Team, filter_team, step
 from .barriers import Collision, Connectivity, ObstacleAvoid
-from .geometry import RobotState, proximity_graph
+from .geometry import proximity_graph
 
 
 class SimConfigError(ValueError):
@@ -77,14 +76,43 @@ class SimConfig:
             raise SimConfigError("staleness_ticks must be non-negative")
 
 
+class InFlight:
+    """Broadcasts not yet delivered, as ``Mail`` batches by the tick they are
+    due on; ``len`` counts the undelivered (recipient, message) pairs."""
+
+    def __init__(self):
+        self.due = {}
+        self.size = 0
+
+    def __len__(self):
+        return self.size
+
+    def post(self, t, delays, mail):
+        """Queue ``mail`` sent on tick t: each pair is due at the start of tick
+        t + 1 + its sender's entry of ``delays``."""
+        late = set(delays)
+        if len(late) == 1:
+            self.due.setdefault(t + 1 + delays[0], []).append(mail)
+        else:
+            senders = np.array(delays)[mail.sender]
+            for d in sorted(late):
+                self.due.setdefault(t + 1 + d, []).append(mail.take(senders == d))
+        self.size += len(mail)
+
+    def pop(self, t):
+        """The mail due by tick t, in post order."""
+        batches = [b for d in sorted(d for d in self.due if d <= t) for b in self.due.pop(d)]
+        self.size -= sum(map(len, batches))
+        return Mail.concat(batches)
+
+
 @dataclass
 class WorldState:
     tick: int
     positions: np.ndarray  # (n, 2)
     live_graph: object
-    in_flight: list  # heap of (deliver_tick, seq, send_tick, (recipient, Delivery))
+    in_flight: InFlight
     event_log: list
-    sent: int = 0  # messages posted so far; the next one's seq
 
 
 @dataclass
@@ -118,111 +146,34 @@ def _delay_ticks(config, sender, tick):
     return _DELAY_RNG.randint(config.delay.min_ticks, config.delay.max_ticks)
 
 
-def _post(world, deliver_tick, recipient, delivery):
-    """Queue one delivery for its recipient at the start of ``deliver_tick``;
-    the recipients of one broadcast share its (immutable) delivery."""
-    entry = (deliver_tick, world.sent, delivery.send_tick, (recipient, delivery))
-    heapq.heappush(world.in_flight, entry)
-    world.sent += 1
-
-
-def _deliver(world, t):
-    """Pop the messages due by tick t: recipient -> deliveries, in post order."""
-    due = {}
-    queue = world.in_flight
-    while queue and queue[0][0] <= t:
-        recipient, delivery = heapq.heappop(queue)[3]
-        due.setdefault(recipient, []).append(delivery)
-    return due
-
-
-def _specs_for(node, plan):
-    """(nominal spec, target spec) per the node's stage; either may be None."""
-    k = node.behavior_index
-    specs = plan.behaviors
-    m = len(specs)
-    if node.done:
-        return None, None
-    if node.mode == EXECUTING:
-        nominal = specs[k - 1]
-        upcoming = specs[k] if k < m else None
-        return nominal, upcoming
-    nominal = specs[k - 2] if k >= 2 else None
-    return nominal, specs[k - 1]
-
-
-def make_nodes(plan):
-    """Fresh agent nodes, all starting in assembly toward the first behavior."""
-    return [AgentNode(id=i, n_behaviors=len(plan.behaviors)) for i in range(1, plan.n + 1)]
-
-
 def make_world(plan, config):
     positions = plan.initial_positions.copy()
     graph = proximity_graph(positions, plan.delta)
-    return WorldState(tick=0, positions=positions, live_graph=graph, in_flight=[], event_log=[])
+    return WorldState(tick=0, positions=positions, live_graph=graph, in_flight=InFlight(), event_log=[])
 
 
-def tick(world, nodes, plan, config):
-    """Advance the world and all nodes by one tick; returns applied controls."""
+def tick(world, team, plan, config):
+    """Advance the world and the team by one tick; returns applied controls."""
     t = world.tick
-    due = _deliver(world, t)
-
-    graph = world.live_graph
-    # views, not copies: the tick replaces world.positions rather than writing into it
-    rows = list(world.positions)
-    oracle = dict(enumerate(rows, start=1)) if config.oracle_sensing else None
-
+    request, outbox, events = step(team, world, world.in_flight.pop(t), plan, config)
     controls = np.zeros((plan.n, 2))
-    outboxes = []
-    step_events = []
-    for node in nodes:
-        i = node.id
-        neighbors = graph.neighbors(i)
-        sensed = {j: rows[j - 1] for j in neighbors}
-        env = StepEnv(
-            tick=t,
-            live_neighbors=neighbors,
-            sensed=sensed,
-            oracle=oracle,
-            params=plan.fcbf,
-            delta=plan.delta,
-            min_sep=plan.min_sep,
-            speed_limit=config.speed_limit,
-            domain=plan.domain,
-            sigma_bar=config.sigma_bar,
-            eta_bar=config.eta_bar,
-            staleness_ticks=config.staleness_ticks,
-            glue_transitions=config.glue_transitions,
-        )
-        my_state = RobotState(i, rows[i - 1])
-        behavior, upcoming = _specs_for(node, plan)
-        node, _, outbox, events = step(node, my_state, due.get(i, []), behavior, upcoming, env, config.dt)
-        outboxes.append((i, outbox, sorted(neighbors)))
-        step_events.append(events)
-
-    requests = [node.request for node in nodes if node.request is not None]
-    if requests:
-        solution = filter_team(requests, plan.fcbf, plan.min_sep, config.speed_limit, plan.domain)
-        for request, u, status in zip(requests, solution.u, solution.statuses):
-            i = request.robot
-            controls[i - 1] = u
+    if len(request.robots):
+        solution = filter_team(request, plan.fcbf, plan.min_sep, config.speed_limit, plan.domain)
+        controls[request.robots - 1] = solution.u
+        for robot, status in zip(request.robots.tolist(), solution.statuses):
             if status != "optimal":
                 # each robot's QP event follows its own step events
-                k = nodes[i - 1].behavior_index
-                step_events[i - 1].append({"event": "qp_" + status, "robot": i, "k": k})
-    for events in step_events:
-        for ev in events:
+                event = {"event": "qp_" + status, "robot": robot, "k": int(team.k[robot - 1])}
+                events.setdefault(robot, []).append(event)
+    for robot in sorted(events):
+        for ev in events[robot]:
             ev["tick"] = t
             world.event_log.append(ev)
 
     np.clip(controls, -config.speed_limit, config.speed_limit, out=controls)
     world.positions = world.positions + config.dt * controls
     world.live_graph = proximity_graph(world.positions, plan.delta)
-    for sender, msg, recipients in outboxes:
-        delay = _delay_ticks(config, sender, t)
-        delivery = Delivery(t, msg)
-        for r in recipients:
-            _post(world, t + 1 + delay, r, delivery)
+    world.in_flight.post(t, [_delay_ticks(config, sender, t) for sender in range(1, plan.n + 1)], outbox)
     world.tick = t + 1
     return controls
 
@@ -231,27 +182,29 @@ def run(plan, config):
     """Run the mission to completion, timeout, or hard infeasibility: the
     tick cap reached with some robot frozen (``qp_infeasible_hard``) on the
     final tick."""
-    nodes = make_nodes(plan)
+    team = Team.start(plan)
     world = make_world(plan, config)
 
     positions_log = [world.positions.copy()]
     controls_log = []
-    sigma_log, eta_log, mode_log, k_log = [], [], [], []
+    # each tick's sigma, eta, mode and k, in arrays that double when full
+    logs = [np.empty((min(config.max_ticks, 1024), plan.n), dtype) for dtype in (float, float, int, int)]
 
     rescue_state = _RescueTracker(plan) if plan.rescue is not None else None
 
     outcome = "timeout"
     while world.tick < config.max_ticks:
-        controls = tick(world, nodes, plan, config)
+        controls = tick(world, team, plan, config)
+        t = len(controls_log)
         controls_log.append(controls)
         positions_log.append(world.positions.copy())
-        sigma_log.append([n.sigma for n in nodes])
-        eta_log.append([n.eta for n in nodes])
-        mode_log.append([n.mode for n in nodes])
-        k_log.append([n.behavior_index for n in nodes])
+        if t == len(logs[0]):
+            logs = [np.concatenate((log, np.empty_like(log))) for log in logs]
+        for log, now in zip(logs, (team.sigma, team.eta, team.mode, team.k)):
+            log[t] = now
         if rescue_state is not None:
-            rescue_state.observe(world, nodes)
-        if all(n.done for n in nodes):
+            rescue_state.observe(world, team)
+        if team.done.all():
             outcome = "done"
             break
     if outcome != "done" and any(  # a freeze that has ended leaves a timeout
@@ -259,6 +212,7 @@ def run(plan, config):
     ):
         outcome = "infeasible_hard"
 
+    sigma, eta, mode, k = (log[:len(controls_log)] for log in logs)
     record = RunRecord(
         n=plan.n,
         dt=config.dt,
@@ -266,10 +220,10 @@ def run(plan, config):
         ticks=len(controls_log),
         positions=np.array(positions_log),
         controls=np.array(controls_log),
-        sigma=np.array(sigma_log),
-        eta=np.array(eta_log),
-        mode=np.array(mode_log, dtype=int),
-        behavior_index=np.array(k_log, dtype=int),
+        sigma=sigma,
+        eta=eta,
+        mode=mode,
+        behavior_index=k,
         events=world.event_log,
         config=config,
         plan=plan,
@@ -286,7 +240,7 @@ class _RescueTracker:
         self.located = False
         self.escorted = False
 
-    def observe(self, world, nodes):
+    def observe(self, world, team):
         r = self.plan.rescue
         if not self.located:
             # the subject is sensed like a robot: within the connectivity range
@@ -299,11 +253,8 @@ class _RescueTracker:
                 )
         if self.located and not self.escorted:
             escorting = all(
-                nodes[i - 1].behavior_index > r.escort_behavior
-                or (
-                    nodes[i - 1].behavior_index == r.escort_behavior
-                    and nodes[i - 1].mode == EXECUTING
-                )
+                team.k[i - 1] > r.escort_behavior
+                or (team.k[i - 1] == r.escort_behavior and team.mode[i - 1] == EXECUTING)
                 for i in r.escort_robots
             )
             if escorting:

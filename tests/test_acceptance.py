@@ -241,29 +241,33 @@ def _graph_library():
     return graphs
 
 
+def _team_update(neighbors, flags, vals):
+    """One synchronous team step of the consensus map: robot i averages the
+    values of the robots its ``neighbors`` row marks."""
+    return consensus_update(flags, vals, np.broadcast_to(vals, neighbors.shape), neighbors)
+
+
 def test_criterion_4_consensus_convergence():
     graphs = _graph_library()
     ok = True
     details = []
     for name, adj in sorted(graphs.items()):
         n = len(adj)
-        vals = [0.0] * n
+        neighbors = np.zeros((n, n), dtype=bool)
+        for i, js in adj.items():
+            neighbors[i, list(js)] = True
+        vals = np.zeros(n)
         for _ in range(200):
-            vals = [
-                consensus_update(True, vals[i], [vals[j] for j in adj[i]]) for i in range(n)
-            ]
+            vals = _team_update(neighbors, np.ones(n, dtype=bool), vals)
         if not all(v > 0.999 for v in vals):
             ok = False
             details.append(f"{name}: convergence min {min(vals):.4f}")
         bound = 1 - 1 / (2 * n)
         for off in range(n):
-            vals = [0.0] * n
+            vals = np.zeros(n)
             peak = 0.0
             for _ in range(500):
-                vals = [
-                    consensus_update(i != off, vals[i], [vals[j] for j in adj[i]])
-                    for i in range(n)
-                ]
+                vals = _team_update(neighbors, np.arange(n) != off, vals)
                 peak = max(peak, max(vals))
             if peak >= bound:
                 ok = False
@@ -412,6 +416,7 @@ def test_criterion_9_determinism(tmp_path):
     out_b = write_outputs(run(plan, config), tmp_path / "b")
     ok = True
     for key in out_a:
-        if open(out_a[key], "rb").read() != open(out_b[key], "rb").read():
-            ok = False
+        with open(out_a[key], "rb") as a, open(out_b[key], "rb") as b:
+            if a.read() != b.read():
+                ok = False
     report("9 determinism", ok, "byte-identical CSV outputs across repeated runs")

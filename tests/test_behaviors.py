@@ -20,10 +20,11 @@ from swarmseq.behaviors import (
     nominal_control,
     rotation,
 )
-from swarmseq.agent import EXECUTING, AgentError, AgentNode, StepEnv, step
+from swarmseq.agent import EXECUTING, AgentError, Team, step
 from swarmseq.barriers import FcbfParams
-from swarmseq.geometry import Domain, InteractionGraph, RobotState
-from swarmseq.mission import BehaviorSpec
+from swarmseq.geometry import Domain, InteractionGraph
+from swarmseq.mission import BehaviorSpec, MissionPlan
+from swarmseq.sim import SimConfig, make_world
 
 
 def states(*positions):
@@ -152,13 +153,15 @@ class TestControlLaws:
         # a required neighbor's position is read before the law runs: with
         # none sensed, cached or given by the oracle, the step fails
         spec = BehaviorSpec(Rendezvous(), InteractionGraph.from_edges(2, [(1, 2)]), ElapsedTime(1.0))
-        env = StepEnv(
-            tick=0, live_neighbors=frozenset(), sensed={}, oracle=None, params=FcbfParams(),
-            delta=0.5, min_sep=0.12, speed_limit=0.2, domain=Domain(-1, 1, -1, 1),
+        plan = MissionPlan(
+            n=2, initial_positions=np.array([[0.0, 0.0], [0.0, 0.9]]), behaviors=(spec,),
+            domain=Domain(-1, 1, -1, 1), fcbf=FcbfParams(), delta=0.5, min_sep=0.12,
         )
-        node = AgentNode(id=1, n_behaviors=1, mode=EXECUTING)
-        with pytest.raises(AgentError, match=r"required neighbors \[2\]"):
-            step(node, RobotState(1, np.zeros(2)), [], spec, None, env, 0.02)
+        config = SimConfig(oracle_sensing=False)
+        team, world = Team.start(plan), make_world(plan, config)
+        team.mode[:] = EXECUTING
+        with pytest.raises(AgentError, match=r"robot 1: .* required neighbors \[2\]"):
+            step(team, world, world.in_flight.pop(0), plan, config)
 
     def test_composite_reads_its_groups_input(self):
         beh = Composite(
@@ -248,6 +251,20 @@ class TestValidation:
         assert violations(beh, g, 0.5) == [
             "composite cyclic pursuit: required graph is not a cycle (group (1, 2, 3))",
             "composite leader-follower: leader index 1 out of range (group (4, 5, 6))",
+        ]
+
+    def test_a_goal_outside_the_controllers_robots_is_a_violation(self):
+        assert violations(GoToGoal(goals={1: (0.0, 0.0), 4: (1.0, 0.0)}), InteractionGraph(4), 0.5) == []
+        out = violations(GoToGoal(goals={2: (0.0, 0.0), 5: (1.0, 0.0), 7: (0.0, 1.0)}), InteractionGraph(4), 0.5)
+        assert out == ["go to goal: goals for robots [5, 7] out of range"]
+        beh = Composite(
+            groups=(
+                CompositeGroup(robots=(1, 2), controller=GoToGoal(goals={1: (0.0, 0.0), 3: (1.0, 1.0)})),
+                CompositeGroup(robots=(3, 4), controller=GoToGoal(goals={3: (1.0, 1.0)})),
+            )
+        )
+        assert violations(beh, InteractionGraph(4), 0.5) == [
+            "composite go to goal: goals for robots [3] out of range (group (1, 2))",
         ]
 
 

@@ -45,6 +45,27 @@ behaviors:
     completion: {type: elapsed, duration: 0.5}
 """
 
+# robot 3's goal lies outside the group that the go_to_goal controller drives
+GOAL_OUTSIDE_GROUP = """
+mission:
+  n: 3
+  delta: 0.5
+  initial_positions: [[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]]
+domain:
+  bounds: [-2, 2, -2, 2]
+behaviors:
+  - controller: composite
+    graph: [[1, 2]]
+    groups:
+      - robots: [1, 2]
+        controller: go_to_goal
+        goals: {1: [0.0, 1.0], 3: [1.0, 1.0]}
+        edges: [[1, 2]]
+      - robots: [3]
+        controller: rendezvous
+    completion: {type: elapsed, duration: 0.5}
+"""
+
 
 @pytest.fixture
 def tiny_mission(tmp_path):
@@ -61,6 +82,12 @@ class TestValidateCommand:
         path = tmp_path / "bad.yaml"
         path.write_text(BAD_CYCLE)
         assert main(["validate", str(path)]) == 1
+
+    def test_goal_outside_its_group_fails(self, tmp_path, capsys):
+        path = tmp_path / "goal.yaml"
+        path.write_text(GOAL_OUTSIDE_GROUP)
+        assert main(["validate", str(path)]) == 1
+        assert "goals for robots [3] out of range (group (1, 2))" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["validate", "/nonexistent/mission.yaml"]) == 2

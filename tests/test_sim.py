@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 import swarmseq.sim as sim_mod
-from swarmseq.agent import AgentMessage, Delivery
+from swarmseq.agent import Mail, Team
 from swarmseq.barriers import Connectivity, FcbfParams, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
 from swarmseq.geometry import Domain, InteractionGraph, Obstacle, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import (
     DelaySpec,
+    InFlight,
     SimConfig,
     SimConfigError,
     compute_behavior_windows,
     connectivity_trace,
-    make_nodes,
     make_world,
     run,
     tick,
@@ -61,8 +61,6 @@ class TestTickMechanics:
             [spec(1, GoToGoal(goals={1: (1.0, 0.0)}, gain=0.1), ElapsedTime(10.0))],
         )
         config = SimConfig(max_ticks=5)
-        nodes = make_nodes(plan)
-        world = make_world(plan, config)
         # initial assembly resolves after a few ticks; find the first executing tick
         rec = run(plan, config)
         moving = np.flatnonzero(np.abs(rec.controls[:, 0, 0]) > 0)
@@ -85,12 +83,13 @@ class TestTickMechanics:
             [spec(2, Rendezvous(), ElapsedTime(5.0), edges=[(1, 2)])],
         )
         config = SimConfig(max_ticks=10, delay=DelaySpec.uniform(0, 3), seed=7)
-        nodes = make_nodes(plan)
+        team = Team.start(plan)
         world = make_world(plan, config)
         for _ in range(10):
-            tick(world, nodes, plan, config)
-            for deliver_tick, _, send_tick, _ in world.in_flight:
-                assert deliver_tick >= send_tick + 1
+            tick(world, team, plan, config)
+            for deliver_tick, batches in world.in_flight.due.items():
+                for mail in batches:
+                    assert (deliver_tick >= mail.send_tick + 1).all()
 
     def test_live_graph_matches_positions(self):
         plan = tiny_plan(
@@ -98,10 +97,10 @@ class TestTickMechanics:
             [spec(3, Rendezvous(), ElapsedTime(2.0), edges=[(1, 2)])],
         )
         config = SimConfig(max_ticks=20)
-        nodes = make_nodes(plan)
+        team = Team.start(plan)
         world = make_world(plan, config)
         for _ in range(20):
-            tick(world, nodes, plan, config)
+            tick(world, team, plan, config)
             expected = proximity_graph(world.positions, plan.delta)
             assert world.live_graph.edges == expected.edges
 
@@ -247,10 +246,12 @@ class TestOutputs:
         rec = run(plan, SimConfig(max_ticks=500))
         paths = write_outputs(rec, tmp_path)
         assert set(paths) == {"trajectory", "barriers", "consensus", "events"}
-        lines = open(paths["trajectory"]).read().strip().splitlines()
+        with open(paths["trajectory"]) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "tick,robot,x,y,ux,uy"
         assert len(lines) == 1 + rec.ticks * rec.n + rec.n
-        cons = open(paths["consensus"]).read().strip().splitlines()
+        with open(paths["consensus"]) as fh:
+            cons = fh.read().strip().splitlines()
         assert cons[0] == "tick,robot,sigma,eta,mode,k"
         assert len(cons) == 1 + rec.ticks * rec.n
 
@@ -263,7 +264,8 @@ class TestOutputs:
         p1 = write_outputs(run(plan, cfg), tmp_path / "a")
         p2 = write_outputs(run(plan, cfg), tmp_path / "b")
         for key in p1:
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            with open(p1[key], "rb") as a, open(p2[key], "rb") as b:
+                assert a.read() == b.read()
 
     def test_barrier_copies_agree_bitwise(self, tmp_path):
         # barriers.csv, connectivity_trace (summary.json) and the proximity
@@ -295,29 +297,27 @@ class TestOutputs:
 
 
 class TestMessageQueue:
-    def test_heap_delivers_what_a_list_scan_delivers(self):
-        # the reference: every tick, scan the whole in-flight list for due messages
+    def test_store_delivers_what_a_list_scan_delivers(self):
+        # the reference: every tick, scan the whole in-flight list for due pairs
         rng = random.Random(5)
-        world = make_world(tiny_plan([[0.0, 0.0]], [spec(1, Rendezvous(), ElapsedTime(1.0))]), SimConfig())
-        scan = []
+        store = InFlight()
+        scan = []  # (deliver tick, recipient, sender, send tick, body)
+        n = 6
         for t in range(400):
-            due = {}
-            remaining = []
-            for deliver_tick, recipient, send_tick, msg in scan:
-                if deliver_tick <= t:
-                    due.setdefault(recipient, []).append(Delivery(send_tick, msg))
-                else:
-                    remaining.append((deliver_tick, recipient, send_tick, msg))
-            scan = remaining
-            assert sim_mod._deliver(world, t) == due
-            assert len(world.in_flight) == len(scan)
-            for _ in range(rng.randint(0, 6)):
-                sender = rng.randint(1, 6)
-                msg = AgentMessage(sender, (rng.random(), rng.random()), rng.random(), 0.0, 1)
-                deliver = t + 1 + rng.randint(0, 10)
-                for r in rng.sample(range(1, 7), rng.randint(0, 5)):
-                    scan.append((deliver, r, t, msg))
-                    sim_mod._post(world, deliver, r, Delivery(t, msg))
+            due = [m for m in scan if m[0] <= t]
+            scan = [m for m in scan if m[0] > t]
+            mail = store.pop(t)
+            got = zip(mail.recipient.tolist(), mail.sender.tolist(), mail.send_tick.tolist(), mail.body.tolist())
+            assert list(got) == [m[1:] for m in due]
+            assert len(store) == len(scan)
+            sensed = np.array([[i != j and rng.random() < 0.4 for j in range(n)] for i in range(n)])
+            k = np.array([rng.randint(1, 3) for _ in range(n)])
+            x, sigma, eta = (np.array([[rng.random() for _ in range(m)] for _ in range(n)]) for m in (2, 1, 1))
+            outbox = Mail.broadcast(t, sensed, x, sigma[:, 0], eta[:, 0], k)
+            delays = [rng.randint(0, 10) for _ in range(n)]
+            store.post(t, delays, outbox)
+            for r, s in zip(*sensed.nonzero()):
+                scan.append((t + 1 + delays[s], int(r), int(s), t, [*x[s], sigma[s, 0], eta[s, 0]]))
 
     def test_delay_draws_equal_a_fresh_generator_per_key(self):
         rng = random.Random(11)

@@ -7,11 +7,12 @@ multipliers are the same solved alone or in any team.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from swarmseq.agent import OBSTACLE_ACTIVATION, RowRequest, team_rows
+from swarmseq.agent import OBSTACLE_ACTIVATION, TeamRequest, team_rows
 from swarmseq.barriers import (
     Collision,
     Connectivity,
@@ -34,6 +35,40 @@ def scalar_rate(h, params):
     if h == 0.0:
         return 0.0
     return params.gamma * math.copysign(abs(h) ** params.rho, h)
+
+
+class OwnRequest(NamedTuple):
+    """One robot's QP before its rows are built, as its own one-robot stacks see it."""
+
+    robot: int
+    position: np.ndarray
+    nominal: np.ndarray
+    delta: float  # the range its connectivity rows drive partners into
+    partners: list  # connectivity partners, in row order
+    partner_positions: list
+    colliders: list  # ascending
+    collider_positions: list
+    initial: tuple
+
+
+def as_team(requests):
+    """The robots' requests as one ``TeamRequest``, robot by robot."""
+    def rows(names):
+        slots, others, where = [], [], []
+        for s, r in enumerate(requests):
+            ids, positions = getattr(r, names[0]), getattr(r, names[1])
+            slots += [s] * len(ids)
+            others += ids
+            where += positions
+        return np.array(slots, dtype=int), np.array(others, dtype=int), np.array(where).reshape(-1, 2)
+
+    conn = rows(("partners", "partner_positions"))
+    deltas = np.array([r.delta for r in requests for _ in r.partners])
+    return TeamRequest(
+        np.array([r.robot for r in requests]), np.array([r.position for r in requests]),
+        np.array([r.nominal for r in requests]), conn + (deltas,), rows(("colliders", "collider_positions")),
+        tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial),
+    )
 
 
 def own_rows(request, params, min_sep, domain):
@@ -68,7 +103,7 @@ def random_requests(rng, n, delta):
             partner_positions[0] = x[i - 1] + [delta, 0.0]
         initial = (KeepWithin(i, tuple(rng.uniform(-1, 1, 2)), 0.8),) if rng.random() < 0.3 else ()
         row_delta = delta * (0.96 if rng.random() < 0.5 else 1.0)
-        requests.append(RowRequest(
+        requests.append(OwnRequest(
             i, x[i - 1], rng.uniform(-0.3, 0.3, 2), row_delta, partners, partner_positions,
             colliders, [x[j - 1] for j in colliders], initial,
         ))
@@ -91,7 +126,7 @@ class TestTeamRows:
             if rng.random() < 0.3:
                 # a robot exactly at h = 3 of the last obstacle: its row is active
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
-            team = team_rows(requests, params, 0.12, domain)
+            team = team_rows(as_team(requests), params, 0.12, domain)
             assert team.robots.tolist() == [r.robot for r in requests]
             assert len(team) == int(team.counts.sum())
             for s, request in enumerate(requests):
@@ -131,18 +166,18 @@ class TestTeamRows:
         deltas = rng.uniform(0.3, 0.7, n).tolist()
         x = rng.uniform(-1, 1, (n, 2))
         requests = [
-            RowRequest(i + 1, x[i], np.zeros(2), deltas[i], [n + 1], [x[i]], [], [], ())
+            OwnRequest(i + 1, x[i], np.zeros(2), deltas[i], [n + 1], [x[i]], [], [], ())
             for i in range(n)
         ]
-        rows = team_rows(requests, params, 0.12, Domain(-2, 2, -2, 2))
+        rows = team_rows(as_team(requests), params, 0.12, Domain(-2, 2, -2, 2))
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
         assert rows.width == 1
         assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
 
     def test_a_robot_without_partners_gets_its_obstacle_rows(self):
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
-        request = RowRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
-        rows = team_rows([request], FcbfParams(), 0.12, domain)
+        request = OwnRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
+        rows = team_rows(as_team([request]), FcbfParams(), 0.12, domain)
         assert len(rows) == 1 and rows.robots.tolist() == [3]
         assert rows.block(0).kinds == (ObstacleAvoid,) and rows.block(0).others.tolist() == [1]
         assert len(RowLayout.of([])) == 0
