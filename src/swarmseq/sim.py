@@ -4,10 +4,9 @@ Every tick: deliver due messages, step the team against the tick's
 snapshot (so robots are order-independent within a tick), filter the team's
 nominal inputs through their QPs in one pass, saturate controls, integrate
 positions with explicit Euler, recompute the proximity graph, and post the
-new broadcasts with sampled delays. Identical
-(mission, config, seed) triples produce byte-identical outputs; message
-delays are drawn from a stream keyed by (seed, sender, tick) so scheduling
-order cannot perturb them.
+new broadcasts with sampled delays. Identical (mission, config, seed)
+triples produce byte-identical outputs; message delays are drawn from a
+stream keyed by (seed, sender, tick) so scheduling order cannot perturb them.
 """
 
 from __future__ import annotations
