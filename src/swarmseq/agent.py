@@ -85,8 +85,9 @@ class Mail:
 
     @classmethod
     def broadcast(cls, tick, sensed, positions, sigma, eta, k):
-        """Every robot's message of ``tick`` to each robot in its range."""
-        recipient, sender = sensed.nonzero()
+        """Every robot's message of ``tick`` to each robot in its range (a
+        symmetric mask), ordered by sender."""
+        sender, recipient = sensed.nonzero()
         head = np.empty((len(sender), 4), dtype=int)
         head[:, 0], head[:, 1], head[:, 2], head[:, 3] = recipient, sender, tick, k[sender]
         body = np.empty((len(sigma), 4))
@@ -248,7 +249,8 @@ class Stage(NamedTuple):
     (``reads``: its behavior's required neighbors) or else every sensed
     robot (``in_range``) or every known one (``knows``); ``partners`` are the
     laws' partners (see ``_partners``) when all are fixed. ``targets`` holds
-    each assembling robot's required neighbors in the behavior it assembles.
+    each assembling robot's required neighbors in the behavior it assembles
+    (None when no robot assembles).
     ``conn`` gives the connectivity rows as (robots, partners, slots,
     deltas), before the known-position filter, and ``initial`` the (slot,
     kind) pairs of the initial constraints; a slot indexes ``ids``.
@@ -264,7 +266,7 @@ class Stage(NamedTuple):
     in_range: np.ndarray  # (n, 1)
     knows: np.ndarray  # (n, 1)
     partners: tuple | None
-    targets: np.ndarray
+    targets: np.ndarray | None
     conn: tuple
     initial: tuple
 
@@ -322,7 +324,7 @@ def _stage(team, plan, config):
          for kind in specs[g - 1].initial_constraints if target[kind.i - 1] == g),
         key=lambda entry: entry[0],
     )
-    targets = team.graphs[np.where(assembling, k, 0), robots]
+    targets = team.graphs[np.where(assembling, k, 0), robots] if assembling.any() else None
     fixed = None if in_range.any() or knows.any() else _partners(reads)
     team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, fixed, targets,
                        (r, p, ids.searchsorted(r), delta), tuple(initial))
@@ -378,8 +380,9 @@ def step(team, world, mail, plan, config):
             # an already-achieved completion and deadlock the consensus
             team.s_task[i] = specs[k[i] - 1].completion.done(u, elapsed[i], x[i])
 
-    ready = ~(stage.targets & ~sensed).any(axis=1)
-    team.s_assembly = np.where(assembling, ready, team.s_assembly)
+    if stage.targets is not None:
+        ready = ~(stage.targets & ~sensed).any(axis=1)
+        team.s_assembly = np.where(assembling, ready, team.s_assembly)
     value = consensus_update(
         np.where(executing, team.s_task, team.s_assembly),
         np.where(executing, team.sigma, team.eta),
@@ -456,7 +459,7 @@ def team_rows(request, params, min_sep, domain):
     placed = []  # (robot slots, columns, rows)
     for slot, kind, positions in stacks:
         # slots ascend, so each robot's rows are one run, after its earlier kinds' rows
-        column = counts[slot] + np.arange(len(slot)) - np.searchsorted(slot, slot)
+        column = counts[slot] + np.arange(len(slot)) - slot.searchsorted(slot)
         placed.append((slot, column, constraint_row(kind, params, *positions)))
         counts += np.bincount(slot, minlength=len(counts))
     for s, kind in request.initial:

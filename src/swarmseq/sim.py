@@ -11,6 +11,7 @@ stream keyed by (seed, sender, tick) so scheduling order cannot perturb them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -87,15 +88,14 @@ class InFlight:
         return self.size
 
     def post(self, t, delays, mail):
-        """Queue ``mail`` sent on tick t: each pair is due at the start of tick
-        t + 1 + its sender's entry of ``delays``."""
-        late = set(delays)
-        if len(late) == 1:
-            self.due.setdefault(t + 1 + delays[0], []).append(mail)
-        else:
-            senders = np.array(delays)[mail.sender]
-            for d in sorted(late):
-                self.due.setdefault(t + 1 + d, []).append(mail.take(senders == d))
+        """Queue ``mail`` sent on tick t, ordered by sender: each pair is due
+        at the start of tick t + 1 + its sender's entry of ``delays``."""
+        ends = mail.sender.searchsorted(np.arange(len(delays) + 1)).tolist()
+        first = 0
+        for d, run in itertools.groupby(delays):  # consecutive senders with one delay share a batch
+            last = first + len(list(run))
+            self.due.setdefault(t + 1 + d, []).append(mail.take(slice(ends[first], ends[last])))
+            first = last
         self.size += len(mail)
 
     def pop(self, t):

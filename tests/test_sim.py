@@ -310,13 +310,14 @@ class TestMessageQueue:
             got = zip(mail.recipient.tolist(), mail.sender.tolist(), mail.send_tick.tolist(), mail.body.tolist())
             assert list(got) == [m[1:] for m in due]
             assert len(store) == len(scan)
-            sensed = np.array([[i != j and rng.random() < 0.4 for j in range(n)] for i in range(n)])
+            sensed = np.array([[i < j and rng.random() < 0.4 for j in range(n)] for i in range(n)])
+            sensed |= sensed.T
             k = np.array([rng.randint(1, 3) for _ in range(n)])
             x, sigma, eta = (np.array([[rng.random() for _ in range(m)] for _ in range(n)]) for m in (2, 1, 1))
             outbox = Mail.broadcast(t, sensed, x, sigma[:, 0], eta[:, 0], k)
             delays = [rng.randint(0, 10) for _ in range(n)]
             store.post(t, delays, outbox)
-            for r, s in zip(*sensed.nonzero()):
+            for s, r in zip(*sensed.nonzero()):
                 scan.append((t + 1 + delays[s], int(r), int(s), t, [*x[s], sigma[s, 0], eta[s, 0]]))
 
     def test_delay_draws_equal_a_fresh_generator_per_key(self):
