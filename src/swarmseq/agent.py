@@ -250,10 +250,10 @@ class Stage(NamedTuple):
     robot (``in_range``) or every known one (``knows``); ``partners`` are the
     laws' partners (see ``_partners``) when all are fixed. ``targets`` holds
     each assembling robot's required neighbors in the behavior it assembles
-    (None when no robot assembles).
-    ``conn`` gives the connectivity rows as (robots, partners, slots,
-    deltas), before the known-position filter, and ``initial`` the (slot,
-    kind) pairs of the initial constraints; a slot indexes ``ids``.
+    (None when no robot assembles). ``conn`` gives the connectivity rows as
+    (robots, partners, slots, deltas), before the known-position filter, and
+    ``initial`` the (slot, kind) pairs of the initial constraints; a slot
+    indexes ``ids``.
     """
 
     key: tuple
