@@ -3,8 +3,9 @@
 The team is one ``Team`` of arrays, robot i + 1 at index i. A tick runs in
 two phases. ``step`` advances every robot at once: it files the delivered
 ``Mail`` in each robot's message cache, builds each robot's view of the
-others, runs each robot's nominal law and completion test, then updates the
-consensus and the mode machine as array passes. It returns a
+others, runs each controller class's nominal law and each behavior's
+completion test once for all its robots, then updates the consensus and the
+mode machine as array passes. It returns a
 ``TeamRequest``: every robot's nominal and the index arrays its QP rows are
 built from, all read from the robot's own row of the view and the cache.
 ``filter_team`` then builds every robot's rows and solves every robot's QP
@@ -243,17 +244,19 @@ _RENDEZVOUS = behaviors.Rendezvous()
 class Stage(NamedTuple):
     """What the robots' stages (their k and mode) fix until one switches.
 
-    ``laws`` lists (robot, controller, executing) for every robot that runs
-    a law: the controller of the behavior it executes or has just concluded,
-    or the glue baseline's rendezvous. Which robots a law reads is fixed
-    (``reads``: its behavior's required neighbors) or else every sensed
-    robot (``in_range``) or every known one (``knows``); ``partners`` are the
-    laws' partners (see ``_partners``) when all are fixed. ``targets`` holds
-    each assembling robot's required neighbors in the behavior it assembles
-    (None when no robot assembles). ``conn`` gives the connectivity rows as
-    (robots, partners, slots, deltas), before the known-position filter, and
-    ``initial`` the (slot, kind) pairs of the initial constraints; a slot
-    indexes ``ids``.
+    A robot runs the leaf controller (composites resolved) of the behavior
+    it executes or has just concluded, or the glue baseline's rendezvous;
+    ``laws`` holds one ``behaviors.Law`` per controller class. The robots
+    whose positions a robot's law reads are fixed (``reads``: its behavior's
+    required neighbors) or else the sensed (``in_range``) or known
+    (``knows``) ones its mask row marks, all within its composite group;
+    ``partners`` are the pairs (rows, columns) when all are fixed. ``tasks``
+    pairs each executed behavior's completion test with its robots.
+    ``targets`` holds each assembling robot's required neighbors in the
+    behavior it assembles (None when no robot assembles). ``conn`` gives the
+    connectivity rows as (robots, partners, slots, deltas), before the
+    known-position filter, and ``initial`` the (slot, kind) pairs of the
+    initial constraints; a slot indexes ``ids``.
     """
 
     key: tuple
@@ -263,19 +266,13 @@ class Stage(NamedTuple):
     ids: np.ndarray
     laws: list
     reads: np.ndarray
-    in_range: np.ndarray  # (n, 1)
-    knows: np.ndarray  # (n, 1)
+    in_range: np.ndarray
+    knows: np.ndarray
     partners: tuple | None
+    tasks: list
     targets: np.ndarray | None
     conn: tuple
     initial: tuple
-
-
-def _partners(reading):
-    """The robots each row of the mask ``reading`` marks, as (rows, columns,
-    partner ids, bounds): robot i's are entries bounds[i] to bounds[i + 1]."""
-    rows, cols = reading.nonzero()
-    return rows, cols, (cols + 1).tolist(), rows.searchsorted(np.arange(len(reading) + 1)).tolist()
 
 
 def _stage(team, plan, config):
@@ -288,26 +285,29 @@ def _stage(team, plan, config):
     live = ~team.done
     executing = live & (team.mode == EXECUTING)
     assembling = live & ~executing
-    laws = []
-    reads = np.zeros((n, n), dtype=bool)
-    in_range, knows = np.zeros((n, 1), dtype=bool), np.zeros((n, 1), dtype=bool)
+    members = {}  # controller class -> [(robot, leaf controller)]
+    reads, in_range, knows = (np.zeros((n, n), dtype=bool) for _ in range(3))
     ks, ex = k.tolist(), executing.tolist()
     for i in live.nonzero()[0].tolist():
         g = ks[i] if ex[i] else ks[i] - 1  # the behavior whose controller is nominal
         if glue and not ex[i]:
-            controller, kind = _RENDEZVOUS, behaviors.IN_RANGE
+            leaf, group, kind = _RENDEZVOUS, None, behaviors.IN_RANGE
         elif g:
-            controller = specs[g - 1].controller
-            kind = controller.reads(i + 1)
+            leaf, group = specs[g - 1].controller.leaf(i + 1)
+            kind = leaf.reads(i + 1)
         else:
             continue
-        laws.append((i, controller, ex[i]))
+        members.setdefault(type(leaf), []).append((i, leaf))
+        peers = True if group is None else np.isin(robots, np.subtract(group, 1))
         if kind == behaviors.IN_RANGE:
-            in_range[i] = True
+            in_range[i] = peers
         elif kind == behaviors.KNOWN:
-            knows[i] = True
+            knows[i] = peers
         else:
-            reads[i] = team.graphs[g, i]
+            reads[i] = team.graphs[g, i] & peers
+    laws = [behaviors.Law.of(kind, found, reads) for kind, found in members.items()]
+    tasks = [(specs[g - 1].completion.done, (executing & (k == g)).nonzero()[0])
+             for g in sorted(set(k[executing].tolist()))]
     # connectivity partners: each robot adjacent to it in the active spec's
     # graph, by id, then (while assembling) in the concluded one's; the glue
     # baseline assembles by rendezvous, without transition rows
@@ -325,8 +325,8 @@ def _stage(team, plan, config):
         key=lambda entry: entry[0],
     )
     targets = team.graphs[np.where(assembling, k, 0), robots] if assembling.any() else None
-    fixed = None if in_range.any() or knows.any() else _partners(reads)
-    team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, fixed, targets,
+    fixed = None if in_range.any() or knows.any() else reads.nonzero()
+    team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, fixed, tasks, targets,
                        (r, p, ids.searchsorted(r), delta), tuple(initial))
     return team.stage
 
@@ -340,7 +340,8 @@ def step(team, world, mail, plan, config):
     not done, every robot's broadcast to the robots in its range, and each
     robot's events in order, by robot id. A robot's nominal law and
     completion test read its own row of the view and the cache, in ascending
-    partner id order.
+    partner id order; each law and each completion test runs once for all
+    its robots.
     """
     t, x, specs = world.tick, world.positions, plan.behaviors
     if len(team.graphs) != len(specs) + 1 or len(team.k) != plan.n:
@@ -351,16 +352,7 @@ def step(team, world, mail, plan, config):
     view, known = cache.view(x, sensed, config.oracle_sensing)
     stage = _stage(team, plan, config)
     k, executing, assembling = team.k, stage.executing, stage.assembling
-    hold = ()
-    if config.glue_transitions:
-        # the glue baseline starts rendezvous only upon collective completion:
-        # hold still while any visible neighbor is still on the previous
-        # behavior, otherwise its task would be perturbed before it finishes
-        behind = (sensed & ~(cache.present & (cache.k >= k[:, None]))).any(axis=1)
-        hold = set((assembling & behind).nonzero()[0].tolist())
-
-    rows, cols, partners, bounds = stage.partners or _partners(
-        stage.reads | (sensed & stage.in_range) | (known & stage.knows))
+    rows, cols = stage.partners or (stage.reads | sensed & stage.in_range | known & stage.knows).nonzero()
     missing = ~known[rows, cols]
     if missing.any():
         i = rows[missing][0]
@@ -368,17 +360,21 @@ def step(team, world, mail, plan, config):
                          f"{(cols[missing & (rows == i)] + 1).tolist()}")
     seen_at = view[rows, cols]
     nominal = np.zeros((plan.n, 2))
-    latched, elapsed = team.s_task.tolist(), team.elapsed.tolist()
-    for i, controller, runs_task in stage.laws:
-        if i in hold:
-            continue
-        a, b = bounds[i], bounds[i + 1]
-        u = nominal[i] = behaviors.nominal_control(controller, i + 1, x[i], partners[a:b], seen_at[a:b])
-        if runs_task and not latched[i]:
-            # completion latches for the rest of the behavior: teammates that
-            # switch early may perturb the configuration, which must not revoke
-            # an already-achieved completion and deadlock the consensus
-            team.s_task[i] = specs[k[i] - 1].completion.done(u, elapsed[i], x[i])
+    for law in stage.laws:
+        nominal[law.robots] = behaviors.nominal_control(law, x, rows, cols, seen_at)
+    if config.glue_transitions:
+        # the glue baseline starts rendezvous only upon collective completion:
+        # hold still while any visible neighbor is still on the previous
+        # behavior, otherwise its task would be perturbed before it finishes
+        behind = (sensed & ~(cache.present & (cache.k >= k[:, None]))).any(axis=1)
+        nominal[assembling & behind] = 0.0
+    for done, robots in stage.tasks:
+        # completion latches for the rest of the behavior: teammates that
+        # switch early may perturb the configuration, which must not revoke
+        # an already-achieved completion and deadlock the consensus
+        robots = robots[~team.s_task[robots]]
+        if len(robots):
+            team.s_task[robots] = done(nominal[robots], team.elapsed[robots], x[robots])
 
     if stage.targets is not None:
         ready = ~(stage.targets & ~sensed).any(axis=1)

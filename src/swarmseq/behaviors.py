@@ -1,23 +1,31 @@
 """Coordinated behavior controllers, their graph requirements, and completion tests.
 
 Each controller class owns its behavior: its YAML name (``yaml``), what its
-law reads besides the robot's own position (``reads``), its control law
-(``control``) and its requirement checks (``violations``). Each field's
-``metadata`` gives its YAML form: a converter ``kind`` and, where it differs
-from the field's name, its ``key`` (``mission`` holds the converters). A
-field with a default may be left out of the YAML.
+law reads besides the robot's own position (``reads``), its array law
+(``control``), the parameters that law takes per robot (``gather``) and its
+requirement checks (``violations``). Each field's ``metadata`` gives its YAML
+form: a converter ``kind`` and, where it differs from the field's name, its
+``key`` (``mission`` holds the converters). A field with a default may be
+left out of the YAML.
 
-A law maps a robot's own position plus its partners' ids and positions, in
-ascending id order, to a nominal velocity command for a single integrator.
-The commands here are nominal only: the barrier QP may override them, and
-the simulator saturates them to the speed limit (scatter in particular grows
-without bound otherwise). Each completion predicate owns ``done``.
+A law runs once for all the robots its class drives (a ``Law``: every
+instance, and every composite group's). It maps the team's positions and
+those robots' partner pairs, grouped by robot in ascending partner id, to one
+nominal velocity command per robot for a single integrator. A partner sum is
+a left fold in ascending partner id from +0, and squared distances and
+rotations are stacked matmuls, so each command has the bits of a loop over
+the robot's own partners. The commands are nominal only: the barrier QP may
+override them, and the simulator saturates them to the speed limit (scatter
+in particular grows without bound otherwise). Each completion predicate owns
+``done``, over arrays of robots.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,11 +64,61 @@ def _yaml(kind, key=None, **kw):
     return field(metadata={"kind": kind, "key": key}, **kw)
 
 
-def nominal_control(controller, me, x, ids, positions):
-    """Nominal velocity command for robot ``me`` at ``x`` under ``controller``,
-    given the partners it reads (``controller.reads(me)``) as ids and
-    positions in ascending id order."""
-    return controller.control(me, x, ids, positions)
+def nominal_control(law, x, rows, cols, seen_at):
+    """Nominal velocity commands of the robots ``law.robots`` under their
+    ``law``, given the team's positions ``x`` and its partner pairs: robot
+    ``rows``, partner ``cols`` (indices, robot i + 1 at i; by robot, partners
+    ascending) and where each robot sees its partner (``seen_at``). A
+    robot's command reads its own pairs only."""
+    return law.kind.control(law, x, rows, cols, seen_at)[law.robots]
+
+
+class Law(NamedTuple):
+    """Controller class ``kind``'s law over the robots it drives in a stage:
+    ``robots`` (indices, ascending), each one's ``leaf`` controller, and the
+    parameters those ``gather`` by robot index: squared target distance
+    ``theta2[i, j]`` to each partner, rotation, and goal and gain (0: none)."""
+
+    kind: type
+    robots: np.ndarray
+    leaf: dict
+    theta2: np.ndarray  # (n, n)
+    rot: np.ndarray  # (n, 2, 2)
+    goal: np.ndarray  # (n, 2)
+    gain: np.ndarray  # (n, 1)
+
+    @classmethod
+    def of(cls, kind, members, reads):
+        """The law over ``members``, (robot index, leaf controller) by robot,
+        each reading the required partners its row of ``reads`` marks."""
+        n = len(reads)
+        law = cls(kind, np.array([i for i, _ in members], dtype=int), dict(members), np.zeros((n, n)),
+                  np.zeros((n, 2, 2)), np.zeros((n, 2)), np.zeros((n, 1)))
+        for i, leaf in members:
+            leaf.gather(law, i, reads[i].nonzero()[0])
+        return law
+
+
+def _sq(d):
+    """Each row's squared norm, with the bits of its own ``d @ d`` (one BLAS dot)."""
+    return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
+def _fold(rows, terms, n):
+    """Each of n robots' sum of its pairs' ``terms`` (robot ``rows``,
+    ascending): a left fold from +0 in pair order, as (n, 2). A robot's terms
+    follow a zero in its row of an (n, n) pad; a fold from +0 never reaches
+    -0, so the zeros after them add nothing."""
+    pad = np.zeros((n, n, 2))
+    pad[rows, np.arange(1, len(rows) + 1) - rows.searchsorted(rows)] = terms
+    return pad.cumsum(axis=1)[:, -1]
+
+
+def _spring(law, x, rows, cols, seen_at):
+    """Sum over each robot's partners of (|x - p|^2 - theta^2) (p - x); the
+    squares of p - x have the bits of those of x - p."""
+    d = seen_at - x[rows]
+    return _fold(rows, (_sq(d) - law.theta2[rows, cols])[:, None] * d, len(x))
 
 
 # --- controllers --------------------------------------------------------------
@@ -79,6 +137,13 @@ class Controller:
     def reads(self, me):
         return REQUIRED
 
+    def leaf(self, me):
+        """The controller whose law robot ``me`` runs, and its group's robots (None: all)."""
+        return self, None
+
+    def gather(self, law, i, partners):
+        """Write robot index i's parameters, given its required ``partners``, into ``law``."""
+
     def violations(self, graph, robots, delta):
         """Structural feasibility checks on the required ``graph`` of the
         ``robots`` running this controller; violations are data."""
@@ -89,16 +154,18 @@ class Controller:
 class Rendezvous(Controller):
     yaml = "rendezvous"
 
-    def control(self, me, x, ids, positions):
-        return sum((pj - x for pj in positions), np.zeros(2))
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        return _fold(rows, seen_at - x[rows], len(x))
 
 
 @dataclass(frozen=True)
 class Scatter(Controller):
     yaml = "scatter"
 
-    def control(self, me, x, ids, positions):
-        return sum((x - pj for pj in positions), np.zeros(2))
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        return _fold(rows, x[rows] - seen_at, len(x))
 
 
 class _Shape(Controller):
@@ -106,9 +173,7 @@ class _Shape(Controller):
     formation law that holds them."""
 
     def _key_distances(self):
-        object.__setattr__(
-            self, "distances", {_edge_key(*k): float(v) for k, v in self.distances.items()}
-        )
+        object.__setattr__(self, "distances", {_edge_key(*k): float(v) for k, v in self.distances.items()})
 
     def distance(self, i, j):
         key = _edge_key(i, j)
@@ -116,13 +181,12 @@ class _Shape(Controller):
             raise BehaviorError(f"no target distance for edge {key}")
         return self.distances[key]
 
-    def control(self, me, x, ids, positions):
-        u = np.zeros(2)
-        for j, pj in zip(ids, positions):
-            diff = x - pj
-            theta = self.distance(me, j)
-            u += (float(diff @ diff) - theta * theta) * (pj - x)
-        return u
+    control = staticmethod(_spring)
+
+    def gather(self, law, i, partners):
+        for j in partners.tolist():
+            theta = self.distance(i + 1, j + 1)
+            law.theta2[i, j] = theta * theta
 
     def violations(self, graph, robots, delta):
         label = self.label
@@ -135,19 +199,11 @@ class _Shape(Controller):
                 out.append(f"{label}: nonpositive distance {theta:g} on edge {e}")
             elif theta > delta:
                 out.append(f"{label}: distance {theta:g} on edge {e} exceeds sensing range {delta:g}")
-        verts = range(1, graph.n + 1)
-        for i in verts:
-            for j in verts:
-                for k in verts:
-                    if not (i < j < k):
-                        continue
-                    if graph.has_edge(i, j) and graph.has_edge(j, k) and graph.has_edge(i, k):
-                        a, b, c = self.distance(i, j), self.distance(j, k), self.distance(i, k)
-                        if a > b + c or b > a + c or c > a + b:
-                            out.append(
-                                f"{label}: triangle inequality fails on ({i},{j},{k}): "
-                                f"{a:g}, {b:g}, {c:g}"
-                            )
+        for i, j, k in itertools.combinations(range(1, graph.n + 1), 3):
+            if graph.has_edge(i, j) and graph.has_edge(j, k) and graph.has_edge(i, k):
+                a, b, c = self.distance(i, j), self.distance(j, k), self.distance(i, k)
+                if a > b + c or b > a + c or c > a + b:
+                    out.append(f"{label}: triangle inequality fails on ({i},{j},{k}): {a:g}, {b:g}, {c:g}")
         return out
 
 
@@ -182,10 +238,15 @@ class LeaderFollower(_Shape):
         if self.gain <= 0:
             raise BehaviorError("leader gain must be positive")
 
-    def control(self, me, x, ids, positions):
-        if me == self.leader:
-            return self.gain * (np.asarray(self.goal) - x)
-        return super().control(me, x, ids, positions)
+    def gather(self, law, i, partners):
+        if i + 1 == self.leader:
+            law.goal[i], law.gain[i] = self.goal, self.gain
+        else:
+            super().gather(law, i, partners)
+
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        return np.where(law.gain > 0, law.gain * (law.goal - x), _spring(law, x, rows, cols, seen_at))
 
     def violations(self, graph, robots, delta):
         out = super().violations(graph, robots, delta)
@@ -201,9 +262,12 @@ class CyclicPursuit(Controller):
     yaml = "cyclic_pursuit"
     angle: float = _yaml("num")
 
-    def control(self, me, x, ids, positions):
-        rot = rotation(self.angle)
-        return sum((rot @ (pj - x) for pj in positions), np.zeros(2))
+    def gather(self, law, i, partners):
+        law.rot[i] = rotation(self.angle)
+
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        return _fold(rows, (law.rot[rows] @ (seen_at - x[rows])[:, :, None])[:, :, 0], len(x))
 
     def violations(self, graph, robots, delta):
         try:
@@ -227,9 +291,13 @@ class Containment(CyclicPursuit):
         if self.gain <= 0:
             raise BehaviorError("containment gain must be positive")
 
-    def control(self, me, x, ids, positions):
-        u = super().control(me, x, ids, positions)
-        return u + self.gain * (np.asarray(self.goal) - x)
+    def gather(self, law, i, partners):
+        super().gather(law, i, partners)
+        law.goal[i], law.gain[i] = self.goal, self.gain
+
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        return CyclicPursuit.control(law, x, rows, cols, seen_at) + law.gain * (law.goal - x)
 
 
 @dataclass(frozen=True)
@@ -246,13 +314,10 @@ class Lattice(Controller):
     def reads(self, me):
         return IN_RANGE
 
-    def control(self, me, x, ids, positions):
-        u = np.zeros(2)
-        theta2 = self.spacing**2
-        for pj in positions:
-            diff = x - pj
-            u += (float(diff @ diff) - theta2) * (pj - x)
-        return u
+    control = staticmethod(_spring)
+
+    def gather(self, law, i, partners):
+        law.theta2[i] = self.spacing**2
 
     def violations(self, graph, robots, delta):
         if self.spacing > delta:
@@ -270,22 +335,20 @@ class Coverage(Controller):
     def reads(self, me):
         return KNOWN
 
-    def control(self, me, x, ids, positions):
-        """Toward the centroid of my cell among the robots I know, clipped to
-        the domain. Positions are nudged into the rectangle first: transient
-        boundary overshoot from the safety filter must not kill the
-        tessellation."""
-        d, eps = self.domain, 1e-9
-
-        def site(i, p):
-            return RobotState(
-                i,
-                np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
-                          min(max(p[1], d.ymin + eps), d.ymax - eps)]),
-            )
-
-        sites = [site(me, x)] + [site(j, pj) for j, pj in zip(ids, positions)]
-        return voronoi_centroids(sites, d)[0] - x
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        """Toward the centroid of each robot's cell among the robots it
+        knows, clipped to its domain, one robot at a time. Positions are
+        nudged into the rectangle first: transient boundary overshoot from
+        the safety filter must not kill the tessellation."""
+        u, eps = np.zeros_like(x), 1e-9
+        for i in law.robots.tolist():
+            d, (a, b) = law.leaf[i].domain, rows.searchsorted((i, i + 1))
+            sites = [RobotState(j + 1, np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
+                                                 min(max(p[1], d.ymin + eps), d.ymax - eps)]))
+                     for j, p in zip([i, *cols[a:b].tolist()], [x[i], *seen_at[a:b]])]
+            u[i] = voronoi_centroids(sites, d)[0] - x[i]
+        return u
 
 
 @dataclass(frozen=True)
@@ -297,19 +360,17 @@ class GoToGoal(Controller):
     gain: float = _yaml("num", default=1.0)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "goals",
-            {int(i): (float(g[0]), float(g[1])) for i, g in self.goals.items()},
-        )
+        object.__setattr__(self, "goals", {int(i): (float(g[0]), float(g[1])) for i, g in self.goals.items()})
         if self.gain <= 0:
             raise BehaviorError("goal gain must be positive")
 
-    def control(self, me, x, ids, positions):
-        goal = self.goals.get(me)
-        if goal is None:
-            return np.zeros(2)
-        return self.gain * (np.asarray(goal) - x)
+    def gather(self, law, i, partners):
+        if i + 1 in self.goals:
+            law.goal[i], law.gain[i] = self.goals[i + 1], self.gain
+
+    @staticmethod
+    def control(law, x, rows, cols, seen_at):
+        return np.where(law.gain > 0, law.gain * (law.goal - x), 0.0)
 
     def violations(self, graph, robots, delta):
         outside = sorted(i for i in self.goals if i not in robots)
@@ -338,19 +399,14 @@ class Composite(Controller):
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
 
-    def group_of(self, robot):
+    def leaf(self, me):
         for g in self.groups:
-            if robot in g.robots:
-                return g
-        raise BehaviorError(f"robot {robot} belongs to no composite group")
+            if me in g.robots:
+                return g.controller, g.robots
+        raise BehaviorError(f"robot {me} belongs to no composite group")
 
     def reads(self, me):
-        return self.group_of(me).controller.reads(me)
-
-    def control(self, me, x, ids, positions):
-        group = self.group_of(me)
-        mine = [k for k, j in enumerate(ids) if j in group.robots]
-        return group.controller.control(me, x, [ids[k] for k in mine], [positions[k] for k in mine])
+        return self.leaf(me)[0].reads(me)
 
     def violations(self, graph, robots, delta):
         out = []
@@ -360,6 +416,11 @@ class Composite(Controller):
             if overlap:
                 out.append(f"composite: robots {sorted(overlap)} appear in more than one group")
             seen |= set(g.robots)
+        ungrouped, outside = set(robots) - seen, seen - set(robots)
+        if ungrouped:
+            out.append(f"composite: robots {sorted(ungrouped)} belong to no group")
+        if outside:
+            out.append(f"composite: robots {sorted(outside)} out of range")
         edge_union = set()
         for g in self.groups:
             for a, b in g.edges:
@@ -377,9 +438,7 @@ class Composite(Controller):
             except GeometryError as exc:
                 out.append(f"composite {g.controller.label}: {exc}")
                 continue
-            out.extend(
-                f"composite {v} (group {g.robots})" for v in g.controller.violations(sub, g.robots, delta)
-            )
+            out.extend(f"composite {v} (group {g.robots})" for v in g.controller.violations(sub, g.robots, delta))
         return out
 
 
@@ -396,7 +455,7 @@ class ControlNormBelow:
             raise BehaviorError("completion threshold must be positive")
 
     def done(self, u_hat, elapsed, x):
-        return float(np.linalg.norm(u_hat)) < self.epsilon
+        return np.sqrt(_sq(u_hat)) < self.epsilon
 
 
 @dataclass(frozen=True)
@@ -424,4 +483,4 @@ class GoalReached:
             raise BehaviorError("completion radius must be positive")
 
     def done(self, u_hat, elapsed, x):
-        return float(np.linalg.norm(x - np.asarray(self.goal))) <= self.radius
+        return np.sqrt(_sq(x - np.asarray(self.goal))) <= self.radius

@@ -14,12 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .mission import (
-    builtin_scenario,
-    builtin_scenario_names,
-    load_mission_file,
-    validate,
-)
+from .mission import builtin_scenario, builtin_scenario_names, load_mission_file, validate
 from .barriers import team_settling_bound
 from .sim import DelaySpec, compute_behavior_windows, connectivity_trace, run, write_outputs
 
@@ -142,8 +137,7 @@ def cmd_validate(args):
 
 
 def _print_behavior_table(metrics, out=sys.stdout):
-    print(f"outcome: {metrics['outcome']} after {metrics['ticks']} ticks "
-          f"({metrics['seconds']:.2f} s)", file=out)
+    print(f"outcome: {metrics['outcome']} after {metrics['ticks']} ticks ({metrics['seconds']:.2f} s)", file=out)
     print("  k  behavior                transition(s)  bound(s)", file=out)
     for b in metrics["behaviors"]:
         tr = b["transition_seconds"]
@@ -183,13 +177,7 @@ def transition_comparison(plan, config):
                 out.append({"k": w["k"], "ticks": None, "mean_norm": None})
                 continue
             norms = np.linalg.norm(rec.controls[a:e], axis=2)
-            out.append(
-                {
-                    "k": w["k"],
-                    "ticks": e - a,
-                    "mean_norm": float(norms.mean()) if norms.size else 0.0,
-                }
-            )
+            out.append({"k": w["k"], "ticks": e - a, "mean_norm": float(norms.mean()) if norms.size else 0.0})
         return out
 
     return {
@@ -229,15 +217,12 @@ def cmd_compare_glue(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="swarmseq",
-        description="Validate and run multi-robot behavior-sequencing missions.",
-    )
+    parser = argparse.ArgumentParser(prog="swarmseq",
+                                     description="Validate and run multi-robot behavior-sequencing missions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a mission file or builtin scenario")
-    p.add_argument("mission", help="mission file path or builtin name: "
-                   + ", ".join(builtin_scenario_names()))
+    p.add_argument("mission", help="mission file path or builtin name: " + ", ".join(builtin_scenario_names()))
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="run a mission and write trajectory logs")
@@ -249,10 +234,8 @@ def build_parser():
     p.add_argument("--out", default=None, help="directory for the CSV set and summary.json")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser(
-        "compare-glue",
-        help="run twice, with barrier transitions and with rendezvous glue, and compare",
-    )
+    p = sub.add_parser("compare-glue",
+                       help="run twice, with barrier transitions and with rendezvous glue, and compare")
     p.add_argument("mission")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dt", type=float, default=None)

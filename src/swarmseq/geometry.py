@@ -168,11 +168,13 @@ def proximity_graph(positions, delta):
     i, j = _pairs(n)
     near = Connectivity(i, j, delta).value(positions[i - 1], positions[j - 1]) >= 0
     i, j = i[near], j[near]
-    graph = InteractionGraph(n, frozenset(zip(i.tolist(), j.tolist())))
     mask = np.zeros((n, n), dtype=bool)
     mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
     mask.flags.writeable = False
-    graph.__dict__["mask"] = mask  # the cached property, from the pairs at hand
+    # the pairs come from _pairs, normalized and in range: skip __post_init__'s
+    # per-edge checks, and set the cached mask from the pairs at hand
+    graph = object.__new__(InteractionGraph)
+    graph.__dict__.update(n=n, edges=frozenset(zip(i.tolist(), j.tolist())), mask=mask)
     return graph
 
 
@@ -314,22 +316,3 @@ def voronoi_centroids(states, domain):
         _, c = polygon_area_centroid(cell)
         out.append(c)
     return out
-
-
-def point_in_polygon(poly, p):
-    """Convex-polygon membership, boundary-inclusive."""
-    m = len(poly)
-    if m < 3:
-        return False
-    sign = 0.0
-    for k in range(m):
-        a = poly[k]
-        b = poly[(k + 1) % m]
-        cr = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if abs(cr) < 1e-12:
-            continue
-        if sign == 0.0:
-            sign = cr
-        elif sign * cr < 0:
-            return False
-    return True

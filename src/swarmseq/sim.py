@@ -212,22 +212,9 @@ def run(plan, config):
         outcome = "infeasible_hard"
 
     sigma, eta, mode, k = (log[:len(controls_log)] for log in logs)
-    record = RunRecord(
-        n=plan.n,
-        dt=config.dt,
-        outcome=outcome,
-        ticks=len(controls_log),
-        positions=np.array(positions_log),
-        controls=np.array(controls_log),
-        sigma=sigma,
-        eta=eta,
-        mode=mode,
-        behavior_index=k,
-        events=world.event_log,
-        config=config,
-        plan=plan,
-    )
-    return record
+    return RunRecord(n=plan.n, dt=config.dt, outcome=outcome, ticks=len(controls_log),
+                     positions=np.array(positions_log), controls=np.array(controls_log), sigma=sigma, eta=eta,
+                     mode=mode, behavior_index=k, events=world.event_log, config=config, plan=plan)
 
 
 class _RescueTracker:
@@ -261,9 +248,7 @@ class _RescueTracker:
                 centroid = group.mean(axis=0)
                 if float(np.linalg.norm(centroid - np.asarray(r.safe_center))) <= r.safe_radius:
                     self.escorted = True
-                    world.event_log.append(
-                        {"tick": world.tick - 1, "event": "target_escorted"}
-                    )
+                    world.event_log.append({"tick": world.tick - 1, "event": "target_escorted"})
 
 
 # --- post-run analysis ----------------------------------------------------------
@@ -282,9 +267,7 @@ def compute_behavior_windows(record):
     Any entry is None if the run never reached it.
     """
     m = len(record.plan.behaviors)
-    ranks = np.where(
-        record.mode == EXECUTING, 2 * record.behavior_index, 2 * record.behavior_index - 1
-    )
+    ranks = np.where(record.mode == EXECUTING, 2 * record.behavior_index, 2 * record.behavior_index - 1)
     min_rank = ranks.min(axis=1)
     max_rank = ranks.max(axis=1)
     windows = []
@@ -295,15 +278,8 @@ def compute_behavior_windows(record):
         exec_start = _first_tick(min_rank >= exc)
         past = _first_tick(min_rank > exc)
         exec_end = past if past is not None else (record.ticks if exec_start is not None else None)
-        windows.append(
-            {
-                "k": k,
-                "assembly_first": first_asm,
-                "assembly_all": all_asm,
-                "exec_start": exec_start,
-                "exec_end": exec_end,
-            }
-        )
+        windows.append({"k": k, "assembly_first": first_asm, "assembly_all": all_asm, "exec_start": exec_start,
+                        "exec_end": exec_end})
     return windows
 
 

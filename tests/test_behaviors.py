@@ -14,6 +14,7 @@ from swarmseq.behaviors import (
     GoalReached,
     GoToGoal,
     Lattice,
+    Law,
     LeaderFollower,
     Rendezvous,
     Scatter,
@@ -22,7 +23,7 @@ from swarmseq.behaviors import (
 )
 from swarmseq.agent import EXECUTING, AgentError, Team, step
 from swarmseq.barriers import FcbfParams
-from swarmseq.geometry import Domain, InteractionGraph
+from swarmseq.geometry import Domain, InteractionGraph, RobotState, voronoi_centroids
 from swarmseq.mission import BehaviorSpec, MissionPlan
 from swarmseq.sim import SimConfig, make_world
 
@@ -33,9 +34,19 @@ def states(*positions):
 
 
 def u_of(behavior, me, positions, partners):
-    """Robot me's nominal command, its law reading the robots ``partners``."""
-    ids = sorted(partners)
-    return nominal_control(behavior, me, positions[me - 1], ids, [positions[j - 1] for j in ids])
+    """Robot me's nominal command, its (leaf controller's) law reading the
+    robots ``partners``."""
+    leaf, _ = behavior.leaf(me)
+    x, cols = np.array(positions, dtype=float), np.array(sorted(partners), dtype=int) - 1
+    reads = np.zeros((len(x), len(x)), dtype=bool)
+    reads[me - 1, cols] = True
+    law = Law.of(type(leaf), [(me - 1, leaf)], reads)
+    return nominal_control(law, x, np.full(len(cols), me - 1), cols, x[cols])[0]
+
+
+def done_of(predicate, u_hat, elapsed, x):
+    """One robot's completion test, as a stack of one."""
+    return bool(predicate.done(np.array([u_hat]), np.array([elapsed]), np.array([x]))[0])
 
 
 def violations(behavior, graph, delta):
@@ -97,14 +108,14 @@ class TestControlLaws:
 
     def test_coverage_single_robot_moves_to_domain_center(self):
         beh = Coverage(domain=Domain(0, 1, 0, 1))
-        u = nominal_control(beh, 1, np.array([0.2, 0.2]), [], [])
+        u = u_of(beh, 1, states((0.2, 0.2)), [])
         np.testing.assert_allclose(u, [0.3, 0.3], atol=1e-12)
 
     def test_coverage_closed_loop_converges_to_center(self):
         beh = Coverage(domain=Domain(0, 1, 0, 1))
         pos = np.array([0.05, 0.9])
         for _ in range(400):
-            u = nominal_control(beh, 1, pos, [], [])
+            u = u_of(beh, 1, [pos], [])
             pos = pos + 0.05 * u
         np.testing.assert_allclose(pos, [0.5, 0.5], atol=1e-3)
 
@@ -267,17 +278,203 @@ class TestValidation:
             "composite go to goal: goals for robots [3] out of range (group (1, 2))",
         ]
 
+    def test_composite_groups_must_cover_the_robots_exactly(self):
+        def groups(*robots):
+            return Composite(groups=tuple(CompositeGroup(robots=r, controller=Rendezvous()) for r in robots))
+
+        assert violations(groups((1, 2), (3,)), InteractionGraph(3), 0.5) == []
+        assert violations(groups((1, 2)), InteractionGraph(3), 0.5) == ["composite: robots [3] belong to no group"]
+        assert violations(groups((1,), (2, 3, 7)), InteractionGraph(3), 0.5) == [
+            "composite: robots [7] out of range"]
+        assert violations(groups((2, 5), (0,)), InteractionGraph(3), 0.5) == [
+            "composite: robots [1, 3] belong to no group", "composite: robots [0, 5] out of range"]
+
 
 class TestCompletion:
     def test_control_norm(self):
-        assert ControlNormBelow(1e-3).done(np.zeros(2), 0.0, np.zeros(2))
-        assert not ControlNormBelow(1e-3).done(np.array([0.1, 0]), 0.0, np.zeros(2))
+        assert done_of(ControlNormBelow(1e-3), np.zeros(2), 0.0, np.zeros(2))
+        assert not done_of(ControlNormBelow(1e-3), np.array([0.1, 0]), 0.0, np.zeros(2))
 
     def test_elapsed(self):
-        assert not ElapsedTime(5.0).done(np.zeros(2), 4.9, np.zeros(2))
-        assert ElapsedTime(5.0).done(np.zeros(2), 5.0, np.zeros(2))
+        assert not done_of(ElapsedTime(5.0), np.zeros(2), 4.9, np.zeros(2))
+        assert done_of(ElapsedTime(5.0), np.zeros(2), 5.0, np.zeros(2))
 
     def test_goal_reached(self):
         pred = GoalReached(goal=(1.0, 2.0), radius=0.05)
-        assert pred.done(np.zeros(2), 0.0, np.array([1.0, 2.0]))
-        assert not pred.done(np.zeros(2), 0.0, np.array([0.0, 0.0]))
+        assert done_of(pred, np.zeros(2), 0.0, np.array([1.0, 2.0]))
+        assert not done_of(pred, np.zeros(2), 0.0, np.array([0.0, 0.0]))
+
+
+# --- the team law pass against a per-robot reference -------------------------
+
+
+def bits(a):
+    """The float64 bit patterns of an array, so that -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def reference_control(c, me, x, ids, positions):
+    """Robot me's command under leaf controller c, one partner at a time, as
+    the laws computed it robot by robot."""
+    if isinstance(c, Rendezvous):
+        return sum((pj - x for pj in positions), np.zeros(2))
+    if isinstance(c, Scatter):
+        return sum((x - pj for pj in positions), np.zeros(2))
+    if isinstance(c, LeaderFollower) and me == c.leader:
+        return c.gain * (np.asarray(c.goal) - x)
+    if isinstance(c, (Formation, LeaderFollower, Lattice)):
+        u = np.zeros(2)
+        theta2 = c.spacing**2 if isinstance(c, Lattice) else None
+        for j, pj in zip(ids, positions):
+            diff = x - pj
+            if theta2 is None:
+                theta = c.distance(me, j)
+                u += (float(diff @ diff) - theta * theta) * (pj - x)
+            else:
+                u += (float(diff @ diff) - theta2) * (pj - x)
+        return u
+    if isinstance(c, CyclicPursuit):
+        rot = rotation(c.angle)
+        u = sum((rot @ (pj - x) for pj in positions), np.zeros(2))
+        return u + c.gain * (np.asarray(c.goal) - x) if isinstance(c, Containment) else u
+    if isinstance(c, Coverage):
+        d, eps = c.domain, 1e-9
+
+        def site(i, p):
+            return RobotState(i, np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
+                                           min(max(p[1], d.ymin + eps), d.ymax - eps)]))
+
+        sites = [site(me, x)] + [site(j, pj) for j, pj in zip(ids, positions)]
+        return voronoi_centroids(sites, d)[0] - x
+    assert isinstance(c, GoToGoal)
+    goal = c.goals.get(me)
+    return np.zeros(2) if goal is None else c.gain * (np.asarray(goal) - x)
+
+
+def reference_done(predicate, u_hat, elapsed, x):
+    """One robot's completion test, as the predicates computed it robot by robot."""
+    if isinstance(predicate, ControlNormBelow):
+        return float(np.linalg.norm(u_hat)) < predicate.epsilon
+    if isinstance(predicate, ElapsedTime):
+        return elapsed >= predicate.duration
+    return float(np.linalg.norm(x - np.asarray(predicate.goal))) <= predicate.radius
+
+
+def leaf_controllers(rng, robots, edges):
+    """One controller of every leaf class for ``robots``, with random
+    parameters: formation distances on ``edges``, the leader and the goals
+    among the robots (the last robot has no goal)."""
+    first = robots[0]
+    distances = {e: float(rng.uniform(0.1, 0.5)) for e in edges}
+    goal = tuple(rng.uniform(-1, 1, 2))
+    return [
+        Rendezvous(), Scatter(), Formation(distances=distances),
+        LeaderFollower(leader=first, goal=goal, distances=distances, gain=float(rng.uniform(0.5, 2))),
+        CyclicPursuit(angle=float(rng.uniform(-3, 3))),
+        Containment(angle=float(rng.uniform(-3, 3)), goal=goal, gain=float(rng.uniform(0.5, 2))),
+        Lattice(spacing=float(rng.uniform(0.1, 0.5))), Coverage(Domain(-1.0, 1.0, -1.0, 1.0)),
+        GoToGoal(goals={r: tuple(rng.uniform(-1, 1, 2)) for r in robots[:-1]}, gain=float(rng.uniform(0.5, 2))),
+    ]
+
+
+def random_positions(rng, n):
+    """n robots in [-1, 0.5]^2 with robots 1 and 2 at x = +0.0 and x = -0.0
+    (so that robot 1's offset to robot 2 is -0.0), and robot n out of range of
+    the rest and outside the coverage domains of ``leaf_controllers``."""
+    x = rng.uniform(-1, 0.5, (n, 2))
+    x[0] = 0.0, 0.1
+    x[1] = -0.0, 0.3
+    x[-1] = 1.15, -1.15
+    return x
+
+
+def team_and_reference(controller, graph, x, completion, latched=()):
+    """(team pass nominal, per-robot reference, team s_task, reference done)
+    of one executing step with the oracle on, the robots ``latched`` (indices)
+    having completed already."""
+    n = len(x)
+    plan = MissionPlan(n=n, initial_positions=x, behaviors=(BehaviorSpec(controller, graph, completion),),
+                       domain=Domain(-1.2, 1.2, -1.2, 1.2), fcbf=FcbfParams(), delta=0.5, min_sep=0.01)
+    config = SimConfig()
+    team, world = Team.start(plan), make_world(plan, config)
+    team.mode[:] = EXECUTING
+    team.s_task[list(latched)] = True
+    request, _, _ = step(team, world, world.in_flight.pop(0), plan, config)
+    expected, done = [], []
+    for me in range(1, n + 1):
+        leaf, group = controller, range(1, n + 1)
+        if isinstance(controller, Composite):
+            (leaf, group), = [(g.controller, g.robots) for g in controller.groups if me in g.robots]
+        reading = {"required": graph.neighbors(me), "in_range": world.live_graph.neighbors(me),
+                   "known": set(range(1, n + 1)) - {me}}[leaf.reads(me)]
+        ids = sorted(j for j in reading if j in group)
+        expected.append(reference_control(leaf, me, x[me - 1], ids, [x[j - 1] for j in ids]))
+        done.append(reference_done(completion, expected[-1], 0.0, x[me - 1]))
+    return request.nominal, np.array(expected), team.s_task.tolist(), done
+
+
+class TestTeamLaws:
+    """Each law over all its robots at once has the bits of the per-robot laws."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_controller_class_matches_the_per_robot_laws_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 9
+        x = random_positions(rng, n)
+        edges = {(1, 2)} | {(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.uniform() < 0.3}
+        graph = InteractionGraph.from_edges(n, edges)
+        for controller in leaf_controllers(rng, list(range(1, n + 1)), graph.edges):
+            got, expected, _, _ = team_and_reference(controller, graph, x, ElapsedTime(1.0))
+            assert bits(got) == bits(expected), controller
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_composite_of_every_class_matches_the_per_robot_laws_bitwise(self, seed):
+        # groups of three robots, one per leaf class, reading required,
+        # in-range and known partners; robot 28 is a coverage group of its
+        # own, and the required edge (3, 4) joins two groups, so neither reads it
+        rng = np.random.default_rng(100 + seed)
+        groups, edges = [], {(3, 4)}
+        for index in range(9):
+            robots = (3 * index + 1, 3 * index + 2, 3 * index + 3)
+            mine = {e for e in ((robots[0], robots[1]), (robots[1], robots[2]), (robots[0], robots[2]))
+                    if rng.uniform() < 0.7}
+            controller = leaf_controllers(rng, list(robots), mine)[index]
+            groups.append(CompositeGroup(robots=robots, controller=controller, edges=tuple(mine)))
+            edges |= mine
+        groups.append(CompositeGroup(robots=(28,), controller=Coverage(Domain(-1.2, 1.2, -1.2, 1.2))))
+        x = random_positions(rng, 28)
+        composite = Composite(groups=tuple(groups))
+        for completion in (ControlNormBelow(0.3), GoalReached(goal=(0.0, 0.0), radius=0.6)):
+            got, expected, s_task, done = team_and_reference(composite, InteractionGraph.from_edges(28, edges), x,
+                                                             completion)
+            assert bits(got) == bits(expected)
+            assert s_task == done and True in done and False in done
+
+    def test_partners_and_terms_of_the_edge_cases(self):
+        # robot 1 reads robot 2 at an offset whose x is -0.0; robot 3 reads
+        # nobody; robot 1 leads; robot 3 has no goal
+        x = np.array([[0.0, 0.1], [-0.0, 0.3], [0.9, -0.9]])
+        graph = InteractionGraph.from_edges(3, [(1, 2)])
+        for controller in (Rendezvous(), Formation(distances={(1, 2): 0.2}), GoToGoal(goals={1: (0.0, 0.1)}),
+                           LeaderFollower(leader=1, goal=(0.5, 0.5), distances={(1, 2): 0.2})):
+            got, expected, _, _ = team_and_reference(controller, graph, x, ElapsedTime(1.0))
+            assert bits(got) == bits(expected), controller
+            assert bits(got[2]) == bits(np.zeros(2))
+
+    def test_a_completion_once_reached_stays_latched(self):
+        x = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]])
+        _, _, s_task, done = team_and_reference(Rendezvous(), InteractionGraph(3), x, ElapsedTime(1.0), latched=[1])
+        assert s_task == [False, True, False] and done == [False, False, False]
+
+    @pytest.mark.parametrize("predicate", [
+        ControlNormBelow(0.5), ElapsedTime(0.5), GoalReached(goal=(0.25, -0.5), radius=0.5),
+    ])
+    def test_array_done_matches_the_scalar_form(self, predicate):
+        rng = np.random.default_rng(7)
+        u, x = rng.uniform(-0.6, 0.6, (200, 2)), rng.uniform(-0.5, 1.0, (200, 2))
+        elapsed = rng.uniform(0, 1, 200)
+        # on the threshold: norm exactly 0.5 and elapsed exactly 0.5
+        u[0], x[0], elapsed[0] = (0.3, 0.4), (0.55, -0.1), 0.5
+        got = predicate.done(u, elapsed, x)
+        assert got.tolist() == [reference_done(predicate, *row) for row in zip(u, elapsed, x)]
+        assert True in got.tolist() and False in got.tolist()

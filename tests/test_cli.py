@@ -66,6 +66,21 @@ behaviors:
     completion: {type: elapsed, duration: 0.5}
 """
 
+# a 3-robot composite behavior; GROUPS stands for its groups
+COMPOSITE_OF_3 = """
+mission:
+  n: 3
+  delta: 0.5
+  initial_positions: [[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]]
+domain:
+  bounds: [-2, 2, -2, 2]
+behaviors:
+  - controller: composite
+    graph: []
+    groups: GROUPS
+    completion: {type: elapsed, duration: 0.5}
+"""
+
 
 @pytest.fixture
 def tiny_mission(tmp_path):
@@ -88,6 +103,18 @@ class TestValidateCommand:
         path.write_text(GOAL_OUTSIDE_GROUP)
         assert main(["validate", str(path)]) == 1
         assert "goals for robots [3] out of range (group (1, 2))" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("groups, message", [
+        ("[{robots: [1, 2], controller: rendezvous}]", "robots [3] belong to no group"),
+        ("[{robots: [1, 2], controller: rendezvous}, {robots: [3, 7], controller: scatter}]",
+         "robots [7] out of range"),
+    ])
+    def test_composite_groups_must_cover_the_robots_exactly(self, tmp_path, capsys, command, groups, message):
+        path = tmp_path / "groups.yaml"
+        path.write_text(COMPOSITE_OF_3.replace("GROUPS", groups))
+        assert main([command, str(path)]) == 1
+        assert f"violation: behavior 1: composite: {message}\n" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["validate", "/nonexistent/mission.yaml"]) == 2

@@ -10,12 +10,30 @@ from swarmseq.geometry import (
     RobotState,
     is_cycle_graph,
     is_spanning_subgraph,
-    point_in_polygon,
     polygon_area_centroid,
     proximity_graph,
     voronoi_cells,
     voronoi_centroids,
 )
+
+
+def point_in_polygon(poly, p):
+    """Convex-polygon membership, boundary-inclusive."""
+    m = len(poly)
+    if m < 3:
+        return False
+    sign = 0.0
+    for k in range(m):
+        a = poly[k]
+        b = poly[(k + 1) % m]
+        cr = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        if abs(cr) < 1e-12:
+            continue
+        if sign == 0.0:
+            sign = cr
+        elif sign * cr < 0:
+            return False
+    return True
 
 
 def states(*positions):
@@ -47,6 +65,21 @@ class TestProximityGraph:
             pts = rng.uniform(-1, 1, size=(7, 2))
             d1, d2 = sorted(rng.uniform(0.1, 2.0, size=2))
             assert proximity_graph(pts, d1).edges <= proximity_graph(pts, d2).edges
+
+    def test_equals_the_checked_graph_of_its_edges(self):
+        # proximity graphs skip the per-edge checks of user-given graphs; the
+        # result is the same graph, mask and neighbors included
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 7, 30):
+            g = proximity_graph(rng.uniform(-1, 1, size=(n, 2)), 0.6)
+            checked = InteractionGraph.from_edges(n, g.edges)
+            assert g == checked and hash(g) == hash(checked) and g.sorted_edges() == checked.sorted_edges()
+            assert np.array_equal(g.mask, checked.mask) and not g.mask.flags.writeable
+            assert [g.neighbors(i) for i in range(n + 2)] == [checked.neighbors(i) for i in range(n + 2)]
+        with pytest.raises(GeometryError):
+            InteractionGraph.from_edges(3, [(1, 1)])
+        with pytest.raises(GeometryError):
+            InteractionGraph.from_edges(3, [(1, 4)])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(GeometryError):
