@@ -47,7 +47,9 @@ class RescueProbe:
 
     def __post_init__(self):
         object.__setattr__(self, "target", (float(self.target[0]), float(self.target[1])))
-        object.__setattr__(self, "safe_center", (float(self.safe_center[0]), float(self.safe_center[1])))
+        object.__setattr__(
+            self, "safe_center", (float(self.safe_center[0]), float(self.safe_center[1]))
+        )
         object.__setattr__(self, "escort_robots", tuple(int(r) for r in self.escort_robots))
 
 
@@ -74,7 +76,9 @@ def validate(plan):
     if len(plan.behaviors) < 1:
         out.append("mission has no behaviors")
     if plan.delta <= plan.min_sep:
-        out.append(f"sensing range {plan.delta:g} must exceed minimum separation {plan.min_sep:g}")
+        out.append(
+            f"sensing range {plan.delta:g} must exceed minimum separation {plan.min_sep:g}"
+        )
     for idx, pos in enumerate(plan.initial_positions, start=1):
         if not plan.domain.contains(pos):
             out.append(f"initial position of robot {idx} lies outside the domain")
