@@ -16,11 +16,10 @@ from .geometry import (
     Domain,
     InteractionGraph,
     Obstacle,
-    RobotState,
     is_cycle_graph,
     is_spanning_subgraph,
     proximity_graph,
-    voronoi_centroids,
+    voronoi_cell,
 )
 from .mission import BehaviorSpec, MissionPlan, builtin_scenario, parse_mission, serialize_mission, validate
 from .qp import QpProblem, QpSolution, RowLayout, oracle_solve, solve

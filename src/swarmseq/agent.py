@@ -44,7 +44,6 @@ import numpy as np
 
 from . import behaviors
 from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
-from .geometry import Obstacle
 from .qp import QpProblem, RowLayout, solve
 
 EXECUTING = 0
@@ -216,18 +215,17 @@ class TeamRequest(NamedTuple):
     initial: tuple = ()
 
 
-def consensus_update(own_flag, own_value, neighbor_values, neighbors):
+def consensus_update(own_flag, neighbor_values, neighbors):
     """Gated averaging step toward team agreement for every robot at once;
     results clamped to [0, 1].
 
     Robot i averages ``neighbor_values[i, j]`` over the robots j that
     ``neighbors[i]`` marks, plus a +1 bias. The sum is a left fold in
-    ascending j (a cumulative sum), as Python's ``sum`` was up to 3.11.
-    ``own_value`` is part of the update contract but the map itself depends
-    only on the flag and the neighbors: completion information enters through
-    the +1 numerator bias and diffuses via the neighbors.
+    ascending j (a cumulative sum), as Python's ``sum`` was up to 3.11. The
+    map does not read the robot's own value: completion information enters
+    through the flag and the +1 numerator bias and diffuses via the
+    neighbors.
     """
-    del own_value
     total = np.where(neighbors, neighbor_values, 0.0).cumsum(axis=1)[:, -1] + 1.0
     value = total / (neighbors.sum(axis=1) + 1.0)
     return np.where(own_flag, np.minimum(1.0, np.maximum(0.0, value)), 0.0)
@@ -379,12 +377,7 @@ def step(team, world, mail, plan, config):
     if stage.targets is not None:
         ready = ~(stage.targets & ~sensed).any(axis=1)
         team.s_assembly = np.where(assembling, ready, team.s_assembly)
-    value = consensus_update(
-        np.where(executing, team.s_task, team.s_assembly),
-        np.where(executing, team.sigma, team.eta),
-        cache.aligned(k, executing),
-        sensed,
-    )
+    value = consensus_update(np.where(executing, team.s_task, team.s_assembly), cache.aligned(k, executing), sensed)
     team.sigma = np.where(executing, value, team.sigma)
     team.eta = np.where(assembling, value, team.eta)
     team.elapsed = np.where(executing, team.elapsed + config.dt, team.elapsed)
@@ -449,8 +442,7 @@ def team_rows(request, params, min_sep, domain):
         stack = domain.obstacle_stack
         slot, m = np.nonzero(ObstacleAvoid(ids[:, None], stack).value(x[:, None]) <= OBSTACLE_ACTIVATION)
         if len(slot):
-            near = Obstacle(stack.center[m], stack.a[m], stack.b[m])
-            stacks.append((slot, ObstacleAvoid(ids[slot], near, m + 1), (x[slot],)))
+            stacks.append((slot, ObstacleAvoid(ids[slot], stack, m + 1), (x[slot],)))
     counts = np.zeros(len(ids), dtype=int)
     placed = []  # (robot slots, columns, rows)
     for slot, kind, positions in stacks:

@@ -18,9 +18,9 @@ Each barrier kind owns its value and gradient. Both work over the trailing
 a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
 pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
 stack. Every barrier squares distances with ``sq_dist``. ``constraint_row``
-turns one such stack into a ``RowBlock``, one row per barrier, with the
-barrier values it computed them from; a stack whose ``i`` is an array of
-robots gives a team's rows, which ``qp.RowLayout`` places robot by robot.
+turns one such stack into a ``RowBlock``, one row per barrier; a stack whose
+``i`` is an array of robots gives a team's rows, which ``qp.RowLayout``
+places robot by robot.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class ObstacleAvoid:
     """h = (x_i - o)' diag(a, b) (x_i - o) - 1: robot i outside an ellipse.
 
     The obstacle may be a stack of ellipses (see ``Domain.obstacle_stack``);
-    the value then broadcasts over them, one entry per obstacle. A stack
-    selected from a larger one keeps each ellipse's 1-based ``index`` in it.
+    the value then broadcasts over them, one entry per obstacle, or over the
+    ellipses that the 1-based ``index`` array selects from the stack.
     """
 
     i: int
@@ -157,17 +157,25 @@ class ObstacleAvoid:
     hard = True
     share = 1.0
 
+    def _ellipses(self):
+        """The center, a, b and axes of the obstacles, the selected ones if ``index`` is given."""
+        o, m = self.obstacle, self.index
+        if m is None:
+            return o.center, o.a, o.b, o.axes
+        m = np.asarray(m) - 1
+        return o.center[m], o.a[m], o.b[m], o.axes[m]
+
     def value(self, x):
-        o = self.obstacle
-        v = x - o.center
+        center, a, b, _ = self._ellipses()
+        v = x - center
         # squares with libm's pow (float_power), not numpy's ** 2, which
         # multiplies: the two differ in the last bit for ~0.1% of inputs, and
         # securing_a_building's tick count depends on that bit
-        return o.a * np.float_power(v[..., 0], 2) + o.b * np.float_power(v[..., 1], 2) - 1.0
+        return a * np.float_power(v[..., 0], 2) + b * np.float_power(v[..., 1], 2) - 1.0
 
     def gradient(self, x):
-        o = self.obstacle
-        return 2.0 * (x - o.center) * o.axes
+        center, _, _, axes = self._ellipses()
+        return 2.0 * (x - center) * axes
 
 
 @dataclass(frozen=True)
@@ -201,8 +209,7 @@ class RowBlock:
     rows of one barrier kind, with each row's identity: its barrier class
     ``kinds[r]``, and ``others[r]``, the other robot of a pairwise barrier,
     else the row's 1-based index in its kind's stack (the obstacle index for
-    ``Domain.obstacle_stack``). ``values`` are the rows' barrier values h
-    when ``constraint_row`` built them.
+    ``Domain.obstacle_stack``).
 
     ``robot`` is the robot whose input the rows act on; for a team's stack it
     is the kind's ``i`` as given (``qp.RowLayout`` places each row).
@@ -214,7 +221,6 @@ class RowBlock:
     hard: np.ndarray
     others: np.ndarray
     kinds: tuple
-    values: np.ndarray | None = None
 
     def __len__(self):
         return len(self.offsets)
@@ -223,8 +229,7 @@ class RowBlock:
         """The rows at ``index`` (an integer array), in that order."""
         hard = self.hard if np.ndim(self.hard) == 0 else self.hard[index]
         return RowBlock(self.robot, self.normals[index], self.offsets[index], hard,
-                        self.others[index], tuple(self.kinds[k] for k in index),
-                        None if self.values is None else self.values[index])
+                        self.others[index], tuple(self.kinds[k] for k in index))
 
     @classmethod
     def concat(cls, blocks):
@@ -253,4 +258,4 @@ def constraint_row(kind, params, *positions):
     others[...] = np.arange(1, shape[-1] + 1) if j is None else j
     h = h.reshape(k)
     return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h, params),
-                    kind.hard, others.reshape(k), (type(kind),) * k, h)
+                    kind.hard, others.reshape(k), (type(kind),) * k)

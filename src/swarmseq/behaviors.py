@@ -33,9 +33,9 @@ from .geometry import (
     Domain,
     GeometryError,
     InteractionGraph,
-    RobotState,
     induced_subgraph_is_cycle,
-    voronoi_centroids,
+    polygon_area_centroid,
+    voronoi_cell,
 )
 
 # what a controller's law reads: the neighbors its behavior's graph
@@ -337,17 +337,19 @@ class Coverage(Controller):
 
     @staticmethod
     def control(law, x, rows, cols, seen_at):
-        """Toward the centroid of each robot's cell among the robots it
+        """Toward the centroid of each robot's own cell among the robots it
         knows, clipped to its domain, one robot at a time. Positions are
         nudged into the rectangle first: transient boundary overshoot from
         the safety filter must not kill the tessellation."""
         u, eps = np.zeros_like(x), 1e-9
         for i in law.robots.tolist():
             d, (a, b) = law.leaf[i].domain, rows.searchsorted((i, i + 1))
-            sites = [RobotState(j + 1, np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
-                                                 min(max(p[1], d.ymin + eps), d.ymax - eps)]))
-                     for j, p in zip([i, *cols[a:b].tolist()], [x[i], *seen_at[a:b]])]
-            u[i] = voronoi_centroids(sites, d)[0] - x[i]
+            lo, hi = (d.xmin + eps, d.ymin + eps), (d.xmax - eps, d.ymax - eps)
+            sites = np.clip(np.vstack((x[i], seen_at[a:b])), lo, hi)
+            cell = voronoi_cell(sites, [i + 1, *(cols[a:b] + 1).tolist()], d)
+            if len(cell) < 3:
+                raise GeometryError("empty Voronoi cell (site outside domain?)")
+            u[i] = polygon_area_centroid(cell)[1] - x[i]
         return u
 
 

@@ -1,4 +1,4 @@
-"""Planar geometry: robot states, proximity graphs, graph predicates, Voronoi cells.
+"""Planar geometry: proximity graphs, graph predicates, Voronoi cells.
 
 All positions are 2-vectors in meters. Robots are indexed 1..n throughout the
 package (index 0 is never a robot).
@@ -7,7 +7,7 @@ package (index 0 is never a robot).
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,22 +17,6 @@ from .barriers import Connectivity
 
 class GeometryError(ValueError):
     """Invalid geometric input (degenerate tessellation, bad indices, ...)."""
-
-
-@dataclass(frozen=True)
-class RobotState:
-    """Position and identity of one robot."""
-
-    id: int
-    position: np.ndarray
-
-    def __post_init__(self):
-        pos = self.position
-        if not (isinstance(pos, np.ndarray) and pos.dtype == np.float64 and pos.shape == (2,)):
-            pos = np.asarray(pos, dtype=float).reshape(2)
-            object.__setattr__(self, "position", pos)
-        if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
-            raise GeometryError(f"robot {self.id}: non-finite position {pos}")
 
 
 @dataclass(frozen=True)
@@ -197,11 +181,7 @@ def is_spanning_subgraph(required, live):
 
 def is_cycle_graph(g):
     """True iff ``g`` is a single cycle: connected with every degree exactly 2."""
-    if g.n < 3:
-        raise GeometryError(f"a cycle needs at least 3 vertices, got {g.n}")
-    if any(g.degree(i) != 2 for i in range(1, g.n + 1)):
-        return False
-    return _is_connected(g, range(1, g.n + 1))
+    return induced_subgraph_is_cycle(g, range(1, g.n + 1))
 
 
 def induced_subgraph_is_cycle(g, vertices):
@@ -221,12 +201,6 @@ def induced_subgraph_is_cycle(g, vertices):
     for a, b in sub:
         adj[a].add(b)
         adj[b].add(a)
-    return _reachable_count(adj, verts[0]) == len(verts)
-
-
-def _is_connected(g, vertices):
-    verts = list(vertices)
-    adj = {v: g.neighbors(v) for v in verts}
     return _reachable_count(adj, verts[0]) == len(verts)
 
 
@@ -274,45 +248,26 @@ def polygon_area_centroid(poly):
     return a, np.array([cx, cy])
 
 
-def voronoi_cells(states, domain):
-    """Voronoi cell polygons clipped to the domain rectangle, one per robot.
+def voronoi_cell(points, ids, domain):
+    """The Voronoi cell of site ``points[0]`` among the sites ``points``, a
+    (k, 2) array of the robots ``ids``, clipped to the domain rectangle.
 
-    Each cell is the intersection of the rectangle with the bisector
-    half-planes against every other site, so the cells partition the domain
-    exactly. Coincident sites are rejected.
+    The cell is the intersection of the rectangle with the bisector
+    half-planes against every other site, in site order; taking each site
+    first in turn gives cells that partition the domain exactly. Coincident
+    sites and sites outside the domain are rejected, over all the sites.
     """
-    pts = [s.position for s in states]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[i] - pts[j]
-            if float(d @ d) < 1e-18:
-                raise GeometryError(
-                    f"coincident robots {states[i].id} and {states[j].id}: tessellation is degenerate"
-                )
-    for s in states:
-        if not domain.contains(s.position):
-            raise GeometryError(f"robot {s.id} at {s.position} lies outside the domain")
-    cells = []
-    rect = domain.corners()
-    for i, pi in enumerate(pts):
-        poly = rect.copy()
-        for j, pj in enumerate(pts):
-            if j == i or len(poly) == 0:
-                continue
-            # points closer to pi than pj: (pj - pi) . p <= (|pj|^2 - |pi|^2) / 2
-            normal = pj - pi
-            offset = 0.5 * (float(pj @ pj) - float(pi @ pi))
-            poly = clip_polygon_halfplane(poly, normal, offset)
-        cells.append(poly)
-    return cells
-
-
-def voronoi_centroids(states, domain):
-    """Area centroid of each robot's Voronoi cell clipped to the domain."""
-    out = []
-    for cell in voronoi_cells(states, domain):
-        if len(cell) < 3:
-            raise GeometryError("empty Voronoi cell (site outside domain?)")
-        _, c = polygon_area_centroid(cell)
-        out.append(c)
-    return out
+    for a, b in itertools.combinations(range(len(points)), 2):
+        d = points[a] - points[b]
+        if float(d @ d) < 1e-18:
+            raise GeometryError(f"coincident robots {ids[a]} and {ids[b]}: tessellation is degenerate")
+    for i, p in zip(ids, points):
+        if not domain.contains(p):
+            raise GeometryError(f"robot {i} at {p} lies outside the domain")
+    pi, poly = points[0], domain.corners()
+    for pj in points[1:]:
+        if len(poly) == 0:
+            break
+        # points closer to pi than pj: (pj - pi) . p <= (|pj|^2 - |pi|^2) / 2
+        poly = clip_polygon_halfplane(poly, pj - pi, 0.5 * (float(pj @ pj) - float(pi @ pi)))
+    return poly

@@ -16,7 +16,7 @@ import yaml
 
 from . import behaviors as bh
 from .barriers import Collision, FcbfParams, KeepWithin
-from .geometry import Domain, InteractionGraph, Obstacle
+from .geometry import Domain, InteractionGraph, Obstacle, _pairs
 from .sim import DelaySpec, SimConfig
 
 
@@ -82,11 +82,9 @@ def validate(plan):
     for idx, pos in enumerate(plan.initial_positions, start=1):
         if not plan.domain.contains(pos):
             out.append(f"initial position of robot {idx} lies outside the domain")
-    x = plan.initial_positions
-    for i in range(1, plan.n + 1):
-        for j in range(i + 1, plan.n + 1):
-            if Collision(i, j, plan.min_sep).value(x[i - 1], x[j - 1]) <= 0:
-                out.append(f"robots {i} and {j} start within the minimum separation")
+    x, (i, j) = plan.initial_positions, _pairs(plan.n)
+    close = Collision(i, j, plan.min_sep).value(x[i - 1], x[j - 1]) <= 0
+    out += [f"robots {a} and {b} start within the minimum separation" for a, b in zip(i[close], j[close])]
     for k, spec in enumerate(plan.behaviors, start=1):
         label = spec.name or f"behavior {k}"
         if spec.required_graph.n != plan.n:

@@ -244,7 +244,7 @@ def _graph_library():
 def _team_update(neighbors, flags, vals):
     """One synchronous team step of the consensus map: robot i averages the
     values of the robots its ``neighbors`` row marks."""
-    return consensus_update(flags, vals, np.broadcast_to(vals, neighbors.shape), neighbors)
+    return consensus_update(flags, np.broadcast_to(vals, neighbors.shape), neighbors)
 
 
 def test_criterion_4_consensus_convergence():

@@ -43,14 +43,14 @@ def graph_update(adj, flags, values):
     """Synchronous team-wide application of the consensus map."""
     n = len(values)
     values = np.asarray(values, dtype=float)
-    return consensus_update(np.asarray(flags), values, np.broadcast_to(values, (n, n)), mask_of(adj, n))
+    return consensus_update(np.asarray(flags), np.broadcast_to(values, (n, n)), mask_of(adj, n))
 
 
 def one_robot(flag, value, neighbor_values):
     """One robot's update: it sits in column 0 of its own row, its neighbors after it."""
     row = np.array([[value, *neighbor_values]])
     neighbors = np.array([[False] + [True] * len(neighbor_values)])
-    return float(consensus_update(np.array([flag]), np.array([value]), row, neighbors)[0])
+    return float(consensus_update(np.array([flag]), row, neighbors)[0])
 
 
 def cycle_adj(n):
@@ -332,7 +332,7 @@ def test_team_cache_view_and_consensus_equal_a_per_robot_reference_bitwise():
             executing = np.array([rng.random() < 0.5 for _ in range(n)])
             flags = np.array([rng.random() < 0.8 for _ in range(n)])
             aligned = cache.aligned(k, executing)
-            value = consensus_update(flags, np.zeros(n), aligned, mask)
+            value = consensus_update(flags, aligned, mask)
             oracle = {j: x[j] for j in range(n)} if oracle_on else None
             for i, ref in enumerate(refs):
                 assert cache.present[i].tolist() == [j in ref.cache for j in range(n)]

@@ -21,9 +21,10 @@ from swarmseq.behaviors import (
     nominal_control,
     rotation,
 )
+from swarmseq import geometry
 from swarmseq.agent import EXECUTING, AgentError, Team, step
 from swarmseq.barriers import FcbfParams
-from swarmseq.geometry import Domain, InteractionGraph, RobotState, voronoi_centroids
+from swarmseq.geometry import Domain, InteractionGraph, clip_polygon_halfplane, polygon_area_centroid
 from swarmseq.mission import BehaviorSpec, MissionPlan
 from swarmseq.sim import SimConfig, make_world
 
@@ -313,6 +314,21 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
+def all_site_centroids(pts, domain):
+    """Every site's Voronoi centroid in the domain rectangle, each cell
+    clipped against every other site in site order, as the Coverage law once
+    computed all of them to use the first."""
+    out = []
+    for i, pi in enumerate(pts):
+        poly = domain.corners()
+        for j, pj in enumerate(pts):
+            if j != i and len(poly):
+                poly = clip_polygon_halfplane(poly, pj - pi, 0.5 * (float(pj @ pj) - float(pi @ pi)))
+        assert len(poly) >= 3
+        out.append(polygon_area_centroid(poly)[1])
+    return out
+
+
 def reference_control(c, me, x, ids, positions):
     """Robot me's command under leaf controller c, one partner at a time, as
     the laws computed it robot by robot."""
@@ -340,12 +356,11 @@ def reference_control(c, me, x, ids, positions):
     if isinstance(c, Coverage):
         d, eps = c.domain, 1e-9
 
-        def site(i, p):
-            return RobotState(i, np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
-                                           min(max(p[1], d.ymin + eps), d.ymax - eps)]))
+        def site(p):
+            return np.array([min(max(p[0], d.xmin + eps), d.xmax - eps),
+                             min(max(p[1], d.ymin + eps), d.ymax - eps)])
 
-        sites = [site(me, x)] + [site(j, pj) for j, pj in zip(ids, positions)]
-        return voronoi_centroids(sites, d)[0] - x
+        return all_site_centroids([site(x)] + [site(pj) for pj in positions], d)[0] - x
     assert isinstance(c, GoToGoal)
     goal = c.goals.get(me)
     return np.zeros(2) if goal is None else c.gain * (np.asarray(goal) - x)
@@ -460,6 +475,25 @@ class TestTeamLaws:
             got, expected, _, _ = team_and_reference(controller, graph, x, ElapsedTime(1.0))
             assert bits(got) == bits(expected), controller
             assert bits(got[2]) == bits(np.zeros(2))
+
+    def test_coverage_clips_each_robots_own_cell_once_per_partner(self, monkeypatch):
+        # each robot clips its own cell against each partner it knows, not
+        # every partner's cell too; the commands keep the reference's bits
+        clips = []
+        real = geometry.clip_polygon_halfplane
+        monkeypatch.setattr(geometry, "clip_polygon_halfplane", lambda *a: clips.append(1) or real(*a))
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-0.9, 0.9, (6, 2))
+        reads = np.ones((6, 6), dtype=bool)
+        np.fill_diagonal(reads, False)
+        reads[4, :] = reads[:, 4] = False  # robot 5 knows nobody, and nobody knows it
+        robots, cover = [0, 1, 2, 4, 5], Coverage(Domain(-1.0, 1.0, -1.0, 1.0))
+        law = Law.of(Coverage, [(i, cover) for i in robots], reads)
+        rows, cols = reads.nonzero()
+        got = nominal_control(law, x, rows, cols, x[cols])
+        assert len(clips) == int(reads[robots].sum()) == 4 * 4
+        want = [reference_control(cover, i + 1, x[i], cols[rows == i] + 1, x[cols[rows == i]]) for i in robots]
+        assert bits(got) == bits(want)
 
     def test_a_completion_once_reached_stays_latched(self):
         x = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]])

@@ -7,13 +7,11 @@ from swarmseq.geometry import (
     GeometryError,
     InteractionGraph,
     Obstacle,
-    RobotState,
     is_cycle_graph,
     is_spanning_subgraph,
     polygon_area_centroid,
     proximity_graph,
-    voronoi_cells,
-    voronoi_centroids,
+    voronoi_cell,
 )
 
 
@@ -36,8 +34,14 @@ def point_in_polygon(poly, p):
     return True
 
 
-def states(*positions):
-    return [RobotState(i + 1, np.array(p, dtype=float)) for i, p in enumerate(positions)]
+def cell_of(k, sites, domain):
+    """Site k's Voronoi cell, taken by putting site k first (robot i + 1 at sites[i])."""
+    order = [k, *(j for j in range(len(sites)) if j != k)]
+    return voronoi_cell(np.asarray(sites, dtype=float)[order], [j + 1 for j in order], domain)
+
+
+def centroid_of(k, sites, domain):
+    return polygon_area_centroid(cell_of(k, sites, domain))[1]
 
 
 class TestProximityGraph:
@@ -169,20 +173,19 @@ class TestGraphPredicates:
 
 class TestVoronoi:
     def test_single_robot_cell_is_whole_domain(self):
-        cents = voronoi_centroids(states((0.2, 0.2)), Domain(0, 1, 0, 1))
-        np.testing.assert_allclose(cents[0], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(centroid_of(0, [(0.2, 0.2)], Domain(0, 1, 0, 1)), [0.5, 0.5], atol=1e-12)
 
     def test_two_symmetric_halves(self):
-        cents = voronoi_centroids(states((0.25, 0.5), (0.75, 0.5)), Domain(0, 1, 0, 1))
-        np.testing.assert_allclose(cents[0], [0.25, 0.5], atol=1e-12)
-        np.testing.assert_allclose(cents[1], [0.75, 0.5], atol=1e-12)
+        sites, dom = [(0.25, 0.5), (0.75, 0.5)], Domain(0, 1, 0, 1)
+        np.testing.assert_allclose(centroid_of(0, sites, dom), [0.25, 0.5], atol=1e-12)
+        np.testing.assert_allclose(centroid_of(1, sites, dom), [0.75, 0.5], atol=1e-12)
 
     def test_cell_areas_partition_domain(self):
         rng = np.random.default_rng(7)
         dom = Domain(0, 1, 0, 1)
         for _ in range(10):
-            st = states(*rng.uniform(0.05, 0.95, size=(5, 2)))
-            cells = voronoi_cells(st, dom)
+            sites = rng.uniform(0.05, 0.95, size=(5, 2))
+            cells = [cell_of(k, sites, dom) for k in range(len(sites))]
             total = sum(abs(polygon_area_centroid(c)[0]) for c in cells)
             assert abs(total - dom.area) <= 1e-9 * dom.area
 
@@ -194,8 +197,7 @@ class TestVoronoi:
         rng = np.random.default_rng(123)
         dom = Domain(0, 1, 0, 1)
         pts = rng.uniform(0.1, 0.9, size=(4, 2))
-        st = states(*pts)
-        cells = voronoi_cells(st, dom)
+        cells = [cell_of(k, pts, dom) for k in range(len(pts))]
 
         side = 1000
         gx, gy = np.meshgrid(np.arange(side), np.arange(side))
@@ -214,12 +216,19 @@ class TestVoronoi:
             assert point_in_polygon(cell, centroid)
 
     def test_coincident_sites_rejected(self):
-        with pytest.raises(GeometryError):
-            voronoi_centroids(states((0.5, 0.5), (0.5, 0.5)), Domain(0, 1, 0, 1))
+        # over all the sites, not only against the first
+        with pytest.raises(GeometryError, match="coincident robots 2 and 3"):
+            cell_of(0, [(0.1, 0.1), (0.5, 0.5), (0.5, 0.5)], Domain(0, 1, 0, 1))
 
     def test_site_outside_domain_rejected(self):
-        with pytest.raises(GeometryError):
-            voronoi_centroids(states((2.0, 0.5)), Domain(0, 1, 0, 1))
+        with pytest.raises(GeometryError, match="robot 1 at"):
+            cell_of(0, [(2.0, 0.5)], Domain(0, 1, 0, 1))
+        with pytest.raises(GeometryError, match="robot 2 at"):
+            cell_of(0, [(0.5, 0.5), (0.5, 2.0)], Domain(0, 1, 0, 1))
+
+    def test_non_finite_site_rejected(self):
+        with pytest.raises(GeometryError, match="outside the domain"):
+            cell_of(0, [(np.nan, 0.0)], Domain(-1, 1, -1, 1))
 
 
 class TestDomainTypes:
@@ -230,7 +239,3 @@ class TestDomainTypes:
     def test_obstacle_needs_positive_shape(self):
         with pytest.raises(GeometryError):
             Obstacle(np.zeros(2), a=-1.0, b=1.0)
-
-    def test_robot_position_must_be_finite(self):
-        with pytest.raises(GeometryError):
-            RobotState(1, np.array([np.nan, 0.0]))

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
+from swarmseq.barriers import Collision, FcbfParams
 from swarmseq.behaviors import CyclicPursuit, LeaderFollower
 from swarmseq import mission
-from swarmseq.geometry import InteractionGraph
+from swarmseq.geometry import Domain, InteractionGraph
 from swarmseq.mission import (
     MissionFormatError,
+    MissionPlan,
     builtin_scenario,
     builtin_scenario_names,
     parse_mission,
@@ -276,6 +278,21 @@ class TestValidate:
         plan, _ = parse_mission(bad)
         out = validate(plan)
         assert any("minimum separation" in v for v in out)
+
+    def test_start_separation_is_checked_pair_by_pair_in_order(self):
+        # one barrier evaluation over all pairs flags the pairs a loop over
+        # i < j would, in the same order, a pair exactly min_sep apart included
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 12):
+            x = rng.uniform(-0.3, 0.3, (n, 2))
+            if n > 1:
+                x[0], x[1] = (0.0, 0.0), (0.12, 0.0)
+            plan = MissionPlan(n, x, (), Domain(-1, 1, -1, 1), FcbfParams(), 0.5, 0.12)
+            want = [f"robots {i} and {j} start within the minimum separation"
+                    for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                    if Collision(i, j, 0.12).value(x[i - 1], x[j - 1]) <= 0]
+            assert [v for v in validate(plan) if "minimum separation" in v] == want
+            assert len(want) >= {1: 0, 2: 1, 7: 2, 12: 2}[n] and (n == 1 or want[0].startswith("robots 1 and 2 "))
 
     def test_position_outside_domain(self):
         bad = MINIMAL.replace("[[0.0, 0.0], [0.3, 0.0]]", "[[0.0, 0.0], [5.0, 0.0]]")

@@ -7,11 +7,13 @@ multipliers are the same solved alone or in any team.
 """
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from swarmseq import agent
 from swarmseq.agent import OBSTACLE_ACTIVATION, TeamRequest, team_rows
 from swarmseq.barriers import (
     Collision,
@@ -23,7 +25,9 @@ from swarmseq.barriers import (
     constraint_row,
 )
 from swarmseq.geometry import Domain, Obstacle
+from swarmseq.mission import builtin_scenario
 from swarmseq.qp import QpProblem, RowLayout, kkt_residuals, oracle_solve, solve
+from swarmseq.sim import run
 
 
 def bits(a):
@@ -173,6 +177,23 @@ class TestTeamRows:
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
         assert rows.width == 1
         assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
+
+    def test_ticks_select_obstacle_rows_from_the_domain_stack(self, monkeypatch):
+        # the active (robot, obstacle) pairs index the stack the domain
+        # checked once; no tick builds or re-checks an Obstacle
+        plan, config = builtin_scenario("securing_a_building")
+        built, obstacle_rows = [], []
+        real_check, real_rows = Obstacle.__post_init__, agent.constraint_row
+        monkeypatch.setattr(Obstacle, "__post_init__", lambda o: built.append(o) or real_check(o))
+
+        def counted_rows(kind, *args):
+            if isinstance(kind, ObstacleAvoid):
+                obstacle_rows.append(len(kind.i))
+            return real_rows(kind, *args)
+
+        monkeypatch.setattr(agent, "constraint_row", counted_rows)
+        run(plan, replace(config, max_ticks=50))
+        assert sum(obstacle_rows) > 0 and built == []
 
     def test_a_robot_without_partners_gets_its_obstacle_rows(self):
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
