@@ -419,6 +419,83 @@ def step(team, world, mail, plan, config):
     return request, outbox, events
 
 
+class RowPlan(NamedTuple):
+    """The structure of a team's rows, fixed until the request's structure changes.
+
+    ``calls`` holds one (barrier kind, robot slots, request field) per
+    ``constraint_row`` call, in the order of each robot's own constraint set
+    (connectivity, collision, obstacle, initial constraints); the field,
+    ``conn``, ``coll`` or None, holds the partner positions. ``flat`` is
+    every row's flat index in the layout, call by call, and ``template`` a
+    read-only layout with the pad rows, the hard mask and each row's
+    identity. A plan serves the requests whose ``key`` is its own: the dtype
+    and bytes of the robot ids, of the row arrays but the positions and of
+    the active (robot, obstacle) pairs, and each initial constraint's slot
+    and identity; ``min_sep`` and the obstacle ``stack`` must be the plan's
+    own objects.
+    """
+
+    key: tuple
+    min_sep: float
+    stack: object
+    calls: list
+    flat: np.ndarray
+    template: RowLayout
+
+    @staticmethod
+    def calls_of(request, active, min_sep, stack):
+        """The barrier kinds of a request whose active (robot, obstacle) pairs
+        are ``active``, with their slots and position fields. Every array is
+        the plan's own copy."""
+        ids = request.robots
+        calls = []
+        slot, others, _, deltas = request.conn
+        if len(slot):
+            calls.append((Connectivity(ids[slot], others.copy(), deltas.copy()), slot.copy(), "conn"))
+        slot, others, _ = request.coll
+        if len(slot):
+            calls.append((Collision(ids[slot], others.copy(), min_sep), slot.copy(), "coll"))
+        if active and len(active[0]):
+            slot, m = active
+            calls.append((ObstacleAvoid(ids[slot], stack, m + 1), slot, None))
+        return calls + [(kind, s, None) for s, kind in request.initial]
+
+    @classmethod
+    def of(cls, key, min_sep, stack, robots, calls, blocks):
+        """The plan of ``calls``; ``blocks`` are their rows, which give the
+        template each row's identity."""
+        counts = np.zeros(len(robots), dtype=int)
+        cells = []  # (robot slots, columns) per call
+        for _, slot, _ in calls:
+            slot = np.atleast_1d(slot)
+            # slots ascend, so each robot's rows are one run, after its earlier kinds' rows
+            cells.append((slot, counts[slot] + np.arange(len(slot)) - slot.searchsorted(slot)))
+            counts += np.bincount(slot, minlength=len(counts))
+        template = RowLayout.empty(robots.copy(), counts)
+        for (slot, column), block in zip(cells, blocks):
+            template.place(slot, column, block)
+        stride = template.offsets.shape[1]
+        flat = np.concatenate([slot * stride + column for slot, column in cells] or [np.empty(0, dtype=int)])
+        for a in (template.robots, template.counts, template.normals, template.offsets, template.hard):
+            a.flags.writeable = False
+        return cls(key, min_sep, stack, calls, flat, template)
+
+    def fill(self, blocks):
+        """A fresh layout of the template with ``blocks``, the rows of the
+        plan's calls; the template is left as it is."""
+        t = self.template
+        normals, offsets = t.normals.copy(), t.offsets.copy()
+        if len(self.flat):
+            normals.reshape(-1, 2)[self.flat] = np.concatenate([b.normals for b in blocks])
+            offsets.reshape(-1)[self.flat] = np.concatenate([b.offsets for b in blocks])
+        return RowLayout(t.robots, t.counts, normals, offsets, t.hard, t.placed)
+
+
+# the latest request structure's plan: one entry, so memory stays flat on
+# workloads whose structure changes often
+_row_plan = None
+
+
 def team_rows(request, params, min_sep, domain):
     """Every robot's QP rows, written straight into the solver's layout.
 
@@ -427,36 +504,30 @@ def team_rows(request, params, min_sep, domain):
     constraint set (connectivity, collision, obstacle, initial constraints),
     bit for bit the row of the robot's own one-robot stack. Obstacle rows are
     built only for the (robot, obstacle) pairs inside the activation margin.
+    The kinds and each row's place come from a ``RowPlan``, rebuilt only
+    when the request's structure changes.
     """
+    global _row_plan
     ids, x = request.robots, request.position
-    stacks = []  # (robot slots, barrier kind, positions)
-    slot, others, where, deltas = request.conn
-    if len(slot):
-        stacks.append((slot, Connectivity(ids[slot], others, deltas), (x[slot], where)))
-    slot, others, where = request.coll
-    if len(slot):
-        stacks.append((slot, Collision(ids[slot], others, min_sep), (x[slot], where)))
+    stack, active = None, ()
     if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
         stack = domain.obstacle_stack
-        slot, m = np.nonzero(ObstacleAvoid(ids[:, None], stack).value(x[:, None]) <= OBSTACLE_ACTIVATION)
-        if len(slot):
-            stacks.append((slot, ObstacleAvoid(ids[slot], stack, m + 1), (x[slot],)))
-    counts = np.zeros(len(ids), dtype=int)
-    placed = []  # (robot slots, columns, rows)
-    for slot, kind, positions in stacks:
-        # slots ascend, so each robot's rows are one run, after its earlier kinds' rows
-        column = counts[slot] + np.arange(len(slot)) - slot.searchsorted(slot)
-        placed.append((slot, column, constraint_row(kind, params, *positions)))
-        counts += np.bincount(slot, minlength=len(counts))
-    for s, kind in request.initial:
-        placed.append(([s], [counts[s]], constraint_row(kind, params, x[s])))
-        counts[s] += 1
-    layout = RowLayout.empty(ids, counts)
-    for slot, column, block in placed:
-        layout.place(slot, column, block)
-    return layout
+        active = np.nonzero(ObstacleAvoid(ids[:, None], stack).value(x[:, None]) <= OBSTACLE_ACTIVATION)
+    arrays = (ids, *request.conn[:2], request.conn[3], *request.coll[:2], *active)
+    key = ([(a.dtype, a.tobytes()) for a in arrays], [(s, id(kind)) for s, kind in request.initial])
+    plan = _row_plan
+    fresh = plan is None or plan.key != key or plan.min_sep is not min_sep or plan.stack is not stack
+    calls = RowPlan.calls_of(request, active, min_sep, stack) if fresh else plan.calls
+    blocks = []
+    for kind, slot, field in calls:
+        positions = (x[slot],) if field is None else (x[slot], getattr(request, field)[2])
+        blocks.append(constraint_row(kind, params, *positions))
+    if fresh:
+        # the plan keeps the initial kinds, so no other object takes their ids
+        plan = _row_plan = RowPlan.of(key, min_sep, stack, ids, calls, blocks)
+    return plan.fill(blocks)
 
 
 def filter_team(request, params, min_sep, speed_limit, domain):

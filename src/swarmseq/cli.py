@@ -7,6 +7,7 @@ parse or override error, 3 timeout, 4 hard infeasibility.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -57,6 +58,24 @@ class _Exit(Exception):
     def __init__(self, code):
         super().__init__(code)
         self.code = code
+
+
+@contextlib.contextmanager
+def _io_errors():
+    """Turn an ``OSError`` into an error line and the I/O exit code."""
+    try:
+        yield
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise _Exit(EXIT_IO) from None
+
+
+def _make_out(path):
+    """Create the output directory, if one is asked for, before the mission
+    runs, so that a path that cannot be one fails at once."""
+    if path:
+        with _io_errors():
+            os.makedirs(path, exist_ok=True)
 
 
 def _prepare(args):
@@ -149,13 +168,15 @@ def _print_behavior_table(metrics, out=sys.stdout):
 
 def cmd_run(args):
     plan, config = _prepare(args)
+    _make_out(args.out)
     record = run(plan, config)
     metrics = run_metrics(record)
     if args.out:
-        paths = write_outputs(record, args.out)
-        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _io_errors():
+            paths = write_outputs(record, args.out)
+            with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
+                json.dump(metrics, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         paths["summary"] = os.path.join(args.out, "summary.json")
         for name in sorted(paths):
             print(f"wrote {paths[name]}", file=sys.stderr)
@@ -188,6 +209,7 @@ def transition_comparison(plan, config):
 
 def cmd_compare_glue(args):
     plan, config = _prepare(args)
+    _make_out(args.out)
     report = transition_comparison(plan, config)
     mi, glue = report["minimally_invasive"], report["rendezvous_glue"]
     print("transition  mi_ticks  mi_mean|u|  glue_ticks  glue_mean|u|")
@@ -204,9 +226,8 @@ def cmd_compare_glue(args):
         print(f"{wm['k']:>10}  {mt:>8}  {mn:>10}  {gt:>10}  {gn:>12}")
     print(f"total transition ticks: minimally invasive {total_mi}, glue {total_glue}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "comparison.json")
-        with open(path, "w", encoding="utf-8") as fh:
+        with _io_errors(), open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}", file=sys.stderr)

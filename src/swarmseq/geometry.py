@@ -149,17 +149,27 @@ def proximity_graph(positions, delta):
     if not np.isfinite(positions).all():
         raise GeometryError("non-finite robot position")
     n = len(positions)
-    i, j = _pairs(n)
-    near = Connectivity(i, j, delta).value(positions[i - 1], positions[j - 1]) >= 0
-    i, j = i[near], j[near]
+    kind, a, b = _range_test(n, float(delta))
+    near = kind.value(positions[a], positions[b]) >= 0
+    a, b = a[near], b[near]
     mask = np.zeros((n, n), dtype=bool)
-    mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+    mask[a, b] = mask[b, a] = True
     mask.flags.writeable = False
     # the pairs come from _pairs, normalized and in range: skip __post_init__'s
     # per-edge checks, and set the cached mask from the pairs at hand
     graph = object.__new__(InteractionGraph)
-    graph.__dict__.update(n=n, edges=frozenset(zip(i.tolist(), j.tolist())), mask=mask)
+    graph.__dict__.update(n=n, edges=frozenset(zip(kind.i[near].tolist(), kind.j[near].tolist())), mask=mask)
     return graph
+
+
+@functools.lru_cache(maxsize=8)
+def _range_test(n, delta):
+    """The connectivity barriers of every pair of n robots at range delta,
+    checked once, with the pairs' 0-based indices as read-only arrays."""
+    i, j = _pairs(n)
+    a, b = i - 1, j - 1
+    a.flags.writeable = b.flags.writeable = False
+    return Connectivity(i, j, delta), a, b
 
 
 @functools.lru_cache(maxsize=8)

@@ -20,6 +20,11 @@ from .geometry import Domain, InteractionGraph, Obstacle, _pairs
 from .sim import DelaySpec, SimConfig
 
 
+# libyaml's parser when PyYAML was built with it (about 7x faster on
+# securing_a_building), else the pure-Python one; both build the same document
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 class MissionFormatError(ValueError):
     """Unparseable or structurally invalid mission document."""
 
@@ -245,7 +250,7 @@ def _doc(obj, tag):
 def parse_mission(text):
     """Parse a mission document into (MissionPlan, SimConfig)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise MissionFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -252,3 +252,25 @@ class TestCompareGlue:
         main(["compare-glue", tiny_mission, "--out", str(a)])
         main(["compare-glue", tiny_mission, "--out", str(b)])
         assert (a / "comparison.json").read_bytes() == (b / "comparison.json").read_bytes()
+
+
+class TestOutputErrors:
+    """An output path that cannot be written is an I/O error: exit 2 with an
+    error line, found before the mission runs when the directory cannot be made."""
+
+    @pytest.mark.parametrize("command", ["run", "compare-glue"])
+    def test_out_is_an_existing_file(self, tiny_mission, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main([command, tiny_mission, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""  # nothing ran
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, name", [("run", "summary.json"), ("compare-glue", "comparison.json")])
+    def test_an_output_file_that_cannot_be_written(self, tiny_mission, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, tiny_mission, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")

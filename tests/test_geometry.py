@@ -95,6 +95,18 @@ class TestProximityGraph:
         with pytest.raises(GeometryError):
             proximity_graph([0.0, 1.0], 1.0)
 
+    def test_checks_the_range_test_once_per_team_size_and_range(self, monkeypatch):
+        checked, real = [], Connectivity.__post_init__
+        monkeypatch.setattr(Connectivity, "__post_init__", lambda kind: checked.append(kind) or real(kind))
+        x = np.random.default_rng(5).uniform(-1, 1, size=(7, 2))
+        first = proximity_graph(x, 0.731)
+        for _ in range(5):
+            assert proximity_graph(x + 1e-3, 0.731).n == 7
+        assert len(checked) <= 1
+        assert proximity_graph(x, 0.731).edges == first.edges and (proximity_graph(x, 0.731).mask == first.mask).all()
+        proximity_graph(x, 0.732)
+        assert len(checked) <= 2
+
     def test_equals_pairwise_barrier_test(self):
         # the broadcast range test agrees with the connectivity barrier of
         # each pair evaluated on its own, also for pairs exactly delta apart

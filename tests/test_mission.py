@@ -358,3 +358,38 @@ class TestReadme:
             name: sorted(f.metadata.get("key") or f.name for f in fields(cls))
             for name, cls in mission.COMPLETIONS.items()
         }
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def sample_missions():
+    """Every builtin scenario's text, the minimal document and one mission per
+    controller and completion type."""
+    from importlib import resources
+
+    scenarios = resources.files("swarmseq.scenarios")
+    return [scenarios.joinpath(f"{name}.yaml").read_text() for name in builtin_scenario_names()] + [MINIMAL] + [
+        mission_text(behavior_doc(c, k)) for c in sorted(CONTROLLERS) for k in sorted(COMPLETIONS)
+    ]
+
+
+class TestLoaders:
+    def test_libyaml_parses_when_pyyaml_has_it(self):
+        assert mission.YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    def test_every_loader_builds_the_same_document_and_mission(self, monkeypatch):
+        for text in sample_missions():
+            docs, missions = [], []
+            for loader in LOADERS:
+                monkeypatch.setattr(mission, "YAML_LOADER", loader)
+                docs.append(yaml.load(text, Loader=loader))
+                missions.append(serialize_mission(*parse_mission(text)))
+            assert all(doc == docs[0] for doc in docs) and all(m == missions[0] for m in missions)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", ["mission: [unclosed", "a: b: c", "mission: {n: 1", "key: 'open", "- a\nb: c"])
+    def test_malformed_yaml_is_a_format_error_under_every_loader(self, monkeypatch, loader, text):
+        monkeypatch.setattr(mission, "YAML_LOADER", loader)
+        with pytest.raises(MissionFormatError, match="not valid YAML"):
+            parse_mission(text)

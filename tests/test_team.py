@@ -27,7 +27,7 @@ from swarmseq.barriers import (
 from swarmseq.geometry import Domain, Obstacle
 from swarmseq.mission import builtin_scenario
 from swarmseq.qp import QpProblem, RowLayout, kkt_residuals, oracle_solve, solve
-from swarmseq.sim import run
+from swarmseq.sim import DelaySpec, run
 
 
 def bits(a):
@@ -94,6 +94,24 @@ def own_rows(request, params, min_sep, domain):
     return RowBlock.concat(blocks)
 
 
+def assert_own_rows(team, s, request, params, min_sep, domain):
+    """Slot s of a team layout holds the robot's own rows bit for bit, then
+    pad rows; returns its block."""
+    got = team.block(s)
+    want = own_rows(request, params, min_sep, domain)
+    assert got.robot == request.robot
+    assert got.kinds == want.kinds
+    assert got.others.tolist() == want.others.tolist()
+    assert got.hard.tolist() == want.hard.tolist()
+    assert bits(got.normals).tolist() == bits(want.normals).tolist()
+    assert bits(got.offsets).tolist() == bits(want.offsets).tolist()
+    # the columns past the robot's rows are pad rows 0 . u >= -1
+    pad = slice(len(got), team.width)
+    assert not team.normals[s, pad].any() and (team.offsets[s, pad] == -1.0).all()
+    assert team.hard[s, pad].all()
+    return got
+
+
 def random_requests(rng, n, delta):
     x = rng.uniform(-1.5, 1.5, (n, 2))
     requests = []
@@ -134,18 +152,7 @@ class TestTeamRows:
             assert team.robots.tolist() == [r.robot for r in requests]
             assert len(team) == int(team.counts.sum())
             for s, request in enumerate(requests):
-                got = team.block(s)
-                want = own_rows(request, params, 0.12, domain)
-                assert got.robot == request.robot
-                assert got.kinds == want.kinds
-                assert got.others.tolist() == want.others.tolist()
-                assert got.hard.tolist() == want.hard.tolist()
-                assert bits(got.normals).tolist() == bits(want.normals).tolist()
-                assert bits(got.offsets).tolist() == bits(want.offsets).tolist()
-                # the columns past the robot's rows are pad rows 0 . u >= -1
-                pad = slice(len(got), team.width)
-                assert not team.normals[s, pad].any() and (team.offsets[s, pad] == -1.0).all()
-                assert team.hard[s, pad].all()
+                got = assert_own_rows(team, s, request, params, 0.12, domain)
                 kinds_seen.update(got.kinds)
                 # connectivity offsets square delta with Python's pow
                 x = request.position.tolist()
@@ -202,6 +209,87 @@ class TestTeamRows:
         assert len(rows) == 1 and rows.robots.tolist() == [3]
         assert rows.block(0).kinds == (ObstacleAvoid,) and rows.block(0).others.tolist() == [1]
         assert len(RowLayout.of([])) == 0
+
+
+def count_layouts(monkeypatch):
+    """A list that gets one entry per ``RowLayout.empty`` call: one per row plan built."""
+    built, real = [], RowLayout.empty
+    monkeypatch.setattr(RowLayout, "empty", staticmethod(lambda *args: built.append(args) or real(*args)))
+    return built
+
+
+def chain_requests(x, delta=0.5, colliders=None, initial=None):
+    """Three robots in a chain 1 - 2 - 3, at ``x``."""
+    partners = ([2], [1, 3], [2])
+    colliders = colliders or ([], [], [])
+    return [
+        OwnRequest(i + 1, x[i], np.zeros(2), delta, partners[i], [x[j - 1] for j in partners[i]],
+                   colliders[i], [x[j - 1] for j in colliders[i]], (initial or {}).get(i + 1, ()))
+        for i in range(3)
+    ]
+
+
+class TestRowPlan:
+    def test_the_plan_is_built_only_when_the_structure_changes(self, monkeypatch):
+        # two_behavior_demo under delay: one layout a tick before the plan
+        plan, config = builtin_scenario("two_behavior_demo")
+        built = count_layouts(monkeypatch)
+        record = run(plan, replace(config, delay=DelaySpec.uniform(0, 10), max_ticks=300))
+        assert record.ticks == 300
+        assert 0 < len(built) < 30
+
+    def test_every_change_of_structure_gets_its_own_plan(self, monkeypatch):
+        # one thing changes at a time; the rows are each robot's own rows
+        # every time, and only an unchanged structure reuses the plan
+        params = FcbfParams(rho=0.5, gamma=1.3)
+        near = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
+        # the same active pair as ``near``, with other rows
+        shifted = Domain(-3, 3, -3, 3, (Obstacle(np.array([0.0, 1e-3]), 1.0, 1.0),))
+        x = np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]])
+        jitter = np.array([[1e-3, -2e-3], [0.0, 1e-3], [-1e-3, 0.0]])
+        keep = KeepWithin(2, (1.5, 0.0), 0.8)
+        apart, at_margin = x.copy(), x.copy()
+        apart[0], at_margin[0] = [2.05, 0.0], [2.0, 0.0]  # robot 1 at h = 3.2025, then at h = 3
+        steps = [  # (requests, min_sep, domain, a new plan)
+            (chain_requests(x), 0.12, near, True),
+            (chain_requests(x + jitter), 0.12, near, False),
+            (chain_requests(x, colliders=([2], [1], [])), 0.12, near, True),
+            (chain_requests(x), 0.12, near, True),
+            (chain_requests(x, delta=0.5 * 0.96), 0.12, near, True),
+            (chain_requests(x), 0.12, near, True),
+            (chain_requests(apart), 0.12, near, True),
+            (chain_requests(at_margin), 0.12, near, True),
+            (chain_requests(x, initial={2: (keep,)}), 0.12, near, True),
+            (chain_requests(x + jitter, initial={2: (keep,)}), 0.12, near, False),
+            (chain_requests(x), 0.12, shifted, True),
+            (chain_requests(x), 0.12, near, True),
+            (chain_requests(x), 0.15, near, True),
+            (chain_requests(x), 0.12, near, True),
+            (chain_requests(x + jitter), 0.12, near, False),
+        ]
+        assert ObstacleAvoid(1, near.obstacle_stack).value(apart[0]) > OBSTACLE_ACTIVATION
+        assert ObstacleAvoid(1, near.obstacle_stack).value(at_margin[0]) == OBSTACLE_ACTIVATION
+        built = count_layouts(monkeypatch)
+        for requests, min_sep, domain, new in steps:
+            before = len(built)
+            team = team_rows(as_team(requests), params, min_sep, domain)
+            assert len(built) == before + new
+            for s, request in enumerate(requests):
+                assert_own_rows(team, s, request, params, min_sep, domain)
+
+    def test_writing_into_a_layout_changes_no_later_layout(self):
+        params = FcbfParams()
+        domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
+        requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
+        first = team_rows(as_team(requests), params, 0.12, domain)
+        QpProblem(np.zeros((3, 2)), first, 0.4)  # writes the box rows
+        first.normals[:] = 7.0
+        first.offsets[:] = 7.0
+        later = team_rows(as_team(requests), params, 0.12, domain)
+        assert later.normals is not first.normals and later.offsets is not first.offsets
+        for s, request in enumerate(requests):
+            assert_own_rows(later, s, request, params, 0.12, domain)
+        assert not later.normals[:, later.width:].any() and (later.offsets[:, later.width:] == -1.0).all()
 
 
 def random_rows(rng, robot, m):
