@@ -201,10 +201,11 @@ class TeamRequest(NamedTuple):
 
     Slot s is robot ``robots[s]`` (ids ascending) at ``position[s]``, asking
     for the input nearest its ``nominal[s]``. ``conn`` (slots, partner ids,
-    positions, deltas) and ``coll`` (slots, partner ids, positions) give one
-    row each, ordered by slot and within a slot in the robot's row order;
-    every position is the robot's own view of that partner. ``initial`` holds
-    (slot, kind) for the active spec's initial constraints, in slot order.
+    positions, deltas) and ``coll`` (slots, partner ids, positions, squared
+    distances from the world's table) give one row each, ordered by slot and
+    within a slot in the robot's row order; every position is the robot's
+    own view of that partner. ``initial`` holds (slot, kind) for the active
+    spec's initial constraints, in slot order.
     """
 
     robots: np.ndarray
@@ -332,9 +333,9 @@ def _stage(team, plan, config):
 def step(team, world, mail, plan, config):
     """Advance every robot by one tick.
 
-    ``world`` is the tick's snapshot (``tick``, ``positions`` and the
-    proximity graph ``live_graph``) and ``mail`` the messages delivered on
-    it. Returns (request, outbox, events): the ``TeamRequest`` of the robots
+    ``world`` is the tick's snapshot (``tick``, ``positions``, the mask
+    ``sensed`` and the table ``sq_dist``) and ``mail`` the messages delivered
+    on it. Returns (request, outbox, events): the ``TeamRequest`` of the robots
     not done, every robot's broadcast to the robots in its range, and each
     robot's events in order, by robot id. A robot's nominal law and
     completion test read its own row of the view and the cache, in ascending
@@ -346,7 +347,7 @@ def step(team, world, mail, plan, config):
         raise AgentError("the team was started for another plan")
     cache = team.cache
     cache.ingest(mail, t, config.staleness_ticks)
-    sensed = world.live_graph.mask
+    sensed = world.sensed
     view, known = cache.view(x, sensed, config.oracle_sensing)
     stage = _stage(team, plan, config)
     k, executing, assembling = team.k, stage.executing, stage.assembling
@@ -414,7 +415,7 @@ def step(team, world, mail, plan, config):
     ids = stage.ids
     request = TeamRequest(
         ids + 1, x[ids], nominal[ids], (slot, p + 1, view[r, p], delta),
-        (ids.searchsorted(cr), cp + 1, view[cr, cp]), stage.initial,
+        (ids.searchsorted(cr), cp + 1, view[cr, cp], world.sq_dist[cr, cp]), stage.initial,
     )
     return request, outbox, events
 
@@ -422,17 +423,17 @@ def step(team, world, mail, plan, config):
 class RowPlan(NamedTuple):
     """The structure of a team's rows, fixed until the request's structure changes.
 
-    ``calls`` holds one (barrier kind, robot slots, request field) per
+    ``calls`` holds one (barrier kind, robot slots, source) per
     ``constraint_row`` call, in the order of each robot's own constraint set
-    (connectivity, collision, obstacle, initial constraints); the field,
-    ``conn``, ``coll`` or None, holds the partner positions. ``flat`` is
-    every row's flat index in the layout, call by call, and ``template`` a
-    read-only layout with the pad rows, the hard mask and each row's
-    identity. A plan serves the requests whose ``key`` is its own: the dtype
-    and bytes of the robot ids, of the row arrays but the positions and of
-    the active (robot, obstacle) pairs, and each initial constraint's slot
-    and identity; ``min_sep`` and the obstacle ``stack`` must be the plan's
-    own objects.
+    (connectivity, collision, obstacle, initial constraints); the source,
+    ``conn``, ``coll``, ``obst`` or None, says where its values come from.
+    ``flat`` is every row's flat index in the layout, call by call, and
+    ``template`` a read-only layout with the pad rows, the hard mask and each
+    row's identity, which only the plan builds. A plan serves the requests
+    whose ``key`` is its own: the dtype and bytes of the robot ids, of the
+    row arrays but the positions and distances and of the active (robot,
+    obstacle) pairs, and each initial constraint's slot and identity;
+    ``min_sep`` and the obstacle ``stack`` must be the plan's own objects.
     """
 
     key: tuple
@@ -445,25 +446,25 @@ class RowPlan(NamedTuple):
     @staticmethod
     def calls_of(request, active, min_sep, stack):
         """The barrier kinds of a request whose active (robot, obstacle) pairs
-        are ``active``, with their slots and position fields. Every array is
+        are ``active``, with their slots and value sources. Every array is
         the plan's own copy."""
         ids = request.robots
         calls = []
         slot, others, _, deltas = request.conn
         if len(slot):
             calls.append((Connectivity(ids[slot], others.copy(), deltas.copy()), slot.copy(), "conn"))
-        slot, others, _ = request.coll
+        slot, others = request.coll[:2]
         if len(slot):
             calls.append((Collision(ids[slot], others.copy(), min_sep), slot.copy(), "coll"))
         if active and len(active[0]):
             slot, m = active
-            calls.append((ObstacleAvoid(ids[slot], stack, m + 1), slot, None))
+            calls.append((ObstacleAvoid(ids[slot], stack, m + 1), slot, "obst"))
         return calls + [(kind, s, None) for s, kind in request.initial]
 
     @classmethod
     def of(cls, key, min_sep, stack, robots, calls, blocks):
-        """The plan of ``calls``; ``blocks`` are their rows, which give the
-        template each row's identity."""
+        """The plan of ``calls``; ``blocks`` are their rows, which the
+        template takes with each row's identity."""
         counts = np.zeros(len(robots), dtype=int)
         cells = []  # (robot slots, columns) per call
         for _, slot, _ in calls:
@@ -472,8 +473,8 @@ class RowPlan(NamedTuple):
             cells.append((slot, counts[slot] + np.arange(len(slot)) - slot.searchsorted(slot)))
             counts += np.bincount(slot, minlength=len(counts))
         template = RowLayout.empty(robots.copy(), counts)
-        for (slot, column), block in zip(cells, blocks):
-            template.place(slot, column, block)
+        for (slot, column), (kind, _, _), block in zip(cells, calls, blocks):
+            template.place(slot, column, block.named(kind))
         stride = template.offsets.shape[1]
         flat = np.concatenate([slot * stride + column for slot, column in cells] or [np.empty(0, dtype=int)])
         for a in (template.robots, template.counts, template.normals, template.offsets, template.hard):
@@ -502,28 +503,34 @@ def team_rows(request, params, min_sep, domain):
     Each barrier kind is one ``constraint_row`` call for the whole team, and
     each row goes to its robot's layout row in the order of the robot's own
     constraint set (connectivity, collision, obstacle, initial constraints),
-    bit for bit the row of the robot's own one-robot stack. Obstacle rows are
-    built only for the (robot, obstacle) pairs inside the activation margin.
-    The kinds and each row's place come from a ``RowPlan``, rebuilt only
-    when the request's structure changes.
+    bit for bit the row of the robot's own one-robot stack. Obstacle rows take
+    the activation test's values, for the pairs inside its margin only, and
+    collision rows the request's squared distances. The kinds, each row's
+    place and identity come from a ``RowPlan``, rebuilt when the structure changes.
     """
     global _row_plan
     ids, x = request.robots, request.position
-    stack, active = None, ()
+    stack, active, near = None, (), None
     if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
         stack = domain.obstacle_stack
-        active = np.nonzero(ObstacleAvoid(ids[:, None], stack).value(x[:, None]) <= OBSTACLE_ACTIVATION)
+        h = ObstacleAvoid(ids[:, None], stack).value(x[:, None])
+        active = np.nonzero(h <= OBSTACLE_ACTIVATION)
+        near = h[active]
     arrays = (ids, *request.conn[:2], request.conn[3], *request.coll[:2], *active)
     key = ([(a.dtype, a.tobytes()) for a in arrays], [(s, id(kind)) for s, kind in request.initial])
     plan = _row_plan
     fresh = plan is None or plan.key != key or plan.min_sep is not min_sep or plan.stack is not stack
     calls = RowPlan.calls_of(request, active, min_sep, stack) if fresh else plan.calls
     blocks = []
-    for kind, slot, field in calls:
-        positions = (x[slot],) if field is None else (x[slot], getattr(request, field)[2])
-        blocks.append(constraint_row(kind, params, *positions))
+    for kind, slot, source in calls:
+        positions = (x[slot],) if source in (None, "obst") else (x[slot], getattr(request, source)[2])
+        if source == "coll":
+            h = kind.at_sq_dist(request.coll[3])
+        else:
+            h = near if source == "obst" else kind.value(*positions)
+        blocks.append(constraint_row(kind, params, h, *positions))
     if fresh:
         # the plan keeps the initial kinds, so no other object takes their ids
         plan = _row_plan = RowPlan.of(key, min_sep, stack, ids, calls, blocks)

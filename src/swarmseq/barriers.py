@@ -17,15 +17,15 @@ Each barrier kind owns its value and gradient. Both work over the trailing
 2-axis of position arrays, so the same method serves one robot on one tick,
 a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
 pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
-stack. Every barrier squares distances with ``sq_dist``. ``constraint_row``
-turns one such stack into a ``RowBlock``, one row per barrier; a stack whose
-``i`` is an array of robots gives a team's rows, which ``qp.RowLayout``
-places robot by robot.
+stack. Every barrier squares distances with ``sq_dist`` (``at_sq_dist``
+takes them as given). ``constraint_row`` turns one such stack's values into a
+``RowBlock``, one row per barrier; a stack whose ``i`` is an array of robots
+gives a team's rows, which ``qp.RowLayout`` places robot by robot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,8 +93,26 @@ def _pairs_a_robot_with_itself(i, j):
     return same if isinstance(same, bool) else bool(same.any())
 
 
+class _Pairwise:
+    """A barrier on the squared distance of robots i and j, half of it
+    enforced by each; dh/dx_i is ``slope`` (x_i - x_j)."""
+
+    share = 0.5
+
+    def __post_init__(self):
+        if _pairs_a_robot_with_itself(self.i, self.j):
+            raise ValueError(f"{type(self).__name__.lower()} barrier needs two distinct robots")
+
+    def value(self, xi, xj):
+        return self.at_sq_dist(sq_dist(xi - xj))
+
+    def gradient(self, xi, xj):
+        """dh/dx_i; the gradient in x_j is its negation."""
+        return self.slope * (xi - xj)
+
+
 @dataclass(frozen=True)
-class Connectivity:
+class Connectivity(_Pairwise):
     """h = delta^2 - |x_i - x_j|^2: robots i and j within sensing range."""
 
     i: int
@@ -102,24 +120,16 @@ class Connectivity:
     delta: float
 
     hard = False
-    share = 0.5
+    slope = -2.0
 
-    def __post_init__(self):
-        if _pairs_a_robot_with_itself(self.i, self.j):
-            raise ValueError("connectivity barrier needs two distinct robots")
-
-    def value(self, xi, xj):
+    def at_sq_dist(self, sq):
         # libm's pow (float_power), as Python's delta**2, also for a per-row
         # delta array, where numpy's ** 2 would multiply
-        return np.float_power(self.delta, 2) - sq_dist(xi - xj)
-
-    def gradient(self, xi, xj):
-        """dh/dx_i; the gradient in x_j is its negation."""
-        return -2.0 * (xi - xj)
+        return np.float_power(self.delta, 2) - sq
 
 
 @dataclass(frozen=True)
-class Collision:
+class Collision(_Pairwise):
     """h = |x_i - x_j|^2 - min_sep^2: robots i and j at least min_sep apart."""
 
     i: int
@@ -127,18 +137,10 @@ class Collision:
     min_sep: float
 
     hard = True
-    share = 0.5
+    slope = 2.0
 
-    def __post_init__(self):
-        if _pairs_a_robot_with_itself(self.i, self.j):
-            raise ValueError("collision barrier needs two distinct robots")
-
-    def value(self, xi, xj):
-        return sq_dist(xi - xj) - self.min_sep**2
-
-    def gradient(self, xi, xj):
-        """dh/dx_i; the gradient in x_j is its negation."""
-        return 2.0 * (xi - xj)
+    def at_sq_dist(self, sq):
+        return sq - self.min_sep**2
 
 
 @dataclass(frozen=True)
@@ -206,10 +208,10 @@ class KeepWithin:
 class RowBlock:
     """Rows normals[r] . u >= offsets[r] on one robot's input, as arrays
     normals (k, 2), offsets (k,) and the hard mask (k,), or one flag for the
-    rows of one barrier kind, with each row's identity: its barrier class
-    ``kinds[r]``, and ``others[r]``, the other robot of a pairwise barrier,
-    else the row's 1-based index in its kind's stack (the obstacle index for
-    ``Domain.obstacle_stack``).
+    rows of one barrier kind; once ``named``, with each row's identity: its
+    barrier class ``kinds[r]``, and ``others[r]``, the other robot of a
+    pairwise barrier, else the row's 1-based index in its kind's stack (the
+    obstacle index for ``Domain.obstacle_stack``).
 
     ``robot`` is the robot whose input the rows act on; for a team's stack it
     is the kind's ``i`` as given (``qp.RowLayout`` places each row).
@@ -219,17 +221,23 @@ class RowBlock:
     normals: np.ndarray
     offsets: np.ndarray
     hard: np.ndarray
-    others: np.ndarray
-    kinds: tuple
+    others: np.ndarray = None
+    kinds: tuple = None
 
     def __len__(self):
         return len(self.offsets)
 
+    def named(self, kind):
+        """These rows, ``kind``'s over a stack of one axis, with each row's identity."""
+        j = getattr(kind, "j", getattr(kind, "index", None))
+        others = np.array(np.broadcast_to(np.arange(1, len(self) + 1) if j is None else j, len(self)), dtype=int)
+        return replace(self, others=others, kinds=(type(kind),) * len(self))
+
     def take(self, index):
         """The rows at ``index`` (an integer array), in that order."""
         hard = self.hard if np.ndim(self.hard) == 0 else self.hard[index]
-        return RowBlock(self.robot, self.normals[index], self.offsets[index], hard,
-                        self.others[index], tuple(self.kinds[k] for k in index))
+        identity = () if self.kinds is None else (self.others[index], tuple(self.kinds[k] for k in index))
+        return RowBlock(self.robot, self.normals[index], self.offsets[index], hard, *identity)
 
     @classmethod
     def concat(cls, blocks):
@@ -237,25 +245,23 @@ class RowBlock:
         robots = {b.robot for b in blocks}
         if len(robots) > 1:
             raise ValueError(f"rows reference multiple robots: {sorted(robots)}")
+        named = all(b.kinds is not None for b in blocks)
         blocks = [cls(0, np.empty((0, 2)), np.empty(0), np.empty(0, bool), np.empty(0, int), ()), *blocks]
-        arrays = zip(*((b.normals, b.offsets, np.broadcast_to(b.hard, len(b)), b.others) for b in blocks))
-        return cls(next(iter(robots), 0), *map(np.concatenate, arrays), sum((b.kinds for b in blocks), ()))
+        arrays = zip(*((b.normals, b.offsets, np.broadcast_to(b.hard, len(b))) for b in blocks))
+        identity = (np.concatenate([b.others for b in blocks]), sum((b.kinds for b in blocks), ())) if named else ()
+        return cls(next(iter(robots), 0), *map(np.concatenate, arrays), *identity)
 
 
-def constraint_row(kind, params, *positions):
+def constraint_row(kind, params, h, *positions):
     """Rows (dh/dx_i) . u_i >= -share * rate(h) on the input of robot
-    ``kind.i``, one per barrier of the kind's stack, in C order.
+    ``kind.i``, one per barrier of the kind's stack, in C order, unnamed.
 
-    ``positions`` are x_i, then for a pairwise kind the positions of its
-    ``j`` robots, broadcasting together. ``kind.i`` is one robot or, for a
-    team's rows, an id array broadcasting against the barrier values.
+    ``h`` holds the barriers' values at ``positions`` (``kind.value`` of
+    them, or the same numbers from an earlier pass). ``positions`` are x_i,
+    then for a pairwise kind the positions of its ``j`` robots, broadcasting
+    together. ``kind.i`` is one robot or, for a team's rows, an id array
+    broadcasting against the barrier values.
     """
-    h = kind.value(*positions)
-    shape = h.shape or (1,)
-    k = h.size
-    others = np.empty(shape, dtype=int)  # the other robot, else the index in the kind's stack
-    j = getattr(kind, "j", getattr(kind, "index", None))
-    others[...] = np.arange(1, shape[-1] + 1) if j is None else j
-    h = h.reshape(k)
-    return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h, params),
-                    kind.hard, others.reshape(k), (type(kind),) * k)
+    k = np.size(h)
+    return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(np.reshape(h, k), params),
+                    kind.hard)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import Connectivity
+from .barriers import Connectivity, sq_dist
 
 
 class GeometryError(ValueError):
@@ -21,7 +21,8 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Undirected edge set over robot indices 1..n (no self-loops)."""
+    """Undirected edge set over robot indices 1..n (no self-loops); a
+    ``proximity_graph`` builds its edge set from its mask on first read."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
@@ -39,6 +40,14 @@ class InteractionGraph:
     @classmethod
     def from_edges(cls, n, edges):
         return cls(n, frozenset(tuple(e) for e in edges))
+
+    def __getattr__(self, name):
+        # only reached for a proximity graph's edges not yet read
+        if name != "edges" or "mask" not in self.__dict__:
+            raise AttributeError(name)
+        a, b = np.triu(self.mask).nonzero()
+        object.__setattr__(self, "edges", frozenset(zip((a + 1).tolist(), (b + 1).tolist())))
+        return self.edges
 
     def has_edge(self, i, j):
         return (min(i, j), max(i, j)) in self.edges
@@ -139,7 +148,9 @@ def proximity_graph(positions, delta):
 
     ``positions`` is the (n, 2) array of robots 1..n. A pair is connected
     exactly when its connectivity barrier is nonnegative, so the test is
-    boundary-inclusive: a pair at distance ``delta`` is connected.
+    boundary-inclusive: a pair at distance ``delta`` is connected. The graph
+    keeps the squared distances the test read: ``sq_dist[i, j]`` (equal to
+    ``[j, i]`` bitwise) for robots i + 1 and j + 1.
     """
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
@@ -148,28 +159,22 @@ def proximity_graph(positions, delta):
         raise GeometryError(f"positions must be a non-empty (n, 2) array, got {positions.shape}")
     if not np.isfinite(positions).all():
         raise GeometryError("non-finite robot position")
-    n = len(positions)
-    kind, a, b = _range_test(n, float(delta))
-    near = kind.value(positions[a], positions[b]) >= 0
-    a, b = a[near], b[near]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[a, b] = mask[b, a] = True
-    mask.flags.writeable = False
-    # the pairs come from _pairs, normalized and in range: skip __post_init__'s
-    # per-edge checks, and set the cached mask from the pairs at hand
+    table = sq_dist(positions[:, None] - positions)
+    mask = _range_test(float(delta)).at_sq_dist(table) >= 0
+    np.fill_diagonal(mask, False)
+    mask.flags.writeable = table.flags.writeable = False
+    # the mask is symmetric and loop-free by construction: skip __post_init__'s
+    # per-edge checks, and leave the edge set to its first read
     graph = object.__new__(InteractionGraph)
-    graph.__dict__.update(n=n, edges=frozenset(zip(kind.i[near].tolist(), kind.j[near].tolist())), mask=mask)
+    graph.__dict__.update(n=len(positions), mask=mask, sq_dist=table)
     return graph
 
 
 @functools.lru_cache(maxsize=8)
-def _range_test(n, delta):
-    """The connectivity barriers of every pair of n robots at range delta,
-    checked once, with the pairs' 0-based indices as read-only arrays."""
-    i, j = _pairs(n)
-    a, b = i - 1, j - 1
-    a.flags.writeable = b.flags.writeable = False
-    return Connectivity(i, j, delta), a, b
+def _range_test(delta):
+    """The connectivity barrier at range delta, checked once; its value
+    reads only a pair's squared distance."""
+    return Connectivity(1, 2, delta)
 
 
 @functools.lru_cache(maxsize=8)
@@ -196,34 +201,18 @@ def is_cycle_graph(g):
 
 def induced_subgraph_is_cycle(g, vertices):
     """Cycle test restricted to ``vertices`` using only edges among them."""
-    verts = sorted(set(vertices))
+    verts = set(vertices)
     if len(verts) < 3:
         raise GeometryError(f"a cycle needs at least 3 vertices, got {len(verts)}")
-    vset = set(verts)
-    sub = [(a, b) for a, b in g.edges if a in vset and b in vset]
-    deg = {v: 0 for v in verts}
-    for a, b in sub:
-        deg[a] += 1
-        deg[b] += 1
-    if any(d != 2 for d in deg.values()):
+    adj = {v: g.neighbors(v) & verts for v in verts}
+    if any(len(out) != 2 for out in adj.values()):
         return False
-    adj = {v: set() for v in verts}
-    for a, b in sub:
-        adj[a].add(b)
-        adj[b].add(a)
-    return _reachable_count(adj, verts[0]) == len(verts)
-
-
-def _reachable_count(adj, start):
-    seen = {start}
-    stack = [start]
+    seen, stack = {min(verts)}, [min(verts)]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen)
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return seen == verts
 
 
 def clip_polygon_halfplane(poly, normal, offset):
@@ -231,17 +220,13 @@ def clip_polygon_halfplane(poly, normal, offset):
     out = []
     m = len(poly)
     for k in range(m):
-        cur = poly[k]
-        nxt = poly[(k + 1) % m]
-        c_in = float(np.dot(normal, cur)) <= offset
-        n_in = float(np.dot(normal, nxt)) <= offset
-        if c_in:
+        cur, nxt = poly[k], poly[(k + 1) % m]
+        # each vertex's signed excess once; a - b <= 0 exactly when a <= b
+        dc, dn = float(np.dot(normal, cur)) - offset, float(np.dot(normal, nxt)) - offset
+        if dc <= 0:
             out.append(cur)
-        if c_in != n_in:
-            dc = float(np.dot(normal, cur)) - offset
-            dn = float(np.dot(normal, nxt)) - offset
-            t = dc / (dc - dn)
-            out.append(cur + t * (nxt - cur))
+        if (dc <= 0) != (dn <= 0):
+            out.append(cur + dc / (dc - dn) * (nxt - cur))
     return np.array(out) if out else np.empty((0, 2))
 
 

@@ -64,7 +64,7 @@ class RowLayout:
     0 . u >= -1 the columns up to ``width``, the largest count, and the speed
     box, which ``QpProblem`` writes, the last four. ``hard`` marks the rows a
     relaxation keeps: hard rows, pad rows and the box. Each row's identity
-    stays with the blocks placed, and ``block`` reads it back.
+    stays with the named blocks placed, and ``block`` reads it back.
     """
 
     robots: np.ndarray
@@ -101,7 +101,7 @@ class RowLayout:
         m = self.counts[r]
         kinds, others = [None] * m, np.zeros(m, dtype=int)
         for slots, columns, placed in self.placed:
-            for k in np.flatnonzero(np.equal(slots, r)):
+            for k in np.flatnonzero(np.equal(slots, r)) if placed.kinds is not None else ():
                 kinds[columns[k]], others[columns[k]] = placed.kinds[k], placed.others[k]
         return RowBlock(int(self.robots[r]), self.normals[r, :m], self.offsets[r, :m], self.hard[r, :m],
                         others, tuple(kinds))

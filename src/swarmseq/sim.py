@@ -3,14 +3,16 @@
 Every tick: deliver due messages, step the team against the tick's
 snapshot (so robots are order-independent within a tick), filter the team's
 nominal inputs through their QPs in one pass, saturate controls, integrate
-positions with explicit Euler, recompute the proximity graph, and post the
-new broadcasts with sampled delays. Identical (mission, config, seed)
-triples produce byte-identical outputs; message delays are drawn from a
-stream keyed by (seed, sender, tick) so scheduling order cannot perturb them.
+positions with explicit Euler, sense every pair's squared distance and
+range, and post the new broadcasts with sampled delays. Identical (mission,
+config, seed) triples produce byte-identical outputs; message delays are
+drawn from a stream keyed by (seed, sender, tick) so scheduling order cannot
+perturb them. The rescue events are read from the finished run's record.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -109,7 +111,8 @@ class InFlight:
 class WorldState:
     tick: int
     positions: np.ndarray  # (n, 2)
-    live_graph: object
+    sensed: np.ndarray  # (n, n) bool: the pairs in sensing range
+    sq_dist: np.ndarray  # (n, n): every pair's squared distance
     in_flight: InFlight
     event_log: list
 
@@ -138,8 +141,7 @@ _DELAY_RNG = random.Random()
 
 
 def _delay_ticks(config, sender, tick):
-    if config.delay.kind == "none":
-        return 0
+    """The delay of ``sender``'s broadcast of ``tick`` under a uniform delay."""
     key = (config.seed * 1000003 + sender) * 1000003 + tick
     _DELAY_RNG.seed(key & 0xFFFFFFFFFFFFFFFF)
     return _DELAY_RNG.randint(config.delay.min_ticks, config.delay.max_ticks)
@@ -148,7 +150,7 @@ def _delay_ticks(config, sender, tick):
 def make_world(plan, config):
     positions = plan.initial_positions.copy()
     graph = proximity_graph(positions, plan.delta)
-    return WorldState(tick=0, positions=positions, live_graph=graph, in_flight=InFlight(), event_log=[])
+    return WorldState(0, positions, graph.mask, graph.sq_dist, InFlight(), [])
 
 
 def tick(world, team, plan, config):
@@ -171,8 +173,10 @@ def tick(world, team, plan, config):
 
     np.clip(controls, -config.speed_limit, config.speed_limit, out=controls)
     world.positions = world.positions + config.dt * controls
-    world.live_graph = proximity_graph(world.positions, plan.delta)
-    world.in_flight.post(t, [_delay_ticks(config, sender, t) for sender in range(1, plan.n + 1)], outbox)
+    graph = proximity_graph(world.positions, plan.delta)
+    world.sensed, world.sq_dist = graph.mask, graph.sq_dist
+    delays = [0] * plan.n if config.delay.kind == "none" else [_delay_ticks(config, s, t) for s in range(1, plan.n + 1)]
+    world.in_flight.post(t, delays, outbox)
     world.tick = t + 1
     return controls
 
@@ -184,25 +188,22 @@ def run(plan, config):
     team = Team.start(plan)
     world = make_world(plan, config)
 
-    positions_log = [world.positions.copy()]
+    # each tick makes a new positions array, so the log keeps them as they are
+    positions_log = [world.positions]
     controls_log = []
     # each tick's sigma, eta, mode and k, in arrays that double when full
     logs = [np.empty((min(config.max_ticks, 1024), plan.n), dtype) for dtype in (float, float, int, int)]
-
-    rescue_state = _RescueTracker(plan) if plan.rescue is not None else None
 
     outcome = "timeout"
     while world.tick < config.max_ticks:
         controls = tick(world, team, plan, config)
         t = len(controls_log)
         controls_log.append(controls)
-        positions_log.append(world.positions.copy())
+        positions_log.append(world.positions)
         if t == len(logs[0]):
             logs = [np.concatenate((log, np.empty_like(log))) for log in logs]
         for log, now in zip(logs, (team.sigma, team.eta, team.mode, team.k)):
             log[t] = now
-        if rescue_state is not None:
-            rescue_state.observe(world, team)
         if team.done.all():
             outcome = "done"
             break
@@ -212,43 +213,42 @@ def run(plan, config):
         outcome = "infeasible_hard"
 
     sigma, eta, mode, k = (log[:len(controls_log)] for log in logs)
-    return RunRecord(n=plan.n, dt=config.dt, outcome=outcome, ticks=len(controls_log),
-                     positions=np.array(positions_log), controls=np.array(controls_log), sigma=sigma, eta=eta,
-                     mode=mode, behavior_index=k, events=world.event_log, config=config, plan=plan)
+    record = RunRecord(n=plan.n, dt=config.dt, outcome=outcome, ticks=len(controls_log),
+                       positions=np.array(positions_log), controls=np.array(controls_log), sigma=sigma, eta=eta,
+                       mode=mode, behavior_index=k, events=world.event_log, config=config, plan=plan)
+    if plan.rescue is not None:
+        _add_rescue_events(record)
+    return record
 
 
-class _RescueTracker:
-    """Watches the subject: located when any robot senses it, escorted when the
-    escorting group's centroid carries it into the safe zone."""
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.located = False
-        self.escorted = False
-
-    def observe(self, world, team):
-        r = self.plan.rescue
-        if not self.located:
-            # the subject is sensed like a robot: within the connectivity range
-            robots = np.arange(1, self.plan.n + 1)
-            h = Connectivity(robots, 0, self.plan.delta).value(world.positions, r.target)
-            if np.any(h >= 0):
-                self.located = True
-                world.event_log.append(
-                    {"tick": world.tick - 1, "event": "target_located", "robot": int(np.argmax(h)) + 1}
-                )
-        if self.located and not self.escorted:
-            escorting = all(
-                team.k[i - 1] > r.escort_behavior
-                or (team.k[i - 1] == r.escort_behavior and team.mode[i - 1] == EXECUTING)
-                for i in r.escort_robots
-            )
-            if escorting:
-                group = np.array([world.positions[i - 1] for i in r.escort_robots])
-                centroid = group.mean(axis=0)
-                if float(np.linalg.norm(centroid - np.asarray(r.safe_center))) <= r.safe_radius:
-                    self.escorted = True
-                    world.event_log.append({"tick": world.tick - 1, "event": "target_escorted"})
+def _add_rescue_events(record):
+    """Insert the rescue events, each after its tick's events: the subject is
+    located on the first tick to end with a robot (the nearest) in range of
+    it, and escorted on the first tick from then on to end with the escorting
+    group at or past executing the escort behavior, its centroid in the safe zone."""
+    r, events, after = record.plan.rescue, record.events, record.positions[1:]
+    kind = Connectivity(np.arange(1, record.n + 1), 0, record.plan.delta)
+    # in blocks of ticks, so that the pass adds little to the run's peak memory
+    seen = (t + np.flatnonzero((kind.value(after[t:t + 1024], r.target) >= 0).any(axis=1))
+            for t in range(0, record.ticks, 1024))
+    t0 = next((int(s[0]) for s in seen if len(s)), None)
+    if t0 is None:
+        return
+    found = [{"tick": t0, "event": "target_located", "robot": int(np.argmax(kind.value(after[t0], r.target))) + 1}]
+    group = np.subtract(r.escort_robots, 1)
+    k, mode = record.behavior_index[t0:, group], record.mode[t0:, group]
+    escorting = ((k > r.escort_behavior) | (k == r.escort_behavior) & (mode == EXECUTING)).all(axis=1)
+    off = after[t0:, group].mean(axis=1) - np.asarray(r.safe_center)
+    # hypot and norm may differ in the last bit: the wider test picks the
+    # candidates, and norm decides, in tick order
+    near = np.hypot(off[:, 0], off[:, 1]) <= r.safe_radius * (1 + 1e-9)
+    inside = (t for t in np.flatnonzero(escorting & near).tolist() if float(np.linalg.norm(off[t])) <= r.safe_radius)
+    t = next(inside, None)
+    if t is not None:
+        found.append({"tick": t0 + t, "event": "target_escorted"})
+    ticks = [ev["tick"] for ev in events]
+    for at, ev in enumerate(found):
+        events.insert(bisect.bisect_right(ticks, ev["tick"]) + at, ev)
 
 
 # --- post-run analysis ----------------------------------------------------------
@@ -343,15 +343,17 @@ def write_outputs(record, outdir):
     coll = _per_tick(
         [Collision(i, j, plan.min_sep).value(pos[:, i - 1], pos[:, j - 1]) for i, j in pairs], pos
     )
-    # each robot's worst obstacle: the first one attaining the minimum
-    worst = np.full(pos.shape[:2], np.inf)
-    worst_m = np.zeros(pos.shape[:2], dtype=int)
-    for m, o in enumerate(plan.domain.obstacles, start=1):
-        for i in range(1, record.n + 1):
-            h = ObstacleAvoid(i, o).value(pos[:, i - 1])
-            better = h < worst[:, i - 1]
-            worst[better, i - 1] = h[better]
-            worst_m[better, i - 1] = m
+    # each robot's worst obstacle, the first one attaining the minimum, from
+    # the obstacle stack over blocks of about 2**13 values, which add little
+    # to the peak memory
+    worst, worst_m = np.empty(pos.shape[:2]), np.empty(pos.shape[:2], dtype=int)
+    if plan.domain.obstacles:
+        kind = ObstacleAvoid(np.arange(1, record.n + 1)[:, None], plan.domain.obstacle_stack)
+        step = max(1, 2**13 // (record.n * len(plan.domain.obstacles)))
+        for t in range(0, len(pos), step):
+            h = kind.value(pos[t:t + step, :, None])
+            m = h.argmin(axis=-1)[..., None]
+            worst[t:t + step], worst_m[t:t + step] = np.take_along_axis(h, m, axis=-1)[..., 0], m[..., 0] + 1
     conn_keys = [f"conn,{i},{j}," for i, j in edges]
     coll_keys = [f"coll,{i},{j}," for i, j in pairs]
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ import pytest
 from swarmseq.agent import EXECUTING, consensus_update
 from swarmseq.barriers import (
     Collision,
+    Connectivity,
     FcbfParams,
     ObstacleAvoid,
     RowBlock,
@@ -408,6 +409,32 @@ def test_criterion_8_securing_a_building(securing_record):
         ok = False
     details.append(f"hard barrier minima coll {coll:.1e} obst {obst:.1e}")
     report("8 securing a building", ok, "; ".join(details))
+
+
+def test_rescue_events_equal_a_tracker_watching_each_tick(securing_record):
+    """The rescue events read from the finished record are those a tracker
+    watching the end of every tick appends, at the same places."""
+    plan, _, rec = securing_record
+    r, expected, located = plan.rescue, [], False
+    for t in range(rec.ticks):
+        x = rec.positions[t + 1]
+        if not located:
+            h = Connectivity(np.arange(1, plan.n + 1), 0, plan.delta).value(x, r.target)
+            if np.any(h >= 0):
+                located = True
+                expected.append({"tick": t, "event": "target_located", "robot": int(np.argmax(h)) + 1})
+        k, mode = rec.behavior_index[t], rec.mode[t]
+        if located and all(k[i - 1] > r.escort_behavior or (k[i - 1] == r.escort_behavior and mode[i - 1] == EXECUTING)
+                           for i in r.escort_robots):
+            centroid = np.array([x[i - 1] for i in r.escort_robots]).mean(axis=0)
+            if float(np.linalg.norm(centroid - np.asarray(r.safe_center))) <= r.safe_radius:
+                expected.append({"tick": t, "event": "target_escorted"})
+                break
+    found = [i for i, ev in enumerate(rec.events) if ev["event"].startswith("target_")]
+    assert [rec.events[i] for i in found] == expected and len(expected) == 2
+    ticks = [ev["tick"] for ev in rec.events]
+    assert ticks == sorted(ticks)
+    assert all(ticks[i + 1] > ticks[i] for i in found)  # the last event of its tick
 
 
 def test_criterion_9_determinism(tmp_path):

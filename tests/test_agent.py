@@ -119,7 +119,8 @@ def plan_of(specs, positions, delta=0.5):
 def snapshot(t, plan):
     """The world on tick t with every robot at its initial position."""
     x = plan.initial_positions.copy()
-    return WorldState(t, x, proximity_graph(x, plan.delta), InFlight(), [])
+    graph = proximity_graph(x, plan.delta)
+    return WorldState(t, x, graph.mask, graph.sq_dist, InFlight(), [])
 
 
 def team_in(plan, mode, k=1):

@@ -17,10 +17,16 @@ from swarmseq.barriers import (
     team_settling_bound,
 )
 from swarmseq.geometry import Domain, Obstacle, proximity_graph
+from swarmseq.qp import QpProblem
 
 
 def pts(*positions):
     return [np.array(p, dtype=float) for p in positions]
+
+
+def rows_at(kind, params, *positions):
+    """``constraint_row`` of the kind's own values at ``positions``."""
+    return constraint_row(kind, params, kind.value(*positions), *positions)
 
 
 def scalar_rate(h, params):
@@ -136,9 +142,8 @@ class TestConstraintRow:
     def test_connectivity_half_share_hand_value(self):
         # h = 0.25 - 1 = -0.75; rate = sign(h)*|h|^0.5 = -0.86603;
         # offset = -rate/2 = +0.43301; gradient wrt robot 1 = -2*(x1 - x2).
-        row = constraint_row(
-            Connectivity(1, 2, 0.5), FcbfParams(rho=0.5, gamma=1.0), *pts((1, 0), (0, 0))
-        )
+        kind = Connectivity(1, 2, 0.5)
+        row = rows_at(kind, FcbfParams(rho=0.5, gamma=1.0), *pts((1, 0), (0, 0))).named(kind)
         assert row.robot == 1 and len(row) == 1
         np.testing.assert_allclose(row.normals, [[-2.0, 0.0]])
         assert row.offsets[0] == pytest.approx(0.4330127018922193, abs=1e-12)
@@ -146,13 +151,13 @@ class TestConstraintRow:
         assert row.kinds == (Connectivity,) and row.others.tolist() == [2]
 
     def test_collision_at_boundary_reduces_to_homogeneous(self):
-        row = constraint_row(Collision(1, 2, 0.12), FcbfParams(), *pts((0.12, 0), (0, 0)))
+        row = rows_at(Collision(1, 2, 0.12), FcbfParams(), *pts((0.12, 0), (0, 0)))
         assert row.offsets[0] == pytest.approx(0.0, abs=1e-15)
         assert row.hard is True
 
     def test_obstacle_boundary_gradient(self):
         kind = ObstacleAvoid(1, Obstacle(np.zeros(2), 1.0, 1.0))
-        row = constraint_row(kind, FcbfParams(), *pts((1, 0)))
+        row = rows_at(kind, FcbfParams(), *pts((1, 0)))
         np.testing.assert_allclose(row.normals, [[2.0, 0.0]])
         assert row.offsets[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -160,8 +165,8 @@ class TestConstraintRow:
         # the same h = -0.75 as a pairwise and as a single-robot barrier: the
         # pairwise row, enforced by both endpoints, carries half the rate
         params = FcbfParams()
-        pair = constraint_row(Connectivity(1, 2, 0.5), params, *pts((1, 0), (0, 0)))
-        single = constraint_row(KeepWithin(1, (0.0, 0.0), 0.5), params, *pts((1, 0)))
+        pair = rows_at(Connectivity(1, 2, 0.5), params, *pts((1, 0), (0, 0)))
+        single = rows_at(KeepWithin(1, (0.0, 0.0), 0.5), params, *pts((1, 0)))
         assert pair.offsets[0] == -class_k(-0.75, params) / 2
         assert single.offsets[0] == -class_k(-0.75, params)
         assert single.offsets[0] == 2 * pair.offsets[0]
@@ -179,7 +184,7 @@ class TestConstraintRow:
                 (KeepWithin(2, (0.1, 0.3), 0.8), [x2]),
             ]
             for kind, x in kinds:
-                row = constraint_row(kind, FcbfParams(), *x)
+                row = rows_at(kind, FcbfParams(), *x)
                 step = 1e-6
                 fd = np.zeros(2)
                 for axis in range(2):
@@ -222,7 +227,7 @@ class TestRowBlocks:
             if rng.random() < 0.2:  # a partner exactly at the barrier boundary
                 xs[0] = xi + [0.5, 0.0]
             for make in (lambda j: Connectivity(1, j, 0.5), lambda j: Collision(1, j, 0.5)):
-                block = constraint_row(make(others), params, xi, xs)
+                block = rows_at(make(others), params, xi, xs).named(make(others))
                 assert block.robot == 1 and len(block) == len(others)
                 assert block.others.tolist() == list(others)
                 assert block.kinds == (type(make(2)),) * len(others)
@@ -244,7 +249,7 @@ class TestRowBlocks:
         for x in rng.uniform(-2, 2, size=(300, 2)):
             kind = ObstacleAvoid(3, domain.obstacle_stack)
             active = np.flatnonzero(kind.value(x) <= 3.0)
-            block = constraint_row(kind, params, x).take(active)
+            block = rows_at(kind, params, x).named(kind).take(active)
             assert block.robot == 3 and block.others.tolist() == (active + 1).tolist()
             assert block.kinds == (ObstacleAvoid,) * len(active) and block.hard is True
             for r, m in enumerate(active):
@@ -257,7 +262,7 @@ class TestRowBlocks:
         params = FcbfParams(rho=0.3, gamma=2.0)
         kind = KeepWithin(2, (0.1, -0.2), 0.4)
         for x in np.random.default_rng(23).uniform(-1, 1, size=(100, 2)):
-            block = constraint_row(kind, params, x)
+            block = rows_at(kind, params, x).named(kind)
             assert block.robot == 2 and block.others.tolist() == [1] and block.hard is False
             assert bits(block.normals[0]).tolist() == bits(kind.gradient(x)).tolist()
             assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
@@ -265,8 +270,9 @@ class TestRowBlocks:
     def test_concat_and_take_keep_rows_and_identity(self):
         params = FcbfParams()
         x = np.array([0.0, 0.0])
-        conn = constraint_row(Connectivity(1, (2, 3), 0.5), params, x, np.array([[0.1, 0], [0, 0.7]]))
-        coll = constraint_row(Collision(1, (2,), 0.12), params, x, np.array([[0.1, 0]]))
+        kinds = Connectivity(1, (2, 3), 0.5), Collision(1, (2,), 0.12)
+        conn = rows_at(kinds[0], params, x, np.array([[0.1, 0], [0, 0.7]])).named(kinds[0])
+        coll = rows_at(kinds[1], params, x, np.array([[0.1, 0]])).named(kinds[1])
         rows = RowBlock.concat([conn, coll])
         assert len(rows) == 3 and rows.others.tolist() == [2, 3, 2]
         assert rows.kinds == (Connectivity, Connectivity, Collision)
@@ -277,7 +283,20 @@ class TestRowBlocks:
         np.testing.assert_array_equal(picked.normals, rows.normals[[2, 0]])
         assert len(RowBlock.concat([])) == 0
         with pytest.raises(ValueError):
-            RowBlock.concat([conn, constraint_row(Collision(2, 1, 0.12), params, x, x + 0.5)])
+            RowBlock.concat([conn, rows_at(Collision(2, 1, 0.12), params, x, x + 0.5)])
+
+    def test_rows_carry_their_identity_only_once_named(self):
+        params = FcbfParams()
+        x = np.array([0.0, 0.0])
+        kind = Collision(1, (2, 3), 0.12)
+        rows = rows_at(kind, params, x, np.array([[0.1, 0], [0, 0.7]]))
+        assert rows.others is None and rows.kinds is None
+        named = rows.named(kind)
+        assert named.kinds == (Collision, Collision) and named.others.tolist() == [2, 3]
+        assert bits(named.offsets).tolist() == bits(rows.offsets).tolist()
+        assert RowBlock.concat([named, rows]).kinds is None and rows.take(np.array([1])).others is None
+        layout = QpProblem(np.zeros(2), [named, rows], 0.2).rows
+        assert layout.block(0).kinds == (None,) * 4 and layout.block(0).others.tolist() == [0] * 4
 
     def test_a_stack_may_not_pair_a_robot_with_itself(self):
         with pytest.raises(ValueError):
@@ -321,8 +340,8 @@ class TestSettlingBounds:
                     crossed = t
                     break
                 rows = [
-                    constraint_row(Connectivity(1, 2, 0.5), params, x[0], x[1]),
-                    constraint_row(Connectivity(2, 1, 0.5), params, x[1], x[0]),
+                    rows_at(Connectivity(1, 2, 0.5), params, x[0], x[1]),
+                    rows_at(Connectivity(2, 1, 0.5), params, x[1], x[0]),
                 ]
                 for row in rows:
                     normal, offset = row.normals[0], row.offsets[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmseq.barriers import Connectivity
+from swarmseq.barriers import Connectivity, sq_dist
 from swarmseq.geometry import (
     Domain,
     GeometryError,
@@ -106,6 +106,19 @@ class TestProximityGraph:
         assert proximity_graph(x, 0.731).edges == first.edges and (proximity_graph(x, 0.731).mask == first.mask).all()
         proximity_graph(x, 0.732)
         assert len(checked) <= 2
+
+    def test_keeps_the_squared_distances_it_tested(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 9):
+            x = rng.uniform(-1, 1, size=(n, 2))
+            g = proximity_graph(x, 0.6)
+            pairs = [[sq_dist(x[i] - x[j]) for j in range(n)] for i in range(n)]
+            assert g.sq_dist.view(np.int64).tolist() == np.array(pairs).view(np.int64).tolist()
+            assert np.array_equal(g.mask, (np.float_power(0.6, 2) - g.sq_dist >= 0) & ~np.eye(n, dtype=bool))
+            assert "edges" not in vars(g) and not g.sq_dist.flags.writeable  # the edge set waits for a read
+            assert g.edges == {(i + 1, j + 1) for i, j in zip(*np.triu(g.mask).nonzero())} and "edges" in vars(g)
+        with pytest.raises(AttributeError):
+            InteractionGraph(2).sq_dist
 
     def test_equals_pairwise_barrier_test(self):
         # the broadcast range test agrees with the connectivity barrier of

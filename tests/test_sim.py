@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import swarmseq.sim as sim_mod
-from swarmseq.agent import Mail, Team
-from swarmseq.barriers import Connectivity, FcbfParams, settling_time_bound
+from swarmseq.agent import ASSEMBLING, EXECUTING, Mail, Team
+from swarmseq.barriers import Connectivity, FcbfParams, ObstacleAvoid, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
 from swarmseq.geometry import Domain, InteractionGraph, Obstacle, proximity_graph
-from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
+from swarmseq.mission import BehaviorSpec, MissionPlan, RescueProbe, builtin_scenario
 from swarmseq.sim import (
     DelaySpec,
     InFlight,
@@ -91,7 +91,7 @@ class TestTickMechanics:
                 for mail in batches:
                     assert (deliver_tick >= mail.send_tick + 1).all()
 
-    def test_live_graph_matches_positions(self):
+    def test_sensed_mask_matches_positions(self):
         plan = tiny_plan(
             [[0.0, 0.0], [0.45, 0.0], [1.2, 0.0]],
             [spec(3, Rendezvous(), ElapsedTime(2.0), edges=[(1, 2)])],
@@ -102,13 +102,73 @@ class TestTickMechanics:
         for _ in range(20):
             tick(world, team, plan, config)
             expected = proximity_graph(world.positions, plan.delta)
-            assert world.live_graph.edges == expected.edges
+            assert {(i + 1, j + 1) for i, j in zip(*np.triu(world.sensed).nonzero())} == expected.edges
 
     def test_config_validation(self):
         with pytest.raises(SimConfigError):
             SimConfig(dt=0.0)
         with pytest.raises(SimConfigError):
             DelaySpec.uniform(3, 1)
+
+
+class TestRescueEvents:
+    """The rescue events are read from the finished record, each placed after
+    the events of its tick."""
+
+    def record(self, ends, mode, events, target=(0.0, 0.0), safe=((1.0, 0.0), 5.0)):
+        """A two-robot record whose ticks end at ``ends`` (ticks, 2, 2), with
+        both robots at behavior 1 in ``mode`` (ticks, 2) and the escort
+        behavior 1 run by both."""
+        plan = tiny_plan([[2.0, 0.0], [2.0, 1.0]], [spec(2, Rendezvous(), ElapsedTime(1.0))])
+        plan = replace(plan, rescue=RescueProbe(target, safe[0], safe[1], 1, (1, 2)))
+        ticks = len(ends)
+        positions = np.concatenate([plan.initial_positions[None], ends])
+        zeros = np.zeros((ticks, 2))
+        return sim_mod.RunRecord(2, 0.02, "done", ticks, positions, np.zeros((ticks, 2, 2)), zeros, zeros,
+                                 np.array(mode), np.ones((ticks, 2), dtype=int), events, SimConfig(), plan)
+
+    def test_located_and_escorted_on_one_tick_follow_its_step_and_qp_events(self):
+        far, near = [[2.0, 0.0], [2.0, 1.0]], [[0.3, 0.0], [0.2, 0.0]]
+        # the group's centroid is in the safe zone and it escorts throughout,
+        # but escorting counts only from the tick the subject is located on
+        events = [
+            {"tick": 1, "event": "mode_switch", "robot": 1, "mode": "executing", "k": 1},
+            {"tick": 2, "event": "mode_switch", "robot": 2, "mode": "executing", "k": 1},
+            {"tick": 2, "event": "qp_relaxed", "robot": 1, "k": 1},
+            {"tick": 3, "event": "qp_relaxed", "robot": 2, "k": 1},
+        ]
+        rec = self.record([far, far, near, near, near], np.full((5, 2), EXECUTING), list(events))
+        sim_mod._add_rescue_events(rec)
+        located = {"tick": 2, "event": "target_located", "robot": 2}  # the nearer robot
+        assert rec.events == events[:3] + [located, {"tick": 2, "event": "target_escorted"}] + events[3:]
+
+    def test_escorted_waits_for_the_group_and_the_zone(self):
+        both = [[0.2, 0.0], [0.2, 0.0]]  # equally near: the first robot is named
+        inside = [[0.9, 0.0], [1.1, 0.0]]
+        mode = [[ASSEMBLING, EXECUTING]] * 3 + [[EXECUTING, EXECUTING]] * 3
+        events = [{"tick": t, "event": "qp_relaxed", "robot": 1, "k": 1} for t in (0, 3, 4, 4, 5)]
+        rec = self.record([both, inside, inside, both, inside, inside], mode, list(events), safe=((1.0, 0.0), 0.1))
+        sim_mod._add_rescue_events(rec)
+        assert rec.events == (events[:1] + [{"tick": 0, "event": "target_located", "robot": 1}] + events[1:4]
+                              + [{"tick": 4, "event": "target_escorted"}] + events[4:])
+
+    def test_no_events_when_the_subject_is_never_located(self):
+        far = [[2.0, 0.0], [2.0, 1.0]]
+        events = [{"tick": 0, "event": "qp_relaxed", "robot": 1, "k": 1}]
+        rec = self.record([far] * 4, np.full((4, 2), EXECUTING), list(events), safe=((2.0, 0.5), 1.0))
+        sim_mod._add_rescue_events(rec)
+        assert rec.events == events
+
+    def test_a_run_reports_the_subject_it_reaches(self):
+        plan = tiny_plan([[0.0, 0.0], [0.4, 0.0]], [spec(2, Rendezvous(), ElapsedTime(1.0), edges=[(1, 2)])])
+        plan = replace(plan, rescue=RescueProbe((0.2, 0.45), (0.2, 0.0), 0.05, 1, (1, 2)))
+        rec = run(plan, SimConfig(max_ticks=300))
+        rescue = [ev for ev in rec.events if ev["event"].startswith("target_")]
+        assert [ev["event"] for ev in rescue] == ["target_located", "target_escorted"]
+        assert [ev["tick"] for ev in rec.events] == sorted(ev["tick"] for ev in rec.events)
+        for ev in rescue:  # the last events of their ticks
+            later = rec.events[rec.events.index(ev) + 1:]
+            assert all(e["tick"] > ev["tick"] or e["event"] == "target_escorted" for e in later)
 
 
 class TestRunOutcomes:
@@ -266,6 +326,21 @@ class TestOutputs:
         for key in p1:
             with open(p1[key], "rb") as a, open(p2[key], "rb") as b:
                 assert a.read() == b.read()
+
+    def test_obstacle_rows_name_each_robots_worst_obstacle(self, tmp_path):
+        # the first of equal minima: obstacles 2 and 3 are the same ellipse
+        twin = Obstacle(np.array([0.5, -1.0]), 4.0, 4.0)
+        obstacles = (Obstacle(np.array([2.0, 2.0]), 1.0, 1.0), twin, twin, Obstacle(np.array([-2.0, 0.0]), 2.0, 0.5))
+        plan = tiny_plan([[0.0, 0.0], [1.0, 0.0]], [spec(2, Rendezvous(), ElapsedTime(0.3), edges=[(1, 2)])])
+        rec = run(replace(plan, domain=Domain(-3, 3, -3, 3, obstacles)), SimConfig(max_ticks=30))
+        with open(write_outputs(rec, tmp_path)["barriers"], encoding="utf-8") as fh:
+            rows = [(int(r["tick"]), int(r["a"]), int(r["b"]), r["h"]) for r in csv.DictReader(fh) if r["kind"] == "obst"]
+        expected = []
+        for t in range(rec.ticks):
+            for i in range(1, rec.n + 1):
+                h = [float(ObstacleAvoid(i, o).value(rec.positions[t, i - 1])) for o in obstacles]
+                expected.append((t, i, h.index(min(h)) + 1, repr(min(h))))
+        assert rows == expected and all(m == 2 for _, i, m, _ in rows if i == 1)
 
     def test_barrier_copies_agree_bitwise(self, tmp_path):
         # barriers.csv, connectivity_trace (summary.json) and the proximity

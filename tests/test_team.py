@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from swarmseq import agent
-from swarmseq.agent import OBSTACLE_ACTIVATION, TeamRequest, team_rows
+from swarmseq.agent import OBSTACLE_ACTIVATION, Team, TeamRequest, team_rows
 from swarmseq.barriers import (
     Collision,
     Connectivity,
@@ -23,11 +23,12 @@ from swarmseq.barriers import (
     ObstacleAvoid,
     RowBlock,
     constraint_row,
+    sq_dist,
 )
-from swarmseq.geometry import Domain, Obstacle
+from swarmseq.geometry import Domain, Obstacle, proximity_graph
 from swarmseq.mission import builtin_scenario
 from swarmseq.qp import QpProblem, RowLayout, kkt_residuals, oracle_solve, solve
-from swarmseq.sim import DelaySpec, run
+from swarmseq.sim import DelaySpec, make_world, run, tick
 
 
 def bits(a):
@@ -68,11 +69,17 @@ def as_team(requests):
 
     conn = rows(("partners", "partner_positions"))
     deltas = np.array([r.delta for r in requests for _ in r.partners])
+    coll = rows(("colliders", "collider_positions"))
+    x = np.array([r.position for r in requests]).reshape(-1, 2)
     return TeamRequest(
-        np.array([r.robot for r in requests]), np.array([r.position for r in requests]),
-        np.array([r.nominal for r in requests]), conn + (deltas,), rows(("colliders", "collider_positions")),
-        tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial),
+        np.array([r.robot for r in requests]), x, np.array([r.nominal for r in requests]), conn + (deltas,),
+        coll + (sq_dist(x[coll[0]] - coll[2]),), tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial),
     )
+
+
+def rows_at(kind, params, *positions):
+    """The named ``constraint_row`` of the kind's own values at ``positions``."""
+    return constraint_row(kind, params, kind.value(*positions), *positions).named(kind)
 
 
 def own_rows(request, params, min_sep, domain):
@@ -81,16 +88,16 @@ def own_rows(request, params, min_sep, domain):
     blocks = []
     if request.partners:
         kind = Connectivity(request.robot, tuple(request.partners), request.delta)
-        blocks.append(constraint_row(kind, params, x, np.array(request.partner_positions)))
+        blocks.append(rows_at(kind, params, x, np.array(request.partner_positions)))
     if request.colliders:
         kind = Collision(request.robot, tuple(request.colliders), min_sep)
-        blocks.append(constraint_row(kind, params, x, np.array(request.collider_positions)))
+        blocks.append(rows_at(kind, params, x, np.array(request.collider_positions)))
     if domain.obstacles:
         kind = ObstacleAvoid(request.robot, domain.obstacle_stack)
         active = np.flatnonzero(kind.value(x) <= OBSTACLE_ACTIVATION)
         if len(active):
-            blocks.append(constraint_row(kind, params, x).take(active))
-    blocks += [constraint_row(kind, params, x) for kind in request.initial]
+            blocks.append(rows_at(kind, params, x).take(active))
+    blocks += [rows_at(kind, params, x) for kind in request.initial]
     return RowBlock.concat(blocks)
 
 
@@ -290,6 +297,56 @@ class TestRowPlan:
         for s, request in enumerate(requests):
             assert_own_rows(later, s, request, params, 0.12, domain)
         assert not later.normals[:, later.width:].any() and (later.offsets[:, later.width:] == -1.0).all()
+
+
+def own_requests(request):
+    """Each slot of a ``TeamRequest`` as the robot's own request; its
+    collision rows see positions only, not the request's squared distances."""
+    slot, partners, seen, deltas = request.conn
+    coll_slot, colliders, collider_seen, _ = request.coll
+    requests = []
+    for s, robot in enumerate(request.robots.tolist()):
+        mine, close = slot == s, coll_slot == s
+        assert len(set(deltas[mine].tolist())) <= 1  # one range per robot
+        requests.append(OwnRequest(
+            robot, request.position[s], request.nominal[s], float(deltas[mine][0]) if mine.any() else 0.5,
+            partners[mine].tolist(), list(seen[mine]), colliders[close].tolist(), list(collider_seen[close]),
+            tuple(kind for t, kind in request.initial if t == s),
+        ))
+    return requests
+
+
+class TestOneTablePerTick:
+    @pytest.mark.parametrize("scenario, changes", [
+        ("securing_a_building", {}),
+        ("two_behavior_demo", {"oracle_sensing": False, "delay": DelaySpec.uniform(0, 10)}),
+    ])
+    def test_every_tick_senses_once_and_gets_each_robots_own_rows(self, monkeypatch, scenario, changes):
+        # the world's mask and squared distances are the proximity graph's and
+        # every pair's own; the rows built from them (collision values from
+        # the table, obstacle values from the activation test) are each
+        # robot's own rows, across plan rebuilds
+        plan, config = builtin_scenario(scenario)
+        config = replace(config, **changes)
+        built, kinds, real = count_layouts(monkeypatch), set(), agent.team_rows
+
+        def checked_rows(request, params, min_sep, domain):
+            rows = real(request, params, min_sep, domain)
+            for s, own in enumerate(own_requests(request)):
+                kinds.update(assert_own_rows(rows, s, own, params, min_sep, domain).kinds)
+            return rows
+
+        monkeypatch.setattr(agent, "team_rows", checked_rows)
+        team, world = Team.start(plan), make_world(plan, config)
+        for _ in range(300):
+            x, n = world.positions, plan.n
+            assert np.array_equal(world.sensed, proximity_graph(x, plan.delta).mask)
+            pairs = [[sq_dist(x[i] - x[j]) for j in range(n)] for i in range(n)]
+            assert bits(world.sq_dist).tolist() == bits(pairs).tolist()
+            tick(world, team, plan, config)
+        assert 1 < len(built) < 300  # rebuilt when the structure changed, else reused
+        assert {Connectivity, Collision} <= kinds
+        assert (ObstacleAvoid in kinds) == bool(plan.domain.obstacles)
 
 
 def random_rows(rng, robot, m):
