@@ -256,12 +256,12 @@ def constraint_row(kind, params, h, *positions):
     """Rows (dh/dx_i) . u_i >= -share * rate(h) on the input of robot
     ``kind.i``, one per barrier of the kind's stack, in C order, unnamed.
 
-    ``h`` holds the barriers' values at ``positions`` (``kind.value`` of
-    them, or the same numbers from an earlier pass). ``positions`` are x_i,
+    ``h`` holds the barriers' values at ``positions`` as an array (``kind.value``
+    of them, or the same numbers from an earlier pass). ``positions`` are x_i,
     then for a pairwise kind the positions of its ``j`` robots, broadcasting
     together. ``kind.i`` is one robot or, for a team's rows, an id array
     broadcasting against the barrier values.
     """
-    k = np.size(h)
-    return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(np.reshape(h, k), params),
+    k = h.size
+    return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h.reshape(k), params),
                     kind.hard)

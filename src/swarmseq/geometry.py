@@ -161,7 +161,7 @@ def proximity_graph(positions, delta):
         raise GeometryError("non-finite robot position")
     table = sq_dist(positions[:, None] - positions)
     mask = _range_test(float(delta)).at_sq_dist(table) >= 0
-    np.fill_diagonal(mask, False)
+    mask.flat[::len(mask) + 1] = False  # the diagonal
     mask.flags.writeable = table.flags.writeable = False
     # the mask is symmetric and loop-free by construction: skip __post_init__'s
     # per-edge checks, and leave the edge set to its first read
@@ -172,8 +172,7 @@ def proximity_graph(positions, delta):
 
 @functools.lru_cache(maxsize=8)
 def _range_test(delta):
-    """The connectivity barrier at range delta, checked once; its value
-    reads only a pair's squared distance."""
+    """The connectivity barrier at range delta, checked once (``at_sq_dist`` reads no robot)."""
     return Connectivity(1, 2, delta)
 
 
@@ -204,7 +203,11 @@ def induced_subgraph_is_cycle(g, vertices):
     verts = set(vertices)
     if len(verts) < 3:
         raise GeometryError(f"a cycle needs at least 3 vertices, got {len(verts)}")
-    adj = {v: g.neighbors(v) & verts for v in verts}
+    adj = {v: set() for v in verts}
+    for a, b in g.edges:
+        if a in verts and b in verts:
+            adj[a].add(b)
+            adj[b].add(a)
     if any(len(out) != 2 for out in adj.values()):
         return False
     seen, stack = {min(verts)}, [min(verts)]

@@ -239,10 +239,7 @@ def _add_rescue_events(record):
     k, mode = record.behavior_index[t0:, group], record.mode[t0:, group]
     escorting = ((k > r.escort_behavior) | (k == r.escort_behavior) & (mode == EXECUTING)).all(axis=1)
     off = after[t0:, group].mean(axis=1) - np.asarray(r.safe_center)
-    # hypot and norm may differ in the last bit: the wider test picks the
-    # candidates, and norm decides, in tick order
-    near = np.hypot(off[:, 0], off[:, 1]) <= r.safe_radius * (1 + 1e-9)
-    inside = (t for t in np.flatnonzero(escorting & near).tolist() if float(np.linalg.norm(off[t])) <= r.safe_radius)
+    inside = (t for t in np.flatnonzero(escorting).tolist() if float(np.linalg.norm(off[t])) <= r.safe_radius)
     t = next(inside, None)
     if t is not None:
         found.append({"tick": t0 + t, "event": "target_escorted"})
