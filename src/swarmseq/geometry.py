@@ -45,8 +45,8 @@ class InteractionGraph:
         # only reached for a proximity graph's edges not yet read
         if name != "edges" or "mask" not in self.__dict__:
             raise AttributeError(name)
-        a, b = np.triu(self.mask).nonzero()
-        object.__setattr__(self, "edges", frozenset(zip((a + 1).tolist(), (b + 1).tolist())))
+        a, b = self.mask.nonzero()
+        object.__setattr__(self, "edges", frozenset((i + 1, j + 1) for i, j in zip(a.tolist(), b.tolist()) if i < j))
         return self.edges
 
     def has_edge(self, i, j):
