@@ -25,17 +25,24 @@ gives a team's rows, which ``qp.RowLayout`` places robot by robot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+
+def _yaml(kind, key=None, **kw):
+    """A field whose YAML form is converter ``kind`` under ``key`` (default:
+    the field's name; a dotted key names a nested mapping's entry)."""
+    return field(metadata={"kind": kind, "key": key}, **kw)
 
 
 @dataclass(frozen=True)
 class FcbfParams:
     """Class-K rate parameters: exponent rho in [0, 1), gain gamma > 0."""
 
-    rho: float = 0.5
-    gamma: float = 1.0
+    rho: float = _yaml("num", default=0.5)
+    gamma: float = _yaml("num", default=1.0)
 
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
@@ -159,8 +166,10 @@ class ObstacleAvoid:
     hard = True
     share = 1.0
 
+    @functools.cached_property
     def _ellipses(self):
-        """The center, a, b and axes of the obstacles, the selected ones if ``index`` is given."""
+        """The center, a, b and axes of the obstacles, the selected ones if
+        ``index`` is given; gathered once per kind object."""
         o, m = self.obstacle, self.index
         if m is None:
             return o.center, o.a, o.b, o.axes
@@ -168,7 +177,7 @@ class ObstacleAvoid:
         return o.center[m], o.a[m], o.b[m], o.axes[m]
 
     def value(self, x):
-        center, a, b, _ = self._ellipses()
+        center, a, b, _ = self._ellipses
         v = x - center
         # squares with libm's pow (float_power), not numpy's ** 2, which
         # multiplies: the two differ in the last bit for ~0.1% of inputs, and
@@ -176,7 +185,7 @@ class ObstacleAvoid:
         return a * np.float_power(v[..., 0], 2) + b * np.float_power(v[..., 1], 2) - 1.0
 
     def gradient(self, x):
-        center, _, _, axes = self._ellipses()
+        center, _, _, axes = self._ellipses
         return 2.0 * (x - center) * axes
 
 
@@ -185,9 +194,9 @@ class KeepWithin:
     """h = radius^2 - |x_i - center|^2: robot i inside a disc (anchor constraint)."""
 
     yaml = "keep_within"
-    i: int = field(metadata={"kind": "int", "key": "robot"})
-    center: tuple = field(metadata={"kind": "vec"})
-    radius: float = field(metadata={"kind": "num"})
+    i: int = _yaml("int", "robot")
+    center: tuple = _yaml("vec")
+    radius: float = _yaml("num")
 
     hard = False
     share = 1.0

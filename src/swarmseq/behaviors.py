@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .barriers import _yaml
 from .geometry import (
     Domain,
     GeometryError,
@@ -57,11 +58,6 @@ def rotation(angle):
 
 def _edge_key(i, j):
     return (min(i, j), max(i, j))
-
-
-def _yaml(kind, key=None, **kw):
-    """A field whose YAML form is converter ``kind`` under ``key`` (default: the field's name)."""
-    return field(metadata={"kind": kind, "key": key}, **kw)
 
 
 def nominal_control(law, x, rows, cols, seen_at):

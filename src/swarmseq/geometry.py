@@ -52,18 +52,6 @@ class InteractionGraph:
     def has_edge(self, i, j):
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbors(self, i):
-        """The vertices adjacent to i, as a frozenset (empty outside 1..n)."""
-        return self._adjacency.get(i, frozenset())
-
-    @functools.cached_property
-    def _adjacency(self):
-        adj = {}
-        for a, b in self.edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return {v: frozenset(out) for v, out in adj.items()}
-
     @functools.cached_property
     def mask(self):
         """The adjacency as an (n, n) boolean mask, robot i + 1 at index i."""
@@ -72,9 +60,6 @@ class InteractionGraph:
             mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
         mask.flags.writeable = False
         return mask
-
-    def degree(self, i):
-        return len(self.neighbors(i))
 
     def sorted_edges(self):
         return sorted(self.edges)

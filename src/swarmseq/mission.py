@@ -8,6 +8,7 @@ the packaged scenario files are the reference examples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -15,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import behaviors as bh
-from .barriers import Collision, FcbfParams, KeepWithin
+from .barriers import Collision, FcbfParams, KeepWithin, _yaml
 from .geometry import Domain, InteractionGraph, Obstacle, _pairs
 from .sim import DelaySpec, SimConfig
 
@@ -42,20 +43,13 @@ class BehaviorSpec:
 
 @dataclass(frozen=True)
 class RescueProbe:
-    """Scenario bookkeeping for locate-and-escort missions."""
+    """Scenario bookkeeping for locate-and-escort missions (the ``[rescue]`` section)."""
 
-    target: tuple
-    safe_center: tuple
-    safe_radius: float
-    escort_behavior: int  # 1-based index of the escorting behavior
-    escort_robots: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", (float(self.target[0]), float(self.target[1])))
-        object.__setattr__(
-            self, "safe_center", (float(self.safe_center[0]), float(self.safe_center[1]))
-        )
-        object.__setattr__(self, "escort_robots", tuple(int(r) for r in self.escort_robots))
+    target: tuple = _yaml("vec")
+    safe_center: tuple = _yaml("vec", "safe_zone.center")
+    safe_radius: float = _yaml("num", "safe_zone.radius")
+    escort_behavior: int = _yaml("int")  # 1-based index of the escorting behavior
+    escort_robots: tuple = _yaml("ints")
 
 
 @dataclass(frozen=True)
@@ -78,6 +72,8 @@ class MissionPlan:
 def validate(plan):
     """All structural violations of the plan; empty means runnable."""
     out = []
+    if plan.n < 1:
+        out.append("mission has no robots")
     if len(plan.behaviors) < 1:
         out.append("mission has no behaviors")
     if plan.delta <= plan.min_sep:
@@ -155,6 +151,16 @@ def _nums(raw, count, where, cast=float):
     raise MissionFormatError(f"expected {count or 'a list of'} finite {cast.__name__}s in {where}, got {raw!r}")
 
 
+_TYPE_NAMES = {list: "a list", dict: "a mapping", bool: "true or false"}
+
+
+def _expect(raw, key, where, cls=list):
+    """``raw``, the value of ``key``, if it is a ``cls`` (a list unless said)."""
+    if not isinstance(raw, cls):
+        raise MissionFormatError(f"'{key}' in {where} must be {_TYPE_NAMES[cls]}, got {raw!r}")
+    return raw
+
+
 def _edges(raw, where):
     try:
         return [(_cast(i, int), _cast(j, int)) for i, j in raw]
@@ -167,19 +173,17 @@ def _vec(raw, where):
 
 
 def _distances(raw, key, where):
-    triples = (_nums(t, 3, f"{where} {key}") for t in raw)
+    triples = (_nums(t, 3, f"{where} {key}") for t in _expect(raw, key, where))
     return {tuple(_nums((i, j), 2, f"{where} {key}", int)): t for i, j, t in triples}
 
 
 def _goals(raw, key, where):
-    if not isinstance(raw, dict):
-        raise MissionFormatError(f"'{key}' in {where} must be a mapping of robot to [x, y], got {raw!r}")
-    return {_number(i, key, where, int): _vec(g, where) for i, g in raw.items()}
+    return {_number(i, key, where, int): _vec(g, where) for i, g in _expect(raw, key, where, dict).items()}
 
 
 def _groups(raw, key, where):
     groups = []
-    for gi, g in enumerate(raw):
+    for gi, g in enumerate(_expect(raw, key, where)):
         gwhere = f"{where} group {gi}"
         groups.append(
             bh.CompositeGroup(
@@ -191,6 +195,12 @@ def _groups(raw, key, where):
     return tuple(groups)
 
 
+def _delay(raw, key, where):
+    if raw is None or raw == "none":
+        return DelaySpec.none()
+    return DelaySpec.uniform(*(_num(raw, k, f"{where} {key}", cast=int) for k in ("min", "max")))
+
+
 def _group_doc(g):
     return {"robots": list(g.robots), "edges": [list(e) for e in g.edges], **_doc(g.controller, "controller")}
 
@@ -199,7 +209,10 @@ def _group_doc(g):
 _KINDS = {
     "num": (_number, lambda v: v),
     "int": (lambda raw, key, where: _number(raw, key, where, int), lambda v: v),
+    "ints": (lambda raw, key, where: tuple(_nums(raw, None, where, int)), list),
+    "flag": (lambda raw, key, where: _expect(raw, key, where, bool), bool),
     "vec": (lambda raw, key, where: _vec(raw, where), list),
+    "delay": (_delay, lambda d: {"min": d.min_ticks, "max": d.max_ticks} if d.max_ticks else "none"),
     "distances": (_distances, lambda d: [[i, j, t] for (i, j), t in sorted(d.items())]),
     "bounds": (lambda raw, key, where: Domain(*_nums(raw, 4, where)), lambda d: [d.xmin, d.xmax, d.ymin, d.ymax]),
     "goals": (_goals, lambda goals: {i: list(g) for i, g in sorted(goals.items())}),
@@ -218,33 +231,51 @@ COMPLETIONS = {c.yaml: c for c in (bh.ControlNormBelow, bh.ElapsedTime, bh.GoalR
 INITIAL_CONSTRAINTS = {KeepWithin.yaml: KeepWithin}
 
 
-def _key(f):
-    """A field's YAML key: its ``metadata["key"]``, else its name."""
-    return f.metadata.get("key") or f.name
+@functools.cache
+def _schema(cls):
+    """(field, (parse, dump), key path) of each field of ``cls`` with a YAML form."""
+    return [(f, _KINDS[f.metadata["kind"]], (f.metadata["key"] or f.name).split("."))
+            for f in fields(cls) if "kind" in f.metadata]
+
+
+def _read(cls, doc, where):
+    """An instance of ``cls``, each of its YAML fields read from ``doc`` by its
+    kind's parser; a key left out keeps the field's default, and only a field
+    without one must be given."""
+    values = {}
+    for f, (parse, _), (*path, key) in _schema(cls):
+        section, at = doc, where
+        for part in path:
+            section, at = _req(section, part, at), f"{at} {part}"
+        raw = _req(section, key, at, None if f.default is MISSING else MISSING)
+        if raw is not MISSING:
+            values[f.name] = parse(raw, key, at)
+    return cls(**values)
+
+
+def _write(obj):
+    """The YAML mapping of ``obj``'s YAML fields, the inverse of ``_read``."""
+    doc = {}
+    for f, (_, dump), (*path, key) in _schema(type(obj)):
+        section = doc
+        for part in path:
+            section = section.setdefault(part, {})
+        section[key] = dump(getattr(obj, f.name))
+    return doc
 
 
 def _named(table, what, tag, doc, where):
-    """The instance of the class ``table`` names under ``doc[tag]``, each of
-    its fields read from ``doc`` by its kind's parser; a field with a default
-    may be left out."""
+    """The instance of the class ``table`` names under ``doc[tag]``, read from ``doc``."""
     name = _req(doc, tag, where)
     cls = table.get(name) if isinstance(name, str) else None
     if cls is None:
         raise MissionFormatError(f"unknown {what} '{name}' in {where}")
-    values = {}
-    for f in fields(cls):
-        key = _key(f)
-        raw = _req(doc, key, where, None if f.default is MISSING else f.default)
-        values[f.name] = _KINDS[f.metadata["kind"]][0](raw, key, where)
-    return cls(**values)
+    return _read(cls, doc, where)
 
 
 def _doc(obj, tag):
     """The YAML mapping of a named object, the inverse of ``_named``."""
-    doc = {tag: obj.yaml}
-    for f in fields(obj):
-        doc[_key(f)] = _KINDS[f.metadata["kind"]][1](getattr(obj, f.name))
-    return doc
+    return {tag: obj.yaml, **_write(obj)}
 
 
 def parse_mission(text):
@@ -259,7 +290,8 @@ def parse_mission(text):
     mission = _req(doc, "mission", "document")
     n = _num(mission, "n", "[mission]", cast=int)
     delta = _num(mission, "delta", "[mission]")
-    positions = [_vec(p, "[mission] initial_positions") for p in _req(mission, "initial_positions", "[mission]")]
+    positions = _expect(_req(mission, "initial_positions", "[mission]"), "initial_positions", "[mission]")
+    positions = [_vec(p, "[mission] initial_positions") for p in positions]
     if len(positions) != n:
         raise MissionFormatError(f"expected {n} initial positions, got {len(positions)}")
 
@@ -270,19 +302,19 @@ def parse_mission(text):
             a=_num(o, "a", "[domain] obstacle"),
             b=_num(o, "b", "[domain] obstacle"),
         )
-        for o in _req(dom_doc, "obstacles", "[domain]", [])
+        for o in _expect(_req(dom_doc, "obstacles", "[domain]", []), "obstacles", "[domain]")
     )
     domain = Domain(*_nums(_req(dom_doc, "bounds", "[domain]"), 4, "[domain] bounds"), obstacles)
 
     specs = []
-    for bi, bdoc in enumerate(_req(doc, "behaviors", "document"), start=1):
+    for bi, bdoc in enumerate(_expect(_req(doc, "behaviors", "document"), "behaviors", "document"), start=1):
         where = f"behavior {bi}"
         controller = _named(CONTROLLERS, "controller", "controller", bdoc, where)
         graph = InteractionGraph.from_edges(n, _edges(bdoc.get("graph", []), where))
         completion = _named(COMPLETIONS, "completion type", "type", _req(bdoc, "completion", where), where)
         init = tuple(
             _named(INITIAL_CONSTRAINTS, "initial constraint type", "type", c, f"{where} initial constraint")
-            for c in bdoc.get("initial_constraints", [])
+            for c in _expect(bdoc.get("initial_constraints", []), "initial_constraints", where)
         )
         specs.append(
             BehaviorSpec(
@@ -294,30 +326,15 @@ def parse_mission(text):
             )
         )
 
-    rescue = None
-    if "rescue" in doc:
-        r = doc["rescue"]
-        sz = _req(r, "safe_zone", "[rescue]")
-        rescue = RescueProbe(
-            target=_vec(_req(r, "target", "[rescue]"), "[rescue]"),
-            safe_center=_vec(_req(sz, "center", "[rescue] safe_zone"), "[rescue]"),
-            safe_radius=_num(sz, "radius", "[rescue] safe_zone"),
-            escort_behavior=_num(r, "escort_behavior", "[rescue]", cast=int),
-            escort_robots=_nums(_req(r, "escort_robots", "[rescue]"), None, "[rescue]", int),
-        )
-
     plan = MissionPlan(
         n=n,
         initial_positions=np.asarray(positions),
         behaviors=tuple(specs),
         domain=domain,
-        fcbf=FcbfParams(
-            rho=_num(mission, "rho", "[mission]", 0.5),
-            gamma=_num(mission, "gamma", "[mission]", 1.0),
-        ),
+        fcbf=_read(FcbfParams, mission, "[mission]"),
         delta=delta,
         min_sep=_num(mission, "min_sep", "[mission]", 0.12),
-        rescue=rescue,
+        rescue=_read(RescueProbe, doc["rescue"], "[rescue]") if "rescue" in doc else None,
     )
 
     sim_doc = doc.get("sim", {})
@@ -326,24 +343,7 @@ def parse_mission(text):
             f"[sim] delta {sim_doc['delta']} differs from [mission] delta {delta:g}; "
             "the sensing range is set in [mission] only"
         )
-    delay_doc = _req(sim_doc, "delay", "[sim]", "none")
-    if delay_doc == "none" or delay_doc is None:
-        delay = DelaySpec.none()
-    else:
-        lo, hi = (_num(delay_doc, key, "[sim] delay", cast=int) for key in ("min", "max"))
-        delay = DelaySpec.uniform(lo, hi)
-    config = SimConfig(
-        dt=_num(sim_doc, "dt", "[sim]", 0.02),
-        max_ticks=_num(sim_doc, "max_ticks", "[sim]", 20000, int),
-        speed_limit=_num(sim_doc, "speed_limit", "[sim]", 0.2),
-        delay=delay,
-        seed=_num(sim_doc, "seed", "[sim]", 0, int),
-        oracle_sensing=bool(_req(sim_doc, "oracle_sensing", "[sim]", True)),
-        sigma_bar=_num(sim_doc, "sigma_bar", "[sim]", 0.8),
-        eta_bar=_num(sim_doc, "eta_bar", "[sim]", 0.8),
-        staleness_ticks=_num(sim_doc, "staleness_ticks", "[sim]", 50, int),
-    )
-    return plan, config
+    return plan, _read(SimConfig, sim_doc, "[sim]")
 
 
 # --- document serialization ----------------------------------------------------
@@ -356,8 +356,7 @@ def serialize_mission(plan, config):
             "n": plan.n,
             "delta": plan.delta,
             "min_sep": plan.min_sep,
-            "rho": plan.fcbf.rho,
-            "gamma": plan.fcbf.gamma,
+            **_write(plan.fcbf),
             "initial_positions": [[float(x), float(y)] for x, y in plan.initial_positions],
         },
         "domain": {
@@ -368,21 +367,7 @@ def serialize_mission(plan, config):
             ],
         },
         "behaviors": [],
-        "sim": {
-            "dt": config.dt,
-            "max_ticks": config.max_ticks,
-            "speed_limit": config.speed_limit,
-            "delay": (
-                "none"
-                if config.delay.kind == "none"
-                else {"min": config.delay.min_ticks, "max": config.delay.max_ticks}
-            ),
-            "seed": config.seed,
-            "oracle_sensing": config.oracle_sensing,
-            "sigma_bar": config.sigma_bar,
-            "eta_bar": config.eta_bar,
-            "staleness_ticks": config.staleness_ticks,
-        },
+        "sim": _write(config),
     }
     for spec in plan.behaviors:
         bdoc = {"name": spec.name} if spec.name else {}
@@ -393,15 +378,7 @@ def serialize_mission(plan, config):
             bdoc["initial_constraints"] = [_doc(c, "type") for c in spec.initial_constraints]
         doc["behaviors"].append(bdoc)
     if plan.rescue is not None:
-        doc["rescue"] = {
-            "target": list(plan.rescue.target),
-            "safe_zone": {
-                "center": list(plan.rescue.safe_center),
-                "radius": plan.rescue.safe_radius,
-            },
-            "escort_behavior": plan.rescue.escort_behavior,
-            "escort_robots": list(plan.rescue.escort_robots),
-        }
+        doc["rescue"] = _write(plan.rescue)
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)
 
 

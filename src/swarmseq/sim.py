@@ -16,12 +16,12 @@ import bisect
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .agent import EXECUTING, Mail, Team, filter_team, step
-from .barriers import Collision, Connectivity, ObstacleAvoid
+from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml
 from .geometry import proximity_graph
 
 
@@ -31,36 +31,39 @@ class SimConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DelaySpec:
-    kind: str  # "none" | "uniform"
+    """Message delays drawn uniformly from min_ticks..max_ticks; (0, 0) is none."""
+
     min_ticks: int = 0
     max_ticks: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "uniform"):
-            raise SimConfigError(f"unknown delay kind '{self.kind}'")
         if self.min_ticks < 0 or self.max_ticks < self.min_ticks:
             raise SimConfigError("delay bounds must satisfy 0 <= min <= max")
 
     @classmethod
     def none(cls):
-        return cls("none")
+        return cls()
 
     @classmethod
     def uniform(cls, lo, hi):
-        return cls("uniform", lo, hi)
+        return cls(lo, hi)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt: float = 0.02
-    max_ticks: int = 20000
-    speed_limit: float = 0.2
-    delay: DelaySpec = field(default_factory=DelaySpec.none)
-    seed: int = 0
-    oracle_sensing: bool = True
-    sigma_bar: float = 0.8
-    eta_bar: float = 0.8
-    staleness_ticks: int = 50
+    """The ``[sim]`` section; each field's metadata gives its YAML converter
+    kind (``mission`` holds the converters), and a key left out keeps the
+    field's default. ``glue_transitions`` has no YAML form."""
+
+    dt: float = _yaml("num", default=0.02)
+    max_ticks: int = _yaml("int", default=20000)
+    speed_limit: float = _yaml("num", default=0.2)
+    delay: DelaySpec = _yaml("delay", default=DelaySpec())
+    seed: int = _yaml("int", default=0)
+    oracle_sensing: bool = _yaml("flag", default=True)
+    sigma_bar: float = _yaml("num", default=0.8)
+    eta_bar: float = _yaml("num", default=0.8)
+    staleness_ticks: int = _yaml("int", default=50)
     glue_transitions: bool = False
 
     def __post_init__(self):
@@ -175,7 +178,8 @@ def tick(world, team, plan, config):
     world.positions = world.positions + config.dt * controls
     graph = proximity_graph(world.positions, plan.delta)
     world.sensed, world.sq_dist = graph.mask, graph.sq_dist
-    delays = [0] * plan.n if config.delay.kind == "none" else [_delay_ticks(config, s, t) for s in range(1, plan.n + 1)]
+    # no draws under a zero delay: each draw is re-seeded and randint(0, 0) is 0
+    delays = [_delay_ticks(config, s, t) for s in range(1, plan.n + 1)] if config.delay.max_ticks else [0] * plan.n
     world.in_flight.post(t, delays, outbox)
     world.tick = t + 1
     return controls

@@ -421,7 +421,7 @@ def team_and_reference(controller, graph, x, completion, latched=()):
         if isinstance(controller, Composite):
             (leaf, group), = [(g.controller, g.robots) for g in controller.groups if me in g.robots]
         sensed = set((np.flatnonzero(world.sensed[me - 1]) + 1).tolist())
-        reading = {"required": graph.neighbors(me), "in_range": sensed,
+        reading = {"required": set((np.flatnonzero(graph.mask[me - 1]) + 1).tolist()), "in_range": sensed,
                    "known": set(range(1, n + 1)) - {me}}[leaf.reads(me)]
         ids = sorted(j for j in reading if j in group)
         expected.append(reference_control(leaf, me, x[me - 1], ids, [x[j - 1] for j in ids]))

@@ -155,12 +155,19 @@ class TestRejectedInput:
             ("  seed: 7", "  seed: 7\n  eta_bar: -0.1"),
             ("  seed: 7", "  seed: 7\n  staleness_ticks: -1"),
             ("controller: scatter", "controller: go_to_goal\n    goals: [[0, 0]]"),
+            ("behaviors:\n", "behaviors: 5\nunused:\n"),
+            ("[[0.0, 0.0], [0.4, 0.0]]", "5"),
+            ("  bounds: [-2, 2, -2, 2]", "  bounds: [-2, 2, -2, 2]\n  obstacles: 5"),
+            ("controller: scatter", "controller: scatter\n    initial_constraints: 5"),
+            ("controller: scatter", "controller: formation\n    distances: 5"),
+            ("controller: scatter", "controller: composite\n    groups: 5"),
         ],
         ids=[
             "dt", "delay-max-missing", "dt-zero", "rho-out-of-range", "duration-inf", "dt-nan",
             "speed-limit-nan", "speed-limit-inf", "n-fractional", "edge-fractional",
             "sigma-bar-above-one", "sigma-bar-one", "eta-bar-above-one", "eta-bar-negative",
-            "staleness-negative", "goals-not-a-mapping",
+            "staleness-negative", "goals-not-a-mapping", "behaviors-scalar", "positions-scalar",
+            "obstacles-scalar", "initial-constraints-scalar", "distances-scalar", "groups-scalar",
         ],
     )
     def test_malformed_or_rejected_value(self, tmp_path, capsys, old, new):
@@ -236,6 +243,15 @@ class TestRunCommand:
         path = tmp_path / "bad.yaml"
         path.write_text(BAD_CYCLE)
         assert main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_mission_without_robots_is_a_violation(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.yaml"
+        text = TINY.replace("n: 2", "n: 0").replace("[[0.0, 0.0], [0.4, 0.0]]", "[]").replace("[[1, 2]]", "[]")
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "violation: mission has no robots\n1 violation(s)\n"
 
 
 class TestCompareGlue:

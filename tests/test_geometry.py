@@ -72,14 +72,13 @@ class TestProximityGraph:
 
     def test_equals_the_checked_graph_of_its_edges(self):
         # proximity graphs skip the per-edge checks of user-given graphs; the
-        # result is the same graph, mask and neighbors included
+        # result is the same graph, mask included
         rng = np.random.default_rng(2)
         for n in (1, 2, 7, 30):
             g = proximity_graph(rng.uniform(-1, 1, size=(n, 2)), 0.6)
             checked = InteractionGraph.from_edges(n, g.edges)
             assert g == checked and hash(g) == hash(checked) and g.sorted_edges() == checked.sorted_edges()
             assert np.array_equal(g.mask, checked.mask) and not g.mask.flags.writeable
-            assert [g.neighbors(i) for i in range(n + 2)] == [checked.neighbors(i) for i in range(n + 2)]
         with pytest.raises(GeometryError):
             InteractionGraph.from_edges(3, [(1, 1)])
         with pytest.raises(GeometryError):
@@ -142,19 +141,6 @@ class TestProximityGraph:
 
 
 class TestGraphPredicates:
-    def test_neighbors_equal_the_edge_scan(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            n = int(rng.integers(1, 12))
-            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            edges = [p for p in pairs if rng.random() < 0.3]
-            g = InteractionGraph.from_edges(n, [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges])
-            for v in range(0, n + 2):
-                scan = {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
-                assert g.neighbors(v) == scan
-                assert isinstance(g.neighbors(v), frozenset)
-                assert g.degree(v) == len(scan)
-
     def test_spanning_reflexive(self):
         g = InteractionGraph.from_edges(4, [(1, 2), (3, 4)])
         assert is_spanning_subgraph(g, g)
@@ -189,7 +175,7 @@ class TestGraphPredicates:
     def test_cycle_implies_degree_two(self):
         g = InteractionGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         assert is_cycle_graph(g)
-        assert all(g.degree(i) == 2 for i in range(1, 6))
+        assert (g.mask.sum(axis=1) == 2).all()
 
     def test_too_small_for_cycle(self):
         with pytest.raises(GeometryError):

@@ -1,7 +1,7 @@
 import copy
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from swarmseq.mission import (
     serialize_mission,
     validate,
 )
+from swarmseq.sim import DelaySpec, SimConfig
 
 MINIMAL = """
 mission:
@@ -90,13 +91,21 @@ class TestParsing:
             ("controller: rendezvous", "controller: go_to_goal\n    goals: {first: [0, 0]}", "'goals'.*finite int"),
             ("controller: rendezvous", "controller: go_to_goal\n    goals: {1.5: [0, 0]}", "'goals'.*finite int"),
             ("controller: rendezvous", "controller: go_to_goal\n    goals: [[0, 0]]", "'goals'.*mapping"),
+            ("behaviors:\n", "behaviors: 5\nunused:\n", "'behaviors'.*list"),
+            ("[[0.0, 0.0], [0.3, 0.0]]", "5", "'initial_positions'.*list"),
+            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, 1]\n  obstacles: 5", "'obstacles'.*list"),
+            ("graph: [[1, 2]]", "graph: [[1, 2]]\n    initial_constraints: 5", "'initial_constraints'.*list"),
+            ("controller: rendezvous", "controller: formation\n    distances: 5", "'distances'.*list"),
+            ("controller: rendezvous", "controller: composite\n    groups: 5", "'groups'.*list"),
         ],
         ids=[
             "dt", "delay-max-missing", "delay-max", "delay-not-a-mapping", "seed", "delta", "n",
             "bounds-entry", "bounds-length", "duration", "delta-inf", "dt-nan", "speed-limit-nan",
             "n-fractional", "position-nan", "bounds-inf", "edge-fractional", "seed-fractional",
             "staleness-fractional", "angle-nan", "distance-robot-fractional", "distance-inf",
-            "goal-robot", "goal-robot-fractional", "goals-not-a-mapping",
+            "goal-robot", "goal-robot-fractional", "goals-not-a-mapping", "behaviors-scalar",
+            "positions-scalar", "obstacles-scalar", "initial-constraints-scalar", "distances-scalar",
+            "groups-scalar",
         ],
     )
     def test_malformed_scalar(self, old, new, match):
@@ -249,6 +258,21 @@ class TestRoundTrip:
         assert (plan2.fcbf, plan2.delta, plan2.min_sep) == (plan.fcbf, plan.delta, plan.min_sep)
         assert plan2.rescue == plan.rescue
 
+    def test_every_setting_off_its_default_round_trips(self):
+        # every [sim], rate and [rescue] key is read and written from its
+        # field, and a key left out keeps the field's default
+        plan, _ = builtin_scenario("securing_a_building")
+        plan = replace(plan, fcbf=FcbfParams(rho=0.3, gamma=2.5))
+        config = SimConfig(dt=0.01, max_ticks=123, speed_limit=0.3, delay=DelaySpec.uniform(2, 7), seed=9,
+                           oracle_sensing=False, sigma_bar=0.5, eta_bar=0.6, staleness_ticks=7)
+        assert all(getattr(config, f.name) != f.default for f in fields(SimConfig) if "kind" in f.metadata)
+        text = serialize_mission(plan, config)
+        plan2, config2 = parse_mission(text)
+        assert config2 == config and plan2.fcbf == plan.fcbf and plan2.rescue == plan.rescue
+        assert "glue_transitions" not in yaml.safe_load(text)["sim"]
+        minimal, defaults = parse_mission(MINIMAL)
+        assert defaults == SimConfig() and minimal.fcbf == FcbfParams() and minimal.rescue is None
+
     @pytest.mark.parametrize("controller", sorted(CONTROLLERS))
     @pytest.mark.parametrize("completion", sorted(COMPLETIONS))
     def test_every_controller_and_completion_round_trips(self, controller, completion):
@@ -299,6 +323,11 @@ class TestValidate:
         plan, _ = parse_mission(bad)
         out = validate(plan)
         assert any("outside the domain" in v for v in out)
+
+    def test_no_robots(self):
+        empty = MINIMAL.replace("n: 2", "n: 0").replace("[[0.0, 0.0], [0.3, 0.0]]", "[]").replace("[[1, 2]]", "[]")
+        plan, _ = parse_mission(empty)
+        assert validate(plan) == ["mission has no robots"]
 
     def test_delta_must_exceed_min_sep(self):
         bad = MINIMAL.replace("delta: 0.5", "delta: 0.1")
@@ -358,6 +387,10 @@ class TestReadme:
             name: sorted(f.metadata.get("key") or f.name for f in fields(cls))
             for name, cls in mission.COMPLETIONS.items()
         }
+
+    def test_grammar_lists_every_sim_key(self):
+        listed = re.findall(r"^  (\w+):", self.grammar().split("\nsim:\n", 1)[1], re.M)
+        assert sorted(listed) == sorted([f.name for f in fields(SimConfig) if "kind" in f.metadata] + ["delta"])
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
