@@ -27,9 +27,14 @@ the same in any team. ``oracle_solve`` independently enumerates the active
 sets of one robot's problem; tests require the two to agree to 1e-6.
 
 A robot with no feasible candidate is re-solved with quadratically penalized
-slacks on its soft rows by a dual active-set iteration; hard rows
-(collision, obstacle) and the speed box are never relaxed. If the hard rows
-alone admit no input, the robot freezes.
+slacks on its soft rows; hard rows (collision, obstacle) and the speed box
+are never relaxed. Eliminating the slacks leaves a convex piecewise
+quadratic, one quadratic for each set of soft rows the input violates. On
+one piece the problem is a projection in another metric, which the same
+staged pass solves after a change of variables (``_penalized``); the pieces
+to try are read off the crossings of the soft rows' and the box's lines
+(``_candidates``), for all the stuck robots at once. If the hard rows alone
+admit no input, the robot freezes.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ SLACK_PENALTY = 1e4
 MAX_ROWS = 64  # per robot; desk-scale cap
 
 _FEAS_TOL = 1e-9
-_DUAL_TOL = 1e-10
-_ZERO_STEP_TOL = 1e-12
+_SIDE = 1e-10  # how far off its lines a relaxation candidate's point lies, in row units
 
 # worst first: a team's status is that of its worst robot
 _STATUSES = ("infeasible_hard", "relaxed", "optimal")
@@ -173,72 +177,6 @@ def _stack(problem, include_soft=True):
     return problem.rows.normals[0, keep], problem.rows.offsets[0, keep]
 
 
-def _dual_active_set(target, gdiag, normals, offsets, max_iter=None):
-    """Least-distance projection in the diag(gdiag) metric onto {a.x >= b}.
-
-    Starts from the unconstrained optimum and repeatedly activates the most
-    violated row, taking full primal steps when possible and dropping active
-    rows whose multiplier would turn negative otherwise. Returns (x, lam)
-    with lam aligned to ``normals``, or None when the rows are inconsistent.
-    """
-    m = len(normals)
-    if max_iter is None:
-        max_iter = 50 + 10 * m
-    ginv = 1.0 / gdiag
-    x = target.astype(float).copy()
-    active = []
-    lam_active = []
-
-    for _ in range(max_iter):
-        slack = normals @ x - offsets if m else np.empty(0)
-        p = int(np.argmin(slack)) if m else -1
-        if m == 0 or slack[p] >= -_FEAS_TOL:
-            lam = np.zeros(m)
-            for idx, w in enumerate(active):
-                lam[w] = lam_active[idx]
-            return x, lam
-        n_plus = normals[p]
-        lam_plus = 0.0
-        for _ in range(max_iter):
-            if active:
-                nmat = normals[active].T  # d x q
-                gram = nmat.T @ (ginv[:, None] * nmat)
-                try:
-                    r = np.linalg.solve(gram, nmat.T @ (ginv * n_plus))
-                except np.linalg.LinAlgError:
-                    r = np.linalg.lstsq(gram, nmat.T @ (ginv * n_plus), rcond=None)[0]
-                z = ginv * (n_plus - nmat @ r)
-            else:
-                r = np.empty(0)
-                z = ginv * n_plus
-            znorm = float(n_plus @ z)
-
-            viol = offsets[p] - float(n_plus @ x)
-            t_full = viol / znorm if znorm > _ZERO_STEP_TOL else np.inf
-            t_drop = np.inf
-            blocker = -1
-            for idx in range(len(active)):
-                if r[idx] > _DUAL_TOL:
-                    cand = lam_active[idx] / r[idx]
-                    if cand < t_drop:
-                        t_drop = cand
-                        blocker = idx
-            t = min(t_full, t_drop)
-            if not np.isfinite(t):
-                return None  # violated row lies in the span of the active set: infeasible
-            if znorm > _ZERO_STEP_TOL:
-                x = x + t * z
-            for idx in range(len(active)):
-                lam_active[idx] -= t * r[idx]
-            lam_plus += t
-            if t_full <= t_drop:
-                active.append(p)
-                lam_active.append(lam_plus)
-                break
-            del active[blocker], lam_active[blocker]
-    raise RuntimeError("active-set iteration failed to terminate")
-
-
 @functools.lru_cache(maxsize=16)
 def _pairs(width):
     """Row indices p < q of every pair of ``width`` rows, read-only."""
@@ -320,64 +258,164 @@ def solve(problem):
     """
     rows = problem.rows
     nominal = problem.nominal.reshape(-1, 2)
-    width = rows.width
 
     found, u, lam = _project(nominal, rows.normals, rows.offsets)
-    statuses = ["optimal"] * len(nominal)
+    statuses = np.full(len(nominal), "optimal", dtype=object)
     slacks = np.zeros(rows.hard.shape)
     stuck = (~found).nonzero()[0]
     if len(stuck):
-        # the hard rows and the box alone, soft rows masked as pad rows
-        soft = ~rows.hard[stuck]
-        hard_ok, _, _ = _project(
-            nominal[stuck],
-            np.where(soft[..., None], 0.0, rows.normals[stuck]),
-            np.where(soft, -1.0, rows.offsets[stuck]),
-        )
-        for r, ok in zip(stuck.tolist(), hard_ok.tolist()):
-            if ok:
-                mine = np.r_[:rows.counts[r], width:width + 4]  # its rows, then its box
-                relax = ~rows.hard[r, mine]
-                x, lam[r, mine] = _relaxed_solve(nominal[r], rows.normals[r, mine], rows.offsets[r, mine], relax)
-                u[r] = x[:2]
-                slacks[r, mine[relax]] = np.maximum(0.0, x[2:])
-                statuses[r] = "relaxed"
-            else:
-                u[r] = 0.0
-                slacks[r] = np.where(rows.hard[r], 0.0, np.maximum(0.0, rows.offsets[r]))
-                statuses[r] = "infeasible_hard"
+        relaxed, u[stuck], lam[stuck], slacks[stuck] = _relax(rows, nominal[stuck], stuck)
+        statuses[stuck] = np.where(relaxed, "relaxed", "infeasible_hard")
+    statuses = tuple(statuses.tolist())
 
     return QpSolution(
         u=u[0] if problem.nominal.ndim == 1 else u,
         status=next((s for s in _STATUSES if s in statuses), "optimal"),
-        statuses=tuple(statuses),
+        statuses=statuses,
         multipliers=lam,
         slacks=slacks,
     )
 
 
-def _relaxed_solve(nominal, normals, offsets, soft):
-    """Re-solve one robot's QP, its rows and box given as ``normals`` (m, 2)
-    and ``offsets`` (m,), with slack variables xi on the rows ``soft`` marks:
-    a.u + xi >= b, xi >= 0, penalized by SLACK_PENALTY * xi^2. The other rows
-    stay exact. Returns (x, lam): x is u then the slacks, lam the multipliers
-    of the m rows."""
-    soft = np.flatnonzero(soft)
-    m, ns = len(offsets), len(soft)
-    target = np.zeros(2 + ns)
-    target[:2] = nominal
-    gdiag = np.ones(2 + ns)
-    gdiag[2:] = SLACK_PENALTY
-    # the rows, then xi >= 0; soft row soft[s] carries slack s
-    slack = np.arange(ns)
-    a = np.zeros((m + ns, 2 + ns))
-    a[:m, :2] = normals
-    a[soft, 2 + slack] = 1.0
-    a[m + slack, 2 + slack] = 1.0
-    res = _dual_active_set(target, gdiag, a, np.concatenate([offsets, np.zeros(ns)]))
-    if res is None:
-        raise RuntimeError("relaxed problem infeasible despite feasible hard rows")
-    return res[0], res[1][:m]
+def _relax(rows, nominal, stuck):
+    """The slack relaxation of the layout's robots ``stuck``: the minimizer u*
+    of F(u) = |u - u_hat|^2 + SLACK_PENALTY * sum_s max(0, b_s - a_s.u)^2 over
+    the hard rows and the box, s running over the soft rows. u* also minimizes
+    F_S, F with the max dropped and s running over the set S of soft rows that
+    u* violates; ``_penalized`` solves F_S for each candidate S of
+    ``_candidates``.
+
+    Returns (relaxed, u, lam, slacks), the last two shaped like the layout:
+    whether the robot's hard rows admit an input, its input (zero if not),
+    and its rows' multipliers and slacks.
+    """
+    hard, normals, offsets = rows.hard[stuck], rows.normals[stuck], rows.offsets[stuck]
+    n, width = hard.shape
+    robots, column = np.arange(n)[:, None], np.arange(width)
+    # each robot's k soft rows, then its box: the lines the candidates' corners
+    # lie on; and its own hard rows with the box. Both keep the column order.
+    k = max(1, width - int(hard.sum(axis=1).min()))
+    soft_cols = np.argsort(hard, axis=1, kind="stable")[:, :k]
+    lines = np.concatenate([soft_cols, np.tile(column[-4:], (n, 1))], axis=1)
+    keep = hard & ((column < rows.counts[stuck, None]) | (column >= rows.width))
+    hard_cols = np.argsort(~keep, axis=1, kind="stable")[:, :int(keep.sum(axis=1).max())]
+    is_line, is_hard = ~hard[robots, lines] | (lines >= rows.width), keep[robots, hard_cols]
+    a0, a1 = np.where(is_line[..., None], normals[robots, lines], 0.0).transpose(2, 0, 1)
+    b = np.where(is_line, offsets[robots, lines], 0.0)
+    hard_normals = np.where(is_hard[..., None], normals[robots, hard_cols], 0.0)
+    hard_offsets = np.where(is_hard, offsets[robots, hard_cols], -1.0)
+
+    owner, pattern = _candidates(a0, a1, b)
+    a0, a1, b = a0[:, :k], a1[:, :k], b[:, :k]
+    terms = SLACK_PENALTY * np.stack([a0 * a0, a0 * a1, a1 * a1, b * a0, b * a1], axis=-1)
+    at = nominal[owner]
+    ok, x, mu = _penalized(at, terms[owner], pattern, hard_normals[owner], hard_offsets[owner])
+    d, resid = x - at, b[owner] - (a0[owner] * x[:, :1] + a1[owner] * x[:, 1:])
+    over = np.maximum(resid, 0.0)
+    cost = np.where(ok, (d * d).sum(axis=1) + SLACK_PENALTY * _fold(over * over), np.inf)
+    # a candidate whose answer violates exactly its own set meets the
+    # optimality conditions of F, so it is u*. Each robot takes its cheapest
+    # such candidate, else its cheapest, the first on ties; the first n
+    # candidates, the empty sets, are the projections onto the hard rows alone
+    violates = resid > 0.0
+    own = ok & (violates == pattern).all(axis=1)
+    order = np.lexsort((cost, ~own, owner))
+    best = order[np.searchsorted(owner[order], np.arange(n))]
+    relaxed, u, mu = ok[:n] & ok[best], x[best], mu[best]
+    # at a hard vertex several sets give one u with different multipliers, and
+    # none may be its own: solve the winner again with the set it violates
+    redo = (relaxed & ~own[best]).nonzero()[0]
+    if len(redo):
+        found, u[redo], mu[redo] = _penalized(
+            nominal[redo], terms[redo], violates[best[redo]], hard_normals[redo], hard_offsets[redo])
+        relaxed[redo] &= found
+
+    u[~relaxed] = 0.0
+    lam = np.zeros(hard.shape)
+    lam[robots, hard_cols] = mu
+    resid = offsets - (normals[..., 0] * u[:, :1] + normals[..., 1] * u[:, 1:])
+    slacks = np.where(hard, 0.0, np.maximum(0.0, resid))
+    lam = np.where(relaxed[:, None], np.where(hard, lam, SLACK_PENALTY * slacks), 0.0)
+    return relaxed, u, lam, slacks
+
+
+@functools.lru_cache(maxsize=16)
+def _patterns(k):
+    """For k soft rows and the four box rows, read-only: each pair p < q of
+    the k + 4 lines four times, both violated, p only, q only and neither
+    (a box row only satisfied), with the shifts of b_p and b_q that move the
+    crossing ``_SIDE`` onto those sides; the soft rows each candidate forces
+    and their values; and each soft row's bit of a set's key.
+    """
+    p, q = (np.repeat(r, 4) for r in _pairs(k + 4))
+    way_p, way_q = (np.tile(w, len(p) // 4) for w in ([True, True, False, False], [True, False, True, False]))
+    inside = ~(way_p & (p >= k) | way_q & (q >= k))  # the box taken one way only
+    p, q, way_p, way_q = p[inside], q[inside], way_p[inside], way_q[inside]
+    eye = np.eye(k + 4, dtype=bool)[:, :k]
+    force, value = eye[p] | eye[q], eye[p] & way_p[:, None] | eye[q] & way_q[:, None]
+    shift_p, shift_q = np.where(way_p, -_SIDE, _SIDE), np.where(way_q, -_SIDE, _SIDE)
+    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    for a in (p, q, shift_p, shift_q, force, value, bits):
+        a.flags.writeable = False
+    return p, q, shift_p, shift_q, force, value, bits
+
+
+def _candidates(a0, a1, b):
+    """Candidate sets of violated soft rows, ``pattern`` (m, k), for robots
+    ``owner`` (m,), no robot's set twice: first each robot's empty set, then
+    the sets of each crossing of two of its lines, its soft rows' then the
+    box's, the last four of the (n, k + 4) rows given.
+
+    The soft lines cut the box into convex cells, one set each, and two lines
+    cross at a corner of each. The point ``_SIDE`` off both lines into the
+    cell takes the cell's set, also from a third line through the corner,
+    whose side there is rounding noise. Parallel lines do not cross, and a
+    zero row has no line.
+    """
+    n, k = b.shape[0], b.shape[1] - 4
+    p, q, shift_p, shift_q, force, value, bits = _patterns(k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ap0, ap1, aq0, aq1 = a0[:, p], a1[:, p], a0[:, q], a1[:, q]
+        bp, bq = b[:, p] + shift_p, b[:, q] + shift_q
+        det = ap0 * aq1 - ap1 * aq0
+        x0, x1 = (bp * aq1 - ap1 * bq) / det, (ap0 * bq - bp * aq0) / det
+        side = b[:, None, :k] - (a0[:, None, :k] * x0[..., None] + a1[:, None, :k] * x1[..., None]) > 0.0
+        owner, c = np.isfinite(x0 + x1).nonzero()
+    pattern = np.concatenate([np.zeros((n, k), dtype=bool), np.where(force[c], value[c], side[owner, c])])
+    owner = np.concatenate([np.arange(n), owner])
+    key = pattern @ bits
+    order = np.lexsort((key, owner))
+    o, key = owner[order], key[order]
+    keep = np.sort(order[np.concatenate([[True], (o[1:] != o[:-1]) | (key[1:] != key[:-1])])])
+    return owner[keep], pattern[keep]
+
+
+def _fold(terms):
+    """Sums over axis 1, a left fold; + 0.0 turns a -0 sum into +0, as more +0 terms would."""
+    return terms.cumsum(axis=1)[:, -1] + 0.0
+
+
+def _penalized(nominal, terms, pattern, normals, offsets):
+    """Minimizers of |u - u_hat|^2 + SLACK_PENALTY * sum_{s in S} (b_s - a_s.u)^2
+    over {u : normals u >= offsets}, S marked by each row of ``pattern``, and
+    ``terms`` each soft row's SLACK_PENALTY * (a0 a0, a0 a1, a1 a1, b a0, b a1).
+
+    The objective is |L^T u - L^-1 c|^2 plus a constant, with H = I + w sum
+    a a^T = L L^T and c = u_hat + w sum b a; so ``_project`` solves it in
+    v = L^T u, on the rows (L^-1 a).v >= b, with the same multipliers. L is
+    the 2x2 Cholesky factor, written out. Returns (found, u, multipliers).
+    """
+    h = _fold(np.where(pattern[..., None], terms, 0.0))
+    l00 = np.sqrt(h[:, 0] + 1.0)
+    l10 = h[:, 1] / l00
+    l11 = np.sqrt(h[:, 2] + 1.0 - l10 * l10)
+    n0 = normals[..., 0] / l00[:, None]
+    n1 = (normals[..., 1] - l10[:, None] * n0) / l11[:, None]
+    t0 = (h[:, 3] + nominal[:, 0]) / l00
+    t1 = (h[:, 4] + nominal[:, 1] - l10 * t0) / l11
+    found, v, lam = _project(np.column_stack([t0, t1]), np.stack([n0, n1], axis=-1), offsets)
+    u1 = v[:, 1] / l11
+    return found, np.column_stack([(v[:, 0] - l10 * u1) / l00, u1]), lam
 
 
 def kkt_residuals(problem, solution):
@@ -420,141 +458,68 @@ def oracle_solve(problem):
         raise ValueError(f"oracle enumeration capped at 12 rows, got {nrows}")
 
     soft = np.flatnonzero(~rows.hard)
-    normals, offsets = _stack(problem)
     lam = np.zeros((1, nrows + 4))
     slacks = np.zeros((1, nrows + 4))
-    cand = _enumerate_projection(problem.nominal, normals, offsets)
+    cand = _enumerate(problem, relax=False)
     if cand is not None:
         u, lam[0] = cand
         return QpSolution(u, "optimal", ("optimal",), lam, slacks)
 
-    h_normals, h_offsets = _stack(problem, include_soft=False)
-    if _enumerate_projection(problem.nominal, h_normals, h_offsets) is None:
+    cand = _enumerate(problem, relax=True)
+    if cand is None:
         # the frozen robot's input is zero
         slacks[0, soft] = np.maximum(0.0, rows.offsets[soft])
         return QpSolution(np.zeros(2), "infeasible_hard", ("infeasible_hard",), lam, slacks)
 
-    u, hardbox_mu = _enumerate_relaxed(problem)
+    u, lam[0, problem.rows.hard[0]] = cand
     slacks[0, soft] = np.maximum(0.0, rows.offsets[soft] - rows.normals[soft] @ u)
-    lam[0, problem.rows.hard[0]] = hardbox_mu
     lam[0, soft] = SLACK_PENALTY * slacks[0, soft]
     return QpSolution(u, "relaxed", ("relaxed",), lam, slacks)
 
 
-def _enumerate_projection(target, normals, offsets):
-    """Projection of target onto {a.x >= b} by enumerating active sets <= 2.
-
-    Returns (x, lam) for the best KKT-consistent candidate, or None when no
-    candidate is feasible (empty polyhedron).
-    """
-    m = len(normals)
-    best = None
-    subsets = [(), *combinations(range(m), 1), *combinations(range(m), 2)]
-    for sub in subsets:
-        if not sub:
-            x = target.copy()
-            lam_sub = np.empty(0)
-        else:
-            nmat = normals[list(sub)]  # q x 2
-            gram = nmat @ nmat.T
-            rhs = offsets[list(sub)] - nmat @ target
-            try:
-                lam_sub = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam_sub < -_FEAS_TOL):
-                continue
-            x = target + nmat.T @ lam_sub
-        if m and np.min(normals @ x - offsets) < -1e-8:
-            continue
-        obj = float((x - target) @ (x - target))
-        if best is None or obj < best[0] - 1e-15:
-            lam = np.zeros(m)
-            for pos, k in enumerate(sub):
-                lam[k] = max(0.0, float(lam_sub[pos]))
-            best = (obj, x, lam)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _enumerate_relaxed(problem):
-    """Reference for the slack-relaxed problem via soft-row activity patterns.
+def _enumerate(problem, relax):
+    """Reference minimizer of one robot's problem by enumeration, with
+    (``relax``) or without the slack relaxation of its soft rows.
 
     Eliminating the optimal slacks xi_s = max(0, b_s - a_s.u) leaves
         F(u) = |u - u_hat|^2 + w * sum_s max(0, b_s - a_s.u)^2
-    to be minimized over the hard rows and the box. For each guess of which
-    soft rows are violated, F restricted to that pattern is a plain quadratic;
-    enumerate hard/box active sets of size <= 2 for each and keep the
-    pattern-consistent candidate with the smallest true objective.
+    to be minimized over the hard rows and the box; without relaxation, every
+    row is a constraint and there is no sum. For each guess of which soft rows
+    are violated, F is a plain quadratic; each active set of at most two
+    constraint rows gives a candidate (a KKT solve), and the candidate
+    consistent with its guess, feasible and with non-negative multipliers,
+    of least F wins. Returns (u, the constraint rows' multipliers), or None
+    when no candidate is feasible.
     """
     w = SLACK_PENALTY
     rows = problem.rows.block(0)
-    soft = ~rows.hard
+    soft = ~rows.hard if relax else np.zeros(len(rows), dtype=bool)
     soft_normals, soft_offsets = rows.normals[soft], rows.offsets[soft]
-    hard_normals, hard_offsets = _stack(problem, include_soft=False)
-    mh = len(hard_normals)
-
-    def true_objective(u):
-        val = float((u - problem.nominal) @ (u - problem.nominal))
-        for a, b in zip(soft_normals, soft_offsets):
-            val += w * max(0.0, b - float(a @ u)) ** 2
-        return val
-
+    normals, offsets = _stack(problem, include_soft=not relax)
+    m, ns = len(normals), len(soft_offsets)
+    subsets = [[], *map(list, combinations(range(m), 1)), *map(list, combinations(range(m), 2))]
     best = None
-    ns = len(soft_offsets)
     for mask in range(1 << ns):
-        pattern = [s for s in range(ns) if mask >> s & 1]
-        hess = np.eye(2)
-        lin = problem.nominal.copy()
-        for s in pattern:
-            a = soft_normals[s]
-            hess = hess + w * np.outer(a, a)
-            lin = lin + w * soft_offsets[s] * a
-        subsets = [(), *combinations(range(mh), 1), *combinations(range(mh), 2)]
+        pattern = np.array([mask >> s & 1 for s in range(ns)], dtype=bool)
+        hess = np.eye(2) + w * soft_normals[pattern].T @ soft_normals[pattern]
+        lin = problem.nominal + w * soft_offsets[pattern] @ soft_normals[pattern]
         for sub in subsets:
-            if not sub:
-                try:
-                    u = np.linalg.solve(hess, lin)
-                except np.linalg.LinAlgError:
-                    continue
-                mu_sub = np.empty(0)
-            else:
-                nmat = hard_normals[list(sub)]
-                q = len(sub)
-                kkt = np.zeros((2 + q, 2 + q))
-                kkt[:2, :2] = hess
-                kkt[:2, 2:] = -nmat.T
-                kkt[2:, :2] = nmat
-                rhs = np.concatenate([lin, hard_offsets[list(sub)]])
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                u = sol[:2]
-                mu_sub = sol[2:]
-                if np.any(mu_sub < -_FEAS_TOL):
-                    continue
-            if mh and np.min(hard_normals @ u - hard_offsets) < -1e-8:
+            nmat = normals[sub].reshape(len(sub), 2)
+            kkt = np.zeros((2 + len(sub), 2 + len(sub)))
+            kkt[:2, :2], kkt[:2, 2:], kkt[2:, :2] = hess, -nmat.T, nmat
+            try:
+                sol = np.linalg.solve(kkt, np.concatenate([lin, offsets[sub]]))
+            except np.linalg.LinAlgError:
                 continue
-            ok = True
-            for s in range(ns):
-                resid = soft_offsets[s] - float(soft_normals[s] @ u)
-                if s in pattern:
-                    if resid < -1e-8:
-                        ok = False
-                        break
-                elif resid > 1e-8:
-                    ok = False
-                    break
-            if not ok:
+            u, mu = sol[:2], sol[2:]
+            over = soft_offsets - soft_normals @ u
+            if ((mu < -_FEAS_TOL).any() or (m and (normals @ u - offsets).min() < -1e-8)
+                    or np.where(pattern, over < -1e-8, over > 1e-8).any()):
                 continue
-            obj = true_objective(u)
+            over = np.maximum(over, 0.0)
+            obj = float((u - problem.nominal) @ (u - problem.nominal) + w * over @ over)
             if best is None or obj < best[0] - 1e-15:
-                mu = np.zeros(mh)
-                for pos, k in enumerate(sub):
-                    mu[k] = max(0.0, float(mu_sub[pos]))
-                best = (obj, u, mu)
-    if best is None:
-        raise RuntimeError("relaxed enumeration found no candidate")
-    return best[1], best[2]
+                lam = np.zeros(m)
+                lam[sub] = np.maximum(mu, 0.0)
+                best = (obj, u, lam)
+    return None if best is None else best[1:]

@@ -245,6 +245,21 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 1
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("delta: 0.5\n  initial", "delta: 0.5\n  min_sep: -0.1\n  initial", "minimum separation must be positive"),
+        ("bounds: [-2, 2, -2, 2]", "bounds: [-2, 2, -2, 2]\n  obstacles: [{center: [0, 0], a: 100, b: 100}]",
+         "initial position of robot 1 lies inside obstacle 1"),
+    ])
+    def test_a_plan_that_cannot_start_is_a_violation(self, tmp_path, capsys, command, old, new, message):
+        # without the check, min_sep -0.1 runs to timeout (exit 3) and the
+        # start inside an obstacle ends infeasible_hard (exit 4)
+        path = tmp_path / "bad.yaml"
+        assert old in TINY
+        path.write_text(TINY.replace(old, new))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"violation: {message}\n1 violation(s)\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mission_without_robots_is_a_violation(self, tmp_path, capsys, command):
         path = tmp_path / "empty.yaml"
         text = TINY.replace("n: 2", "n: 0").replace("[[0.0, 0.0], [0.4, 0.0]]", "[]").replace("[[1, 2]]", "[]")

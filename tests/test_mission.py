@@ -335,6 +335,18 @@ class TestValidate:
         out = validate(plan)
         assert any("minimum separation" in v for v in out)
 
+    @pytest.mark.parametrize("min_sep", [0.0, -0.1])
+    def test_min_sep_must_be_positive(self, min_sep):
+        plan, _ = parse_mission(MINIMAL.replace("delta: 0.5", f"delta: 0.5\n  min_sep: {min_sep}"))
+        assert validate(plan) == ["minimum separation must be positive"]
+
+    def test_start_inside_an_obstacle(self):
+        # robot 1 starts on the first obstacle's boundary, which is allowed,
+        # and robot 2 inside the second
+        obstacles = "\n  obstacles: [{center: [0.0, 0.5], a: 4.0, b: 4.0}, {center: [0.3, 0.1], a: 25.0, b: 25.0}]"
+        plan, _ = parse_mission(MINIMAL.replace("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, 1]" + obstacles))
+        assert validate(plan) == ["initial position of robot 2 lies inside obstacle 2"]
+
 
 class TestBuiltins:
     def test_unknown_name(self):

@@ -151,6 +151,55 @@ class TestOracleEquivalence:
             oracle_solve(QpProblem(np.zeros(2), rows, 1.0))
 
 
+class TestRelaxation:
+    """Robots whose soft rows are inconsistent: the relaxed answer against the oracle."""
+
+    @staticmethod
+    def draw(rng):
+        """Up to four soft and three hard rows; a soft row is parallel (+1) or
+        antiparallel (-1) to the one before it about one time in three."""
+        ns, nh = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        normals = [rng.normal(size=2) for _ in range(ns + nh)]
+        kinds = set()
+        for s in range(1, ns):
+            if rng.random() < 0.3:
+                kind = float(rng.choice([-1.0, 1.0]))
+                normals[s] = normals[s - 1] * kind * rng.uniform(0.5, 2.0)
+                kinds.add(kind)
+        hard = [False] * ns + [True] * nh
+        problem = QpProblem(rng.uniform(-1, 1, 2), block(normals, rng.uniform(-1, 1, ns + nh), hard),
+                            float(rng.uniform(0.3, 2.0)))
+        return problem, kinds
+
+    def test_relaxed_instances_match_the_oracle(self):
+        rng = np.random.default_rng(2024)
+        relaxed, paired = 0, {-1.0: 0, 1.0: 0}
+        while relaxed < 1000:
+            p, kinds = self.draw(rng)
+            got, ref = solve(p), oracle_solve(p)
+            assert got.status == ref.status
+            if got.status != "relaxed":
+                continue
+            relaxed += 1
+            for kind in kinds:
+                paired[kind] += 1
+            assert float(np.max(np.abs(got.u - ref.u))) <= 1e-6
+            assert max(kkt_residuals(p, got).values()) <= 1e-8
+        assert min(paired.values()) >= 50, paired
+
+    def test_forty_soft_and_twenty_hard_rows(self):
+        # beyond the oracle's twelve rows: only the optimality conditions
+        rng = np.random.default_rng(40)
+        for _ in range(5):
+            inside = rng.uniform(-0.5, 0.5, 2)  # the hard rows hold here
+            normals = rng.normal(size=(60, 2))
+            offsets = np.r_[rng.uniform(-1, 1, 40), normals[40:] @ inside - rng.uniform(0, 0.5, 20)]
+            p = QpProblem(rng.uniform(-1, 1, 2), block(normals, offsets, [False] * 40 + [True] * 20), 1.0)
+            s = solve(p)
+            assert s.status == "relaxed"
+            assert max(kkt_residuals(p, s).values()) <= 1e-8
+
+
 class TestObjectiveProperties:
     def test_adding_row_never_improves_objective(self):
         rng = np.random.default_rng(9)

@@ -444,6 +444,11 @@ DEGENERATE = {
     "nominal exactly on a row": ((0.3, 0.0), [(1, 0, 0.3, False)], 1.0),
     "nominal exactly on a row, another violated": ((0.3, 0.0), [(1, 0, 0.3, True), (0, 1, 0.2, False)], 1.0),
     "nominal exactly on the box": ((0.2, -0.2), [], 0.2),
+    "three soft rows through one point, a hard row binding": (
+        (0.0, 0.0), [(1, 0, 0.5, False), (0, 1, 0.5, False), (1, 1, 1.0, False), (-1, 0, -0.2, True)], 1.0),
+    "two parallel soft rows, a hard vertex": (
+        (0.0, 0.5), [(1, 0, 0.6, False), (2, 0, 1.6, False), (-1, 0, -0.3, True), (0, -1, -0.1, True)], 1.0),
+    "violated soft row with a zero normal": ((0.3, 0.2), [(0, 0, 0.5, False)], 1.0),
 }
 
 
