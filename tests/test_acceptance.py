@@ -34,6 +34,12 @@ from swarmseq.sim import (
     run,
     write_outputs,
 )
+from test_bench_hooks import digest
+
+# sha256 of the whole securing_a_building run's CSV set and event log, as
+# test_bench_hooks.digest computes it. A change that alters the arithmetic on
+# purpose updates this value and says why in CHANGES.md.
+SECURING_GOLDEN_DIGEST = "1ce05206c69e71fdee68c2394c2cf4c6b81acc2a3df3643cac5eac0c3c089324"
 
 
 def report(criterion, ok, detail=""):
@@ -409,6 +415,14 @@ def test_criterion_8_securing_a_building(securing_record):
         ok = False
     details.append(f"hard barrier minima coll {coll:.1e} obst {obst:.1e}")
     report("8 securing a building", ok, "; ".join(details))
+
+
+def test_securing_a_building_keeps_its_bytes(securing_record, tmp_path):
+    _, _, rec = securing_record
+    events = [ev["event"] for ev in rec.events]
+    assert rec.ticks == 11179
+    assert events.count("qp_relaxed") == 819 and events.count("qp_infeasible_hard") == 103
+    assert digest(write_outputs(rec, tmp_path)) == SECURING_GOLDEN_DIGEST
 
 
 def test_rescue_events_equal_a_tracker_watching_each_tick(securing_record):
