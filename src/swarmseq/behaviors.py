@@ -34,6 +34,7 @@ from .geometry import (
     Domain,
     GeometryError,
     InteractionGraph,
+    check_distinct,
     induced_subgraph_is_cycle,
     polygon_area_centroid,
     voronoi_cell,
@@ -336,13 +337,17 @@ class Coverage(Controller):
         """Toward the centroid of each robot's own cell among the robots it
         knows, clipped to its domain, one robot at a time. Positions are
         nudged into the rectangle first: transient boundary overshoot from
-        the safety filter must not kill the tessellation."""
+        the safety filter must not kill the tessellation. Robots apart that
+        the nudge puts on one point (past one corner) count once."""
         u, eps = np.zeros_like(x), 1e-9
         for i in law.robots.tolist():
             d, (a, b) = law.leaf[i].domain, rows.searchsorted((i, i + 1))
             lo, hi = (d.xmin + eps, d.ymin + eps), (d.xmax - eps, d.ymax - eps)
-            sites = np.clip(np.vstack((x[i], seen_at[a:b])), lo, hi)
-            cell = voronoi_cell(sites, [i + 1, *(cols[a:b] + 1).tolist()], d)
+            sites, ids = np.vstack((x[i], seen_at[a:b])), np.array([i + 1, *(cols[a:b] + 1).tolist()])
+            check_distinct(sites, ids)
+            nudged = np.clip(sites, lo, hi)
+            first = ~np.triu(((nudged[:, None] - nudged) ** 2).sum(axis=-1) < 1e-18, 1).any(axis=0)
+            cell = voronoi_cell(nudged[first], ids[first].tolist(), d)
             if len(cell) < 3:
                 raise GeometryError("empty Voronoi cell (site outside domain?)")
             u[i] = polygon_area_centroid(cell)[1] - x[i]

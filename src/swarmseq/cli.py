@@ -248,7 +248,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a mission and write trajectory logs")
     p.add_argument("mission")
-    p.add_argument("--seed", type=int, default=None, help="override the delay RNG seed")
+    p.add_argument("--seed", type=int, default=None, help="override the delay hash seed")
     p.add_argument("--dt", type=float, default=None, help="override the tick length (s)")
     p.add_argument("--delay", default=None, help="none or uniform:MIN:MAX (ticks)")
     p.add_argument("--max-ticks", type=int, default=None, dest="max_ticks")

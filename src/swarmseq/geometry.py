@@ -231,6 +231,14 @@ def polygon_area_centroid(poly):
     return a, np.array([cx, cy])
 
 
+def check_distinct(points, ids):
+    """Reject two of the sites ``points``, of the robots ``ids``, closer than 1e-9."""
+    for a, b in itertools.combinations(range(len(points)), 2):
+        d = points[a] - points[b]
+        if float(d @ d) < 1e-18:
+            raise GeometryError(f"coincident robots {ids[a]} and {ids[b]}: tessellation is degenerate")
+
+
 def voronoi_cell(points, ids, domain):
     """The Voronoi cell of site ``points[0]`` among the sites ``points``, a
     (k, 2) array of the robots ``ids``, clipped to the domain rectangle.
@@ -240,10 +248,7 @@ def voronoi_cell(points, ids, domain):
     first in turn gives cells that partition the domain exactly. Coincident
     sites and sites outside the domain are rejected, over all the sites.
     """
-    for a, b in itertools.combinations(range(len(points)), 2):
-        d = points[a] - points[b]
-        if float(d @ d) < 1e-18:
-            raise GeometryError(f"coincident robots {ids[a]} and {ids[b]}: tessellation is degenerate")
+    check_distinct(points, ids)
     for i, p in zip(ids, points):
         if not domain.contains(p):
             raise GeometryError(f"robot {i} at {p} lies outside the domain")

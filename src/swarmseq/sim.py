@@ -4,10 +4,10 @@ Every tick: deliver due messages, step the team against the tick's
 snapshot (so robots are order-independent within a tick), filter the team's
 nominal inputs through their QPs in one pass, saturate controls, integrate
 positions with explicit Euler, sense every pair's squared distance and
-range, and post the new broadcasts with sampled delays. Identical (mission,
-config, seed) triples produce byte-identical outputs; message delays are
-drawn from a stream keyed by (seed, sender, tick) so scheduling order cannot
-perturb them. The rescue events are read from the finished run's record.
+range, and post the new broadcasts with their delays. Identical (mission,
+config, seed) triples produce byte-identical outputs; a message's delay is a
+hash of (seed, sender, tick), with no generator state, so scheduling order
+cannot perturb it. The rescue events are read from the finished run's record.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,17 +136,15 @@ class RunRecord:
     plan: object
 
 
-# re-seeded before every draw, so no state carries from one call to the next:
-# the same draws as random.Random(key), without building a generator per
-# sender per tick (not safe to share between threads)
-_DELAY_RNG = random.Random()
-
-
-def _delay_ticks(config, sender, tick):
-    """The delay of ``sender``'s broadcast of ``tick`` under a uniform delay."""
-    key = (config.seed * 1000003 + sender) * 1000003 + tick
-    _DELAY_RNG.seed(key & 0xFFFFFFFFFFFFFFFF)
-    return _DELAY_RNG.randint(config.delay.min_ticks, config.delay.max_ticks)
+def _delay_ticks(config, senders, tick):
+    """The delays of the broadcasts of ``tick`` by ``senders`` (uint64), as a list: SplitMix64's finalizer over
+    ((seed * 1000003 + sender) * 1000003 + tick) mod 2**64, mod the span, from min_ticks. Each value's
+    probability is within 2**-64 of 1 / span, a relative bias of at most span / 2**64."""
+    lo, hi = config.delay.min_ticks, config.delay.max_ticks
+    z = senders * 1000003 + ((config.seed * 1000003**2 + tick) & 0xFFFFFFFFFFFFFFFF)  # wraps mod 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return ((z ^ z >> 31) % (hi - lo + 1) + lo).tolist()
 
 
 def make_world(plan, config):
@@ -178,8 +175,8 @@ def tick(world, team, plan, config):
     world.positions = world.positions + config.dt * controls
     graph = proximity_graph(world.positions, plan.delta)
     world.sensed, world.sq_dist = graph.mask, graph.sq_dist
-    # no draws under a zero delay: each draw is re-seeded and randint(0, 0) is 0
-    delays = [_delay_ticks(config, s, t) for s in range(1, plan.n + 1)] if config.delay.max_ticks else [0] * plan.n
+    # no draws under a zero delay: every draw on 0..0 is 0
+    delays = _delay_ticks(config, np.arange(1, plan.n + 1, dtype="u8"), t) if config.delay.max_ticks else [0] * plan.n
     world.in_flight.post(t, delays, outbox)
     world.tick = t + 1
     return controls

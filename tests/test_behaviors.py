@@ -24,7 +24,7 @@ from swarmseq.behaviors import (
 from swarmseq import geometry
 from swarmseq.agent import EXECUTING, AgentError, Team, step
 from swarmseq.barriers import FcbfParams
-from swarmseq.geometry import Domain, InteractionGraph, clip_polygon_halfplane, polygon_area_centroid
+from swarmseq.geometry import Domain, GeometryError, InteractionGraph, clip_polygon_halfplane, polygon_area_centroid
 from swarmseq.mission import BehaviorSpec, MissionPlan
 from swarmseq.sim import SimConfig, make_world
 
@@ -119,6 +119,17 @@ class TestControlLaws:
             u = u_of(beh, 1, [pos], [])
             pos = pos + 0.05 * u
         np.testing.assert_allclose(pos, [0.5, 0.5], atol=1e-3)
+
+    def test_coverage_robots_nudged_onto_one_corner_head_for_the_rectangle(self):
+        # both robots lie past the rectangle's lower-left corner, so the nudge
+        # into it puts both on that corner: each counts once and heads for
+        # the whole rectangle's centroid
+        beh = Coverage(domain=Domain(5, 6, 5, 6))
+        st = states((0.0, 0.0), (0.4, 0.0))
+        np.testing.assert_allclose(u_of(beh, 1, st, [2]), [5.5, 5.5], atol=1e-9)
+        np.testing.assert_allclose(u_of(beh, 2, st, [1]), [5.1, 5.5], atol=1e-9)
+        with pytest.raises(GeometryError, match="coincident robots 1 and 2"):
+            u_of(beh, 1, states((0.0, 0.0), (0.0, 0.0)), [2])
 
     def test_leader_runs_pure_goal_seeking(self):
         beh = LeaderFollower(leader=1, goal=(1.0, 1.0), gain=2.0, distances={(1, 2): 0.3})

@@ -259,6 +259,16 @@ class TestRunCommand:
         assert main([command, str(path)]) == 1
         assert capsys.readouterr().err == f"violation: {message}\n1 violation(s)\n"
 
+    def test_a_coverage_rectangle_away_from_the_robots_runs(self, tmp_path, capsys):
+        # both robots lie past the rectangle's corner, so the law nudges both
+        # onto it; this once ended in a "coincident robots" traceback
+        path = tmp_path / "cover.yaml"
+        path.write_text(TINY.replace("bounds: [-2, 2, -2, 2]", "bounds: [-10, 10, -10, 10]").replace(
+            "controller: scatter", "controller: coverage\n    coverage_bounds: [5, 6, 5, 6]"))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path)]) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mission_without_robots_is_a_violation(self, tmp_path, capsys, command):
         path = tmp_path / "empty.yaml"

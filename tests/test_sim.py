@@ -1,5 +1,6 @@
 import csv
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,16 @@ from swarmseq.sim import (
     tick,
     write_outputs,
 )
+
+
+def splitmix64_delay(seed, sender, tick, lo, hi):
+    """The delay of ``sender``'s broadcast of ``tick``, from scalar Python
+    integers: SplitMix64's finalizer over the key, reduced mod the span."""
+    mask = 2**64 - 1
+    z = ((seed * 1000003 + sender) * 1000003 + tick) & mask
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+    return lo + (z ^ z >> 31) % (hi - lo + 1)
 
 
 def tiny_plan(positions, behaviors, delta=0.5, min_sep=0.12):
@@ -395,13 +406,35 @@ class TestMessageQueue:
             for s, r in zip(*sensed.nonzero()):
                 scan.append((t + 1 + delays[s], int(r), int(s), t, [*x[s], sigma[s, 0], eta[s, 0]]))
 
-    def test_delay_draws_equal_a_fresh_generator_per_key(self):
+    def test_delay_draws_equal_a_scalar_splitmix64(self):
         rng = random.Random(11)
-        for _ in range(1000):
-            seed, sender, t = rng.randint(0, 2**40), rng.randint(1, 64), rng.randint(0, 20000)
-            lo = rng.randint(0, 5)
-            hi = lo + rng.randint(0, 10)
-            config = SimConfig(delay=DelaySpec.uniform(lo, hi), seed=seed)
-            key = (seed * 1000003 + sender) * 1000003 + t
-            expected = random.Random(key & 0xFFFFFFFFFFFFFFFF).randint(lo, hi)
-            assert sim_mod._delay_ticks(config, sender, t) == expected
+        cases = [(rng.randint(0, 2**40), rng.randint(0, 5), rng.randint(0, 10)) for _ in range(1000)]
+        cases += [(2**40 + 7, 3, 4), (2**70 + 1, 0, 10), (-5, 0, 10), (-(2**65), 2, 7), (9, 4, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the wrapping uint64 arithmetic
+            for seed, lo, extra in cases:
+                config = SimConfig(delay=DelaySpec.uniform(lo, lo + extra), seed=seed)
+                senders, t = rng.sample(range(1, 65), rng.randint(1, 8)), rng.randint(0, 20000)
+                got = sim_mod._delay_ticks(config, np.array(senders, dtype=np.uint64), t)
+                assert got == [splitmix64_delay(seed, s, t, lo, lo + extra) for s in senders]
+                assert all(lo <= d <= lo + extra for d in got)
+
+    @pytest.mark.parametrize("span, chi2_limit", [(2, 10.83), (11, 29.59), (16, 37.70)])
+    def test_delay_draws_are_uniform(self, span, chi2_limit):
+        # 100k draws: 1000 ticks of 100 senders; the limits are the chi-square
+        # distribution's 0.999 quantiles for span - 1 degrees of freedom
+        config = SimConfig(delay=DelaySpec.uniform(3, 3 + span - 1), seed=1)
+        senders = np.arange(1, 101, dtype=np.uint64)
+        draws = np.array([sim_mod._delay_ticks(config, senders, t) for t in range(1000)]).ravel()
+        counts = np.bincount(draws - 3, minlength=span)
+        assert len(counts) == span
+        expected = len(draws) / span
+        assert ((counts - expected) ** 2 / expected).sum() < chi2_limit
+
+    def test_another_sender_or_tick_draws_another_stream(self):
+        config = SimConfig(delay=DelaySpec.uniform(0, 10), seed=4)
+        one, two = (np.array([sim_mod._delay_ticks(config, np.array([s], dtype=np.uint64), t) for t in range(2000)])
+                    for s in (1, 2))
+        # independent streams agree on about 1 draw in 11
+        assert 0.05 < (one == two).mean() < 0.15
+        assert 0.05 < (one[1:] == one[:-1]).mean() < 0.15
