@@ -137,9 +137,10 @@ class RunRecord:
 
 
 def _delay_ticks(config, senders, tick):
-    """The delays of the broadcasts of ``tick`` by ``senders`` (uint64), as a list: SplitMix64's finalizer over
-    ((seed * 1000003 + sender) * 1000003 + tick) mod 2**64, mod the span, from min_ticks. Each value's
-    probability is within 2**-64 of 1 / span, a relative bias of at most span / 2**64."""
+    """The delays of the broadcasts of ``tick`` by ``senders`` (uint64), as a
+    list: SplitMix64's finalizer over the key ((seed * 1000003 + sender) *
+    1000003 + tick) mod 2**64, mod the span, from min_ticks. Each value's
+    probability is within 2**-64 of 1 / span, a relative bias <= span / 2**64."""
     lo, hi = config.delay.min_ticks, config.delay.max_ticks
     z = senders * 1000003 + ((config.seed * 1000003**2 + tick) & 0xFFFFFFFFFFFFFFFF)  # wraps mod 2**64
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
