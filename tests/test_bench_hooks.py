@@ -6,8 +6,9 @@ duration of a run. A renamed function, or a call that no longer goes through
 the module attribute, would silently report zero for that layer. This runs
 the tracer, unchanged, around a short two_behavior_demo. Two golden digests
 pin the outputs' bytes, one of them on the obstacle, relaxed and frozen
-paths of the filter. Two more pin the oracle-off view under delay, and the
-glue baseline's hold-still test, which reads the cached behavior indices.
+paths of the filter. Three more pin the oracle-off view under delay, a delay
+bound past the run's end, and the glue baseline's hold-still test, which
+reads the cached behavior indices.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import os
 from dataclasses import replace
 
 from swarmseq import mission, sim
+from swarmseq.agent import Team
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
 
@@ -43,6 +45,11 @@ BUILDING_GOLDEN_DIGEST = "69a9d1510e9a64246a78c38a0cad2cf79c8ac66b8f7789b41af52f
 # includes every missing_position; re-recorded when the delays became a
 # SplitMix64 hash of (seed, sender, tick) (364 missing_position, 383 before)
 ORACLE_OFF_GOLDEN_DIGEST = "5f343deac20b5c2459f775cedecb9ef4bcf9e019c6a52d23d88cf36faa6e5bd2"
+
+# 60 ticks of two_behavior_demo under uniform 0-100 tick delay: a delay bound
+# past the run's end, so some messages arrive and the others are still in
+# flight when the run stops
+HORIZON_GOLDEN_DIGEST = "954931a873838b6e88458ab5b7c9b8f69a7a9e7ee59fd2bd8c0744940ef1d9f6"
 
 # 800 ticks of seven_behavior_energy with glue transitions: an assembling
 # robot holds still while a visible neighbor's cached index lags its own
@@ -100,6 +107,16 @@ def test_oracle_off_view_under_delay_keeps_its_bytes(tmp_path):
     assert events.count("mode_switch") == 15 and events.count("behavior_complete_local") == 5
     assert events.count("missing_position") == 364
     assert digest(sim.write_outputs(record, tmp_path)) == ORACLE_OFF_GOLDEN_DIGEST
+
+
+def test_delay_bound_past_the_horizon_keeps_its_bytes(tmp_path):
+    plan, config = mission.builtin_scenario("two_behavior_demo")
+    config = replace(config, max_ticks=60, delay=sim.DelaySpec.uniform(0, 100), seed=0)
+    team, world = Team.start(plan), sim.make_world(plan, config)
+    for _ in range(config.max_ticks):
+        sim.tick(world, team, plan, config)
+    assert team.cache.present.sum() == 10 and len(world.in_flight) == 400
+    assert digest(sim.write_outputs(sim.run(plan, config), tmp_path)) == HORIZON_GOLDEN_DIGEST
 
 
 def test_glue_hold_still_path_keeps_its_bytes(tmp_path):
