@@ -2,7 +2,7 @@
 
 The team is one ``Team`` of arrays, robot i + 1 at index i. A tick runs in
 two phases. ``step`` advances every robot at once: it files the delivered
-``Mail`` in each robot's message cache, builds each robot's view of the
+``Inbox`` in each robot's message cache, builds each robot's view of the
 others, runs each controller class's nominal law and each behavior's
 completion test once for all its robots, then updates the consensus and the
 mode machine as array passes. It returns a
@@ -64,43 +64,19 @@ class AgentError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Mail:
-    """Messages on the wire, one row per (recipient, message) pair. ``head``
-    holds the pair's recipient, the sender, the send tick and the sender's
-    behavior index k; ``body`` the sender's position, sigma and eta. Robots
-    are indices, robot i + 1 at i; ``len`` counts the pairs."""
+class Inbox:
+    """The messages delivered on a tick: ``sent[i, j]`` is the newest send
+    tick s among robot j + 1's to robot i + 1 (-1 for none), whose position,
+    sigma, eta are ``state[s % len(state), j]`` and k ``k[s % len(state), j]``.
+    ``len`` counts the delivered (recipient, message) pairs, superseded ones too."""
 
-    head: np.ndarray  # (pairs, 4) int
-    body: np.ndarray  # (pairs, 4) float
-
-    recipient = property(lambda self: self.head[:, 0])
-    sender = property(lambda self: self.head[:, 1])
-    send_tick = property(lambda self: self.head[:, 2])
+    sent: np.ndarray  # (n, n) int
+    state: np.ndarray  # (span, n, 4)
+    k: np.ndarray  # (span, n) int
+    size: int
 
     def __len__(self):
-        return len(self.head)
-
-    def take(self, index):
-        return Mail(self.head[index], self.body[index])
-
-    @classmethod
-    def broadcast(cls, tick, sensed, positions, sigma, eta, k):
-        """Every robot's message of ``tick`` to each robot in its range (a
-        symmetric mask), ordered by sender."""
-        sender, recipient = sensed.nonzero()
-        head = np.empty((len(sender), 4), dtype=int)
-        head[:, 0], head[:, 1], head[:, 2], head[:, 3] = recipient, sender, tick, k[sender]
-        body = np.empty((len(sigma), 4))
-        body[:, :2], body[:, 2], body[:, 3] = positions, sigma, eta
-        return cls(head, body[sender])
-
-    @classmethod
-    def concat(cls, batches):
-        if len(batches) == 1:
-            return batches[0]
-        if not batches:
-            return cls(np.empty((0, 4), dtype=int), np.empty((0, 4)))
-        return cls(np.concatenate([b.head for b in batches]), np.concatenate([b.body for b in batches]))
+        return self.size
 
 
 @dataclass
@@ -123,27 +99,18 @@ class Cache:
         return cls(np.zeros((n, n, 2)), np.zeros((n, n)), np.zeros((n, n)), ticks, ticks.copy(), ticks.copy(),
                    np.zeros((n, n), dtype=bool))
 
-    def ingest(self, mail, tick, staleness):
-        """File the mail delivered on ``tick``. Per (recipient, sender) the
-        newest send tick wins, also against the cached entry; then every entry
-        that no message refreshed for more than ``staleness`` ticks expires."""
-        if len(mail):
-            cell = mail.recipient * len(self.present) + mail.sender
-            order = np.lexsort((mail.send_tick, cell))
-            cell = cell[order]
-            last = np.ones(len(cell), dtype=bool)
-            last[:-1] = cell[1:] != cell[:-1]
-            newest, cell = order[last], cell[last]
-            present = self.present.reshape(-1)
-            fresh = ~present[cell] | (self.send_tick.reshape(-1)[cell] <= mail.send_tick[newest])
-            cell, head, body = cell[fresh], mail.head[newest[fresh]], mail.body[newest[fresh]]
-            self.position.reshape(-1, 2)[cell] = body[:, :2]
-            self.sigma.reshape(-1)[cell] = body[:, 2]
-            self.eta.reshape(-1)[cell] = body[:, 3]
-            self.k.reshape(-1)[cell] = head[:, 3]
-            self.send_tick.reshape(-1)[cell] = head[:, 2]
-            self.receive_tick.reshape(-1)[cell] = tick
-            present[cell] = True
+    def ingest(self, inbox, tick, staleness):
+        """File the ``Inbox`` delivered on ``tick``: a message replaces the
+        cached entry unless that one was sent later. Then every entry that no
+        message refreshed for more than ``staleness`` ticks expires."""
+        sent = inbox.sent
+        i, j = ((sent >= 0) & (~self.present | (self.send_tick <= sent))).nonzero()
+        sent = sent[i, j]
+        slot = sent % len(inbox.state)
+        body = inbox.state[slot, j]
+        self.position[i, j], self.sigma[i, j], self.eta[i, j] = body[:, :2], body[:, 2], body[:, 3]
+        self.k[i, j], self.send_tick[i, j], self.receive_tick[i, j] = inbox.k[slot, j], sent, tick
+        self.present[i, j] = True
         self.present &= tick - self.receive_tick <= staleness
 
     def view(self, positions, sensed, oracle):
@@ -330,15 +297,15 @@ def _stage(team, plan, config):
     return team.stage
 
 
-def step(team, world, mail, plan, config):
+def step(team, world, inbox, plan, config):
     """Advance every robot by one tick.
 
     ``world`` is the tick's snapshot (``tick``, ``positions``, the mask
-    ``sensed`` and the table ``sq_dist``) and ``mail`` the messages delivered
-    on it. Returns (request, outbox, events): the ``TeamRequest`` of the robots
-    not done, every robot's broadcast to the robots in its range, and each
-    robot's events in order, by robot id. A robot's nominal law and
-    completion test read its own row of the view and the cache, in ascending
+    ``sensed`` and the table ``sq_dist``) and ``inbox`` the messages delivered
+    on it. Returns (request, events): the ``TeamRequest`` of the robots not
+    done and each robot's events in order, by robot id; each robot then
+    broadcasts its snapshot position and its new sigma, eta and k. A robot's
+    nominal law and completion test read its own row of the view and the cache, in ascending
     partner id order; each law and each completion test runs once for all
     its robots.
     """
@@ -346,7 +313,7 @@ def step(team, world, mail, plan, config):
     if len(team.graphs) != len(specs) + 1 or len(team.k) != plan.n:
         raise AgentError("the team was started for another plan")
     cache = team.cache
-    cache.ingest(mail, t, config.staleness_ticks)
+    cache.ingest(inbox, t, config.staleness_ticks)
     sensed = world.sensed
     view, known = cache.view(x, sensed, config.oracle_sensing)
     stage = _stage(team, plan, config)
@@ -403,7 +370,6 @@ def step(team, world, mail, plan, config):
                     {"event": "mission_done_local", "robot": robot} if done[i] else _switch(robot, "assembling", now),
                 ]
         stage = _stage(team, plan, config)
-    outbox = Mail.broadcast(t, sensed, x, team.sigma, team.eta, k)
 
     r, p, slot, delta = stage.conn
     ok = known[r, p]
@@ -417,7 +383,7 @@ def step(team, world, mail, plan, config):
         ids + 1, x[ids], nominal[ids], (slot, p + 1, view[r, p], delta),
         (ids.searchsorted(cr), cp + 1, view[cr, cp], world.sq_dist[cr, cp]), stage.initial,
     )
-    return request, outbox, events
+    return request, events
 
 
 class RowPlan(NamedTuple):

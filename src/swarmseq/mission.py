@@ -107,6 +107,8 @@ def validate(plan):
         bad = [i for i in r.escort_robots if not (1 <= i <= plan.n)]
         if bad:
             out.append(f"rescue: escort robots {bad} out of range")
+        if not r.escort_robots:
+            out.append("rescue: escort group is empty")
     return out
 
 

@@ -4,22 +4,21 @@ Every tick: deliver due messages, step the team against the tick's
 snapshot (so robots are order-independent within a tick), filter the team's
 nominal inputs through their QPs in one pass, saturate controls, integrate
 positions with explicit Euler, sense every pair's squared distance and
-range, and post the new broadcasts with their delays. Identical (mission,
-config, seed) triples produce byte-identical outputs; a message's delay is a
-hash of (seed, sender, tick), with no generator state, so scheduling order
-cannot perturb it. The rescue events are read from the finished run's record.
-"""
+range, and post the tick's broadcasts into a ring of (n, n) arrays by send
+tick. Identical (mission, config, seed) triples produce byte-identical
+outputs; a message's delay is a hash of (seed, sender, tick), with no
+generator state, so scheduling order cannot perturb it. The rescue events
+are read from the finished run's record."""
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import EXECUTING, Mail, Team, filter_team, step
+from .agent import EXECUTING, Inbox, Team, filter_team, step
 from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml
 from .geometry import proximity_graph
 
@@ -81,32 +80,37 @@ class SimConfig:
 
 
 class InFlight:
-    """Broadcasts not yet delivered, as ``Mail`` batches by the tick they are
-    due on; ``len`` counts the undelivered (recipient, message) pairs."""
+    """Broadcasts not yet delivered, in a ring: slot s % span holds tick s's,
+    ``due[slot, i, j]`` the tick robot j + 1's message to robot i + 1 is due
+    on (or -1), ``state`` and ``k`` what each robot broadcast. A message is due
+    within max_delay + 1 ticks, or past the horizon, never, so span =
+    min(max_delay, horizon) + 1 slots keep each message until it is due.
+    ``len`` counts the undelivered (recipient, message) pairs."""
 
-    def __init__(self):
-        self.due = {}
-        self.size = 0
+    def __init__(self, n, max_delay, horizon):
+        span = min(max_delay, horizon) + 1
+        self.due = np.full((span, n, n), -1)
+        self.sent = np.full(span, -1)
+        self.state = np.zeros((span, n, 4))
+        self.k = np.zeros((span, n), dtype=int)
 
     def __len__(self):
-        return self.size
+        return np.count_nonzero(self.due >= 0)
 
-    def post(self, t, delays, mail):
-        """Queue ``mail`` sent on tick t, ordered by sender: each pair is due
-        at the start of tick t + 1 + its sender's entry of ``delays``."""
-        ends = mail.sender.searchsorted(np.arange(len(delays) + 1)).tolist()
-        first = 0
-        for d, run in itertools.groupby(delays):  # consecutive senders with one delay share a batch
-            last = first + len(list(run))
-            self.due.setdefault(t + 1 + d, []).append(mail.take(slice(ends[first], ends[last])))
-            first = last
-        self.size += len(mail)
+    def post(self, t, delays, sensed, x, sigma, eta, k):
+        """Queue every robot's broadcast of tick t: ``sensed[i, j]`` means
+        robot j + 1's reaches robot i + 1, due at the start of tick t + 1 +
+        the sender's entry of ``delays``."""
+        s = t % len(self.sent)
+        self.due[s] = np.where(sensed, t + 1 + delays, -1)
+        self.sent[s] = t
+        self.state[s, :, :2], self.state[s, :, 2], self.state[s, :, 3], self.k[s] = x, sigma, eta, k
 
     def pop(self, t):
-        """The mail due by tick t, in post order."""
-        batches = [b for d in sorted(d for d in self.due if d <= t) for b in self.due.pop(d)]
-        self.size -= sum(map(len, batches))
-        return Mail.concat(batches)
+        """The ``Inbox`` of the messages due on tick t."""
+        hit = self.due == t
+        self.due[hit] = -1
+        return Inbox(np.where(hit, self.sent[:, None, None], -1).max(axis=0), self.state, self.k, np.count_nonzero(hit))
 
 
 @dataclass
@@ -137,27 +141,28 @@ class RunRecord:
 
 
 def _delay_ticks(config, senders, tick):
-    """The delays of the broadcasts of ``tick`` by ``senders`` (uint64), as a
-    list: SplitMix64's finalizer over the key ((seed * 1000003 + sender) *
+    """The delays of the broadcasts of ``tick`` by ``senders`` (uint64), as an
+    int array: SplitMix64's finalizer over the key ((seed * 1000003 + sender) *
     1000003 + tick) mod 2**64, mod the span, from min_ticks. Each value's
     probability is within 2**-64 of 1 / span, a relative bias <= span / 2**64."""
     lo, hi = config.delay.min_ticks, config.delay.max_ticks
     z = senders * 1000003 + ((config.seed * 1000003**2 + tick) & 0xFFFFFFFFFFFFFFFF)  # wraps mod 2**64
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
     z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return ((z ^ z >> 31) % (hi - lo + 1) + lo).tolist()
+    return ((z ^ z >> 31) % (hi - lo + 1) + lo).astype(int)
 
 
 def make_world(plan, config):
     positions = plan.initial_positions.copy()
     graph = proximity_graph(positions, plan.delta)
-    return WorldState(0, positions, graph.mask, graph.sq_dist, InFlight(), [])
+    in_flight = InFlight(plan.n, config.delay.max_ticks, config.max_ticks)
+    return WorldState(0, positions, graph.mask, graph.sq_dist, in_flight, [])
 
 
 def tick(world, team, plan, config):
     """Advance the world and the team by one tick; returns applied controls."""
-    t = world.tick
-    request, outbox, events = step(team, world, world.in_flight.pop(t), plan, config)
+    t, x, sensed = world.tick, world.positions, world.sensed
+    request, events = step(team, world, world.in_flight.pop(t), plan, config)
     controls = np.zeros((plan.n, 2))
     if len(request.robots):
         solution = filter_team(request, plan.fcbf, plan.min_sep, config.speed_limit, plan.domain)
@@ -173,12 +178,12 @@ def tick(world, team, plan, config):
             world.event_log.append(ev)
 
     np.clip(controls, -config.speed_limit, config.speed_limit, out=controls)
-    world.positions = world.positions + config.dt * controls
+    world.positions = x + config.dt * controls
     graph = proximity_graph(world.positions, plan.delta)
     world.sensed, world.sq_dist = graph.mask, graph.sq_dist
     # no draws under a zero delay: every draw on 0..0 is 0
-    delays = _delay_ticks(config, np.arange(1, plan.n + 1, dtype="u8"), t) if config.delay.max_ticks else [0] * plan.n
-    world.in_flight.post(t, delays, outbox)
+    delays = _delay_ticks(config, np.arange(1, plan.n + 1, dtype="u8"), t) if config.delay.max_ticks else 0
+    world.in_flight.post(t, delays, sensed, x, team.sigma, team.eta, team.k)
     world.tick = t + 1
     return controls
 

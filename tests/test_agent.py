@@ -12,7 +12,7 @@ from swarmseq.agent import (
     EXECUTING,
     AgentError,
     Cache,
-    Mail,
+    Inbox,
     Team,
     consensus_update,
     filter_team,
@@ -120,7 +120,7 @@ def snapshot(t, plan):
     """The world on tick t with every robot at its initial position."""
     x = plan.initial_positions.copy()
     graph = proximity_graph(x, plan.delta)
-    return WorldState(t, x, graph.mask, graph.sq_dist, InFlight(), [])
+    return WorldState(t, x, graph.mask, graph.sq_dist, InFlight(plan.n, 0, 1), [])
 
 
 def team_in(plan, mode, k=1):
@@ -130,19 +130,26 @@ def team_in(plan, mode, k=1):
     return team
 
 
-def mail(*messages):
-    """Mail from (recipient, sender, position[, sigma, eta, k, send tick]) tuples; robots are ids."""
-    head, body = [], []
-    for recipient, sender, position, sigma, eta, k, send_tick in (m + (0.0, 0.0, 1, 0)[len(m) - 3:] for m in messages):
-        head.append((recipient - 1, sender - 1, send_tick, k))
-        body.append((*position, sigma, eta))
-    return Mail(np.array(head, dtype=int).reshape(-1, 4), np.array(body, dtype=float).reshape(-1, 4))
+def inbox(plan, *messages):
+    """The Inbox of (recipient, sender, position[, sigma, eta, k, send tick])
+    tuples, one message per sender; robots are ids."""
+    messages = [m + (0.0, 0.0, 1, 0)[len(m) - 3:] for m in messages]
+    span = max((m[6] for m in messages), default=0) + 1
+    sent, state, ks = np.full((plan.n, plan.n), -1), np.zeros((span, plan.n, 4)), np.zeros((span, plan.n), dtype=int)
+    for recipient, sender, position, sigma, eta, k, send_tick in messages:
+        sent[recipient - 1, sender - 1] = send_tick
+        state[send_tick, sender - 1], ks[send_tick, sender - 1] = (*position, sigma, eta), k
+    return Inbox(sent, state, ks, len(messages))
 
 
-def broadcast_of(outbox, robot):
-    """The (sigma, eta, k) a robot broadcast, from the outbox's first pair it sent."""
-    pair = int(np.flatnonzero(outbox.sender == robot - 1)[0])
-    return outbox.body[pair, 2], outbox.body[pair, 3], int(outbox.head[pair, 3])
+def broadcast_of(team, world, robot):
+    """The (sigma, eta, k) a robot broadcasts after its step on ``world``, as
+    the simulator posts it and the first robot in its range files it."""
+    store, cache = InFlight(len(team.k), 0, 1), Cache.empty(len(team.k))
+    store.post(world.tick, 0, world.sensed, world.positions, team.sigma, team.eta, team.k)
+    cache.ingest(store.pop(world.tick + 1), world.tick + 1, 0)
+    i, j = int(np.argmax(cache.present[:, robot - 1])), robot - 1
+    return cache.sigma[i, j], cache.eta[i, j], int(cache.k[i, j])
 
 
 CONFIG = SimConfig()
@@ -154,7 +161,8 @@ class TestStep:
         # and the speed box, so the filter passes it through unchanged
         plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(60.0))], [(0.0, 0.0), (0.15, 0.0)])
         team = team_in(plan, EXECUTING)
-        request, outbox, _ = step(team, snapshot(5, plan), mail((1, 2, (0.15, 0.0))), plan, CONFIG)
+        world = snapshot(5, plan)
+        request, _ = step(team, world, inbox(plan, (1, 2, (0.15, 0.0))), plan, CONFIG)
         np.testing.assert_allclose(request.nominal[0], [0.15, 0.0], atol=1e-9)
         conn_slots, conn_partners = request.conn[:2]
         coll_slots, coll_partners = request.coll[:2]
@@ -162,18 +170,19 @@ class TestStep:
         solution = filter_team(request, plan.fcbf, plan.min_sep, CONFIG.speed_limit, plan.domain)
         assert solution.statuses[0] == "optimal"
         np.testing.assert_array_equal(solution.u[0], request.nominal[0])
-        assert broadcast_of(outbox, 1)[2] == 1
+        assert broadcast_of(team, world, 1)[2] == 1
 
     def test_halts_after_last_behavior(self):
         plan = plan_of([two_robot_spec(GoToGoal(goals={}), ElapsedTime(0.01))], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
         team.elapsed[0], team.sigma[0] = 1.0, 0.75
-        _, _, events = step(team, snapshot(10, plan), mail((1, 2, (0.3, 0.0), 0.95)), plan, CONFIG)
+        _, events = step(team, snapshot(10, plan), inbox(plan, (1, 2, (0.3, 0.0), 0.95)), plan, CONFIG)
         assert team.done[0]
         assert any(e["event"] == "mission_done_local" for e in events[1])
-        request, outbox, _ = step(team, snapshot(11, plan), mail(), plan, CONFIG)
+        world = snapshot(11, plan)
+        request, _ = step(team, world, inbox(plan), plan, CONFIG)
         assert 1 not in request.robots.tolist()  # a robot that is done asks for no input: it stays put
-        assert broadcast_of(outbox, 1)[2] == 2  # broadcast keeps signalling progress
+        assert broadcast_of(team, world, 1)[2] == 2  # broadcast keeps signalling progress
 
     def test_no_transition_without_own_flag(self):
         # neighbors all claim completion; own task is not complete, so sigma
@@ -183,7 +192,7 @@ class TestStep:
         plan = plan_of([spec, next_spec], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
         for t in range(50):
-            step(team, snapshot(t, plan), mail((1, 2, (0.3, 0.0), 1.0, 0.0, 1, t)), plan, CONFIG)
+            step(team, snapshot(t, plan), inbox(plan, (1, 2, (0.3, 0.0), 1.0, 0.0, 1, t)), plan, CONFIG)
             assert team.mode[0] == EXECUTING and team.k[0] == 1
             assert team.sigma[0] == 0.0
 
@@ -194,7 +203,7 @@ class TestStep:
         team.elapsed[0] = 1.0
         # neighbor already assembling toward behavior 2: its sigma was reset to
         # 0 but its index certifies completion of behavior 1
-        step(team, snapshot(3, plan), mail((1, 2, (0.3, 0.0), 0.0, 0.0, 2)), plan, CONFIG)
+        step(team, snapshot(3, plan), inbox(plan, (1, 2, (0.3, 0.0), 0.0, 0.0, 2)), plan, CONFIG)
         # the ahead neighbor drove sigma to 1, triggering the transition
         # (sigma resets to zero as part of it)
         assert team.mode[0] == ASSEMBLING and team.k[0] == 2
@@ -209,7 +218,7 @@ class TestStep:
             if team.done[0]:
                 break
             message = (1, 2, (0.3, 0.0), float(rng.uniform(0, 1)), float(rng.uniform(0, 1)), int(rng.integers(1, 3)), t)
-            step(team, snapshot(t, plan), mail(message), plan, CONFIG)
+            step(team, snapshot(t, plan), inbox(plan, message), plan, CONFIG)
             assert 0.0 <= team.sigma.min() and team.sigma.max() <= 1.0
             assert 0.0 <= team.eta.min() and team.eta.max() <= 1.0
 
@@ -220,7 +229,7 @@ class TestStep:
         nxt = BehaviorSpec(Rendezvous(), InteractionGraph.from_edges(3, [(1, 3)]), ElapsedTime(1.0))
         plan = plan_of([prev, nxt], [(0.0, 0.0), (0.3, 0.0), (0.9, 0.0)])
         team = team_in(plan, ASSEMBLING, k=2)
-        request, _, _ = step(team, snapshot(2, plan), mail(), plan, CONFIG)
+        request, _ = step(team, snapshot(2, plan), inbox(plan), plan, CONFIG)
         slots, partners = request.conn[:2]
         assert request.robots.tolist() == [1, 2, 3] and partners[slots == 0].tolist() == [3, 2]
         rows = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
@@ -235,15 +244,15 @@ class TestStep:
         team = team_in(plan_of([spec, spec], [(0.0, 0.0), (0.3, 0.0)]), ASSEMBLING, k=2)
         plan = plan_of([spec], [(0.0, 0.0), (0.3, 0.0)])
         with pytest.raises(AgentError):
-            step(team, snapshot(0, plan), mail(), plan, CONFIG)
+            step(team, snapshot(0, plan), inbox(plan), plan, CONFIG)
 
     def test_stale_cache_entries_expire(self):
         plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(1e6))], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
         config = replace(CONFIG, staleness_ticks=5)
-        step(team, snapshot(0, plan), mail((1, 2, (0.3, 0.0))), plan, config)
+        step(team, snapshot(0, plan), inbox(plan, (1, 2, (0.3, 0.0))), plan, config)
         assert team.cache.present[0, 1]
-        step(team, snapshot(10, plan), mail(), plan, config)
+        step(team, snapshot(10, plan), inbox(plan), plan, config)
         assert not team.cache.present[0, 1]
 
 
@@ -312,17 +321,16 @@ def test_team_cache_view_and_consensus_equal_a_per_robot_reference_bitwise():
         oracle_on = schedule % 3 == 0
         delta = 0.5
         cache, refs = Cache.empty(n), [ReferenceRobot() for _ in range(n)]
+        store = InFlight(n, 8, 150)
         in_flight = []  # (deliver tick, recipient, sender, send tick, message)
         for t in range(150):
             x = np.array([[rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)] for _ in range(n)])
             sensed = proximity_graph(x, delta)
             due = [m for m in in_flight if m[0] <= t]
             in_flight = [m for m in in_flight if m[0] > t]
-            rng.shuffle(due)
-            head = [(r, s, send, message[3]) for _, r, s, send, message in due]
-            body = [(*message[0], message[1], message[2]) for *_, message in due]
-            cache.ingest(Mail(np.array(head, dtype=int).reshape(-1, 4), np.array(body).reshape(-1, 4)),
-                         t, staleness)
+            delivered = store.pop(t)
+            assert len(delivered) == len(due) and len(store) == len(in_flight)
+            cache.ingest(delivered, t, staleness)
             for i, ref in enumerate(refs):
                 ref.ingest([(s, send, message) for _, r, s, send, message in due if r == i], t, staleness)
             mask = np.zeros((n, n), dtype=bool)
@@ -352,11 +360,17 @@ def test_team_cache_view_and_consensus_equal_a_per_robot_reference_bitwise():
                 vals = ref.aligned(near, int(k[i]), bool(executing[i]))
                 assert bits(aligned[i, sorted(near)]) == bits(vals)
                 assert bits(value[i]) == bits(reference_consensus(bool(flags[i]), vals))
+            # each sender's message, delay and recipients: reach[r, s] when s's message reaches r
+            reach, state = np.zeros((n, n), dtype=bool), np.zeros((n, 4))
+            late, ks = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
             for s in range(n):
                 send = (tuple(rng.uniform(-1, 1) for _ in range(2)), rng.random(), rng.random(), rng.randint(1, 4))
-                late = rng.randint(0, 8)
+                late[s] = rng.randint(0, 8)
                 for r in rng.sample([j for j in range(n) if j != s], rng.randint(0, n - 1)):
-                    in_flight.append((t + 1 + late, r, s, t, send))
+                    reach[r, s] = True
+                    in_flight.append((t + 1 + int(late[s]), r, s, t, send))
+                state[s], ks[s] = (*send[0], *send[1:3]), send[3]
+            store.post(t, late, reach, state[:, :2], state[:, 2], state[:, 3], ks)
         for ref in refs:
             for key in seen:
                 seen[key] += ref.seen[key]
@@ -406,7 +420,7 @@ def test_a_robot_reads_only_its_own_cache_row():
                     mine, now = copy.deepcopy(team), copy.deepcopy(world)
                     if scrambled:
                         scramble_all_but(mine.cache, i, t, rng, len(plan.behaviors))
-                    request, _, events = step(mine, now, now.in_flight.pop(t), plan, config)
+                    request, events = step(mine, now, now.in_flight.pop(t), plan, config)
                     outputs.append(robot_outputs(mine, request, events, plan, i))
                 assert outputs[0] == outputs[1], (t, i)
                 checked += 1

@@ -425,7 +425,7 @@ def team_and_reference(controller, graph, x, completion, latched=()):
     team, world = Team.start(plan), make_world(plan, config)
     team.mode[:] = EXECUTING
     team.s_task[list(latched)] = True
-    request, _, _ = step(team, world, world.in_flight.pop(0), plan, config)
+    request, _ = step(team, world, world.in_flight.pop(0), plan, config)
     expected, done = [], []
     for me in range(1, n + 1):
         leaf, group = controller, range(1, n + 1)

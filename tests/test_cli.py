@@ -278,6 +278,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "violation: mission has no robots\n1 violation(s)\n"
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rescue_without_escorts_is_a_violation(self, tmp_path, capsys, command):
+        # without the check, validate said ok and the run died after its last
+        # tick, placing the escort events of an empty group
+        path = tmp_path / "rescue.yaml"
+        path.write_text(TINY + "rescue: {target: [0.0, 0.35], safe_zone: {center: [0, 0], radius: 0.2}, "
+                               "escort_behavior: 2, escort_robots: []}\n")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == "violation: rescue: escort group is empty\n1 violation(s)\n"
+
 
 class TestCompareGlue:
     def test_tiny_comparison_runs(self, tiny_mission, tmp_path, capsys):

@@ -340,6 +340,14 @@ class TestValidate:
         plan, _ = parse_mission(MINIMAL.replace("delta: 0.5", f"delta: 0.5\n  min_sep: {min_sep}"))
         assert validate(plan) == ["minimum separation must be positive"]
 
+    def test_empty_escort_group(self):
+        # a rescue with no escorting robots has no group centroid to bring
+        # into the safe zone; before this check the run ended in a traceback
+        rescue = "rescue: {target: [0.0, 0.35], safe_zone: {center: [0, 0], radius: 0.2}, escort_behavior: 1, " \
+                 "escort_robots: []}\n"
+        plan, _ = parse_mission(MINIMAL + rescue)
+        assert validate(plan) == ["rescue: escort group is empty"]
+
     def test_start_inside_an_obstacle(self):
         # robot 1 starts on the first obstacle's boundary, which is allowed,
         # and robot 2 inside the second

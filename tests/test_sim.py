@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import swarmseq.sim as sim_mod
-from swarmseq.agent import ASSEMBLING, EXECUTING, Mail, Team
+from swarmseq.agent import ASSEMBLING, EXECUTING, Team
 from swarmseq.barriers import Connectivity, FcbfParams, ObstacleAvoid, settling_time_bound
 from swarmseq.behaviors import ControlNormBelow, ElapsedTime, GoToGoal, Rendezvous, Scatter
 from swarmseq.geometry import Domain, InteractionGraph, Obstacle, proximity_graph
@@ -98,9 +98,11 @@ class TestTickMechanics:
         world = make_world(plan, config)
         for _ in range(10):
             tick(world, team, plan, config)
-            for deliver_tick, batches in world.in_flight.due.items():
-                for mail in batches:
-                    assert (deliver_tick >= mail.send_tick + 1).all()
+            store = world.in_flight
+            pending = store.due >= 0
+            sent = np.broadcast_to(store.sent[:, None, None], store.due.shape)
+            assert pending.any() and len(store) == pending.sum()
+            assert (store.due[pending] >= sent[pending] + 1).all() and (store.due[pending] <= sent[pending] + 4).all()
 
     def test_sensed_mask_matches_positions(self):
         plan = tiny_plan(
@@ -384,27 +386,45 @@ class TestOutputs:
 
 class TestMessageQueue:
     def test_store_delivers_what_a_list_scan_delivers(self):
-        # the reference: every tick, scan the whole in-flight list for due pairs
+        # the reference: every tick, scan the whole in-flight list for due
+        # pairs; the store delivers the newest of them per (recipient, sender)
         rng = random.Random(5)
-        store = InFlight()
-        scan = []  # (deliver tick, recipient, sender, send tick, body)
-        n = 6
+        store = InFlight(6, 10, 400)
+        scan = []  # (deliver tick, recipient, sender, send tick, body, k)
+        n, superseded = 6, 0
         for t in range(400):
             due = [m for m in scan if m[0] <= t]
             scan = [m for m in scan if m[0] > t]
-            mail = store.pop(t)
-            got = zip(mail.recipient.tolist(), mail.sender.tolist(), mail.send_tick.tolist(), mail.body.tolist())
-            assert list(got) == [m[1:] for m in due]
+            newest = {}
+            for _, r, s, send, body, k in due:
+                newest[r, s] = max(newest.get((r, s), (send, body, k)), (send, body, k))
+            inbox = store.pop(t)
+            want = np.full((n, n), -1)
+            for (r, s), (send, body, k) in newest.items():
+                want[r, s] = send
+                slot = send % len(inbox.state)
+                assert inbox.state[slot, s].tolist() == body and inbox.k[slot, s] == k
+            assert inbox.sent.tolist() == want.tolist()
+            assert len(inbox) == inbox.size == len(due)
             assert len(store) == len(scan)
+            superseded += len(due) - len(newest)
             sensed = np.array([[i < j and rng.random() < 0.4 for j in range(n)] for i in range(n)])
             sensed |= sensed.T
             k = np.array([rng.randint(1, 3) for _ in range(n)])
             x, sigma, eta = (np.array([[rng.random() for _ in range(m)] for _ in range(n)]) for m in (2, 1, 1))
-            outbox = Mail.broadcast(t, sensed, x, sigma[:, 0], eta[:, 0], k)
             delays = [rng.randint(0, 10) for _ in range(n)]
-            store.post(t, delays, outbox)
-            for s, r in zip(*sensed.nonzero()):
-                scan.append((t + 1 + delays[s], int(r), int(s), t, [*x[s], sigma[s, 0], eta[s, 0]]))
+            store.post(t, np.array(delays), sensed, x, sigma[:, 0], eta[:, 0], k)
+            for r, s in zip(*sensed.nonzero()):
+                scan.append((t + 1 + delays[s], int(r), int(s), t, [*x[s], sigma[s, 0], eta[s, 0]], int(k[s])))
+        assert superseded > 0
+
+    def test_store_keeps_one_slot_per_tick_a_message_can_wait(self):
+        # a message is due at most max_delay + 1 ticks after it is sent, and
+        # none is delivered past the horizon; a bound past the horizon never
+        # costs more than horizon + 1 slots
+        assert len(InFlight(5, 3, 60).sent) == 4
+        assert len(InFlight(5, 100, 60).sent) == 61 and InFlight(5, 100, 60).due.shape == (61, 5, 5)
+        assert len(InFlight(5, 0, 60).sent) == 1
 
     def test_delay_draws_equal_a_scalar_splitmix64(self):
         rng = random.Random(11)
@@ -416,8 +436,8 @@ class TestMessageQueue:
                 config = SimConfig(delay=DelaySpec.uniform(lo, lo + extra), seed=seed)
                 senders, t = rng.sample(range(1, 65), rng.randint(1, 8)), rng.randint(0, 20000)
                 got = sim_mod._delay_ticks(config, np.array(senders, dtype=np.uint64), t)
-                assert got == [splitmix64_delay(seed, s, t, lo, lo + extra) for s in senders]
-                assert all(lo <= d <= lo + extra for d in got)
+                assert got.tolist() == [splitmix64_delay(seed, s, t, lo, lo + extra) for s in senders]
+                assert all(lo <= d <= lo + extra for d in got.tolist())
 
     @pytest.mark.parametrize("span, chi2_limit", [(2, 10.83), (11, 29.59), (16, 37.70)])
     def test_delay_draws_are_uniform(self, span, chi2_limit):
