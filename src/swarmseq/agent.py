@@ -305,9 +305,9 @@ def step(team, world, inbox, plan, config):
     on it. Returns (request, events): the ``TeamRequest`` of the robots not
     done and each robot's events in order, by robot id; each robot then
     broadcasts its snapshot position and its new sigma, eta and k. A robot's
-    nominal law and completion test read its own row of the view and the cache, in ascending
-    partner id order; each law and each completion test runs once for all
-    its robots.
+    nominal law and completion test read its own row of the view and the
+    cache, in ascending partner id order; each law and each completion test
+    runs once for all its robots.
     """
     t, x, specs = world.tick, world.positions, plan.behaviors
     if len(team.graphs) != len(specs) + 1 or len(team.k) != plan.n:

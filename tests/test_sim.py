@@ -422,9 +422,9 @@ class TestMessageQueue:
         # a message is due at most max_delay + 1 ticks after it is sent, and
         # none is delivered past the horizon; a bound past the horizon never
         # costs more than horizon + 1 slots
-        assert len(InFlight(5, 3, 60).sent) == 4
-        assert len(InFlight(5, 100, 60).sent) == 61 and InFlight(5, 100, 60).due.shape == (61, 5, 5)
-        assert len(InFlight(5, 0, 60).sent) == 1
+        far = InFlight(5, 100, 60)
+        assert len(far.sent) == 61 and far.due.shape == (61, 5, 5) and far.state.shape == (61, 5, 4)
+        assert len(InFlight(5, 3, 60).sent) == 4 and len(InFlight(5, 0, 60).sent) == 1
 
     def test_delay_draws_equal_a_scalar_splitmix64(self):
         rng = random.Random(11)
