@@ -6,9 +6,10 @@ duration of a run. A renamed function, or a call that no longer goes through
 the module attribute, would silently report zero for that layer. This runs
 the tracer, unchanged, around a short two_behavior_demo. Two golden digests
 pin the outputs' bytes, one of them on the obstacle, relaxed and frozen
-paths of the filter. Three more pin the oracle-off view under delay, a delay
-bound past the run's end, and the glue baseline's hold-still test, which
-reads the cached behavior indices.
+paths of the filter. Four more pin the oracle-off view under delay, a delay
+bound past the run's end, a delayed run longer than one block of delay draws
+and the glue baseline's hold-still test, which reads the cached behavior
+indices.
 """
 
 import hashlib
@@ -50,6 +51,10 @@ ORACLE_OFF_GOLDEN_DIGEST = "5f343deac20b5c2459f775cedecb9ef4bcf9e019c6a52d23d88c
 # past the run's end, so some messages arrive and the others are still in
 # flight when the run stops
 HORIZON_GOLDEN_DIGEST = "954931a873838b6e88458ab5b7c9b8f69a7a9e7ee59fd2bd8c0744940ef1d9f6"
+
+# 1100 ticks of two_behavior_demo under uniform 0-10 tick delay, seed 0: more
+# ticks than one block of delay draws holds (1024)
+LONG_DELAY_GOLDEN_DIGEST = "ac71808b2a7fb00a36522a950a85c48bad2941ad7d87c5e8115968a61d3e6625"
 
 # 800 ticks of seven_behavior_energy with glue transitions: an assembling
 # robot holds still while a visible neighbor's cached index lags its own
@@ -117,6 +122,15 @@ def test_delay_bound_past_the_horizon_keeps_its_bytes(tmp_path):
         sim.tick(world, team, plan, config)
     assert team.cache.present.sum() == 10 and len(world.in_flight) == 400
     assert digest(sim.write_outputs(sim.run(plan, config), tmp_path)) == HORIZON_GOLDEN_DIGEST
+
+
+def test_delayed_run_past_the_first_delay_block_keeps_its_bytes(tmp_path):
+    plan, config = mission.builtin_scenario("two_behavior_demo")
+    record = sim.run(plan, replace(config, max_ticks=1100, delay=sim.DelaySpec.uniform(0, 10), seed=0))
+    events = [ev["event"] for ev in record.events]
+    assert record.outcome == "timeout" and record.ticks == 1100
+    assert events.count("mode_switch") == 15 and events.count("behavior_complete_local") == 5
+    assert digest(sim.write_outputs(record, tmp_path)) == LONG_DELAY_GOLDEN_DIGEST
 
 
 def test_glue_hold_still_path_keeps_its_bytes(tmp_path):
