@@ -8,8 +8,9 @@ completion test once for all its robots, then updates the consensus and the
 mode machine as array passes. It returns a
 ``TeamRequest``: every robot's nominal and the index arrays its QP rows are
 built from, all read from the robot's own row of the view and the cache.
-``filter_team`` then builds every robot's rows and solves every robot's QP
-in one pass.
+``filter_team`` then builds every robot's rows and, unless every nominal
+already satisfies its rows and the speed box, solves every robot's QP in one
+pass.
 
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import behaviors
 from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
-from .qp import QpProblem, RowLayout, solve
+from .qp import QpProblem, RowLayout, quiet, solve
 
 EXECUTING = 0
 ASSEMBLING = 1
@@ -393,19 +394,21 @@ class RowPlan(NamedTuple):
     ``constraint_row`` call, in the order of each robot's own constraint set
     (connectivity, collision, obstacle, initial constraints); the source,
     ``conn``, ``coll``, ``obst`` or None, says where its values come from.
-    ``flat`` is every row's flat index in the layout, call by call, and
-    ``template`` a read-only layout with the pad rows, the hard mask and each
-    row's identity, which only the plan builds. A plan serves the requests
-    whose ``key`` is its own: the dtype and bytes of the robot ids, of the
-    row arrays but the positions and distances and of the active (robot,
-    obstacle) pairs, and each initial constraint's slot and identity;
-    ``min_sep`` and the obstacle ``stack`` must be the plan's own objects.
+    ``slots`` is every row's robot slot and ``flat`` its flat index in the
+    layout, call by call, and ``template`` a read-only layout with the pad
+    rows, the hard mask and each row's identity, which only the plan builds.
+    A plan serves the requests whose ``key`` is its own: the dtype and bytes
+    of the robot ids, of the row arrays but the positions and distances and
+    of the active (robot, obstacle) pairs, and each initial constraint's slot
+    and identity; ``min_sep`` and the obstacle ``stack`` must be the plan's
+    own objects.
     """
 
     key: tuple
     min_sep: float
     stack: object
     calls: list
+    slots: np.ndarray
     flat: np.ndarray
     template: RowLayout
 
@@ -441,21 +444,21 @@ class RowPlan(NamedTuple):
         template = RowLayout.empty(robots.copy(), counts)
         for (slot, column), (kind, _, _), block in zip(cells, calls, blocks):
             template.place(slot, column, block.named(kind))
-        stride = template.offsets.shape[1]
-        flat = np.concatenate([slot * stride + column for slot, column in cells] or [np.empty(0, dtype=int)])
-        for a in (template.robots, template.counts, template.normals, template.offsets, template.hard):
+        none = np.empty(0, dtype=int)
+        slots, columns = (np.concatenate(c) for c in zip(*cells)) if cells else (none, none)
+        flat = slots * template.offsets.shape[1] + columns
+        for a in (slots, flat, template.robots, template.counts, template.normals, template.offsets, template.hard):
             a.flags.writeable = False
-        return cls(key, min_sep, stack, calls, flat, template)
+        return cls(key, min_sep, stack, calls, slots, flat, template)
 
-    def fill(self, blocks):
-        """A fresh layout of the template with ``blocks``, the rows of the
-        plan's calls; the template is left as it is."""
+    def fill(self, normals, offsets):
+        """A fresh layout of the template with the rows of the plan's calls,
+        flat in call order; the template is left as it is."""
         t = self.template
-        normals, offsets = t.normals.copy(), t.offsets.copy()
-        if len(self.flat):
-            normals.reshape(-1, 2)[self.flat] = np.concatenate([b.normals for b in blocks])
-            offsets.reshape(-1)[self.flat] = np.concatenate([b.offsets for b in blocks])
-        return RowLayout(t.robots, t.counts, normals, offsets, t.hard, t.placed)
+        layout = RowLayout(t.robots, t.counts, t.normals.copy(), t.offsets.copy(), t.hard, t.placed)
+        layout.normals.reshape(-1, 2)[self.flat] = normals
+        layout.offsets.reshape(-1)[self.flat] = offsets
+        return layout
 
 
 # the latest request structure's plan: one entry, so memory stays flat on
@@ -464,7 +467,9 @@ _row_plan = None
 
 
 def team_rows(request, params, min_sep, domain):
-    """Every robot's QP rows, written straight into the solver's layout.
+    """Every robot's QP rows, with the ``RowPlan`` that lays them out: returns
+    (plan, normals (R, 2), offsets (R,)), row k a row of the robot at slot
+    ``plan.slots[k]``; ``plan.fill(normals, offsets)`` is the solver's layout.
 
     Each barrier kind is one ``constraint_row`` call for the whole team, and
     each row goes to its robot's layout row in the order of the robot's own
@@ -472,7 +477,7 @@ def team_rows(request, params, min_sep, domain):
     bit for bit the row of the robot's own one-robot stack. Obstacle rows take
     the activation test's values, for the pairs inside its margin only, and
     collision rows the request's squared distances. The kinds, each row's
-    place and identity come from a ``RowPlan``, rebuilt when the structure changes.
+    place and identity come from the plan, rebuilt when the structure changes.
     """
     global _row_plan
     ids, x = request.robots, request.position
@@ -500,11 +505,19 @@ def team_rows(request, params, min_sep, domain):
     if fresh:
         # the plan keeps the initial kinds, so no other object takes their ids
         plan = _row_plan = RowPlan.of(key, min_sep, stack, ids, calls, blocks)
-    return plan.fill(blocks)
+    if not blocks:
+        return plan, np.empty((0, 2)), np.empty(0)
+    return plan, np.concatenate([b.normals for b in blocks]), np.concatenate([b.offsets for b in blocks])
 
 
 def filter_team(request, params, min_sep, speed_limit, domain):
     """Every robot's QP of a ``TeamRequest``, built and solved in one pass;
-    returns the team's ``QpSolution``, with one control and one status per slot."""
-    rows = team_rows(request, params, min_sep, domain)
-    return solve(QpProblem(request.nominal, rows, speed_limit))
+    returns the team's ``QpSolution``, with one control and one status per slot.
+
+    A tick on which every nominal satisfies its rows and the speed box is
+    answered from the flat rows; only other ticks lay the rows out and solve."""
+    plan, normals, offsets = team_rows(request, params, min_sep, domain)
+    solution = quiet(request.nominal, plan.slots, normals, offsets, speed_limit, plan.template)
+    if solution is None:
+        solution = solve(QpProblem(request.nominal, plan.fill(normals, offsets), speed_limit))
+    return solution

@@ -20,8 +20,10 @@ whole team at once, each stage on the robots the earlier ones left unsolved:
 The rows arrive in a ``RowLayout``, the layout ``solve`` works on: one
 layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
 bind, up to the team's largest row count, then the four speed-box rows. The
-padding happens when the rows are assembled (``agent.team_rows`` writes each
-row straight into its place), so the solver neither gathers nor pads. Every
+padding happens when the rows are assembled (``agent.RowPlan.fill`` writes
+each row straight into its place), so the solver neither gathers nor pads.
+When the first stage finds every robot, ``solve`` returns at once; ``quiet``
+runs that stage on a team's rows before they are laid out, flat. Every
 dot product is written out as a0*x0 + a1*x1, so a robot's answer is bitwise
 the same in any team. ``oracle_solve`` independently enumerates the active
 sets of one robot's problem; tests require the two to agree to 1e-6.
@@ -40,6 +42,7 @@ admit no input, the robot freezes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -135,22 +138,31 @@ class QpProblem:
         rows = self.rows
         if not isinstance(rows, RowLayout):  # one robot's blocks, laid out as a team of one
             rows = RowLayout.of([rows if isinstance(rows, RowBlock) else RowBlock.concat(rows)])
-        shape = (len(rows.counts), 2) if rows is self.rows else (2,)
-        if nom.shape != shape:
-            raise ValueError(f"nominal input has shape {nom.shape}, expected {shape}")
-        if not np.isfinite(nom).all():
-            raise ValueError("nominal input is not finite")
-        if not self.speed_limit > 0:
-            raise ValueError("speed limit must be positive")
         width = rows.width
-        if width > MAX_ROWS:
-            raise ValueError(f"too many rows ({width}) for one robot; cap is {MAX_ROWS}")
+        _check(nom, (len(rows.counts), 2) if rows is self.rows else (2,), self.speed_limit, width)
         rows.normals[:, width:] = _BOX_NORMALS
         rows.offsets[:, width:] = -self.speed_limit
-        if not (np.isfinite(rows.normals).all() and np.isfinite(rows.offsets).all()):
-            raise ValueError("constraint row has non-finite coefficients")
+        _check_rows(rows.normals, rows.offsets, self.speed_limit)
         object.__setattr__(self, "nominal", nom)
         object.__setattr__(self, "rows", rows)
+
+
+def _check(nominal, shape, speed_limit, width):
+    """A ``QpProblem``'s checks before its rows', in its order."""
+    if nominal.shape != shape:
+        raise ValueError(f"nominal input has shape {nominal.shape}, expected {shape}")
+    if not np.isfinite(nominal).all():
+        raise ValueError("nominal input is not finite")
+    if not speed_limit > 0:
+        raise ValueError("speed limit must be positive")
+    if width > MAX_ROWS:
+        raise ValueError(f"too many rows ({width}) for one robot; cap is {MAX_ROWS}")
+
+
+def _check_rows(normals, offsets, speed_limit):
+    """A ``QpProblem``'s last check: finite rows, the speed box's too."""
+    if not (np.isfinite(normals).all() and np.isfinite(offsets).all() and math.isfinite(speed_limit)):
+        raise ValueError("constraint row has non-finite coefficients")
 
 
 @dataclass(frozen=True)
@@ -194,11 +206,12 @@ def _project(u, normals, offsets):
     """
     n, width = offsets.shape
     a0, a1 = normals[..., 0], normals[..., 1]
-    slack = a0 * u[:, :1] + a1 * u[:, 1:] - offsets
-    viol = slack < -_FEAS_TOL
+    slack, viol = row_slack(u[:, :1], u[:, 1:], a0, a1, offsets)
     found = ~viol.any(axis=1)
     x = u.copy()
     lam = np.zeros((n, width))
+    if found.all():
+        return found, x, lam
     with np.errstate(divide="ignore", invalid="ignore"):
         for stage in (_single_row_stage, _row_pair_stage):
             todo = (~found).nonzero()[0]
@@ -223,6 +236,40 @@ def _project(u, normals, offsets):
                 lam[r, k.take(best)] = np.maximum(lam_k.take(flat), 0.0)
             found[r] = True
     return found, x, lam
+
+
+def row_slack(u0, u1, a0, a1, b):
+    """The first stage's test: the slacks a0*u0 + a1*u1 - b of rows a . u >= b
+    at inputs (u0, u1), and which of them the inputs violate."""
+    slack = a0 * u0 + a1 * u1 - b
+    return slack, slack < -_FEAS_TOL
+
+
+def quiet(nominal, slots, normals, offsets, speed_limit, template):
+    """The solution of a team's problem whose first stage finds every robot,
+    without laying out its rows, else None.
+
+    Row k, ``normals[k]`` . u >= ``offsets[k]``, is a row of the robot at
+    slot ``slots[k]``, and ``template`` is the layout the rows fill: its
+    width and robot count. Every nominal that satisfies all its rows and the
+    speed box is its robot's answer, with status ``optimal`` and zero
+    multipliers and slacks, as ``solve`` gives it. Before it answers, it runs
+    every check of a ``QpProblem`` of the laid-out rows and raises its
+    ``ValueError``; a team it leaves to ``solve`` may be checked only there.
+    """
+    nominal = np.asarray(nominal, dtype=float)
+    _check(nominal, (len(template.counts), 2), speed_limit, template.width)
+    # the box first: it rejects most teams that are not quiet, and reads only
+    # the checked nominal. Its rows (+-1, 0) . u >= -speed_limit and
+    # (0, +-1) . u >= -speed_limit have the slacks speed_limit +- u, bit for bit
+    if (speed_limit - np.abs(nominal) < -_FEAS_TOL).any():
+        return None
+    _check_rows(normals, offsets, speed_limit)
+    u = nominal[slots]
+    if row_slack(u[:, 0], u[:, 1], normals[:, 0], normals[:, 1], offsets)[1].any():
+        return None
+    shape = template.offsets.shape
+    return QpSolution(nominal.copy(), "optimal", ("optimal",) * len(nominal), np.zeros(shape), np.zeros(shape))
 
 
 def _single_row_stage(u, a0, a1, b, slack, viol):
@@ -260,13 +307,15 @@ def solve(problem):
     nominal = problem.nominal.reshape(-1, 2)
 
     found, u, lam = _project(nominal, rows.normals, rows.offsets)
-    statuses = np.full(len(nominal), "optimal", dtype=object)
     slacks = np.zeros(rows.hard.shape)
-    stuck = (~found).nonzero()[0]
-    if len(stuck):
+    if found.all():
+        statuses = ("optimal",) * len(nominal)
+    else:
+        statuses = np.full(len(nominal), "optimal", dtype=object)
+        stuck = (~found).nonzero()[0]
         relaxed, u[stuck], lam[stuck], slacks[stuck] = _relax(rows, nominal[stuck], stuck)
         statuses[stuck] = np.where(relaxed, "relaxed", "infeasible_hard")
-    statuses = tuple(statuses.tolist())
+        statuses = tuple(statuses.tolist())
 
     return QpSolution(
         u=u[0] if problem.nominal.ndim == 1 else u,

@@ -7,20 +7,23 @@ positions with explicit Euler, sense every pair's squared distance and
 range, and post the tick's broadcasts into a ring of (n, n) arrays by send
 tick. Identical (mission, config, seed) triples produce byte-identical
 outputs; a message's delay is a hash of (seed, sender, tick), with no
-generator state, so scheduling order cannot perturb it. The rescue events
-are read from the finished run's record."""
+generator state, so scheduling order cannot perturb it. The world draws the
+delays of up to ``DELAY_BLOCK`` ticks at once. The rescue events are read
+from the finished run's record."""
 
 from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import EXECUTING, Inbox, Team, filter_team, step
 from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml
 from .geometry import proximity_graph
+
+DELAY_BLOCK = 1024  # ticks whose delays are drawn at once
 
 
 class SimConfigError(ValueError):
@@ -121,6 +124,10 @@ class WorldState:
     sq_dist: np.ndarray  # (n, n): every pair's squared distance
     in_flight: InFlight
     event_log: list
+    # the delays of the broadcasts of ticks delay_from, delay_from + 1, ...,
+    # one row per tick and one column per sender
+    delay_block: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=int))
+    delay_from: int = 0
 
 
 @dataclass
@@ -140,16 +147,30 @@ class RunRecord:
     plan: object
 
 
-def _delay_ticks(config, senders, tick):
-    """The delays of the broadcasts of ``tick`` by ``senders`` (uint64), as an
-    int array: SplitMix64's finalizer over the key ((seed * 1000003 + sender) *
-    1000003 + tick) mod 2**64, mod the span, from min_ticks. Each value's
-    probability is within 2**-64 of 1 / span, a relative bias <= span / 2**64."""
+def _delay_ticks(config, senders, ticks):
+    """The delays of the broadcasts by ``senders`` (uint64) on ``ticks`` (uint64,
+    broadcasting against them: (B, 1) for B ticks), as an int array:
+    SplitMix64's finalizer over the key ((seed * 1000003 + sender) * 1000003 +
+    tick) mod 2**64, mod the span, from min_ticks. Each value's probability is
+    within 2**-64 of 1 / span, a relative bias <= span / 2**64."""
     lo, hi = config.delay.min_ticks, config.delay.max_ticks
-    z = senders * 1000003 + ((config.seed * 1000003**2 + tick) & 0xFFFFFFFFFFFFFFFF)  # wraps mod 2**64
+    # wraps mod 2**64; the operands are arrays, as numpy scalars warn on wrapping
+    z = senders * 1000003 + (np.asarray(ticks, dtype="u8") + (config.seed * 1000003**2 & 0xFFFFFFFFFFFFFFFF))
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
     z = (z ^ z >> 27) * 0x94D049BB133111EB
     return ((z ^ z >> 31) % (hi - lo + 1) + lo).astype(int)
+
+
+def _delays(world, n, config):
+    """The delays of the broadcasts of ``world.tick`` by robots 1..n, from the
+    world's block, which is drawn anew for up to ``DELAY_BLOCK`` ticks, none
+    at or past max_ticks, when the tick leaves it."""
+    t = world.tick
+    if not world.delay_from <= t < world.delay_from + len(world.delay_block):
+        ticks = np.arange(t, min(t + DELAY_BLOCK, config.max_ticks), dtype="u8")[:, None]
+        world.delay_block = _delay_ticks(config, np.arange(1, n + 1, dtype="u8"), ticks)
+        world.delay_from = t
+    return world.delay_block[t - world.delay_from]
 
 
 def make_world(plan, config):
@@ -160,8 +181,12 @@ def make_world(plan, config):
 
 
 def tick(world, team, plan, config):
-    """Advance the world and the team by one tick; returns applied controls."""
+    """Advance the world and the team by one tick, which must come before
+    ``config.max_ticks``; returns applied controls."""
     t, x, sensed = world.tick, world.positions, world.sensed
+    if t >= config.max_ticks:
+        # the delays and the message ring cover the ticks before the cap only
+        raise SimConfigError(f"tick {t} is at or past max_ticks ({config.max_ticks})")
     request, events = step(team, world, world.in_flight.pop(t), plan, config)
     controls = np.zeros((plan.n, 2))
     if len(request.robots):
@@ -182,7 +207,7 @@ def tick(world, team, plan, config):
     graph = proximity_graph(world.positions, plan.delta)
     world.sensed, world.sq_dist = graph.mask, graph.sq_dist
     # no draws under a zero delay: every draw on 0..0 is 0
-    delays = _delay_ticks(config, np.arange(1, plan.n + 1, dtype="u8"), t) if config.delay.max_ticks else 0
+    delays = _delays(world, plan.n, config) if config.delay.max_ticks else 0
     world.in_flight.post(t, delays, sensed, x, team.sigma, team.eta, team.k)
     world.tick = t + 1
     return controls
@@ -192,6 +217,8 @@ def run(plan, config):
     """Run the mission to completion, timeout, or hard infeasibility: the
     tick cap reached with some robot frozen (``qp_infeasible_hard``) on the
     final tick."""
+    if plan.rescue is not None and not plan.rescue.escort_robots:
+        raise SimConfigError("rescue: escort group is empty")
     team = Team.start(plan)
     world = make_world(plan, config)
 

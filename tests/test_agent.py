@@ -232,8 +232,8 @@ class TestStep:
         request, _ = step(team, snapshot(2, plan), inbox(plan), plan, CONFIG)
         slots, partners = request.conn[:2]
         assert request.robots.tolist() == [1, 2, 3] and partners[slots == 0].tolist() == [3, 2]
-        rows = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
-        mine = rows.block(0)
+        row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
+        mine = row_plan.fill(normals, offsets).block(0)
         conn_partners = {j for kind, j in zip(mine.kinds, mine.others.tolist()) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
@@ -401,7 +401,8 @@ def robot_outputs(team, request, events, plan, i):
     slot = np.flatnonzero(request.robots == i + 1)
     if not len(slot):
         return state, events.get(i + 1)
-    block = team_rows(request, plan.fcbf, plan.min_sep, plan.domain).block(int(slot[0]))
+    row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
+    block = row_plan.fill(normals, offsets).block(int(slot[0]))
     return (state, events.get(i + 1), bits(request.nominal[slot[0]]), block.kinds, block.others.tolist(),
             bits(block.normals), bits(block.offsets))
 

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swarmseq import qp
 from swarmseq.barriers import RowBlock
-from swarmseq.qp import QpProblem, kkt_residuals, oracle_solve, solve
+from swarmseq.qp import _FEAS_TOL, MAX_ROWS, QpProblem, RowLayout, _project, kkt_residuals, oracle_solve, quiet, solve
 
 
 def block(normals, offsets, hard, robot=1):
@@ -220,3 +224,140 @@ class TestObjectiveProperties:
             perm = rng.permutation(len(p.rows))
             shuffled = QpProblem(p.nominal, p.rows.block(0).take(perm), p.speed_limit)
             np.testing.assert_allclose(solve(p).u, solve(shuffled).u, atol=1e-9)
+
+
+def bits(a):
+    """The float64 bit patterns of an array, so that -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def layout_of(n, slots, normals, offsets):
+    """Flat rows, row k one of the robot at slot ``slots[k]``, in the layout a
+    row plan fills: each robot's rows in flat order, then pad rows."""
+    columns = np.array([np.count_nonzero(slots[:k] == slots[k]) for k in range(len(slots))], dtype=int)
+    layout = RowLayout.empty(np.arange(1, n + 1), np.bincount(slots, minlength=n))
+    layout.place(slots, columns, RowBlock(0, normals, offsets, np.ones(len(slots), dtype=bool)))
+    return layout
+
+
+class Unsolved(Exception):
+    """Raised in place of ``_project``'s stage after the first."""
+
+
+def first_stage_finds_all(problem):
+    """Whether ``_project`` finds every robot of the problem in its first stage."""
+    def unsolved(*args):
+        raise Unsolved
+
+    with mock.patch.object(qp, "_single_row_stage", unsolved):
+        try:
+            _project(problem.nominal, problem.rows.normals, problem.rows.offsets)
+        except Unsolved:
+            return False
+    return True
+
+
+def outcome(make):
+    """What ``make()`` returns, or the message of the ValueError it raises."""
+    try:
+        return make(), None
+    except ValueError as error:
+        return None, str(error)
+
+
+@st.composite
+def flat_problems(draw):
+    """A team's flat rows and nominals, most rows satisfied, some exactly or
+    within the tolerance on their line, some nominals on the box's edge, a
+    robot without rows, and now and then a non-finite number."""
+    unit = st.floats(-1, 1).map(lambda v: 0.0 if abs(v) < 1e-3 else v)
+    n = draw(st.integers(1, 4))
+    slots = np.array(draw(st.lists(st.integers(0, n - 1), max_size=8)), dtype=int)
+    m = len(slots)
+    normals = np.array(draw(st.lists(unit, min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+    offsets = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+    nominal = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    limit = draw(st.floats(0.05, 1.5))
+    for k in range(m):
+        at = normals[k, 0] * nominal[slots[k], 0] + normals[k, 1] * nominal[slots[k], 1]
+        shift = draw(st.sampled_from(["free", "on", "near", "inside", "inside"]))
+        if shift == "on":
+            offsets[k] = at
+        elif shift == "near":
+            offsets[k] = at + draw(st.floats(-2 * _FEAS_TOL, 2 * _FEAS_TOL))
+        elif shift == "inside":
+            offsets[k] = at - draw(st.floats(0, 1))
+    for r in range(n):
+        edge = draw(st.sampled_from([None, None, "on", "near"]))
+        if edge is not None:
+            off = 0.0 if edge == "on" else draw(st.floats(-2 * _FEAS_TOL, 2 * _FEAS_TOL))
+            nominal[r, draw(st.integers(0, 1))] = draw(st.sampled_from([-1.0, 1.0])) * (limit + off)
+    bad = draw(st.sampled_from([None] * 6 + ["nominal", "normal", "offset", "limit"]))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if bad == "nominal":
+        nominal[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = value
+    elif bad == "normal" and m:
+        normals[draw(st.integers(0, m - 1)), draw(st.integers(0, 1))] = value
+    elif bad == "offset" and m:
+        offsets[draw(st.integers(0, m - 1))] = value
+    elif bad == "limit":
+        limit = draw(st.sampled_from([value, 0.0, -0.5]))
+    return n, slots, normals, offsets, nominal, limit
+
+
+class TestQuietPath:
+    """``quiet`` answers a team from its flat rows exactly when the first
+    stage of ``solve`` finds every robot on the laid-out rows, and then with
+    ``solve``'s answer, bit for bit; it raises ``QpProblem``'s errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(flat_problems())
+    def test_the_quiet_path_agrees_with_the_solver(self, case):
+        n, slots, normals, offsets, nominal, limit = case
+        layout = layout_of(n, slots, normals, offsets)
+        fast, fast_error = outcome(lambda: quiet(nominal, slots, normals, offsets, limit, layout))
+        problem, error = outcome(lambda: QpProblem(nominal, layout, limit))
+        if error is not None:
+            # a team is never answered unchecked; one left to solve raises there
+            assert fast is None and fast_error in (None, error)
+            return
+        assert fast_error is None
+        assert (fast is not None) == first_stage_finds_all(problem)
+        if fast is not None:
+            want = solve(problem)
+            assert bits(fast.u).tolist() == bits(want.u).tolist()
+            assert fast.statuses == want.statuses and fast.status == want.status == "optimal"
+            for got, expected in ((fast.multipliers, want.multipliers), (fast.slacks, want.slacks)):
+                assert got.shape == expected.shape == layout.offsets.shape
+                assert bits(got).tolist() == bits(expected).tolist()
+
+    def test_the_nominal_on_a_row_and_the_box_edge_is_quiet(self):
+        slots, normals = np.array([0, 0]), np.array([[1.0, 0.0], [0.3, -0.7]])
+        nominal = np.array([[0.4, 0.25], [0.1, 0.1]])
+        offsets = np.array([0.4, 0.3 * 0.4 + -0.7 * 0.25])
+        got = quiet(nominal, slots, normals, offsets, 0.4, layout_of(2, slots, normals, offsets))
+        assert got is not None and got.u is not nominal and (got.u == nominal).all()
+        assert got.statuses == ("optimal", "optimal")
+        assert quiet(nominal, slots, normals, offsets, 0.3999, layout_of(2, slots, normals, offsets)) is None
+
+    @pytest.mark.parametrize("fault", ["nominal", "normal", "offset", "limit", "width"])
+    def test_a_quiet_team_keeps_every_check(self, fault):
+        # every robot's nominal satisfies its rows but for the one fault
+        width = MAX_ROWS + 1 if fault == "width" else 3
+        slots = np.repeat([0, 1], [width, 2])
+        normals, offsets = np.tile([[1.0, 0.0]], (len(slots), 1)), np.full(len(slots), -1.0)
+        nominal, limit = np.zeros((2, 2)), 0.5
+        if fault == "nominal":
+            nominal[1, 0] = np.inf
+        elif fault == "normal":
+            normals[4, 1] = np.nan
+        elif fault == "offset":
+            offsets[0] = -np.inf
+        elif fault == "limit":
+            limit = 0.0
+        layout = layout_of(2, slots, normals, offsets)
+        with pytest.raises(ValueError) as want:
+            QpProblem(nominal, layout, limit)
+        with pytest.raises(ValueError) as got:
+            quiet(nominal, slots, normals, offsets, limit, layout)
+        assert str(got.value) == str(want.value)

@@ -124,6 +124,30 @@ class TestTickMechanics:
             DelaySpec.uniform(3, 1)
 
 
+    def test_a_tick_at_or_past_the_cap_is_refused(self):
+        # the delays and the message ring cover the ticks before max_ticks
+        # only; a tick past it would overwrite slots not yet due
+        plan, config = builtin_scenario("two_behavior_demo")
+        config = replace(config, max_ticks=5, delay=DelaySpec.uniform(0, 100))
+        team, world = Team.start(plan), make_world(plan, config)
+        for _ in range(5):
+            tick(world, team, plan, config)
+        flying, positions = len(world.in_flight), world.positions
+        with pytest.raises(SimConfigError, match=r"tick 5 is at or past max_ticks \(5\)"):
+            tick(world, team, plan, config)
+        assert world.tick == 5 and len(world.in_flight) == flying and world.positions is positions
+
+    def test_an_empty_escort_group_is_refused_before_the_first_tick(self, monkeypatch):
+        plan, config = builtin_scenario("two_behavior_demo")
+        plan = replace(plan, rescue=RescueProbe((0.0, 0.0), (1.0, 1.0), 0.5, 1, escort_robots=()))
+        ticks = []
+        real = sim_mod.tick
+        monkeypatch.setattr(sim_mod, "tick", lambda *args: ticks.append(args) or real(*args))
+        with pytest.raises(SimConfigError, match="^rescue: escort group is empty$"):
+            run(plan, config)
+        assert ticks == []
+
+
 class TestRescueEvents:
     """The rescue events are read from the finished record, each placed after
     the events of its tick."""
@@ -438,6 +462,29 @@ class TestMessageQueue:
                 got = sim_mod._delay_ticks(config, np.array(senders, dtype=np.uint64), t)
                 assert got.tolist() == [splitmix64_delay(seed, s, t, lo, lo + extra) for s in senders]
                 assert all(lo <= d <= lo + extra for d in got.tolist())
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, -(2**65), 2**70, 2**70 + 1])
+    @pytest.mark.parametrize("lo, hi", [(0, 10), (3, 3), (0, 0)])
+    def test_a_block_of_ticks_draws_what_each_tick_draws(self, seed, lo, hi):
+        config = SimConfig(delay=DelaySpec.uniform(lo, hi), seed=seed)
+        senders = np.arange(1, 6, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = sim_mod._delay_ticks(config, senders, np.arange(1020, 1031, dtype=np.uint64)[:, None])
+            each = [sim_mod._delay_ticks(config, senders, t).tolist() for t in range(1020, 1031)]
+        assert block.shape == (11, 5) and block.tolist() == each
+        assert each == [[splitmix64_delay(seed, s, t, lo, hi) for s in range(1, 6)] for t in range(1020, 1031)]
+
+    def test_the_world_draws_delays_in_blocks_up_to_the_cap(self, monkeypatch):
+        # one block of 1024 ticks, then one of the 76 ticks left before the cap
+        plan, config = builtin_scenario("two_behavior_demo")
+        config = replace(config, max_ticks=1100, delay=DelaySpec.uniform(0, 10))
+        blocks, real = [], sim_mod._delay_ticks
+        monkeypatch.setattr(sim_mod, "_delay_ticks", lambda c, s, t: blocks.append(t.ravel().tolist()) or real(c, s, t))
+        team, world = Team.start(plan), make_world(plan, config)
+        for _ in range(1100):
+            tick(world, team, plan, config)
+        assert blocks == [list(range(1024)), list(range(1024, 1100))]
 
     @pytest.mark.parametrize("span, chi2_limit", [(2, 10.83), (11, 29.59), (16, 37.70)])
     def test_delay_draws_are_uniform(self, span, chi2_limit):

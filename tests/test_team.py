@@ -1,9 +1,10 @@
 """The batched team tick: one row assembly and one QP solve for every robot.
 
 Each robot's rows and solution must not depend on the team it is solved in:
-the rows ``team_rows`` writes into a robot's layout row equal the rows of
-its own one-robot stacks bit for bit, and a robot's solution, status and
-multipliers are the same solved alone or in any team.
+the rows ``team_rows`` builds, laid out by their row plan, fill each robot's
+layout row with the rows of its own one-robot stacks bit for bit, and a
+robot's solution, status and multipliers are the same solved alone or in any
+team.
 """
 
 import math
@@ -119,6 +120,15 @@ def assert_own_rows(team, s, request, params, min_sep, domain):
     return got
 
 
+def laid_out(request, params, min_sep, domain):
+    """The rows of ``team_rows`` in the solver's layout, as their plan fills
+    it: flat row k in the layout row of its slot ``plan.slots[k]``."""
+    plan, normals, offsets = team_rows(request, params, min_sep, domain)
+    layout = plan.fill(normals, offsets)
+    assert (plan.flat // layout.offsets.shape[1] == plan.slots).all()
+    return layout
+
+
 def random_requests(rng, n, delta):
     x = rng.uniform(-1.5, 1.5, (n, 2))
     requests = []
@@ -155,7 +165,7 @@ class TestTeamRows:
             if rng.random() < 0.3:
                 # a robot exactly at h = 3 of the last obstacle: its row is active
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
-            team = team_rows(as_team(requests), params, 0.12, domain)
+            team = laid_out(as_team(requests), params, 0.12, domain)
             assert team.robots.tolist() == [r.robot for r in requests]
             assert len(team) == int(team.counts.sum())
             for s, request in enumerate(requests):
@@ -187,7 +197,7 @@ class TestTeamRows:
             OwnRequest(i + 1, x[i], np.zeros(2), deltas[i], [n + 1], [x[i]], [], [], ())
             for i in range(n)
         ]
-        rows = team_rows(as_team(requests), params, 0.12, Domain(-2, 2, -2, 2))
+        rows = laid_out(as_team(requests), params, 0.12, Domain(-2, 2, -2, 2))
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
         assert rows.width == 1
         assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
@@ -212,7 +222,7 @@ class TestTeamRows:
     def test_a_robot_without_partners_gets_its_obstacle_rows(self):
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
         request = OwnRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
-        rows = team_rows(as_team([request]), FcbfParams(), 0.12, domain)
+        rows = laid_out(as_team([request]), FcbfParams(), 0.12, domain)
         assert len(rows) == 1 and rows.robots.tolist() == [3]
         assert rows.block(0).kinds == (ObstacleAvoid,) and rows.block(0).others.tolist() == [1]
         assert len(RowLayout.of([])) == 0
@@ -279,7 +289,7 @@ class TestRowPlan:
         built = count_layouts(monkeypatch)
         for requests, min_sep, domain, new in steps:
             before = len(built)
-            team = team_rows(as_team(requests), params, min_sep, domain)
+            team = laid_out(as_team(requests), params, min_sep, domain)
             assert len(built) == before + new
             for s, request in enumerate(requests):
                 assert_own_rows(team, s, request, params, min_sep, domain)
@@ -288,11 +298,11 @@ class TestRowPlan:
         params = FcbfParams()
         domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
         requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
-        first = team_rows(as_team(requests), params, 0.12, domain)
+        first = laid_out(as_team(requests), params, 0.12, domain)
         QpProblem(np.zeros((3, 2)), first, 0.4)  # writes the box rows
         first.normals[:] = 7.0
         first.offsets[:] = 7.0
-        later = team_rows(as_team(requests), params, 0.12, domain)
+        later = laid_out(as_team(requests), params, 0.12, domain)
         assert later.normals is not first.normals and later.offsets is not first.offsets
         for s, request in enumerate(requests):
             assert_own_rows(later, s, request, params, 0.12, domain)
@@ -332,8 +342,9 @@ class TestOneTablePerTick:
 
         def checked_rows(request, params, min_sep, domain):
             rows = real(request, params, min_sep, domain)
+            layout = rows[0].fill(*rows[1:])
             for s, own in enumerate(own_requests(request)):
-                kinds.update(assert_own_rows(rows, s, own, params, min_sep, domain).kinds)
+                kinds.update(assert_own_rows(layout, s, own, params, min_sep, domain).kinds)
             return rows
 
         monkeypatch.setattr(agent, "team_rows", checked_rows)
