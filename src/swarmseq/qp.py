@@ -22,11 +22,10 @@ layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
 bind, up to the team's largest row count, then the four speed-box rows. The
 padding happens when the rows are assembled (``agent.RowPlan.fill`` writes
 each row straight into its place), so the solver neither gathers nor pads.
-When the first stage finds every robot, ``solve`` returns at once; ``quiet``
-runs that stage on a team's rows before they are laid out, flat. Every
-dot product is written out as a0*x0 + a1*x1, so a robot's answer is bitwise
-the same in any team. ``oracle_solve`` independently enumerates the active
-sets of one robot's problem; tests require the two to agree to 1e-6.
+``quiet`` runs the first stage on a team's rows before they are laid out,
+flat. Every dot product is written out as a0*x0 + a1*x1, so a robot's answer
+is bitwise the same in any team. ``oracle_solve`` independently enumerates the
+active sets of one robot's problem; tests require the two to agree to 1e-6.
 
 A robot with no feasible candidate is re-solved with quadratically penalized
 slacks on its soft rows; hard rows (collision, obstacle) and the speed box
@@ -210,8 +209,6 @@ def _project(u, normals, offsets):
     found = ~viol.any(axis=1)
     x = u.copy()
     lam = np.zeros((n, width))
-    if found.all():
-        return found, x, lam
     with np.errstate(divide="ignore", invalid="ignore"):
         for stage in (_single_row_stage, _row_pair_stage):
             todo = (~found).nonzero()[0]
@@ -307,15 +304,13 @@ def solve(problem):
     nominal = problem.nominal.reshape(-1, 2)
 
     found, u, lam = _project(nominal, rows.normals, rows.offsets)
+    statuses = np.full(len(nominal), "optimal", dtype=object)
     slacks = np.zeros(rows.hard.shape)
-    if found.all():
-        statuses = ("optimal",) * len(nominal)
-    else:
-        statuses = np.full(len(nominal), "optimal", dtype=object)
-        stuck = (~found).nonzero()[0]
+    stuck = (~found).nonzero()[0]
+    if len(stuck):
         relaxed, u[stuck], lam[stuck], slacks[stuck] = _relax(rows, nominal[stuck], stuck)
         statuses[stuck] = np.where(relaxed, "relaxed", "infeasible_hard")
-        statuses = tuple(statuses.tolist())
+    statuses = tuple(statuses.tolist())
 
     return QpSolution(
         u=u[0] if problem.nominal.ndim == 1 else u,
