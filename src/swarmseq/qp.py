@@ -209,7 +209,7 @@ def _project(u, normals, offsets):
     found = ~viol.any(axis=1)
     x = u.copy()
     lam = np.zeros((n, width))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for stage in (_single_row_stage, _row_pair_stage):
             todo = (~found).nonzero()[0]
             if not len(todo):
