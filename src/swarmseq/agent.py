@@ -6,11 +6,14 @@ two phases. ``step`` advances every robot at once: it files the delivered
 others, runs each controller class's nominal law and each behavior's
 completion test once for all its robots, then updates the consensus and the
 mode machine as array passes. It returns a
-``TeamRequest``: every robot's nominal and the index arrays its QP rows are
-built from, all read from the robot's own row of the view and the cache.
-``filter_team`` then builds every robot's rows and, unless every nominal
-already satisfies its rows and the speed box, solves every robot's QP in one
-pass.
+``TeamRequest``: every robot's nominal and the partner positions its QP rows
+read, all from the robot's own row of the view and the cache, on the team's
+``TickGraph``. The graph holds what the laws and the rows take from the
+stage and the sensed and known masks (the index arrays, the missing
+positions and the row plan), and the team rebuilds it only when one of the
+three changes, which few ticks do. ``filter_team`` then builds every robot's
+rows and, unless every nominal already satisfies its rows and the speed box,
+solves every robot's QP in one pass.
 
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
@@ -44,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import behaviors
-from .barriers import Collision, Connectivity, ObstacleAvoid, constraint_row
+from .barriers import Collision, Connectivity, ObstacleAvoid, PairStack, constraint_row
 from .qp import QpProblem, RowLayout, quiet, solve
 
 EXECUTING = 0
@@ -148,6 +151,7 @@ class Team:
     cache: Cache
     graphs: np.ndarray  # (behaviors + 1, n, n)
     stage: Stage | None = None  # of the robots' current stages
+    tick_graph: TickGraph | None = None  # of the current stage and masks
 
     @classmethod
     def start(cls, plan):
@@ -164,24 +168,66 @@ class Team:
         return self.k >= len(self.graphs)
 
 
+@dataclass(eq=False)
+class TickGraph:
+    """What a tick's laws and rows read of the team's graph, fixed while the
+    stage and the sensed and known masks are (``key``: the ``Stage`` object
+    and the masks' bytes; None for a graph built by hand).
+
+    Slot s is robot ``robots[s]`` (ids ascending; ``index`` holds them
+    0-based). The laws read the view at the pairs (``laws``: rows, columns),
+    and ``absent`` is the error for a required neighbor without a position,
+    None if every one has one. Pairwise row k is robot ``pairs[0][k]``'s
+    barrier with robot ``pairs[1][k]`` (0-based), of the robot at slot
+    ``slots[k]``: first the ``conn`` connectivity rows, with ``deltas``, then
+    the collision rows, each part ordered by slot and within a slot in the
+    robot's row order. ``initial`` holds (slot, kind) for the active spec's
+    initial constraints, in slot order, and ``missing`` the (robot, other)
+    ids of the connectivity partners without a position, in event order.
+    ``plan`` is the ``RowPlan`` of the last tick's rows.
+    """
+
+    key: tuple | None
+    robots: np.ndarray
+    index: np.ndarray
+    laws: tuple
+    absent: str | None
+    pairs: tuple
+    slots: np.ndarray
+    conn: int
+    deltas: np.ndarray
+    initial: tuple
+    missing: tuple
+    plan: RowPlan | None = None
+
+    @classmethod
+    def of(cls, index, conn, coll, initial=(), laws=None, missing=(), absent=None, key=None):
+        """The graph of the live robots ``index`` (0-based, ascending), with
+        the connectivity rows ``conn`` (robots, partners, deltas) and the
+        collision rows ``coll`` (robots, partners), 0-based."""
+        (r, p, deltas), (cr, cp) = conn, coll
+        pairs = np.concatenate((r, cr)), np.concatenate((p, cp))
+        none = np.empty(0, dtype=int)
+        return cls(key, index + 1, index, laws or (none, none), absent, pairs, index.searchsorted(pairs[0]), len(r),
+                   deltas, tuple(initial), tuple(missing))
+
+
 class TeamRequest(NamedTuple):
     """The team's QPs for this tick, before their rows are built.
 
-    Slot s is robot ``robots[s]`` (ids ascending) at ``position[s]``, asking
-    for the input nearest its ``nominal[s]``. ``conn`` (slots, partner ids,
-    positions, deltas) and ``coll`` (slots, partner ids, positions, squared
-    distances from the world's table) give one row each, ordered by slot and
-    within a slot in the robot's row order; every position is the robot's
-    own view of that partner. ``initial`` holds (slot, kind) for the active
-    spec's initial constraints, in slot order.
+    Slot s is robot ``robots[s]`` of the ``TickGraph`` at ``position[s]``,
+    asking for the input nearest its ``nominal[s]``. ``seen[k]`` is the
+    partner position of the graph's pairwise row k, as the robot sees it.
     """
 
-    robots: np.ndarray
+    graph: TickGraph
     position: np.ndarray
     nominal: np.ndarray
-    conn: tuple
-    coll: tuple
-    initial: tuple = ()
+    seen: np.ndarray
+
+    @property
+    def robots(self):
+        return self.graph.robots
 
 
 def consensus_update(own_flag, neighbor_values, neighbors):
@@ -221,7 +267,7 @@ class Stage(NamedTuple):
     pairs each executed behavior's completion test with its robots.
     ``targets`` holds each assembling robot's required neighbors in the
     behavior it assembles (None when no robot assembles). ``conn`` gives the
-    connectivity rows as (robots, partners, slots, deltas), before the
+    connectivity rows as (robots, partners, deltas), before the
     known-position filter, and ``initial`` the (slot, kind) pairs of the
     initial constraints; a slot indexes ``ids``.
     """
@@ -294,21 +340,43 @@ def _stage(team, plan, config):
     targets = team.graphs[np.where(assembling, k, 0), robots] if assembling.any() else None
     fixed = None if in_range.any() or knows.any() else reads.nonzero()
     team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, fixed, tasks, targets,
-                       (r, p, ids.searchsorted(r), delta), tuple(initial))
+                       (r, p, delta), tuple(initial))
     return team.stage
+
+
+def _tick_graph(team, stage, sensed, known):
+    """The team's ``TickGraph`` for ``stage`` and the masks, rebuilt only when
+    one of them changed."""
+    graph, masks = team.tick_graph, (sensed.tobytes(), known.tobytes())
+    if graph is not None and graph.key[0] is stage and graph.key[1:] == masks:
+        return graph
+    rows, cols = stage.partners or (stage.reads | sensed & stage.in_range | known & stage.knows).nonzero()
+    absent = ~known[rows, cols]
+    error = None
+    if absent.any():
+        i = rows[absent][0]
+        error = (f"robot {i + 1}: no position available for required neighbors "
+                 f"{(cols[absent & (rows == i)] + 1).tolist()}")
+    r, p, delta = stage.conn
+    ok = known[r, p]
+    missing = zip((r[~ok] + 1).tolist(), (p[~ok] + 1).tolist())
+    team.tick_graph = TickGraph.of(stage.ids, (r[ok], p[ok], delta[ok]), (sensed & stage.live[:, None]).nonzero(),
+                                   stage.initial, (rows, cols), missing, error, (stage, *masks))
+    return team.tick_graph
 
 
 def step(team, world, inbox, plan, config):
     """Advance every robot by one tick.
 
-    ``world`` is the tick's snapshot (``tick``, ``positions``, the mask
-    ``sensed`` and the table ``sq_dist``) and ``inbox`` the messages delivered
-    on it. Returns (request, events): the ``TeamRequest`` of the robots not
-    done and each robot's events in order, by robot id; each robot then
-    broadcasts its snapshot position and its new sigma, eta and k. A robot's
-    nominal law and completion test read its own row of the view and the
-    cache, in ascending partner id order; each law and each completion test
-    runs once for all its robots.
+    ``world`` is the tick's snapshot (``tick``, ``positions`` and the mask
+    ``sensed``) and ``inbox`` the messages delivered on it. Returns (request,
+    events): the ``TeamRequest`` of the robots not done and each robot's
+    events in order, by robot id; each robot then broadcasts its snapshot
+    position and its new sigma, eta and k. A robot's nominal law and
+    completion test read its own row of the view and the cache, in ascending
+    partner id order; each law and each completion test runs once for all its
+    robots. The laws read the ``TickGraph`` of the stage the tick starts in,
+    the rows that of the stage it ends in.
     """
     t, x, specs = world.tick, world.positions, plan.behaviors
     if len(team.graphs) != len(specs) + 1 or len(team.k) != plan.n:
@@ -318,13 +386,11 @@ def step(team, world, inbox, plan, config):
     sensed = world.sensed
     view, known = cache.view(x, sensed, config.oracle_sensing)
     stage = _stage(team, plan, config)
+    graph = _tick_graph(team, stage, sensed, known)
+    if graph.absent is not None:
+        raise AgentError(graph.absent)
     k, executing, assembling = team.k, stage.executing, stage.assembling
-    rows, cols = stage.partners or (stage.reads | sensed & stage.in_range | known & stage.knows).nonzero()
-    missing = ~known[rows, cols]
-    if missing.any():
-        i = rows[missing][0]
-        raise AgentError(f"robot {i + 1}: no position available for required neighbors "
-                         f"{(cols[missing & (rows == i)] + 1).tolist()}")
+    rows, cols = graph.laws
     seen_at = view[rows, cols]
     nominal = np.zeros((plan.n, 2))
     for law in stage.laws:
@@ -370,41 +436,34 @@ def step(team, world, inbox, plan, config):
                     {"event": "behavior_complete_local", "robot": robot, "k": now - 1},
                     {"event": "mission_done_local", "robot": robot} if done[i] else _switch(robot, "assembling", now),
                 ]
-        stage = _stage(team, plan, config)
+        graph = _tick_graph(team, _stage(team, plan, config), sensed, known)
 
-    r, p, slot, delta = stage.conn
-    ok = known[r, p]
-    if not ok.all():
-        for i, j in zip(r[~ok].tolist(), p[~ok].tolist()):
-            events.setdefault(i + 1, []).append({"event": "missing_position", "robot": i + 1, "other": j + 1})
-        r, p, slot, delta = r[ok], p[ok], slot[ok], delta[ok]
-    cr, cp = (sensed & stage.live[:, None]).nonzero()
-    ids = stage.ids
-    request = TeamRequest(
-        ids + 1, x[ids], nominal[ids], (slot, p + 1, view[r, p], delta),
-        (ids.searchsorted(cr), cp + 1, view[cr, cp], world.sq_dist[cr, cp]), stage.initial,
-    )
-    return request, events
+    for robot, other in graph.missing:
+        events.setdefault(robot, []).append({"event": "missing_position", "robot": robot, "other": other})
+    if len(graph.index) < plan.n:
+        x, nominal = x[graph.index], nominal[graph.index]
+    r, p = graph.pairs
+    return TeamRequest(graph, x, nominal, view[r, p]), events
 
 
 class RowPlan(NamedTuple):
-    """The structure of a team's rows, fixed until the request's structure changes.
+    """The structure of a team's rows, fixed while its ``TickGraph`` and its
+    active (robot, obstacle) pairs are.
 
     ``calls`` holds one (barrier kind, robot slots, source) per
-    ``constraint_row`` call, in the order of each robot's own constraint set
-    (connectivity, collision, obstacle, initial constraints); the source,
-    ``conn``, ``coll``, ``obst`` or None, says where its values come from.
-    ``slots`` is every row's robot slot and ``flat`` its flat index in the
-    layout, call by call, and ``template`` a read-only layout with the pad
-    rows, the hard mask and each row's identity, which only the plan builds.
-    A plan serves the requests whose ``key`` is its own: the dtype and bytes
-    of the robot ids, of the row arrays but the positions and distances and
-    of the active (robot, obstacle) pairs, and each initial constraint's slot
-    and identity; ``min_sep`` and the obstacle ``stack`` must be the plan's
-    own objects.
+    ``constraint_row`` call: the graph's pairwise rows as one ``PairStack``
+    (source ``pairs``), the active obstacle rows (``obst``), then each
+    initial constraint (None). Each robot's rows come in the order of its
+    own constraint set (connectivity, collision, obstacle, initial
+    constraints). ``slots`` is every row's robot slot and ``flat`` its flat
+    index in the layout, call by call, and ``template`` a read-only layout
+    with the pad rows, the hard mask and each row's identity, which only the
+    plan builds. A plan serves the ticks whose activation mask has the bytes
+    ``active`` (None without obstacles) and whose ``min_sep`` and obstacle
+    ``stack`` are its own objects.
     """
 
-    key: tuple
+    active: bytes | None
     min_sep: float
     stack: object
     calls: list
@@ -413,33 +472,32 @@ class RowPlan(NamedTuple):
     template: RowLayout
 
     @staticmethod
-    def calls_of(request, active, min_sep, stack):
-        """The barrier kinds of a request whose active (robot, obstacle) pairs
-        are ``active``, with their slots and value sources. Every array is
-        the plan's own copy."""
-        ids = request.robots
+    def calls_of(graph, active, min_sep, stack):
+        """The barrier kinds of a graph's rows whose activation mask is
+        ``active``, with their slots and value sources."""
+        ids, p, m, slots = graph.robots, graph.pairs[1], graph.conn, graph.slots
         calls = []
-        slot, others, _, deltas = request.conn
-        if len(slot):
-            calls.append((Connectivity(ids[slot], others.copy(), deltas.copy()), slot.copy(), "conn"))
-        slot, others = request.coll[:2]
-        if len(slot):
-            calls.append((Collision(ids[slot], others.copy(), min_sep), slot.copy(), "coll"))
-        if active and len(active[0]):
-            slot, m = active
+        if len(slots):
+            kinds = (Connectivity(ids[slots[:m]], p[:m] + 1, graph.deltas), Collision(ids[slots[m:]], p[m:] + 1, min_sep))
+            calls.append((PairStack.of(kinds), slots, "pairs"))
+        if active is not None and active.any():
+            slot, m = active.nonzero()
             calls.append((ObstacleAvoid(ids[slot], stack, m + 1), slot, "obst"))
-        return calls + [(kind, s, None) for s, kind in request.initial]
+        return calls + [(kind, s, None) for s, kind in graph.initial]
 
     @classmethod
-    def of(cls, key, min_sep, stack, robots, calls, blocks):
+    def of(cls, active, min_sep, stack, robots, calls, blocks):
         """The plan of ``calls``; ``blocks`` are their rows, which the
         template takes with each row's identity."""
         counts = np.zeros(len(robots), dtype=int)
         cells = []  # (robot slots, columns) per call
         for _, slot, _ in calls:
             slot = np.atleast_1d(slot)
-            # slots ascend, so each robot's rows are one run, after its earlier kinds' rows
-            cells.append((slot, counts[slot] + np.arange(len(slot)) - slot.searchsorted(slot)))
+            # each robot's rows are one run in the call's order, after its earlier calls' rows
+            order = slot.argsort(kind="stable")
+            rank = np.empty(len(slot), dtype=int)
+            rank[order] = np.arange(len(slot)) - slot[order].searchsorted(slot[order])
+            cells.append((slot, counts[slot] + rank))
             counts += np.bincount(slot, minlength=len(counts))
         template = RowLayout.empty(robots.copy(), counts)
         for (slot, column), (kind, _, _), block in zip(cells, calls, blocks):
@@ -449,7 +507,7 @@ class RowPlan(NamedTuple):
         flat = slots * template.offsets.shape[1] + columns
         for a in (slots, flat, template.robots, template.counts, template.normals, template.offsets, template.hard):
             a.flags.writeable = False
-        return cls(key, min_sep, stack, calls, slots, flat, template)
+        return cls(active, min_sep, stack, calls, slots, flat, template)
 
     def fill(self, normals, offsets):
         """A fresh layout of the template with the rows of the plan's calls,
@@ -461,50 +519,40 @@ class RowPlan(NamedTuple):
         return layout
 
 
-# the latest request structure's plan: one entry, so memory stays flat on
-# workloads whose structure changes often
-_row_plan = None
-
-
 def team_rows(request, params, min_sep, domain):
     """Every robot's QP rows, with the ``RowPlan`` that lays them out: returns
     (plan, normals (R, 2), offsets (R,)), row k a row of the robot at slot
     ``plan.slots[k]``; ``plan.fill(normals, offsets)`` is the solver's layout.
 
-    Each barrier kind is one ``constraint_row`` call for the whole team, and
+    Each ``constraint_row`` call builds the rows of one barrier kind for the
+    whole team, the connectivity and collision rows one pairwise stack, and
     each row goes to its robot's layout row in the order of the robot's own
     constraint set (connectivity, collision, obstacle, initial constraints),
     bit for bit the row of the robot's own one-robot stack. Obstacle rows take
-    the activation test's values, for the pairs inside its margin only, and
-    collision rows the request's squared distances. The kinds, each row's
-    place and identity come from the plan, rebuilt when the structure changes.
+    the activation test's values, for the pairs inside its margin only. The
+    kinds, each row's place and identity come from the plan, which the
+    request's ``TickGraph`` keeps until the activation mask, ``min_sep`` or
+    the obstacle stack changes.
     """
-    global _row_plan
-    ids, x = request.robots, request.position
-    stack, active, near = None, (), None
+    graph, x = request.graph, request.position
+    stack, active, near, key = None, None, None, None
     if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
         stack = domain.obstacle_stack
-        h = ObstacleAvoid(ids[:, None], stack).value(x[:, None])
-        active = np.nonzero(h <= OBSTACLE_ACTIVATION)
-        near = h[active]
-    arrays = (ids, *request.conn[:2], request.conn[3], *request.coll[:2], *active)
-    key = ([(a.dtype, a.tobytes()) for a in arrays], [(s, id(kind)) for s, kind in request.initial])
-    plan = _row_plan
-    fresh = plan is None or plan.key != key or plan.min_sep is not min_sep or plan.stack is not stack
-    calls = RowPlan.calls_of(request, active, min_sep, stack) if fresh else plan.calls
+        h = ObstacleAvoid(graph.robots[:, None], stack).value(x[:, None])
+        active = h <= OBSTACLE_ACTIVATION
+        near, key = h[active], active.tobytes()
+    plan = graph.plan
+    fresh = plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack
+    calls = RowPlan.calls_of(graph, active, min_sep, stack) if fresh else plan.calls
     blocks = []
     for kind, slot, source in calls:
-        positions = (x[slot],) if source in (None, "obst") else (x[slot], getattr(request, source)[2])
-        if source == "coll":
-            h = kind.at_sq_dist(request.coll[3])
-        else:
-            h = near if source == "obst" else kind.value(*positions)
+        positions = (x[slot], request.seen) if source == "pairs" else (x[slot],)
+        h = near if source == "obst" else kind.value(*positions)
         blocks.append(constraint_row(kind, params, h, *positions))
     if fresh:
-        # the plan keeps the initial kinds, so no other object takes their ids
-        plan = _row_plan = RowPlan.of(key, min_sep, stack, ids, calls, blocks)
+        plan = graph.plan = RowPlan.of(key, min_sep, stack, graph.robots, calls, blocks)
     if not blocks:
         return plan, np.empty((0, 2)), np.empty(0)
     return plan, np.concatenate([b.normals for b in blocks]), np.concatenate([b.offsets for b in blocks])

@@ -21,6 +21,11 @@ stack. Every barrier squares distances with ``sq_dist`` (``at_sq_dist``
 takes them as given). ``constraint_row`` turns one such stack's values into a
 ``RowBlock``, one row per barrier; a stack whose ``i`` is an array of robots
 gives a team's rows, which ``qp.RowLayout`` places robot by robot.
+
+Connectivity and collision are one pairwise form, h = c + s |x_i - x_j|^2
+with gradient 2 s (x_i - x_j): connectivity is c = delta^2, s = -1 and
+collision c = -min_sep^2, s = +1. So a team's rows of both kinds are one
+``PairStack``, built with one ``constraint_row`` call.
 """
 
 from __future__ import annotations
@@ -101,8 +106,9 @@ def _pairs_a_robot_with_itself(i, j):
 
 
 class _Pairwise:
-    """A barrier on the squared distance of robots i and j, half of it
-    enforced by each; dh/dx_i is ``slope`` (x_i - x_j)."""
+    """A barrier h = c + s |x_i - x_j|^2 on robots i and j, half of it
+    enforced by each; dh/dx_i is 2 s (x_i - x_j). Connectivity and collision
+    are two choices of c and s, and ``PairStack`` takes them per barrier."""
 
     share = 0.5
 
@@ -110,12 +116,15 @@ class _Pairwise:
         if _pairs_a_robot_with_itself(self.i, self.j):
             raise ValueError(f"{type(self).__name__.lower()} barrier needs two distinct robots")
 
+    def at_sq_dist(self, sq):
+        return self.c + self.s * sq
+
     def value(self, xi, xj):
         return self.at_sq_dist(sq_dist(xi - xj))
 
     def gradient(self, xi, xj):
         """dh/dx_i; the gradient in x_j is its negation."""
-        return self.slope * (xi - xj)
+        return (2.0 * np.asarray(self.s))[..., None] * (xi - xj)
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,13 @@ class Connectivity(_Pairwise):
     delta: float
 
     hard = False
-    slope = -2.0
+    s = -1.0
 
-    def at_sq_dist(self, sq):
+    @property
+    def c(self):
         # libm's pow (float_power), as Python's delta**2, also for a per-row
         # delta array, where numpy's ** 2 would multiply
-        return np.float_power(self.delta, 2) - sq
+        return np.float_power(self.delta, 2)
 
 
 @dataclass(frozen=True)
@@ -144,10 +154,34 @@ class Collision(_Pairwise):
     min_sep: float
 
     hard = True
-    slope = 2.0
+    s = 1.0
 
-    def at_sq_dist(self, sq):
-        return sq - self.min_sep**2
+    @property
+    def c(self):
+        return -(self.min_sep**2)
+
+
+@dataclass(frozen=True)
+class PairStack(_Pairwise):
+    """Pairwise barriers of several kinds as one stack: barrier r has its own
+    ``c[r]``, ``s[r]`` and ``hard[r]``, and ``kinds[r]`` is its kind's class.
+    Scaling by s = +-1 is exact, and a + (-b) is a - b, so each barrier's
+    value and gradient are its kind's own bit for bit."""
+
+    i: np.ndarray
+    j: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    hard: np.ndarray
+    kinds: tuple
+
+    @classmethod
+    def of(cls, kinds):
+        """The barriers of the pairwise ``kinds``, kind by kind, each a stack
+        over id arrays i and j."""
+        parts = [np.broadcast_arrays(k.i, k.j, k.c, k.s, k.hard) for k in kinds]
+        i, j, c, s, hard = (np.concatenate(a) for a in zip(*parts))
+        return cls(i, j, c, s, hard, tuple(type(k) for k, p in zip(kinds, parts) for _ in p[0]))
 
 
 @dataclass(frozen=True)
@@ -240,7 +274,7 @@ class RowBlock:
         """These rows, ``kind``'s over a stack of one axis, with each row's identity."""
         j = getattr(kind, "j", getattr(kind, "index", None))
         others = np.array(np.broadcast_to(np.arange(1, len(self) + 1) if j is None else j, len(self)), dtype=int)
-        return replace(self, others=others, kinds=(type(kind),) * len(self))
+        return replace(self, others=others, kinds=getattr(kind, "kinds", (type(kind),) * len(self)))
 
     def take(self, index):
         """The rows at ``index`` (an integer array), in that order."""

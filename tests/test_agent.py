@@ -164,8 +164,9 @@ class TestStep:
         world = snapshot(5, plan)
         request, _ = step(team, world, inbox(plan, (1, 2, (0.15, 0.0))), plan, CONFIG)
         np.testing.assert_allclose(request.nominal[0], [0.15, 0.0], atol=1e-9)
-        conn_slots, conn_partners = request.conn[:2]
-        coll_slots, coll_partners = request.coll[:2]
+        graph, m = request.graph, request.graph.conn
+        conn_slots, conn_partners = graph.slots[:m], graph.pairs[1][:m] + 1
+        coll_slots, coll_partners = graph.slots[m:], graph.pairs[1][m:] + 1
         assert conn_partners[conn_slots == 0].tolist() == [2] and coll_partners[coll_slots == 0].tolist() == [2]
         solution = filter_team(request, plan.fcbf, plan.min_sep, CONFIG.speed_limit, plan.domain)
         assert solution.statuses[0] == "optimal"
@@ -230,7 +231,8 @@ class TestStep:
         plan = plan_of([prev, nxt], [(0.0, 0.0), (0.3, 0.0), (0.9, 0.0)])
         team = team_in(plan, ASSEMBLING, k=2)
         request, _ = step(team, snapshot(2, plan), inbox(plan), plan, CONFIG)
-        slots, partners = request.conn[:2]
+        graph = request.graph
+        slots, partners = graph.slots[:graph.conn], graph.pairs[1][:graph.conn] + 1
         assert request.robots.tolist() == [1, 2, 3] and partners[slots == 0].tolist() == [3, 2]
         row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
         mine = row_plan.fill(normals, offsets).block(0)

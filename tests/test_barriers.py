@@ -10,6 +10,7 @@ from swarmseq.barriers import (
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
+    PairStack,
     RowBlock,
     class_k,
     constraint_row,
@@ -237,6 +238,34 @@ class TestRowBlocks:
                     assert bits(block.normals[r]).tolist() == bits(kind.gradient(xi, xj)).tolist()
                     assert bits(block.offsets[r]) == bits(-kind.share * scalar_rate(h, params))
                     assert block.hard is kind.hard
+
+    def test_a_pair_stack_gives_each_kinds_own_formula(self):
+        # connectivity delta^2 - |d|^2 and collision |d|^2 - min_sep^2, with
+        # gradients -2 d and 2 d, written out in Python, pair by pair
+        rng = np.random.default_rng(24)
+        params = FcbfParams(rho=0.5, gamma=1.3)
+        m, k = 300, 200
+        x = rng.uniform(-1, 1, (m + k, 2))
+        seen = x + rng.normal(0, 0.4, (m + k, 2))
+        seen[:20] = x[:20]  # coincident, h = delta^2 and -min_sep^2
+        seen[20:40, 0] = x[20:40, 0] + 0.5  # on the connectivity boundary
+        deltas = rng.uniform(0.3, 0.7, m)
+        deltas[20:40] = 0.5
+        i = rng.integers(1, 9, m + k)
+        j = i + rng.integers(1, 9, m + k)
+        kinds = Connectivity(i[:m], j[:m], deltas), Collision(i[m:], j[m:], 0.12)
+        stack = PairStack.of(kinds)
+        values = stack.value(x, seen)
+        block = rows_at(stack, params, x, seen).named(stack)
+        assert block.kinds == (Connectivity,) * m + (Collision,) * k
+        assert block.hard.tolist() == [False] * m + [True] * k and block.others.tolist() == j.tolist()
+        for r, (xi, xj) in enumerate(zip(x.tolist(), seen.tolist())):
+            dx, dy = xi[0] - xj[0], xi[1] - xj[1]
+            sq = dx * dx + dy * dy
+            h, slope = (deltas[r] ** 2 - sq, -2.0) if r < m else (sq - 0.12**2, 2.0)
+            assert bits(values[r]) == bits(h)
+            assert bits(block.normals[r]).tolist() == bits([slope * dx, slope * dy]).tolist()
+            assert bits(block.offsets[r]) == bits(-0.5 * scalar_rate(h, params))
 
     def test_obstacle_block_equals_rows_one_at_a_time(self):
         rng = np.random.default_rng(22)

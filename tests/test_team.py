@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from swarmseq import agent
-from swarmseq.agent import OBSTACLE_ACTIVATION, Team, TeamRequest, team_rows
+from swarmseq import agent, sim
+from swarmseq.agent import OBSTACLE_ACTIVATION, Team, TeamRequest, TickGraph, team_rows
 from swarmseq.barriers import (
     Collision,
     Connectivity,
@@ -57,25 +57,33 @@ class OwnRequest(NamedTuple):
     initial: tuple
 
 
-def as_team(requests):
-    """The robots' requests as one ``TeamRequest``, robot by robot."""
+def as_team(requests, graph=None):
+    """The robots' requests as one ``TeamRequest``, robot by robot, on a
+    ``TickGraph`` built as ``step`` builds one, or on ``graph``, which must
+    have the same structure."""
     def rows(names):
-        slots, others, where = [], [], []
-        for s, r in enumerate(requests):
+        robots, others, where = [], [], []
+        for r in requests:
             ids, positions = getattr(r, names[0]), getattr(r, names[1])
-            slots += [s] * len(ids)
-            others += ids
+            robots += [r.robot - 1] * len(ids)
+            others += [j - 1 for j in ids]
             where += positions
-        return np.array(slots, dtype=int), np.array(others, dtype=int), np.array(where).reshape(-1, 2)
+        return np.array(robots, dtype=int), np.array(others, dtype=int), np.array(where).reshape(-1, 2)
 
     conn = rows(("partners", "partner_positions"))
     deltas = np.array([r.delta for r in requests for _ in r.partners])
     coll = rows(("colliders", "collider_positions"))
+    initial = tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial)
+    built = TickGraph.of(np.array([r.robot - 1 for r in requests]), (*conn[:2], deltas), coll[:2], initial)
+    if graph is None:
+        graph = built
+    else:
+        assert graph.robots.tolist() == built.robots.tolist() and graph.conn == built.conn
+        assert all(a.tolist() == b.tolist() for a, b in zip((*graph.pairs, graph.slots), (*built.pairs, built.slots)))
+        assert bits(graph.deltas).tolist() == bits(built.deltas).tolist()
+        assert [(s, id(kind)) for s, kind in graph.initial] == [(s, id(kind)) for s, kind in built.initial]
     x = np.array([r.position for r in requests]).reshape(-1, 2)
-    return TeamRequest(
-        np.array([r.robot for r in requests]), x, np.array([r.nominal for r in requests]), conn + (deltas,),
-        coll + (sq_dist(x[coll[0]] - coll[2]),), tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial),
-    )
+    return TeamRequest(graph, x, np.array([r.nominal for r in requests]), np.concatenate((conn[2], coll[2])))
 
 
 def rows_at(kind, params, *positions):
@@ -257,7 +265,8 @@ class TestRowPlan:
 
     def test_every_change_of_structure_gets_its_own_plan(self, monkeypatch):
         # one thing changes at a time; the rows are each robot's own rows
-        # every time, and only an unchanged structure reuses the plan
+        # every time, and only an unchanged graph and activation mask reuse
+        # the plan. A step marked ``same`` keeps the last step's graph
         params = FcbfParams(rho=0.5, gamma=1.3)
         near = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
         # the same active pair as ``near``, with other rows
@@ -267,29 +276,32 @@ class TestRowPlan:
         keep = KeepWithin(2, (1.5, 0.0), 0.8)
         apart, at_margin = x.copy(), x.copy()
         apart[0], at_margin[0] = [2.05, 0.0], [2.0, 0.0]  # robot 1 at h = 3.2025, then at h = 3
-        steps = [  # (requests, min_sep, domain, a new plan)
-            (chain_requests(x), 0.12, near, True),
-            (chain_requests(x + jitter), 0.12, near, False),
-            (chain_requests(x, colliders=([2], [1], [])), 0.12, near, True),
-            (chain_requests(x), 0.12, near, True),
-            (chain_requests(x, delta=0.5 * 0.96), 0.12, near, True),
-            (chain_requests(x), 0.12, near, True),
-            (chain_requests(apart), 0.12, near, True),
-            (chain_requests(at_margin), 0.12, near, True),
-            (chain_requests(x, initial={2: (keep,)}), 0.12, near, True),
-            (chain_requests(x + jitter, initial={2: (keep,)}), 0.12, near, False),
-            (chain_requests(x), 0.12, shifted, True),
-            (chain_requests(x), 0.12, near, True),
-            (chain_requests(x), 0.15, near, True),
-            (chain_requests(x), 0.12, near, True),
-            (chain_requests(x + jitter), 0.12, near, False),
+        steps = [  # (requests, same, min_sep, domain, a new plan)
+            (chain_requests(x), False, 0.12, near, True),
+            (chain_requests(x + jitter), True, 0.12, near, False),
+            (chain_requests(x, colliders=([2], [1], [])), False, 0.12, near, True),
+            (chain_requests(x), False, 0.12, near, True),
+            (chain_requests(x, delta=0.5 * 0.96), False, 0.12, near, True),
+            (chain_requests(x), False, 0.12, near, True),
+            (chain_requests(apart), True, 0.12, near, True),
+            (chain_requests(at_margin), True, 0.12, near, True),
+            (chain_requests(x, initial={2: (keep,)}), False, 0.12, near, True),
+            (chain_requests(x + jitter, initial={2: (keep,)}), True, 0.12, near, False),
+            (chain_requests(x), False, 0.12, shifted, True),
+            (chain_requests(x), True, 0.12, near, True),
+            (chain_requests(x), True, 0.15, near, True),
+            (chain_requests(x), True, 0.12, near, True),
+            (chain_requests(x + jitter), True, 0.12, near, False),
         ]
         assert ObstacleAvoid(1, near.obstacle_stack).value(apart[0]) > OBSTACLE_ACTIVATION
         assert ObstacleAvoid(1, near.obstacle_stack).value(at_margin[0]) == OBSTACLE_ACTIVATION
         built = count_layouts(monkeypatch)
-        for requests, min_sep, domain, new in steps:
+        graph = None
+        for requests, same, min_sep, domain, new in steps:
             before = len(built)
-            team = laid_out(as_team(requests), params, min_sep, domain)
+            request = as_team(requests, graph if same else None)
+            graph = request.graph
+            team = laid_out(request, params, min_sep, domain)
             assert len(built) == before + new
             for s, request in enumerate(requests):
                 assert_own_rows(team, s, request, params, min_sep, domain)
@@ -298,22 +310,110 @@ class TestRowPlan:
         params = FcbfParams()
         domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
         requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
-        first = laid_out(as_team(requests), params, 0.12, domain)
+        request = as_team(requests)
+        first = laid_out(request, params, 0.12, domain)
         QpProblem(np.zeros((3, 2)), first, 0.4)  # writes the box rows
         first.normals[:] = 7.0
         first.offsets[:] = 7.0
-        later = laid_out(as_team(requests), params, 0.12, domain)
+        later = laid_out(request, params, 0.12, domain)
         assert later.normals is not first.normals and later.offsets is not first.offsets
         for s, request in enumerate(requests):
             assert_own_rows(later, s, request, params, 0.12, domain)
         assert not later.normals[:, later.width:].any() and (later.offsets[:, later.width:] == -1.0).all()
 
 
+def ticks_of(scenario, changes, max_ticks=None):
+    """A mission's ticks, one per ``next``, until it is done or capped: each
+    yields the tick's controls, positions, sigma, eta, mode and k as bytes;
+    the last item is the event log."""
+    plan, config = builtin_scenario(scenario)
+    config = replace(config, **changes, max_ticks=max_ticks or config.max_ticks)
+    team, world = Team.start(plan), make_world(plan, config)
+    while world.tick < config.max_ticks and not team.done.all():
+        controls = tick(world, team, plan, config)
+        yield [a.tobytes() for a in (controls, world.positions, team.sigma, team.eta, team.mode, team.k)]
+    yield world.event_log
+
+
+class TestTickGraph:
+    # two_behavior_demo under delay, and securing_a_building, whose rows include obstacles
+    MISSIONS = (("two_behavior_demo", {"delay": DelaySpec.uniform(0, 10)}, None), ("securing_a_building", {}, 300))
+
+    def test_interleaved_missions_keep_their_bytes_and_their_plans(self, monkeypatch):
+        # each team keeps its own graph and plan: two missions ticked in
+        # turn in one process give each its solo outputs and build no more
+        # plans than the two solo runs
+        built = count_layouts(monkeypatch)
+        solo, solo_plans = [], 0
+        for mission in self.MISSIONS:
+            before = len(built)
+            solo.append(list(ticks_of(*mission)))
+            solo_plans += len(built) - before
+        before = len(built)
+        runs = [ticks_of(*mission) for mission in self.MISSIONS]
+        together = [[], []]
+        while runs[0] is not None or runs[1] is not None:
+            for m, ticks in enumerate(runs):
+                if ticks is not None:
+                    item = next(ticks, None)
+                    if item is None:
+                        runs[m] = None
+                    else:
+                        together[m].append(item)
+        assert len(solo[0]) > len(solo[1]) == 301
+        assert together == solo
+        assert len(built) - before == solo_plans
+
+    @pytest.mark.parametrize("scenario, changes, max_ticks", [
+        ("two_behavior_demo", {"oracle_sensing": False, "delay": DelaySpec.uniform(0, 10)}, None),
+        ("securing_a_building", {}, 1300),
+    ])
+    def test_the_graph_is_built_exactly_when_the_stage_or_a_mask_changes(self, monkeypatch, scenario, changes,
+                                                                          max_ticks):
+        # a tick builds one graph when its sensed or known mask differs from
+        # the last tick's, and one more when a robot's stage switches in it
+        plan, config = builtin_scenario(scenario)
+        config = replace(config, **changes, max_ticks=max_ticks or config.max_ticks)
+        team, world = Team.start(plan), make_world(plan, config)
+        builds, real_of, real_step = [], TickGraph.of.__func__, agent.step
+
+        def counted_of(cls, *args, **kwargs):
+            builds[-1] += 1
+            return real_of(cls, *args, **kwargs)
+
+        expected, causes, last = [], {"stage": 0, "sensed": 0, "known": 0}, [None, None]
+
+        def observed(team, world, inbox, plan, config):
+            stage = team.k.tobytes(), team.mode.tobytes()
+            request, events = real_step(team, world, inbox, plan, config)
+            known = team.cache.view(world.positions, world.sensed, config.oracle_sensing)[1]
+            masks = [world.sensed.tobytes(), known.tobytes()]
+            sensed, known = masks[0] != last[0], masks[1] != last[1]
+            switched = stage != (team.k.tobytes(), team.mode.tobytes())
+            expected.append((sensed or known) + switched)
+            if world.tick:
+                causes["stage"] += switched
+                causes["sensed"] += sensed
+                causes["known"] += known and not sensed
+            last[:] = masks
+            return request, events
+
+        monkeypatch.setattr(TickGraph, "of", classmethod(counted_of))
+        monkeypatch.setattr(sim, "step", observed)
+        while world.tick < config.max_ticks and not team.done.all():
+            builds.append(0)
+            tick(world, team, plan, config)
+        assert builds == expected
+        assert 0 < sum(builds) < len(builds) / 2
+        assert causes["stage"] and causes["sensed"]
+        assert bool(causes["known"]) == (not config.oracle_sensing)
+
+
 def own_requests(request):
-    """Each slot of a ``TeamRequest`` as the robot's own request; its
-    collision rows see positions only, not the request's squared distances."""
-    slot, partners, seen, deltas = request.conn
-    coll_slot, colliders, collider_seen, _ = request.coll
+    """Each slot of a ``TeamRequest`` as the robot's own request."""
+    graph, m = request.graph, request.graph.conn
+    slot, partners, seen, deltas = graph.slots[:m], graph.pairs[1][:m] + 1, request.seen[:m], graph.deltas
+    coll_slot, colliders, collider_seen = graph.slots[m:], graph.pairs[1][m:] + 1, request.seen[m:]
     requests = []
     for s, robot in enumerate(request.robots.tolist()):
         mine, close = slot == s, coll_slot == s
@@ -321,7 +421,7 @@ def own_requests(request):
         requests.append(OwnRequest(
             robot, request.position[s], request.nominal[s], float(deltas[mine][0]) if mine.any() else 0.5,
             partners[mine].tolist(), list(seen[mine]), colliders[close].tolist(), list(collider_seen[close]),
-            tuple(kind for t, kind in request.initial if t == s),
+            tuple(kind for t, kind in graph.initial if t == s),
         ))
     return requests
 
@@ -333,9 +433,9 @@ class TestOneTablePerTick:
     ])
     def test_every_tick_senses_once_and_gets_each_robots_own_rows(self, monkeypatch, scenario, changes):
         # the world's mask and squared distances are the proximity graph's and
-        # every pair's own; the rows built from them (collision values from
-        # the table, obstacle values from the activation test) are each
-        # robot's own rows, across plan rebuilds
+        # every pair's own; the rows built on them (collision values from the
+        # sensed positions, obstacle values from the activation test) are
+        # each robot's own rows, across graph and plan rebuilds
         plan, config = builtin_scenario(scenario)
         config = replace(config, **changes)
         built, kinds, real = count_layouts(monkeypatch), set(), agent.team_rows
