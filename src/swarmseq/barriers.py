@@ -138,7 +138,7 @@ class Connectivity(_Pairwise):
     hard = False
     s = -1.0
 
-    @property
+    @functools.cached_property
     def c(self):
         # libm's pow (float_power), as Python's delta**2, also for a per-row
         # delta array, where numpy's ** 2 would multiply
@@ -179,9 +179,10 @@ class PairStack(_Pairwise):
     def of(cls, kinds):
         """The barriers of the pairwise ``kinds``, kind by kind, each a stack
         over id arrays i and j."""
-        parts = [np.broadcast_arrays(k.i, k.j, k.c, k.s, k.hard) for k in kinds]
-        i, j, c, s, hard = (np.concatenate(a) for a in zip(*parts))
-        return cls(i, j, c, s, hard, tuple(type(k) for k, p in zip(kinds, parts) for _ in p[0]))
+        sizes = [np.broadcast(k.i, k.j).size for k in kinds]
+        i, j, c, s, hard = (np.concatenate([np.full(n, getattr(k, f)) for k, n in zip(kinds, sizes)])
+                            for f in ("i", "j", "c", "s", "hard"))
+        return cls(i, j, c, s, hard, sum(((type(k),) * n for k, n in zip(kinds, sizes)), ()))
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,20 @@ class TestStep:
         with pytest.raises(AgentError):
             step(team, snapshot(0, plan), inbox(plan), plan, CONFIG)
 
+    def test_a_required_neighbor_fails_every_step_from_the_tick_its_position_expires(self):
+        # robots 1 and 2 out of range with the oracle off: each knows the
+        # other from one message until it expires, on tick 6; the step of
+        # tick 7 reads the same masks as tick 6's and fails as well
+        plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(1e6))], [(0.0, 0.0), (0.9, 0.0)])
+        team = team_in(plan, EXECUTING)
+        config = replace(CONFIG, oracle_sensing=False, staleness_ticks=5)
+        step(team, snapshot(0, plan), inbox(plan, (1, 2, (0.9, 0.0)), (2, 1, (0.0, 0.0))), plan, config)
+        for t in range(1, 6):
+            step(team, snapshot(t, plan), inbox(plan), plan, config)
+        for t in (6, 7):
+            with pytest.raises(AgentError, match=r"robot 1: .* required neighbors \[2\]"):
+                step(team, snapshot(t, plan), inbox(plan), plan, config)
+
     def test_stale_cache_entries_expire(self):
         plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(1e6))], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
