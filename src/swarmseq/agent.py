@@ -456,8 +456,9 @@ class RowPlan(NamedTuple):
     initial constraint (None). Each robot's rows come in the order of its
     own constraint set (connectivity, collision, obstacle, initial
     constraints). ``slots`` is every row's robot slot and ``flat`` its flat
-    index in the layout, call by call, and ``template`` a read-only layout
-    with the pad rows, the hard mask and each row's identity, which only the
+    index in the layout, call by call, so a row's kind and other robot or
+    obstacle in ``calls`` name the layout cell at ``flat``. ``template`` is
+    a read-only layout with the pad rows and the hard mask, which only the
     plan builds. A plan serves the ticks whose activation mask has the bytes
     ``active`` (None without obstacles) and whose ``min_sep`` and obstacle
     ``stack`` are its own objects.
@@ -471,10 +472,10 @@ class RowPlan(NamedTuple):
     flat: np.ndarray
     template: RowLayout
 
-    @staticmethod
-    def calls_of(graph, active, min_sep, stack):
-        """The barrier kinds of a graph's rows whose activation mask is
-        ``active``, with their slots and value sources."""
+    @classmethod
+    def of(cls, graph, active, min_sep, stack):
+        """The plan of a graph's rows whose activation mask is ``active``
+        (None without obstacles)."""
         ids, p, m, slots = graph.robots, graph.pairs[1], graph.conn, graph.slots
         calls = []
         if len(slots):
@@ -483,13 +484,8 @@ class RowPlan(NamedTuple):
         if active is not None and active.any():
             slot, m = active.nonzero()
             calls.append((ObstacleAvoid(ids[slot], stack, m + 1), slot, "obst"))
-        return calls + [(kind, s, None) for s, kind in graph.initial]
-
-    @classmethod
-    def of(cls, active, min_sep, stack, robots, calls, blocks):
-        """The plan of ``calls``; ``blocks`` are their rows, which the
-        template takes with each row's identity."""
-        counts = np.zeros(len(robots), dtype=int)
+        calls += [(kind, s, None) for s, kind in graph.initial]
+        counts = np.zeros(len(ids), dtype=int)
         cells = []  # (robot slots, columns) per call
         for _, slot, _ in calls:
             slot = np.atleast_1d(slot)
@@ -499,21 +495,21 @@ class RowPlan(NamedTuple):
             rank[order] = np.arange(len(slot)) - slot[order].searchsorted(slot[order])
             cells.append((slot, counts[slot] + rank))
             counts += np.bincount(slot, minlength=len(counts))
-        template = RowLayout.empty(robots.copy(), counts)
-        for (slot, column), (kind, _, _), block in zip(cells, calls, blocks):
-            template.place(slot, column, block.named(kind))
+        template = RowLayout.empty(ids.copy(), counts)
+        for (slot, column), (kind, _, _) in zip(cells, calls):
+            template.hard[slot, column] = kind.hard
         none = np.empty(0, dtype=int)
         slots, columns = (np.concatenate(c) for c in zip(*cells)) if cells else (none, none)
         flat = slots * template.offsets.shape[1] + columns
         for a in (slots, flat, template.robots, template.counts, template.normals, template.offsets, template.hard):
             a.flags.writeable = False
-        return cls(active, min_sep, stack, calls, slots, flat, template)
+        return cls(None if active is None else active.tobytes(), min_sep, stack, calls, slots, flat, template)
 
     def fill(self, normals, offsets):
         """A fresh layout of the template with the rows of the plan's calls,
         flat in call order; the template is left as it is."""
         t = self.template
-        layout = RowLayout(t.robots, t.counts, t.normals.copy(), t.offsets.copy(), t.hard, t.placed)
+        layout = RowLayout(t.robots, t.counts, t.normals.copy(), t.offsets.copy(), t.hard)
         layout.normals.reshape(-1, 2)[self.flat] = normals
         layout.offsets.reshape(-1)[self.flat] = offsets
         return layout
@@ -524,15 +520,14 @@ def team_rows(request, params, min_sep, domain):
     (plan, normals (R, 2), offsets (R,)), row k a row of the robot at slot
     ``plan.slots[k]``; ``plan.fill(normals, offsets)`` is the solver's layout.
 
-    Each ``constraint_row`` call builds the rows of one barrier kind for the
-    whole team, the connectivity and collision rows one pairwise stack, and
-    each row goes to its robot's layout row in the order of the robot's own
-    constraint set (connectivity, collision, obstacle, initial constraints),
-    bit for bit the row of the robot's own one-robot stack. Obstacle rows take
-    the activation test's values, for the pairs inside its margin only. The
-    kinds, each row's place and identity come from the plan, which the
-    request's ``TickGraph`` keeps until the activation mask, ``min_sep`` or
-    the obstacle stack changes.
+    Each ``constraint_row`` call of the plan builds the rows of one barrier
+    kind for the whole team, the connectivity and collision rows one pairwise
+    stack, and each row goes to its robot's layout row in the order of the
+    robot's own constraint set (connectivity, collision, obstacle, initial
+    constraints), bit for bit the row of the robot's own one-robot stack.
+    Obstacle rows take the activation test's values, for the pairs inside its
+    margin only. The request's ``TickGraph`` keeps the plan until the
+    activation mask, ``min_sep`` or the obstacle stack changes.
     """
     graph, x = request.graph, request.position
     stack, active, near, key = None, None, None, None
@@ -544,15 +539,13 @@ def team_rows(request, params, min_sep, domain):
         active = h <= OBSTACLE_ACTIVATION
         near, key = h[active], active.tobytes()
     plan = graph.plan
-    fresh = plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack
-    calls = RowPlan.calls_of(graph, active, min_sep, stack) if fresh else plan.calls
+    if plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack:
+        plan = graph.plan = RowPlan.of(graph, active, min_sep, stack)
     blocks = []
-    for kind, slot, source in calls:
+    for kind, slot, source in plan.calls:
         positions = (x[slot], request.seen) if source == "pairs" else (x[slot],)
         h = near if source == "obst" else kind.value(*positions)
         blocks.append(constraint_row(kind, params, h, *positions))
-    if fresh:
-        plan = graph.plan = RowPlan.of(key, min_sep, stack, graph.robots, calls, blocks)
     if not blocks:
         return plan, np.empty((0, 2)), np.empty(0)
     return plan, np.concatenate([b.normals for b in blocks]), np.concatenate([b.offsets for b in blocks])

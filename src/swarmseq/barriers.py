@@ -20,7 +20,8 @@ pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
 stack. Every barrier squares distances with ``sq_dist`` (``at_sq_dist``
 takes them as given). ``constraint_row`` turns one such stack's values into a
 ``RowBlock``, one row per barrier; a stack whose ``i`` is an array of robots
-gives a team's rows, which ``qp.RowLayout`` places robot by robot.
+gives a team's rows, which ``agent.RowPlan`` places robot by robot. A row
+carries only its numbers: which barrier it is, the plan's calls say.
 
 Connectivity and collision are one pairwise form, h = c + s |x_i - x_j|^2
 with gradient 2 s (x_i - x_j): connectivity is c = delta^2, s = -1 and
@@ -31,7 +32,7 @@ collision c = -min_sep^2, s = +1. So a team's rows of both kinds are one
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,25 +165,23 @@ class Collision(_Pairwise):
 @dataclass(frozen=True)
 class PairStack(_Pairwise):
     """Pairwise barriers of several kinds as one stack: barrier r has its own
-    ``c[r]``, ``s[r]`` and ``hard[r]``, and ``kinds[r]`` is its kind's class.
-    Scaling by s = +-1 is exact, and a + (-b) is a - b, so each barrier's
-    value and gradient are its kind's own bit for bit."""
+    ``c[r]``, ``s[r]`` and ``hard[r]``. Scaling by s = +-1 is exact, and
+    a + (-b) is a - b, so each barrier's value and gradient are its kind's
+    own bit for bit."""
 
     i: np.ndarray
     j: np.ndarray
     c: np.ndarray
     s: np.ndarray
     hard: np.ndarray
-    kinds: tuple
 
     @classmethod
     def of(cls, kinds):
         """The barriers of the pairwise ``kinds``, kind by kind, each a stack
         over id arrays i and j."""
         sizes = [np.broadcast(k.i, k.j).size for k in kinds]
-        i, j, c, s, hard = (np.concatenate([np.full(n, getattr(k, f)) for k, n in zip(kinds, sizes)])
-                            for f in ("i", "j", "c", "s", "hard"))
-        return cls(i, j, c, s, hard, sum(((type(k),) * n for k, n in zip(kinds, sizes)), ()))
+        return cls(*(np.concatenate([np.full(n, getattr(k, f)) for k, n in zip(kinds, sizes)])
+                     for f in ("i", "j", "c", "s", "hard")))
 
 
 @dataclass(frozen=True)
@@ -250,55 +249,19 @@ class KeepWithin:
 
 @dataclass(frozen=True)
 class RowBlock:
-    """Rows normals[r] . u >= offsets[r] on one robot's input, as arrays
+    """Rows normals[r] . u >= offsets[r] on one robot's input, or on the
+    inputs of a team's stack (row r on robot ``kind.i[r]``'s), as arrays
     normals (k, 2), offsets (k,) and the hard mask (k,), or one flag for the
-    rows of one barrier kind; once ``named``, with each row's identity: its
-    barrier class ``kinds[r]``, and ``others[r]``, the other robot of a
-    pairwise barrier, else the row's 1-based index in its kind's stack (the
-    obstacle index for ``Domain.obstacle_stack``).
+    rows of one barrier kind."""
 
-    ``robot`` is the robot whose input the rows act on; for a team's stack it
-    is the kind's ``i`` as given (``qp.RowLayout`` places each row).
-    """
-
-    robot: int
     normals: np.ndarray
     offsets: np.ndarray
     hard: np.ndarray
-    others: np.ndarray = None
-    kinds: tuple = None
-
-    def __len__(self):
-        return len(self.offsets)
-
-    def named(self, kind):
-        """These rows, ``kind``'s over a stack of one axis, with each row's identity."""
-        j = getattr(kind, "j", getattr(kind, "index", None))
-        others = np.array(np.broadcast_to(np.arange(1, len(self) + 1) if j is None else j, len(self)), dtype=int)
-        return replace(self, others=others, kinds=getattr(kind, "kinds", (type(kind),) * len(self)))
-
-    def take(self, index):
-        """The rows at ``index`` (an integer array), in that order."""
-        hard = self.hard if np.ndim(self.hard) == 0 else self.hard[index]
-        identity = () if self.kinds is None else (self.others[index], tuple(self.kinds[k] for k in index))
-        return RowBlock(self.robot, self.normals[index], self.offsets[index], hard, *identity)
-
-    @classmethod
-    def concat(cls, blocks):
-        """The rows of a sequence of blocks, in order; all must be one robot's."""
-        robots = {b.robot for b in blocks}
-        if len(robots) > 1:
-            raise ValueError(f"rows reference multiple robots: {sorted(robots)}")
-        named = all(b.kinds is not None for b in blocks)
-        blocks = [cls(0, np.empty((0, 2)), np.empty(0), np.empty(0, bool), np.empty(0, int), ()), *blocks]
-        arrays = zip(*((b.normals, b.offsets, np.broadcast_to(b.hard, len(b))) for b in blocks))
-        identity = (np.concatenate([b.others for b in blocks]), sum((b.kinds for b in blocks), ())) if named else ()
-        return cls(next(iter(robots), 0), *map(np.concatenate, arrays), *identity)
 
 
 def constraint_row(kind, params, h, *positions):
     """Rows (dh/dx_i) . u_i >= -share * rate(h) on the input of robot
-    ``kind.i``, one per barrier of the kind's stack, in C order, unnamed.
+    ``kind.i``, one per barrier of the kind's stack, in C order.
 
     ``h`` holds the barriers' values at ``positions`` as an array (``kind.value``
     of them, or the same numbers from an earlier pass). ``positions`` are x_i,
@@ -307,5 +270,4 @@ def constraint_row(kind, params, h, *positions):
     broadcasting against the barrier values.
     """
     k = h.size
-    return RowBlock(kind.i, kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h.reshape(k), params),
-                    kind.hard)
+    return RowBlock(kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h.reshape(k), params), kind.hard)

@@ -1,6 +1,6 @@
 """Minimally invasive control filter: project nominal inputs onto barrier rows.
 
-Solves, for one robot or for every robot of a team,
+Solves, for every robot of a team,
 
     minimize    |u_hat - u|^2
     subject to  a_r . u >= b_r   for every constraint row r of the robot
@@ -22,10 +22,11 @@ layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
 bind, up to the team's largest row count, then the four speed-box rows. The
 padding happens when the rows are assembled (``agent.RowPlan.fill`` writes
 each row straight into its place), so the solver neither gathers nor pads.
+A layout holds numbers only; which barrier each row is, the row plan says.
 ``quiet`` runs the first stage on a team's rows before they are laid out,
 flat. Every dot product is written out as a0*x0 + a1*x1, so a robot's answer
 is bitwise the same in any team. ``oracle_solve`` independently enumerates the
-active sets of one robot's problem; tests require the two to agree to 1e-6.
+active sets of a team of one robot; tests require the two to agree to 1e-6.
 
 A robot with no feasible candidate is re-solved with quadratically penalized
 slacks on its soft rows; hard rows (collision, obstacle) and the speed box
@@ -42,12 +43,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-from .barriers import RowBlock
 
 SLACK_PENALTY = 1e4
 MAX_ROWS = 64  # per robot; desk-scale cap
@@ -69,8 +68,7 @@ class RowLayout:
     ``normals`` (n, width + 4, 2) and ``offsets`` (n, width + 4), pad rows
     0 . u >= -1 the columns up to ``width``, the largest count, and the speed
     box, which ``QpProblem`` writes, the last four. ``hard`` marks the rows a
-    relaxation keeps: hard rows, pad rows and the box. Each row's identity
-    stays with the named blocks placed, and ``block`` reads it back.
+    relaxation keeps: hard rows, pad rows and the box.
     """
 
     robots: np.ndarray
@@ -78,39 +76,12 @@ class RowLayout:
     normals: np.ndarray
     offsets: np.ndarray
     hard: np.ndarray
-    placed: list = field(default_factory=list, repr=False)  # (slots, columns, block)
 
     @classmethod
     def empty(cls, robots, counts):
         """A layout of pad rows only, for ``counts[r]`` rows of ``robots[r]``."""
         shape = (len(counts), int(counts.max(initial=0)) + 4)
         return cls(robots, counts, np.zeros(shape + (2,)), np.full(shape, -1.0), np.ones(shape, dtype=bool))
-
-    @classmethod
-    def of(cls, blocks):
-        """One robot's rows per block, robot by robot."""
-        layout = cls.empty(np.array([b.robot for b in blocks], dtype=int),
-                           np.array([len(b) for b in blocks], dtype=int))
-        for r, b in enumerate(blocks):
-            layout.place(np.full(len(b), r), np.arange(len(b)), b)
-        return layout
-
-    def place(self, slots, columns, block):
-        """Write ``block``'s rows into the layout, row k at (slots[k], columns[k])."""
-        self.normals[slots, columns] = block.normals
-        self.offsets[slots, columns] = block.offsets
-        self.hard[slots, columns] = block.hard
-        self.placed.append((slots, columns, block))
-
-    def block(self, r):
-        """The rows of the layout's robot r, with their identity, as a ``RowBlock``."""
-        m = self.counts[r]
-        kinds, others = [None] * m, np.zeros(m, dtype=int)
-        for slots, columns, placed in self.placed:
-            for k in np.flatnonzero(np.equal(slots, r)) if placed.kinds is not None else ():
-                kinds[columns[k]], others[columns[k]] = placed.kinds[k], placed.others[k]
-        return RowBlock(int(self.robots[r]), self.normals[r, :m], self.offsets[r, :m], self.hard[r, :m],
-                        others, tuple(kinds))
 
     @property
     def width(self):
@@ -123,9 +94,8 @@ class RowLayout:
 @dataclass(frozen=True)
 class QpProblem:
     """A team's QPs: ``rows`` a ``RowLayout`` and ``nominal`` (n, 2), each
-    robot's input; or one robot's: ``nominal`` (2,) and ``rows`` one
-    ``RowBlock`` or a sequence of them, laid out as a team of one.
-    Coefficients must be finite, and no robot may have more than MAX_ROWS rows.
+    robot's input. Coefficients must be finite, and no robot may have more
+    than MAX_ROWS rows.
     """
 
     nominal: np.ndarray
@@ -133,17 +103,13 @@ class QpProblem:
     speed_limit: float
 
     def __post_init__(self):
-        nom = np.asarray(self.nominal, dtype=float)
-        rows = self.rows
-        if not isinstance(rows, RowLayout):  # one robot's blocks, laid out as a team of one
-            rows = RowLayout.of([rows if isinstance(rows, RowBlock) else RowBlock.concat(rows)])
+        nom, rows = np.asarray(self.nominal, dtype=float), self.rows
         width = rows.width
-        _check(nom, (len(rows.counts), 2) if rows is self.rows else (2,), self.speed_limit, width)
+        _check(nom, (len(rows.counts), 2), self.speed_limit, width)
         rows.normals[:, width:] = _BOX_NORMALS
         rows.offsets[:, width:] = -self.speed_limit
         _check_rows(rows.normals, rows.offsets, self.speed_limit)
         object.__setattr__(self, "nominal", nom)
-        object.__setattr__(self, "rows", rows)
 
 
 def _check(nominal, shape, speed_limit, width):
@@ -168,7 +134,7 @@ def _check_rows(normals, offsets, speed_limit):
 class QpSolution:
     """The solution of a ``QpProblem``, shaped like it.
 
-    ``u`` is (n, 2) for a team and (2,) for one robot. ``multipliers`` and
+    ``u`` is (n, 2), each robot's input. ``multipliers`` and
     ``slacks`` are shaped like the layout's offsets, (n, width + 4): every
     row's multiplier, the speed box's in the last four columns, and every
     soft row's slack, zero on the other rows. ``statuses`` has one status per
@@ -180,12 +146,6 @@ class QpSolution:
     statuses: tuple
     multipliers: np.ndarray
     slacks: np.ndarray
-
-
-def _stack(problem, include_soft=True):
-    """A one-robot problem's rows, then its box, as (normals, offsets)."""
-    keep = slice(None) if include_soft else problem.rows.hard[0]
-    return problem.rows.normals[0, keep], problem.rows.offsets[0, keep]
 
 
 @functools.lru_cache(maxsize=16)
@@ -214,7 +174,7 @@ def _project(u, normals, offsets):
             todo = (~found).nonzero()[0]
             if not len(todo):
                 break
-            uu, a0_, a1_, b, s, v = (w.take(todo, axis=0) for w in (u, a0, a1, offsets, slack, viol))
+            uu, a0_, a1_, b, s, v = (w[todo] for w in (u, a0, a1, offsets, slack, viol))
             ok, x0, x1, rows, lams = stage(uu, a0_, a1_, b, s, v)
             # the feasible candidate nearest the nominal, the first on ties;
             # feasibility is checked on the candidates still ok only
@@ -225,12 +185,11 @@ def _project(u, normals, offsets):
             d0, d1 = x0 - uu[:, :1], x1 - uu[:, 1:]
             obj = np.where(ok, d0 * d0 + d1 * d1, np.inf)
             best = obj.argmin(axis=1)
-            flat = best + np.arange(0, obj.size, obj.shape[1])
-            won = obj.take(flat) < np.inf
-            r, flat, best = todo[won], flat[won], best[won]
-            x[r, 0], x[r, 1] = x0.take(flat), x1.take(flat)
+            i = (obj[np.arange(len(best)), best] < np.inf).nonzero()[0]
+            r, best = todo[i], best[i]
+            x[r, 0], x[r, 1] = x0[i, best], x1[i, best]
             for k, lam_k in zip(rows, lams):
-                lam[r, k.take(best)] = np.maximum(lam_k.take(flat), 0.0)
+                lam[r, k[best]] = np.maximum(lam_k[i, best], 0.0)
             found[r] = True
     return found, x, lam
 
@@ -300,9 +259,7 @@ def solve(problem):
     rows (``relaxed``), or a zero input with status ``infeasible_hard`` when
     even its hard rows admit no input.
     """
-    rows = problem.rows
-    nominal = problem.nominal.reshape(-1, 2)
-
+    rows, nominal = problem.rows, problem.nominal
     found, u, lam = _project(nominal, rows.normals, rows.offsets)
     statuses = np.full(len(nominal), "optimal", dtype=object)
     slacks = np.zeros(rows.hard.shape)
@@ -313,7 +270,7 @@ def solve(problem):
     statuses = tuple(statuses.tolist())
 
     return QpSolution(
-        u=u[0] if problem.nominal.ndim == 1 else u,
+        u=u,
         status=next((s for s in _STATUSES if s in statuses), "optimal"),
         statuses=statuses,
         multipliers=lam,
@@ -463,8 +420,8 @@ def _penalized(nominal, terms, pattern, normals, offsets):
 
 
 def kkt_residuals(problem, solution):
-    """Stationarity, dual-feasibility, and complementarity residuals of one
-    robot's problem.
+    """Stationarity, dual-feasibility, and complementarity residuals of the
+    problem of a team of one robot (``ValueError`` for a larger team).
 
     For status ``relaxed`` the checked optimality system is that of the
     slack-extended problem: soft rows are credited their reported slack, so
@@ -473,13 +430,12 @@ def kkt_residuals(problem, solution):
     so the large penalty multipliers of relaxed rows do not inflate a
     machine-precision residual.
     """
-    u = solution.u
-    normals, offsets = _stack(problem)
-    lam = solution.multipliers[0]
+    normals, offsets, _, nominal = _one_robot(problem)
+    u, lam = solution.u[0], solution.multipliers[0]
     resid = normals @ u - offsets
     if solution.status == "relaxed":
         resid += solution.slacks[0]
-    grad = u - problem.nominal - lam @ normals
+    grad = u - nominal - lam @ normals
     return {
         "stationarity": float(np.max(np.abs(grad))),
         "primal": max(0.0, float(np.max(-resid))),
@@ -488,37 +444,47 @@ def kkt_residuals(problem, solution):
     }
 
 
+def _one_robot(problem):
+    """The one robot's row of a team of one, every column (its rows, pad
+    rows and the box), as (normals, offsets, hard, nominal)."""
+    rows = problem.rows
+    if len(rows.counts) != 1:
+        raise ValueError(f"expected one robot's problem, got a team of {len(rows.counts)}")
+    return rows.normals[0], rows.offsets[0], rows.hard[0], problem.nominal[0]
+
+
 def oracle_solve(problem):
-    """Active-set enumeration reference solver, exact up to floating point.
+    """Active-set enumeration reference solver, exact up to floating point,
+    for the problem of a team of one robot (``ValueError`` for a larger team).
 
     Candidate active sets of size at most two suffice in the plane: at the
     optimum, u* - u_hat lies in the cone of the active normals, and any
     vector in a finitely generated cone in R^2 is a nonnegative combination
     of at most two generators.
     """
-    rows = problem.rows.block(0)
-    nrows = len(rows)
+    normals, offsets, hard, _ = _one_robot(problem)
+    nrows = int(problem.rows.counts[0])
     if nrows > 12:
         raise ValueError(f"oracle enumeration capped at 12 rows, got {nrows}")
 
-    soft = np.flatnonzero(~rows.hard)
-    lam = np.zeros((1, nrows + 4))
-    slacks = np.zeros((1, nrows + 4))
+    soft = np.flatnonzero(~hard)
+    lam = np.zeros((1, len(offsets)))
+    slacks = np.zeros((1, len(offsets)))
     cand = _enumerate(problem, relax=False)
     if cand is not None:
         u, lam[0] = cand
-        return QpSolution(u, "optimal", ("optimal",), lam, slacks)
+        return QpSolution(u[None], "optimal", ("optimal",), lam, slacks)
 
     cand = _enumerate(problem, relax=True)
     if cand is None:
         # the frozen robot's input is zero
-        slacks[0, soft] = np.maximum(0.0, rows.offsets[soft])
-        return QpSolution(np.zeros(2), "infeasible_hard", ("infeasible_hard",), lam, slacks)
+        slacks[0, soft] = np.maximum(0.0, offsets[soft])
+        return QpSolution(np.zeros((1, 2)), "infeasible_hard", ("infeasible_hard",), lam, slacks)
 
-    u, lam[0, problem.rows.hard[0]] = cand
-    slacks[0, soft] = np.maximum(0.0, rows.offsets[soft] - rows.normals[soft] @ u)
+    u, lam[0, hard] = cand
+    slacks[0, soft] = np.maximum(0.0, offsets[soft] - normals[soft] @ u)
     lam[0, soft] = SLACK_PENALTY * slacks[0, soft]
-    return QpSolution(u, "relaxed", ("relaxed",), lam, slacks)
+    return QpSolution(u[None], "relaxed", ("relaxed",), lam, slacks)
 
 
 def _enumerate(problem, relax):
@@ -536,17 +502,17 @@ def _enumerate(problem, relax):
     when no candidate is feasible.
     """
     w = SLACK_PENALTY
-    rows = problem.rows.block(0)
-    soft = ~rows.hard if relax else np.zeros(len(rows), dtype=bool)
-    soft_normals, soft_offsets = rows.normals[soft], rows.offsets[soft]
-    normals, offsets = _stack(problem, include_soft=not relax)
+    all_normals, all_offsets, hard, nominal = _one_robot(problem)
+    soft = ~hard if relax else np.zeros(len(hard), dtype=bool)
+    soft_normals, soft_offsets = all_normals[soft], all_offsets[soft]
+    normals, offsets = all_normals[~soft], all_offsets[~soft]
     m, ns = len(normals), len(soft_offsets)
     subsets = [[], *map(list, combinations(range(m), 1)), *map(list, combinations(range(m), 2))]
     best = None
     for mask in range(1 << ns):
         pattern = np.array([mask >> s & 1 for s in range(ns)], dtype=bool)
         hess = np.eye(2) + w * soft_normals[pattern].T @ soft_normals[pattern]
-        lin = problem.nominal + w * soft_offsets[pattern] @ soft_normals[pattern]
+        lin = nominal + w * soft_offsets[pattern] @ soft_normals[pattern]
         for sub in subsets:
             nmat = normals[sub].reshape(len(sub), 2)
             kkt = np.zeros((2 + len(sub), 2 + len(sub)))
@@ -561,7 +527,7 @@ def _enumerate(problem, relax):
                     or np.where(pattern, over < -1e-8, over > 1e-8).any()):
                 continue
             over = np.maximum(over, 0.0)
-            obj = float((u - problem.nominal) @ (u - problem.nominal) + w * over @ over)
+            obj = float((u - nominal) @ (u - nominal) + w * over @ over)
             if best is None or obj < best[0] - 1e-15:
                 lam = np.zeros(m)
                 lam[sub] = np.maximum(mu, 0.0)

@@ -121,7 +121,6 @@ class WorldState:
     tick: int
     positions: np.ndarray  # (n, 2)
     sensed: np.ndarray  # (n, n) bool: the pairs in sensing range
-    sq_dist: np.ndarray  # (n, n): every pair's squared distance
     in_flight: InFlight
     event_log: list
     # the delays of the broadcasts of ticks delay_from, delay_from + 1, ...,
@@ -175,9 +174,8 @@ def _delays(world, n, config):
 
 def make_world(plan, config):
     positions = plan.initial_positions.copy()
-    graph = proximity_graph(positions, plan.delta)
     in_flight = InFlight(plan.n, config.delay.max_ticks, config.max_ticks)
-    return WorldState(0, positions, graph.mask, graph.sq_dist, in_flight, [])
+    return WorldState(0, positions, proximity_graph(positions, plan.delta).mask, in_flight, [])
 
 
 def tick(world, team, plan, config):
@@ -204,8 +202,7 @@ def tick(world, team, plan, config):
 
     np.clip(controls, -config.speed_limit, config.speed_limit, out=controls)
     world.positions = x + config.dt * controls
-    graph = proximity_graph(world.positions, plan.delta)
-    world.sensed, world.sq_dist = graph.mask, graph.sq_dist
+    world.sensed = proximity_graph(world.positions, plan.delta).mask
     # no draws under a zero delay: every draw on 0..0 is 0
     delays = _delays(world, plan.n, config) if config.delay.max_ticks else 0
     world.in_flight.post(t, delays, sensed, x, team.sigma, team.eta, team.k)

@@ -25,7 +25,7 @@ from swarmseq.geometry import (
 )
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.behaviors import ElapsedTime, Scatter
-from swarmseq.qp import QpProblem, kkt_residuals, oracle_solve, solve
+from swarmseq.qp import kkt_residuals, oracle_solve, solve
 from swarmseq.sim import (
     DelaySpec,
     SimConfig,
@@ -35,6 +35,7 @@ from swarmseq.sim import (
     write_outputs,
 )
 from test_bench_hooks import digest
+from test_qp import one_robot
 
 # sha256 of the whole securing_a_building run's CSV set and event log, as
 # test_bench_hooks.digest computes it. A change that alters the arithmetic on
@@ -194,8 +195,7 @@ def test_criterion_3_qp_oracle_equivalence():
             normals[r] = a / np.linalg.norm(a) * rng.uniform(0.3, 3.0)
             offsets[r] = rng.uniform(-1, 1)
             hard[r] = rng.random() < 0.4
-        rows = RowBlock(1, normals, offsets, hard, np.zeros(m, dtype=int), (None,) * m)
-        problem = QpProblem(nominal, rows, float(rng.uniform(0.3, 2.0)))
+        problem = one_robot(nominal, RowBlock(normals, offsets, hard), float(rng.uniform(0.3, 2.0)))
         got = solve(problem)
         ref = oracle_solve(problem)
         assert got.status == ref.status

@@ -24,6 +24,7 @@ from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
 from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import DelaySpec, InFlight, SimConfig, WorldState, make_world, tick
+from test_team import row_identity
 
 
 def bits(a):
@@ -119,8 +120,7 @@ def plan_of(specs, positions, delta=0.5):
 def snapshot(t, plan):
     """The world on tick t with every robot at its initial position."""
     x = plan.initial_positions.copy()
-    graph = proximity_graph(x, plan.delta)
-    return WorldState(t, x, graph.mask, graph.sq_dist, InFlight(plan.n, 0, 1), [])
+    return WorldState(t, x, proximity_graph(x, plan.delta).mask, InFlight(plan.n, 0, 1), [])
 
 
 def team_in(plan, mode, k=1):
@@ -234,9 +234,8 @@ class TestStep:
         graph = request.graph
         slots, partners = graph.slots[:graph.conn], graph.pairs[1][:graph.conn] + 1
         assert request.robots.tolist() == [1, 2, 3] and partners[slots == 0].tolist() == [3, 2]
-        row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
-        mine = row_plan.fill(normals, offsets).block(0)
-        conn_partners = {j for kind, j in zip(mine.kinds, mine.others.tolist()) if kind is Connectivity}
+        row_plan = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)[0]
+        conn_partners = {j for kind, j in row_identity(row_plan, 0) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
     def test_assembling_requires_target(self):
@@ -418,9 +417,10 @@ def robot_outputs(team, request, events, plan, i):
     if not len(slot):
         return state, events.get(i + 1)
     row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
-    block = row_plan.fill(normals, offsets).block(int(slot[0]))
-    return (state, events.get(i + 1), bits(request.nominal[slot[0]]), block.kinds, block.others.tolist(),
-            bits(block.normals), bits(block.offsets))
+    s = int(slot[0])
+    layout, m = row_plan.fill(normals, offsets), row_plan.template.counts[s]
+    return (state, events.get(i + 1), bits(request.nominal[s]), row_identity(row_plan, s),
+            bits(layout.normals[s, :m]), bits(layout.offsets[s, :m]))
 
 
 def test_a_robot_reads_only_its_own_cache_row():

@@ -11,14 +11,12 @@ from swarmseq.barriers import (
     KeepWithin,
     ObstacleAvoid,
     PairStack,
-    RowBlock,
     class_k,
     constraint_row,
     settling_time_bound,
     team_settling_bound,
 )
 from swarmseq.geometry import Domain, Obstacle, proximity_graph
-from swarmseq.qp import QpProblem
 
 
 def pts(*positions):
@@ -143,13 +141,11 @@ class TestConstraintRow:
     def test_connectivity_half_share_hand_value(self):
         # h = 0.25 - 1 = -0.75; rate = sign(h)*|h|^0.5 = -0.86603;
         # offset = -rate/2 = +0.43301; gradient wrt robot 1 = -2*(x1 - x2).
-        kind = Connectivity(1, 2, 0.5)
-        row = rows_at(kind, FcbfParams(rho=0.5, gamma=1.0), *pts((1, 0), (0, 0))).named(kind)
-        assert row.robot == 1 and len(row) == 1
+        row = rows_at(Connectivity(1, 2, 0.5), FcbfParams(rho=0.5, gamma=1.0), *pts((1, 0), (0, 0)))
+        assert len(row.offsets) == 1
         np.testing.assert_allclose(row.normals, [[-2.0, 0.0]])
         assert row.offsets[0] == pytest.approx(0.4330127018922193, abs=1e-12)
         assert row.hard is False
-        assert row.kinds == (Connectivity,) and row.others.tolist() == [2]
 
     def test_collision_at_boundary_reduces_to_homogeneous(self):
         row = rows_at(Collision(1, 2, 0.12), FcbfParams(), *pts((0.12, 0), (0, 0)))
@@ -228,10 +224,8 @@ class TestRowBlocks:
             if rng.random() < 0.2:  # a partner exactly at the barrier boundary
                 xs[0] = xi + [0.5, 0.0]
             for make in (lambda j: Connectivity(1, j, 0.5), lambda j: Collision(1, j, 0.5)):
-                block = rows_at(make(others), params, xi, xs).named(make(others))
-                assert block.robot == 1 and len(block) == len(others)
-                assert block.others.tolist() == list(others)
-                assert block.kinds == (type(make(2)),) * len(others)
+                block = rows_at(make(others), params, xi, xs)
+                assert len(block.offsets) == len(others)
                 for r, (j, xj) in enumerate(zip(others, xs)):
                     kind = make(j)
                     h = float(kind.value(xi, xj))
@@ -256,9 +250,8 @@ class TestRowBlocks:
         kinds = Connectivity(i[:m], j[:m], deltas), Collision(i[m:], j[m:], 0.12)
         stack = PairStack.of(kinds)
         values = stack.value(x, seen)
-        block = rows_at(stack, params, x, seen).named(stack)
-        assert block.kinds == (Connectivity,) * m + (Collision,) * k
-        assert block.hard.tolist() == [False] * m + [True] * k and block.others.tolist() == j.tolist()
+        block = rows_at(stack, params, x, seen)
+        assert block.hard.tolist() == [False] * m + [True] * k and stack.j.tolist() == j.tolist()
         for r, (xi, xj) in enumerate(zip(x.tolist(), seen.tolist())):
             dx, dy = xi[0] - xj[0], xi[1] - xj[1]
             sq = dx * dx + dy * dy
@@ -276,56 +269,22 @@ class TestRowBlocks:
         domain = Domain(-2, 2, -2, 2, tuple(obstacles))
         params = FcbfParams()
         for x in rng.uniform(-2, 2, size=(300, 2)):
-            kind = ObstacleAvoid(3, domain.obstacle_stack)
-            active = np.flatnonzero(kind.value(x) <= 3.0)
-            block = rows_at(kind, params, x).named(kind).take(active)
-            assert block.robot == 3 and block.others.tolist() == (active + 1).tolist()
-            assert block.kinds == (ObstacleAvoid,) * len(active) and block.hard is True
-            for r, m in enumerate(active):
-                single = ObstacleAvoid(3, obstacles[m])
+            block = rows_at(ObstacleAvoid(3, domain.obstacle_stack), params, x)
+            assert len(block.offsets) == len(obstacles) and block.hard is True
+            for m, obstacle in enumerate(obstacles):
+                single = ObstacleAvoid(3, obstacle)
                 h = float(single.value(x))
-                assert bits(block.normals[r]).tolist() == bits(single.gradient(x)).tolist()
-                assert bits(block.offsets[r]) == bits(-single.share * scalar_rate(h, params))
+                assert bits(block.normals[m]).tolist() == bits(single.gradient(x)).tolist()
+                assert bits(block.offsets[m]) == bits(-single.share * scalar_rate(h, params))
 
     def test_keep_within_block_equals_its_scalar_row(self):
         params = FcbfParams(rho=0.3, gamma=2.0)
         kind = KeepWithin(2, (0.1, -0.2), 0.4)
         for x in np.random.default_rng(23).uniform(-1, 1, size=(100, 2)):
-            block = rows_at(kind, params, x).named(kind)
-            assert block.robot == 2 and block.others.tolist() == [1] and block.hard is False
+            block = rows_at(kind, params, x)
+            assert len(block.offsets) == 1 and block.hard is False
             assert bits(block.normals[0]).tolist() == bits(kind.gradient(x)).tolist()
             assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
-
-    def test_concat_and_take_keep_rows_and_identity(self):
-        params = FcbfParams()
-        x = np.array([0.0, 0.0])
-        kinds = Connectivity(1, (2, 3), 0.5), Collision(1, (2,), 0.12)
-        conn = rows_at(kinds[0], params, x, np.array([[0.1, 0], [0, 0.7]])).named(kinds[0])
-        coll = rows_at(kinds[1], params, x, np.array([[0.1, 0]])).named(kinds[1])
-        rows = RowBlock.concat([conn, coll])
-        assert len(rows) == 3 and rows.others.tolist() == [2, 3, 2]
-        assert rows.kinds == (Connectivity, Connectivity, Collision)
-        assert rows.hard.tolist() == [False, False, True]
-        np.testing.assert_array_equal(rows.offsets, np.concatenate([conn.offsets, coll.offsets]))
-        picked = rows.take(np.array([2, 0]))
-        assert picked.kinds == (Collision, Connectivity) and picked.others.tolist() == [2, 2]
-        np.testing.assert_array_equal(picked.normals, rows.normals[[2, 0]])
-        assert len(RowBlock.concat([])) == 0
-        with pytest.raises(ValueError):
-            RowBlock.concat([conn, rows_at(Collision(2, 1, 0.12), params, x, x + 0.5)])
-
-    def test_rows_carry_their_identity_only_once_named(self):
-        params = FcbfParams()
-        x = np.array([0.0, 0.0])
-        kind = Collision(1, (2, 3), 0.12)
-        rows = rows_at(kind, params, x, np.array([[0.1, 0], [0, 0.7]]))
-        assert rows.others is None and rows.kinds is None
-        named = rows.named(kind)
-        assert named.kinds == (Collision, Collision) and named.others.tolist() == [2, 3]
-        assert bits(named.offsets).tolist() == bits(rows.offsets).tolist()
-        assert RowBlock.concat([named, rows]).kinds is None and rows.take(np.array([1])).others is None
-        layout = QpProblem(np.zeros(2), [named, rows], 0.2).rows
-        assert layout.block(0).kinds == (None,) * 4 and layout.block(0).others.tolist() == [0] * 4
 
     def test_a_stack_may_not_pair_a_robot_with_itself(self):
         with pytest.raises(ValueError):
@@ -372,10 +331,10 @@ class TestSettlingBounds:
                     rows_at(Connectivity(1, 2, 0.5), params, x[0], x[1]),
                     rows_at(Connectivity(2, 1, 0.5), params, x[1], x[0]),
                 ]
-                for row in rows:
+                for robot, row in enumerate(rows):
                     normal, offset = row.normals[0], row.offsets[0]
                     u = normal * (offset / float(normal @ normal))
-                    x[row.robot - 1] += dt * u
+                    x[robot] += dt * u
                 t += dt
             assert crossed is not None
             assert crossed <= bound + dt + 1e-9

@@ -9,21 +9,41 @@ from swarmseq.barriers import RowBlock
 from swarmseq.qp import _FEAS_TOL, MAX_ROWS, QpProblem, RowLayout, _project, kkt_residuals, oracle_solve, quiet, solve
 
 
-def block(normals, offsets, hard, robot=1):
-    """Bare rows (no barrier kind) on one robot's input."""
+def block(normals, offsets, hard):
+    """Bare rows on one robot's input."""
     k = len(offsets)
-    return RowBlock(
-        robot,
-        np.array(normals, dtype=float).reshape(k, 2),
-        np.array(offsets, dtype=float),
-        np.array(hard, dtype=bool).reshape(k),
-        np.zeros(k, dtype=int),
-        (None,) * k,
-    )
+    return RowBlock(np.array(normals, dtype=float).reshape(k, 2), np.array(offsets, dtype=float),
+                    np.array(hard, dtype=bool).reshape(k))
 
 
 def row(nx, ny, b, hard=False):
     return block([[nx, ny]], [b], [hard])
+
+
+def team_layout(blocks):
+    """Robot r + 1's rows ``blocks[r]`` in columns 0.. of layout row r, then
+    pad rows, as a row plan lays them out."""
+    layout = RowLayout.empty(np.arange(1, len(blocks) + 1), np.array([len(b.offsets) for b in blocks], dtype=int))
+    for r, b in enumerate(blocks):
+        m = len(b.offsets)
+        layout.normals[r, :m], layout.offsets[r, :m], layout.hard[r, :m] = b.normals, b.offsets, b.hard
+    return layout
+
+
+def one_robot(nominal, rows, speed_limit):
+    """The problem of a team of one: nominal (2,) and ``rows``, one block or a
+    sequence of blocks, in order."""
+    if not isinstance(rows, RowBlock):
+        rows = block(np.concatenate([np.empty((0, 2)), *(b.normals for b in rows)]),
+                     np.concatenate([[], *(b.offsets for b in rows)]),
+                     np.concatenate([[], *(np.broadcast_to(b.hard, len(b.offsets)) for b in rows)]))
+    return QpProblem(np.reshape(nominal, (1, 2)), team_layout([rows]), speed_limit)
+
+
+def own_rows(problem):
+    """The rows of a team of one, as a block."""
+    m = problem.rows.counts[0]
+    return block(problem.rows.normals[0, :m], problem.rows.offsets[0, :m], problem.rows.hard[0, :m])
 
 
 def random_problem(rng, max_rows=6, hard_fraction=0.4):
@@ -35,27 +55,27 @@ def random_problem(rng, max_rows=6, hard_fraction=0.4):
         normals.append(a / np.linalg.norm(a) * rng.uniform(0.3, 3.0))
         offsets.append(float(rng.uniform(-1, 1)))
         hard.append(bool(rng.random() < hard_fraction))
-    return QpProblem(nominal, block(normals, offsets, hard), float(rng.uniform(0.3, 2.0)))
+    return one_robot(nominal, block(normals, offsets, hard), float(rng.uniform(0.3, 2.0)))
 
 
 class TestBasics:
     def test_unconstrained_returns_nominal(self):
-        p = QpProblem(np.array([1.0, 0.0]), (), 10.0)
+        p = one_robot(np.array([1.0, 0.0]), (), 10.0)
         for s in (solve(p), oracle_solve(p)):
-            np.testing.assert_allclose(s.u, [1.0, 0.0])
+            np.testing.assert_allclose(s.u[0], [1.0, 0.0])
             assert s.status == "optimal"
 
     def test_halfplane_projection(self):
-        p = QpProblem(np.array([1.0, 0.0]), (row(-1, 0, 0),), 10.0)
+        p = one_robot(np.array([1.0, 0.0]), (row(-1, 0, 0),), 10.0)
         for s in (solve(p), oracle_solve(p)):
-            np.testing.assert_allclose(s.u, [0.0, 0.0], atol=1e-12)
+            np.testing.assert_allclose(s.u[0], [0.0, 0.0], atol=1e-12)
 
     def test_corner_with_both_rows_active(self):
-        p = QpProblem(np.array([1.0, 1.0]), (row(-1, 0, 0), row(0, -1, 0)), 10.0)
+        p = one_robot(np.array([1.0, 1.0]), (row(-1, 0, 0), row(0, -1, 0)), 10.0)
         ref = oracle_solve(p)
         got = solve(p)
         np.testing.assert_allclose(got.u, ref.u, atol=1e-12)
-        np.testing.assert_allclose(got.u, [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(got.u[0], [0.0, 0.0], atol=1e-12)
 
     def test_feasible_nominal_is_returned_exactly(self):
         rng = np.random.default_rng(2)
@@ -64,9 +84,9 @@ class TestBasics:
             s = solve(p)
             if s.status != "optimal":
                 continue
-            rows = p.rows.block(0)
+            rows = own_rows(p)
             feasible = all(
-                float(a @ p.nominal) >= b + 1e-9 for a, b in zip(rows.normals, rows.offsets)
+                float(a @ p.nominal[0]) >= b + 1e-9 for a, b in zip(rows.normals, rows.offsets)
             ) and float(np.max(np.abs(p.nominal))) <= p.speed_limit
             if feasible:
                 assert np.array_equal(s.u, p.nominal) or float(
@@ -74,66 +94,60 @@ class TestBasics:
                 ) <= 1e-12
 
     def test_box_is_enforced(self):
-        p = QpProblem(np.array([5.0, -7.0]), (), 0.2)
+        p = one_robot(np.array([5.0, -7.0]), (), 0.2)
         s = solve(p)
-        np.testing.assert_allclose(s.u, [0.2, -0.2])
+        np.testing.assert_allclose(s.u[0], [0.2, -0.2])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            QpProblem(np.array([np.inf, 0.0]), (), 1.0)
+            one_robot(np.array([np.inf, 0.0]), (), 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), (row(np.nan, 1.0, 0.0),), 1.0)
+            one_robot(np.zeros(2), (row(np.nan, 1.0, 0.0),), 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), (row(1.0, 0.0, 0.0), row(0.0, 1.0, np.inf)), 1.0)
-
-    def test_mixed_robots_rejected(self):
-        r1 = block([[1.0, 0.0]], [0.0], [False], robot=1)
-        r2 = block([[1.0, 0.0]], [0.0], [False], robot=2)
-        with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), (r1, r2), 1.0)
+            one_robot(np.zeros(2), (row(1.0, 0.0, 0.0), row(0.0, 1.0, np.inf)), 1.0)
 
     def test_row_cap(self):
         rows = tuple(row(1, 0, -k) for k in range(64))
-        assert len(QpProblem(np.zeros(2), rows, 1.0).rows) == 64
+        assert len(one_robot(np.zeros(2), rows, 1.0).rows) == 64
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), rows + (row(0, 1, 0),), 1.0)
+            one_robot(np.zeros(2), rows + (row(0, 1, 0),), 1.0)
 
 
 class TestInfeasibility:
     def test_contradictory_hard_rows(self):
-        p = QpProblem(np.zeros(2), (row(1, 0, 1, hard=True), row(-1, 0, 1, hard=True)), 10.0)
+        p = one_robot(np.zeros(2), (row(1, 0, 1, hard=True), row(-1, 0, 1, hard=True)), 10.0)
         for s in (solve(p), oracle_solve(p)):
             assert s.status == "infeasible_hard"
-            np.testing.assert_allclose(s.u, [0.0, 0.0])
+            np.testing.assert_allclose(s.u[0], [0.0, 0.0])
 
     def test_contradictory_soft_rows_relax(self):
-        p = QpProblem(np.zeros(2), (row(1, 0, 1), row(-1, 0, 1)), 10.0)
+        p = one_robot(np.zeros(2), (row(1, 0, 1), row(-1, 0, 1)), 10.0)
         for s in (solve(p), oracle_solve(p)):
             assert s.status == "relaxed"
-            np.testing.assert_allclose(s.u, [0.0, 0.0], atol=1e-9)
+            np.testing.assert_allclose(s.u[0], [0.0, 0.0], atol=1e-9)
             assert s.slacks[0, :2].tolist() == pytest.approx([1.0, 1.0], abs=1e-6)
             assert not s.slacks[0, 2:].any()  # the box is never relaxed
 
     def test_hard_rows_respected_under_relaxation(self):
         # soft row collides with a hard row; hard must hold exactly
-        p = QpProblem(np.zeros(2), (row(1, 0, 0.5, hard=True), row(-1, 0, 0.4)), 10.0)
+        p = one_robot(np.zeros(2), (row(1, 0, 0.5, hard=True), row(-1, 0, 0.4)), 10.0)
         s = solve(p)
         assert s.status == "relaxed"
-        assert float(s.u[0]) >= 0.5 - 1e-9
+        assert float(s.u[0, 0]) >= 0.5 - 1e-9
 
     def test_a_tiny_hard_normal_freezes_without_a_warning(self):
         # the projection onto the first row lands at u1 = 1 / 1.3e-243, whose
         # square overflows; the suite turns that warning into an error
-        p = QpProblem(np.zeros(2), (row(0, 1.3e-243, 1, hard=True), row(0, 0, 0, hard=True)), 0.2)
+        p = one_robot(np.zeros(2), (row(0, 1.3e-243, 1, hard=True), row(0, 0, 0, hard=True)), 0.2)
         for s in (solve(p), oracle_solve(p)):
             assert s.status == "infeasible_hard"
-            assert s.u.tolist() == [0.0, 0.0]
+            assert s.u.tolist() == [[0.0, 0.0]]
 
     def test_soft_row_beyond_box_relaxes(self):
-        p = QpProblem(np.zeros(2), (row(1, 0, 5.0),), 0.2)
+        p = one_robot(np.zeros(2), (row(1, 0, 5.0),), 0.2)
         s = solve(p)
         assert s.status == "relaxed"
-        assert s.u[0] == pytest.approx(0.2)
+        assert s.u[0, 0] == pytest.approx(0.2)
         assert s.slacks[0, 0] == pytest.approx(4.8, rel=1e-6)
 
 
@@ -160,7 +174,14 @@ class TestOracleEquivalence:
     def test_oracle_row_cap(self):
         rows = tuple(row(1, 0, -k) for k in range(13))
         with pytest.raises(ValueError):
-            oracle_solve(QpProblem(np.zeros(2), rows, 1.0))
+            oracle_solve(one_robot(np.zeros(2), rows, 1.0))
+
+    def test_the_oracle_and_its_kkt_check_take_one_robot(self):
+        team = QpProblem(np.zeros((2, 2)), team_layout([row(1, 0, 0), row(0, 1, 0)]), 1.0)
+        with pytest.raises(ValueError, match="one robot"):
+            oracle_solve(team)
+        with pytest.raises(ValueError, match="one robot"):
+            kkt_residuals(team, solve(team))
 
 
 class TestRelaxation:
@@ -179,7 +200,7 @@ class TestRelaxation:
                 normals[s] = normals[s - 1] * kind * rng.uniform(0.5, 2.0)
                 kinds.add(kind)
         hard = [False] * ns + [True] * nh
-        problem = QpProblem(rng.uniform(-1, 1, 2), block(normals, rng.uniform(-1, 1, ns + nh), hard),
+        problem = one_robot(rng.uniform(-1, 1, 2), block(normals, rng.uniform(-1, 1, ns + nh), hard),
                             float(rng.uniform(0.3, 2.0)))
         return problem, kinds
 
@@ -206,7 +227,7 @@ class TestRelaxation:
             inside = rng.uniform(-0.5, 0.5, 2)  # the hard rows hold here
             normals = rng.normal(size=(60, 2))
             offsets = np.r_[rng.uniform(-1, 1, 40), normals[40:] @ inside - rng.uniform(0, 0.5, 20)]
-            p = QpProblem(rng.uniform(-1, 1, 2), block(normals, offsets, [False] * 40 + [True] * 20), 1.0)
+            p = one_robot(rng.uniform(-1, 1, 2), block(normals, offsets, [False] * 40 + [True] * 20), 1.0)
             s = solve(p)
             assert s.status == "relaxed"
             assert max(kkt_residuals(p, s).values()) <= 1e-8
@@ -218,11 +239,11 @@ class TestObjectiveProperties:
         for _ in range(150):
             p = random_problem(rng, max_rows=5)
             extra = block([rng.normal(size=2)], [float(rng.uniform(-1, 1))], [False])
-            bigger = QpProblem(p.nominal, (p.rows.block(0), extra), p.speed_limit)
+            bigger = one_robot(p.nominal, (own_rows(p), extra), p.speed_limit)
             s0, s1 = solve(p), solve(bigger)
             if s0.status == "optimal" and s1.status == "optimal":
-                o0 = float((s0.u - p.nominal) @ (s0.u - p.nominal))
-                o1 = float((s1.u - p.nominal) @ (s1.u - p.nominal))
+                o0 = float((s0.u[0] - p.nominal[0]) @ (s0.u[0] - p.nominal[0]))
+                o1 = float((s1.u[0] - p.nominal[0]) @ (s1.u[0] - p.nominal[0]))
                 assert o1 >= o0 - 1e-9
 
     def test_solution_unique_under_row_shuffle(self):
@@ -230,7 +251,9 @@ class TestObjectiveProperties:
         for _ in range(50):
             p = random_problem(rng)
             perm = rng.permutation(len(p.rows))
-            shuffled = QpProblem(p.nominal, p.rows.block(0).take(perm), p.speed_limit)
+            rows = own_rows(p)
+            rows = block(rows.normals[perm], rows.offsets[perm], rows.hard[perm])
+            shuffled = one_robot(p.nominal, rows, p.speed_limit)
             np.testing.assert_allclose(solve(p).u, solve(shuffled).u, atol=1e-9)
 
 
@@ -244,7 +267,7 @@ def layout_of(n, slots, normals, offsets):
     row plan fills: each robot's rows in flat order, then pad rows."""
     columns = np.array([np.count_nonzero(slots[:k] == slots[k]) for k in range(len(slots))], dtype=int)
     layout = RowLayout.empty(np.arange(1, n + 1), np.bincount(slots, minlength=n))
-    layout.place(slots, columns, RowBlock(0, normals, offsets, np.ones(len(slots), dtype=bool)))
+    layout.normals[slots, columns], layout.offsets[slots, columns] = normals, offsets
     return layout
 
 

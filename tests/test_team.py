@@ -2,9 +2,9 @@
 
 Each robot's rows and solution must not depend on the team it is solved in:
 the rows ``team_rows`` builds, laid out by their row plan, fill each robot's
-layout row with the rows of its own one-robot stacks bit for bit, and a
-robot's solution, status and multipliers are the same solved alone or in any
-team.
+layout row with the rows of its own one-robot stacks bit for bit, each with
+the identity the plan's calls give it, and a robot's solution, status and
+multipliers are the same solved alone or in any team.
 """
 
 import math
@@ -22,14 +22,15 @@ from swarmseq.barriers import (
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
+    PairStack,
     RowBlock,
     constraint_row,
-    sq_dist,
 )
 from swarmseq.geometry import Domain, Obstacle, proximity_graph
 from swarmseq.mission import builtin_scenario
 from swarmseq.qp import QpProblem, RowLayout, kkt_residuals, oracle_solve, solve
 from swarmseq.sim import DelaySpec, make_world, run, tick
+from test_qp import one_robot, team_layout
 
 
 def bits(a):
@@ -87,42 +88,72 @@ def as_team(requests, graph=None):
 
 
 def rows_at(kind, params, *positions):
-    """The named ``constraint_row`` of the kind's own values at ``positions``."""
-    return constraint_row(kind, params, kind.value(*positions), *positions).named(kind)
+    """``constraint_row`` of the kind's own values at ``positions``."""
+    return constraint_row(kind, params, kind.value(*positions), *positions)
+
+
+def row_identity(plan, s):
+    """The identity of slot s's rows, column by column, read from the plan:
+    each row's barrier class and its other robot (pairwise), its 1-based
+    obstacle index (obstacle) or None (an initial constraint), from the call
+    that builds it, at the layout cell ``plan.flat`` gives the row."""
+    cells = []
+    for kind, slot, _ in plan.calls:
+        if isinstance(kind, PairStack):
+            cells += zip([Collision if hard else Connectivity for hard in kind.hard.tolist()], kind.j.tolist())
+        else:
+            n = np.size(slot)
+            cells += zip([type(kind)] * n, np.broadcast_to(getattr(kind, "index", None), n).tolist())
+    at = dict(zip(plan.flat.tolist(), cells))
+    width = plan.template.offsets.shape[1]
+    return [at[s * width + c] for c in range(plan.template.counts[s])]
+
+
+def assert_covers_once(plan):
+    """``plan.flat`` names each robot's first ``counts[r]`` layout cells, each exactly once."""
+    t = plan.template
+    assert np.sort(plan.flat).tolist() == np.flatnonzero(np.arange(t.offsets.shape[1]) < t.counts[:, None]).tolist()
 
 
 def own_rows(request, params, min_sep, domain):
-    """One robot's rows built from its own one-robot stacks, kind by kind."""
+    """One robot's rows built from its own one-robot stacks, kind by kind: its
+    normals, offsets and hard mask, and each row's identity as ``row_identity``
+    gives it."""
     x = request.position
-    blocks = []
+    parts = []  # (rows, barrier class, others)
     if request.partners:
         kind = Connectivity(request.robot, tuple(request.partners), request.delta)
-        blocks.append(rows_at(kind, params, x, np.array(request.partner_positions)))
+        parts.append((rows_at(kind, params, x, np.array(request.partner_positions)), Connectivity, request.partners))
     if request.colliders:
         kind = Collision(request.robot, tuple(request.colliders), min_sep)
-        blocks.append(rows_at(kind, params, x, np.array(request.collider_positions)))
+        parts.append((rows_at(kind, params, x, np.array(request.collider_positions)), Collision, request.colliders))
     if domain.obstacles:
         kind = ObstacleAvoid(request.robot, domain.obstacle_stack)
         active = np.flatnonzero(kind.value(x) <= OBSTACLE_ACTIVATION)
-        if len(active):
-            blocks.append(rows_at(kind, params, x).take(active))
-    blocks += [rows_at(kind, params, x) for kind in request.initial]
-    return RowBlock.concat(blocks)
+        rows = rows_at(kind, params, x)
+        parts.append((RowBlock(rows.normals[active], rows.offsets[active], rows.hard), ObstacleAvoid,
+                      (active + 1).tolist()))
+    parts += [(rows_at(kind, params, x), type(kind), [None]) for kind in request.initial]
+    blocks = [rows for rows, _, _ in parts]
+    normals = np.concatenate([np.empty((0, 2)), *(b.normals for b in blocks)])
+    offsets = np.concatenate([[], *(b.offsets for b in blocks)])
+    hard = np.concatenate([np.empty(0, dtype=bool), *(np.broadcast_to(b.hard, len(b.offsets)) for b in blocks)])
+    return normals, offsets, hard, [(cls, j) for _, cls, others in parts for j in others]
 
 
-def assert_own_rows(team, s, request, params, min_sep, domain):
-    """Slot s of a team layout holds the robot's own rows bit for bit, then
-    pad rows; returns its block."""
-    got = team.block(s)
-    want = own_rows(request, params, min_sep, domain)
-    assert got.robot == request.robot
-    assert got.kinds == want.kinds
-    assert got.others.tolist() == want.others.tolist()
-    assert got.hard.tolist() == want.hard.tolist()
-    assert bits(got.normals).tolist() == bits(want.normals).tolist()
-    assert bits(got.offsets).tolist() == bits(want.offsets).tolist()
+def assert_own_rows(plan, team, s, request, params, min_sep, domain):
+    """Slot s of a team layout holds the robot's own rows bit for bit, with
+    their identity, then pad rows; returns the identity."""
+    m = team.counts[s]
+    normals, offsets, hard, identity = own_rows(request, params, min_sep, domain)
+    assert team.robots[s] == request.robot
+    got = row_identity(plan, s)
+    assert got == identity
+    assert team.hard[s, :m].tolist() == hard.tolist()
+    assert bits(team.normals[s, :m]).tolist() == bits(normals).tolist()
+    assert bits(team.offsets[s, :m]).tolist() == bits(offsets).tolist()
     # the columns past the robot's rows are pad rows 0 . u >= -1
-    pad = slice(len(got), team.width)
+    pad = slice(m, team.width)
     assert not team.normals[s, pad].any() and (team.offsets[s, pad] == -1.0).all()
     assert team.hard[s, pad].all()
     return got
@@ -130,11 +161,12 @@ def assert_own_rows(team, s, request, params, min_sep, domain):
 
 def laid_out(request, params, min_sep, domain):
     """The rows of ``team_rows`` in the solver's layout, as their plan fills
-    it: flat row k in the layout row of its slot ``plan.slots[k]``."""
+    it: flat row k in the layout row of its slot ``plan.slots[k]``; returns
+    (plan, layout)."""
     plan, normals, offsets = team_rows(request, params, min_sep, domain)
     layout = plan.fill(normals, offsets)
     assert (plan.flat // layout.offsets.shape[1] == plan.slots).all()
-    return layout
+    return plan, layout
 
 
 def random_requests(rng, n, delta):
@@ -173,24 +205,22 @@ class TestTeamRows:
             if rng.random() < 0.3:
                 # a robot exactly at h = 3 of the last obstacle: its row is active
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
-            team = laid_out(as_team(requests), params, 0.12, domain)
+            plan, team = laid_out(as_team(requests), params, 0.12, domain)
             assert team.robots.tolist() == [r.robot for r in requests]
             assert len(team) == int(team.counts.sum())
             for s, request in enumerate(requests):
-                got = assert_own_rows(team, s, request, params, 0.12, domain)
-                kinds_seen.update(got.kinds)
+                got = assert_own_rows(plan, team, s, request, params, 0.12, domain)
+                kinds_seen.update(kind for kind, _ in got)
                 # connectivity offsets square delta with Python's pow
                 x = request.position.tolist()
-                conn = [k for k, kind in enumerate(got.kinds) if kind is Connectivity]
+                conn = [k for k, (kind, _) in enumerate(got) if kind is Connectivity]
                 for k, p in zip(conn, request.partner_positions):
                     dx, dy = x[0] - float(p[0]), x[1] - float(p[1])
                     h = request.delta**2 - (dx * dx + dy * dy)
-                    assert bits(got.offsets[k]) == bits(-0.5 * scalar_rate(h, params))
+                    assert bits(team.offsets[s, k]) == bits(-0.5 * scalar_rate(h, params))
                 if np.array_equal(request.position, [2.0, 0.0]):
                     assert ObstacleAvoid(1, obstacles[-1]).value(request.position) == 3.0
-                    assert len(obstacles) in [
-                        j for kind, j in zip(got.kinds, got.others.tolist()) if kind is ObstacleAvoid
-                    ]
+                    assert (ObstacleAvoid, len(obstacles)) in got
         assert kinds_seen == {Connectivity, Collision, ObstacleAvoid, KeepWithin}
 
     def test_a_per_row_delta_is_squared_with_pythons_pow(self):
@@ -205,7 +235,7 @@ class TestTeamRows:
             OwnRequest(i + 1, x[i], np.zeros(2), deltas[i], [n + 1], [x[i]], [], [], ())
             for i in range(n)
         ]
-        rows = laid_out(as_team(requests), params, 0.12, Domain(-2, 2, -2, 2))
+        rows = laid_out(as_team(requests), params, 0.12, Domain(-2, 2, -2, 2))[1]
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
         assert rows.width == 1
         assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
@@ -230,10 +260,9 @@ class TestTeamRows:
     def test_a_robot_without_partners_gets_its_obstacle_rows(self):
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
         request = OwnRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
-        rows = laid_out(as_team([request]), FcbfParams(), 0.12, domain)
+        plan, rows = laid_out(as_team([request]), FcbfParams(), 0.12, domain)
         assert len(rows) == 1 and rows.robots.tolist() == [3]
-        assert rows.block(0).kinds == (ObstacleAvoid,) and rows.block(0).others.tolist() == [1]
-        assert len(RowLayout.of([])) == 0
+        assert row_identity(plan, 0) == [(ObstacleAvoid, 1)]
 
 
 def count_layouts(monkeypatch):
@@ -262,6 +291,19 @@ class TestRowPlan:
         record = run(plan, replace(config, delay=DelaySpec.uniform(0, 10), max_ticks=300))
         assert record.ticks == 300
         assert 0 < len(built) < 30
+        # securing_a_building's plans, rebuilt with its graph and obstacle
+        # rows, each place every row in a cell of its own
+        plan, config = builtin_scenario("securing_a_building")
+        before, real = len(built), agent.team_rows
+
+        def checked_rows(*args):
+            rows = real(*args)
+            assert_covers_once(rows[0])
+            return rows
+
+        monkeypatch.setattr(agent, "team_rows", checked_rows)
+        assert run(plan, replace(config, max_ticks=1300)).ticks == 1300
+        assert 1 < len(built) - before < 130
 
     def test_every_change_of_structure_gets_its_own_plan(self, monkeypatch):
         # one thing changes at a time; the rows are each robot's own rows
@@ -301,24 +343,24 @@ class TestRowPlan:
             before = len(built)
             request = as_team(requests, graph if same else None)
             graph = request.graph
-            team = laid_out(request, params, min_sep, domain)
+            plan, team = laid_out(request, params, min_sep, domain)
             assert len(built) == before + new
             for s, request in enumerate(requests):
-                assert_own_rows(team, s, request, params, min_sep, domain)
+                assert_own_rows(plan, team, s, request, params, min_sep, domain)
 
     def test_writing_into_a_layout_changes_no_later_layout(self):
         params = FcbfParams()
         domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
         requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
         request = as_team(requests)
-        first = laid_out(request, params, 0.12, domain)
+        first = laid_out(request, params, 0.12, domain)[1]
         QpProblem(np.zeros((3, 2)), first, 0.4)  # writes the box rows
         first.normals[:] = 7.0
         first.offsets[:] = 7.0
-        later = laid_out(request, params, 0.12, domain)
+        plan, later = laid_out(request, params, 0.12, domain)
         assert later.normals is not first.normals and later.offsets is not first.offsets
         for s, request in enumerate(requests):
-            assert_own_rows(later, s, request, params, 0.12, domain)
+            assert_own_rows(plan, later, s, request, params, 0.12, domain)
         assert not later.normals[:, later.width:].any() and (later.offsets[:, later.width:] == -1.0).all()
 
 
@@ -432,10 +474,10 @@ class TestOneTablePerTick:
         ("two_behavior_demo", {"oracle_sensing": False, "delay": DelaySpec.uniform(0, 10)}),
     ])
     def test_every_tick_senses_once_and_gets_each_robots_own_rows(self, monkeypatch, scenario, changes):
-        # the world's mask and squared distances are the proximity graph's and
-        # every pair's own; the rows built on them (collision values from the
-        # sensed positions, obstacle values from the activation test) are
-        # each robot's own rows, across graph and plan rebuilds
+        # the world's mask is the proximity graph's; the rows built on it
+        # (collision values from the sensed positions, obstacle values from
+        # the activation test) are each robot's own rows, across graph and
+        # plan rebuilds
         plan, config = builtin_scenario(scenario)
         config = replace(config, **changes)
         built, kinds, real = count_layouts(monkeypatch), set(), agent.team_rows
@@ -444,28 +486,22 @@ class TestOneTablePerTick:
             rows = real(request, params, min_sep, domain)
             layout = rows[0].fill(*rows[1:])
             for s, own in enumerate(own_requests(request)):
-                kinds.update(assert_own_rows(layout, s, own, params, min_sep, domain).kinds)
+                kinds.update(kind for kind, _ in assert_own_rows(rows[0], layout, s, own, params, min_sep, domain))
             return rows
 
         monkeypatch.setattr(agent, "team_rows", checked_rows)
         team, world = Team.start(plan), make_world(plan, config)
         for _ in range(300):
-            x, n = world.positions, plan.n
-            assert np.array_equal(world.sensed, proximity_graph(x, plan.delta).mask)
-            pairs = [[sq_dist(x[i] - x[j]) for j in range(n)] for i in range(n)]
-            assert bits(world.sq_dist).tolist() == bits(pairs).tolist()
+            assert np.array_equal(world.sensed, proximity_graph(world.positions, plan.delta).mask)
             tick(world, team, plan, config)
         assert 1 < len(built) < 300  # rebuilt when the structure changed, else reused
         assert {Connectivity, Collision} <= kinds
         assert (ObstacleAvoid in kinds) == bool(plan.domain.obstacles)
 
 
-def random_rows(rng, robot, m):
+def random_rows(rng, m):
     normals = rng.normal(size=(m, 2)) * rng.uniform(0.3, 3.0, (m, 1))
-    return RowBlock(
-        robot, normals, rng.uniform(-1, 1, m), rng.random(m) < 0.4,
-        np.zeros(m, dtype=int), (None,) * m,
-    )
+    return RowBlock(normals, rng.uniform(-1, 1, m), rng.random(m) < 0.4)
 
 
 class TestTeamSolve:
@@ -476,10 +512,10 @@ class TestTeamSolve:
             n = int(rng.integers(1, 9))
             ids = np.sort(rng.choice(np.arange(1, 40), n, replace=False)).tolist()
             counts = [int(rng.choice([0, 20, rng.integers(1, 7)])) for _ in ids]
-            blocks = [random_rows(rng, i, m) for i, m in zip(ids, counts)]
+            blocks = [random_rows(rng, m) for m in counts]
             nominal = rng.uniform(-1, 1, (n, 2))
             limit = float(rng.uniform(0.3, 2.0))
-            team = RowLayout.of(blocks)
+            team = team_layout(blocks)
             assert len(team) == sum(counts)
             got = solve(QpProblem(nominal, team, limit))
             assert got.u.shape == (n, 2) and len(got.statuses) == n
@@ -487,10 +523,10 @@ class TestTeamSolve:
             # then pad rows up to the team's widest robot, then its box
             assert got.multipliers.shape == got.slacks.shape == team.offsets.shape
             for r, block in enumerate(blocks):
-                alone = solve(QpProblem(nominal[r], block, limit))
+                alone = solve(one_robot(nominal[r], block, limit))
                 m = counts[r]
                 assert got.statuses[r] == alone.status
-                assert bits(got.u[r]).tolist() == bits(alone.u).tolist()
+                assert bits(got.u[r]).tolist() == bits(alone.u[0]).tolist()
                 for mine, theirs in ((got.multipliers[r], alone.multipliers[0]), (got.slacks[r], alone.slacks[0])):
                     assert bits(mine[:m]).tolist() == bits(theirs[:m]).tolist()
                     assert bits(mine[-4:]).tolist() == bits(theirs[-4:]).tolist()
@@ -503,40 +539,36 @@ class TestTeamSolve:
 
     def test_mixed_zero_and_twenty_row_robots(self):
         rng = np.random.default_rng(44)
-        blocks = [random_rows(rng, 1, 0), random_rows(rng, 2, 20), random_rows(rng, 5, 0)]
+        blocks = [random_rows(rng, 0), random_rows(rng, 20), random_rows(rng, 0)]
         nominal = np.array([[0.1, -0.2], [0.5, 0.5], [3.0, 0.0]])
-        got = solve(QpProblem(nominal, RowLayout.of(blocks), 0.4))
+        got = solve(QpProblem(nominal, team_layout(blocks), 0.4))
         np.testing.assert_array_equal(got.u[0], [0.1, -0.2])
         np.testing.assert_allclose(got.u[2], [0.4, 0.0], atol=1e-15)
-        alone = solve(QpProblem(nominal[1], blocks[1], 0.4))
-        assert bits(got.u[1]).tolist() == bits(alone.u).tolist()
+        alone = solve(one_robot(nominal[1], blocks[1], 0.4))
+        assert bits(got.u[1]).tolist() == bits(alone.u[0]).tolist()
 
     def test_team_problem_checks(self):
-        rows = RowLayout.of([random_rows(np.random.default_rng(0), 2, 3)])
+        rows = team_layout([random_rows(np.random.default_rng(0), 3)])
         with pytest.raises(ValueError):
             QpProblem(np.zeros(2), rows, 1.0)
-        with pytest.raises(ValueError):
-            QpProblem(np.zeros((1, 2)), rows.block(0), 1.0)
         with pytest.raises(ValueError):
             QpProblem(np.array([[0.0, np.nan]]), rows, 1.0)
         with pytest.raises(ValueError):
             QpProblem(np.zeros((1, 2)), rows, 0.0)
-        bad = random_rows(np.random.default_rng(4), 2, 3)
+        bad = random_rows(np.random.default_rng(4), 3)
         bad.normals[1, 0] = np.inf
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((1, 2)), RowLayout.of([bad]), 1.0)
-        many = [random_rows(np.random.default_rng(1), 2, 64), random_rows(np.random.default_rng(2), 3, 64)]
-        assert len(QpProblem(np.zeros((2, 2)), RowLayout.of(many), 1.0).rows) == 128
+            QpProblem(np.zeros((1, 2)), team_layout([bad]), 1.0)
+        many = [random_rows(np.random.default_rng(1), 64), random_rows(np.random.default_rng(2), 64)]
+        assert len(QpProblem(np.zeros((2, 2)), team_layout(many), 1.0).rows) == 128
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((2, 2)), RowLayout.of([many[0], random_rows(np.random.default_rng(3), 3, 65)]), 1.0)
+            QpProblem(np.zeros((2, 2)), team_layout([many[0], random_rows(np.random.default_rng(3), 65)]), 1.0)
 
 
 def rows_of(spec):
     """A one-robot block from (nx, ny, b, hard) tuples."""
-    m = len(spec)
-    arr = np.array([s[:3] for s in spec], dtype=float).reshape(m, 3)
-    return RowBlock(1, arr[:, :2], arr[:, 2], np.array([s[3] for s in spec], dtype=bool),
-                    np.zeros(m, dtype=int), (None,) * m)
+    arr = np.array([s[:3] for s in spec], dtype=float).reshape(len(spec), 3)
+    return RowBlock(arr[:, :2], arr[:, 2], np.array([s[3] for s in spec], dtype=bool))
 
 
 DEGENERATE = {
@@ -566,7 +598,7 @@ DEGENERATE = {
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_cases_match_the_oracle(name):
     nominal, spec, limit = DEGENERATE[name]
-    problem = QpProblem(np.array(nominal), rows_of(spec), limit)
+    problem = one_robot(nominal, rows_of(spec), limit)
     got = solve(problem)
     ref = oracle_solve(problem)
     assert got.status == ref.status
