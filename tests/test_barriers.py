@@ -286,6 +286,27 @@ class TestRowBlocks:
             assert bits(block.normals[0]).tolist() == bits(kind.gradient(x)).tolist()
             assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
 
+    def test_concat_and_take_keep_rows_and_identity(self):
+        # a PairStack concatenates its kinds' rows and identity, kind by kind;
+        # an obstacle stack's 1-based index takes its rows, in index order
+        params = FcbfParams()
+        x = np.array([0.0, 0.0])
+        seen = np.array([[0.1, 0], [0, 0.7], [0.1, 0]])
+        kinds = Connectivity(1, (2, 3), 0.5), Collision(1, (2,), 0.12)
+        conn, coll = rows_at(kinds[0], params, x, seen[:2]), rows_at(kinds[1], params, x, seen[2:])
+        stack = PairStack.of(kinds)
+        rows = rows_at(stack, params, x, seen)
+        assert stack.i.tolist() == [1, 1, 1] and stack.j.tolist() == [2, 3, 2]
+        assert rows.hard.tolist() == [False, False, True]
+        assert bits(rows.normals).tolist() == bits(np.concatenate([conn.normals, coll.normals])).tolist()
+        assert bits(rows.offsets).tolist() == bits(np.concatenate([conn.offsets, coll.offsets])).tolist()
+        obstacles = Domain(-2, 2, -2, 2, tuple(Obstacle(np.array([c, 0.5]), 4.0, 9.0) for c in (-1.0, 0.0, 1.0)))
+        every = rows_at(ObstacleAvoid(1, obstacles.obstacle_stack), params, x)
+        picked = rows_at(ObstacleAvoid(1, obstacles.obstacle_stack, np.array([3, 1])), params, x)
+        assert picked.hard is True and len(picked.offsets) == 2
+        assert bits(picked.normals).tolist() == bits(every.normals[[2, 0]]).tolist()
+        assert bits(picked.offsets).tolist() == bits(every.offsets[[2, 0]]).tolist()
+
     def test_a_stack_may_not_pair_a_robot_with_itself(self):
         with pytest.raises(ValueError):
             Connectivity(2, (1, 2, 3), 0.5)

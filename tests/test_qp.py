@@ -106,6 +106,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             one_robot(np.zeros(2), (row(1.0, 0.0, 0.0), row(0.0, 1.0, np.inf)), 1.0)
 
+    def test_mixed_robots_rejected(self):
+        # the nominal inputs and the layout's rows must be of the same robots
+        two = team_layout([row(1.0, 0.0, 0.0), row(0.0, 1.0, 0.0)])
+        with pytest.raises(ValueError, match="shape"):
+            QpProblem(np.zeros((1, 2)), two, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            QpProblem(np.zeros((3, 2)), two, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            QpProblem(np.zeros(2), team_layout([row(1.0, 0.0, 0.0)]), 1.0)
+        assert QpProblem(np.zeros((2, 2)), two, 1.0).nominal.shape == (2, 2)
+
     def test_row_cap(self):
         rows = tuple(row(1, 0, -k) for k in range(64))
         assert len(one_robot(np.zeros(2), rows, 1.0).rows) == 64
