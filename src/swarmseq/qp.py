@@ -9,13 +9,17 @@ Solves, for every robot of a team,
 The objective is strictly convex, so each minimizer is unique. In the plane
 it is the nominal itself, the projection onto one violated row, or a vertex
 of two rows (see ``oracle_solve``). ``solve`` tries these in stages for the
-whole team at once, each stage on the robots the earlier ones left unsolved:
+whole team at once (``_project``), each stage's winner the feasible candidate
+nearest the nominal, the first on ties, until no robot is left:
 
   1. the nominal, when it satisfies every row;
-  2. the best projection onto one violated row that lands in the polygon
-     (a half-space projection inside the polygon is the polygon's);
-  3. the best vertex of two rows, at least one of them violated, that lies
-     in the polygon and has non-negative multipliers (Cramer's rule).
+  2. the projection onto one violated row that lands in the polygon (a
+     half-space projection inside the polygon is the polygon's), on the
+     whole team's layout as it is, where a robot that violates no row has
+     no candidate;
+  3. the vertex of two rows, at least one of them violated, that lies in
+     the polygon and has non-negative multipliers (Cramer's rule), on the
+     rows of only the robots stage 2 leaves.
 
 The rows arrive in a ``RowLayout``, the layout ``solve`` works on: one
 layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
@@ -54,8 +58,6 @@ MAX_ROWS = 64  # per robot; desk-scale cap
 _FEAS_TOL = 1e-9
 _SIDE = 1e-10  # how far off its lines a relaxation candidate's point lies, in row units
 
-# worst first: a team's status is that of its worst robot
-_STATUSES = ("infeasible_hard", "relaxed", "optimal")
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _BOX_NORMALS.flags.writeable = False
 
@@ -167,31 +169,53 @@ def _project(u, normals, offsets):
     a0, a1 = normals[..., 0], normals[..., 1]
     slack, viol = row_slack(u[:, :1], u[:, 1:], a0, a1, offsets)
     found = ~viol.any(axis=1)
-    x = u.copy()
-    lam = np.zeros((n, width))
+    x, lam = u.copy(), np.zeros((n, width))
+    if found.all():
+        return found, x, lam
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for stage in (_single_row_stage, _row_pair_stage):
-            todo = (~found).nonzero()[0]
-            if not len(todo):
-                break
-            uu, a0_, a1_, b, s, v = (w[todo] for w in (u, a0, a1, offsets, slack, viol))
-            ok, x0, x1, rows, lams = stage(uu, a0_, a1_, b, s, v)
-            # the feasible candidate nearest the nominal, the first on ties;
-            # feasibility is checked on the candidates still ok only
-            rr, cc = ok.nonzero()
-            c0, c1 = x0[rr, cc], x1[rr, cc]
-            slack_c = a0_[rr] * c0[:, None] + a1_[rr] * c1[:, None] - b[rr]
-            ok[rr, cc] = (slack_c >= -_FEAS_TOL).all(axis=1)
-            d0, d1 = x0 - uu[:, :1], x1 - uu[:, 1:]
-            obj = np.where(ok, d0 * d0 + d1 * d1, np.inf)
-            best = obj.argmin(axis=1)
-            i = (obj[np.arange(len(best)), best] < np.inf).nonzero()[0]
-            r, best = todo[i], best[i]
-            x[r, 0], x[r, 1] = x0[i, best], x1[i, best]
-            for k, lam_k in zip(rows, lams):
-                lam[r, k[best]] = np.maximum(lam_k[i, best], 0.0)
-            found[r] = True
+        # the one-row stage, on the whole team: the projection onto each
+        # violated row, with its multiplier
+        t = -slack / (a0 * a0 + a1 * a1)
+        x0, x1 = u[:, :1] + t * a0, u[:, 1:] + t * a1
+        won, best = _nearest(viol.copy(), x0, x1, u, a0, a1, offsets)
+        r, best = won.nonzero()[0], best[won]
+        x[r, 0], x[r, 1] = x0[r, best], x1[r, best]
+        lam[r, best] = np.maximum(t[r, best], 0.0)
+        found |= won
+        todo = (~found).nonzero()[0]
+        if not len(todo):
+            return found, x, lam
+        # the vertex stage, on the robots left: the vertex of each pair p < q
+        # of rows, at least one violated, if its multipliers are non-negative
+        p, q = _pairs(width)
+        uu, a0, a1, b, viol = u[todo], a0[todo], a1[todo], offsets[todo], viol[todo]
+        ap0, ap1, aq0, aq1 = a0[:, p], a1[:, p], a0[:, q], a1[:, q]
+        bp, bq = b[:, p], b[:, q]
+        det = ap0 * aq1 - ap1 * aq0
+        x0, x1 = (bp * aq1 - ap1 * bq) / det, (ap0 * bq - bp * aq0) / det
+        d0, d1 = x0 - uu[:, :1], x1 - uu[:, 1:]
+        lp, lq = (d0 * aq1 - aq0 * d1) / det, (ap0 * d1 - d0 * ap1) / det
+        ok = (viol[:, p] | viol[:, q]) & (det != 0) & (lp >= -_FEAS_TOL) & (lq >= -_FEAS_TOL)
+        won, best = _nearest(ok, x0, x1, uu, a0, a1, b)
+        i, best = won.nonzero()[0], best[won]
+        r = todo[i]
+        x[r, 0], x[r, 1] = x0[i, best], x1[i, best]
+        lam[r, p[best]] = np.maximum(lp[i, best], 0.0)
+        lam[r, q[best]] = np.maximum(lq[i, best], 0.0)
+        found[r] = True
     return found, x, lam
+
+
+def _nearest(ok, x0, x1, u, a0, a1, b):
+    """Each robot's candidate nearest its u[r] that meets all its rows a0, a1,
+    b, the first on ties: (whether it has one, the column of it). Robot r's
+    candidates are (x0[r, c], x1[r, c]) for c where ``ok[r, c]``; ``ok`` is
+    overwritten with their feasibility, checked on them only."""
+    rr, cc = ok.nonzero()
+    c0, c1 = x0[rr, cc], x1[rr, cc]
+    ok[rr, cc] = (a0[rr] * c0[:, None] + a1[rr] * c1[:, None] - b[rr] >= -_FEAS_TOL).all(axis=1)
+    d0, d1 = x0 - u[:, :1], x1 - u[:, 1:]
+    return ok.any(axis=1), np.where(ok, d0 * d0 + d1 * d1, np.inf).argmin(axis=1)
 
 
 def row_slack(u0, u1, a0, a1, b):
@@ -228,29 +252,6 @@ def quiet(nominal, slots, normals, offsets, speed_limit, template):
     return QpSolution(nominal.copy(), "optimal", ("optimal",) * len(nominal), np.zeros(shape), np.zeros(shape))
 
 
-def _single_row_stage(u, a0, a1, b, slack, viol):
-    """Candidates (robot, row): the projection onto each violated row, with
-    its multiplier."""
-    t = -slack / (a0 * a0 + a1 * a1)
-    return viol, u[:, :1] + t * a0, u[:, 1:] + t * a1, (np.arange(b.shape[1]),), (t,)
-
-
-def _row_pair_stage(u, a0, a1, b, slack, viol):
-    """Candidates (robot, pair p < q of rows, at least one violated): the
-    vertex where both rows bind, if its multipliers are non-negative."""
-    p, q = _pairs(b.shape[1])
-    ap0, ap1, aq0, aq1 = a0[:, p], a1[:, p], a0[:, q], a1[:, q]
-    bp, bq = b[:, p], b[:, q]
-    det = ap0 * aq1 - ap1 * aq0
-    x0 = (bp * aq1 - ap1 * bq) / det
-    x1 = (ap0 * bq - bp * aq0) / det
-    d0, d1 = x0 - u[:, :1], x1 - u[:, 1:]
-    lp = (d0 * aq1 - aq0 * d1) / det
-    lq = (ap0 * d1 - d0 * ap1) / det
-    ok = (viol[:, p] | viol[:, q]) & (det != 0) & (lp >= -_FEAS_TOL) & (lq >= -_FEAS_TOL)
-    return ok, x0, x1, (p, q), (lp, lq)
-
-
 def solve(problem):
     """Unique minimizer of |u_hat - u|^2 over the rows and the speed box, for
     every robot of the problem (see the module docstring for the stages).
@@ -261,21 +262,16 @@ def solve(problem):
     """
     rows, nominal = problem.rows, problem.nominal
     found, u, lam = _project(nominal, rows.normals, rows.offsets)
-    statuses = np.full(len(nominal), "optimal", dtype=object)
     slacks = np.zeros(rows.hard.shape)
+    statuses = ["optimal"] * len(nominal)
     stuck = (~found).nonzero()[0]
     if len(stuck):
         relaxed, u[stuck], lam[stuck], slacks[stuck] = _relax(rows, nominal[stuck], stuck)
-        statuses[stuck] = np.where(relaxed, "relaxed", "infeasible_hard")
-    statuses = tuple(statuses.tolist())
-
-    return QpSolution(
-        u=u,
-        status=next((s for s in _STATUSES if s in statuses), "optimal"),
-        statuses=statuses,
-        multipliers=lam,
-        slacks=slacks,
-    )
+        for r, ok in zip(stuck.tolist(), relaxed.tolist()):
+            statuses[r] = "relaxed" if ok else "infeasible_hard"
+    # a team's status is that of its worst robot
+    status = "optimal" if not len(stuck) else "relaxed" if relaxed.all() else "infeasible_hard"
+    return QpSolution(u, status, tuple(statuses), lam, slacks)
 
 
 def _relax(rows, nominal, stuck):

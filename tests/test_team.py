@@ -7,6 +7,7 @@ the identity the plan's calls give it, and a robot's solution, status and
 multipliers are the same solved alone or in any team.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -606,3 +607,98 @@ def test_degenerate_cases_match_the_oracle(name):
     if got.status != "infeasible_hard":
         assert got.multipliers.min() >= 0.0
         assert max(kkt_residuals(problem, got).values()) <= 1e-8
+
+
+def digest_team(rng):
+    """A seeded team of 1-8 robots with 0-20 rows each, built from exact
+    arithmetic on the generator's draws only (no BLAS, no libm), so that its
+    bits are the same on every machine. Robots get duplicate rows,
+    antiparallel rows around an empty or a thin strip, three rows through one
+    vertex and zero rows; hard rows make some of them freeze."""
+    n = int(rng.integers(1, 9))
+    nominal = rng.integers(-12, 13, (n, 2)) / 8 if rng.random() < 0.5 else rng.uniform(-1.5, 1.5, (n, 2))
+    blocks = []
+    for _ in range(n):
+        m = int(rng.choice([0, 20, rng.integers(1, 8)]))
+        if rng.random() < 0.5:
+            normals, offsets = rng.integers(-8, 9, (m, 2)) / 4, rng.integers(-24, 3, m) / 8
+        else:
+            normals, offsets = rng.uniform(-2, 2, (m, 2)), rng.uniform(-3, 0.25, m)
+        hard = rng.random(m) < 0.4
+        if m >= 2 and rng.random() < 0.5:  # a duplicate row
+            i, j = rng.choice(m, 2, replace=False)
+            normals[i], offsets[i] = normals[j], offsets[j]
+        if m >= 2 and rng.random() < 0.5:  # antiparallel rows: an empty or a thin strip
+            i, j = rng.choice(m, 2, replace=False)
+            normals[i], offsets[i] = -normals[j], -offsets[j] + rng.choice([0.25, -1 / 64])
+        if m >= 3 and rng.random() < 0.5:  # three rows through one vertex
+            p = rng.integers(-4, 5, 2) / 8
+            k = rng.choice(m, 3, replace=False)
+            offsets[k] = normals[k, 0] * p[0] + normals[k, 1] * p[1]
+        if m >= 1 and rng.random() < 0.2:
+            normals[rng.integers(m)] = 0.0
+        blocks.append(RowBlock(normals, offsets, hard))
+    return nominal, blocks, float(rng.integers(2, 13) / 8)
+
+
+# sha256 of solve's answers on the degenerate cases and 300 digest_teams of
+# seed 20 (u, multipliers, slacks and statuses). solve calls neither BLAS nor
+# LAPACK, so these bits are the code's alone: a change of a last bit or of
+# which candidate wins a tie changes them
+SOLVER_DIGEST = "58e3df5c8539dee2687c39c7c83bb67a5f664a0668612ad081bf1d9c0a95af96"
+
+
+def solver_cases():
+    """The problems of the solver digest, in order."""
+    for name in sorted(DEGENERATE):
+        nominal, spec, limit = DEGENERATE[name]
+        yield one_robot(nominal, rows_of(spec), limit)
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        nominal, blocks, limit = digest_team(rng)
+        yield QpProblem(nominal, team_layout(blocks), limit)
+
+
+def test_the_solver_keeps_its_bits():
+    h = hashlib.sha256()
+    statuses, widths = set(), set()
+    for problem in solver_cases():
+        got = solve(problem)
+        for a in (got.u, got.multipliers, got.slacks):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        h.update(" ".join(got.statuses).encode() + b"\n")
+        statuses.update(got.statuses)
+        widths.add(problem.rows.width)
+    assert statuses == {"optimal", "relaxed", "infeasible_hard"}
+    assert {0, 20} <= widths
+    assert h.hexdigest() == SOLVER_DIGEST
+
+
+def in_memory_order(layout, order):
+    """The layout with its normals and offsets copied into arrays of another
+    memory order: ``F``, Fortran-ordered; ``strided``, views that step over
+    elements of larger arrays (the offsets' a transposed one)."""
+    (n, k), (normals, offsets, hard) = layout.offsets.shape, (layout.normals, layout.offsets, layout.hard)
+    if order == "F":
+        normals, offsets, hard = np.asfortranarray(normals), np.asfortranarray(offsets), np.asfortranarray(hard)
+    else:
+        normals, offsets = np.zeros((2 * n, k + 1, 3))[::2, 1:, ::2], np.zeros((k, 2 * n)).T[::2]
+        normals[...], offsets[...] = layout.normals, layout.offsets
+    return RowLayout(layout.robots, layout.counts, normals, offsets, hard)
+
+
+@pytest.mark.parametrize("order", ["F", "strided"])
+def test_the_solver_reads_any_memory_order(order):
+    rng = np.random.default_rng(21)
+    statuses = set()
+    for _ in range(60):
+        nominal, blocks, limit = digest_team(rng)
+        layout = team_layout(blocks)
+        other = in_memory_order(layout, order)
+        assert len(nominal) == 1 or not (other.normals.flags.c_contiguous or other.offsets.flags.c_contiguous)
+        want, got = solve(QpProblem(nominal, layout, limit)), solve(QpProblem(nominal, other, limit))
+        for mine, theirs in ((got.u, want.u), (got.multipliers, want.multipliers), (got.slacks, want.slacks)):
+            assert bits(mine).tolist() == bits(theirs).tolist()
+        assert got.statuses == want.statuses and got.status == want.status
+        statuses.update(got.statuses)
+    assert statuses == {"optimal", "relaxed", "infeasible_hard"}
