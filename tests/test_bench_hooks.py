@@ -9,18 +9,23 @@ pin the outputs' bytes, one of them on the obstacle, relaxed and frozen
 paths of the filter. Four more pin the oracle-off view under delay, a delay
 bound past the run's end, a delayed run longer than one block of delay draws
 and the glue baseline's hold-still test, which reads the cached behavior
-indices.
+indices. Two crowd goldens pin the bench's generated grid missions at 48 and
+192 robots, with their lattice and pursuit laws over wide partner sets.
 """
 
 import hashlib
 import importlib.util
+import json
 import os
+import sys
 from dataclasses import replace
 
 from swarmseq import mission, sim
 from swarmseq.agent import Team
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+TRACER = os.path.join(BENCH, "tracer.py")
+WORKLOADS = os.path.join(BENCH, "workloads.py")
 
 IN_TICK_LAYERS = (
     "sim.tick",
@@ -60,12 +65,24 @@ LONG_DELAY_GOLDEN_DIGEST = "ac71808b2a7fb00a36522a950a85c48bad2941ad7d87c5e81159
 # robot holds still while a visible neighbor's cached index lags its own
 GLUE_GOLDEN_DIGEST = "63e48e1aa490978f0d1fdb8fd47237303663a245f68dd0d39eecb09ec1fa4569"
 
+# sha256 of the runs of the bench's crowd mission (seed 0) on its 6 x 8 grid
+# and on a 12 x 16 grid: each run's positions, controls, sigma and eta bytes,
+# then its events as sorted-key JSON, the 48-robot run first. Over the four
+# arrays alone, the runs' digests begin f99796225439 (48 robots, 436 ticks)
+# and 6141d080f0ff (192 robots, 437 ticks).
+CROWD_GOLDEN_DIGEST = "8a5f46cc6be10c5d494e519d77a8493c0acd8a7e88597c2d35f328386e70121f"
+
+
+def load_bench_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
+
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Tracer
+    return load_bench_module("bench_tracer", TRACER).Tracer
 
 
 def digest(paths):
@@ -139,3 +156,17 @@ def test_glue_hold_still_path_keeps_its_bytes(tmp_path):
     events = [ev["event"] for ev in record.events]
     assert events.count("mode_switch") == 30 and events.count("behavior_complete_local") == 12
     assert digest(sim.write_outputs(record, tmp_path)) == GLUE_GOLDEN_DIGEST
+
+
+def test_crowd_grids_keep_their_bytes():
+    crowd_mission_text = load_bench_module("bench_workloads", WORKLOADS).crowd_mission_text
+    h = hashlib.sha256()
+    for (rows, cols), ticks in zip(((6, 8), (12, 16)), (436, 437)):
+        plan, config = mission.parse_mission(crowd_mission_text(0, rows, cols))
+        record = sim.run(plan, config)
+        assert (plan.n, record.outcome, record.ticks) == (rows * cols, "done", ticks)
+        for a in (record.positions, record.controls, record.sigma, record.eta):
+            h.update(a.tobytes())
+        for ev in record.events:
+            h.update(json.dumps(ev, sort_keys=True).encode())
+    assert h.hexdigest() == CROWD_GOLDEN_DIGEST

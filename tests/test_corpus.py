@@ -1,0 +1,68 @@
+"""Whole-system properties over a fixed slice of the random-mission corpus
+(``missions.mission_text``, seeds 0-11 at a 1500-tick cap).
+
+Every run ends in one of the contract's outcomes without an exception, its
+hard-barrier minima stay at or above the acceptance gate, and its outcome,
+tick count and QP and missing-position event counts equal the recorded
+table. The runs without the oracle or under message delay, which read
+cached and sensed positions rather than the oracle's, run twice and must
+repeat byte for byte.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import missions
+from swarmseq import mission, sim
+
+CAP = 1500
+GATE = -1e-3  # the acceptance suite's gate on collision and obstacle minima
+OUTCOMES = {"done", "timeout", "infeasible_hard"}
+
+# seed: (outcome, ticks, qp_relaxed, qp_infeasible_hard, missing_position),
+# recorded at the cap above
+TABLE = {
+    0: ("done", 209, 0, 0, 0),
+    1: ("timeout", 1500, 0, 0, 0),
+    2: ("timeout", 1500, 0, 0, 3000),
+    3: ("timeout", 1500, 0, 0, 0),
+    4: ("timeout", 1500, 0, 0, 3000),
+    5: ("done", 449, 84, 0, 0),
+    6: ("timeout", 1500, 750, 0, 0),
+    7: ("timeout", 1500, 44, 0, 0),
+    8: ("done", 281, 30, 0, 0),
+    9: ("timeout", 1500, 32, 17, 0),
+    10: ("done", 409, 238, 0, 0),
+    11: ("done", 144, 4, 0, 0),
+}
+
+
+def digest(record):
+    """sha256 of a run's positions, controls, sigma and eta bytes and its events."""
+    h = hashlib.sha256()
+    for a in (record.positions, record.controls, record.sigma, record.eta):
+        h.update(a.tobytes())
+    for ev in record.events:
+        h.update(json.dumps(ev, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(TABLE))
+def test_a_corpus_mission_ends_as_recorded_within_the_gates(seed):
+    plan, config = mission.parse_mission(missions.mission_text(seed, CAP))
+    record = sim.run(plan, config)
+    events = [ev["event"] for ev in record.events]
+    assert record.outcome in OUTCOMES
+    assert min(missions.hard_minima(record)) >= GATE
+    counts = tuple(events.count(e) for e in ("qp_relaxed", "qp_infeasible_hard", "missing_position"))
+    assert (record.outcome, record.ticks, *counts) == TABLE[seed]
+    if config.delay.max_ticks or not config.oracle_sensing:
+        assert digest(sim.run(plan, config)) == digest(record)
+
+
+def test_the_corpus_slice_covers_the_message_paths():
+    configs = [mission.parse_mission(missions.mission_text(seed, CAP))[1] for seed in TABLE]
+    assert sum(not c.oracle_sensing for c in configs) >= 2
+    assert sum(c.delay.max_ticks > 0 for c in configs) >= 3
