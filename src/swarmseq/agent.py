@@ -2,16 +2,18 @@
 
 The team is one ``Team`` of arrays, robot i + 1 at index i. A tick runs in
 two phases. ``step`` advances every robot at once: it files the delivered
-``Inbox`` in each robot's message cache, builds each robot's view of the
-others, runs each controller class's nominal law and each behavior's
-completion test once for all its robots, then updates the consensus and the
-mode machine as array passes. It returns a
-``TeamRequest``: every robot's nominal and the partner positions its QP rows
-read, all from the robot's own row of the view and the cache, on the team's
-``TickGraph``. The graph holds what the laws and the rows take from the
-stage and the sensed and known masks (the index arrays, the missing
-positions and the row plan), and the team rebuilds it only when one of the
-three changes, which few ticks do. ``filter_team`` then builds every robot's
+``Inbox`` in each robot's message cache, takes each robot's view of the
+others as masks (which positions it sees, which it knows), runs each
+controller class's nominal law and each behavior's completion test once for
+all its robots, then updates the consensus and the mode machine as array
+passes. It returns a ``TeamRequest``: every robot's nominal and the partner
+positions its QP rows read, all from the robot's own row of the view and the
+cache, on the team's ``TickGraph``. The graph holds what the laws and the
+rows take from the stage and the sensed and known masks (the index arrays,
+the pairs where the tick reads the view, the missing positions and the row
+plan), and the team rebuilds it only when one of the three changes, which
+few ticks do. A tick reads positions only at those pairs, in one gather, and
+builds no (n, n) table of them. ``filter_team`` then builds every robot's
 rows and, unless every nominal already satisfies its rows and the speed box,
 solves every robot's QP in one pass.
 
@@ -106,25 +108,30 @@ class Cache:
     def ingest(self, inbox, tick, staleness):
         """File the ``Inbox`` delivered on ``tick``: a message replaces the
         cached entry unless that one was sent later. Then every entry that no
-        message refreshed for more than ``staleness`` ticks expires."""
-        sent = inbox.sent
-        i, j = ((sent >= 0) & (~self.present | (self.send_tick <= sent))).nonzero()
-        sent = sent[i, j]
-        slot = sent % len(inbox.state)
-        body = inbox.state[slot, j]
-        self.position[i, j], self.sigma[i, j], self.eta[i, j] = body[:, :2], body[:, 2], body[:, 3]
-        self.k[i, j], self.send_tick[i, j], self.receive_tick[i, j] = inbox.k[slot, j], sent, tick
-        self.present[i, j] = True
+        message refreshed for more than ``staleness`` ticks expires. The
+        fresh cells are written through their flat indices, into views of the
+        (contiguous) tables."""
+        n, sent = len(self.present), inbox.sent
+        cells = ((sent >= 0) & (~self.present | (self.send_tick <= sent))).ravel().nonzero()[0]
+        sent = sent.take(cells)
+        message = sent % len(inbox.state) * n + cells % n  # (send slot, sender), flat
+        body = inbox.state.reshape(-1, 4).take(message, axis=0)
+        self.position.reshape(-1, 2)[cells] = body[:, :2]
+        self.sigma.reshape(-1)[cells], self.eta.reshape(-1)[cells] = body[:, 2], body[:, 3]
+        self.k.reshape(-1)[cells], self.send_tick.reshape(-1)[cells] = inbox.k.take(message), sent
+        self.receive_tick.reshape(-1)[cells], self.present.reshape(-1)[cells] = tick, True
         self.present &= tick - self.receive_tick <= staleness
 
     def view(self, positions, sensed, oracle):
-        """(view, known): ``view[i, j]`` is robot i's best position of robot
-        j, the sensed one, else the oracle's, else its cached message's, and
-        ``known[i, j]`` whether it has one (never for j = i)."""
+        """Every robot's view of the others, as a ``View`` of masks:
+        ``seen[i, j]`` when robot i sees robot j's position (sensed, or the
+        oracle's) and ``known[i, j]`` when it has one at all, seen or cached
+        (never for j = i). No table of positions is built: ``View.at`` reads
+        the view at the pairs it is given."""
         seen = sensed | oracle
         known = seen | self.present
         np.fill_diagonal(known, False)
-        return np.where(seen[..., None], positions, self.position), known
+        return View(seen, known, positions, self.position)
 
     def aligned(self, k, executing):
         """Each robot's consensus values of the others, relative to its own
@@ -133,6 +140,22 @@ class Cache:
         mine = k[:, None]
         value = np.where(executing[:, None], self.sigma, self.eta)
         return np.where(self.present & (self.k == mine), value, self.present & (self.k > mine))
+
+
+class View(NamedTuple):
+    """A ``Cache.view``: the ``seen`` and ``known`` masks and the positions
+    they choose between, the team's ``positions`` and the ``cached`` ones."""
+
+    seen: np.ndarray
+    known: np.ndarray
+    positions: np.ndarray
+    cached: np.ndarray
+
+    def at(self, cols, flat):
+        """Robot i's best position of robot j at the pairs (i, j) = (flat //
+        n, ``cols``), ``flat`` = i n + j: the seen one, else the cached one."""
+        cached = self.cached.reshape(-1, 2).take(flat, axis=0)
+        return np.where(self.seen.take(flat)[:, None], self.positions.take(cols, axis=0), cached)
 
 
 @dataclass
@@ -184,7 +207,11 @@ class TickGraph:
     robot's row order. ``initial`` holds (slot, kind) for the active spec's
     initial constraints, in slot order, and ``missing`` the (robot, other)
     ids of the connectivity partners without a position, in event order.
-    ``plan`` is the ``RowPlan`` of the last tick's rows.
+    ``reads`` holds the pairs where a tick reads the view, the law pairs
+    and then the row pairs, as ``View.at`` takes them (columns, flat i n + j
+    indices in a team of n), and ``fold`` the law pairs'
+    ``behaviors.fold_index`` (both None for a graph built by hand). ``plan``
+    is the ``RowPlan`` of the last tick's rows.
     """
 
     key: tuple | None
@@ -198,18 +225,26 @@ class TickGraph:
     deltas: np.ndarray
     initial: tuple
     missing: tuple
+    reads: tuple | None = None
+    fold: tuple | None = None
     plan: RowPlan | None = None
 
     @classmethod
-    def of(cls, index, conn, coll, initial=(), laws=None, missing=(), absent=None, key=None):
+    def of(cls, index, conn, coll, initial=(), laws=None, missing=(), absent=None, key=None, n=None):
         """The graph of the live robots ``index`` (0-based, ascending), with
         the connectivity rows ``conn`` (robots, partners, deltas) and the
-        collision rows ``coll`` (robots, partners), 0-based."""
+        collision rows ``coll`` (robots, partners), 0-based; a team size
+        ``n`` gives it the view indices and the fold index of its pairs."""
         (r, p, deltas), (cr, cp) = conn, coll
         pairs = np.concatenate((r, cr)), np.concatenate((p, cp))
         none = np.empty(0, dtype=int)
-        return cls(key, index + 1, index, laws or (none, none), absent, pairs, index.searchsorted(pairs[0]), len(r),
-                   deltas, tuple(initial), tuple(missing))
+        laws = laws or (none, none)
+        reads = fold = None
+        if n is not None:
+            rows, cols = (np.concatenate(a) for a in zip(laws, pairs))
+            reads, fold = (cols, rows * n + cols), behaviors.fold_index(laws[0])
+        return cls(key, index + 1, index, laws, absent, pairs, index.searchsorted(pairs[0]), len(r), deltas,
+                   tuple(initial), tuple(missing), reads, fold)
 
 
 class TeamRequest(NamedTuple):
@@ -361,7 +396,7 @@ def _tick_graph(team, stage, sensed, known):
     ok = known[r, p]
     missing = zip((r[~ok] + 1).tolist(), (p[~ok] + 1).tolist())
     team.tick_graph = TickGraph.of(stage.ids, (r[ok], p[ok], delta[ok]), (sensed & stage.live[:, None]).nonzero(),
-                                   stage.initial, (rows, cols), missing, error, (stage, *masks))
+                                   stage.initial, (rows, cols), missing, error, (stage, *masks), len(known))
     return team.tick_graph
 
 
@@ -384,17 +419,18 @@ def step(team, world, inbox, plan, config):
     cache = team.cache
     cache.ingest(inbox, t, config.staleness_ticks)
     sensed = world.sensed
-    view, known = cache.view(x, sensed, config.oracle_sensing)
+    view = cache.view(x, sensed, config.oracle_sensing)
     stage = _stage(team, plan, config)
-    graph = _tick_graph(team, stage, sensed, known)
+    graph = _tick_graph(team, stage, sensed, view.known)
     if graph.absent is not None:
         raise AgentError(graph.absent)
     k, executing, assembling = team.k, stage.executing, stage.assembling
     rows, cols = graph.laws
-    seen_at = view[rows, cols]
+    seen = view.at(*graph.reads)
+    seen_at = seen[:len(rows)]
     nominal = np.zeros((plan.n, 2))
     for law in stage.laws:
-        nominal[law.robots] = behaviors.nominal_control(law, x, rows, cols, seen_at)
+        nominal[law.robots] = behaviors.nominal_control(law, x, rows, cols, seen_at, graph.fold)
     if config.glue_transitions:
         # the glue baseline starts rendezvous only upon collective completion:
         # hold still while any visible neighbor is still on the previous
@@ -436,14 +472,14 @@ def step(team, world, inbox, plan, config):
                     {"event": "behavior_complete_local", "robot": robot, "k": now - 1},
                     {"event": "mission_done_local", "robot": robot} if done[i] else _switch(robot, "assembling", now),
                 ]
-        graph = _tick_graph(team, _stage(team, plan, config), sensed, known)
+        graph = _tick_graph(team, _stage(team, plan, config), sensed, view.known)
+        seen = view.at(*graph.reads)
 
     for robot, other in graph.missing:
         events.setdefault(robot, []).append({"event": "missing_position", "robot": robot, "other": other})
     if len(graph.index) < plan.n:
         x, nominal = x[graph.index], nominal[graph.index]
-    r, p = graph.pairs
-    return TeamRequest(graph, x, nominal, view[r, p]), events
+    return TeamRequest(graph, x, nominal, seen[len(graph.laws[0]):]), events
 
 
 class RowPlan(NamedTuple):

@@ -61,13 +61,15 @@ def _edge_key(i, j):
     return (min(i, j), max(i, j))
 
 
-def nominal_control(law, x, rows, cols, seen_at):
+def nominal_control(law, x, rows, cols, seen_at, fold=None):
     """Nominal velocity commands of the robots ``law.robots`` under their
     ``law``, given the team's positions ``x`` and its partner pairs: robot
     ``rows``, partner ``cols`` (indices, robot i + 1 at i; by robot, partners
-    ascending) and where each robot sees its partner (``seen_at``). A
-    robot's command reads its own pairs only."""
-    return law.kind.control(law, x, rows, cols, seen_at)[law.robots]
+    ascending) and where each robot sees its partner (``seen_at``), with the
+    pairs' ``fold_index`` (built here if not given). A robot's command reads
+    its own pairs only."""
+    fold = fold_index(rows) if fold is None else fold
+    return law.kind.control(law, x, rows, cols, seen_at, fold)[law.robots]
 
 
 class Law(NamedTuple):
@@ -101,21 +103,31 @@ def _sq(d):
     return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
-def _fold(rows, terms, n):
-    """Each of n robots' sum of its pairs' ``terms`` (robot ``rows``,
-    ascending): a left fold from +0 in pair order, as (n, 2). A robot's terms
-    follow a zero in its row of an (n, n) pad; a fold from +0 never reaches
+def fold_index(rows):
+    """Where ``_fold`` puts each pair of the robots ``rows`` (ascending):
+    (flat index, width) in a pad of rows ``width`` wide, one more than the
+    largest degree. A robot's k-th pair (from 1) goes to column k of its row."""
+    rank = np.arange(1, len(rows) + 1) - rows.searchsorted(rows)
+    width = int(rank.max(initial=0)) + 1
+    return rows * width + rank, width
+
+
+def _fold(terms, n, fold):
+    """Each of n robots' sum of its pairs' ``terms`` (placed by the pairs'
+    ``fold_index``): a left fold from +0 in pair order, as (n, 2). A robot's
+    terms follow a zero in its row of the pad; a fold from +0 never reaches
     -0, so the zeros after them add nothing."""
-    pad = np.zeros((n, n, 2))
-    pad[rows, np.arange(1, len(rows) + 1) - rows.searchsorted(rows)] = terms
-    return pad.cumsum(axis=1)[:, -1]
+    flat, width = fold
+    pad = np.zeros((n * width, 2))
+    pad[flat] = terms
+    return pad.reshape(n, width, 2).cumsum(axis=1)[:, -1]
 
 
-def _spring(law, x, rows, cols, seen_at):
+def _spring(law, x, rows, cols, seen_at, fold):
     """Sum over each robot's partners of (|x - p|^2 - theta^2) (p - x); the
     squares of p - x have the bits of those of x - p."""
     d = seen_at - x[rows]
-    return _fold(rows, (_sq(d) - law.theta2[rows, cols])[:, None] * d, len(x))
+    return _fold((_sq(d) - law.theta2[rows, cols])[:, None] * d, len(x), fold)
 
 
 # --- controllers --------------------------------------------------------------
@@ -152,8 +164,8 @@ class Rendezvous(Controller):
     yaml = "rendezvous"
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
-        return _fold(rows, seen_at - x[rows], len(x))
+    def control(law, x, rows, cols, seen_at, fold):
+        return _fold(seen_at - x[rows], len(x), fold)
 
 
 @dataclass(frozen=True)
@@ -161,8 +173,8 @@ class Scatter(Controller):
     yaml = "scatter"
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
-        return _fold(rows, x[rows] - seen_at, len(x))
+    def control(law, x, rows, cols, seen_at, fold):
+        return _fold(x[rows] - seen_at, len(x), fold)
 
 
 class _Shape(Controller):
@@ -242,8 +254,8 @@ class LeaderFollower(_Shape):
             super().gather(law, i, partners)
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
-        return np.where(law.gain > 0, law.gain * (law.goal - x), _spring(law, x, rows, cols, seen_at))
+    def control(law, x, rows, cols, seen_at, fold):
+        return np.where(law.gain > 0, law.gain * (law.goal - x), _spring(law, x, rows, cols, seen_at, fold))
 
     def violations(self, graph, robots, delta):
         out = super().violations(graph, robots, delta)
@@ -263,8 +275,8 @@ class CyclicPursuit(Controller):
         law.rot[i] = rotation(self.angle)
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
-        return _fold(rows, (law.rot[rows] @ (seen_at - x[rows])[:, :, None])[:, :, 0], len(x))
+    def control(law, x, rows, cols, seen_at, fold):
+        return _fold((law.rot[rows] @ (seen_at - x[rows])[:, :, None])[:, :, 0], len(x), fold)
 
     def violations(self, graph, robots, delta):
         try:
@@ -293,8 +305,8 @@ class Containment(CyclicPursuit):
         law.goal[i], law.gain[i] = self.goal, self.gain
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
-        return CyclicPursuit.control(law, x, rows, cols, seen_at) + law.gain * (law.goal - x)
+    def control(law, x, rows, cols, seen_at, fold):
+        return CyclicPursuit.control(law, x, rows, cols, seen_at, fold) + law.gain * (law.goal - x)
 
 
 @dataclass(frozen=True)
@@ -333,7 +345,7 @@ class Coverage(Controller):
         return KNOWN
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
+    def control(law, x, rows, cols, seen_at, fold):
         """Toward the centroid of each robot's own cell among the robots it
         knows, clipped to its domain, one robot at a time. Positions are
         nudged into the rectangle first: transient boundary overshoot from
@@ -372,7 +384,7 @@ class GoToGoal(Controller):
             law.goal[i], law.gain[i] = self.goals[i + 1], self.gain
 
     @staticmethod
-    def control(law, x, rows, cols, seen_at):
+    def control(law, x, rows, cols, seen_at, fold):
         return np.where(law.gain > 0, law.gain * (law.goal - x), 0.0)
 
     def violations(self, graph, robots, delta):

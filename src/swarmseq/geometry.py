@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import Connectivity, sq_dist
+from .barriers import Connectivity
 
 
 class GeometryError(ValueError):
@@ -135,7 +135,9 @@ def proximity_graph(positions, delta):
     exactly when its connectivity barrier is nonnegative, so the test is
     boundary-inclusive: a pair at distance ``delta`` is connected. The graph
     keeps the squared distances the test read: ``sq_dist[i, j]`` (equal to
-    ``[j, i]`` bitwise) for robots i + 1 and j + 1.
+    ``[j, i]`` bitwise) for robots i + 1 and j + 1: each component's (n, n)
+    table of differences, squared, then the two summed, which are the
+    operations ``sq_dist`` does on ``positions[i] - positions[j]``.
     """
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
@@ -144,7 +146,10 @@ def proximity_graph(positions, delta):
         raise GeometryError(f"positions must be a non-empty (n, 2) array, got {positions.shape}")
     if not np.isfinite(positions).all():
         raise GeometryError("non-finite robot position")
-    table = sq_dist(positions[:, None] - positions)
+    d = positions.T.copy()  # contiguous components, so the differences below stream
+    d = d[:, :, None] - d[:, None]
+    d *= d
+    table = d[0] + d[1]
     mask = _range_test(float(delta)).at_sq_dist(table) >= 0
     mask.flat[::len(mask) + 1] = False  # the diagonal
     mask.flags.writeable = table.flags.writeable = False

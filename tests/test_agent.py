@@ -351,7 +351,11 @@ def test_team_cache_view_and_consensus_equal_a_per_robot_reference_bitwise():
             mask = np.zeros((n, n), dtype=bool)
             for i, j in sensed.edges:
                 mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
-            view, known = cache.view(x, mask, oracle_on)
+            view = cache.view(x, mask, oracle_on)
+            # the view read at every ordered pair i != j, row by row
+            rows, cols = (~np.eye(n, dtype=bool)).nonzero()
+            pair = {(i, j): m for m, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+            at, known = view.at(cols, rows * n + cols), view.known
             k = np.array([rng.randint(1, 4) for _ in range(n)])
             executing = np.array([rng.random() < 0.5 for _ in range(n)])
             flags = np.array([rng.random() < 0.8 for _ in range(n)])
@@ -371,7 +375,7 @@ def test_team_cache_view_and_consensus_equal_a_per_robot_reference_bitwise():
                     want = ref.lookup(j, near, oracle)
                     assert known[i, j] == (want is not None)
                     if want is not None:
-                        assert bits(view[i, j]) == bits(want)
+                        assert bits(at[pair[i, j]]) == bits(want)
                 vals = ref.aligned(near, int(k[i]), bool(executing[i]))
                 assert bits(aligned[i, sorted(near)]) == bits(vals)
                 assert bits(value[i]) == bits(reference_consensus(bool(flags[i]), vals))

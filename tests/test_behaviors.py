@@ -18,6 +18,8 @@ from swarmseq.behaviors import (
     LeaderFollower,
     Rendezvous,
     Scatter,
+    _fold,
+    fold_index,
     nominal_control,
     rotation,
 )
@@ -524,3 +526,43 @@ class TestTeamLaws:
         got = predicate.done(u, elapsed, x)
         assert got.tolist() == [reference_done(predicate, *row) for row in zip(u, elapsed, x)]
         assert True in got.tolist() and False in got.tolist()
+
+
+# --- the degree-wide fold -----------------------------------------------------
+
+
+def dense_fold(rows, terms, n):
+    """The partner sums as an (n, n, 2) pad folds them: each robot's terms
+    after a zero in its row, then a cumulative sum over the whole row."""
+    pad = np.zeros((n, n, 2))
+    pad[rows, np.arange(1, len(rows) + 1) - rows.searchsorted(rows)] = terms
+    return pad.cumsum(axis=1)[:, -1]
+
+
+class TestFold:
+    def test_the_degree_wide_fold_keeps_the_bits_of_the_dense_pad(self):
+        rng = np.random.default_rng(21)
+        for case in range(200):
+            n = int(rng.integers(1, 30))
+            degree = rng.integers(0, n, n)  # a robot's partner count, below n
+            degree[rng.random(n) < 0.3] = 0  # robots with no partners
+            rows = np.repeat(np.arange(n), degree)
+            terms = rng.normal(size=(len(rows), 2)) * 10.0 ** rng.integers(-8, 8, (len(rows), 1))
+            terms[rng.random(terms.shape) < 0.2] = -0.0
+            terms[rng.random(terms.shape) < 0.1] *= -1.0
+            flat, width = fold_index(rows)
+            assert width == int(degree.max(initial=0)) + 1
+            got = _fold(terms, n, (flat, width))
+            assert bits(got) == bits(dense_fold(rows, terms, n)), case
+            assert bits(got[degree == 0]) == bits(np.zeros(((degree == 0).sum(), 2)))
+
+    def test_edge_cases_of_the_fold(self):
+        none = np.empty(0, dtype=int)
+        # a team of one, with no pairs: +0 sums in a pad one column wide
+        assert fold_index(none)[1] == 1
+        assert bits(_fold(np.empty((0, 2)), 1, fold_index(none))) == bits([[0.0, 0.0]])
+        # only -0.0 terms fold to +0.0; a -0.0 after a nonzero term adds nothing
+        rows = np.array([0, 0, 1, 2, 2])
+        terms = np.array([[-0.0, -0.0], [-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [-0.0, -3.0]])
+        got = _fold(terms, 4, fold_index(rows))
+        assert bits(got) == bits(dense_fold(rows, terms, 4)) == bits([[0.0, 0.0], [0.0, 1.5], [2.0, -3.0], [0.0, 0.0]])

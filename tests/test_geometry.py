@@ -119,6 +119,15 @@ class TestProximityGraph:
         with pytest.raises(AttributeError):
             InteractionGraph(2).sq_dist
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 48, 192])
+    def test_the_component_table_has_the_bits_of_sq_dist(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, size=(n, 2)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        table = proximity_graph(x, 0.5).sq_dist
+        assert table.view(np.int64).tolist() == sq_dist(x[:, None] - x).view(np.int64).tolist()
+        assert table.view(np.int64).tolist() == table.T.view(np.int64).tolist()
+
     def test_equals_pairwise_barrier_test(self):
         # the broadcast range test agrees with the connectivity barrier of
         # each pair evaluated on its own, also for pairs exactly delta apart
