@@ -22,7 +22,7 @@ from .geometry import (
     voronoi_cell,
 )
 from .mission import BehaviorSpec, MissionPlan, builtin_scenario, parse_mission, serialize_mission, validate
-from .qp import QpProblem, QpSolution, RowLayout, oracle_solve, solve
+from .qp import QpProblem, QpSolution, RowLayout, solve
 from .sim import DelaySpec, RunRecord, SimConfig, run, write_outputs
 
 __version__ = "0.1.0"

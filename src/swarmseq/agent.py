@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import behaviors
-from .barriers import Collision, Connectivity, ObstacleAvoid, PairStack, constraint_row
+from .barriers import Collision, Connectivity, ObstacleAvoid, RowStack, constraint_row
 from .qp import QpProblem, RowLayout, quiet, solve
 
 EXECUTING = 0
@@ -486,24 +486,24 @@ class RowPlan(NamedTuple):
     """The structure of a team's rows, fixed while its ``TickGraph`` and its
     active (robot, obstacle) pairs are.
 
-    ``calls`` holds one (barrier kind, robot slots, source) per
-    ``constraint_row`` call: the graph's pairwise rows as one ``PairStack``
-    (source ``pairs``), the active obstacle rows (``obst``), then each
-    initial constraint (None). Each robot's rows come in the order of its
-    own constraint set (connectivity, collision, obstacle, initial
-    constraints). ``slots`` is every row's robot slot and ``flat`` its flat
-    index in the layout, call by call, so a row's kind and other robot or
-    obstacle in ``calls`` name the layout cell at ``flat``. ``template`` is
-    a read-only layout with the pad rows and the hard mask, which only the
-    plan builds. A plan serves the ticks whose activation mask has the bytes
-    ``active`` (None without obstacles) and whose ``min_sep`` and obstacle
-    ``stack`` are its own objects.
+    ``rows`` is the ``RowStack`` of every row: the graph's pairwise rows
+    (connectivity, then collision), the active obstacle rows (``obst``, a
+    slice of the stack), then each initial constraint. Each robot's rows come
+    in the order of its own constraint set (connectivity, collision,
+    obstacle, initial constraints). ``slots`` is every row's robot slot and
+    ``flat`` its flat index in the layout, in stack order, so a row's kind
+    and other robot or obstacle in ``rows.kinds`` name the layout cell at
+    ``flat``. ``template`` is a read-only layout with the pad rows and the
+    hard mask, which only the plan builds. A plan serves the ticks whose
+    activation mask has the bytes ``active`` (None without obstacles) and
+    whose ``min_sep`` and obstacle ``stack`` are its own objects.
     """
 
     active: bytes | None
     min_sep: float
     stack: object
-    calls: list
+    rows: RowStack
+    obst: slice
     slots: np.ndarray
     flat: np.ndarray
     template: RowLayout
@@ -512,38 +512,30 @@ class RowPlan(NamedTuple):
     def of(cls, graph, active, min_sep, stack):
         """The plan of a graph's rows whose activation mask is ``active``
         (None without obstacles)."""
-        ids, p, m, slots = graph.robots, graph.pairs[1], graph.conn, graph.slots
-        calls = []
-        if len(slots):
-            kinds = (Connectivity(ids[slots[:m]], p[:m] + 1, graph.deltas), Collision(ids[slots[m:]], p[m:] + 1, min_sep))
-            calls.append((PairStack.of(kinds), slots, "pairs"))
+        ids, p, m, pairs = graph.robots, graph.pairs[1], graph.conn, graph.slots
+        kinds = [Connectivity(ids[pairs[:m]], p[:m] + 1, graph.deltas), Collision(ids[pairs[m:]], p[m:] + 1, min_sep)]
+        obst = np.empty(0, dtype=int)
         if active is not None and active.any():
-            slot, m = active.nonzero()
-            calls.append((ObstacleAvoid(ids[slot], stack, m + 1), slot, "obst"))
-        calls += [(kind, s, None) for s, kind in graph.initial]
-        counts = np.zeros(len(ids), dtype=int)
-        cells = []  # (robot slots, columns) per call
-        for _, slot, _ in calls:
-            slot = np.atleast_1d(slot)
-            # each robot's rows are one run in the call's order, after its earlier calls' rows
-            order = slot.argsort(kind="stable")
-            rank = np.empty(len(slot), dtype=int)
-            rank[order] = np.arange(len(slot)) - slot[order].searchsorted(slot[order])
-            cells.append((slot, counts[slot] + rank))
-            counts += np.bincount(slot, minlength=len(counts))
-        template = RowLayout.empty(ids.copy(), counts)
-        for (slot, column), (kind, _, _) in zip(cells, calls):
-            template.hard[slot, column] = kind.hard
-        none = np.empty(0, dtype=int)
-        slots, columns = (np.concatenate(c) for c in zip(*cells)) if cells else (none, none)
+            obst, o = active.nonzero()
+            kinds.append(ObstacleAvoid(ids[obst], stack, o + 1))
+        kinds += [kind for _, kind in graph.initial]
+        slots = np.concatenate((pairs, obst, np.array([s for s, _ in graph.initial], dtype=int)))
+        # each robot's rows are one run in stack order
+        order = slots.argsort(kind="stable")
+        columns = np.empty(len(slots), dtype=int)
+        columns[order] = np.arange(len(slots)) - slots[order].searchsorted(slots[order])
+        rows = RowStack.of(kinds)
+        template = RowLayout.empty(ids.copy(), np.bincount(slots, minlength=len(ids)))
+        template.hard[slots, columns] = rows.hard
         flat = slots * template.offsets.shape[1] + columns
         for a in (slots, flat, template.robots, template.counts, template.normals, template.offsets, template.hard):
             a.flags.writeable = False
-        return cls(None if active is None else active.tobytes(), min_sep, stack, calls, slots, flat, template)
+        obst = slice(len(pairs), len(pairs) + len(obst))
+        return cls(None if active is None else active.tobytes(), min_sep, stack, rows, obst, slots, flat, template)
 
     def fill(self, normals, offsets):
-        """A fresh layout of the template with the rows of the plan's calls,
-        flat in call order; the template is left as it is."""
+        """A fresh layout of the template with the rows, flat in stack order;
+        the template is left as it is."""
         t = self.template
         layout = RowLayout(t.robots, t.counts, t.normals.copy(), t.offsets.copy(), t.hard)
         layout.normals.reshape(-1, 2)[self.flat] = normals
@@ -556,14 +548,13 @@ def team_rows(request, params, min_sep, domain):
     (plan, normals (R, 2), offsets (R,)), row k a row of the robot at slot
     ``plan.slots[k]``; ``plan.fill(normals, offsets)`` is the solver's layout.
 
-    Each ``constraint_row`` call of the plan builds the rows of one barrier
-    kind for the whole team, the connectivity and collision rows one pairwise
-    stack, and each row goes to its robot's layout row in the order of the
-    robot's own constraint set (connectivity, collision, obstacle, initial
-    constraints), bit for bit the row of the robot's own one-robot stack.
-    Obstacle rows take the activation test's values, for the pairs inside its
-    margin only. The request's ``TickGraph`` keeps the plan until the
-    activation mask, ``min_sep`` or the obstacle stack changes.
+    One ``constraint_row`` call on the plan's ``RowStack`` builds every row
+    of the team, and each row goes to its robot's layout row in the order of
+    the robot's own constraint set (connectivity, collision, obstacle,
+    initial constraints), bit for bit the row of the robot's own one-robot
+    stack of its kind. Obstacle rows take the activation test's values, for
+    the pairs inside its margin only. The request's ``TickGraph`` keeps the
+    plan until the activation mask, ``min_sep`` or the obstacle stack changes.
     """
     graph, x = request.graph, request.position
     stack, active, near, key = None, None, None, None
@@ -577,14 +568,15 @@ def team_rows(request, params, min_sep, domain):
     plan = graph.plan
     if plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack:
         plan = graph.plan = RowPlan.of(graph, active, min_sep, stack)
-    blocks = []
-    for kind, slot, source in plan.calls:
-        positions = (x[slot], request.seen) if source == "pairs" else (x[slot],)
-        h = near if source == "obst" else kind.value(*positions)
-        blocks.append(constraint_row(kind, params, h, *positions))
-    if not blocks:
+    if not len(plan.slots):
         return plan, np.empty((0, 2)), np.empty(0)
-    return plan, np.concatenate([b.normals for b in blocks]), np.concatenate([b.offsets for b in blocks])
+    rows, xs = plan.rows, x.take(plan.slots, axis=0)
+    p = np.concatenate((request.seen, rows.center))
+    h = rows.value(xs, p)
+    if near is not None:
+        h[plan.obst] = near
+    block = constraint_row(rows, params, h, xs, p)
+    return plan, block.normals, block.offsets
 
 
 def filter_team(request, params, min_sep, speed_limit, domain):
@@ -592,9 +584,10 @@ def filter_team(request, params, min_sep, speed_limit, domain):
     returns the team's ``QpSolution``, with one control and one status per slot.
 
     A tick on which every nominal satisfies its rows and the speed box is
-    answered from the flat rows; only other ticks lay the rows out and solve."""
+    answered from the flat rows; only other ticks lay the rows out and solve.
+    ``quiet`` checks the problem either way, so the layout is not checked again."""
     plan, normals, offsets = team_rows(request, params, min_sep, domain)
     solution = quiet(request.nominal, plan.slots, normals, offsets, speed_limit, plan.template)
     if solution is None:
-        solution = solve(QpProblem(request.nominal, plan.fill(normals, offsets), speed_limit))
+        solution = solve(QpProblem(request.nominal, plan.fill(normals, offsets), speed_limit, checked=True))
     return solution

@@ -18,15 +18,20 @@ Each barrier kind owns its value and gradient. Both work over the trailing
 a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
 pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
 stack. Every barrier squares distances with ``sq_dist`` (``at_sq_dist``
-takes them as given). ``constraint_row`` turns one such stack's values into a
+takes them as given). ``constraint_row`` turns one stack's values into a
 ``RowBlock``, one row per barrier; a stack whose ``i`` is an array of robots
 gives a team's rows, which ``agent.RowPlan`` places robot by robot. A row
-carries only its numbers: which barrier it is, the plan's calls say.
+carries only its numbers: which barrier it is, the stack's kinds say.
 
-Connectivity and collision are one pairwise form, h = c + s |x_i - x_j|^2
-with gradient 2 s (x_i - x_j): connectivity is c = delta^2, s = -1 and
-collision c = -min_sep^2, s = +1. So a team's rows of both kinds are one
-``PairStack``, built with one ``constraint_row`` call.
+Every kind is a barrier of robot i about a point p: the partner's position,
+the ellipse's center or the disc's center. Its gradient is
+2 (x_i - p) * (sx, sy), with (sx, sy) = (s, s) for the pairwise kinds,
+(a, b) for an ellipse and (-1, -1) for a disc. Connectivity and collision
+are one pairwise form, h = c + s |x_i - x_j|^2: connectivity is
+c = delta^2, s = -1 and collision c = -min_sep^2, s = +1; keep-within is
+the same form with c = radius^2, s = -1. So a team's rows of every kind are
+one ``RowStack``, built by one ``constraint_row`` call a tick, each row bit
+for bit its kind's own.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _pairs_a_robot_with_itself(i, j):
 class _Pairwise:
     """A barrier h = c + s |x_i - x_j|^2 on robots i and j, half of it
     enforced by each; dh/dx_i is 2 s (x_i - x_j). Connectivity and collision
-    are two choices of c and s, and ``PairStack`` takes them per barrier."""
+    are two choices of c and s, and a ``RowStack`` takes them per barrier."""
 
     share = 0.5
 
@@ -126,6 +131,13 @@ class _Pairwise:
     def gradient(self, xi, xj):
         """dh/dx_i; the gradient in x_j is its negation."""
         return (2.0 * np.asarray(self.s))[..., None] * (xi - xj)
+
+    def stacked(self):
+        """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
+        barrier (``i`` and ``j`` one robot or one sequence each); p, the
+        partner's position, is a tick's (None)."""
+        n = np.broadcast(self.i, self.j).size
+        return np.full(n, self.i), None, np.full(n, self.c), np.full((n, 2), np.asarray(self.s)[..., None])
 
 
 @dataclass(frozen=True)
@@ -160,28 +172,6 @@ class Collision(_Pairwise):
     @property
     def c(self):
         return -(self.min_sep**2)
-
-
-@dataclass(frozen=True)
-class PairStack(_Pairwise):
-    """Pairwise barriers of several kinds as one stack: barrier r has its own
-    ``c[r]``, ``s[r]`` and ``hard[r]``. Scaling by s = +-1 is exact, and
-    a + (-b) is a - b, so each barrier's value and gradient are its kind's
-    own bit for bit."""
-
-    i: np.ndarray
-    j: np.ndarray
-    c: np.ndarray
-    s: np.ndarray
-    hard: np.ndarray
-
-    @classmethod
-    def of(cls, kinds):
-        """The barriers of the pairwise ``kinds``, kind by kind, each a stack
-        over id arrays i and j."""
-        sizes = [np.broadcast(k.i, k.j).size for k in kinds]
-        return cls(*(np.concatenate([np.full(n, getattr(k, f)) for k, n in zip(kinds, sizes)])
-                     for f in ("i", "j", "c", "s", "hard")))
 
 
 @dataclass(frozen=True)
@@ -222,6 +212,14 @@ class ObstacleAvoid:
         center, _, _, axes = self._ellipses
         return 2.0 * (x - center) * axes
 
+    def stacked(self):
+        """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
+        barrier (``i`` one robot or one per selected ellipse): the ellipse's
+        center and its (a, b); c is -1, but a row's value is the ellipse's
+        (``value``), which squares with ``pow``."""
+        center, _, _, axes = self._ellipses
+        return np.full(len(center), self.i), center, np.full(len(center), -1.0), axes
+
 
 @dataclass(frozen=True)
 class KeepWithin:
@@ -246,6 +244,48 @@ class KeepWithin:
     def gradient(self, x):
         return -2.0 * (x - self.center)
 
+    def stacked(self):
+        """The barrier as one ``RowStack`` row, (i, p, c, scale)."""
+        return np.array([self.i]), np.array([self.center]), np.array([self.radius**2]), np.array([[-1.0, -1.0]])
+
+
+@dataclass(frozen=True)
+class RowStack:
+    """Barriers of several kinds as one stack, the rows of ``kinds`` in
+    order, the pairwise kinds first: row r is robot ``i[r]``'s barrier about
+    a point p[r], with h = c[r] + s[r] |x_i - p[r]|^2 (s the first column of
+    ``scale``), its gradient 2 (x_i - p[r]) * scale[r] and its own ``share``
+    and ``hard`` flag. A pairwise row's p is the partner's position, which a
+    tick gives; the other rows' p are ``center``. Scaling by s = +-1 is exact
+    and a + (-b) is a - b, so each row's gradient is its kind's own bit for
+    bit, and so is each row's value but an ellipse's (see ``value``)."""
+
+    kinds: tuple
+    i: np.ndarray
+    center: np.ndarray  # (rows past the pairwise ones, 2)
+    c: np.ndarray
+    scale: np.ndarray
+    share: np.ndarray
+    hard: np.ndarray
+
+    @classmethod
+    def of(cls, kinds):
+        """The rows of ``kinds``, kind by kind, each a stack of its own."""
+        i, p, c, scale = zip(*(kind.stacked() for kind in kinds))
+        sizes = [len(a) for a in i]
+        center = np.concatenate([np.empty((0, 2)), *(a for a in p if a is not None)])
+        return cls(tuple(kinds), np.concatenate(i), center, np.concatenate(c), np.concatenate(scale),
+                   np.repeat([kind.share for kind in kinds], sizes), np.repeat([kind.hard for kind in kinds], sizes))
+
+    def value(self, x, p):
+        """c + s |x - p|^2 for every row, at x_i = ``x`` and the rows' points
+        ``p``: the value of each row whose scale is (s, s). An ellipse row's
+        value is its kind's ``value`` instead, which the caller holds."""
+        return self.c + self.scale[:, 0] * sq_dist(x - p)
+
+    def gradient(self, x, p):
+        return 2.0 * (x - p) * self.scale
+
 
 @dataclass(frozen=True)
 class RowBlock:
@@ -265,9 +305,10 @@ def constraint_row(kind, params, h, *positions):
 
     ``h`` holds the barriers' values at ``positions`` as an array (``kind.value``
     of them, or the same numbers from an earlier pass). ``positions`` are x_i,
-    then for a pairwise kind the positions of its ``j`` robots, broadcasting
-    together. ``kind.i`` is one robot or, for a team's rows, an id array
-    broadcasting against the barrier values.
+    then for a pairwise kind the positions of its ``j`` robots, or for a
+    ``RowStack`` its rows' points p, broadcasting together. ``kind.i`` is one
+    robot or, for a team's rows, an id array broadcasting against the barrier
+    values.
     """
     k = h.size
     return RowBlock(kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h.reshape(k), params), kind.hard)

@@ -8,9 +8,11 @@ Solves, for every robot of a team,
 
 The objective is strictly convex, so each minimizer is unique. In the plane
 it is the nominal itself, the projection onto one violated row, or a vertex
-of two rows (see ``oracle_solve``). ``solve`` tries these in stages for the
-whole team at once (``_project``), each stage's winner the feasible candidate
-nearest the nominal, the first on ties, until no robot is left:
+of two rows: at the optimum, u* - u_hat lies in the cone of the active
+normals, which two of them span in the plane. ``solve`` tries these in
+stages for the whole team at once (``_project``), each stage's winner the
+feasible candidate nearest the nominal, the first on ties, until no robot is
+left:
 
   1. the nominal, when it satisfies every row;
   2. the projection onto one violated row that lands in the polygon (a
@@ -19,18 +21,24 @@ nearest the nominal, the first on ties, until no robot is left:
      no candidate;
   3. the vertex of two rows, at least one of them violated, that lies in
      the polygon and has non-negative multipliers (Cramer's rule), on the
-     rows of only the robots stage 2 leaves.
+     rows of only the robots stage 2 leaves. Each robot's rows are taken by
+     ``take`` on the robot index, and the rows' p and q columns of every pair
+     p < q by one ``take`` on the columns p then q, cached per width.
+
+Each stage's feasibility test and answer read their candidates through
+flat indices (``take`` and ``put``), never through 2-D fancy indexing.
 
 The rows arrive in a ``RowLayout``, the layout ``solve`` works on: one
 layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
 bind, up to the team's largest row count, then the four speed-box rows. The
 padding happens when the rows are assembled (``agent.RowPlan.fill`` writes
-each row straight into its place), so the solver neither gathers nor pads.
-A layout holds numbers only; which barrier each row is, the row plan says.
-``quiet`` runs the first stage on a team's rows before they are laid out,
-flat. Every dot product is written out as a0*x0 + a1*x1, so a robot's answer
-is bitwise the same in any team. ``oracle_solve`` independently enumerates the
-active sets of a team of one robot; tests require the two to agree to 1e-6.
+each row straight into its place), so the solver does not pad. A layout
+holds numbers only; which barrier each row is, the row plan says.
+``quiet`` runs the problem's checks and the first stage on a team's rows
+before they are laid out, flat. Every dot product is written out as
+a0*x0 + a1*x1, so a robot's answer is bitwise the same in any team. The
+tests keep an independent enumeration oracle (``tests/oracle.py``), which
+must agree with ``solve`` to 1e-6.
 
 A robot with no feasible candidate is re-solved with quadratically penalized
 slacks on its soft rows; hard rows (collision, obstacle) and the speed box
@@ -47,8 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -97,20 +104,24 @@ class RowLayout:
 class QpProblem:
     """A team's QPs: ``rows`` a ``RowLayout`` and ``nominal`` (n, 2), each
     robot's input. Coefficients must be finite, and no robot may have more
-    than MAX_ROWS rows.
+    than MAX_ROWS rows. ``checked`` says that ``quiet`` has run these checks
+    on the same nominal, rows and speed limit, which are then not run again.
     """
 
     nominal: np.ndarray
     rows: RowLayout
     speed_limit: float
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         nom, rows = np.asarray(self.nominal, dtype=float), self.rows
         width = rows.width
-        _check(nom, (len(rows.counts), 2), self.speed_limit, width)
+        if not checked:
+            _check(nom, (len(rows.counts), 2), self.speed_limit, width)
         rows.normals[:, width:] = _BOX_NORMALS
         rows.offsets[:, width:] = -self.speed_limit
-        _check_rows(rows.normals, rows.offsets, self.speed_limit)
+        if not checked:
+            _check_rows(rows.normals, rows.offsets, self.speed_limit)
         object.__setattr__(self, "nominal", nom)
 
 
@@ -152,10 +163,12 @@ class QpSolution:
 
 @functools.lru_cache(maxsize=16)
 def _pairs(width):
-    """Row indices p < q of every pair of ``width`` rows, read-only."""
+    """Row indices p < q of every pair of ``width`` rows, and p then q as
+    one array, read-only."""
     p, q = np.triu_indices(width, 1)
-    p.flags.writeable = q.flags.writeable = False
-    return p, q
+    pq = np.concatenate((p, q))
+    p.flags.writeable = q.flags.writeable = pq.flags.writeable = False
+    return p, q, pq
 
 
 def _project(u, normals, offsets):
@@ -178,30 +191,34 @@ def _project(u, normals, offsets):
         t = -slack / (a0 * a0 + a1 * a1)
         x0, x1 = u[:, :1] + t * a0, u[:, 1:] + t * a1
         won, best = _nearest(viol.copy(), x0, x1, u, a0, a1, offsets)
-        r, best = won.nonzero()[0], best[won]
-        x[r, 0], x[r, 1] = x0[r, best], x1[r, best]
-        lam[r, best] = np.maximum(t[r, best], 0.0)
+        r = won.nonzero()[0]
+        cell = r * width + best.take(r)
+        x[r, 0], x[r, 1] = x0.take(cell), x1.take(cell)
+        lam.put(cell, np.maximum(t.take(cell), 0.0))
         found |= won
         todo = (~found).nonzero()[0]
         if not len(todo):
             return found, x, lam
         # the vertex stage, on the robots left: the vertex of each pair p < q
-        # of rows, at least one violated, if its multipliers are non-negative
-        p, q = _pairs(width)
-        uu, a0, a1, b, viol = u[todo], a0[todo], a1[todo], offsets[todo], viol[todo]
-        ap0, ap1, aq0, aq1 = a0[:, p], a1[:, p], a0[:, q], a1[:, q]
-        bp, bq = b[:, p], b[:, q]
+        # of rows, at least one violated, if its multipliers are non-negative;
+        # each gather takes the rows' p and q columns at once
+        p, q, pq = _pairs(width)
+        k = len(p)
+        uu, a0, a1, b = u.take(todo, 0), a0.take(todo, 0), a1.take(todo, 0), offsets.take(todo, 0)
+        (ap0, aq0), (ap1, aq1), (bp, bq) = ((a[:, :k], a[:, k:]) for a in (c.take(pq, 1) for c in (a0, a1, b)))
+        vp = viol.take(todo, 0).take(pq, 1)
         det = ap0 * aq1 - ap1 * aq0
         x0, x1 = (bp * aq1 - ap1 * bq) / det, (ap0 * bq - bp * aq0) / det
         d0, d1 = x0 - uu[:, :1], x1 - uu[:, 1:]
         lp, lq = (d0 * aq1 - aq0 * d1) / det, (ap0 * d1 - d0 * ap1) / det
-        ok = (viol[:, p] | viol[:, q]) & (det != 0) & (lp >= -_FEAS_TOL) & (lq >= -_FEAS_TOL)
+        ok = (vp[:, :k] | vp[:, k:]) & (det != 0) & (lp >= -_FEAS_TOL) & (lq >= -_FEAS_TOL)
         won, best = _nearest(ok, x0, x1, uu, a0, a1, b)
-        i, best = won.nonzero()[0], best[won]
-        r = todo[i]
-        x[r, 0], x[r, 1] = x0[i, best], x1[i, best]
-        lam[r, p[best]] = np.maximum(lp[i, best], 0.0)
-        lam[r, q[best]] = np.maximum(lq[i, best], 0.0)
+        i = won.nonzero()[0]
+        best = best.take(i)
+        cell, r = i * k + best, todo.take(i)
+        x[r, 0], x[r, 1] = x0.take(cell), x1.take(cell)
+        lam.put(r * width + p.take(best), np.maximum(lp.take(cell), 0.0))
+        lam.put(r * width + q.take(best), np.maximum(lq.take(cell), 0.0))
         found[r] = True
     return found, x, lam
 
@@ -210,10 +227,12 @@ def _nearest(ok, x0, x1, u, a0, a1, b):
     """Each robot's candidate nearest its u[r] that meets all its rows a0, a1,
     b, the first on ties: (whether it has one, the column of it). Robot r's
     candidates are (x0[r, c], x1[r, c]) for c where ``ok[r, c]``; ``ok`` is
-    overwritten with their feasibility, checked on them only."""
-    rr, cc = ok.nonzero()
-    c0, c1 = x0[rr, cc], x1[rr, cc]
-    ok[rr, cc] = (a0[rr] * c0[:, None] + a1[rr] * c1[:, None] - b[rr] >= -_FEAS_TOL).all(axis=1)
+    overwritten with their feasibility, checked on them only. The candidates
+    and their robots' rows are gathered through flat indices."""
+    cell = ok.reshape(-1).nonzero()[0]
+    rr = cell // ok.shape[1]
+    c0, c1 = x0.take(cell)[:, None], x1.take(cell)[:, None]
+    ok.put(cell, (a0.take(rr, 0) * c0 + a1.take(rr, 0) * c1 - b.take(rr, 0) >= -_FEAS_TOL).all(axis=1))
     d0, d1 = x0 - u[:, :1], x1 - u[:, 1:]
     return ok.any(axis=1), np.where(ok, d0 * d0 + d1 * d1, np.inf).argmin(axis=1)
 
@@ -233,18 +252,18 @@ def quiet(nominal, slots, normals, offsets, speed_limit, template):
     slot ``slots[k]``, and ``template`` is the layout the rows fill: its
     width and robot count. Every nominal that satisfies all its rows and the
     speed box is its robot's answer, with status ``optimal`` and zero
-    multipliers and slacks, as ``solve`` gives it. Before it answers, it runs
-    every check of a ``QpProblem`` of the laid-out rows and raises its
-    ``ValueError``; a team it leaves to ``solve`` may be checked only there.
+    multipliers and slacks, as ``solve`` gives it. First it runs every check
+    of a ``QpProblem`` of the laid-out rows and raises its ``ValueError``, so
+    a team it leaves to ``solve`` is a ``QpProblem`` with ``checked`` set.
     """
     nominal = np.asarray(nominal, dtype=float)
     _check(nominal, (len(template.counts), 2), speed_limit, template.width)
+    _check_rows(normals, offsets, speed_limit)
     # the box first: it rejects most teams that are not quiet, and reads only
     # the checked nominal. Its rows (+-1, 0) . u >= -speed_limit and
     # (0, +-1) . u >= -speed_limit have the slacks speed_limit +- u, bit for bit
     if (speed_limit - np.abs(nominal) < -_FEAS_TOL).any():
         return None
-    _check_rows(normals, offsets, speed_limit)
     u = nominal[slots]
     if row_slack(u[:, 0], u[:, 1], normals[:, 0], normals[:, 1], offsets)[1].any():
         return None
@@ -344,7 +363,7 @@ def _patterns(k):
     crossing ``_SIDE`` onto those sides; the soft rows each candidate forces
     and their values; and each soft row's bit of a set's key.
     """
-    p, q = (np.repeat(r, 4) for r in _pairs(k + 4))
+    p, q = (np.repeat(r, 4) for r in _pairs(k + 4)[:2])
     way_p, way_q = (np.tile(w, len(p) // 4) for w in ([True, True, False, False], [True, False, True, False]))
     inside = ~(way_p & (p >= k) | way_q & (q >= k))  # the box taken one way only
     p, q, way_p, way_q = p[inside], q[inside], way_p[inside], way_q[inside]
@@ -413,119 +432,3 @@ def _penalized(nominal, terms, pattern, normals, offsets):
     found, v, lam = _project(np.column_stack([t0, t1]), np.stack([n0, n1], axis=-1), offsets)
     u1 = v[:, 1] / l11
     return found, np.column_stack([(v[:, 0] - l10 * u1) / l00, u1]), lam
-
-
-def kkt_residuals(problem, solution):
-    """Stationarity, dual-feasibility, and complementarity residuals of the
-    problem of a team of one robot (``ValueError`` for a larger team).
-
-    For status ``relaxed`` the checked optimality system is that of the
-    slack-extended problem: soft rows are credited their reported slack, so
-    the same stationarity expression (u - u_hat) = sum(lam * a) applies.
-    Complementarity is reported scale-invariantly, |lam * resid| / (1 + lam),
-    so the large penalty multipliers of relaxed rows do not inflate a
-    machine-precision residual.
-    """
-    normals, offsets, _, nominal = _one_robot(problem)
-    u, lam = solution.u[0], solution.multipliers[0]
-    resid = normals @ u - offsets
-    if solution.status == "relaxed":
-        resid += solution.slacks[0]
-    grad = u - nominal - lam @ normals
-    return {
-        "stationarity": float(np.max(np.abs(grad))),
-        "primal": max(0.0, float(np.max(-resid))),
-        "dual": max(0.0, float(np.max(-lam))),
-        "complementarity": float(np.max(np.abs(lam * resid) / (1.0 + np.abs(lam)))),
-    }
-
-
-def _one_robot(problem):
-    """The one robot's row of a team of one, every column (its rows, pad
-    rows and the box), as (normals, offsets, hard, nominal)."""
-    rows = problem.rows
-    if len(rows.counts) != 1:
-        raise ValueError(f"expected one robot's problem, got a team of {len(rows.counts)}")
-    return rows.normals[0], rows.offsets[0], rows.hard[0], problem.nominal[0]
-
-
-def oracle_solve(problem):
-    """Active-set enumeration reference solver, exact up to floating point,
-    for the problem of a team of one robot (``ValueError`` for a larger team).
-
-    Candidate active sets of size at most two suffice in the plane: at the
-    optimum, u* - u_hat lies in the cone of the active normals, and any
-    vector in a finitely generated cone in R^2 is a nonnegative combination
-    of at most two generators.
-    """
-    normals, offsets, hard, _ = _one_robot(problem)
-    nrows = int(problem.rows.counts[0])
-    if nrows > 12:
-        raise ValueError(f"oracle enumeration capped at 12 rows, got {nrows}")
-
-    soft = np.flatnonzero(~hard)
-    lam = np.zeros((1, len(offsets)))
-    slacks = np.zeros((1, len(offsets)))
-    cand = _enumerate(problem, relax=False)
-    if cand is not None:
-        u, lam[0] = cand
-        return QpSolution(u[None], "optimal", ("optimal",), lam, slacks)
-
-    cand = _enumerate(problem, relax=True)
-    if cand is None:
-        # the frozen robot's input is zero
-        slacks[0, soft] = np.maximum(0.0, offsets[soft])
-        return QpSolution(np.zeros((1, 2)), "infeasible_hard", ("infeasible_hard",), lam, slacks)
-
-    u, lam[0, hard] = cand
-    slacks[0, soft] = np.maximum(0.0, offsets[soft] - normals[soft] @ u)
-    lam[0, soft] = SLACK_PENALTY * slacks[0, soft]
-    return QpSolution(u[None], "relaxed", ("relaxed",), lam, slacks)
-
-
-def _enumerate(problem, relax):
-    """Reference minimizer of one robot's problem by enumeration, with
-    (``relax``) or without the slack relaxation of its soft rows.
-
-    Eliminating the optimal slacks xi_s = max(0, b_s - a_s.u) leaves
-        F(u) = |u - u_hat|^2 + w * sum_s max(0, b_s - a_s.u)^2
-    to be minimized over the hard rows and the box; without relaxation, every
-    row is a constraint and there is no sum. For each guess of which soft rows
-    are violated, F is a plain quadratic; each active set of at most two
-    constraint rows gives a candidate (a KKT solve), and the candidate
-    consistent with its guess, feasible and with non-negative multipliers,
-    of least F wins. Returns (u, the constraint rows' multipliers), or None
-    when no candidate is feasible.
-    """
-    w = SLACK_PENALTY
-    all_normals, all_offsets, hard, nominal = _one_robot(problem)
-    soft = ~hard if relax else np.zeros(len(hard), dtype=bool)
-    soft_normals, soft_offsets = all_normals[soft], all_offsets[soft]
-    normals, offsets = all_normals[~soft], all_offsets[~soft]
-    m, ns = len(normals), len(soft_offsets)
-    subsets = [[], *map(list, combinations(range(m), 1)), *map(list, combinations(range(m), 2))]
-    best = None
-    for mask in range(1 << ns):
-        pattern = np.array([mask >> s & 1 for s in range(ns)], dtype=bool)
-        hess = np.eye(2) + w * soft_normals[pattern].T @ soft_normals[pattern]
-        lin = nominal + w * soft_offsets[pattern] @ soft_normals[pattern]
-        for sub in subsets:
-            nmat = normals[sub].reshape(len(sub), 2)
-            kkt = np.zeros((2 + len(sub), 2 + len(sub)))
-            kkt[:2, :2], kkt[:2, 2:], kkt[2:, :2] = hess, -nmat.T, nmat
-            try:
-                sol = np.linalg.solve(kkt, np.concatenate([lin, offsets[sub]]))
-            except np.linalg.LinAlgError:
-                continue
-            u, mu = sol[:2], sol[2:]
-            over = soft_offsets - soft_normals @ u
-            if ((mu < -_FEAS_TOL).any() or (m and (normals @ u - offsets).min() < -1e-8)
-                    or np.where(pattern, over < -1e-8, over > 1e-8).any()):
-                continue
-            over = np.maximum(over, 0.0)
-            obj = float((u - nominal) @ (u - nominal) + w * over @ over)
-            if best is None or obj < best[0] - 1e-15:
-                lam = np.zeros(m)
-                lam[sub] = np.maximum(mu, 0.0)
-                best = (obj, u, lam)
-    return None if best is None else best[1:]

@@ -25,7 +25,7 @@ from swarmseq.geometry import (
 )
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.behaviors import ElapsedTime, Scatter
-from swarmseq.qp import kkt_residuals, oracle_solve, solve
+from swarmseq.qp import solve
 from swarmseq.sim import (
     DelaySpec,
     SimConfig,
@@ -34,6 +34,7 @@ from swarmseq.sim import (
     run,
     write_outputs,
 )
+from oracle import kkt_residuals, oracle_solve
 from test_bench_hooks import digest
 from test_qp import one_robot
 

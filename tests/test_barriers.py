@@ -10,7 +10,7 @@ from swarmseq.barriers import (
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
-    PairStack,
+    RowStack,
     class_k,
     constraint_row,
     settling_time_bound,
@@ -248,10 +248,11 @@ class TestRowBlocks:
         i = rng.integers(1, 9, m + k)
         j = i + rng.integers(1, 9, m + k)
         kinds = Connectivity(i[:m], j[:m], deltas), Collision(i[m:], j[m:], 0.12)
-        stack = PairStack.of(kinds)
+        stack = RowStack.of(kinds)
         values = stack.value(x, seen)
         block = rows_at(stack, params, x, seen)
-        assert block.hard.tolist() == [False] * m + [True] * k and stack.j.tolist() == j.tolist()
+        assert block.hard.tolist() == [False] * m + [True] * k and stack.i.tolist() == i.tolist()
+        assert stack.kinds == kinds and len(stack.center) == 0
         for r, (xi, xj) in enumerate(zip(x.tolist(), seen.tolist())):
             dx, dy = xi[0] - xj[0], xi[1] - xj[1]
             sq = dx * dx + dy * dy
@@ -287,16 +288,17 @@ class TestRowBlocks:
             assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
 
     def test_concat_and_take_keep_rows_and_identity(self):
-        # a PairStack concatenates its kinds' rows and identity, kind by kind;
-        # an obstacle stack's 1-based index takes its rows, in index order
+        # a RowStack concatenates its kinds' rows, kind by kind, and keeps the
+        # kinds, which name each row's other robot; an obstacle stack's
+        # 1-based index takes its rows, in index order
         params = FcbfParams()
         x = np.array([0.0, 0.0])
         seen = np.array([[0.1, 0], [0, 0.7], [0.1, 0]])
         kinds = Connectivity(1, (2, 3), 0.5), Collision(1, (2,), 0.12)
         conn, coll = rows_at(kinds[0], params, x, seen[:2]), rows_at(kinds[1], params, x, seen[2:])
-        stack = PairStack.of(kinds)
+        stack = RowStack.of(kinds)
         rows = rows_at(stack, params, x, seen)
-        assert stack.i.tolist() == [1, 1, 1] and stack.j.tolist() == [2, 3, 2]
+        assert stack.i.tolist() == [1, 1, 1] and [j for kind in stack.kinds for j in kind.j] == [2, 3, 2]
         assert rows.hard.tolist() == [False, False, True]
         assert bits(rows.normals).tolist() == bits(np.concatenate([conn.normals, coll.normals])).tolist()
         assert bits(rows.offsets).tolist() == bits(np.concatenate([conn.offsets, coll.offsets])).tolist()
@@ -306,6 +308,38 @@ class TestRowBlocks:
         assert picked.hard is True and len(picked.offsets) == 2
         assert bits(picked.normals).tolist() == bits(every.normals[[2, 0]]).tolist()
         assert bits(picked.offsets).tolist() == bits(every.offsets[[2, 0]]).tolist()
+
+    def test_one_stack_gives_every_kinds_own_rows(self):
+        # connectivity, collision, selected obstacles and two discs as one
+        # RowStack, each row at its own robot's position and point p (the
+        # partner's, else the stack's center), with the obstacle rows' values
+        # given: one constraint_row call gives each kind's own rows, bit for bit
+        rng = np.random.default_rng(25)
+        params = FcbfParams(rho=0.5, gamma=1.3)
+        obstacles = Domain(-2, 2, -2, 2, tuple(
+            Obstacle(rng.uniform(-1, 1, 2), float(a), float(b)) for a, b in rng.uniform(0.5, 20, size=(6, 2))))
+        for _ in range(40):
+            x = rng.uniform(-1, 1, (7, 2))
+            x[0] = x[1]  # coincident robots: gradients and values of zero
+            i, j = np.array([1, 2, 3, 1, 4]), np.array([2, 3, 1, 3, 5])
+            obst = ObstacleAvoid(np.array([2, 6, 6]), obstacles.obstacle_stack, np.array([4, 1, 6]))
+            kinds = (Connectivity(i[:3], j[:3], rng.uniform(0.3, 0.7, 3)), Collision(i[3:], j[3:], 0.12), obst,
+                     KeepWithin(7, tuple(rng.uniform(-1, 1, 2)), 0.8), KeepWithin(3, (0.1, -0.2), 0.4))
+            stack = RowStack.of(kinds)
+            assert stack.i.tolist() == [1, 2, 3, 1, 4, 2, 6, 6, 7, 3]
+            xi = x[stack.i - 1]
+            p = np.concatenate((x[j - 1], stack.center))
+            h = stack.value(xi, p)
+            h[5:8] = obst.value(xi[5:8])
+            block = constraint_row(stack, params, h, xi, p)
+            own = [(kinds[0], (xi[:3], x[j[:3] - 1])), (kinds[1], (xi[3:5], x[j[3:] - 1])), (obst, (xi[5:8],)),
+                   (kinds[3], (x[6],)), (kinds[4], (x[2],))]
+            values = np.concatenate([np.atleast_1d(kind.value(*at)) for kind, at in own])
+            own = [rows_at(kind, params, *at) for kind, at in own]
+            assert block.hard.tolist() == [False] * 3 + [True] * 5 + [False] * 2
+            assert bits(h).tolist() == bits(values).tolist()
+            assert bits(block.normals).tolist() == bits(np.concatenate([b.normals for b in own])).tolist()
+            assert bits(block.offsets).tolist() == bits(np.concatenate([b.offsets for b in own])).tolist()
 
     def test_a_stack_may_not_pair_a_robot_with_itself(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Whole-system properties over a fixed slice of the random-mission corpus
-(``missions.mission_text``, seeds 0-11 at a 1500-tick cap).
+(``missions.mission_text``, seeds 0-11 at a 1500-tick cap), and over seeds
+past it that are pinned for what they show.
 
 Every run ends in one of the contract's outcomes without an exception, its
 hard-barrier minima stay at or above the acceptance gate, and its outcome,
@@ -12,6 +13,7 @@ repeat byte for byte.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import missions
@@ -38,6 +40,17 @@ TABLE = {
     11: ("done", 144, 4, 0, 0),
 }
 
+# the generator's first seeds (searched from 0 at the cap above) of two
+# kinds, with the same columns: 32, a period-2 chatter, whose two robots'
+# positions repeat bit for bit every second tick from tick 45 on, their
+# distance alternating across min_sep (oracle off); 61, the first run that
+# ends infeasible_hard, with a robot frozen at the cap
+CHATTER, FROZEN = 32, 61
+PINNED = {
+    CHATTER: ("timeout", 1500, 0, 0, 0),
+    FROZEN: ("infeasible_hard", 1500, 124, 2583, 0),
+}
+
 
 def digest(record):
     """sha256 of a run's positions, controls, sigma and eta bytes and its events."""
@@ -49,17 +62,37 @@ def digest(record):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("seed", sorted(TABLE))
-def test_a_corpus_mission_ends_as_recorded_within_the_gates(seed):
+def run_as_recorded(seed, row):
+    """The corpus run ``seed``, checked against its ``row`` of a table."""
     plan, config = mission.parse_mission(missions.mission_text(seed, CAP))
     record = sim.run(plan, config)
     events = [ev["event"] for ev in record.events]
     assert record.outcome in OUTCOMES
     assert min(missions.hard_minima(record)) >= GATE
     counts = tuple(events.count(e) for e in ("qp_relaxed", "qp_infeasible_hard", "missing_position"))
-    assert (record.outcome, record.ticks, *counts) == TABLE[seed]
+    assert (record.outcome, record.ticks, *counts) == row
     if config.delay.max_ticks or not config.oracle_sensing:
         assert digest(sim.run(plan, config)) == digest(record)
+    return record
+
+
+@pytest.mark.parametrize("seed", sorted(TABLE))
+def test_a_corpus_mission_ends_as_recorded_within_the_gates(seed):
+    run_as_recorded(seed, TABLE[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_a_pinned_mission_ends_as_recorded_within_the_gates(seed):
+    record = run_as_recorded(seed, PINNED[seed])
+    x = record.positions
+    if seed == CHATTER:
+        # period 2, not 1, over the last 1000 ticks, with every robot at
+        # |u| = 0.025 on each of them
+        assert np.array_equal(x[-1000:], x[-1002:-2]) and not (x[-1000:] == x[-1001:-1]).all(axis=(1, 2)).any()
+        speed = np.hypot(record.controls[-1000:, :, 0], record.controls[-1000:, :, 1])
+        assert 0.0249 < speed.min() and speed.max() < 0.0251
+    else:
+        assert record.events[-1]["event"] == "qp_infeasible_hard"
 
 
 def test_the_corpus_slice_covers_the_message_paths():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import kkt_residuals, oracle_solve
 from swarmseq.barriers import RowBlock
-from swarmseq.qp import _FEAS_TOL, MAX_ROWS, QpProblem, RowLayout, kkt_residuals, oracle_solve, quiet, solve
+from swarmseq.qp import _FEAS_TOL, MAX_ROWS, QpProblem, RowLayout, quiet, solve
 
 
 def block(normals, offsets, hard):

@@ -3,8 +3,9 @@
 Each robot's rows and solution must not depend on the team it is solved in:
 the rows ``team_rows`` builds, laid out by their row plan, fill each robot's
 layout row with the rows of its own one-robot stacks bit for bit, each with
-the identity the plan's calls give it, and a robot's solution, status and
-multipliers are the same solved alone or in any team.
+the identity the kinds of the plan's one row stack give it, and a robot's
+solution, status and multipliers are the same solved alone or in any team.
+A tick builds all its rows with one ``constraint_row`` call.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from swarmseq import agent, sim
+from swarmseq import agent, mission, sim
 from swarmseq.agent import OBSTACLE_ACTIVATION, Team, TeamRequest, TickGraph, team_rows
 from swarmseq.barriers import (
     Collision,
@@ -23,14 +24,15 @@ from swarmseq.barriers import (
     FcbfParams,
     KeepWithin,
     ObstacleAvoid,
-    PairStack,
     RowBlock,
     constraint_row,
 )
 from swarmseq.geometry import Domain, Obstacle, proximity_graph
 from swarmseq.mission import builtin_scenario
-from swarmseq.qp import QpProblem, RowLayout, kkt_residuals, oracle_solve, solve
+from swarmseq.qp import QpProblem, RowLayout, solve
 from swarmseq.sim import DelaySpec, make_world, run, tick
+from oracle import kkt_residuals, oracle_solve
+from test_bench_hooks import WORKLOADS, load_bench_module
 from test_qp import one_robot, team_layout
 
 
@@ -96,15 +98,14 @@ def rows_at(kind, params, *positions):
 def row_identity(plan, s):
     """The identity of slot s's rows, column by column, read from the plan:
     each row's barrier class and its other robot (pairwise), its 1-based
-    obstacle index (obstacle) or None (an initial constraint), from the call
-    that builds it, at the layout cell ``plan.flat`` gives the row."""
+    obstacle index (obstacle) or None (an initial constraint), from the kind
+    of the row stack that holds it, at the layout cell ``plan.flat`` gives
+    the row."""
     cells = []
-    for kind, slot, _ in plan.calls:
-        if isinstance(kind, PairStack):
-            cells += zip([Collision if hard else Connectivity for hard in kind.hard.tolist()], kind.j.tolist())
-        else:
-            n = np.size(slot)
-            cells += zip([type(kind)] * n, np.broadcast_to(getattr(kind, "index", None), n).tolist())
+    for kind in plan.rows.kinds:
+        n = len(kind.stacked()[0])
+        other = getattr(kind, "j", getattr(kind, "index", None))
+        cells += zip([type(kind)] * n, np.broadcast_to(other, n).tolist())
     at = dict(zip(plan.flat.tolist(), cells))
     width = plan.template.offsets.shape[1]
     return [at[s * width + c] for c in range(plan.template.counts[s])]
@@ -249,10 +250,9 @@ class TestTeamRows:
         real_check, real_rows = Obstacle.__post_init__, agent.constraint_row
         monkeypatch.setattr(Obstacle, "__post_init__", lambda o: built.append(o) or real_check(o))
 
-        def counted_rows(kind, *args):
-            if isinstance(kind, ObstacleAvoid):
-                obstacle_rows.append(len(kind.i))
-            return real_rows(kind, *args)
+        def counted_rows(stack, *args):
+            obstacle_rows.append(sum(len(kind.i) for kind in stack.kinds if isinstance(kind, ObstacleAvoid)))
+            return real_rows(stack, *args)
 
         monkeypatch.setattr(agent, "constraint_row", counted_rows)
         run(plan, replace(config, max_ticks=50))
@@ -264,6 +264,82 @@ class TestTeamRows:
         plan, rows = laid_out(as_team([request]), FcbfParams(), 0.12, domain)
         assert len(rows) == 1 and rows.robots.tolist() == [3]
         assert row_identity(plan, 0) == [(ObstacleAvoid, 1)]
+
+
+def per_tick_rows(monkeypatch):
+    """A list that gets one entry per tick: (the tick's ``RowPlan``, its
+    request, the stacks of its ``constraint_row`` calls)."""
+    ticks, real_tick, real_team_rows, real_rows = [], sim.tick, agent.team_rows, agent.constraint_row
+
+    def counted_tick(*args):
+        ticks.append([None, None, []])
+        return real_tick(*args)
+
+    def counted_team_rows(request, *args):
+        rows = real_team_rows(request, *args)
+        assert ticks[-1][0] is None  # one row assembly a tick
+        ticks[-1][:2] = rows[0], request
+        return rows
+
+    def counted_rows(stack, *args):
+        ticks[-1][2].append(stack)
+        return real_rows(stack, *args)
+
+    monkeypatch.setattr(sim, "tick", counted_tick)
+    monkeypatch.setattr(agent, "team_rows", counted_team_rows)
+    monkeypatch.setattr(agent, "constraint_row", counted_rows)
+    return ticks
+
+
+def stack_rows(stack, cls):
+    """How many rows of the barrier class ``cls`` the row stack holds."""
+    return sum(len(kind.stacked()[0]) for kind in stack.kinds if type(kind) is cls)
+
+
+class TestOneRowCallPerTick:
+    """A tick that has rows builds them all with one ``constraint_row`` call
+    on its plan's row stack, obstacle and initial-constraint rows included."""
+
+    def assert_one_call(self, ticks, domain):
+        obstacle_ticks = 0
+        for plan, request, stacks in ticks:
+            if plan is None:  # no robot left to filter
+                assert stacks == []
+                continue
+            assert [id(s) for s in stacks] == ([id(plan.rows)] if len(plan.slots) else [])
+            if domain.obstacles:
+                x = request.position
+                active = ObstacleAvoid(request.robots[:, None], domain.obstacle_stack).value(x[:, None])
+                active = active <= OBSTACLE_ACTIVATION
+                assert stack_rows(plan.rows, ObstacleAvoid) == active.sum() == plan.obst.stop - plan.obst.start
+                obstacle_ticks += bool(active.any())
+            assert stack_rows(plan.rows, KeepWithin) == len(request.graph.initial)
+        return obstacle_ticks
+
+    def test_securing_a_building_and_the_crowd_grid_make_one_call_a_tick(self, monkeypatch):
+        crowd = load_bench_module("bench_workloads", WORKLOADS).crowd_mission_text(0, 6, 8)
+        ticks = per_tick_rows(monkeypatch)
+        plan, config = builtin_scenario("securing_a_building")
+        assert run(plan, config).ticks == len(ticks) == 11179
+        assert self.assert_one_call(ticks, plan.domain) > 1000
+        ticks.clear()
+        plan, config = mission.parse_mission(crowd)
+        assert run(plan, config).ticks == len(ticks) == 436
+        self.assert_one_call(ticks, plan.domain)
+
+    def test_the_one_stack_carries_obstacle_and_keep_within_rows(self, monkeypatch):
+        # securing_a_building with robot 1 kept inside a disc through the
+        # first behavior: its ticks carry obstacle rows, a keep-within row,
+        # or both, in the one call
+        ticks = per_tick_rows(monkeypatch)
+        plan, config = builtin_scenario("securing_a_building")
+        first = replace(plan.behaviors[0], initial_constraints=(KeepWithin(1, tuple(plan.initial_positions[0]), 5.0),))
+        plan = replace(plan, behaviors=(first, *plan.behaviors[1:]))
+        run(plan, replace(config, max_ticks=1300))
+        assert self.assert_one_call(ticks, plan.domain) > 0
+        stacks = [s for _, _, called in ticks for s in called]
+        both = [s for s in stacks if stack_rows(s, KeepWithin) and stack_rows(s, ObstacleAvoid)]
+        assert both and all(stack_rows(s, KeepWithin) == 1 for s in both)
 
 
 def count_layouts(monkeypatch):
