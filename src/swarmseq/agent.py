@@ -584,10 +584,9 @@ def filter_team(request, params, min_sep, speed_limit, domain):
     returns the team's ``QpSolution``, with one control and one status per slot.
 
     A tick on which every nominal satisfies its rows and the speed box is
-    answered from the flat rows; only other ticks lay the rows out and solve.
-    ``quiet`` checks the problem either way, so the layout is not checked again."""
+    answered from the flat rows; only other ticks lay the rows out and solve."""
     plan, normals, offsets = team_rows(request, params, min_sep, domain)
     solution = quiet(request.nominal, plan.slots, normals, offsets, speed_limit, plan.template)
     if solution is None:
-        solution = solve(QpProblem(request.nominal, plan.fill(normals, offsets), speed_limit, checked=True))
+        solution = solve(QpProblem(request.nominal, plan.fill(normals, offsets), speed_limit))
     return solution

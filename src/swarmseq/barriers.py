@@ -215,10 +215,12 @@ class ObstacleAvoid:
     def stacked(self):
         """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
         barrier (``i`` one robot or one per selected ellipse): the ellipse's
-        center and its (a, b); c is -1, but a row's value is the ellipse's
-        (``value``), which squares with ``pow``."""
+        center and its (a, b). A row's value is the ellipse's (``value``),
+        which squares with ``pow``; c is NaN, so a stack's value for the row
+        is NaN until the caller writes the ellipse's in, and a row built
+        without it fails the QP's finite-coefficient check."""
         center, _, _, axes = self._ellipses
-        return np.full(len(center), self.i), center, np.full(len(center), -1.0), axes
+        return np.full(len(center), self.i), center, np.full(len(center), np.nan), axes
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ class RowStack:
     def value(self, x, p):
         """c + s |x - p|^2 for every row, at x_i = ``x`` and the rows' points
         ``p``: the value of each row whose scale is (s, s). An ellipse row's
-        value is its kind's ``value`` instead, which the caller holds."""
+        value is NaN here; its kind's ``value`` is the caller's to write in."""
         return self.c + self.scale[:, 0] * sq_dist(x - p)
 
     def gradient(self, x, p):

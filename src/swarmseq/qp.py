@@ -34,8 +34,8 @@ bind, up to the team's largest row count, then the four speed-box rows. The
 padding happens when the rows are assembled (``agent.RowPlan.fill`` writes
 each row straight into its place), so the solver does not pad. A layout
 holds numbers only; which barrier each row is, the row plan says.
-``quiet`` runs the problem's checks and the first stage on a team's rows
-before they are laid out, flat. Every dot product is written out as
+``quiet`` runs the first stage on a team's rows before they are laid out,
+flat. Every dot product is written out as
 a0*x0 + a1*x1, so a robot's answer is bitwise the same in any team. The
 tests keep an independent enumeration oracle (``tests/oracle.py``), which
 must agree with ``solve`` to 1e-6.
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,24 +104,20 @@ class RowLayout:
 class QpProblem:
     """A team's QPs: ``rows`` a ``RowLayout`` and ``nominal`` (n, 2), each
     robot's input. Coefficients must be finite, and no robot may have more
-    than MAX_ROWS rows. ``checked`` says that ``quiet`` has run these checks
-    on the same nominal, rows and speed limit, which are then not run again.
+    than MAX_ROWS rows.
     """
 
     nominal: np.ndarray
     rows: RowLayout
     speed_limit: float
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked):
+    def __post_init__(self):
         nom, rows = np.asarray(self.nominal, dtype=float), self.rows
         width = rows.width
-        if not checked:
-            _check(nom, (len(rows.counts), 2), self.speed_limit, width)
+        _check(nom, (len(rows.counts), 2), self.speed_limit, width)
         rows.normals[:, width:] = _BOX_NORMALS
         rows.offsets[:, width:] = -self.speed_limit
-        if not checked:
-            _check_rows(rows.normals, rows.offsets, self.speed_limit)
+        _check_rows(rows.normals, rows.offsets, self.speed_limit)
         object.__setattr__(self, "nominal", nom)
 
 
@@ -252,18 +248,20 @@ def quiet(nominal, slots, normals, offsets, speed_limit, template):
     slot ``slots[k]``, and ``template`` is the layout the rows fill: its
     width and robot count. Every nominal that satisfies all its rows and the
     speed box is its robot's answer, with status ``optimal`` and zero
-    multipliers and slacks, as ``solve`` gives it. First it runs every check
-    of a ``QpProblem`` of the laid-out rows and raises its ``ValueError``, so
-    a team it leaves to ``solve`` is a ``QpProblem`` with ``checked`` set.
+    multipliers and slacks, as ``solve`` gives it. Before it answers, it runs
+    every check of a ``QpProblem`` of the laid-out rows and raises its
+    ``ValueError``; a team it leaves to ``solve`` may be checked only there.
+    The rows are checked before the row test reads them, so a non-finite
+    coefficient raises that error and no arithmetic warning.
     """
     nominal = np.asarray(nominal, dtype=float)
     _check(nominal, (len(template.counts), 2), speed_limit, template.width)
-    _check_rows(normals, offsets, speed_limit)
     # the box first: it rejects most teams that are not quiet, and reads only
     # the checked nominal. Its rows (+-1, 0) . u >= -speed_limit and
     # (0, +-1) . u >= -speed_limit have the slacks speed_limit +- u, bit for bit
     if (speed_limit - np.abs(nominal) < -_FEAS_TOL).any():
         return None
+    _check_rows(normals, offsets, speed_limit)
     u = nominal[slots]
     if row_slack(u[:, 0], u[:, 1], normals[:, 0], normals[:, 1], offsets)[1].any():
         return None

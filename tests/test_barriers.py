@@ -330,6 +330,8 @@ class TestRowBlocks:
             xi = x[stack.i - 1]
             p = np.concatenate((x[j - 1], stack.center))
             h = stack.value(xi, p)
+            # an ellipse row's value is the caller's to write in; until then it is NaN
+            assert np.isnan(h[5:8]).all() and not np.isnan(np.delete(h, np.s_[5:8])).any()
             h[5:8] = obst.value(xi[5:8])
             block = constraint_row(stack, params, h, xi, p)
             own = [(kinds[0], (xi[:3], x[j[:3] - 1])), (kinds[1], (xi[3:5], x[j[3:] - 1])), (obst, (xi[5:8],)),
