@@ -16,8 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from .mission import builtin_scenario, builtin_scenario_names, load_mission_file, validate
-from .barriers import team_settling_bound
-from .sim import DelaySpec, compute_behavior_windows, connectivity_trace, run, write_outputs
+from .barriers import Connectivity, team_settling_bound
+from .sim import DelaySpec, compute_behavior_windows, run, write_outputs
 
 EXIT_DONE = 0
 EXIT_INVALID = 1
@@ -118,10 +118,9 @@ def run_metrics(record):
             entry["transition_ticks"] = None
             entry["transition_seconds"] = None
         if done is not None:
-            h0 = [
-                (e, float(connectivity_trace(record, e)[done]))
-                for e in plan.behaviors[k - 1].required_graph.sorted_edges()
-            ]
+            # each required edge's connectivity value on the one tick it needs
+            x, edges = record.positions[done], plan.behaviors[k - 1].required_graph.sorted_edges()
+            h0 = [((i, j), float(Connectivity(i, j, plan.delta).value(x[i - 1], x[j - 1]))) for i, j in edges]
             entry["settling_bound_seconds"] = team_settling_bound(h0, plan.fcbf)
         else:
             entry["settling_bound_seconds"] = None

@@ -8,20 +8,23 @@ range, and post the tick's broadcasts into a ring of (n, n) arrays by send
 tick. Identical (mission, config, seed) triples produce byte-identical
 outputs; a message's delay is a hash of (seed, sender, tick), with no
 generator state, so scheduling order cannot perturb it. The world draws the
-delays of up to ``DELAY_BLOCK`` ticks at once. The rescue events are read
-from the finished run's record."""
+delays of up to ``DELAY_BLOCK`` ticks at once. ``run`` writes each tick's
+row of the record in place into arrays that double when full, and the
+record's fields are views of their written rows, so a run's memory tracks
+what it records. The rescue events are read from the finished run's record."""
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import EXECUTING, Inbox, Team, filter_team, step
-from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml
-from .geometry import proximity_graph
+from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml, sq_dist
+from .geometry import _pairs, proximity_graph
 
 DELAY_BLOCK = 1024  # ticks whose delays are drawn at once
 
@@ -131,6 +134,9 @@ class WorldState:
 
 @dataclass
 class RunRecord:
+    """A finished run. The arrays are views of the first rows of the buffers
+    ``run`` grew while it ran; their unwritten tail holds no memory."""
+
     n: int
     dt: float
     outcome: str  # done | timeout | infeasible_hard
@@ -219,21 +225,22 @@ def run(plan, config):
     team = Team.start(plan)
     world = make_world(plan, config)
 
-    # each tick makes a new positions array, so the log keeps them as they are
-    positions_log = [world.positions]
-    controls_log = []
-    # each tick's sigma, eta, mode and k, in arrays that double when full
-    logs = [np.empty((min(config.max_ticks, 1024), plan.n), dtype) for dtype in (float, float, int, int)]
+    # each tick's positions (one row ahead: the start is row 0), controls,
+    # sigma, eta, mode and k, written in place into arrays that double when
+    # full; np.empty leaves a row's pages unused until it is written
+    size = min(config.max_ticks, 1024)
+    logs = [np.empty((size + 1, plan.n, 2)), np.empty((size, plan.n, 2))]
+    logs += [np.empty((size, plan.n), dtype) for dtype in (float, float, int, int)]
+    logs[0][0] = world.positions
 
     outcome = "timeout"
     while world.tick < config.max_ticks:
+        t = world.tick
         controls = tick(world, team, plan, config)
-        t = len(controls_log)
-        controls_log.append(controls)
-        positions_log.append(world.positions)
-        if t == len(logs[0]):
-            logs = [np.concatenate((log, np.empty_like(log))) for log in logs]
-        for log, now in zip(logs, (team.sigma, team.eta, team.mode, team.k)):
+        if t == len(logs[1]):
+            logs = [_doubled(log) for log in logs]
+        logs[0][t + 1] = world.positions
+        for log, now in zip(logs[1:], (controls, team.sigma, team.eta, team.mode, team.k)):
             log[t] = now
         if team.done.all():
             outcome = "done"
@@ -243,13 +250,21 @@ def run(plan, config):
     ):
         outcome = "infeasible_hard"
 
-    sigma, eta, mode, k = (log[:len(controls_log)] for log in logs)
-    record = RunRecord(n=plan.n, dt=config.dt, outcome=outcome, ticks=len(controls_log),
-                       positions=np.array(positions_log), controls=np.array(controls_log), sigma=sigma, eta=eta,
-                       mode=mode, behavior_index=k, events=world.event_log, config=config, plan=plan)
+    ticks = world.tick
+    positions, controls, sigma, eta, mode, k = logs[0][:ticks + 1], *(log[:ticks] for log in logs[1:])
+    record = RunRecord(n=plan.n, dt=config.dt, outcome=outcome, ticks=ticks, positions=positions,
+                       controls=controls, sigma=sigma, eta=eta, mode=mode, behavior_index=k,
+                       events=world.event_log, config=config, plan=plan)
     if plan.rescue is not None:
         _add_rescue_events(record)
     return record
+
+
+def _doubled(log):
+    """``log``'s rows at the start of an array twice as long, the rest unwritten."""
+    grown = np.empty((2 * len(log), *log.shape[1:]), log.dtype)
+    grown[:len(log)] = log
+    return grown
 
 
 def _add_rescue_events(record):
@@ -326,11 +341,6 @@ def connectivity_trace(record, edge):
 # --- serialization ----------------------------------------------------------------
 
 
-def _per_tick(traces, positions):
-    """Barrier traces over the run as a (ticks + 1, len(traces)) array."""
-    return np.array(traces).reshape(len(traces), len(positions)).T
-
-
 def write_outputs(record, outdir):
     """Write the CSV set and the event log; returns the file paths.
 
@@ -338,7 +348,8 @@ def write_outputs(record, outdir):
     row per robot carries tick=ticks with zero control).
     barriers.csv: tick,kind,a,b,h with kind conn (a,b robots; union of all
     required edges), coll (a,b robots currently in range), obst (a robot,
-    b obstacle index of that robot's worst obstacle barrier).
+    b obstacle index of that robot's worst obstacle barrier); its tables are
+    built per block of ticks, about 2**13 values each, never for the run.
     consensus.csv: tick,robot,sigma,eta,mode,k.
     events.jsonl: one JSON object per event.
     """
@@ -350,7 +361,7 @@ def write_outputs(record, outdir):
     # one string per tick, formatted from tolist() rows: repr of a Python float
     # is the text the CSV formats promise
     path = os.path.join(outdir, "trajectory.csv")
-    controls = np.concatenate([record.controls, np.zeros((1, record.n, 2))])  # final row: 0
+    controls = itertools.chain(record.controls, np.zeros((1, record.n, 2)))  # final row: 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tick,robot,x,y,ux,uy\n")
         for t, (xs, us) in enumerate(zip(record.positions, controls)):
@@ -360,45 +371,32 @@ def write_outputs(record, outdir):
 
     path = os.path.join(outdir, "barriers.csv")
     plan = record.plan
-    pos = record.positions
     edges = sorted({e for spec in plan.behaviors for e in spec.required_graph.edges})
-    pairs = [(i, j) for i in range(1, record.n + 1) for j in range(i + 1, record.n + 1)]
-    conn = _per_tick([connectivity_trace(record, e) for e in edges], pos)
-    in_range = _per_tick(
-        [Connectivity(i, j, plan.delta).value(pos[:, i - 1], pos[:, j - 1]) >= 0 for i, j in pairs],
-        pos,
-    )
-    coll = _per_tick(
-        [Collision(i, j, plan.min_sep).value(pos[:, i - 1], pos[:, j - 1]) for i, j in pairs], pos
-    )
-    # each robot's worst obstacle, the first one attaining the minimum, from
-    # the obstacle stack over blocks of about 2**13 values, which add little
-    # to the peak memory
-    worst, worst_m = np.empty(pos.shape[:2]), np.empty(pos.shape[:2], dtype=int)
-    if plan.domain.obstacles:
-        kind = ObstacleAvoid(np.arange(1, record.n + 1)[:, None], plan.domain.obstacle_stack)
-        step = max(1, 2**13 // (record.n * len(plan.domain.obstacles)))
-        for t in range(0, len(pos), step):
-            h = kind.value(pos[t:t + step, :, None])
-            m = h.argmin(axis=-1)[..., None]
-            worst[t:t + step], worst_m[t:t + step] = np.take_along_axis(h, m, axis=-1)[..., 0], m[..., 0] + 1
+    a, b = np.array(edges, dtype=int).reshape(-1, 2).T
+    pi, pj = _pairs(record.n)
+    conn, near, coll = Connectivity(a, b, plan.delta), Connectivity(pi, pj, plan.delta), Collision(pi, pj, plan.min_sep)
     conn_keys = [f"conn,{i},{j}," for i, j in edges]
-    coll_keys = [f"coll,{i},{j}," for i, j in pairs]
+    coll_keys = [f"coll,{i},{j}," for i, j in zip(pi.tolist(), pj.tolist())]
+    obst = ObstacleAvoid(np.arange(1, record.n + 1)[:, None], plan.domain.obstacle_stack)
+    # the tables of a block of ticks at a time, about 2**13 values each, so
+    # that no table spans the run
+    step = max(1, 2**13 // (record.n * (record.n + len(plan.domain.obstacles))))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tick,kind,a,b,h\n")
-        for t in range(record.ticks):
-            lines = [f"{t},{key}{h!r}\n" for key, h in zip(conn_keys, conn[t].tolist())]
-            lines += [
-                f"{t},{key}{h!r}\n"
-                for key, near, h in zip(coll_keys, in_range[t].tolist(), coll[t].tolist())
-                if near
-            ]
+        for t0 in range(0, record.ticks, step):
+            x = record.positions[t0:min(t0 + step, record.ticks)]
+            sq = sq_dist(x[:, pi - 1] - x[:, pj - 1])
+            tables = [conn.value(x[:, a - 1], x[:, b - 1]), near.at_sq_dist(sq) >= 0, coll.at_sq_dist(sq)]
             if plan.domain.obstacles:
-                lines += [
-                    f"{t},obst,{i},{m},{h!r}\n"
-                    for i, (m, h) in enumerate(zip(worst_m[t].tolist(), worst[t].tolist()), start=1)
-                ]
-            fh.write("".join(lines))
+                # each robot's worst obstacle, the first one attaining the minimum
+                h = obst.value(x[:, :, None])
+                m = h.argmin(axis=-1)[..., None]
+                tables += [m[..., 0] + 1, np.take_along_axis(h, m, axis=-1)[..., 0]]
+            for t, rows in enumerate(zip(*(table.tolist() for table in tables)), start=t0):
+                lines = [f"{t},{key}{h!r}\n" for key, h in zip(conn_keys, rows[0])]
+                lines += [f"{t},{key}{h!r}\n" for key, hit, h in zip(coll_keys, rows[1], rows[2]) if hit]
+                lines += [f"{t},obst,{i},{m},{h!r}\n" for i, (m, h) in enumerate(zip(*rows[3:]), start=1)]
+                fh.write("".join(lines))
     paths["barriers"] = path
 
     path = os.path.join(outdir, "consensus.csv")

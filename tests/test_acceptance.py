@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite completes in a few minutes on a laptop.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from swarmseq.barriers import (
     RowBlock,
     team_settling_bound,
 )
-from swarmseq.cli import transition_comparison
+from swarmseq.cli import run_metrics, transition_comparison
 from swarmseq.geometry import (
     Domain,
     InteractionGraph,
@@ -424,6 +426,38 @@ def test_securing_a_building_keeps_its_bytes(securing_record, tmp_path):
     assert rec.ticks == 11179
     assert events.count("qp_relaxed") == 819 and events.count("qp_infeasible_hard") == 103
     assert digest(write_outputs(rec, tmp_path)) == SECURING_GOLDEN_DIGEST
+
+
+def test_writing_the_flagship_record_builds_no_whole_run_table(securing_record, tmp_path):
+    """write_outputs builds barriers.csv's tables a block of ticks at a time,
+    so writing the 11179-tick record allocates at most 3 MB at its peak;
+    whole-run (ticks x pairs) tables took about 7.7 MB. tracemalloc sees
+    numpy's buffers but not which pages are resident, so it can check the
+    writer but not the run."""
+    _, _, rec = securing_record
+    tracemalloc.start()
+    try:
+        write_outputs(rec, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def test_settling_bounds_equal_the_whole_trace_form(securing_record):
+    """summary.json's settling bounds read each required edge's connectivity
+    value on the one tick they need; they equal the bounds read from the
+    edges' whole-run traces bit for bit."""
+    plan, _, rec = securing_record
+    behaviors = run_metrics(rec)["behaviors"]
+    windows = compute_behavior_windows(rec)
+    assert len(behaviors) == len(windows) == len(plan.behaviors)
+    for entry, w in zip(behaviors, windows):
+        done = w["assembly_all"]
+        h0 = [(e, float(connectivity_trace(rec, e)[done]))
+              for e in plan.behaviors[w["k"] - 1].required_graph.sorted_edges()]
+        assert repr(entry["settling_bound_seconds"]) == repr(team_settling_bound(h0, plan.fcbf))
+    assert any(entry["settling_bound_seconds"] for entry in behaviors)
 
 
 def test_rescue_events_equal_a_tracker_watching_each_tick(securing_record):

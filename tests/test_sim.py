@@ -208,6 +208,12 @@ class TestRescueEvents:
             assert all(e["tick"] > ev["tick"] or e["event"] == "target_escorted" for e in later)
 
 
+@pytest.fixture(scope="module")
+def demo():
+    plan, config = builtin_scenario("two_behavior_demo")
+    return plan, config, run(plan, config)
+
+
 class TestRunOutcomes:
     def test_two_robot_rendezvous_completes(self):
         plan = tiny_plan(
@@ -219,6 +225,19 @@ class TestRunOutcomes:
         # the completion threshold bounds the final nominal, hence the gap
         final_gap = float(np.linalg.norm(rec.positions[-1, 0] - rec.positions[-1, 1]))
         assert final_gap < 0.3
+
+    @pytest.mark.parametrize("cap", [1023, 1024, 1025, 2049])
+    def test_a_capped_record_is_the_uncapped_ones_first_rows(self, demo, cap):
+        # the record's arrays start at 1024 rows and double when full; the
+        # caps sit on either side of the first doubling and past the second
+        plan, config, full = demo
+        rec = run(plan, replace(config, max_ticks=cap))
+        assert (rec.outcome, rec.ticks) == ("timeout", cap) and full.ticks > cap
+        for name in ("positions", "controls", "sigma", "eta", "mode", "behavior_index"):
+            got, whole = getattr(rec, name), getattr(full, name)
+            assert len(got) == cap + (name == "positions") and got.dtype == whole.dtype
+            assert got.tobytes() == whole[:len(got)].tobytes()
+        assert rec.events == [ev for ev in full.events if ev["tick"] < cap]
 
     def test_timeout_reported(self):
         plan = tiny_plan(
@@ -380,8 +399,8 @@ class TestOutputs:
         assert rows == expected and all(m == 2 for _, i, m, _ in rows if i == 1)
 
     def test_barrier_copies_agree_bitwise(self, tmp_path):
-        # barriers.csv, connectivity_trace (summary.json) and the proximity
-        # graph all evaluate the same barrier methods, so they agree exactly
+        # barriers.csv, connectivity_trace and the proximity graph all
+        # evaluate the same barrier methods, so they agree exactly
         plan, config = builtin_scenario("two_behavior_demo")
         rec = run(plan, replace(config, max_ticks=500))
         path = write_outputs(rec, tmp_path)["barriers"]
