@@ -487,10 +487,10 @@ class RowPlan(NamedTuple):
     active (robot, obstacle) pairs are.
 
     ``rows`` is the ``RowStack`` of every row: the graph's pairwise rows
-    (connectivity, then collision), the active obstacle rows (``obst``, a
-    slice of the stack), then each initial constraint. Each robot's rows come
-    in the order of its own constraint set (connectivity, collision,
-    obstacle, initial constraints). ``slots`` is every row's robot slot and
+    (connectivity, then collision), the active obstacle rows, then each
+    initial constraint. Each robot's rows come in the order of its own
+    constraint set (connectivity, collision, obstacle, initial
+    constraints). ``slots`` is every row's robot slot and
     ``flat`` its flat index in the layout, in stack order, so a row's kind
     and other robot or obstacle in ``rows.kinds`` name the layout cell at
     ``flat``. ``template`` is a read-only layout with the pad rows and the
@@ -503,7 +503,6 @@ class RowPlan(NamedTuple):
     min_sep: float
     stack: object
     rows: RowStack
-    obst: slice
     slots: np.ndarray
     flat: np.ndarray
     template: RowLayout
@@ -530,8 +529,7 @@ class RowPlan(NamedTuple):
         flat = slots * template.offsets.shape[1] + columns
         for a in (slots, flat, template.robots, template.counts, template.normals, template.offsets, template.hard):
             a.flags.writeable = False
-        obst = slice(len(pairs), len(pairs) + len(obst))
-        return cls(None if active is None else active.tobytes(), min_sep, stack, rows, obst, slots, flat, template)
+        return cls(None if active is None else active.tobytes(), min_sep, stack, rows, slots, flat, template)
 
     def fill(self, normals, offsets):
         """A fresh layout of the template with the rows, flat in stack order;
@@ -552,30 +550,26 @@ def team_rows(request, params, min_sep, domain):
     of the team, and each row goes to its robot's layout row in the order of
     the robot's own constraint set (connectivity, collision, obstacle,
     initial constraints), bit for bit the row of the robot's own one-robot
-    stack of its kind. Obstacle rows take the activation test's values, for
-    the pairs inside its margin only. The request's ``TickGraph`` keeps the
-    plan until the activation mask, ``min_sep`` or the obstacle stack changes.
+    stack of its kind. An obstacle row's h is the activation test's bit for
+    bit, both the one barrier form at the same offset. The request's
+    ``TickGraph`` keeps the plan until the activation mask, ``min_sep`` or
+    the obstacle stack changes.
     """
     graph, x = request.graph, request.position
-    stack, active, near, key = None, None, None, None
+    stack, active, key = None, None, None
     if domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
         stack = domain.obstacle_stack
-        h = ObstacleAvoid(graph.robots[:, None], stack).value(x[:, None])
-        active = h <= OBSTACLE_ACTIVATION
-        near, key = h[active], active.tobytes()
+        active = ObstacleAvoid(graph.robots[:, None], stack).value(x[:, None] - stack.center) <= OBSTACLE_ACTIVATION
+        key = active.tobytes()
     plan = graph.plan
     if plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack:
         plan = graph.plan = RowPlan.of(graph, active, min_sep, stack)
     if not len(plan.slots):
         return plan, np.empty((0, 2)), np.empty(0)
-    rows, xs = plan.rows, x.take(plan.slots, axis=0)
-    p = np.concatenate((request.seen, rows.center))
-    h = rows.value(xs, p)
-    if near is not None:
-        h[plan.obst] = near
-    block = constraint_row(rows, params, h, xs, p)
+    p = np.concatenate((request.seen, plan.rows.center))
+    block = constraint_row(plan.rows, params, x.take(plan.slots, axis=0) - p)
     return plan, block.normals, block.offsets
 
 

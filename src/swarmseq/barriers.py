@@ -13,25 +13,29 @@ restricted to robot i's input becomes  (dh/dx_i) . u_i >= -share * rate(h).
 A pairwise barrier is enforced once by each of its two robots, so each takes
 share 1/2 of the rate; a single-robot barrier keeps the full rate.
 
-Each barrier kind owns its value and gradient. Both work over the trailing
-2-axis of position arrays, so the same method serves one robot on one tick,
-a whole (ticks, 2) trajectory, and a stack of barriers of one kind: a
-pairwise kind whose ``j`` (or ``i``) is a sequence of robots, or an obstacle
-stack. Every barrier squares distances with ``sq_dist`` (``at_sq_dist``
-takes them as given). ``constraint_row`` turns one stack's values into a
-``RowBlock``, one row per barrier; a stack whose ``i`` is an array of robots
-gives a team's rows, which ``agent.RowPlan`` places robot by robot. A row
-carries only its numbers: which barrier it is, the stack's kinds say.
-
 Every kind is a barrier of robot i about a point p: the partner's position,
-the ellipse's center or the disc's center. Its gradient is
-2 (x_i - p) * (sx, sy), with (sx, sy) = (s, s) for the pairwise kinds,
-(a, b) for an ellipse and (-1, -1) for a disc. Connectivity and collision
-are one pairwise form, h = c + s |x_i - x_j|^2: connectivity is
-c = delta^2, s = -1 and collision c = -min_sep^2, s = +1; keep-within is
-the same form with c = radius^2, s = -1. So a team's rows of every kind are
-one ``RowStack``, built by one ``constraint_row`` call a tick, each row bit
-for bit its kind's own.
+the ellipse's center or the disc's center. At the offset d = x_i - p,
+every barrier has one form,
+    h = c + (sx (d0 d0) + sy (d1 d1)),    dh/dx_i = 2 d (sx, sy),
+with (sx, sy) = ``scale``: (s, s) for the pairwise kinds, (a, b) for an
+ellipse and (-1, -1) for a disc. Connectivity is c = delta^2, s = -1;
+collision c = -min_sep^2, s = +1; an ellipse c = -1; keep-within
+c = radius^2. Scaling by s = +-1 is exact, so for the pairwise kinds and the
+disc the form is bit for bit c + s |d|^2. ``_Barrier`` writes the form once,
+for the kinds and for a ``RowStack``, the rows of several kinds, so QP rows,
+traces, the CSV writer and validation read the same bits. The offsets'
+squares are products; libm's ``pow`` serves only the rate and the
+constants c.
+
+``value`` and ``gradient`` take the offsets and work over their trailing
+2-axis, so the same call serves one robot on one tick, a whole (ticks, 2)
+trajectory, and a stack of barriers of one kind: a pairwise kind whose ``j``
+(or ``i``) is a sequence of robots, or an obstacle stack. The caller forms
+d once. ``constraint_row`` turns one stack's offsets into a ``RowBlock``,
+one row per barrier; a team's rows are one ``RowStack``, built by one
+``constraint_row`` call a tick, which ``agent.RowPlan`` places robot by
+robot. A row carries only its numbers: which barrier it is, the stack's
+kinds say.
 """
 
 from __future__ import annotations
@@ -96,13 +100,26 @@ def team_settling_bound(entries, params):
 # --- barrier kinds ---------------------------------------------------------
 
 
-def sq_dist(d):
-    """|d|^2 over the trailing 2-axis.
+# the scales of the kinds whose h falls (within) or grows (apart) with
+# distance, read-only since every barrier of a kind shares one
+_WITHIN, _APART = np.full(2, -1.0), np.full(2, 1.0)
+_WITHIN.flags.writeable = _APART.flags.writeable = False
 
-    Written elementwise rather than as a BLAS dot, so that a single tick and a
-    whole trajectory round alike.
-    """
-    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+
+class _Barrier:
+    """The one form of every barrier: at the offset d = x_i - p of robot i
+    from its point p, h = c + (sx (d0 d0) + sy (d1 d1)) and dh/dx_i =
+    2 d (sx, sy), with (sx, sy) the last axis of ``scale``. A subclass
+    gives ``c`` and ``scale``, each one value or one per barrier of a stack,
+    broadcasting against d's leading axes."""
+
+    def value(self, d):
+        t = d * d  # (d0 d0, d1 d1), then scaled in place
+        t *= self.scale
+        return self.c + (t[..., 0] + t[..., 1])
+
+    def gradient(self, d):
+        return 2.0 * d * self.scale
 
 
 def _pairs_a_robot_with_itself(i, j):
@@ -111,10 +128,11 @@ def _pairs_a_robot_with_itself(i, j):
     return same if isinstance(same, bool) else bool(same.any())
 
 
-class _Pairwise:
-    """A barrier h = c + s |x_i - x_j|^2 on robots i and j, half of it
-    enforced by each; dh/dx_i is 2 s (x_i - x_j). Connectivity and collision
-    are two choices of c and s, and a ``RowStack`` takes them per barrier."""
+class _Pairwise(_Barrier):
+    """A barrier h = c + s |x_i - x_j|^2 on robots i and j, about p = x_j,
+    half of it enforced by each; scale is (s, s), and the gradient in x_j is
+    the negation of dh/dx_i. Connectivity and collision are two choices of c
+    and s, and a ``RowStack`` takes them per barrier."""
 
     share = 0.5
 
@@ -122,22 +140,12 @@ class _Pairwise:
         if _pairs_a_robot_with_itself(self.i, self.j):
             raise ValueError(f"{type(self).__name__.lower()} barrier needs two distinct robots")
 
-    def at_sq_dist(self, sq):
-        return self.c + self.s * sq
-
-    def value(self, xi, xj):
-        return self.at_sq_dist(sq_dist(xi - xj))
-
-    def gradient(self, xi, xj):
-        """dh/dx_i; the gradient in x_j is its negation."""
-        return (2.0 * np.asarray(self.s))[..., None] * (xi - xj)
-
     def stacked(self):
         """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
         barrier (``i`` and ``j`` one robot or one sequence each); p, the
         partner's position, is a tick's (None)."""
         n = np.broadcast(self.i, self.j).size
-        return np.full(n, self.i), None, np.full(n, self.c), np.full((n, 2), np.asarray(self.s)[..., None])
+        return np.full(n, self.i), None, np.full(n, self.c), np.full((n, 2), self.scale)
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,7 @@ class Connectivity(_Pairwise):
     delta: float
 
     hard = False
-    s = -1.0
+    scale = _WITHIN
 
     @functools.cached_property
     def c(self):
@@ -167,7 +175,7 @@ class Collision(_Pairwise):
     min_sep: float
 
     hard = True
-    s = 1.0
+    scale = _APART
 
     @property
     def c(self):
@@ -175,12 +183,13 @@ class Collision(_Pairwise):
 
 
 @dataclass(frozen=True)
-class ObstacleAvoid:
-    """h = (x_i - o)' diag(a, b) (x_i - o) - 1: robot i outside an ellipse.
+class ObstacleAvoid(_Barrier):
+    """h = (x_i - o)' diag(a, b) (x_i - o) - 1: robot i outside an ellipse,
+    about p = o (``center``) with c = -1 and scale (a, b).
 
     The obstacle may be a stack of ellipses (see ``Domain.obstacle_stack``);
-    the value then broadcasts over them, one entry per obstacle, or over the
-    ellipses that the 1-based ``index`` array selects from the stack.
+    ``center`` and ``scale`` then hold one entry per obstacle, or one per
+    ellipse that the 1-based ``index`` array selects from the stack.
     """
 
     i: int
@@ -189,43 +198,23 @@ class ObstacleAvoid:
 
     hard = True
     share = 1.0
+    c = -1.0
 
-    @functools.cached_property
-    def _ellipses(self):
-        """The center, a, b and axes of the obstacles, the selected ones if
-        ``index`` is given; gathered once per kind object."""
-        o, m = self.obstacle, self.index
-        if m is None:
-            return o.center, o.a, o.b, o.axes
-        m = np.asarray(m) - 1
-        return o.center[m], o.a[m], o.b[m], o.axes[m]
-
-    def value(self, x):
-        center, a, b, _ = self._ellipses
-        v = x - center
-        # squares with libm's pow (float_power), not numpy's ** 2, which
-        # multiplies: the two differ in the last bit for ~0.1% of inputs, and
-        # securing_a_building's tick count depends on that bit
-        return a * np.float_power(v[..., 0], 2) + b * np.float_power(v[..., 1], 2) - 1.0
-
-    def gradient(self, x):
-        center, _, _, axes = self._ellipses
-        return 2.0 * (x - center) * axes
+    def __post_init__(self):
+        m = slice(None) if self.index is None else np.asarray(self.index) - 1
+        self.__dict__.update(center=self.obstacle.center[m], scale=self.obstacle.axes[m])
 
     def stacked(self):
         """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
-        barrier (``i`` one robot or one per selected ellipse): the ellipse's
-        center and its (a, b). A row's value is the ellipse's (``value``),
-        which squares with ``pow``; c is NaN, so a stack's value for the row
-        is NaN until the caller writes the ellipse's in, and a row built
-        without it fails the QP's finite-coefficient check."""
-        center, _, _, axes = self._ellipses
-        return np.full(len(center), self.i), center, np.full(len(center), np.nan), axes
+        barrier (``i`` one robot or one per selected ellipse)."""
+        n = len(self.center)
+        return np.full(n, self.i), self.center, np.full(n, self.c), self.scale
 
 
 @dataclass(frozen=True)
-class KeepWithin:
-    """h = radius^2 - |x_i - center|^2: robot i inside a disc (anchor constraint)."""
+class KeepWithin(_Barrier):
+    """h = radius^2 - |x_i - center|^2: robot i inside a disc (anchor
+    constraint), about p = ``center`` with c = radius^2 and scale (-1, -1)."""
 
     yaml = "keep_within"
     i: int = _yaml("int", "robot")
@@ -234,33 +223,27 @@ class KeepWithin:
 
     hard = False
     share = 1.0
+    scale = _WITHIN
 
     def __post_init__(self):
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         if self.radius <= 0:
             raise ValueError("keep-within radius must be positive")
-
-    def value(self, x):
-        return self.radius**2 - sq_dist(x - self.center)
-
-    def gradient(self, x):
-        return -2.0 * (x - self.center)
+        object.__setattr__(self, "c", self.radius**2)
 
     def stacked(self):
         """The barrier as one ``RowStack`` row, (i, p, c, scale)."""
-        return np.array([self.i]), np.array([self.center]), np.array([self.radius**2]), np.array([[-1.0, -1.0]])
+        return np.array([self.i]), np.array([self.center]), np.array([self.c]), np.array([self.scale])
 
 
 @dataclass(frozen=True)
-class RowStack:
+class RowStack(_Barrier):
     """Barriers of several kinds as one stack, the rows of ``kinds`` in
     order, the pairwise kinds first: row r is robot ``i[r]``'s barrier about
-    a point p[r], with h = c[r] + s[r] |x_i - p[r]|^2 (s the first column of
-    ``scale``), its gradient 2 (x_i - p[r]) * scale[r] and its own ``share``
+    a point p[r], with its kind's c[r] and scale[r], and its own ``share``
     and ``hard`` flag. A pairwise row's p is the partner's position, which a
-    tick gives; the other rows' p are ``center``. Scaling by s = +-1 is exact
-    and a + (-b) is a - b, so each row's gradient is its kind's own bit for
-    bit, and so is each row's value but an ellipse's (see ``value``)."""
+    tick gives; the other rows' p are ``center``. The form is the kinds' own,
+    so each row's value and gradient are its kind's bit for bit."""
 
     kinds: tuple
     i: np.ndarray
@@ -279,15 +262,6 @@ class RowStack:
         return cls(tuple(kinds), np.concatenate(i), center, np.concatenate(c), np.concatenate(scale),
                    np.repeat([kind.share for kind in kinds], sizes), np.repeat([kind.hard for kind in kinds], sizes))
 
-    def value(self, x, p):
-        """c + s |x - p|^2 for every row, at x_i = ``x`` and the rows' points
-        ``p``: the value of each row whose scale is (s, s). An ellipse row's
-        value is NaN here; its kind's ``value`` is the caller's to write in."""
-        return self.c + self.scale[:, 0] * sq_dist(x - p)
-
-    def gradient(self, x, p):
-        return 2.0 * (x - p) * self.scale
-
 
 @dataclass(frozen=True)
 class RowBlock:
@@ -301,16 +275,16 @@ class RowBlock:
     hard: np.ndarray
 
 
-def constraint_row(kind, params, h, *positions):
+def constraint_row(kind, params, d):
     """Rows (dh/dx_i) . u_i >= -share * rate(h) on the input of robot
     ``kind.i``, one per barrier of the kind's stack, in C order.
 
-    ``h`` holds the barriers' values at ``positions`` as an array (``kind.value``
-    of them, or the same numbers from an earlier pass). ``positions`` are x_i,
-    then for a pairwise kind the positions of its ``j`` robots, or for a
-    ``RowStack`` its rows' points p, broadcasting together. ``kind.i`` is one
-    robot or, for a team's rows, an id array broadcasting against the barrier
-    values.
+    ``d`` holds the offsets x_i - p of the barriers' robots from their
+    points p (for a pairwise kind the positions of its ``j`` robots, for a
+    ``RowStack`` its rows' points), broadcasting against the kind's stack;
+    h and the gradient are both read from it. ``kind.i`` is one robot or,
+    for a team's rows, an id array broadcasting against the barrier values.
     """
+    h = kind.value(d)
     k = h.size
-    return RowBlock(kind.gradient(*positions).reshape(k, 2), -kind.share * class_k(h.reshape(k), params), kind.hard)
+    return RowBlock(kind.gradient(d).reshape(k, 2), -kind.share * class_k(h.reshape(k), params), kind.hard)

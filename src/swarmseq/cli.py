@@ -120,7 +120,7 @@ def run_metrics(record):
         if done is not None:
             # each required edge's connectivity value on the one tick it needs
             x, edges = record.positions[done], plan.behaviors[k - 1].required_graph.sorted_edges()
-            h0 = [((i, j), float(Connectivity(i, j, plan.delta).value(x[i - 1], x[j - 1]))) for i, j in edges]
+            h0 = [((i, j), float(Connectivity(i, j, plan.delta).value(x[i - 1] - x[j - 1]))) for i, j in edges]
             entry["settling_bound_seconds"] = team_settling_bound(h0, plan.fcbf)
         else:
             entry["settling_bound_seconds"] = None

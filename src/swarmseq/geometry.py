@@ -133,11 +133,9 @@ def proximity_graph(positions, delta):
 
     ``positions`` is the (n, 2) array of robots 1..n. A pair is connected
     exactly when its connectivity barrier is nonnegative, so the test is
-    boundary-inclusive: a pair at distance ``delta`` is connected. The graph
-    keeps the squared distances the test read: ``sq_dist[i, j]`` (equal to
-    ``[j, i]`` bitwise) for robots i + 1 and j + 1: each component's (n, n)
-    table of differences, squared, then the two summed, which are the
-    operations ``sq_dist`` does on ``positions[i] - positions[j]``.
+    boundary-inclusive: a pair at distance ``delta`` is connected. One
+    connectivity barrier's value reads each component's (n, n) table of
+    differences at once; its robot ids do not enter the value.
     """
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
@@ -148,22 +146,14 @@ def proximity_graph(positions, delta):
         raise GeometryError("non-finite robot position")
     d = positions.T.copy()  # contiguous components, so the differences below stream
     d = d[:, :, None] - d[:, None]
-    d *= d
-    table = d[0] + d[1]
-    mask = _range_test(float(delta)).at_sq_dist(table) >= 0
+    mask = Connectivity(1, 2, float(delta)).value(d.transpose(1, 2, 0)) >= 0
     mask.flat[::len(mask) + 1] = False  # the diagonal
-    mask.flags.writeable = table.flags.writeable = False
+    mask.flags.writeable = False
     # the mask is symmetric and loop-free by construction: skip __post_init__'s
     # per-edge checks, and leave the edge set to its first read
     graph = object.__new__(InteractionGraph)
-    graph.__dict__.update(n=len(positions), mask=mask, sq_dist=table)
+    graph.__dict__.update(n=len(positions), mask=mask)
     return graph
-
-
-@functools.lru_cache(maxsize=8)
-def _range_test(delta):
-    """The connectivity barrier at range delta, checked once (``at_sq_dist`` reads no robot)."""
-    return Connectivity(1, 2, delta)
 
 
 @functools.lru_cache(maxsize=8)

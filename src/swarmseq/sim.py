@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import EXECUTING, Inbox, Team, filter_team, step
-from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml, sq_dist
+from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml
 from .geometry import _pairs, proximity_graph
 
 DELAY_BLOCK = 1024  # ticks whose delays are drawn at once
@@ -275,12 +275,12 @@ def _add_rescue_events(record):
     r, events, after = record.plan.rescue, record.events, record.positions[1:]
     kind = Connectivity(np.arange(1, record.n + 1), 0, record.plan.delta)
     # in blocks of ticks, so that the pass adds little to the run's peak memory
-    seen = (t + np.flatnonzero((kind.value(after[t:t + 1024], r.target) >= 0).any(axis=1))
+    seen = (t + np.flatnonzero((kind.value(after[t:t + 1024] - r.target) >= 0).any(axis=1))
             for t in range(0, record.ticks, 1024))
     t0 = next((int(s[0]) for s in seen if len(s)), None)
     if t0 is None:
         return
-    found = [{"tick": t0, "event": "target_located", "robot": int(np.argmax(kind.value(after[t0], r.target))) + 1}]
+    found = [{"tick": t0, "event": "target_located", "robot": int(np.argmax(kind.value(after[t0] - r.target))) + 1}]
     group = np.subtract(r.escort_robots, 1)
     k, mode = record.behavior_index[t0:, group], record.mode[t0:, group]
     escorting = ((k > r.escort_behavior) | (k == r.escort_behavior) & (mode == EXECUTING)).all(axis=1)
@@ -335,7 +335,7 @@ def connectivity_trace(record, edge):
     """Barrier value of one connectivity edge across the whole run."""
     i, j = edge
     pos = record.positions
-    return Connectivity(i, j, record.plan.delta).value(pos[:, i - 1], pos[:, j - 1])
+    return Connectivity(i, j, record.plan.delta).value(pos[:, i - 1] - pos[:, j - 1])
 
 
 # --- serialization ----------------------------------------------------------------
@@ -385,11 +385,11 @@ def write_outputs(record, outdir):
         fh.write("tick,kind,a,b,h\n")
         for t0 in range(0, record.ticks, step):
             x = record.positions[t0:min(t0 + step, record.ticks)]
-            sq = sq_dist(x[:, pi - 1] - x[:, pj - 1])
-            tables = [conn.value(x[:, a - 1], x[:, b - 1]), near.at_sq_dist(sq) >= 0, coll.at_sq_dist(sq)]
+            d = x[:, pi - 1] - x[:, pj - 1]
+            tables = [conn.value(x[:, a - 1] - x[:, b - 1]), near.value(d) >= 0, coll.value(d)]
             if plan.domain.obstacles:
                 # each robot's worst obstacle, the first one attaining the minimum
-                h = obst.value(x[:, :, None])
+                h = obst.value(x[:, :, None] - obst.center)
                 m = h.argmin(axis=-1)[..., None]
                 tables += [m[..., 0] + 1, np.take_along_axis(h, m, axis=-1)[..., 0]]
             for t, rows in enumerate(zip(*(table.tolist() for table in tables)), start=t0):

@@ -23,9 +23,45 @@ def pts(*positions):
     return [np.array(p, dtype=float) for p in positions]
 
 
+def offset(kind, x, p=None):
+    """d = x_i - p, with p the kind's own point (``center``) unless given."""
+    return x - (kind.center if p is None else p)
+
+
+def value_at(kind, *positions):
+    """The kind's value at robot position x_i (and point p)."""
+    return kind.value(offset(kind, *positions))
+
+
 def rows_at(kind, params, *positions):
-    """``constraint_row`` of the kind's own values at ``positions``."""
-    return constraint_row(kind, params, kind.value(*positions), *positions)
+    """``constraint_row`` of the kind at robot position x_i (and point p)."""
+    return constraint_row(kind, params, offset(kind, *positions))
+
+
+def scalar_barrier(kind, x, p=None):
+    """(h, dh/dx_i) of one barrier of ``kind`` at robot position x (and the
+    partner's position p), each kind's formula written out in Python floats:
+    the reference the one array form is checked against."""
+    x0, x1 = (float(v) for v in x)
+    if isinstance(kind, ObstacleAvoid):  # one ellipse
+        o = kind.obstacle
+        a, b = float(o.a), float(o.b)
+        dx, dy = x0 - float(o.center[0]), x1 - float(o.center[1])
+        return a * (dx * dx) + b * (dy * dy) - 1.0, (2.0 * dx * a, 2.0 * dy * b)
+    if isinstance(kind, KeepWithin):
+        dx, dy = x0 - kind.center[0], x1 - kind.center[1]
+        return kind.radius**2 - (dx * dx + dy * dy), (-2.0 * dx, -2.0 * dy)
+    dx, dy = x0 - float(p[0]), x1 - float(p[1])
+    sq = dx * dx + dy * dy
+    if isinstance(kind, Connectivity):
+        return float(kind.delta) ** 2 - sq, (-2.0 * dx, -2.0 * dy)
+    return sq - float(kind.min_sep) ** 2, (2.0 * dx, 2.0 * dy)
+
+
+def scalar_row(kind, params, x, p=None):
+    """The row of ``scalar_barrier``: (normal, offset)."""
+    h, normal = scalar_barrier(kind, x, p)
+    return normal, -kind.share * scalar_rate(h, params)
 
 
 def scalar_rate(h, params):
@@ -74,26 +110,26 @@ class TestClassK:
 
 class TestEvalBarrier:
     def test_connectivity_boundary(self):
-        h = Connectivity(1, 2, 0.5).value(*pts((0, 0), (0.3, 0.4)))
+        h = value_at(Connectivity(1, 2, 0.5), *pts((0, 0), (0.3, 0.4)))
         assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_connectivity_interior(self):
-        h = Connectivity(1, 2, 0.5).value(*pts((0, 0), (0.3, 0.0)))
+        h = value_at(Connectivity(1, 2, 0.5), *pts((0, 0), (0.3, 0.0)))
         assert h == pytest.approx(0.16)
 
     def test_obstacle_boundary(self):
         kind = ObstacleAvoid(1, Obstacle(np.zeros(2), 1.0, 1.0))
-        assert kind.value(*pts((1, 0))) == pytest.approx(0.0)
+        assert value_at(kind, *pts((1, 0))) == pytest.approx(0.0)
 
     def test_collision_sign(self):
         x = pts((0, 0), (0.1, 0.0))
-        assert Collision(1, 2, 0.12).value(*x) < 0
-        assert Collision(1, 2, 0.05).value(*x) > 0
+        assert value_at(Collision(1, 2, 0.12), *x) < 0
+        assert value_at(Collision(1, 2, 0.05), *x) > 0
 
     def test_keep_within(self):
         kind = KeepWithin(1, (0.0, 0.0), 1.0)
-        assert kind.value(*pts((1, 0))) == pytest.approx(0.0)
-        assert kind.value(*pts((0.5, 0))) > 0
+        assert value_at(kind, *pts((1, 0))) == pytest.approx(0.0)
+        assert value_at(kind, *pts((0.5, 0))) > 0
 
     def test_connectivity_matches_proximity_graph(self):
         rng = np.random.default_rng(5)
@@ -102,11 +138,11 @@ class TestEvalBarrier:
             g = proximity_graph(x, 0.5)
             for i in range(1, 5):
                 for j in range(i + 1, 5):
-                    h = Connectivity(i, j, 0.5).value(x[i - 1], x[j - 1])
+                    h = value_at(Connectivity(i, j, 0.5), x[i - 1], x[j - 1])
                     assert (h >= 0) == g.has_edge(i, j)
 
     def test_trajectory_equals_tick_by_tick(self):
-        # one method serves one tick and a whole (ticks, 2) trajectory, bitwise
+        # one call serves one tick and a whole (ticks, 2) trajectory, bitwise
         rng = np.random.default_rng(8)
         xi, xj = rng.uniform(-2, 2, size=(2, 300, 2))
         obstacle = Obstacle(np.array([0.2, -0.1]), 2.0, 0.5)
@@ -117,12 +153,13 @@ class TestEvalBarrier:
             (KeepWithin(1, (0.1, 0.3), 0.8), (xi,)),
         ]
         for kind, x in kinds:
-            values = kind.value(*x)
+            d = offset(kind, *x)
+            values = kind.value(d)
             assert values.shape == (300,)
             for t in range(300):
-                at_t = [p[t] for p in x]
-                assert values[t] == kind.value(*at_t)
-                np.testing.assert_array_equal(kind.gradient(*x)[t], kind.gradient(*at_t))
+                at_t = offset(kind, *(p[t] for p in x))
+                assert values[t] == kind.value(at_t)
+                np.testing.assert_array_equal(kind.gradient(d)[t], kind.gradient(at_t))
 
     def test_stacked_obstacles_equal_one_by_one(self):
         rng = np.random.default_rng(9)
@@ -132,8 +169,8 @@ class TestEvalBarrier:
         ]
         domain = Domain(-2, 2, -2, 2, tuple(obstacles))
         for x in rng.uniform(-2, 2, size=(50, 2)):
-            stacked = ObstacleAvoid(1, domain.obstacle_stack).value(x)
-            single = [ObstacleAvoid(1, o).value(x) for o in obstacles]
+            stacked = value_at(ObstacleAvoid(1, domain.obstacle_stack), x)
+            single = [value_at(ObstacleAvoid(1, o), x) for o in obstacles]
             np.testing.assert_array_equal(stacked, single)
 
 
@@ -188,7 +225,7 @@ class TestConstraintRow:
                     for sign in (1, -1):
                         shifted = [p.copy() for p in x]
                         shifted[0][axis] += sign * step
-                        fd[axis] += sign * kind.value(*shifted)
+                        fd[axis] += sign * value_at(kind, *shifted)
                     fd[axis] /= 2 * step
                 np.testing.assert_allclose(row.normals[0], fd, rtol=1e-4, atol=1e-6)
 
@@ -228,9 +265,9 @@ class TestRowBlocks:
                 assert len(block.offsets) == len(others)
                 for r, (j, xj) in enumerate(zip(others, xs)):
                     kind = make(j)
-                    h = float(kind.value(xi, xj))
-                    assert bits(block.normals[r]).tolist() == bits(kind.gradient(xi, xj)).tolist()
-                    assert bits(block.offsets[r]) == bits(-kind.share * scalar_rate(h, params))
+                    normal, want = scalar_row(kind, params, xi, xj)
+                    assert bits(block.normals[r]).tolist() == bits(normal).tolist()
+                    assert bits(block.offsets[r]) == bits(want)
                     assert block.hard is kind.hard
 
     def test_a_pair_stack_gives_each_kinds_own_formula(self):
@@ -249,14 +286,14 @@ class TestRowBlocks:
         j = i + rng.integers(1, 9, m + k)
         kinds = Connectivity(i[:m], j[:m], deltas), Collision(i[m:], j[m:], 0.12)
         stack = RowStack.of(kinds)
-        values = stack.value(x, seen)
+        values = value_at(stack, x, seen)
         block = rows_at(stack, params, x, seen)
         assert block.hard.tolist() == [False] * m + [True] * k and stack.i.tolist() == i.tolist()
         assert stack.kinds == kinds and len(stack.center) == 0
         for r, (xi, xj) in enumerate(zip(x.tolist(), seen.tolist())):
             dx, dy = xi[0] - xj[0], xi[1] - xj[1]
             sq = dx * dx + dy * dy
-            h, slope = (deltas[r] ** 2 - sq, -2.0) if r < m else (sq - 0.12**2, 2.0)
+            h, slope = (float(deltas[r]) ** 2 - sq, -2.0) if r < m else (sq - 0.12**2, 2.0)
             assert bits(values[r]) == bits(h)
             assert bits(block.normals[r]).tolist() == bits([slope * dx, slope * dy]).tolist()
             assert bits(block.offsets[r]) == bits(-0.5 * scalar_rate(h, params))
@@ -273,19 +310,19 @@ class TestRowBlocks:
             block = rows_at(ObstacleAvoid(3, domain.obstacle_stack), params, x)
             assert len(block.offsets) == len(obstacles) and block.hard is True
             for m, obstacle in enumerate(obstacles):
-                single = ObstacleAvoid(3, obstacle)
-                h = float(single.value(x))
-                assert bits(block.normals[m]).tolist() == bits(single.gradient(x)).tolist()
-                assert bits(block.offsets[m]) == bits(-single.share * scalar_rate(h, params))
+                normal, want = scalar_row(ObstacleAvoid(3, obstacle), params, x)
+                assert bits(block.normals[m]).tolist() == bits(normal).tolist()
+                assert bits(block.offsets[m]) == bits(want)
 
     def test_keep_within_block_equals_its_scalar_row(self):
         params = FcbfParams(rho=0.3, gamma=2.0)
         kind = KeepWithin(2, (0.1, -0.2), 0.4)
         for x in np.random.default_rng(23).uniform(-1, 1, size=(100, 2)):
             block = rows_at(kind, params, x)
+            normal, want = scalar_row(kind, params, x)
             assert len(block.offsets) == 1 and block.hard is False
-            assert bits(block.normals[0]).tolist() == bits(kind.gradient(x)).tolist()
-            assert bits(block.offsets[0]) == bits(-scalar_rate(float(kind.value(x)), params))
+            assert bits(block.normals[0]).tolist() == bits(normal).tolist()
+            assert bits(block.offsets[0]) == bits(want)
 
     def test_concat_and_take_keep_rows_and_identity(self):
         # a RowStack concatenates its kinds' rows, kind by kind, and keeps the
@@ -312,8 +349,8 @@ class TestRowBlocks:
     def test_one_stack_gives_every_kinds_own_rows(self):
         # connectivity, collision, selected obstacles and two discs as one
         # RowStack, each row at its own robot's position and point p (the
-        # partner's, else the stack's center), with the obstacle rows' values
-        # given: one constraint_row call gives each kind's own rows, bit for bit
+        # partner's, else the stack's center): one constraint_row call gives
+        # each barrier's own formula, bit for bit
         rng = np.random.default_rng(25)
         params = FcbfParams(rho=0.5, gamma=1.3)
         obstacles = Domain(-2, 2, -2, 2, tuple(
@@ -327,21 +364,44 @@ class TestRowBlocks:
                      KeepWithin(7, tuple(rng.uniform(-1, 1, 2)), 0.8), KeepWithin(3, (0.1, -0.2), 0.4))
             stack = RowStack.of(kinds)
             assert stack.i.tolist() == [1, 2, 3, 1, 4, 2, 6, 6, 7, 3]
-            xi = x[stack.i - 1]
-            p = np.concatenate((x[j - 1], stack.center))
-            h = stack.value(xi, p)
-            # an ellipse row's value is the caller's to write in; until then it is NaN
-            assert np.isnan(h[5:8]).all() and not np.isnan(np.delete(h, np.s_[5:8])).any()
-            h[5:8] = obst.value(xi[5:8])
-            block = constraint_row(stack, params, h, xi, p)
-            own = [(kinds[0], (xi[:3], x[j[:3] - 1])), (kinds[1], (xi[3:5], x[j[3:] - 1])), (obst, (xi[5:8],)),
-                   (kinds[3], (x[6],)), (kinds[4], (x[2],))]
-            values = np.concatenate([np.atleast_1d(kind.value(*at)) for kind, at in own])
-            own = [rows_at(kind, params, *at) for kind, at in own]
+            d = x[stack.i - 1] - np.concatenate((x[j - 1], stack.center))
+            block = constraint_row(stack, params, d)
+            ellipses = obstacles.obstacles
+            own = [(Connectivity(a, b, delta), x[b - 1]) for a, b, delta in zip(i[:3], j[:3], kinds[0].delta)]
+            own += [(Collision(a, b, 0.12), x[b - 1]) for a, b in zip(i[3:], j[3:])]
+            own += [(ObstacleAvoid(a, ellipses[m - 1]), None) for a, m in zip(obst.i, obst.index)]
+            own += [(kinds[3], None), (kinds[4], None)]
+            h, normals = zip(*(scalar_barrier(kind, x[kind.i - 1], p) for kind, p in own))
+            offsets = [-kind.share * scalar_rate(v, params) for (kind, _), v in zip(own, h)]
             assert block.hard.tolist() == [False] * 3 + [True] * 5 + [False] * 2
-            assert bits(h).tolist() == bits(values).tolist()
-            assert bits(block.normals).tolist() == bits(np.concatenate([b.normals for b in own])).tolist()
-            assert bits(block.offsets).tolist() == bits(np.concatenate([b.offsets for b in own])).tolist()
+            assert bits(stack.value(d)).tolist() == bits(h).tolist()
+            assert bits(block.normals).tolist() == bits(normals).tolist()
+            assert bits(block.offsets).tolist() == bits(offsets).tolist()
+
+    def test_the_one_form_is_the_sum_of_squares_scaled_bitwise(self):
+        # c + (s (d0 d0) + s (d1 d1)) is c + s (d0 d0 + d1 d1) for s = +-1, and
+        # r^2 - |d|^2 for a disc, bit for bit: scaling by +-1 is exact. Offsets
+        # span 1e-160..1e160 (squares that underflow and overflow) with signed zeros
+        rng = np.random.default_rng(26)
+        n = 12000
+        d = rng.uniform(-1, 1, (n, 2)) * 10.0 ** rng.integers(-160, 160, (n, 2))
+        d[rng.random((n, 2)) < 0.1] = 0.0
+        d[rng.random((n, 2)) < 0.1] = -0.0
+        d[:4] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]
+        assert np.signbit(d[d == 0]).sum() > 1000 and (~np.signbit(d[d == 0])).sum() > 1000
+        deltas = rng.uniform(0.3, 0.7, n)
+        ids = np.arange(1, n + 1)
+        conn, coll = Connectivity(ids, ids + 1, deltas), Collision(ids, ids + 1, 0.12)
+        disc = KeepWithin(1, (0.3, -0.2), 0.8)
+        with np.errstate(over="ignore"):
+            sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+            want = np.float_power(deltas, 2) + -1.0 * sq, -(0.12**2) + 1.0 * sq
+            got = conn.value(d), coll.value(d), RowStack.of((conn, coll)).value(np.concatenate((d, d))), disc.value(d)
+        assert np.isinf(sq).sum() > 100 and (sq == 0).sum() > 100
+        assert bits(got[0]).tolist() == bits(want[0]).tolist()
+        assert bits(got[1]).tolist() == bits(want[1]).tolist()
+        assert bits(got[2]).tolist() == bits(want).ravel().tolist()
+        assert bits(got[3]).tolist() == bits(0.8**2 - sq).tolist()
 
     def test_a_stack_may_not_pair_a_robot_with_itself(self):
         with pytest.raises(ValueError):
@@ -373,14 +433,14 @@ class TestSettlingBounds:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.uniform(-1, 1, size=(2, 2))
-            h0 = Connectivity(1, 2, 0.5).value(x[0], x[1])
+            h0 = value_at(Connectivity(1, 2, 0.5), x[0], x[1])
             if h0 >= 0:
                 continue
             bound = settling_time_bound(h0, params)
             t = 0.0
             crossed = None
             while t <= bound + 5 * dt:
-                h = Connectivity(1, 2, 0.5).value(x[0], x[1])
+                h = value_at(Connectivity(1, 2, 0.5), x[0], x[1])
                 if h >= 0:
                     crossed = t
                     break

@@ -44,7 +44,7 @@ GOLDEN_DIGEST = "937ff7fbcb7bfa6509af8e7d4473a3a827beaa713978c3d176bb91ea45b6102
 
 # the same digest of the first 1300 ticks of securing_a_building: obstacle
 # rows, 167 relaxed QPs and robot 4's 103 frozen ones (ticks 1013-1239)
-BUILDING_GOLDEN_DIGEST = "69a9d1510e9a64246a78c38a0cad2cf79c8ac66b8f7789b41af52f378a9b6e20"
+BUILDING_GOLDEN_DIGEST = "b174f3b1feadf3e595aab7af089bc3700f23c64cc936e1b4204fac2327e44202"
 
 # 400 ticks of two_behavior_demo without the oracle under uniform 0-10 tick
 # delay: positions come from sensing and cached messages, and the event order

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from swarmseq.barriers import Connectivity, sq_dist
+from swarmseq.barriers import Connectivity
 from swarmseq.geometry import (
     Domain,
     GeometryError,
@@ -13,6 +15,12 @@ from swarmseq.geometry import (
     proximity_graph,
     voronoi_cell,
 )
+
+
+def sq_dist(a, b):
+    """|a - b|^2 in Python floats, each component squared, then the two summed."""
+    dx, dy = float(a[0]) - float(b[0]), float(a[1]) - float(b[1])
+    return dx * dx + dy * dy
 
 
 def point_in_polygon(poly, p):
@@ -94,39 +102,28 @@ class TestProximityGraph:
         with pytest.raises(GeometryError):
             proximity_graph([0.0, 1.0], 1.0)
 
-    def test_checks_the_range_test_once_per_team_size_and_range(self, monkeypatch):
-        checked, real = [], Connectivity.__post_init__
-        monkeypatch.setattr(Connectivity, "__post_init__", lambda kind: checked.append(kind) or real(kind))
-        x = np.random.default_rng(5).uniform(-1, 1, size=(7, 2))
-        first = proximity_graph(x, 0.731)
-        for _ in range(5):
-            assert proximity_graph(x + 1e-3, 0.731).n == 7
-        assert len(checked) <= 1
-        assert proximity_graph(x, 0.731).edges == first.edges and (proximity_graph(x, 0.731).mask == first.mask).all()
-        proximity_graph(x, 0.732)
-        assert len(checked) <= 2
-
-    def test_keeps_the_squared_distances_it_tested(self):
+    def test_the_mask_waits_to_give_its_edges(self):
         rng = np.random.default_rng(6)
         for n in (1, 2, 9):
             x = rng.uniform(-1, 1, size=(n, 2))
             g = proximity_graph(x, 0.6)
-            pairs = [[sq_dist(x[i] - x[j]) for j in range(n)] for i in range(n)]
-            assert g.sq_dist.view(np.int64).tolist() == np.array(pairs).view(np.int64).tolist()
-            assert np.array_equal(g.mask, (np.float_power(0.6, 2) - g.sq_dist >= 0) & ~np.eye(n, dtype=bool))
-            assert "edges" not in vars(g) and not g.sq_dist.flags.writeable  # the edge set waits for a read
+            want = [[i != j and 0.6**2 - sq_dist(x[i], x[j]) >= 0 for j in range(n)] for i in range(n)]
+            assert g.mask.tolist() == want
+            assert "edges" not in vars(g) and not g.mask.flags.writeable  # the edge set waits for a read
             assert g.edges == {(i + 1, j + 1) for i, j in zip(*np.triu(g.mask).nonzero())} and "edges" in vars(g)
-        with pytest.raises(AttributeError):
-            InteractionGraph(2).sq_dist
 
     @pytest.mark.parametrize("n", [1, 2, 5, 48, 192])
-    def test_the_component_table_has_the_bits_of_sq_dist(self, n):
+    def test_the_range_test_reads_each_pairs_own_bits(self, n):
+        # ranges equal to pair distances put pairs on the boundary, where
+        # only the exact bits of delta^2 - |x_i - x_j|^2 tell the edge
         rng = np.random.default_rng(n)
         x = rng.uniform(-1, 1, size=(n, 2)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
         x[rng.random(x.shape) < 0.1] = -0.0
-        table = proximity_graph(x, 0.5).sq_dist
-        assert table.view(np.int64).tolist() == sq_dist(x[:, None] - x).view(np.int64).tolist()
-        assert table.view(np.int64).tolist() == table.T.view(np.int64).tolist()
+        pairs = rng.integers(0, n, size=(4, 2))
+        distances = [math.sqrt(sq_dist(x[i], x[j])) for i, j in pairs]
+        for delta in [0.5] + [v for v in distances if v > 0]:
+            want = [[i != j and delta**2 - sq_dist(x[i], x[j]) >= 0 for j in range(n)] for i in range(n)]
+            assert proximity_graph(x, delta).mask.tolist() == want
 
     def test_equals_pairwise_barrier_test(self):
         # the broadcast range test agrees with the connectivity barrier of
@@ -142,7 +139,7 @@ class TestProximityGraph:
                     (i, j)
                     for i in range(1, n + 1)
                     for j in range(i + 1, n + 1)
-                    if Connectivity(i, j, 0.5).value(x[i - 1], x[j - 1]) >= 0
+                    if Connectivity(i, j, 0.5).value(x[i - 1] - x[j - 1]) >= 0
                 }
                 assert g.n == n and g.edges == expected
                 if n > 1:

@@ -314,7 +314,7 @@ class TestValidate:
             plan = MissionPlan(n, x, (), Domain(-1, 1, -1, 1), FcbfParams(), 0.5, 0.12)
             want = [f"robots {i} and {j} start within the minimum separation"
                     for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                    if Collision(i, j, 0.12).value(x[i - 1], x[j - 1]) <= 0]
+                    if Collision(i, j, 0.12).value(x[i - 1] - x[j - 1]) <= 0]
             assert [v for v in validate(plan) if "minimum separation" in v] == want
             assert len(want) >= {1: 0, 2: 1, 7: 2, 12: 2}[n] and (n == 1 or want[0].startswith("robots 1 and 2 "))
 

@@ -394,13 +394,13 @@ class TestOutputs:
         expected = []
         for t in range(rec.ticks):
             for i in range(1, rec.n + 1):
-                h = [float(ObstacleAvoid(i, o).value(rec.positions[t, i - 1])) for o in obstacles]
+                h = [float(ObstacleAvoid(i, o).value(rec.positions[t, i - 1] - o.center)) for o in obstacles]
                 expected.append((t, i, h.index(min(h)) + 1, repr(min(h))))
         assert rows == expected and all(m == 2 for _, i, m, _ in rows if i == 1)
 
     def test_barrier_copies_agree_bitwise(self, tmp_path):
         # barriers.csv, connectivity_trace and the proximity graph all
-        # evaluate the same barrier methods, so they agree exactly
+        # evaluate the one barrier form, so they agree exactly
         plan, config = builtin_scenario("two_behavior_demo")
         rec = run(plan, replace(config, max_ticks=500))
         path = write_outputs(rec, tmp_path)["barriers"]
@@ -423,7 +423,7 @@ class TestOutputs:
             assert coll.get(t, set()) == set(graph.edges)
             for i in range(1, rec.n + 1):
                 for j in range(i + 1, rec.n + 1):
-                    h = Connectivity(i, j, plan.delta).value(x[i - 1], x[j - 1])
+                    h = Connectivity(i, j, plan.delta).value(x[i - 1] - x[j - 1])
                     assert (h >= 0) == graph.has_edge(i, j)
 
 

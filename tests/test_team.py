@@ -2,8 +2,9 @@
 
 Each robot's rows and solution must not depend on the team it is solved in:
 the rows ``team_rows`` builds, laid out by their row plan, fill each robot's
-layout row with the rows of its own one-robot stacks bit for bit, each with
-the identity the kinds of the plan's one row stack give it, and a robot's
+layout row with its own rows, each barrier's formula written out in Python
+floats, bit for bit, each with the identity the kinds of the plan's one row
+stack give it, and a robot's
 solution, status and multipliers are the same solved alone or in any team.
 A tick builds all its rows with one ``constraint_row`` call.
 """
@@ -18,20 +19,13 @@ import pytest
 
 from swarmseq import agent, mission, sim
 from swarmseq.agent import OBSTACLE_ACTIVATION, Team, TeamRequest, TickGraph, team_rows
-from swarmseq.barriers import (
-    Collision,
-    Connectivity,
-    FcbfParams,
-    KeepWithin,
-    ObstacleAvoid,
-    RowBlock,
-    constraint_row,
-)
+from swarmseq.barriers import Collision, Connectivity, FcbfParams, KeepWithin, ObstacleAvoid, RowBlock
 from swarmseq.geometry import Domain, Obstacle, proximity_graph
 from swarmseq.mission import builtin_scenario
 from swarmseq.qp import QpProblem, RowLayout, solve
 from swarmseq.sim import DelaySpec, make_world, run, tick
 from oracle import kkt_residuals, oracle_solve
+from test_barriers import scalar_barrier
 from test_bench_hooks import WORKLOADS, load_bench_module
 from test_qp import one_robot, team_layout
 
@@ -90,11 +84,6 @@ def as_team(requests, graph=None):
     return TeamRequest(graph, x, np.array([r.nominal for r in requests]), np.concatenate((conn[2], coll[2])))
 
 
-def rows_at(kind, params, *positions):
-    """``constraint_row`` of the kind's own values at ``positions``."""
-    return constraint_row(kind, params, kind.value(*positions), *positions)
-
-
 def row_identity(plan, s):
     """The identity of slot s's rows, column by column, read from the plan:
     each row's barrier class and its other robot (pairwise), its 1-based
@@ -118,29 +107,22 @@ def assert_covers_once(plan):
 
 
 def own_rows(request, params, min_sep, domain):
-    """One robot's rows built from its own one-robot stacks, kind by kind: its
-    normals, offsets and hard mask, and each row's identity as ``row_identity``
-    gives it."""
+    """One robot's rows barrier by barrier, each kind's formula written out in
+    Python floats (``scalar_barrier``), in the order of its own constraint set:
+    its normals, offsets and hard mask, and each row's identity as
+    ``row_identity`` gives it."""
     x = request.position
-    parts = []  # (rows, barrier class, others)
-    if request.partners:
-        kind = Connectivity(request.robot, tuple(request.partners), request.delta)
-        parts.append((rows_at(kind, params, x, np.array(request.partner_positions)), Connectivity, request.partners))
-    if request.colliders:
-        kind = Collision(request.robot, tuple(request.colliders), min_sep)
-        parts.append((rows_at(kind, params, x, np.array(request.collider_positions)), Collision, request.colliders))
-    if domain.obstacles:
-        kind = ObstacleAvoid(request.robot, domain.obstacle_stack)
-        active = np.flatnonzero(kind.value(x) <= OBSTACLE_ACTIVATION)
-        rows = rows_at(kind, params, x)
-        parts.append((RowBlock(rows.normals[active], rows.offsets[active], rows.hard), ObstacleAvoid,
-                      (active + 1).tolist()))
-    parts += [(rows_at(kind, params, x), type(kind), [None]) for kind in request.initial]
-    blocks = [rows for rows, _, _ in parts]
-    normals = np.concatenate([np.empty((0, 2)), *(b.normals for b in blocks)])
-    offsets = np.concatenate([[], *(b.offsets for b in blocks)])
-    hard = np.concatenate([np.empty(0, dtype=bool), *(np.broadcast_to(b.hard, len(b.offsets)) for b in blocks)])
-    return normals, offsets, hard, [(cls, j) for _, cls, others in parts for j in others]
+    rows = [(Connectivity(request.robot, j, request.delta), p, j)
+            for j, p in zip(request.partners, request.partner_positions)]
+    rows += [(Collision(request.robot, j, min_sep), p, j)
+             for j, p in zip(request.colliders, request.collider_positions)]
+    rows += [(kind, None, m) for m, kind in enumerate((ObstacleAvoid(request.robot, o) for o in domain.obstacles), 1)
+             if scalar_barrier(kind, x)[0] <= OBSTACLE_ACTIVATION]
+    rows += [(kind, None, None) for kind in request.initial]
+    h, normals = zip(*(scalar_barrier(kind, x, p) for kind, p, _ in rows)) if rows else ((), ())
+    offsets = [-kind.share * scalar_rate(v, params) for (kind, _, _), v in zip(rows, h)]
+    hard = np.array([kind.hard for kind, _, _ in rows], dtype=bool)
+    return np.reshape(normals, (-1, 2)), np.array(offsets), hard, [(type(kind), j) for kind, _, j in rows]
 
 
 def assert_own_rows(plan, team, s, request, params, min_sep, domain):
@@ -221,7 +203,7 @@ class TestTeamRows:
                     h = request.delta**2 - (dx * dx + dy * dy)
                     assert bits(team.offsets[s, k]) == bits(-0.5 * scalar_rate(h, params))
                 if np.array_equal(request.position, [2.0, 0.0]):
-                    assert ObstacleAvoid(1, obstacles[-1]).value(request.position) == 3.0
+                    assert scalar_barrier(ObstacleAvoid(1, obstacles[-1]), request.position)[0] == 3.0
                     assert (ObstacleAvoid, len(obstacles)) in got
         assert kinds_seen == {Connectivity, Collision, ObstacleAvoid, KeepWithin}
 
@@ -268,7 +250,7 @@ class TestTeamRows:
 
 def per_tick_rows(monkeypatch):
     """A list that gets one entry per tick: (the tick's ``RowPlan``, its
-    request, the stacks of its ``constraint_row`` calls)."""
+    request, the (stack, offsets d) of its ``constraint_row`` calls)."""
     ticks, real_tick, real_team_rows, real_rows = [], sim.tick, agent.team_rows, agent.constraint_row
 
     def counted_tick(*args):
@@ -281,9 +263,9 @@ def per_tick_rows(monkeypatch):
         ticks[-1][:2] = rows[0], request
         return rows
 
-    def counted_rows(stack, *args):
-        ticks[-1][2].append(stack)
-        return real_rows(stack, *args)
+    def counted_rows(stack, params, d):
+        ticks[-1][2].append((stack, d))
+        return real_rows(stack, params, d)
 
     monkeypatch.setattr(sim, "tick", counted_tick)
     monkeypatch.setattr(agent, "team_rows", counted_team_rows)
@@ -298,21 +280,27 @@ def stack_rows(stack, cls):
 
 class TestOneRowCallPerTick:
     """A tick that has rows builds them all with one ``constraint_row`` call
-    on its plan's row stack, obstacle and initial-constraint rows included."""
+    on its plan's row stack, obstacle and initial-constraint rows included,
+    and each active obstacle row's h is the activation test's h, bit for bit."""
 
     def assert_one_call(self, ticks, domain):
         obstacle_ticks = 0
-        for plan, request, stacks in ticks:
+        for plan, request, calls in ticks:
             if plan is None:  # no robot left to filter
-                assert stacks == []
+                assert calls == []
                 continue
-            assert [id(s) for s in stacks] == ([id(plan.rows)] if len(plan.slots) else [])
+            assert [id(s) for s, _ in calls] == ([id(plan.rows)] if len(plan.slots) else [])
             if domain.obstacles:
-                x = request.position
-                active = ObstacleAvoid(request.robots[:, None], domain.obstacle_stack).value(x[:, None])
-                active = active <= OBSTACLE_ACTIVATION
-                assert stack_rows(plan.rows, ObstacleAvoid) == active.sum() == plan.obst.stop - plan.obst.start
-                obstacle_ticks += bool(active.any())
+                stack = domain.obstacle_stack
+                h = ObstacleAvoid(request.robots[:, None], stack).value(request.position[:, None] - stack.center)
+                active = h <= OBSTACLE_ACTIVATION
+                assert stack_rows(plan.rows, ObstacleAvoid) == active.sum()
+                if active.any():
+                    (rows, d), = calls
+                    sizes = [len(kind.stacked()[0]) for kind in rows.kinds]
+                    obstacle = np.repeat([type(kind) is ObstacleAvoid for kind in rows.kinds], sizes)
+                    assert bits(rows.value(d)[obstacle]).tolist() == bits(h[active]).tolist()
+                    obstacle_ticks += 1
             assert stack_rows(plan.rows, KeepWithin) == len(request.graph.initial)
         return obstacle_ticks
 
@@ -337,7 +325,7 @@ class TestOneRowCallPerTick:
         plan = replace(plan, behaviors=(first, *plan.behaviors[1:]))
         run(plan, replace(config, max_ticks=1300))
         assert self.assert_one_call(ticks, plan.domain) > 0
-        stacks = [s for _, _, called in ticks for s in called]
+        stacks = [s for _, _, called in ticks for s, _ in called]
         both = [s for s in stacks if stack_rows(s, KeepWithin) and stack_rows(s, ObstacleAvoid)]
         assert both and all(stack_rows(s, KeepWithin) == 1 for s in both)
 
@@ -412,8 +400,8 @@ class TestRowPlan:
             (chain_requests(x), True, 0.12, near, True),
             (chain_requests(x + jitter), True, 0.12, near, False),
         ]
-        assert ObstacleAvoid(1, near.obstacle_stack).value(apart[0]) > OBSTACLE_ACTIVATION
-        assert ObstacleAvoid(1, near.obstacle_stack).value(at_margin[0]) == OBSTACLE_ACTIVATION
+        assert scalar_barrier(ObstacleAvoid(1, near.obstacles[0]), apart[0])[0] > OBSTACLE_ACTIVATION
+        assert scalar_barrier(ObstacleAvoid(1, near.obstacles[0]), at_margin[0])[0] == OBSTACLE_ACTIVATION
         built = count_layouts(monkeypatch)
         graph = None
         for requests, same, min_sep, domain, new in steps:
