@@ -12,12 +12,13 @@ A law runs once for all the robots its class drives (a ``Law``: every
 instance, and every composite group's). It maps the team's positions and
 those robots' partner pairs, grouped by robot in ascending partner id, to one
 nominal velocity command per robot for a single integrator. A partner sum is
-a left fold in ascending partner id from +0, and squared distances and
-rotations are stacked matmuls, so each command has the bits of a loop over
-the robot's own partners. The commands are nominal only: the barrier QP may
-override them, and the simulator saturates them to the speed limit (scatter
-in particular grows without bound otherwise). Each completion predicate owns
-``done``, over arrays of robots.
+a left fold in ascending partner id from +0, and each dot product is written
+out, a0 x0 + a1 x1 (``geometry.sq_norm``; a rotation is c d0 - s d1 and
+s d0 + c d1), so each command has the bits of a loop over the robot's own
+partners in Python floats, whatever BLAS numpy links. The commands are
+nominal only: the barrier QP may override them, and the simulator saturates
+them to the speed limit (scatter in particular grows without bound
+otherwise). Each completion predicate owns ``done``, over arrays of robots.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .geometry import (
     GeometryError,
     InteractionGraph,
     check_distinct,
+    coincident,
     induced_subgraph_is_cycle,
     polygon_area_centroid,
+    sq_norm,
     voronoi_cell,
 )
 
@@ -50,11 +53,6 @@ KNOWN = "known"
 
 class BehaviorError(ValueError):
     """Behavior evaluated against inconsistent inputs (missing neighbor, bad graph)."""
-
-
-def rotation(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def _edge_key(i, j):
@@ -76,7 +74,8 @@ class Law(NamedTuple):
     """Controller class ``kind``'s law over the robots it drives in a stage:
     ``robots`` (indices, ascending), each one's ``leaf`` controller, and the
     parameters those ``gather`` by robot index: squared target distance
-    ``theta2[i, j]`` to each partner, rotation, and goal and gain (0: none)."""
+    ``theta2[i, j]`` to each partner, rotation (the rows (c, c) and (-s, s)
+    of a turn by angle a, c = cos a and s = sin a), and goal and gain (0: none)."""
 
     kind: type
     robots: np.ndarray
@@ -96,11 +95,6 @@ class Law(NamedTuple):
         for i, leaf in members:
             leaf.gather(law, i, reads[i].nonzero()[0])
         return law
-
-
-def _sq(d):
-    """Each row's squared norm, with the bits of its own ``d @ d`` (one BLAS dot)."""
-    return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
 def fold_index(rows):
@@ -127,7 +121,7 @@ def _spring(law, x, rows, cols, seen_at, fold):
     """Sum over each robot's partners of (|x - p|^2 - theta^2) (p - x); the
     squares of p - x have the bits of those of x - p."""
     d = seen_at - x[rows]
-    return _fold((_sq(d) - law.theta2[rows, cols])[:, None] * d, len(x), fold)
+    return _fold((sq_norm(d) - law.theta2[rows, cols])[:, None] * d, len(x), fold)
 
 
 # --- controllers --------------------------------------------------------------
@@ -272,11 +266,13 @@ class CyclicPursuit(Controller):
     angle: float = _yaml("num")
 
     def gather(self, law, i, partners):
-        law.rot[i] = rotation(self.angle)
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        law.rot[i] = (c, c), (-s, s)
 
     @staticmethod
     def control(law, x, rows, cols, seen_at, fold):
-        return _fold((law.rot[rows] @ (seen_at - x[rows])[:, :, None])[:, :, 0], len(x), fold)
+        d, rot = seen_at - x[rows], law.rot.take(rows, axis=0)  # each d turned: (c d0 - s d1, s d0 + c d1)
+        return _fold(rot[:, 0] * d + rot[:, 1] * d[:, ::-1], len(x), fold)
 
     def violations(self, graph, robots, delta):
         try:
@@ -358,7 +354,7 @@ class Coverage(Controller):
             sites, ids = np.vstack((x[i], seen_at[a:b])), np.array([i + 1, *(cols[a:b] + 1).tolist()])
             check_distinct(sites, ids)
             nudged = np.clip(sites, lo, hi)
-            first = ~np.triu(((nudged[:, None] - nudged) ** 2).sum(axis=-1) < 1e-18, 1).any(axis=0)
+            first = ~coincident(nudged).any(axis=0)
             cell = voronoi_cell(nudged[first], ids[first].tolist(), d)
             if len(cell) < 3:
                 raise GeometryError("empty Voronoi cell (site outside domain?)")
@@ -470,7 +466,7 @@ class ControlNormBelow:
             raise BehaviorError("completion threshold must be positive")
 
     def done(self, u_hat, elapsed, x):
-        return np.sqrt(_sq(u_hat)) < self.epsilon
+        return np.sqrt(sq_norm(u_hat)) < self.epsilon
 
 
 @dataclass(frozen=True)
@@ -498,4 +494,4 @@ class GoalReached:
             raise BehaviorError("completion radius must be positive")
 
     def done(self, u_hat, elapsed, x):
-        return np.sqrt(_sq(x - np.asarray(self.goal))) <= self.radius
+        return np.sqrt(sq_norm(x - np.asarray(self.goal))) <= self.radius

@@ -100,31 +100,21 @@ def _prepare(args):
 
 def run_metrics(record):
     """Summary metrics recomputable from the emitted CSV set."""
-    plan = record.plan
-    dt = record.dt
-    windows = compute_behavior_windows(record)
-    per_behavior = []
-    for w in windows:
-        k = w["k"]
-        entry = {"k": k, "name": plan.behaviors[k - 1].name or f"behavior_{k}"}
-        a, done, start = w["assembly_first"], w["assembly_all"], w["exec_start"]
-        entry["assembly_first_tick"] = a
-        entry["assembly_all_tick"] = done
-        entry["exec_start_tick"] = start
-        if a is not None and start is not None:
-            entry["transition_ticks"] = start - a
-            entry["transition_seconds"] = (start - a) * dt
-        else:
-            entry["transition_ticks"] = None
-            entry["transition_seconds"] = None
+    plan, dt, per_behavior = record.plan, record.dt, []
+    for w in compute_behavior_windows(record):
+        k, a, done, start = w["k"], w["assembly_first"], w["assembly_all"], w["exec_start"]
+        ticks = None if a is None or start is None else start - a
+        bound = None
         if done is not None:
             # each required edge's connectivity value on the one tick it needs
             x, edges = record.positions[done], plan.behaviors[k - 1].required_graph.sorted_edges()
             h0 = [((i, j), float(Connectivity(i, j, plan.delta).value(x[i - 1] - x[j - 1]))) for i, j in edges]
-            entry["settling_bound_seconds"] = team_settling_bound(h0, plan.fcbf)
-        else:
-            entry["settling_bound_seconds"] = None
-        per_behavior.append(entry)
+            bound = team_settling_bound(h0, plan.fcbf)
+        per_behavior.append({
+            "k": k, "name": plan.behaviors[k - 1].name or f"behavior_{k}", "assembly_first_tick": a,
+            "assembly_all_tick": done, "exec_start_tick": start, "transition_ticks": ticks,
+            "transition_seconds": None if ticks is None else ticks * dt, "settling_bound_seconds": bound,
+        })
 
     norms = np.linalg.norm(record.controls, axis=2)  # (ticks, n)
     effort = (norms**2).sum(axis=0) * dt
@@ -141,11 +131,7 @@ def run_metrics(record):
 
 
 def _outcome_exit(outcome):
-    if outcome == "done":
-        return EXIT_DONE
-    if outcome == "timeout":
-        return EXIT_TIMEOUT
-    return EXIT_INFEASIBLE
+    return {"done": EXIT_DONE, "timeout": EXIT_TIMEOUT}.get(outcome, EXIT_INFEASIBLE)
 
 
 def cmd_validate(args):
@@ -158,8 +144,7 @@ def _print_behavior_table(metrics, out=sys.stdout):
     print(f"outcome: {metrics['outcome']} after {metrics['ticks']} ticks ({metrics['seconds']:.2f} s)", file=out)
     print("  k  behavior                transition(s)  bound(s)", file=out)
     for b in metrics["behaviors"]:
-        tr = b["transition_seconds"]
-        bd = b["settling_bound_seconds"]
+        tr, bd = b["transition_seconds"], b["settling_bound_seconds"]
         tr_s = f"{tr:10.2f}" if tr is not None else "         -"
         bd_s = f"{bd:8.2f}" if bd is not None else "       -"
         print(f"  {b['k']:>2}  {b['name']:<22} {tr_s}  {bd_s}", file=out)
@@ -218,10 +203,7 @@ def cmd_compare_glue(args):
         gt = wg["ticks"] if wg["ticks"] is not None else "-"
         mn = f"{wm['mean_norm']:.4f}" if wm["mean_norm"] is not None else "-"
         gn = f"{wg['mean_norm']:.4f}" if wg["mean_norm"] is not None else "-"
-        if wm["ticks"] is not None:
-            total_mi += wm["ticks"]
-        if wg["ticks"] is not None:
-            total_glue += wg["ticks"]
+        total_mi, total_glue = total_mi + (wm["ticks"] or 0), total_glue + (wg["ticks"] or 0)
         print(f"{wm['k']:>10}  {mt:>8}  {mn:>10}  {gt:>10}  {gn:>12}")
     print(f"total transition ticks: minimally invasive {total_mi}, glue {total_glue}")
     if args.out:

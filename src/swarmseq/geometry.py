@@ -7,7 +7,6 @@ package (index 0 is never a robot).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,16 @@ from .barriers import Connectivity
 
 class GeometryError(ValueError):
     """Invalid geometric input (degenerate tessellation, bad indices, ...)."""
+
+
+# the range test of ``proximity_graph``, one per range: its c = delta^2 is computed once
+_in_range = functools.lru_cache(maxsize=8)(Connectivity)
+
+
+def sq_norm(d):
+    """The squared norm of each 2-vector on the trailing axis, d0 d0 + d1 d1."""
+    t = d * d
+    return t[..., 0] + t[..., 1]
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ def proximity_graph(positions, delta):
         raise GeometryError("non-finite robot position")
     d = positions.T.copy()  # contiguous components, so the differences below stream
     d = d[:, :, None] - d[:, None]
-    mask = Connectivity(1, 2, float(delta)).value(d.transpose(1, 2, 0)) >= 0
+    mask = _in_range(1, 2, float(delta)).value(d.transpose(1, 2, 0)) >= 0
     mask.flat[::len(mask) + 1] = False  # the diagonal
     mask.flags.writeable = False
     # the mask is symmetric and loop-free by construction: skip __post_init__'s
@@ -200,12 +209,12 @@ def induced_subgraph_is_cycle(g, vertices):
 
 def clip_polygon_halfplane(poly, normal, offset):
     """Sutherland-Hodgman clip of a convex polygon to {p : normal . p <= offset}."""
-    out = []
-    m = len(poly)
+    # each vertex's signed excess once, (n0 p0 + n1 p1) - offset; a - b <= 0 exactly when a <= b
+    out, m, t = [], len(poly), poly * normal
+    excess = ((t[:, 0] + t[:, 1]) - offset).tolist()
     for k in range(m):
         cur, nxt = poly[k], poly[(k + 1) % m]
-        # each vertex's signed excess once; a - b <= 0 exactly when a <= b
-        dc, dn = float(np.dot(normal, cur)) - offset, float(np.dot(normal, nxt)) - offset
+        dc, dn = excess[k], excess[(k + 1) % m]
         if dc <= 0:
             out.append(cur)
         if (dc <= 0) != (dn <= 0):
@@ -226,12 +235,18 @@ def polygon_area_centroid(poly):
     return a, np.array([cx, cy])
 
 
+def coincident(points):
+    """Which pairs a < b of the sites ``points`` lie closer than 1e-9, as a (k, k) mask."""
+    return np.triu(sq_norm(points[:, None] - points) < 1e-18, 1)
+
+
 def check_distinct(points, ids):
-    """Reject two of the sites ``points``, of the robots ``ids``, closer than 1e-9."""
-    for a, b in itertools.combinations(range(len(points)), 2):
-        d = points[a] - points[b]
-        if float(d @ d) < 1e-18:
-            raise GeometryError(f"coincident robots {ids[a]} and {ids[b]}: tessellation is degenerate")
+    """Reject two of the sites ``points``, of the robots ``ids``, closer than
+    1e-9: the first such pair in row-major order."""
+    pairs = np.argwhere(coincident(points))
+    if len(pairs):
+        a, b = pairs[0].tolist()
+        raise GeometryError(f"coincident robots {ids[a]} and {ids[b]}: tessellation is degenerate")
 
 
 def voronoi_cell(points, ids, domain):
@@ -247,10 +262,10 @@ def voronoi_cell(points, ids, domain):
     for i, p in zip(ids, points):
         if not domain.contains(p):
             raise GeometryError(f"robot {i} at {p} lies outside the domain")
-    pi, poly = points[0], domain.corners()
-    for pj in points[1:]:
+    pi, poly, sq = points[0], domain.corners(), sq_norm(points).tolist()
+    for pj, sq_j in zip(points[1:], sq[1:]):
         if len(poly) == 0:
             break
         # points closer to pi than pj: (pj - pi) . p <= (|pj|^2 - |pi|^2) / 2
-        poly = clip_polygon_halfplane(poly, pj - pi, 0.5 * (float(pj @ pj) - float(pi @ pi)))
+        poly = clip_polygon_halfplane(poly, pj - pi, 0.5 * (sq_j - sq[0]))
     return poly

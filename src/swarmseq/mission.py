@@ -51,6 +51,10 @@ class RescueProbe:
     escort_behavior: int = _yaml("int")  # 1-based index of the escorting behavior
     escort_robots: tuple = _yaml("ints")
 
+    def __post_init__(self):
+        if self.safe_radius <= 0:
+            raise ValueError("rescue: safe-zone radius must be positive")
+
 
 @dataclass(frozen=True)
 class MissionPlan:
@@ -79,9 +83,7 @@ def validate(plan):
     if plan.min_sep <= 0:
         out.append("minimum separation must be positive")
     if plan.delta <= plan.min_sep:
-        out.append(
-            f"sensing range {plan.delta:g} must exceed minimum separation {plan.min_sep:g}"
-        )
+        out.append(f"sensing range {plan.delta:g} must exceed minimum separation {plan.min_sep:g}")
     for idx, pos in enumerate(plan.initial_positions, start=1):
         if not plan.domain.contains(pos):
             out.append(f"initial position of robot {idx} lies outside the domain")
@@ -191,13 +193,9 @@ def _groups(raw, key, where):
     groups = []
     for gi, g in enumerate(_expect(raw, key, where)):
         gwhere = f"{where} group {gi}"
-        groups.append(
-            bh.CompositeGroup(
-                robots=tuple(_nums(_req(g, "robots", gwhere), None, gwhere, int)),
-                controller=_named(CONTROLLERS, "controller", "controller", g, gwhere),
-                edges=tuple(_edges(g.get("edges", []), gwhere)),
-            )
-        )
+        groups.append(bh.CompositeGroup(robots=tuple(_nums(_req(g, "robots", gwhere), None, gwhere, int)),
+                                        controller=_named(CONTROLLERS, "controller", "controller", g, gwhere),
+                                        edges=tuple(_edges(g.get("edges", []), gwhere))))
     return tuple(groups)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import EXECUTING, Inbox, Team, filter_team, step
-from .barriers import Collision, Connectivity, ObstacleAvoid, _yaml
+from .barriers import Collision, Connectivity, KeepWithin, ObstacleAvoid, _yaml
 from .geometry import _pairs, proximity_graph
 
 DELAY_BLOCK = 1024  # ticks whose delays are drawn at once
@@ -271,24 +271,24 @@ def _add_rescue_events(record):
     """Insert the rescue events, each after its tick's events: the subject is
     located on the first tick to end with a robot (the nearest) in range of
     it, and escorted on the first tick from then on to end with the escorting
-    group at or past executing the escort behavior, its centroid in the safe zone."""
+    group at or past executing the escort behavior, its centroid in the safe
+    zone (the zone's keep-within barrier nonnegative)."""
     r, events, after = record.plan.rescue, record.events, record.positions[1:]
     kind = Connectivity(np.arange(1, record.n + 1), 0, record.plan.delta)
-    # in blocks of ticks, so that the pass adds little to the run's peak memory
-    seen = (t + np.flatnonzero((kind.value(after[t:t + 1024] - r.target) >= 0).any(axis=1))
-            for t in range(0, record.ticks, 1024))
-    t0 = next((int(s[0]) for s in seen if len(s)), None)
+    t0 = _first_in_blocks(lambda t: (kind.value(after[t] - r.target) >= 0).any(axis=1), 0, record.ticks)
     if t0 is None:
         return
     found = [{"tick": t0, "event": "target_located", "robot": int(np.argmax(kind.value(after[t0] - r.target))) + 1}]
-    group = np.subtract(r.escort_robots, 1)
-    k, mode = record.behavior_index[t0:, group], record.mode[t0:, group]
-    escorting = ((k > r.escort_behavior) | (k == r.escort_behavior) & (mode == EXECUTING)).all(axis=1)
-    off = after[t0:, group].mean(axis=1) - np.asarray(r.safe_center)
-    inside = (t for t in np.flatnonzero(escorting).tolist() if float(np.linalg.norm(off[t])) <= r.safe_radius)
-    t = next(inside, None)
+    group, zone = np.subtract(r.escort_robots, 1), KeepWithin(0, r.safe_center, r.safe_radius)
+
+    def escorted(t):
+        k, mode = record.behavior_index[t, group], record.mode[t, group]
+        at = ((k > r.escort_behavior) | (k == r.escort_behavior) & (mode == EXECUTING)).all(axis=1)
+        return at & (zone.value(after[t, group].mean(axis=1) - zone.center) >= 0)
+
+    t = _first_in_blocks(escorted, t0, record.ticks)
     if t is not None:
-        found.append({"tick": t0 + t, "event": "target_escorted"})
+        found.append({"tick": t, "event": "target_escorted"})
     ticks = [ev["tick"] for ev in events]
     for at, ev in enumerate(found):
         events.insert(bisect.bisect_right(ticks, ev["tick"]) + at, ev)
@@ -329,6 +329,14 @@ def compute_behavior_windows(record):
 def _first_tick(mask):
     idx = np.flatnonzero(mask)
     return int(idx[0]) if len(idx) else None
+
+
+def _first_in_blocks(test, start, stop):
+    """The first tick in [start, stop) at which ``test``, a mask over a slice
+    of ticks, holds (None: none), tested 1024 ticks at a time so that a pass
+    over a run adds little to its peak memory."""
+    hits = (a + np.flatnonzero(test(slice(a, min(a + 1024, stop)))) for a in range(start, stop, 1024))
+    return next((int(h[0]) for h in hits if len(h)), None)
 
 
 def connectivity_trace(record, edge):

@@ -450,7 +450,8 @@ class TestSettlingBounds:
                 ]
                 for robot, row in enumerate(rows):
                     normal, offset = row.normals[0], row.offsets[0]
-                    u = normal * (offset / float(normal @ normal))
+                    n0, n1 = (float(v) for v in normal)
+                    u = normal * (offset / (n0 * n0 + n1 * n1))
                     x[robot] += dt * u
                 t += dt
             assert crossed is not None

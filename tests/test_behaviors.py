@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,19 @@ from swarmseq.behaviors import (
     _fold,
     fold_index,
     nominal_control,
-    rotation,
 )
 from swarmseq import geometry
 from swarmseq.agent import EXECUTING, AgentError, Team, step
 from swarmseq.barriers import FcbfParams
-from swarmseq.geometry import Domain, GeometryError, InteractionGraph, clip_polygon_halfplane, polygon_area_centroid
+from swarmseq.geometry import (
+    Domain,
+    GeometryError,
+    InteractionGraph,
+    clip_polygon_halfplane,
+    polygon_area_centroid,
+    sq_norm,
+    voronoi_cell,
+)
 from swarmseq.mission import BehaviorSpec, MissionPlan
 from swarmseq.sim import SimConfig, make_world
 
@@ -45,6 +54,19 @@ def u_of(behavior, me, positions, partners):
     reads[me - 1, cols] = True
     law = Law.of(type(leaf), [(me - 1, leaf)], reads)
     return nominal_control(law, x, np.full(len(cols), me - 1), cols, x[cols])[0]
+
+
+def sq(d):
+    """|d|^2 in Python floats, d0 d0 + d1 d1."""
+    d0, d1 = (float(v) for v in d)
+    return d0 * d0 + d1 * d1
+
+
+def turned(angle, d):
+    """The offset d turned by ``angle``, in Python floats: (c d0 - s d1, s d0 + c d1)."""
+    c, s = math.cos(angle), math.sin(angle)
+    d0, d1 = (float(v) for v in d)
+    return np.array([c * d0 - s * d1, s * d0 + c * d1])
 
 
 def done_of(predicate, u_hat, elapsed, x):
@@ -101,13 +123,13 @@ class TestControlLaws:
             np.testing.assert_allclose(u1, u2, atol=1e-15)
 
     def test_rotation_is_orthogonal(self):
+        # one partner at offset v: the pursuit command is v turned, as long as v
         rng = np.random.default_rng(3)
         for _ in range(50):
             phi = rng.uniform(-np.pi, np.pi)
             v = rng.normal(size=2)
-            assert np.linalg.norm(rotation(phi) @ v) == pytest.approx(
-                np.linalg.norm(v), abs=1e-12
-            )
+            u = u_of(CyclicPursuit(angle=float(phi)), 1, states((0.0, 0.0), v), [2])
+            assert math.sqrt(sq(u)) == pytest.approx(math.sqrt(sq(v)), abs=1e-12)
 
     def test_coverage_single_robot_moves_to_domain_center(self):
         beh = Coverage(domain=Domain(0, 1, 0, 1))
@@ -160,7 +182,7 @@ class TestControlLaws:
         st = states((0, 0.1), (0, -0.1))
         u = u_of(beh, 1, st, [2])
         drift = np.array([1.0, -0.1])
-        rotated = rotation(np.pi / 2) @ np.array([0.0, -0.2])
+        rotated = turned(np.pi / 2, (0.0, -0.2))
         np.testing.assert_allclose(u, rotated + drift, atol=1e-12)
 
     def test_composite_dispatch(self):
@@ -336,7 +358,7 @@ def all_site_centroids(pts, domain):
         poly = domain.corners()
         for j, pj in enumerate(pts):
             if j != i and len(poly):
-                poly = clip_polygon_halfplane(poly, pj - pi, 0.5 * (float(pj @ pj) - float(pi @ pi)))
+                poly = clip_polygon_halfplane(poly, pj - pi, 0.5 * (sq(pj) - sq(pi)))
         assert len(poly) >= 3
         out.append(polygon_area_centroid(poly)[1])
     return out
@@ -355,16 +377,14 @@ def reference_control(c, me, x, ids, positions):
         u = np.zeros(2)
         theta2 = c.spacing**2 if isinstance(c, Lattice) else None
         for j, pj in zip(ids, positions):
-            diff = x - pj
             if theta2 is None:
                 theta = c.distance(me, j)
-                u += (float(diff @ diff) - theta * theta) * (pj - x)
+                u += (sq(x - pj) - theta * theta) * (pj - x)
             else:
-                u += (float(diff @ diff) - theta2) * (pj - x)
+                u += (sq(x - pj) - theta2) * (pj - x)
         return u
     if isinstance(c, CyclicPursuit):
-        rot = rotation(c.angle)
-        u = sum((rot @ (pj - x) for pj in positions), np.zeros(2))
+        u = sum((turned(c.angle, pj - x) for pj in positions), np.zeros(2))
         return u + c.gain * (np.asarray(c.goal) - x) if isinstance(c, Containment) else u
     if isinstance(c, Coverage):
         d, eps = c.domain, 1e-9
@@ -382,10 +402,10 @@ def reference_control(c, me, x, ids, positions):
 def reference_done(predicate, u_hat, elapsed, x):
     """One robot's completion test, as the predicates computed it robot by robot."""
     if isinstance(predicate, ControlNormBelow):
-        return float(np.linalg.norm(u_hat)) < predicate.epsilon
+        return math.sqrt(sq(u_hat)) < predicate.epsilon
     if isinstance(predicate, ElapsedTime):
         return elapsed >= predicate.duration
-    return float(np.linalg.norm(x - np.asarray(predicate.goal))) <= predicate.radius
+    return math.sqrt(sq(x - np.asarray(predicate.goal))) <= predicate.radius
 
 
 def leaf_controllers(rng, robots, edges):
@@ -526,6 +546,69 @@ class TestTeamLaws:
         got = predicate.done(u, elapsed, x)
         assert got.tolist() == [reference_done(predicate, *row) for row in zip(u, elapsed, x)]
         assert True in got.tolist() and False in got.tolist()
+
+
+# --- every dot product written out --------------------------------------------
+
+
+def offsets(rng, n):
+    """n offsets over twelve decades, a fifth of their components +0.0 or -0.0."""
+    d = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-6, 6, (n, 1))
+    zero = rng.random((n, 2)) < 0.2
+    d[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return d
+
+
+def clip_reference(poly, normal, offset):
+    """Sutherland-Hodgman in Python floats: vertex p's excess is
+    (n0 p0 + n1 p1) - offset, and an edge's crossing c + t (m - c)."""
+    n0, n1 = normal
+    out = []
+    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+        dc, dn = (n0 * p0 + n1 * p1 - offset for p0, p1 in (cur, nxt))
+        if dc <= 0:
+            out.append(cur)
+        if (dc <= 0) != (dn <= 0):
+            t = dc / (dc - dn)
+            out.append([c + t * (m - c) for c, m in zip(cur, nxt)])
+    return out
+
+
+class TestWrittenOut:
+    """Squares, turns, clips and cells have the bits of Python floats, so
+    that none of them depends on the BLAS kernel numpy picks for the CPU."""
+
+    def test_squares_turns_clips_and_cells_are_python_float_sums_of_products(self):
+        rng = np.random.default_rng(25)
+        n = 12000
+        d = offsets(rng, n)
+        assert bits(sq_norm(d)) == bits([sq(v) for v in d])
+
+        # robot i reads its partner at offset d[i] from the origin, turned by
+        # its own angle; a fold from +0 adds one term
+        angles = rng.uniform(-np.pi, np.pi, n).tolist()
+        law = Law(CyclicPursuit, np.arange(n), {}, np.zeros((0, 0)), np.zeros((n, 2, 2)), np.zeros((n, 2)),
+                  np.zeros((n, 1)))
+        for i, angle in enumerate(angles):
+            CyclicPursuit(angle=angle).gather(law, i, None)
+        got = nominal_control(law, np.zeros((n, 2)), np.arange(n), np.arange(n), d)
+        assert bits(got) == bits([0.0 + turned(a, v) for a, v in zip(angles, d)])
+
+        # 3000 clips of four corners each, some of them signed zeros
+        corners = offsets(rng, 3000 * 4).reshape(3000, 4, 2)
+        for poly, normal, offset in zip(corners, d, rng.normal(size=3000).tolist()):
+            got = clip_polygon_halfplane(poly, normal, offset)
+            assert bits(got) == bits(clip_reference(poly.tolist(), normal.tolist(), offset))
+
+        # 2500 cells among five sites, one of them on x = +0.0 or -0.0
+        domain = Domain(-1.0, 1.0, -1.0, 1.0)
+        for sites in rng.uniform(-1, 1, (2500, 5, 2)):
+            sites[rng.integers(5), 0] = rng.choice([0.0, -0.0])
+            pi, poly = sites[0].tolist(), domain.corners().tolist()
+            for pj in sites[1:].tolist():
+                if poly:
+                    poly = clip_reference(poly, [pj[0] - pi[0], pj[1] - pi[1]], 0.5 * (sq(pj) - sq(pi)))
+            assert bits(voronoi_cell(sites, [1, 2, 3, 4, 5], domain)) == bits(poly)
 
 
 # --- the degree-wide fold -----------------------------------------------------

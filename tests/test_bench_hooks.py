@@ -40,37 +40,37 @@ IN_TICK_LAYERS = (
 # sha256 of the CSV set and event log of this 200-tick run, as the benchmark
 # digests them (file name, then bytes, in name order). A change that alters
 # the arithmetic on purpose updates this value and says why in CHANGES.md.
-GOLDEN_DIGEST = "937ff7fbcb7bfa6509af8e7d4473a3a827beaa713978c3d176bb91ea45b61023"
+GOLDEN_DIGEST = "f355fdbfed6b85dc16359456567deb0d0505ee3f2fd7788c32080daa5a212618"
 
 # the same digest of the first 1300 ticks of securing_a_building: obstacle
 # rows, 167 relaxed QPs and robot 4's 103 frozen ones (ticks 1013-1239)
-BUILDING_GOLDEN_DIGEST = "b174f3b1feadf3e595aab7af089bc3700f23c64cc936e1b4204fac2327e44202"
+BUILDING_GOLDEN_DIGEST = "1a808235af3b4daef7f695a7f87e63e781ae0b54f988b3d9d12bac34465e8af9"
 
 # 400 ticks of two_behavior_demo without the oracle under uniform 0-10 tick
 # delay: positions come from sensing and cached messages, and the event order
 # includes every missing_position; re-recorded when the delays became a
 # SplitMix64 hash of (seed, sender, tick) (364 missing_position, 383 before)
-ORACLE_OFF_GOLDEN_DIGEST = "5f343deac20b5c2459f775cedecb9ef4bcf9e019c6a52d23d88cf36faa6e5bd2"
+ORACLE_OFF_GOLDEN_DIGEST = "383db6ae3fe3e37213cd40d61c3551a1fdb623590c5af5a31df18b431db72360"
 
 # 60 ticks of two_behavior_demo under uniform 0-100 tick delay: a delay bound
 # past the run's end, so some messages arrive and the others are still in
 # flight when the run stops
-HORIZON_GOLDEN_DIGEST = "954931a873838b6e88458ab5b7c9b8f69a7a9e7ee59fd2bd8c0744940ef1d9f6"
+HORIZON_GOLDEN_DIGEST = "2fdc4c788caf0588216f761ca9999c37e1f74494056cd9287c9a45415b628b7b"
 
 # 1100 ticks of two_behavior_demo under uniform 0-10 tick delay, seed 0: more
 # ticks than one block of delay draws holds (1024)
-LONG_DELAY_GOLDEN_DIGEST = "ac71808b2a7fb00a36522a950a85c48bad2941ad7d87c5e8115968a61d3e6625"
+LONG_DELAY_GOLDEN_DIGEST = "9bdf01a81486bd5c8adeb320a27c184a43b327e0c8223ef688537c88b9664f80"
 
 # 800 ticks of seven_behavior_energy with glue transitions: an assembling
 # robot holds still while a visible neighbor's cached index lags its own
-GLUE_GOLDEN_DIGEST = "63e48e1aa490978f0d1fdb8fd47237303663a245f68dd0d39eecb09ec1fa4569"
+GLUE_GOLDEN_DIGEST = "658ebd8a6588cc13c228cb3385050f021418f3b7dbfa6f90e6bd91b7b441020e"
 
 # sha256 of the runs of the bench's crowd mission (seed 0) on its 6 x 8 grid
 # and on a 12 x 16 grid: each run's positions, controls, sigma and eta bytes,
 # then its events as sorted-key JSON, the 48-robot run first. Over the four
-# arrays alone, the runs' digests begin f99796225439 (48 robots, 436 ticks)
-# and 6141d080f0ff (192 robots, 437 ticks).
-CROWD_GOLDEN_DIGEST = "8a5f46cc6be10c5d494e519d77a8493c0acd8a7e88597c2d35f328386e70121f"
+# arrays alone, the runs' digests begin e2bec5c368fb (48 robots, 436 ticks)
+# and dc10c089bee1 (192 robots, 437 ticks).
+CROWD_GOLDEN_DIGEST = "dfa2da1eeef89b6f79911bdc5ea98582d838b41df6639a38843dd78620638a30"
 
 
 def load_bench_module(name, path):

@@ -236,6 +236,9 @@ class TestVoronoi:
         # over all the sites, not only against the first
         with pytest.raises(GeometryError, match="coincident robots 2 and 3"):
             cell_of(0, [(0.1, 0.1), (0.5, 0.5), (0.5, 0.5)], Domain(0, 1, 0, 1))
+        # of several such pairs, the first in row-major order: (1, 4) before (2, 3)
+        with pytest.raises(GeometryError, match="coincident robots 1 and 4"):
+            cell_of(0, [(0.1, 0.1), (0.5, 0.5), (0.5, 0.5 + 1e-10), (0.1, 0.1)], Domain(0, 1, 0, 1))
 
     def test_site_outside_domain_rejected(self):
         with pytest.raises(GeometryError, match="robot 1 at"):

@@ -348,6 +348,14 @@ class TestValidate:
         plan, _ = parse_mission(MINIMAL + rescue)
         assert validate(plan) == ["rescue: escort group is empty"]
 
+    @pytest.mark.parametrize("radius", [0.0, -0.2])
+    def test_safe_zone_radius_must_be_positive(self, radius):
+        # the zone is a keep-within barrier, which needs a positive radius
+        rescue = (f"rescue: {{target: [0.0, 0.35], safe_zone: {{center: [0, 0], radius: {radius}}}, "
+                  "escort_behavior: 1, escort_robots: [1]}\n")
+        with pytest.raises(ValueError, match="^rescue: safe-zone radius must be positive$"):
+            parse_mission(MINIMAL + rescue)
+
     def test_start_inside_an_obstacle(self):
         # robot 1 starts on the first obstacle's boundary, which is allowed,
         # and robot 2 inside the second
