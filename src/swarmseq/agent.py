@@ -14,8 +14,7 @@ the pairs where the tick reads the view, the missing positions and the row
 plan), and the team rebuilds it only when one of the three changes, which
 few ticks do. A tick reads positions only at those pairs, in one gather, and
 builds no (n, n) table of them. ``filter_team`` then builds every robot's
-rows and, unless every nominal already satisfies its rows and the speed box,
-solves every robot's QP in one pass.
+rows and solves every robot's QP in one ``qp.solve`` call on them.
 
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import behaviors
 from .barriers import Collision, Connectivity, ObstacleAvoid, RowStack, constraint_row
-from .qp import QpProblem, RowLayout, quiet, solve
+from .qp import QpProblem, RowLayout, solve
 
 EXECUTING = 0
 ASSEMBLING = 1
@@ -484,28 +483,21 @@ def step(team, world, inbox, plan, config):
 
 class RowPlan(NamedTuple):
     """The structure of a team's rows, fixed while its ``TickGraph`` and its
-    active (robot, obstacle) pairs are.
-
-    ``rows`` is the ``RowStack`` of every row: the graph's pairwise rows
-    (connectivity, then collision), the active obstacle rows, then each
-    initial constraint. Each robot's rows come in the order of its own
-    constraint set (connectivity, collision, obstacle, initial
-    constraints). ``slots`` is every row's robot slot and
-    ``flat`` its flat index in the layout, in stack order, so a row's kind
-    and other robot or obstacle in ``rows.kinds`` name the layout cell at
-    ``flat``. ``template`` is a read-only layout with the pad rows and the
-    hard mask, which only the plan builds. A plan serves the ticks whose
-    activation mask has the bytes ``active`` (None without obstacles) and
-    whose ``min_sep`` and obstacle ``stack`` are its own objects.
+    active (robot, obstacle) pairs are: ``rows``, the ``RowStack`` of every
+    row (the graph's pairwise rows, connectivity then collision, the active
+    obstacle rows, then each initial constraint), and ``layout``, the
+    solver's ``RowLayout`` of them, in which each robot's rows come in the
+    order of its own constraint set. A row's kind and other robot or
+    obstacle in ``rows.kinds`` name its layout cell. A plan serves the ticks
+    whose activation mask has the bytes ``active`` (None without obstacles)
+    and whose ``min_sep`` and obstacle ``stack`` are its own objects.
     """
 
     active: bytes | None
     min_sep: float
     stack: object
     rows: RowStack
-    slots: np.ndarray
-    flat: np.ndarray
-    template: RowLayout
+    layout: RowLayout
 
     @classmethod
     def of(cls, graph, active, min_sep, stack):
@@ -519,41 +511,24 @@ class RowPlan(NamedTuple):
             kinds.append(ObstacleAvoid(ids[obst], stack, o + 1))
         kinds += [kind for _, kind in graph.initial]
         slots = np.concatenate((pairs, obst, np.array([s for s, _ in graph.initial], dtype=int)))
-        # each robot's rows are one run in stack order
-        order = slots.argsort(kind="stable")
-        columns = np.empty(len(slots), dtype=int)
-        columns[order] = np.arange(len(slots)) - slots[order].searchsorted(slots[order])
         rows = RowStack.of(kinds)
-        template = RowLayout.empty(ids.copy(), np.bincount(slots, minlength=len(ids)))
-        template.hard[slots, columns] = rows.hard
-        flat = slots * template.offsets.shape[1] + columns
-        for a in (slots, flat, template.robots, template.counts, template.normals, template.offsets, template.hard):
-            a.flags.writeable = False
-        return cls(None if active is None else active.tobytes(), min_sep, stack, rows, slots, flat, template)
-
-    def fill(self, normals, offsets):
-        """A fresh layout of the template with the rows, flat in stack order;
-        the template is left as it is."""
-        t = self.template
-        layout = RowLayout(t.robots, t.counts, t.normals.copy(), t.offsets.copy(), t.hard)
-        layout.normals.reshape(-1, 2)[self.flat] = normals
-        layout.offsets.reshape(-1)[self.flat] = offsets
-        return layout
+        return cls(None if active is None else active.tobytes(), min_sep, stack, rows,
+                   RowLayout.of(slots, rows.hard, len(ids)))
 
 
 def team_rows(request, params, min_sep, domain):
-    """Every robot's QP rows, with the ``RowPlan`` that lays them out: returns
-    (plan, normals (R, 2), offsets (R,)), row k a row of the robot at slot
-    ``plan.slots[k]``; ``plan.fill(normals, offsets)`` is the solver's layout.
+    """Every robot's QP rows, with their ``RowPlan``: returns (plan, normals
+    (R, 2), offsets (R,)), row k a row of the robot at slot
+    ``plan.layout.slots[k]``, in stack order.
 
     One ``constraint_row`` call on the plan's ``RowStack`` builds every row
-    of the team, and each row goes to its robot's layout row in the order of
-    the robot's own constraint set (connectivity, collision, obstacle,
-    initial constraints), bit for bit the row of the robot's own one-robot
-    stack of its kind. An obstacle row's h is the activation test's bit for
-    bit, both the one barrier form at the same offset. The request's
-    ``TickGraph`` keeps the plan until the activation mask, ``min_sep`` or
-    the obstacle stack changes.
+    of the team, each bit for bit the row of the robot's own one-robot stack
+    of its kind; ``plan.layout`` takes each to its robot's layout row in the
+    order of the robot's own constraint set (connectivity, collision,
+    obstacle, initial constraints). An obstacle row's h is the activation
+    test's bit for bit, both the one barrier form at the same offset. The
+    request's ``TickGraph`` keeps the plan until the activation mask,
+    ``min_sep`` or the obstacle stack changes.
     """
     graph, x = request.graph, request.position
     stack, active, key = None, None, None
@@ -566,21 +541,17 @@ def team_rows(request, params, min_sep, domain):
     plan = graph.plan
     if plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack:
         plan = graph.plan = RowPlan.of(graph, active, min_sep, stack)
-    if not len(plan.slots):
+    slots = plan.layout.slots
+    if not len(slots):
         return plan, np.empty((0, 2)), np.empty(0)
     p = np.concatenate((request.seen, plan.rows.center))
-    block = constraint_row(plan.rows, params, x.take(plan.slots, axis=0) - p)
+    block = constraint_row(plan.rows, params, x.take(slots, axis=0) - p)
     return plan, block.normals, block.offsets
 
 
 def filter_team(request, params, min_sep, speed_limit, domain):
     """Every robot's QP of a ``TeamRequest``, built and solved in one pass;
-    returns the team's ``QpSolution``, with one control and one status per slot.
-
-    A tick on which every nominal satisfies its rows and the speed box is
-    answered from the flat rows; only other ticks lay the rows out and solve."""
+    returns the team's ``QpSolution``, with one control and one status per
+    slot. ``solve`` takes the rows flat, on the plan's ``RowLayout``."""
     plan, normals, offsets = team_rows(request, params, min_sep, domain)
-    solution = quiet(request.nominal, plan.slots, normals, offsets, speed_limit, plan.template)
-    if solution is None:
-        solution = solve(QpProblem(request.nominal, plan.fill(normals, offsets), speed_limit))
-    return solution
+    return solve(QpProblem(request.nominal, plan.layout, normals, offsets, speed_limit))

@@ -33,9 +33,9 @@ trajectory, and a stack of barriers of one kind: a pairwise kind whose ``j``
 (or ``i``) is a sequence of robots, or an obstacle stack. The caller forms
 d once. ``constraint_row`` turns one stack's offsets into a ``RowBlock``,
 one row per barrier; a team's rows are one ``RowStack``, built by one
-``constraint_row`` call a tick, which ``agent.RowPlan`` places robot by
-robot. A row carries only its numbers: which barrier it is, the stack's
-kinds say.
+``constraint_row`` call a tick and handed to ``qp.solve`` flat, each row's
+robot slot read from the ``agent.RowPlan``'s layout. A row carries only its
+numbers: which barrier it is, the stack's kinds say.
 """
 
 from __future__ import annotations

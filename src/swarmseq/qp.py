@@ -28,14 +28,14 @@ left:
 Each stage's feasibility test and answer read their candidates through
 flat indices (``take`` and ``put``), never through 2-D fancy indexing.
 
-The rows arrive in a ``RowLayout``, the layout ``solve`` works on: one
-layout row per robot holding its rows, then pad rows 0 . u >= -1, which never
-bind, up to the team's largest row count, then the four speed-box rows. The
-padding happens when the rows are assembled (``agent.RowPlan.fill`` writes
-each row straight into its place), so the solver does not pad. A layout
-holds numbers only; which barrier each row is, the row plan says.
-``quiet`` runs the first stage on a team's rows before they are laid out,
-flat. Every dot product is written out as
+A team's rows arrive flat, row k a row of the robot at slot
+``rows.slots[k]``, where ``rows`` is the ``RowLayout``, the read-only index
+of the team's row structure. ``solve`` runs the first stage on the flat rows
+(``row_slack``) and answers a team whose every nominal satisfies its rows
+and the speed box with those nominals, with no layout built. Only other
+teams are laid out, one layout row per robot: its rows in flat order, then
+pad rows 0 . u >= -1, which never bind, up to the team's largest row count,
+then the four speed-box rows. Every dot product is written out as
 a0*x0 + a1*x1, so a robot's answer is bitwise the same in any team. The
 tests keep an independent enumeration oracle (``tests/oracle.py``), which
 must agree with ``solve`` to 1e-6.
@@ -71,72 +71,82 @@ _BOX_NORMALS.flags.writeable = False
 
 @dataclass(frozen=True)
 class RowLayout:
-    """Every robot's rows in the solver's layout, one layout row per robot.
-
-    Robot ``robots[r]``'s ``counts[r]`` rows fill columns 0..counts[r]-1 of
-    ``normals`` (n, width + 4, 2) and ``offsets`` (n, width + 4), pad rows
-    0 . u >= -1 the columns up to ``width``, the largest count, and the speed
-    box, which ``QpProblem`` writes, the last four. ``hard`` marks the rows a
-    relaxation keeps: hard rows, pad rows and the box.
+    """The read-only index of a team's row structure. Row k is a row of the
+    robot at slot ``slots[k]``, at the flat cell ``cells[k]`` of the (n,
+    width + 4) layout: robot r's ``counts[r]`` rows in columns 0.., in flat
+    order, pad rows 0 . u >= -1 up to ``width``, the largest count, then the
+    speed box. ``hard`` marks the cells a relaxation keeps: hard rows, pad
+    rows and the box.
     """
 
-    robots: np.ndarray
+    slots: np.ndarray
+    cells: np.ndarray
     counts: np.ndarray
-    normals: np.ndarray
-    offsets: np.ndarray
     hard: np.ndarray
 
     @classmethod
-    def empty(cls, robots, counts):
-        """A layout of pad rows only, for ``counts[r]`` rows of ``robots[r]``."""
-        shape = (len(counts), int(counts.max(initial=0)) + 4)
-        return cls(robots, counts, np.zeros(shape + (2,)), np.full(shape, -1.0), np.ones(shape, dtype=bool))
+    def of(cls, slots, hard, n):
+        """The index of the rows on ``slots`` of a team of n, row k hard where ``hard[k]``."""
+        slots = np.array(slots, dtype=int)
+        counts = np.bincount(slots, minlength=n)
+        order = slots.argsort(kind="stable")
+        columns = np.empty(len(slots), dtype=int)
+        columns[order] = np.arange(len(slots)) - slots[order].searchsorted(slots[order])
+        mask = np.ones((n, int(counts.max(initial=0)) + 4), dtype=bool)
+        mask[slots, columns] = hard
+        cells = slots * mask.shape[1] + columns
+        for a in (slots, cells, counts, mask):
+            a.flags.writeable = False
+        return cls(slots, cells, counts, mask)
 
     @property
     def width(self):
-        return self.offsets.shape[1] - 4
+        return self.hard.shape[1] - 4
 
     def __len__(self):
-        return int(self.counts.sum())
+        return len(self.slots)
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """A team's QPs: ``rows`` a ``RowLayout`` and ``nominal`` (n, 2), each
-    robot's input. Coefficients must be finite, and no robot may have more
-    than MAX_ROWS rows.
+    """A team's QPs: ``nominal`` (n, 2), each robot's input, and the flat
+    rows ``normals`` (R, 2) and ``offsets`` (R,), row k normals[k] . u >=
+    offsets[k] a row of the robot at slot ``rows.slots[k]`` of the
+    ``RowLayout`` ``rows``. Coefficients must be finite, and no robot may
+    have more than MAX_ROWS rows.
     """
 
     nominal: np.ndarray
     rows: RowLayout
+    normals: np.ndarray
+    offsets: np.ndarray
     speed_limit: float
 
     def __post_init__(self):
-        nom, rows = np.asarray(self.nominal, dtype=float), self.rows
-        width = rows.width
-        _check(nom, (len(rows.counts), 2), self.speed_limit, width)
-        rows.normals[:, width:] = _BOX_NORMALS
-        rows.offsets[:, width:] = -self.speed_limit
-        _check_rows(rows.normals, rows.offsets, self.speed_limit)
-        object.__setattr__(self, "nominal", nom)
+        nominal, normals = np.asarray(self.nominal, dtype=float), np.asarray(self.normals, dtype=float)
+        offsets = np.asarray(self.offsets, dtype=float)
+        shape, width, limit = (len(self.rows.counts), 2), self.rows.width, self.speed_limit
+        if nominal.shape != shape:
+            raise ValueError(f"nominal input has shape {nominal.shape}, expected {shape}")
+        if not np.isfinite(nominal).all():
+            raise ValueError("nominal input is not finite")
+        if not limit > 0:
+            raise ValueError("speed limit must be positive")
+        if width > MAX_ROWS:
+            raise ValueError(f"too many rows ({width}) for one robot; cap is {MAX_ROWS}")
+        if not (np.isfinite(normals).all() and np.isfinite(offsets).all() and math.isfinite(limit)):
+            raise ValueError("constraint row has non-finite coefficients")
+        for name, a in (("nominal", nominal), ("normals", normals), ("offsets", offsets)):
+            object.__setattr__(self, name, a)
 
-
-def _check(nominal, shape, speed_limit, width):
-    """A ``QpProblem``'s checks before its rows', in its order."""
-    if nominal.shape != shape:
-        raise ValueError(f"nominal input has shape {nominal.shape}, expected {shape}")
-    if not np.isfinite(nominal).all():
-        raise ValueError("nominal input is not finite")
-    if not speed_limit > 0:
-        raise ValueError("speed limit must be positive")
-    if width > MAX_ROWS:
-        raise ValueError(f"too many rows ({width}) for one robot; cap is {MAX_ROWS}")
-
-
-def _check_rows(normals, offsets, speed_limit):
-    """A ``QpProblem``'s last check: finite rows, the speed box's too."""
-    if not (np.isfinite(normals).all() and np.isfinite(offsets).all() and math.isfinite(speed_limit)):
-        raise ValueError("constraint row has non-finite coefficients")
+    def laid_out(self):
+        """The rows in a fresh layout, normals (n, width + 4, 2) and offsets
+        (n, width + 4): each row in its cell, pad rows, then the speed box."""
+        rows = self.rows
+        normals, offsets = np.zeros(rows.hard.shape + (2,)), np.full(rows.hard.shape, -1.0)
+        normals.reshape(-1, 2)[rows.cells], offsets.reshape(-1)[rows.cells] = self.normals, self.offsets
+        normals[:, rows.width:], offsets[:, rows.width:] = _BOX_NORMALS, -self.speed_limit
+        return normals, offsets
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,7 @@ class QpSolution:
     """The solution of a ``QpProblem``, shaped like it.
 
     ``u`` is (n, 2), each robot's input. ``multipliers`` and
-    ``slacks`` are shaped like the layout's offsets, (n, width + 4): every
+    ``slacks`` are shaped like the layout, (n, width + 4): every
     row's multiplier, the speed box's in the last four columns, and every
     soft row's slack, zero on the other rows. ``statuses`` has one status per
     robot and ``status`` is the worst of them.
@@ -240,50 +250,38 @@ def row_slack(u0, u1, a0, a1, b):
     return slack, slack < -_FEAS_TOL
 
 
-def quiet(nominal, slots, normals, offsets, speed_limit, template):
-    """The solution of a team's problem whose first stage finds every robot,
-    without laying out its rows, else None.
-
-    Row k, ``normals[k]`` . u >= ``offsets[k]``, is a row of the robot at
-    slot ``slots[k]``, and ``template`` is the layout the rows fill: its
-    width and robot count. Every nominal that satisfies all its rows and the
-    speed box is its robot's answer, with status ``optimal`` and zero
-    multipliers and slacks, as ``solve`` gives it. Before it answers, it runs
-    every check of a ``QpProblem`` of the laid-out rows and raises its
-    ``ValueError``; a team it leaves to ``solve`` may be checked only there.
-    The rows are checked before the row test reads them, so a non-finite
-    coefficient raises that error and no arithmetic warning.
-    """
-    nominal = np.asarray(nominal, dtype=float)
-    _check(nominal, (len(template.counts), 2), speed_limit, template.width)
-    # the box first: it rejects most teams that are not quiet, and reads only
-    # the checked nominal. Its rows (+-1, 0) . u >= -speed_limit and
-    # (0, +-1) . u >= -speed_limit have the slacks speed_limit +- u, bit for bit
-    if (speed_limit - np.abs(nominal) < -_FEAS_TOL).any():
-        return None
-    _check_rows(normals, offsets, speed_limit)
-    u = nominal[slots]
-    if row_slack(u[:, 0], u[:, 1], normals[:, 0], normals[:, 1], offsets)[1].any():
-        return None
-    shape = template.offsets.shape
-    return QpSolution(nominal.copy(), "optimal", ("optimal",) * len(nominal), np.zeros(shape), np.zeros(shape))
-
-
 def solve(problem):
     """Unique minimizer of |u_hat - u|^2 over the rows and the speed box, for
     every robot of the problem (see the module docstring for the stages).
 
-    A robot whose rows are inconsistent gets the slack relaxation of its soft
-    rows (``relaxed``), or a zero input with status ``infeasible_hard`` when
-    even its hard rows admit no input.
+    A team whose every nominal satisfies its rows and the box gets them, with
+    status ``optimal`` and zero multipliers and slacks, as the stages give
+    them, from its flat rows. A robot whose rows are inconsistent gets the
+    slack relaxation of its soft rows (``relaxed``), or a zero input with
+    status ``infeasible_hard`` when even its hard rows admit no input.
     """
+    nominal, rows, limit = problem.nominal, problem.rows, problem.speed_limit
+    # the box first: it rejects most teams the first stage leaves, and reads
+    # only the nominals. Its rows (+-1, 0) . u >= -limit and (0, +-1) . u >=
+    # -limit have the slacks limit +- u, bit for bit
+    if not (limit - np.abs(nominal) < -_FEAS_TOL).any():
+        u, normals = nominal.take(rows.slots, axis=0), problem.normals
+        if not row_slack(u[:, 0], u[:, 1], normals[:, 0], normals[:, 1], problem.offsets)[1].any():
+            shape = rows.hard.shape
+            return QpSolution(nominal.copy(), "optimal", ("optimal",) * len(nominal), np.zeros(shape), np.zeros(shape))
+    return _staged(problem)
+
+
+def _staged(problem):
+    """``solve``'s stages on the problem's rows, laid out."""
     rows, nominal = problem.rows, problem.nominal
-    found, u, lam = _project(nominal, rows.normals, rows.offsets)
+    normals, offsets = problem.laid_out()
+    found, u, lam = _project(nominal, normals, offsets)
     slacks = np.zeros(rows.hard.shape)
     statuses = ["optimal"] * len(nominal)
     stuck = (~found).nonzero()[0]
     if len(stuck):
-        relaxed, u[stuck], lam[stuck], slacks[stuck] = _relax(rows, nominal[stuck], stuck)
+        relaxed, u[stuck], lam[stuck], slacks[stuck] = _relax(rows, normals, offsets, nominal[stuck], stuck)
         for r, ok in zip(stuck.tolist(), relaxed.tolist()):
             statuses[r] = "relaxed" if ok else "infeasible_hard"
     # a team's status is that of its worst robot
@@ -291,8 +289,8 @@ def solve(problem):
     return QpSolution(u, status, tuple(statuses), lam, slacks)
 
 
-def _relax(rows, nominal, stuck):
-    """The slack relaxation of the layout's robots ``stuck``: the minimizer u*
+def _relax(rows, normals, offsets, nominal, stuck):
+    """The slack relaxation of the laid-out robots ``stuck``: the minimizer u*
     of F(u) = |u - u_hat|^2 + SLACK_PENALTY * sum_s max(0, b_s - a_s.u)^2 over
     the hard rows and the box, s running over the soft rows. u* also minimizes
     F_S, F with the max dropped and s running over the set S of soft rows that
@@ -303,7 +301,7 @@ def _relax(rows, nominal, stuck):
     whether the robot's hard rows admit an input, its input (zero if not),
     and its rows' multipliers and slacks.
     """
-    hard, normals, offsets = rows.hard[stuck], rows.normals[stuck], rows.offsets[stuck]
+    hard, normals, offsets = rows.hard[stuck], normals[stuck], offsets[stuck]
     n, width = hard.shape
     robots, column = np.arange(n)[:, None], np.arange(width)
     # each robot's k soft rows, then its box: the lines the candidates' corners

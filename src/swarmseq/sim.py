@@ -339,13 +339,6 @@ def _first_in_blocks(test, start, stop):
     return next((int(h[0]) for h in hits if len(h)), None)
 
 
-def connectivity_trace(record, edge):
-    """Barrier value of one connectivity edge across the whole run."""
-    i, j = edge
-    pos = record.positions
-    return Connectivity(i, j, record.plan.delta).value(pos[:, i - 1] - pos[:, j - 1])
-
-
 # --- serialization ----------------------------------------------------------------
 
 

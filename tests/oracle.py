@@ -40,12 +40,15 @@ def kkt_residuals(problem, solution):
 
 
 def _one_robot(problem):
-    """The one robot's row of a team of one, every column (its rows, pad
-    rows and the box), as (normals, offsets, hard, nominal)."""
+    """The one robot's rows of a team of one, laid out here: its rows, then
+    the four speed-box rows, as (normals, offsets, hard, nominal)."""
     rows = problem.rows
     if len(rows.counts) != 1:
         raise ValueError(f"expected one robot's problem, got a team of {len(rows.counts)}")
-    return rows.normals[0], rows.offsets[0], rows.hard[0], problem.nominal[0]
+    box = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    normals = np.concatenate([problem.normals.reshape(-1, 2), box])
+    offsets = np.concatenate([problem.offsets, np.full(4, -problem.speed_limit)])
+    return normals, offsets, rows.hard[0], problem.nominal[0]
 
 
 def oracle_solve(problem):

@@ -32,13 +32,13 @@ from swarmseq.sim import (
     DelaySpec,
     SimConfig,
     compute_behavior_windows,
-    connectivity_trace,
     run,
     write_outputs,
 )
 from oracle import kkt_residuals, oracle_solve
 from test_bench_hooks import digest
 from test_qp import one_robot
+from traces import connectivity_trace
 
 # sha256 of the whole securing_a_building run's CSV set and event log, as
 # test_bench_hooks.digest computes it. A change that alters the arithmetic on

@@ -422,9 +422,9 @@ def robot_outputs(team, request, events, plan, i):
         return state, events.get(i + 1)
     row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
     s = int(slot[0])
-    layout, m = row_plan.fill(normals, offsets), row_plan.template.counts[s]
+    mine = row_plan.layout.slots == s  # the slot's rows, in their layout order
     return (state, events.get(i + 1), bits(request.nominal[s]), row_identity(row_plan, s),
-            bits(layout.normals[s, :m]), bits(layout.offsets[s, :m]))
+            bits(normals[mine]), bits(offsets[mine]))
 
 
 def test_a_robot_reads_only_its_own_cache_row():

@@ -105,6 +105,7 @@ def test_tracer_sees_every_in_tick_layer(tmp_path):
     for layer in IN_TICK_LAYERS:
         assert tracer.calls[layer] > 0, layer
     assert metrics["sim.ticks"][0] == record.ticks == 200
+    assert tracer.calls["qp.solve"] == record.ticks  # every tick reaches the one entry point
     assert 0 < metrics["qp.rows_per_solve_mean"][0] <= 64
     assert metrics["sim.output_bytes"][0] > 0
     assert digest(paths) == GOLDEN_DIGEST

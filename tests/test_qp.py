@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import kkt_residuals, oracle_solve
+from swarmseq import qp
 from swarmseq.barriers import RowBlock
-from swarmseq.qp import _FEAS_TOL, MAX_ROWS, QpProblem, RowLayout, quiet, solve
+from swarmseq.qp import _FEAS_TOL, MAX_ROWS, QpProblem, RowLayout, solve
 
 
 def block(normals, offsets, hard):
@@ -19,13 +22,14 @@ def row(nx, ny, b, hard=False):
 
 
 def team_layout(blocks):
-    """Robot r + 1's rows ``blocks[r]`` in columns 0.. of layout row r, then
-    pad rows, as a row plan lays them out."""
-    layout = RowLayout.empty(np.arange(1, len(blocks) + 1), np.array([len(b.offsets) for b in blocks], dtype=int))
-    for r, b in enumerate(blocks):
-        m = len(b.offsets)
-        layout.normals[r, :m], layout.offsets[r, :m], layout.hard[r, :m] = b.normals, b.offsets, b.hard
-    return layout
+    """The flat rows of a team whose robot at slot r has the rows
+    ``blocks[r]``, robot by robot, on their ``RowLayout``: (layout, normals,
+    offsets), as ``QpProblem`` takes them after the nominals."""
+    slots = np.repeat(np.arange(len(blocks)), [len(b.offsets) for b in blocks])
+    normals = np.concatenate([np.empty((0, 2)), *(b.normals for b in blocks)])
+    offsets = np.concatenate([np.empty(0), *(b.offsets for b in blocks)])
+    hard = np.concatenate([np.empty(0, dtype=bool), *(np.broadcast_to(b.hard, len(b.offsets)) for b in blocks)])
+    return RowLayout.of(slots, hard, len(blocks)), normals, offsets
 
 
 def one_robot(nominal, rows, speed_limit):
@@ -35,13 +39,13 @@ def one_robot(nominal, rows, speed_limit):
         rows = block(np.concatenate([np.empty((0, 2)), *(b.normals for b in rows)]),
                      np.concatenate([[], *(b.offsets for b in rows)]),
                      np.concatenate([[], *(np.broadcast_to(b.hard, len(b.offsets)) for b in rows)]))
-    return QpProblem(np.reshape(nominal, (1, 2)), team_layout([rows]), speed_limit)
+    return QpProblem(np.reshape(nominal, (1, 2)), *team_layout([rows]), speed_limit)
 
 
 def own_rows(problem):
     """The rows of a team of one, as a block."""
     m = problem.rows.counts[0]
-    return block(problem.rows.normals[0, :m], problem.rows.offsets[0, :m], problem.rows.hard[0, :m])
+    return block(problem.normals, problem.offsets, problem.rows.hard[0, :m])
 
 
 def random_problem(rng, max_rows=6, hard_fraction=0.4):
@@ -108,12 +112,12 @@ class TestBasics:
         # the nominal inputs and the layout's rows must be of the same robots
         two = team_layout([row(1.0, 0.0, 0.0), row(0.0, 1.0, 0.0)])
         with pytest.raises(ValueError, match="shape"):
-            QpProblem(np.zeros((1, 2)), two, 1.0)
+            QpProblem(np.zeros((1, 2)), *two, 1.0)
         with pytest.raises(ValueError, match="shape"):
-            QpProblem(np.zeros((3, 2)), two, 1.0)
+            QpProblem(np.zeros((3, 2)), *two, 1.0)
         with pytest.raises(ValueError, match="shape"):
-            QpProblem(np.zeros(2), team_layout([row(1.0, 0.0, 0.0)]), 1.0)
-        assert QpProblem(np.zeros((2, 2)), two, 1.0).nominal.shape == (2, 2)
+            QpProblem(np.zeros(2), *team_layout([row(1.0, 0.0, 0.0)]), 1.0)
+        assert QpProblem(np.zeros((2, 2)), *two, 1.0).nominal.shape == (2, 2)
 
     def test_row_cap(self):
         rows = tuple(row(1, 0, -k) for k in range(64))
@@ -186,7 +190,7 @@ class TestOracleEquivalence:
             oracle_solve(one_robot(np.zeros(2), rows, 1.0))
 
     def test_the_oracle_and_its_kkt_check_take_one_robot(self):
-        team = QpProblem(np.zeros((2, 2)), team_layout([row(1, 0, 0), row(0, 1, 0)]), 1.0)
+        team = QpProblem(np.zeros((2, 2)), *team_layout([row(1, 0, 0), row(0, 1, 0)]), 1.0)
         with pytest.raises(ValueError, match="one robot"):
             oracle_solve(team)
         with pytest.raises(ValueError, match="one robot"):
@@ -271,19 +275,10 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def layout_of(n, slots, normals, offsets):
-    """Flat rows, row k one of the robot at slot ``slots[k]``, in the layout a
-    row plan fills: each robot's rows in flat order, then pad rows."""
-    columns = np.array([np.count_nonzero(slots[:k] == slots[k]) for k in range(len(slots))], dtype=int)
-    layout = RowLayout.empty(np.arange(1, n + 1), np.bincount(slots, minlength=n))
-    layout.normals[slots, columns], layout.offsets[slots, columns] = normals, offsets
-    return layout
-
-
 def first_stage_finds_all(problem):
     """Whether every robot's nominal meets every laid-out row, the speed box's
     too: a . u_hat - b >= -_FEAS_TOL, written out as the solver writes it."""
-    a, b, u = problem.rows.normals, problem.rows.offsets, problem.nominal
+    (a, b), u = problem.laid_out(), problem.nominal
     return bool((a[..., 0] * u[:, :1] + a[..., 1] * u[:, 1:] - b >= -_FEAS_TOL).all())
 
 
@@ -335,42 +330,61 @@ def flat_problems(draw):
     return n, slots, normals, offsets, nominal, limit
 
 
+def flat_problem(n, slots, normals, offsets, nominal, limit):
+    """The problem of a team of n on flat rows, row k one of the robot at
+    slot ``slots[k]``, every row soft."""
+    return QpProblem(nominal, RowLayout.of(slots, np.zeros(len(slots), dtype=bool), n), normals, offsets, limit)
+
+
+def answered(problem):
+    """``solve``'s answer, and whether it ran the staged pass on the laid-out
+    rows (False: it answered from the flat rows)."""
+    with mock.patch.object(qp, "_staged", wraps=qp._staged) as staged:
+        solution = solve(problem)
+    return solution, staged.called
+
+
 class TestQuietPath:
-    """``quiet`` answers a team from its flat rows exactly when the first
-    stage of ``solve`` finds every robot on the laid-out rows, and then with
-    ``solve``'s answer, bit for bit; it raises ``QpProblem``'s errors."""
+    """``solve`` answers a team from its flat rows exactly when its first
+    stage finds every robot on the laid-out rows, and then with the staged
+    pass's answer, bit for bit; ``QpProblem`` checks every team first."""
 
     @settings(max_examples=400, deadline=None)
     @given(flat_problems())
     def test_the_quiet_path_agrees_with_the_solver(self, case):
-        n, slots, normals, offsets, nominal, limit = case
-        layout = layout_of(n, slots, normals, offsets)
-        fast, fast_error = outcome(lambda: quiet(nominal, slots, normals, offsets, limit, layout))
-        problem, error = outcome(lambda: QpProblem(nominal, layout, limit))
+        problem, error = outcome(lambda: flat_problem(*case))
         if error is not None:
-            # a team is never answered unchecked; one left to solve raises there
-            assert fast is None and fast_error in (None, error)
+            # a team is never answered unchecked
+            assert problem is None
             return
-        assert fast_error is None
-        assert (fast is not None) == first_stage_finds_all(problem)
-        if fast is not None:
-            want = solve(problem)
+        fast, staged = answered(problem)
+        assert (not staged) == first_stage_finds_all(problem)
+        if not staged:
+            want = qp._staged(problem)
             assert bits(fast.u).tolist() == bits(want.u).tolist()
             assert fast.statuses == want.statuses and fast.status == want.status == "optimal"
             for got, expected in ((fast.multipliers, want.multipliers), (fast.slacks, want.slacks)):
-                assert got.shape == expected.shape == layout.offsets.shape
+                assert got.shape == expected.shape == problem.rows.hard.shape
                 assert bits(got).tolist() == bits(expected).tolist()
 
     def test_the_nominal_on_a_row_and_the_box_edge_is_quiet(self):
         slots, normals = np.array([0, 0]), np.array([[1.0, 0.0], [0.3, -0.7]])
         nominal = np.array([[0.4, 0.25], [0.1, 0.1]])
         offsets = np.array([0.4, 0.3 * 0.4 + -0.7 * 0.25])
-        got = quiet(nominal, slots, normals, offsets, 0.4, layout_of(2, slots, normals, offsets))
-        assert got is not None and got.u is not nominal and (got.u == nominal).all()
+        got, staged = answered(flat_problem(2, slots, normals, offsets, nominal, 0.4))
+        assert not staged and got.u is not nominal and (got.u == nominal).all()
         assert got.statuses == ("optimal", "optimal")
-        assert quiet(nominal, slots, normals, offsets, 0.3999, layout_of(2, slots, normals, offsets)) is None
+        assert answered(flat_problem(2, slots, normals, offsets, nominal, 0.3999))[1]
 
-    @pytest.mark.parametrize("fault", ["nominal", "normal", "offset", "limit", "width"])
+    FAULTS = {
+        "nominal": "nominal input is not finite",
+        "normal": "constraint row has non-finite coefficients",
+        "offset": "constraint row has non-finite coefficients",
+        "limit": "speed limit must be positive",
+        "width": f"too many rows ({MAX_ROWS + 1}) for one robot; cap is {MAX_ROWS}",
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_a_quiet_team_keeps_every_check(self, fault):
         # every robot's nominal satisfies its rows but for the one fault
         width = MAX_ROWS + 1 if fault == "width" else 3
@@ -385,9 +399,6 @@ class TestQuietPath:
             offsets[0] = -np.inf
         elif fault == "limit":
             limit = 0.0
-        layout = layout_of(2, slots, normals, offsets)
-        with pytest.raises(ValueError) as want:
-            QpProblem(nominal, layout, limit)
         with pytest.raises(ValueError) as got:
-            quiet(nominal, slots, normals, offsets, limit, layout)
-        assert str(got.value) == str(want.value)
+            flat_problem(2, slots, normals, offsets, nominal, limit)
+        assert str(got.value) == self.FAULTS[fault]

@@ -18,12 +18,12 @@ from swarmseq.sim import (
     SimConfig,
     SimConfigError,
     compute_behavior_windows,
-    connectivity_trace,
     make_world,
     run,
     tick,
     write_outputs,
 )
+from traces import connectivity_trace
 
 
 def splitmix64_delay(seed, sender, tick, lo, hi):

@@ -1,11 +1,11 @@
 """The batched team tick: one row assembly and one QP solve for every robot.
 
 Each robot's rows and solution must not depend on the team it is solved in:
-the rows ``team_rows`` builds, laid out by their row plan, fill each robot's
-layout row with its own rows, each barrier's formula written out in Python
-floats, bit for bit, each with the identity the kinds of the plan's one row
-stack give it, and a robot's
-solution, status and multipliers are the same solved alone or in any team.
+the rows ``team_rows`` builds, laid out on their plan's ``RowLayout``, fill
+each robot's layout row with its own rows, each barrier's formula written
+out in Python floats, bit for bit, each with the identity the kinds of the
+plan's one row stack give it, and a robot's solution, status and
+multipliers are the same solved alone or in any team.
 A tick builds all its rows with one ``constraint_row`` call.
 """
 
@@ -27,7 +27,7 @@ from swarmseq.sim import DelaySpec, make_world, run, tick
 from oracle import kkt_residuals, oracle_solve
 from test_barriers import scalar_barrier
 from test_bench_hooks import WORKLOADS, load_bench_module
-from test_qp import one_robot, team_layout
+from test_qp import answered, one_robot, team_layout
 
 
 def bits(a):
@@ -88,22 +88,22 @@ def row_identity(plan, s):
     """The identity of slot s's rows, column by column, read from the plan:
     each row's barrier class and its other robot (pairwise), its 1-based
     obstacle index (obstacle) or None (an initial constraint), from the kind
-    of the row stack that holds it, at the layout cell ``plan.flat`` gives
-    the row."""
+    of the row stack that holds it, at the layout cell ``plan.layout.cells``
+    gives the row."""
     cells = []
     for kind in plan.rows.kinds:
         n = len(kind.stacked()[0])
         other = getattr(kind, "j", getattr(kind, "index", None))
         cells += zip([type(kind)] * n, np.broadcast_to(other, n).tolist())
-    at = dict(zip(plan.flat.tolist(), cells))
-    width = plan.template.offsets.shape[1]
-    return [at[s * width + c] for c in range(plan.template.counts[s])]
+    at = dict(zip(plan.layout.cells.tolist(), cells))
+    width = plan.layout.hard.shape[1]
+    return [at[s * width + c] for c in range(plan.layout.counts[s])]
 
 
 def assert_covers_once(plan):
-    """``plan.flat`` names each robot's first ``counts[r]`` layout cells, each exactly once."""
-    t = plan.template
-    assert np.sort(plan.flat).tolist() == np.flatnonzero(np.arange(t.offsets.shape[1]) < t.counts[:, None]).tolist()
+    """``plan.layout.cells`` names each robot's first ``counts[r]`` layout cells, each exactly once."""
+    t = plan.layout
+    assert np.sort(t.cells).tolist() == np.flatnonzero(np.arange(t.hard.shape[1]) < t.counts[:, None]).tolist()
 
 
 def own_rows(request, params, min_sep, domain):
@@ -143,14 +143,31 @@ def assert_own_rows(plan, team, s, request, params, min_sep, domain):
     return got
 
 
+class Laid(NamedTuple):
+    """A team's rows as ``solve`` lays them out, (n, width + 4), with the
+    request's robots."""
+
+    robots: np.ndarray
+    counts: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    hard: np.ndarray
+    width: int
+
+
+def layout_of(request, plan, normals, offsets):
+    """The rows ``team_rows`` gives for ``request`` in the solver's layout:
+    flat row k in the layout row of its slot ``plan.layout.slots[k]``."""
+    rows = plan.layout
+    assert (rows.cells // rows.hard.shape[1] == rows.slots).all()
+    laid = QpProblem(request.nominal, rows, normals, offsets, 1.0).laid_out()
+    return Laid(request.robots, rows.counts, *laid, rows.hard, rows.width)
+
+
 def laid_out(request, params, min_sep, domain):
-    """The rows of ``team_rows`` in the solver's layout, as their plan fills
-    it: flat row k in the layout row of its slot ``plan.slots[k]``; returns
-    (plan, layout)."""
+    """The rows of ``team_rows`` in the solver's layout; returns (plan, layout)."""
     plan, normals, offsets = team_rows(request, params, min_sep, domain)
-    layout = plan.fill(normals, offsets)
-    assert (plan.flat // layout.offsets.shape[1] == plan.slots).all()
-    return plan, layout
+    return plan, layout_of(request, plan, normals, offsets)
 
 
 def random_requests(rng, n, delta):
@@ -191,7 +208,7 @@ class TestTeamRows:
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
             plan, team = laid_out(as_team(requests), params, 0.12, domain)
             assert team.robots.tolist() == [r.robot for r in requests]
-            assert len(team) == int(team.counts.sum())
+            assert len(plan.layout) == int(team.counts.sum())
             for s, request in enumerate(requests):
                 got = assert_own_rows(plan, team, s, request, params, 0.12, domain)
                 kinds_seen.update(kind for kind, _ in got)
@@ -244,7 +261,7 @@ class TestTeamRows:
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
         request = OwnRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
         plan, rows = laid_out(as_team([request]), FcbfParams(), 0.12, domain)
-        assert len(rows) == 1 and rows.robots.tolist() == [3]
+        assert len(plan.layout) == 1 and rows.robots.tolist() == [3]
         assert row_identity(plan, 0) == [(ObstacleAvoid, 1)]
 
 
@@ -289,7 +306,7 @@ class TestOneRowCallPerTick:
             if plan is None:  # no robot left to filter
                 assert calls == []
                 continue
-            assert [id(s) for s, _ in calls] == ([id(plan.rows)] if len(plan.slots) else [])
+            assert [id(s) for s, _ in calls] == ([id(plan.rows)] if len(plan.layout) else [])
             if domain.obstacles:
                 stack = domain.obstacle_stack
                 h = ObstacleAvoid(request.robots[:, None], stack).value(request.position[:, None] - stack.center)
@@ -331,9 +348,9 @@ class TestOneRowCallPerTick:
 
 
 def count_layouts(monkeypatch):
-    """A list that gets one entry per ``RowLayout.empty`` call: one per row plan built."""
-    built, real = [], RowLayout.empty
-    monkeypatch.setattr(RowLayout, "empty", staticmethod(lambda *args: built.append(args) or real(*args)))
+    """A list that gets one entry per ``RowLayout.of`` call: one per row plan built."""
+    built, real = [], RowLayout.of
+    monkeypatch.setattr(RowLayout, "of", classmethod(lambda cls, *args: built.append(args) or real(*args)))
     return built
 
 
@@ -413,20 +430,28 @@ class TestRowPlan:
             for s, request in enumerate(requests):
                 assert_own_rows(plan, team, s, request, params, min_sep, domain)
 
-    def test_writing_into_a_layout_changes_no_later_layout(self):
+    def test_solve_writes_into_none_of_its_problems_arrays_and_none_of_the_plans(self):
         params = FcbfParams()
         domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
         requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
         request = as_team(requests)
-        first = laid_out(request, params, 0.12, domain)[1]
-        QpProblem(np.zeros((3, 2)), first, 0.4)  # writes the box rows
-        first.normals[:] = 7.0
-        first.offsets[:] = 7.0
+        plan, normals, offsets = team_rows(request, params, 0.12, domain)
+        rows = plan.layout
+        assert not any(a.flags.writeable for a in (rows.slots, rows.cells, rows.counts, rows.hard))
+        # a quiet team, answered from the flat rows, and one the stages solve
+        paths = set()
+        for nominal in (np.zeros((3, 2)), np.array([[-5.0, 0.0], [0.0, 0.0], [0.0, 0.3]])):
+            problem = QpProblem(nominal, rows, normals, offsets, 0.4)
+            arrays = (problem.nominal, problem.normals, problem.offsets, rows.slots, rows.cells, rows.counts, rows.hard)
+            before = [bits(a).tolist() for a in arrays]
+            got, staged = answered(problem)
+            paths.add(staged)
+            assert [bits(a).tolist() for a in arrays] == before
+            assert got.u is not problem.nominal
+        assert paths == {False, True}
         plan, later = laid_out(request, params, 0.12, domain)
-        assert later.normals is not first.normals and later.offsets is not first.offsets
         for s, request in enumerate(requests):
             assert_own_rows(plan, later, s, request, params, 0.12, domain)
-        assert not later.normals[:, later.width:].any() and (later.offsets[:, later.width:] == -1.0).all()
 
 
 def ticks_of(scenario, changes, max_ticks=None):
@@ -549,7 +574,7 @@ class TestOneTablePerTick:
 
         def checked_rows(request, params, min_sep, domain):
             rows = real(request, params, min_sep, domain)
-            layout = rows[0].fill(*rows[1:])
+            layout = layout_of(request, *rows)
             for s, own in enumerate(own_requests(request)):
                 kinds.update(kind for kind, _ in assert_own_rows(rows[0], layout, s, own, params, min_sep, domain))
             return rows
@@ -580,13 +605,13 @@ class TestTeamSolve:
             blocks = [random_rows(rng, m) for m in counts]
             nominal = rng.uniform(-1, 1, (n, 2))
             limit = float(rng.uniform(0.3, 2.0))
-            team = team_layout(blocks)
+            team, normals, offsets = team_layout(blocks)
             assert len(team) == sum(counts)
-            got = solve(QpProblem(nominal, team, limit))
+            got = solve(QpProblem(nominal, team, normals, offsets, limit))
             assert got.u.shape == (n, 2) and len(got.statuses) == n
             # multipliers and slacks are shaped like the layout: a robot's rows,
             # then pad rows up to the team's widest robot, then its box
-            assert got.multipliers.shape == got.slacks.shape == team.offsets.shape
+            assert got.multipliers.shape == got.slacks.shape == team.hard.shape
             for r, block in enumerate(blocks):
                 alone = solve(one_robot(nominal[r], block, limit))
                 m = counts[r]
@@ -606,7 +631,7 @@ class TestTeamSolve:
         rng = np.random.default_rng(44)
         blocks = [random_rows(rng, 0), random_rows(rng, 20), random_rows(rng, 0)]
         nominal = np.array([[0.1, -0.2], [0.5, 0.5], [3.0, 0.0]])
-        got = solve(QpProblem(nominal, team_layout(blocks), 0.4))
+        got = solve(QpProblem(nominal, *team_layout(blocks), 0.4))
         np.testing.assert_array_equal(got.u[0], [0.1, -0.2])
         np.testing.assert_allclose(got.u[2], [0.4, 0.0], atol=1e-15)
         alone = solve(one_robot(nominal[1], blocks[1], 0.4))
@@ -615,19 +640,19 @@ class TestTeamSolve:
     def test_team_problem_checks(self):
         rows = team_layout([random_rows(np.random.default_rng(0), 3)])
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), rows, 1.0)
+            QpProblem(np.zeros(2), *rows, 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.array([[0.0, np.nan]]), rows, 1.0)
+            QpProblem(np.array([[0.0, np.nan]]), *rows, 1.0)
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((1, 2)), rows, 0.0)
+            QpProblem(np.zeros((1, 2)), *rows, 0.0)
         bad = random_rows(np.random.default_rng(4), 3)
         bad.normals[1, 0] = np.inf
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((1, 2)), team_layout([bad]), 1.0)
+            QpProblem(np.zeros((1, 2)), *team_layout([bad]), 1.0)
         many = [random_rows(np.random.default_rng(1), 64), random_rows(np.random.default_rng(2), 64)]
-        assert len(QpProblem(np.zeros((2, 2)), team_layout(many), 1.0).rows) == 128
+        assert len(QpProblem(np.zeros((2, 2)), *team_layout(many), 1.0).rows) == 128
         with pytest.raises(ValueError):
-            QpProblem(np.zeros((2, 2)), team_layout([many[0], random_rows(np.random.default_rng(3), 65)]), 1.0)
+            QpProblem(np.zeros((2, 2)), *team_layout([many[0], random_rows(np.random.default_rng(3), 65)]), 1.0)
 
 
 def rows_of(spec):
@@ -720,7 +745,7 @@ def solver_cases():
     rng = np.random.default_rng(20)
     for _ in range(300):
         nominal, blocks, limit = digest_team(rng)
-        yield QpProblem(nominal, team_layout(blocks), limit)
+        yield QpProblem(nominal, *team_layout(blocks), limit)
 
 
 def test_the_solver_keeps_its_bits():
@@ -738,17 +763,16 @@ def test_the_solver_keeps_its_bits():
     assert h.hexdigest() == SOLVER_DIGEST
 
 
-def in_memory_order(layout, order):
-    """The layout with its normals and offsets copied into arrays of another
-    memory order: ``F``, Fortran-ordered; ``strided``, views that step over
-    elements of larger arrays (the offsets' a transposed one)."""
-    (n, k), (normals, offsets, hard) = layout.offsets.shape, (layout.normals, layout.offsets, layout.hard)
+def in_memory_order(normals, offsets, order):
+    """Flat rows copied into arrays of another memory order: ``F``,
+    Fortran-ordered; ``strided``, views that step over elements of larger
+    arrays (the offsets' a transposed one)."""
     if order == "F":
-        normals, offsets, hard = np.asfortranarray(normals), np.asfortranarray(offsets), np.asfortranarray(hard)
-    else:
-        normals, offsets = np.zeros((2 * n, k + 1, 3))[::2, 1:, ::2], np.zeros((k, 2 * n)).T[::2]
-        normals[...], offsets[...] = layout.normals, layout.offsets
-    return RowLayout(layout.robots, layout.counts, normals, offsets, hard)
+        return np.asfortranarray(normals), np.asfortranarray(offsets)
+    m = len(offsets)
+    strided = np.zeros((2 * m, 3))[::2, 1:], np.zeros((m, 2)).T[1]
+    strided[0][...], strided[1][...] = normals, offsets
+    return strided
 
 
 @pytest.mark.parametrize("order", ["F", "strided"])
@@ -757,10 +781,12 @@ def test_the_solver_reads_any_memory_order(order):
     statuses = set()
     for _ in range(60):
         nominal, blocks, limit = digest_team(rng)
-        layout = team_layout(blocks)
-        other = in_memory_order(layout, order)
-        assert len(nominal) == 1 or not (other.normals.flags.c_contiguous or other.offsets.flags.c_contiguous)
-        want, got = solve(QpProblem(nominal, layout, limit)), solve(QpProblem(nominal, other, limit))
+        layout, normals, offsets = team_layout(blocks)
+        other = in_memory_order(normals, offsets, order)
+        # a 1-D array in Fortran order is also in C order
+        assert len(offsets) < 2 or not (other[0].flags.c_contiguous or order == "strided" and other[1].flags.c_contiguous)
+        want = solve(QpProblem(nominal, layout, normals, offsets, limit))
+        got = solve(QpProblem(nominal, layout, *other, limit))
         for mine, theirs in ((got.u, want.u), (got.multipliers, want.multipliers), (got.slacks, want.slacks)):
             assert bits(mine).tolist() == bits(theirs).tolist()
         assert got.statuses == want.statuses and got.status == want.status
