@@ -8,13 +8,13 @@ controller class's nominal law and each behavior's completion test once for
 all its robots, then updates the consensus and the mode machine as array
 passes. It returns a ``TeamRequest``: every robot's nominal and the partner
 positions its QP rows read, all from the robot's own row of the view and the
-cache, on the team's ``TickGraph``. The graph holds what the laws and the
-rows take from the stage and the sensed and known masks (the index arrays,
-the pairs where the tick reads the view, the missing positions and the row
-plan), and the team rebuilds it only when one of the three changes, which
-few ticks do. A tick reads positions only at those pairs, in one gather, and
-builds no (n, n) table of them. ``filter_team`` then builds every robot's
-rows and solves every robot's QP in one ``qp.solve`` call on them.
+cache, on the team's ``TickGraph``: what the laws and rows take from the
+stage, the sensed and known masks and the obstacle activation mask (the
+pairs where the tick reads the view, the rows' ``RowStack`` and
+``RowLayout``), rebuilt only when one of the four changes, which few ticks
+do. A tick reads positions only at those pairs, in one gather.
+``filter_team`` then builds every robot's rows and solves every robot's QP
+in one ``qp.solve`` call on them.
 
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
@@ -160,8 +160,9 @@ class View(NamedTuple):
 @dataclass
 class Team:
     """Every robot's stage and consensus state, robot i + 1 at index i, and
-    the robots' message caches. ``graphs[k]`` is behavior k's required graph
-    as an adjacency mask; ``graphs[0]`` has no edges."""
+    the robots' message caches, for the mission ``plan`` it was started for.
+    ``graphs[k]`` is behavior k's required graph as an adjacency mask;
+    ``graphs[0]`` has no edges."""
 
     k: np.ndarray  # behavior index, past the last behavior once done
     mode: np.ndarray
@@ -172,6 +173,7 @@ class Team:
     elapsed: np.ndarray
     cache: Cache
     graphs: np.ndarray  # (behaviors + 1, n, n)
+    plan: object
     stage: Stage | None = None  # of the robots' current stages
     tick_graph: TickGraph | None = None  # of the current stage and masks
 
@@ -183,7 +185,7 @@ class Team:
         for k, spec in enumerate(plan.behaviors, start=1):
             graphs[k] = spec.required_graph.mask
         return cls(np.ones(n, dtype=int), np.full(n, ASSEMBLING), np.zeros(n), np.zeros(n),
-                   np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n), Cache.empty(n), graphs)
+                   np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n), Cache.empty(n), graphs, plan)
 
     @property
     def done(self):
@@ -193,57 +195,52 @@ class Team:
 @dataclass(eq=False)
 class TickGraph:
     """What a tick's laws and rows read of the team's graph, fixed while the
-    stage and the sensed and known masks are (``key``: the ``Stage`` object
-    and the masks' bytes; None for a graph built by hand).
+    stage, the sensed and known masks and the obstacle activation mask are
+    (``key``: the ``Stage`` object and the masks' bytes).
 
     Slot s is robot ``robots[s]`` (ids ascending; ``index`` holds them
-    0-based). The laws read the view at the pairs (``laws``: rows, columns),
-    and ``absent`` is the error for a required neighbor without a position,
-    None if every one has one. Pairwise row k is robot ``pairs[0][k]``'s
-    barrier with robot ``pairs[1][k]`` (0-based), of the robot at slot
-    ``slots[k]``: first the ``conn`` connectivity rows, with ``deltas``, then
-    the collision rows, each part ordered by slot and within a slot in the
-    robot's row order. ``initial`` holds (slot, kind) for the active spec's
-    initial constraints, in slot order, and ``missing`` the (robot, other)
-    ids of the connectivity partners without a position, in event order.
-    ``reads`` holds the pairs where a tick reads the view, the law pairs
-    and then the row pairs, as ``View.at`` takes them (columns, flat i n + j
-    indices in a team of n), and ``fold`` the law pairs'
-    ``behaviors.fold_index`` (both None for a graph built by hand). ``plan``
-    is the ``RowPlan`` of the last tick's rows.
+    0-based). The laws read the view at the pairs ``laws`` (rows, columns);
+    ``absent`` is the error for a required neighbor without a position, if
+    any, and ``missing`` the (robot, other) ids of the connectivity partners
+    without one, in event order. ``rows`` is the ``RowStack`` of every row:
+    the pairwise rows (connectivity, then collision, each by slot and within
+    a slot in the robot's row order), the active obstacle rows, then each
+    initial constraint. ``layout``, their ``RowLayout``, puts each robot's
+    rows in the order of its own constraint set; a row's kind and other
+    robot or obstacle in ``rows.kinds`` name its cell. ``reads`` holds the
+    pairs where a tick reads the view, the law pairs and then the pairwise
+    rows', as ``View.at`` takes them (columns, flat i n + j indices in a
+    team of n), and ``fold`` the law pairs' ``behaviors.fold_index``.
     """
 
-    key: tuple | None
+    key: tuple
     robots: np.ndarray
     index: np.ndarray
     laws: tuple
     absent: str | None
-    pairs: tuple
-    slots: np.ndarray
-    conn: int
-    deltas: np.ndarray
-    initial: tuple
     missing: tuple
-    reads: tuple | None = None
-    fold: tuple | None = None
-    plan: RowPlan | None = None
+    reads: tuple
+    fold: tuple
+    rows: RowStack
+    layout: RowLayout
 
     @classmethod
-    def of(cls, index, conn, coll, initial=(), laws=None, missing=(), absent=None, key=None, n=None):
-        """The graph of the live robots ``index`` (0-based, ascending), with
-        the connectivity rows ``conn`` (robots, partners, deltas) and the
-        collision rows ``coll`` (robots, partners), 0-based; a team size
-        ``n`` gives it the view indices and the fold index of its pairs."""
+    def of(cls, key, n, index, laws, conn, coll, active, initial, min_sep, stack, missing, absent):
+        """The graph of the live robots ``index`` (0-based, ascending) of a
+        team of n: the connectivity rows ``conn`` (robots, partners, deltas)
+        and collision rows ``coll`` (robots, partners), 0-based, the rows of
+        the obstacles of ``stack`` that the (slots, obstacles) mask
+        ``active`` marks, and ``initial``'s (slot, kind) pairs."""
         (r, p, deltas), (cr, cp) = conn, coll
+        ids, (obst, o) = index + 1, active.nonzero()
+        kinds = [Connectivity(r + 1, p + 1, deltas), Collision(cr + 1, cp + 1, min_sep),
+                 ObstacleAvoid(ids[obst], stack, o + 1), *(kind for _, kind in initial)]
         pairs = np.concatenate((r, cr)), np.concatenate((p, cp))
-        none = np.empty(0, dtype=int)
-        laws = laws or (none, none)
-        reads = fold = None
-        if n is not None:
-            rows, cols = (np.concatenate(a) for a in zip(laws, pairs))
-            reads, fold = (cols, rows * n + cols), behaviors.fold_index(laws[0])
-        return cls(key, index + 1, index, laws, absent, pairs, index.searchsorted(pairs[0]), len(r), deltas,
-                   tuple(initial), tuple(missing), reads, fold)
+        robots, cols = (np.concatenate(a) for a in zip(laws, pairs))
+        slots = np.concatenate((index.searchsorted(pairs[0]), obst, np.array([s for s, _ in initial], dtype=int)))
+        rows = RowStack.of(kinds)
+        return cls(key, ids, index, laws, absent, tuple(missing), (cols, robots * n + cols),
+                   behaviors.fold_index(laws[0]), rows, RowLayout.of(slots, rows.hard, len(index)))
 
 
 class TeamRequest(NamedTuple):
@@ -296,12 +293,11 @@ class Stage(NamedTuple):
     ``laws`` holds one ``behaviors.Law`` per controller class. The robots
     whose positions a robot's law reads are fixed (``reads``: its behavior's
     required neighbors) or else the sensed (``in_range``) or known
-    (``knows``) ones its mask row marks, all within its composite group;
-    ``partners`` are the pairs (rows, columns) when all are fixed. ``tasks``
-    pairs each executed behavior's completion test with its robots.
-    ``targets`` holds each assembling robot's required neighbors in the
-    behavior it assembles (None when no robot assembles). ``conn`` gives the
-    connectivity rows as (robots, partners, deltas), before the
+    (``knows``) ones its mask row marks, all within its composite group.
+    ``tasks`` pairs each executed behavior's completion test with its
+    robots. ``targets`` holds each assembling robot's required neighbors in
+    the behavior it assembles (None when no robot assembles). ``conn`` gives
+    the connectivity rows as (robots, partners, deltas), before the
     known-position filter, and ``initial`` the (slot, kind) pairs of the
     initial constraints; a slot indexes ``ids``.
     """
@@ -315,7 +311,6 @@ class Stage(NamedTuple):
     reads: np.ndarray
     in_range: np.ndarray
     knows: np.ndarray
-    partners: tuple | None
     tasks: list
     targets: np.ndarray | None
     conn: tuple
@@ -372,19 +367,18 @@ def _stage(team, plan, config):
         key=lambda entry: entry[0],
     )
     targets = team.graphs[np.where(assembling, k, 0), robots] if assembling.any() else None
-    fixed = None if in_range.any() or knows.any() else reads.nonzero()
-    team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, fixed, tasks, targets,
+    team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, tasks, targets,
                        (r, p, delta), tuple(initial))
     return team.stage
 
 
-def _tick_graph(team, stage, sensed, known):
-    """The team's ``TickGraph`` for ``stage`` and the masks, rebuilt only when
-    one of them changed."""
-    graph, masks = team.tick_graph, (sensed.tobytes(), known.tobytes())
+def _tick_graph(team, stage, sensed, known, active):
+    """The team's ``TickGraph`` for ``stage``, the masks and the (robots,
+    obstacles) activation mask ``active``, rebuilt only when one changed."""
+    graph, masks = team.tick_graph, (sensed.tobytes(), known.tobytes(), active.tobytes())
     if graph is not None and graph.key[0] is stage and graph.key[1:] == masks:
         return graph
-    rows, cols = stage.partners or (stage.reads | sensed & stage.in_range | known & stage.knows).nonzero()
+    rows, cols = (stage.reads | sensed & stage.in_range | known & stage.knows).nonzero()
     absent = ~known[rows, cols]
     error = None
     if absent.any():
@@ -394,8 +388,10 @@ def _tick_graph(team, stage, sensed, known):
     r, p, delta = stage.conn
     ok = known[r, p]
     missing = zip((r[~ok] + 1).tolist(), (p[~ok] + 1).tolist())
-    team.tick_graph = TickGraph.of(stage.ids, (r[ok], p[ok], delta[ok]), (sensed & stage.live[:, None]).nonzero(),
-                                   stage.initial, (rows, cols), missing, error, (stage, *masks), len(known))
+    plan, ids = team.plan, stage.ids
+    team.tick_graph = TickGraph.of((stage, *masks), len(known), ids, (rows, cols), (r[ok], p[ok], delta[ok]),
+                                   (sensed & stage.live[:, None]).nonzero(), active[ids],
+                                   stage.initial, plan.min_sep, plan.domain.obstacle_stack, missing, error)
     return team.tick_graph
 
 
@@ -410,17 +406,24 @@ def step(team, world, inbox, plan, config):
     completion test read its own row of the view and the cache, in ascending
     partner id order; each law and each completion test runs once for all its
     robots. The laws read the ``TickGraph`` of the stage the tick starts in,
-    the rows that of the stage it ends in.
+    the rows that of the stage it ends in. ``plan`` must be the one the team
+    was started for.
     """
-    t, x, specs = world.tick, world.positions, plan.behaviors
-    if len(team.graphs) != len(specs) + 1 or len(team.k) != plan.n:
+    t, x = world.tick, world.positions
+    if plan is not team.plan:
         raise AgentError("the team was started for another plan")
     cache = team.cache
     cache.ingest(inbox, t, config.staleness_ticks)
     sensed = world.sensed
     view = cache.view(x, sensed, config.oracle_sensing)
+    active = np.zeros((plan.n, 0), dtype=bool)
+    if plan.domain.obstacles:
+        # rows activate inside the doubled ellipse (h <= 3); farther obstacles
+        # cannot be reached before their rows activate, so invariance holds
+        stack = plan.domain.obstacle_stack
+        active = ObstacleAvoid(0, stack).value(x[:, None] - stack.center) <= OBSTACLE_ACTIVATION
     stage = _stage(team, plan, config)
-    graph = _tick_graph(team, stage, sensed, view.known)
+    graph = _tick_graph(team, stage, sensed, view.known, active)
     if graph.absent is not None:
         raise AgentError(graph.absent)
     k, executing, assembling = team.k, stage.executing, stage.assembling
@@ -471,7 +474,7 @@ def step(team, world, inbox, plan, config):
                     {"event": "behavior_complete_local", "robot": robot, "k": now - 1},
                     {"event": "mission_done_local", "robot": robot} if done[i] else _switch(robot, "assembling", now),
                 ]
-        graph = _tick_graph(team, _stage(team, plan, config), sensed, view.known)
+        graph = _tick_graph(team, _stage(team, plan, config), sensed, view.known, active)
         seen = view.at(*graph.reads)
 
     for robot, other in graph.missing:
@@ -481,77 +484,23 @@ def step(team, world, inbox, plan, config):
     return TeamRequest(graph, x, nominal, seen[len(graph.laws[0]):]), events
 
 
-class RowPlan(NamedTuple):
-    """The structure of a team's rows, fixed while its ``TickGraph`` and its
-    active (robot, obstacle) pairs are: ``rows``, the ``RowStack`` of every
-    row (the graph's pairwise rows, connectivity then collision, the active
-    obstacle rows, then each initial constraint), and ``layout``, the
-    solver's ``RowLayout`` of them, in which each robot's rows come in the
-    order of its own constraint set. A row's kind and other robot or
-    obstacle in ``rows.kinds`` name its layout cell. A plan serves the ticks
-    whose activation mask has the bytes ``active`` (None without obstacles)
-    and whose ``min_sep`` and obstacle ``stack`` are its own objects.
-    """
-
-    active: bytes | None
-    min_sep: float
-    stack: object
-    rows: RowStack
-    layout: RowLayout
-
-    @classmethod
-    def of(cls, graph, active, min_sep, stack):
-        """The plan of a graph's rows whose activation mask is ``active``
-        (None without obstacles)."""
-        ids, p, m, pairs = graph.robots, graph.pairs[1], graph.conn, graph.slots
-        kinds = [Connectivity(ids[pairs[:m]], p[:m] + 1, graph.deltas), Collision(ids[pairs[m:]], p[m:] + 1, min_sep)]
-        obst = np.empty(0, dtype=int)
-        if active is not None and active.any():
-            obst, o = active.nonzero()
-            kinds.append(ObstacleAvoid(ids[obst], stack, o + 1))
-        kinds += [kind for _, kind in graph.initial]
-        slots = np.concatenate((pairs, obst, np.array([s for s, _ in graph.initial], dtype=int)))
-        rows = RowStack.of(kinds)
-        return cls(None if active is None else active.tobytes(), min_sep, stack, rows,
-                   RowLayout.of(slots, rows.hard, len(ids)))
-
-
-def team_rows(request, params, min_sep, domain):
-    """Every robot's QP rows, with their ``RowPlan``: returns (plan, normals
-    (R, 2), offsets (R,)), row k a row of the robot at slot
-    ``plan.layout.slots[k]``, in stack order.
-
-    One ``constraint_row`` call on the plan's ``RowStack`` builds every row
-    of the team, each bit for bit the row of the robot's own one-robot stack
-    of its kind; ``plan.layout`` takes each to its robot's layout row in the
-    order of the robot's own constraint set (connectivity, collision,
-    obstacle, initial constraints). An obstacle row's h is the activation
-    test's bit for bit, both the one barrier form at the same offset. The
-    request's ``TickGraph`` keeps the plan until the activation mask,
-    ``min_sep`` or the obstacle stack changes.
+def team_rows(request, params):
+    """Every robot's QP rows, (normals (R, 2), offsets (R,)) in the order of
+    the request's ``graph.rows``, row k a row of the robot at slot
+    ``graph.layout.slots[k]``: one ``constraint_row`` call, each row bit for
+    bit the row of the robot's own one-robot stack of its kind. An obstacle
+    row's h is the activation test's bit for bit, both the one barrier form
+    at the same offset.
     """
     graph, x = request.graph, request.position
-    stack, active, key = None, None, None
-    if domain.obstacles:
-        # rows activate inside the doubled ellipse (h <= 3); farther obstacles
-        # cannot be reached before their rows activate, so invariance holds
-        stack = domain.obstacle_stack
-        active = ObstacleAvoid(graph.robots[:, None], stack).value(x[:, None] - stack.center) <= OBSTACLE_ACTIVATION
-        key = active.tobytes()
-    plan = graph.plan
-    if plan is None or plan.active != key or plan.min_sep is not min_sep or plan.stack is not stack:
-        plan = graph.plan = RowPlan.of(graph, active, min_sep, stack)
-    slots = plan.layout.slots
-    if not len(slots):
-        return plan, np.empty((0, 2)), np.empty(0)
-    p = np.concatenate((request.seen, plan.rows.center))
-    block = constraint_row(plan.rows, params, x.take(slots, axis=0) - p)
-    return plan, block.normals, block.offsets
+    p = np.concatenate((request.seen, graph.rows.center))
+    block = constraint_row(graph.rows, params, x.take(graph.layout.slots, axis=0) - p)
+    return block.normals, block.offsets
 
 
-def filter_team(request, params, min_sep, speed_limit, domain):
+def filter_team(request, params, speed_limit):
     """Every robot's QP of a ``TeamRequest``, built and solved in one pass;
     returns the team's ``QpSolution``, with one control and one status per
-    slot. ``solve`` takes the rows flat, on the plan's ``RowLayout``."""
-    plan, normals, offsets = team_rows(request, params, min_sep, domain)
-    return solve(QpProblem(request.nominal, plan.layout, normals, offsets, speed_limit))
+    slot. ``solve`` takes the rows flat, on the graph's ``RowLayout``."""
+    normals, offsets = team_rows(request, params)
+    return solve(QpProblem(request.nominal, request.graph.layout, normals, offsets, speed_limit))

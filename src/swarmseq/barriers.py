@@ -34,7 +34,7 @@ trajectory, and a stack of barriers of one kind: a pairwise kind whose ``j``
 d once. ``constraint_row`` turns one stack's offsets into a ``RowBlock``,
 one row per barrier; a team's rows are one ``RowStack``, built by one
 ``constraint_row`` call a tick and handed to ``qp.solve`` flat, each row's
-robot slot read from the ``agent.RowPlan``'s layout. A row carries only its
+robot slot read from the ``agent.TickGraph``'s layout. A row carries only its
 numbers: which barrier it is, the stack's kinds say.
 """
 

@@ -36,11 +36,11 @@ from .geometry import (
     GeometryError,
     InteractionGraph,
     check_distinct,
+    clipped_cell,
     coincident,
     induced_subgraph_is_cycle,
     polygon_area_centroid,
     sq_norm,
-    voronoi_cell,
 )
 
 # what a controller's law reads: the neighbors its behavior's graph
@@ -355,7 +355,7 @@ class Coverage(Controller):
             check_distinct(sites, ids)
             nudged = np.clip(sites, lo, hi)
             first = ~coincident(nudged).any(axis=0)
-            cell = voronoi_cell(nudged[first], ids[first].tolist(), d)
+            cell = clipped_cell(nudged[first], d)
             if len(cell) < 3:
                 raise GeometryError("empty Voronoi cell (site outside domain?)")
             u[i] = polygon_area_centroid(cell)[1] - x[i]

@@ -262,6 +262,11 @@ def voronoi_cell(points, ids, domain):
     for i, p in zip(ids, points):
         if not domain.contains(p):
             raise GeometryError(f"robot {i} at {p} lies outside the domain")
+    return clipped_cell(points, domain)
+
+
+def clipped_cell(points, domain):
+    """``voronoi_cell`` without its checks, for distinct sites in the domain."""
     pi, poly, sq = points[0], domain.corners(), sq_norm(points).tolist()
     for pj, sq_j in zip(points[1:], sq[1:]):
         if len(poly) == 0:

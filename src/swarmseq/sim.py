@@ -194,7 +194,7 @@ def tick(world, team, plan, config):
     request, events = step(team, world, world.in_flight.pop(t), plan, config)
     controls = np.zeros((plan.n, 2))
     if len(request.robots):
-        solution = filter_team(request, plan.fcbf, plan.min_sep, config.speed_limit, plan.domain)
+        solution = filter_team(request, plan.fcbf, config.speed_limit)
         controls[request.robots - 1] = solution.u
         for robot, status in zip(request.robots.tolist(), solution.statuses):
             if status != "optimal":

@@ -20,11 +20,11 @@ from swarmseq.agent import (
     team_rows,
 )
 from swarmseq.barriers import Connectivity, FcbfParams
-from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
+from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous, Scatter
 from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import DelaySpec, InFlight, SimConfig, WorldState, make_world, tick
-from test_team import row_identity
+from test_team import pairwise_rows, row_identity
 
 
 def bits(a):
@@ -164,11 +164,9 @@ class TestStep:
         world = snapshot(5, plan)
         request, _ = step(team, world, inbox(plan, (1, 2, (0.15, 0.0))), plan, CONFIG)
         np.testing.assert_allclose(request.nominal[0], [0.15, 0.0], atol=1e-9)
-        graph, m = request.graph, request.graph.conn
-        conn_slots, conn_partners = graph.slots[:m], graph.pairs[1][:m] + 1
-        coll_slots, coll_partners = graph.slots[m:], graph.pairs[1][m:] + 1
+        (conn_slots, conn_partners), (coll_slots, coll_partners), _ = pairwise_rows(request.graph)
         assert conn_partners[conn_slots == 0].tolist() == [2] and coll_partners[coll_slots == 0].tolist() == [2]
-        solution = filter_team(request, plan.fcbf, plan.min_sep, CONFIG.speed_limit, plan.domain)
+        solution = filter_team(request, plan.fcbf, CONFIG.speed_limit)
         assert solution.statuses[0] == "optimal"
         np.testing.assert_array_equal(solution.u[0], request.nominal[0])
         assert broadcast_of(team, world, 1)[2] == 1
@@ -231,11 +229,9 @@ class TestStep:
         plan = plan_of([prev, nxt], [(0.0, 0.0), (0.3, 0.0), (0.9, 0.0)])
         team = team_in(plan, ASSEMBLING, k=2)
         request, _ = step(team, snapshot(2, plan), inbox(plan), plan, CONFIG)
-        graph = request.graph
-        slots, partners = graph.slots[:graph.conn], graph.pairs[1][:graph.conn] + 1
+        (slots, partners), _, _ = pairwise_rows(request.graph)
         assert request.robots.tolist() == [1, 2, 3] and partners[slots == 0].tolist() == [3, 2]
-        row_plan = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)[0]
-        conn_partners = {j for kind, j in row_identity(row_plan, 0) if kind is Connectivity}
+        conn_partners = {j for kind, j in row_identity(request.graph, 0) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
     def test_assembling_requires_target(self):
@@ -246,6 +242,19 @@ class TestStep:
         plan = plan_of([spec], [(0.0, 0.0), (0.3, 0.0)])
         with pytest.raises(AgentError):
             step(team, snapshot(0, plan), inbox(plan), plan, CONFIG)
+
+    def test_a_team_is_stepped_only_with_the_plan_it_was_started_for(self):
+        # a copy of the plan of the same shape, with another first law and
+        # min_sep, is another plan: the team's cached laws and rows are the
+        # first one's
+        plan, config = builtin_scenario("two_behavior_demo")
+        team, world = Team.start(plan), make_world(plan, config)
+        tick(world, team, plan, config)
+        first = replace(plan.behaviors[0], controller=Scatter())
+        other = replace(plan, behaviors=(first, *plan.behaviors[1:]), min_sep=0.3)
+        assert len(other.behaviors) == len(plan.behaviors) and other.n == plan.n
+        with pytest.raises(AgentError, match="another plan"):
+            step(team, world, world.in_flight.pop(world.tick), other, config)
 
     def test_a_required_neighbor_fails_every_step_from_the_tick_its_position_expires(self):
         # robots 1 and 2 out of range with the oracle off: each knows the
@@ -420,10 +429,10 @@ def robot_outputs(team, request, events, plan, i):
     slot = np.flatnonzero(request.robots == i + 1)
     if not len(slot):
         return state, events.get(i + 1)
-    row_plan, normals, offsets = team_rows(request, plan.fcbf, plan.min_sep, plan.domain)
+    normals, offsets = team_rows(request, plan.fcbf)
     s = int(slot[0])
-    mine = row_plan.layout.slots == s  # the slot's rows, in their layout order
-    return (state, events.get(i + 1), bits(request.nominal[s]), row_identity(row_plan, s),
+    mine = request.graph.layout.slots == s  # the slot's rows, in their layout order
+    return (state, events.get(i + 1), bits(request.nominal[s]), row_identity(request.graph, s),
             bits(normals[mine]), bits(offsets[mine]))
 
 
@@ -438,7 +447,7 @@ def test_a_robot_reads_only_its_own_cache_row():
             for i in range(plan.n):
                 outputs = []
                 for scrambled in (False, True):
-                    mine, now = copy.deepcopy(team), copy.deepcopy(world)
+                    mine, now = copy.deepcopy(team, {id(plan): plan}), copy.deepcopy(world)
                     if scrambled:
                         scramble_all_but(mine.cache, i, t, rng, len(plan.behaviors))
                     request, events = step(mine, now, now.in_flight.pop(t), plan, config)

@@ -1,11 +1,11 @@
 """The batched team tick: one row assembly and one QP solve for every robot.
 
 Each robot's rows and solution must not depend on the team it is solved in:
-the rows ``team_rows`` builds, laid out on their plan's ``RowLayout``, fill
-each robot's layout row with its own rows, each barrier's formula written
-out in Python floats, bit for bit, each with the identity the kinds of the
-plan's one row stack give it, and a robot's solution, status and
-multipliers are the same solved alone or in any team.
+the rows ``team_rows`` builds, laid out on their ``TickGraph``'s
+``RowLayout``, fill each robot's layout row with its own rows, each
+barrier's formula written out in Python floats, bit for bit, each with the
+identity the kinds of the graph's one row stack give it, and a robot's
+solution, status and multipliers are the same solved alone or in any team.
 A tick builds all its rows with one ``constraint_row`` call.
 """
 
@@ -55,10 +55,12 @@ class OwnRequest(NamedTuple):
     initial: tuple
 
 
-def as_team(requests, graph=None):
+def as_team(requests, min_sep, domain, graph=None):
     """The robots' requests as one ``TeamRequest``, robot by robot, on a
-    ``TickGraph`` built as ``step`` builds one, or on ``graph``, which must
-    have the same structure."""
+    ``TickGraph`` built as ``step`` builds one, with the rows of ``min_sep``
+    and the domain's obstacles, or on ``graph``, which must have the same
+    structure, if its activation mask is the requests'. A graph built here
+    is keyed on the activation mask's bytes alone."""
     def rows(names):
         robots, others, where = [], [], []
         for r in requests:
@@ -72,37 +74,46 @@ def as_team(requests, graph=None):
     deltas = np.array([r.delta for r in requests for _ in r.partners])
     coll = rows(("colliders", "collider_positions"))
     initial = tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial)
-    built = TickGraph.of(np.array([r.robot - 1 for r in requests]), (*conn[:2], deltas), coll[:2], initial)
-    if graph is None:
-        graph = built
-    else:
-        assert graph.robots.tolist() == built.robots.tolist() and graph.conn == built.conn
-        assert all(a.tolist() == b.tolist() for a, b in zip((*graph.pairs, graph.slots), (*built.pairs, built.slots)))
-        assert bits(graph.deltas).tolist() == bits(built.deltas).tolist()
-        assert [(s, id(kind)) for s, kind in graph.initial] == [(s, id(kind)) for s, kind in built.initial]
-    x = np.array([r.position for r in requests]).reshape(-1, 2)
+    index, x = np.array([r.robot - 1 for r in requests]), np.array([r.position for r in requests]).reshape(-1, 2)
+    stack = domain.obstacle_stack
+    active = ObstacleAvoid(index[:, None] + 1, stack).value(x[:, None] - stack.center) <= OBSTACLE_ACTIVATION
+    key = (active.tobytes(),)
+    if graph is None or graph.key != key:
+        n = 1 + max(max([r.robot, *r.partners, *r.colliders]) for r in requests)
+        none = np.empty(0, dtype=int)
+        graph = TickGraph.of(key, n, index, (none, none), (*conn[:2], deltas), coll[:2], active, initial, min_sep,
+                             stack, (), None)
     return TeamRequest(graph, x, np.array([r.nominal for r in requests]), np.concatenate((conn[2], coll[2])))
 
 
-def row_identity(plan, s):
-    """The identity of slot s's rows, column by column, read from the plan:
-    each row's barrier class and its other robot (pairwise), its 1-based
-    obstacle index (obstacle) or None (an initial constraint), from the kind
-    of the row stack that holds it, at the layout cell ``plan.layout.cells``
-    gives the row."""
+def pairwise_rows(graph):
+    """A graph's pairwise rows, read from ``graph.rows.kinds`` and
+    ``graph.layout``: (slots, other robots' ids) of its connectivity rows,
+    then of its collision rows, and the connectivity rows' deltas."""
+    conn, coll = graph.rows.kinds[:2]
+    m, slots = len(conn.j), graph.layout.slots
+    return (slots[:m], conn.j), (slots[m:m + len(coll.j)], coll.j), np.asarray(conn.delta)
+
+
+def row_identity(graph, s):
+    """The identity of slot s's rows, column by column, read from the
+    ``TickGraph``: each row's barrier class and its other robot (pairwise),
+    its 1-based obstacle index (obstacle) or None (an initial constraint),
+    from the kind of the row stack that holds it, at the layout cell
+    ``graph.layout.cells`` gives the row."""
     cells = []
-    for kind in plan.rows.kinds:
+    for kind in graph.rows.kinds:
         n = len(kind.stacked()[0])
         other = getattr(kind, "j", getattr(kind, "index", None))
         cells += zip([type(kind)] * n, np.broadcast_to(other, n).tolist())
-    at = dict(zip(plan.layout.cells.tolist(), cells))
-    width = plan.layout.hard.shape[1]
-    return [at[s * width + c] for c in range(plan.layout.counts[s])]
+    at = dict(zip(graph.layout.cells.tolist(), cells))
+    width = graph.layout.hard.shape[1]
+    return [at[s * width + c] for c in range(graph.layout.counts[s])]
 
 
-def assert_covers_once(plan):
-    """``plan.layout.cells`` names each robot's first ``counts[r]`` layout cells, each exactly once."""
-    t = plan.layout
+def assert_covers_once(graph):
+    """``graph.layout.cells`` names each robot's first ``counts[r]`` layout cells, each exactly once."""
+    t = graph.layout
     assert np.sort(t.cells).tolist() == np.flatnonzero(np.arange(t.hard.shape[1]) < t.counts[:, None]).tolist()
 
 
@@ -125,13 +136,13 @@ def own_rows(request, params, min_sep, domain):
     return np.reshape(normals, (-1, 2)), np.array(offsets), hard, [(type(kind), j) for kind, _, j in rows]
 
 
-def assert_own_rows(plan, team, s, request, params, min_sep, domain):
+def assert_own_rows(graph, team, s, request, params, min_sep, domain):
     """Slot s of a team layout holds the robot's own rows bit for bit, with
     their identity, then pad rows; returns the identity."""
     m = team.counts[s]
     normals, offsets, hard, identity = own_rows(request, params, min_sep, domain)
     assert team.robots[s] == request.robot
-    got = row_identity(plan, s)
+    got = row_identity(graph, s)
     assert got == identity
     assert team.hard[s, :m].tolist() == hard.tolist()
     assert bits(team.normals[s, :m]).tolist() == bits(normals).tolist()
@@ -155,19 +166,18 @@ class Laid(NamedTuple):
     width: int
 
 
-def layout_of(request, plan, normals, offsets):
+def layout_of(request, normals, offsets):
     """The rows ``team_rows`` gives for ``request`` in the solver's layout:
-    flat row k in the layout row of its slot ``plan.layout.slots[k]``."""
-    rows = plan.layout
+    flat row k in the layout row of its slot ``graph.layout.slots[k]``."""
+    rows = request.graph.layout
     assert (rows.cells // rows.hard.shape[1] == rows.slots).all()
     laid = QpProblem(request.nominal, rows, normals, offsets, 1.0).laid_out()
     return Laid(request.robots, rows.counts, *laid, rows.hard, rows.width)
 
 
-def laid_out(request, params, min_sep, domain):
-    """The rows of ``team_rows`` in the solver's layout; returns (plan, layout)."""
-    plan, normals, offsets = team_rows(request, params, min_sep, domain)
-    return plan, layout_of(request, plan, normals, offsets)
+def laid_out(request, params):
+    """The rows of ``team_rows`` in the solver's layout; returns (graph, layout)."""
+    return request.graph, layout_of(request, *team_rows(request, params))
 
 
 def random_requests(rng, n, delta):
@@ -206,11 +216,11 @@ class TestTeamRows:
             if rng.random() < 0.3:
                 # a robot exactly at h = 3 of the last obstacle: its row is active
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
-            plan, team = laid_out(as_team(requests), params, 0.12, domain)
+            graph, team = laid_out(as_team(requests, 0.12, domain), params)
             assert team.robots.tolist() == [r.robot for r in requests]
-            assert len(plan.layout) == int(team.counts.sum())
+            assert len(graph.layout) == int(team.counts.sum())
             for s, request in enumerate(requests):
-                got = assert_own_rows(plan, team, s, request, params, 0.12, domain)
+                got = assert_own_rows(graph, team, s, request, params, 0.12, domain)
                 kinds_seen.update(kind for kind, _ in got)
                 # connectivity offsets square delta with Python's pow
                 x = request.position.tolist()
@@ -236,7 +246,7 @@ class TestTeamRows:
             OwnRequest(i + 1, x[i], np.zeros(2), deltas[i], [n + 1], [x[i]], [], [], ())
             for i in range(n)
         ]
-        rows = laid_out(as_team(requests), params, 0.12, Domain(-2, 2, -2, 2))[1]
+        rows = laid_out(as_team(requests, 0.12, Domain(-2, 2, -2, 2)), params)[1]
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
         assert rows.width == 1
         assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
@@ -260,13 +270,13 @@ class TestTeamRows:
     def test_a_robot_without_partners_gets_its_obstacle_rows(self):
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
         request = OwnRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
-        plan, rows = laid_out(as_team([request]), FcbfParams(), 0.12, domain)
-        assert len(plan.layout) == 1 and rows.robots.tolist() == [3]
-        assert row_identity(plan, 0) == [(ObstacleAvoid, 1)]
+        graph, rows = laid_out(as_team([request], 0.12, domain), FcbfParams())
+        assert len(graph.layout) == 1 and rows.robots.tolist() == [3]
+        assert row_identity(graph, 0) == [(ObstacleAvoid, 1)]
 
 
 def per_tick_rows(monkeypatch):
-    """A list that gets one entry per tick: (the tick's ``RowPlan``, its
+    """A list that gets one entry per tick: (the tick's ``TickGraph``, its
     request, the (stack, offsets d) of its ``constraint_row`` calls)."""
     ticks, real_tick, real_team_rows, real_rows = [], sim.tick, agent.team_rows, agent.constraint_row
 
@@ -277,7 +287,7 @@ def per_tick_rows(monkeypatch):
     def counted_team_rows(request, *args):
         rows = real_team_rows(request, *args)
         assert ticks[-1][0] is None  # one row assembly a tick
-        ticks[-1][:2] = rows[0], request
+        ticks[-1][:2] = request.graph, request
         return rows
 
     def counted_rows(stack, params, d):
@@ -297,28 +307,28 @@ def stack_rows(stack, cls):
 
 class TestOneRowCallPerTick:
     """A tick that has rows builds them all with one ``constraint_row`` call
-    on its plan's row stack, obstacle and initial-constraint rows included,
+    on its graph's row stack, obstacle and initial-constraint rows included,
     and each active obstacle row's h is the activation test's h, bit for bit."""
 
     def assert_one_call(self, ticks, domain):
         obstacle_ticks = 0
-        for plan, request, calls in ticks:
-            if plan is None:  # no robot left to filter
+        for graph, request, calls in ticks:
+            if graph is None:  # no robot left to filter
                 assert calls == []
                 continue
-            assert [id(s) for s, _ in calls] == ([id(plan.rows)] if len(plan.layout) else [])
+            assert [id(s) for s, _ in calls] == [id(graph.rows)]
             if domain.obstacles:
                 stack = domain.obstacle_stack
                 h = ObstacleAvoid(request.robots[:, None], stack).value(request.position[:, None] - stack.center)
                 active = h <= OBSTACLE_ACTIVATION
-                assert stack_rows(plan.rows, ObstacleAvoid) == active.sum()
+                assert stack_rows(graph.rows, ObstacleAvoid) == active.sum()
                 if active.any():
                     (rows, d), = calls
                     sizes = [len(kind.stacked()[0]) for kind in rows.kinds]
                     obstacle = np.repeat([type(kind) is ObstacleAvoid for kind in rows.kinds], sizes)
                     assert bits(rows.value(d)[obstacle]).tolist() == bits(h[active]).tolist()
                     obstacle_ticks += 1
-            assert stack_rows(plan.rows, KeepWithin) == len(request.graph.initial)
+            assert stack_rows(graph.rows, KeepWithin) == len(graph.key[0].initial)  # the stage's
         return obstacle_ticks
 
     def test_securing_a_building_and_the_crowd_grid_make_one_call_a_tick(self, monkeypatch):
@@ -348,7 +358,7 @@ class TestOneRowCallPerTick:
 
 
 def count_layouts(monkeypatch):
-    """A list that gets one entry per ``RowLayout.of`` call: one per row plan built."""
+    """A list that gets one entry per ``RowLayout.of`` call: one per ``TickGraph`` built."""
     built, real = [], RowLayout.of
     monkeypatch.setattr(RowLayout, "of", classmethod(lambda cls, *args: built.append(args) or real(*args)))
     return built
@@ -363,95 +373,6 @@ def chain_requests(x, delta=0.5, colliders=None, initial=None):
                    colliders[i], [x[j - 1] for j in colliders[i]], (initial or {}).get(i + 1, ()))
         for i in range(3)
     ]
-
-
-class TestRowPlan:
-    def test_the_plan_is_built_only_when_the_structure_changes(self, monkeypatch):
-        # two_behavior_demo under delay: one layout a tick before the plan
-        plan, config = builtin_scenario("two_behavior_demo")
-        built = count_layouts(monkeypatch)
-        record = run(plan, replace(config, delay=DelaySpec.uniform(0, 10), max_ticks=300))
-        assert record.ticks == 300
-        assert 0 < len(built) < 30
-        # securing_a_building's plans, rebuilt with its graph and obstacle
-        # rows, each place every row in a cell of its own
-        plan, config = builtin_scenario("securing_a_building")
-        before, real = len(built), agent.team_rows
-
-        def checked_rows(*args):
-            rows = real(*args)
-            assert_covers_once(rows[0])
-            return rows
-
-        monkeypatch.setattr(agent, "team_rows", checked_rows)
-        assert run(plan, replace(config, max_ticks=1300)).ticks == 1300
-        assert 1 < len(built) - before < 130
-
-    def test_every_change_of_structure_gets_its_own_plan(self, monkeypatch):
-        # one thing changes at a time; the rows are each robot's own rows
-        # every time, and only an unchanged graph and activation mask reuse
-        # the plan. A step marked ``same`` keeps the last step's graph
-        params = FcbfParams(rho=0.5, gamma=1.3)
-        near = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
-        # the same active pair as ``near``, with other rows
-        shifted = Domain(-3, 3, -3, 3, (Obstacle(np.array([0.0, 1e-3]), 1.0, 1.0),))
-        x = np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]])
-        jitter = np.array([[1e-3, -2e-3], [0.0, 1e-3], [-1e-3, 0.0]])
-        keep = KeepWithin(2, (1.5, 0.0), 0.8)
-        apart, at_margin = x.copy(), x.copy()
-        apart[0], at_margin[0] = [2.05, 0.0], [2.0, 0.0]  # robot 1 at h = 3.2025, then at h = 3
-        steps = [  # (requests, same, min_sep, domain, a new plan)
-            (chain_requests(x), False, 0.12, near, True),
-            (chain_requests(x + jitter), True, 0.12, near, False),
-            (chain_requests(x, colliders=([2], [1], [])), False, 0.12, near, True),
-            (chain_requests(x), False, 0.12, near, True),
-            (chain_requests(x, delta=0.5 * 0.96), False, 0.12, near, True),
-            (chain_requests(x), False, 0.12, near, True),
-            (chain_requests(apart), True, 0.12, near, True),
-            (chain_requests(at_margin), True, 0.12, near, True),
-            (chain_requests(x, initial={2: (keep,)}), False, 0.12, near, True),
-            (chain_requests(x + jitter, initial={2: (keep,)}), True, 0.12, near, False),
-            (chain_requests(x), False, 0.12, shifted, True),
-            (chain_requests(x), True, 0.12, near, True),
-            (chain_requests(x), True, 0.15, near, True),
-            (chain_requests(x), True, 0.12, near, True),
-            (chain_requests(x + jitter), True, 0.12, near, False),
-        ]
-        assert scalar_barrier(ObstacleAvoid(1, near.obstacles[0]), apart[0])[0] > OBSTACLE_ACTIVATION
-        assert scalar_barrier(ObstacleAvoid(1, near.obstacles[0]), at_margin[0])[0] == OBSTACLE_ACTIVATION
-        built = count_layouts(monkeypatch)
-        graph = None
-        for requests, same, min_sep, domain, new in steps:
-            before = len(built)
-            request = as_team(requests, graph if same else None)
-            graph = request.graph
-            plan, team = laid_out(request, params, min_sep, domain)
-            assert len(built) == before + new
-            for s, request in enumerate(requests):
-                assert_own_rows(plan, team, s, request, params, min_sep, domain)
-
-    def test_solve_writes_into_none_of_its_problems_arrays_and_none_of_the_plans(self):
-        params = FcbfParams()
-        domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
-        requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
-        request = as_team(requests)
-        plan, normals, offsets = team_rows(request, params, 0.12, domain)
-        rows = plan.layout
-        assert not any(a.flags.writeable for a in (rows.slots, rows.cells, rows.counts, rows.hard))
-        # a quiet team, answered from the flat rows, and one the stages solve
-        paths = set()
-        for nominal in (np.zeros((3, 2)), np.array([[-5.0, 0.0], [0.0, 0.0], [0.0, 0.3]])):
-            problem = QpProblem(nominal, rows, normals, offsets, 0.4)
-            arrays = (problem.nominal, problem.normals, problem.offsets, rows.slots, rows.cells, rows.counts, rows.hard)
-            before = [bits(a).tolist() for a in arrays]
-            got, staged = answered(problem)
-            paths.add(staged)
-            assert [bits(a).tolist() for a in arrays] == before
-            assert got.u is not problem.nominal
-        assert paths == {False, True}
-        plan, later = laid_out(request, params, 0.12, domain)
-        for s, request in enumerate(requests):
-            assert_own_rows(plan, later, s, request, params, 0.12, domain)
 
 
 def ticks_of(scenario, changes, max_ticks=None):
@@ -471,16 +392,16 @@ class TestTickGraph:
     # two_behavior_demo under delay, and securing_a_building, whose rows include obstacles
     MISSIONS = (("two_behavior_demo", {"delay": DelaySpec.uniform(0, 10)}, None), ("securing_a_building", {}, 300))
 
-    def test_interleaved_missions_keep_their_bytes_and_their_plans(self, monkeypatch):
-        # each team keeps its own graph and plan: two missions ticked in
-        # turn in one process give each its solo outputs and build no more
-        # plans than the two solo runs
+    def test_interleaved_missions_keep_their_bytes_and_their_graphs(self, monkeypatch):
+        # each team keeps its own graph: two missions ticked in turn in one
+        # process give each its solo outputs and build no more graphs than
+        # the two solo runs
         built = count_layouts(monkeypatch)
-        solo, solo_plans = [], 0
+        solo, solo_graphs = [], 0
         for mission in self.MISSIONS:
             before = len(built)
             solo.append(list(ticks_of(*mission)))
-            solo_plans += len(built) - before
+            solo_graphs += len(built) - before
         before = len(built)
         runs = [ticks_of(*mission) for mission in self.MISSIONS]
         together = [[], []]
@@ -494,16 +415,19 @@ class TestTickGraph:
                         together[m].append(item)
         assert len(solo[0]) > len(solo[1]) == 301
         assert together == solo
-        assert len(built) - before == solo_plans
+        assert len(built) - before == solo_graphs
 
     @pytest.mark.parametrize("scenario, changes, max_ticks", [
         ("two_behavior_demo", {"oracle_sensing": False, "delay": DelaySpec.uniform(0, 10)}, None),
+        ("two_behavior_demo", {"delay": DelaySpec.uniform(0, 10)}, 300),
         ("securing_a_building", {}, 1300),
     ])
     def test_the_graph_is_built_exactly_when_the_stage_or_a_mask_changes(self, monkeypatch, scenario, changes,
                                                                           max_ticks):
-        # a tick builds one graph when its sensed or known mask differs from
-        # the last tick's, and one more when a robot's stage switches in it
+        # a tick builds one graph when its sensed, known or obstacle
+        # activation mask differs from the last tick's, and one more when a
+        # robot's stage switches in it; each graph places every row in a
+        # layout cell of its own
         plan, config = builtin_scenario(scenario)
         config = replace(config, **changes, max_ticks=max_ticks or config.max_ticks)
         team, world = Team.start(plan), make_world(plan, config)
@@ -511,22 +435,27 @@ class TestTickGraph:
 
         def counted_of(cls, *args, **kwargs):
             builds[-1] += 1
-            return real_of(cls, *args, **kwargs)
+            graph = real_of(cls, *args, **kwargs)
+            assert_covers_once(graph)
+            return graph
 
-        expected, causes, last = [], {"stage": 0, "sensed": 0, "known": 0}, [None, None]
+        expected, causes, last = [], {"stage": 0, "sensed": 0, "known": 0, "active": 0}, [None, None, None]
+        stack = plan.domain.obstacle_stack
 
         def observed(team, world, inbox, plan, config):
             stage = team.k.tobytes(), team.mode.tobytes()
             request, events = real_step(team, world, inbox, plan, config)
             known = team.cache.view(world.positions, world.sensed, config.oracle_sensing)[1]
-            masks = [world.sensed.tobytes(), known.tobytes()]
-            sensed, known = masks[0] != last[0], masks[1] != last[1]
+            h = ObstacleAvoid(1, stack).value(world.positions[:, None] - stack.center)
+            masks = [world.sensed.tobytes(), known.tobytes(), (h <= OBSTACLE_ACTIVATION).tobytes()]
+            sensed, known, active = (now != before for now, before in zip(masks, last))
             switched = stage != (team.k.tobytes(), team.mode.tobytes())
-            expected.append((sensed or known) + switched)
+            expected.append((sensed or known or active) + switched)
             if world.tick:
                 causes["stage"] += switched
                 causes["sensed"] += sensed
                 causes["known"] += known and not sensed
+                causes["active"] += active and not (sensed or known)
             last[:] = masks
             return request, events
 
@@ -536,16 +465,82 @@ class TestTickGraph:
             builds.append(0)
             tick(world, team, plan, config)
         assert builds == expected
-        assert 0 < sum(builds) < len(builds) / 2
+        assert 0 < sum(builds) < len(builds) / 10
         assert causes["stage"] and causes["sensed"]
         assert bool(causes["known"]) == (not config.oracle_sensing)
+        assert bool(causes["active"]) == bool(plan.domain.obstacles)
+
+    def test_every_change_of_structure_gets_its_own_graph(self, monkeypatch):
+        # one thing changes at a time; the rows are each robot's own rows
+        # every time, and only unchanged masks and an unchanged activation
+        # mask reuse the graph. A step marked ``same`` keeps the last step's
+        # masks
+        params = FcbfParams(rho=0.5, gamma=1.3)
+        near = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
+        # the same active pair as ``near``, with other rows
+        shifted = Domain(-3, 3, -3, 3, (Obstacle(np.array([0.0, 1e-3]), 1.0, 1.0),))
+        x = np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]])
+        jitter = np.array([[1e-3, -2e-3], [0.0, 1e-3], [-1e-3, 0.0]])
+        keep = KeepWithin(2, (1.5, 0.0), 0.8)
+        apart, at_margin = x.copy(), x.copy()
+        apart[0], at_margin[0] = [2.05, 0.0], [2.0, 0.0]  # robot 1 at h = 3.2025, then at h = 3
+        steps = [  # (requests, same, min_sep, domain, a new graph)
+            (chain_requests(x), False, 0.12, near, True),
+            (chain_requests(x + jitter), True, 0.12, near, False),
+            (chain_requests(x, colliders=([2], [1], [])), False, 0.12, near, True),
+            (chain_requests(x), False, 0.12, near, True),
+            (chain_requests(x, delta=0.5 * 0.96), False, 0.12, near, True),
+            (chain_requests(x), False, 0.12, near, True),
+            (chain_requests(apart), True, 0.12, near, True),
+            (chain_requests(at_margin), True, 0.12, near, True),
+            (chain_requests(x, initial={2: (keep,)}), False, 0.12, near, True),
+            (chain_requests(x + jitter, initial={2: (keep,)}), True, 0.12, near, False),
+            (chain_requests(x), False, 0.12, shifted, True),
+        ]
+        assert scalar_barrier(ObstacleAvoid(1, near.obstacles[0]), apart[0])[0] > OBSTACLE_ACTIVATION
+        assert scalar_barrier(ObstacleAvoid(1, near.obstacles[0]), at_margin[0])[0] == OBSTACLE_ACTIVATION
+        built = count_layouts(monkeypatch)
+        graph = None
+        for requests, same, min_sep, domain, new in steps:
+            before = len(built)
+            graph, team = laid_out(as_team(requests, min_sep, domain, graph if same else None), params)
+            assert len(built) == before + new
+            for s, request in enumerate(requests):
+                assert_own_rows(graph, team, s, request, params, min_sep, domain)
+
+    def test_solve_writes_into_none_of_its_problems_arrays_and_none_of_the_graphs(self):
+        params = FcbfParams()
+        domain = Domain(-3, 3, -3, 3, (Obstacle(np.zeros(2), 1.0, 1.0),))
+        requests = chain_requests(np.array([[1.9, 0.0], [1.6, 0.2], [1.3, 0.0]]), colliders=([2], [1], []))
+        request = as_team(requests, 0.12, domain)
+        normals, offsets = team_rows(request, params)
+        rows = request.graph.layout
+        assert not any(a.flags.writeable for a in (rows.slots, rows.cells, rows.counts, rows.hard))
+        # a quiet team, answered from the flat rows, and one the stages solve
+        paths = set()
+        for nominal in (np.zeros((3, 2)), np.array([[-5.0, 0.0], [0.0, 0.0], [0.0, 0.3]])):
+            problem = QpProblem(nominal, rows, normals, offsets, 0.4)
+            arrays = (problem.nominal, problem.normals, problem.offsets, rows.slots, rows.cells, rows.counts, rows.hard)
+            before = [bits(a).tolist() for a in arrays]
+            got, staged = answered(problem)
+            paths.add(staged)
+            assert [bits(a).tolist() for a in arrays] == before
+            assert got.u is not problem.nominal
+        assert paths == {False, True}
+        graph, later = laid_out(request, params)
+        for s, request in enumerate(requests):
+            assert_own_rows(graph, later, s, request, params, 0.12, domain)
 
 
 def own_requests(request):
     """Each slot of a ``TeamRequest`` as the robot's own request."""
-    graph, m = request.graph, request.graph.conn
-    slot, partners, seen, deltas = graph.slots[:m], graph.pairs[1][:m] + 1, request.seen[:m], graph.deltas
-    coll_slot, colliders, collider_seen = graph.slots[m:], graph.pairs[1][m:] + 1, request.seen[m:]
+    graph = request.graph
+    (slot, partners), (coll_slot, colliders), deltas = pairwise_rows(graph)
+    m = len(slot)
+    seen, collider_seen = request.seen[:m], request.seen[m:]
+    # the initial constraints are the stack's last rows, one row a kind
+    initial = graph.rows.kinds[3:]
+    initial_slots = graph.layout.slots[len(graph.layout) - len(initial):].tolist()
     requests = []
     for s, robot in enumerate(request.robots.tolist()):
         mine, close = slot == s, coll_slot == s
@@ -553,7 +548,7 @@ def own_requests(request):
         requests.append(OwnRequest(
             robot, request.position[s], request.nominal[s], float(deltas[mine][0]) if mine.any() else 0.5,
             partners[mine].tolist(), list(seen[mine]), colliders[close].tolist(), list(collider_seen[close]),
-            tuple(kind for t, kind in graph.initial if t == s),
+            tuple(kind for t, kind in zip(initial_slots, initial) if t == s),
         ))
     return requests
 
@@ -566,17 +561,18 @@ class TestOneTablePerTick:
     def test_every_tick_senses_once_and_gets_each_robots_own_rows(self, monkeypatch, scenario, changes):
         # the world's mask is the proximity graph's; the rows built on it
         # (collision values from the sensed positions, obstacle values from
-        # the activation test) are each robot's own rows, across graph and
-        # plan rebuilds
+        # the activation test) are each robot's own rows, across graph
+        # rebuilds
         plan, config = builtin_scenario(scenario)
         config = replace(config, **changes)
         built, kinds, real = count_layouts(monkeypatch), set(), agent.team_rows
 
-        def checked_rows(request, params, min_sep, domain):
-            rows = real(request, params, min_sep, domain)
+        def checked_rows(request, params):
+            rows = real(request, params)
             layout = layout_of(request, *rows)
             for s, own in enumerate(own_requests(request)):
-                kinds.update(kind for kind, _ in assert_own_rows(rows[0], layout, s, own, params, min_sep, domain))
+                got = assert_own_rows(request.graph, layout, s, own, params, plan.min_sep, plan.domain)
+                kinds.update(kind for kind, _ in got)
             return rows
 
         monkeypatch.setattr(agent, "team_rows", checked_rows)
