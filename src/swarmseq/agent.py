@@ -1,20 +1,21 @@
 """Team node logic: message caches, completion consensus, mode machine, row requests.
 
-The team is one ``Team`` of arrays, robot i + 1 at index i. A tick runs in
-two phases. ``step`` advances every robot at once: it files the delivered
-``Inbox`` in each robot's message cache, takes each robot's view of the
-others as masks (which positions it sees, which it knows), runs each
-controller class's nominal law and each behavior's completion test once for
-all its robots, then updates the consensus and the mode machine as array
-passes. It returns a ``TeamRequest``: every robot's nominal and the partner
-positions its QP rows read, all from the robot's own row of the view and the
-cache, on the team's ``TickGraph``: what the laws and rows take from the
-stage, the sensed and known masks and the obstacle activation mask (the
-pairs where the tick reads the view, the rows' ``RowStack`` and
-``RowLayout``), rebuilt only when one of the four changes, which few ticks
-do. A tick reads positions only at those pairs, in one gather.
-``filter_team`` then builds every robot's rows and solves every robot's QP
-in one ``qp.solve`` call on them.
+The team is one ``Team`` of arrays, robot i + 1 at index i, and so is every
+array of a tick, from the cached graph to the QP: a robot that is done is a
+robot without rows and with a zero nominal. A tick runs in two phases.
+``step`` advances every robot at once: it files the delivered ``Inbox`` in
+each robot's message cache, takes each robot's view of the others as masks
+(which positions it sees, which it knows), runs each controller class's
+nominal law and each behavior's completion test once for all its robots,
+then updates the consensus and the mode machine as array passes. It returns
+a ``TeamRequest``: every robot's nominal and the partner positions its QP
+rows read, all from the robot's own row of the view and the cache, on the
+team's ``TickGraph``: what the laws and rows take from the stage, the sensed
+and known masks and the obstacle activation mask (the pairs where the tick
+reads the view, the rows' ``RowStack`` and ``RowLayout``), rebuilt only when
+one of the four changes, which few ticks do. A tick reads positions only at
+those pairs, in one gather. ``filter_team`` then builds every robot's rows
+and solves every robot's QP in one ``qp.solve`` call on them.
 
 Each robot is either executing the behavior at its index k or assembling the
 interaction graph for it. Two gated consensus variables drive the switches:
@@ -198,24 +199,22 @@ class TickGraph:
     stage, the sensed and known masks and the obstacle activation mask are
     (``key``: the ``Stage`` object and the masks' bytes).
 
-    Slot s is robot ``robots[s]`` (ids ascending; ``index`` holds them
-    0-based). The laws read the view at the pairs ``laws`` (rows, columns);
-    ``absent`` is the error for a required neighbor without a position, if
-    any, and ``missing`` the (robot, other) ids of the connectivity partners
-    without one, in event order. ``rows`` is the ``RowStack`` of every row:
-    the pairwise rows (connectivity, then collision, each by slot and within
-    a slot in the robot's row order), the active obstacle rows, then each
-    initial constraint. ``layout``, their ``RowLayout``, puts each robot's
-    rows in the order of its own constraint set; a row's kind and other
-    robot or obstacle in ``rows.kinds`` name its cell. ``reads`` holds the
-    pairs where a tick reads the view, the law pairs and then the pairwise
-    rows', as ``View.at`` takes them (columns, flat i n + j indices in a
-    team of n), and ``fold`` the law pairs' ``behaviors.fold_index``.
+    The laws read the view at the pairs ``laws`` (rows, columns), robot i +
+    1 at index i; ``absent`` is the error for a required neighbor without a
+    position, if any, and ``missing`` the (robot, other) ids of the
+    connectivity partners without one, in event order. ``rows`` is the
+    ``RowStack`` of every row: the pairwise rows (connectivity, then
+    collision, each by robot and within a robot in its row order), the
+    active obstacle rows, then each initial constraint. ``layout``, their
+    ``RowLayout``, puts each robot's rows in the order of its own constraint
+    set, robot i + 1 at slot i; a row's kind and other robot or obstacle in
+    ``rows.kinds`` name its cell. ``reads`` holds the pairs where a tick
+    reads the view, the law pairs and then the pairwise rows', as
+    ``View.at`` takes them (columns, flat i n + j indices in a team of n),
+    and ``fold`` the law pairs' ``behaviors.fold_index``.
     """
 
     key: tuple
-    robots: np.ndarray
-    index: np.ndarray
     laws: tuple
     absent: str | None
     missing: tuple
@@ -225,40 +224,33 @@ class TickGraph:
     layout: RowLayout
 
     @classmethod
-    def of(cls, key, n, index, laws, conn, coll, active, initial, min_sep, stack, missing, absent):
-        """The graph of the live robots ``index`` (0-based, ascending) of a
-        team of n: the connectivity rows ``conn`` (robots, partners, deltas)
-        and collision rows ``coll`` (robots, partners), 0-based, the rows of
-        the obstacles of ``stack`` that the (slots, obstacles) mask
-        ``active`` marks, and ``initial``'s (slot, kind) pairs."""
-        (r, p, deltas), (cr, cp) = conn, coll
-        ids, (obst, o) = index + 1, active.nonzero()
+    def of(cls, key, n, laws, conn, coll, active, initial, min_sep, stack, missing, absent):
+        """The graph of a team of n: the connectivity rows ``conn`` (robots,
+        partners, deltas) and collision rows ``coll`` (robots, partners),
+        0-based, the rows of the obstacles of ``stack`` that the (robots,
+        obstacles) mask ``active`` marks, and the kinds ``initial``."""
+        (r, p, deltas), (cr, cp), (obst, o) = conn, coll, active.nonzero()
         kinds = [Connectivity(r + 1, p + 1, deltas), Collision(cr + 1, cp + 1, min_sep),
-                 ObstacleAvoid(ids[obst], stack, o + 1), *(kind for _, kind in initial)]
+                 ObstacleAvoid(obst + 1, stack, o + 1), *initial]
         pairs = np.concatenate((r, cr)), np.concatenate((p, cp))
         robots, cols = (np.concatenate(a) for a in zip(laws, pairs))
-        slots = np.concatenate((index.searchsorted(pairs[0]), obst, np.array([s for s, _ in initial], dtype=int)))
         rows = RowStack.of(kinds)
-        return cls(key, ids, index, laws, absent, tuple(missing), (cols, robots * n + cols),
-                   behaviors.fold_index(laws[0]), rows, RowLayout.of(slots, rows.hard, len(index)))
+        return cls(key, laws, absent, tuple(missing), (cols, robots * n + cols), behaviors.fold_index(laws[0]), rows,
+                   RowLayout.of(rows.i - 1, rows.hard, n))
 
 
 class TeamRequest(NamedTuple):
-    """The team's QPs for this tick, before their rows are built.
-
-    Slot s is robot ``robots[s]`` of the ``TickGraph`` at ``position[s]``,
-    asking for the input nearest its ``nominal[s]``. ``seen[k]`` is the
-    partner position of the graph's pairwise row k, as the robot sees it.
+    """The team's QPs for this tick, before their rows are built: robot i +
+    1 at ``position[i]``, asking for the input nearest its ``nominal[i]``,
+    on the rows of the ``TickGraph``. ``seen[k]`` is the partner position of
+    the graph's pairwise row k, as the robot sees it. A robot that is done
+    has no rows and a zero nominal.
     """
 
     graph: TickGraph
     position: np.ndarray
     nominal: np.ndarray
     seen: np.ndarray
-
-    @property
-    def robots(self):
-        return self.graph.robots
 
 
 def consensus_update(own_flag, neighbor_values, neighbors):
@@ -298,15 +290,14 @@ class Stage(NamedTuple):
     robots. ``targets`` holds each assembling robot's required neighbors in
     the behavior it assembles (None when no robot assembles). ``conn`` gives
     the connectivity rows as (robots, partners, deltas), before the
-    known-position filter, and ``initial`` the (slot, kind) pairs of the
-    initial constraints; a slot indexes ``ids``.
+    known-position filter, and ``initial`` the initial constraints' kinds,
+    by robot.
     """
 
     key: tuple
     live: np.ndarray
     executing: np.ndarray
     assembling: np.ndarray
-    ids: np.ndarray
     laws: list
     reads: np.ndarray
     in_range: np.ndarray
@@ -317,12 +308,13 @@ class Stage(NamedTuple):
     initial: tuple
 
 
-def _stage(team, plan, config):
+def _stage(team, config):
     """The team's ``Stage``, rebuilt only when some robot's k or mode changed."""
     key = (team.k.tobytes(), team.mode.tobytes())
     if team.stage is not None and team.stage.key == key:
         return team.stage
-    specs, n, glue = plan.behaviors, plan.n, config.glue_transitions
+    plan, glue = team.plan, config.glue_transitions
+    specs, n = plan.behaviors, plan.n
     k, robots = team.k, np.arange(n)
     live = ~team.done
     executing = live & (team.mode == EXECUTING)
@@ -359,15 +351,11 @@ def _stage(team, plan, config):
     then = team.graphs[np.where(ruled & ~executing, k - 1, 0), robots] & ~first
     r, p = np.concatenate((first, then), axis=1).nonzero()
     p %= n
-    ids = live.nonzero()[0]
     delta = np.where(executing[r], plan.delta, plan.delta * ASSEMBLY_RANGE_FACTOR)
-    initial = sorted(
-        ((int(np.searchsorted(ids, kind.i - 1)), kind) for g in sorted(set(target.tolist()) - {0})
-         for kind in specs[g - 1].initial_constraints if target[kind.i - 1] == g),
-        key=lambda entry: entry[0],
-    )
+    initial = sorted((kind for g in sorted(set(target.tolist()) - {0})
+                      for kind in specs[g - 1].initial_constraints if target[kind.i - 1] == g), key=lambda kind: kind.i)
     targets = team.graphs[np.where(assembling, k, 0), robots] if assembling.any() else None
-    team.stage = Stage(key, live, executing, assembling, ids, laws, reads, in_range, knows, tasks, targets,
+    team.stage = Stage(key, live, executing, assembling, laws, reads, in_range, knows, tasks, targets,
                        (r, p, delta), tuple(initial))
     return team.stage
 
@@ -388,30 +376,28 @@ def _tick_graph(team, stage, sensed, known, active):
     r, p, delta = stage.conn
     ok = known[r, p]
     missing = zip((r[~ok] + 1).tolist(), (p[~ok] + 1).tolist())
-    plan, ids = team.plan, stage.ids
-    team.tick_graph = TickGraph.of((stage, *masks), len(known), ids, (rows, cols), (r[ok], p[ok], delta[ok]),
-                                   (sensed & stage.live[:, None]).nonzero(), active[ids],
-                                   stage.initial, plan.min_sep, plan.domain.obstacle_stack, missing, error)
+    live, plan = stage.live[:, None], team.plan
+    team.tick_graph = TickGraph.of((stage, *masks), len(known), (rows, cols), (r[ok], p[ok], delta[ok]),
+                                   (sensed & live).nonzero(), active & live, stage.initial, plan.min_sep,
+                                   plan.domain.obstacle_stack, missing, error)
     return team.tick_graph
 
 
-def step(team, world, inbox, plan, config):
-    """Advance every robot by one tick.
+def step(team, world, inbox, config):
+    """Advance every robot of the team, on its ``plan``, by one tick.
 
     ``world`` is the tick's snapshot (``tick``, ``positions`` and the mask
     ``sensed``) and ``inbox`` the messages delivered on it. Returns (request,
-    events): the ``TeamRequest`` of the robots not done and each robot's
-    events in order, by robot id; each robot then broadcasts its snapshot
-    position and its new sigma, eta and k. A robot's nominal law and
+    events): the team's ``TeamRequest``, in which a robot that is done (also
+    one that finished on this tick) has no rows and a zero nominal, and each
+    robot's events in order, by robot id; each robot then broadcasts its
+    snapshot position and its new sigma, eta and k. A robot's nominal law and
     completion test read its own row of the view and the cache, in ascending
     partner id order; each law and each completion test runs once for all its
     robots. The laws read the ``TickGraph`` of the stage the tick starts in,
-    the rows that of the stage it ends in. ``plan`` must be the one the team
-    was started for.
+    the rows that of the stage it ends in.
     """
-    t, x = world.tick, world.positions
-    if plan is not team.plan:
-        raise AgentError("the team was started for another plan")
+    t, x, plan = world.tick, world.positions, team.plan
     cache = team.cache
     cache.ingest(inbox, t, config.staleness_ticks)
     sensed = world.sensed
@@ -420,9 +406,8 @@ def step(team, world, inbox, plan, config):
     if plan.domain.obstacles:
         # rows activate inside the doubled ellipse (h <= 3); farther obstacles
         # cannot be reached before their rows activate, so invariance holds
-        stack = plan.domain.obstacle_stack
-        active = ObstacleAvoid(0, stack).value(x[:, None] - stack.center) <= OBSTACLE_ACTIVATION
-    stage = _stage(team, plan, config)
+        active = plan.domain.obstacle_values(x) <= OBSTACLE_ACTIVATION
+    stage = _stage(team, config)
     graph = _tick_graph(team, stage, sensed, view.known, active)
     if graph.absent is not None:
         raise AgentError(graph.absent)
@@ -465,6 +450,7 @@ def step(team, world, inbox, plan, config):
         team.sigma[finish] = team.eta[finish] = 0.0
         team.s_task[finish | start] = team.s_assembly[finish] = False
         team.elapsed[start] = 0.0
+        nominal[finish & done] = 0.0  # a robot that is done stays put
         for i in (finish | start).nonzero()[0].tolist():
             robot, now = i + 1, int(k[i])
             if start[i]:
@@ -474,19 +460,17 @@ def step(team, world, inbox, plan, config):
                     {"event": "behavior_complete_local", "robot": robot, "k": now - 1},
                     {"event": "mission_done_local", "robot": robot} if done[i] else _switch(robot, "assembling", now),
                 ]
-        graph = _tick_graph(team, _stage(team, plan, config), sensed, view.known, active)
+        graph = _tick_graph(team, _stage(team, config), sensed, view.known, active)
         seen = view.at(*graph.reads)
 
     for robot, other in graph.missing:
         events.setdefault(robot, []).append({"event": "missing_position", "robot": robot, "other": other})
-    if len(graph.index) < plan.n:
-        x, nominal = x[graph.index], nominal[graph.index]
     return TeamRequest(graph, x, nominal, seen[len(graph.laws[0]):]), events
 
 
 def team_rows(request, params):
     """Every robot's QP rows, (normals (R, 2), offsets (R,)) in the order of
-    the request's ``graph.rows``, row k a row of the robot at slot
+    the request's ``graph.rows``, row k a row of the robot at index
     ``graph.layout.slots[k]``: one ``constraint_row`` call, each row bit for
     bit the row of the robot's own one-robot stack of its kind. An obstacle
     row's h is the activation test's bit for bit, both the one barrier form
@@ -501,6 +485,6 @@ def team_rows(request, params):
 def filter_team(request, params, speed_limit):
     """Every robot's QP of a ``TeamRequest``, built and solved in one pass;
     returns the team's ``QpSolution``, with one control and one status per
-    slot. ``solve`` takes the rows flat, on the graph's ``RowLayout``."""
+    robot. ``solve`` takes the rows flat, on the graph's ``RowLayout``."""
     normals, offsets = team_rows(request, params)
     return solve(QpProblem(request.nominal, request.graph.layout, normals, offsets, speed_limit))

@@ -30,12 +30,12 @@ constants c.
 ``value`` and ``gradient`` take the offsets and work over their trailing
 2-axis, so the same call serves one robot on one tick, a whole (ticks, 2)
 trajectory, and a stack of barriers of one kind: a pairwise kind whose ``j``
-(or ``i``) is a sequence of robots, or an obstacle stack. The caller forms
-d once. ``constraint_row`` turns one stack's offsets into a ``RowBlock``,
-one row per barrier; a team's rows are one ``RowStack``, built by one
+(or ``i``) is a sequence of robots, or an obstacle stack. The caller forms d
+once. ``constraint_row`` turns one stack's offsets into a ``RowBlock``, one
+row per barrier; a team's rows are one ``RowStack``, built by one
 ``constraint_row`` call a tick and handed to ``qp.solve`` flat, each row's
-robot slot read from the ``agent.TickGraph``'s layout. A row carries only its
-numbers: which barrier it is, the stack's kinds say.
+robot index read from the ``agent.TickGraph``'s layout. A row carries only
+its numbers: which barrier it is, the stack's kinds say.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import Connectivity
+from .barriers import Connectivity, ObstacleAvoid
 
 
 class GeometryError(ValueError):
@@ -105,6 +105,7 @@ class Domain:
     ymax: float
     obstacles: tuple = ()
     obstacle_stack: Obstacle = field(init=False, repr=False, compare=False)
+    _avoid: ObstacleAvoid = field(init=False, repr=False, compare=False)  # the stack's barrier
 
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
@@ -117,6 +118,12 @@ class Domain:
             np.array([o.b for o in obstacles], dtype=float),
         )
         object.__setattr__(self, "obstacle_stack", stack)
+        object.__setattr__(self, "_avoid", ObstacleAvoid(0, stack))
+
+    def obstacle_values(self, x):
+        """The obstacle barrier's h (below 0 inside the obstacle) at each
+        position of ``x`` (..., 2) for each obstacle, (..., obstacles)."""
+        return self._avoid.value(x[..., None, :] - self._avoid.center)
 
     @property
     def area(self):

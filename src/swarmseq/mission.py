@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import behaviors as bh
-from .barriers import Collision, FcbfParams, KeepWithin, ObstacleAvoid, _yaml
+from .barriers import Collision, FcbfParams, KeepWithin, _yaml
 from .geometry import Domain, InteractionGraph, Obstacle, _pairs
 from .sim import DelaySpec, SimConfig
 
@@ -88,7 +88,7 @@ def validate(plan):
         if not plan.domain.contains(pos):
             out.append(f"initial position of robot {idx} lies outside the domain")
     x, (i, j) = plan.initial_positions, _pairs(plan.n)
-    inside = ObstacleAvoid(0, plan.domain.obstacle_stack).value(x[:, None] - plan.domain.obstacle_stack.center) < 0
+    inside = plan.domain.obstacle_values(x) < 0
     out += [f"initial position of robot {r + 1} lies inside obstacle {k + 1}" for r, k in zip(*inside.nonzero())]
     close = Collision(i, j, plan.min_sep).value(x[i - 1] - x[j - 1]) <= 0
     out += [f"robots {a} and {b} start within the minimum separation" for a, b in zip(i[close], j[close])]

@@ -28,7 +28,7 @@ left:
 Each stage's feasibility test and answer read their candidates through
 flat indices (``take`` and ``put``), never through 2-D fancy indexing.
 
-A team's rows arrive flat, row k a row of the robot at slot
+A team's rows arrive flat, row k a row of the robot at index
 ``rows.slots[k]``, where ``rows`` is the ``RowLayout``, the read-only index
 of the team's row structure. ``solve`` runs the first stage on the flat rows
 (``row_slack``) and answers a team whose every nominal satisfies its rows
@@ -72,7 +72,7 @@ _BOX_NORMALS.flags.writeable = False
 @dataclass(frozen=True)
 class RowLayout:
     """The read-only index of a team's row structure. Row k is a row of the
-    robot at slot ``slots[k]``, at the flat cell ``cells[k]`` of the (n,
+    robot at index ``slots[k]``, at the flat cell ``cells[k]`` of the (n,
     width + 4) layout: robot r's ``counts[r]`` rows in columns 0.., in flat
     order, pad rows 0 . u >= -1 up to ``width``, the largest count, then the
     speed box. ``hard`` marks the cells a relaxation keeps: hard rows, pad
@@ -86,7 +86,7 @@ class RowLayout:
 
     @classmethod
     def of(cls, slots, hard, n):
-        """The index of the rows on ``slots`` of a team of n, row k hard where ``hard[k]``."""
+        """The index of the rows of a team of n, row k robot ``slots[k]``'s, hard where ``hard[k]``."""
         slots = np.array(slots, dtype=int)
         counts = np.bincount(slots, minlength=n)
         order = slots.argsort(kind="stable")
@@ -111,7 +111,7 @@ class RowLayout:
 class QpProblem:
     """A team's QPs: ``nominal`` (n, 2), each robot's input, and the flat
     rows ``normals`` (R, 2) and ``offsets`` (R,), row k normals[k] . u >=
-    offsets[k] a row of the robot at slot ``rows.slots[k]`` of the
+    offsets[k] a row of the robot at index ``rows.slots[k]`` of the
     ``RowLayout`` ``rows``. Coefficients must be finite, and no robot may
     have more than MAX_ROWS rows.
     """

@@ -1,17 +1,18 @@
 """Deterministic tick-based world: motion integration, sensing, delayed messages.
 
-Every tick: deliver due messages, step the team against the tick's
-snapshot (so robots are order-independent within a tick), filter the team's
-nominal inputs through their QPs in one pass, saturate controls, integrate
-positions with explicit Euler, sense every pair's squared distance and
-range, and post the tick's broadcasts into a ring of (n, n) arrays by send
-tick. Identical (mission, config, seed) triples produce byte-identical
-outputs; a message's delay is a hash of (seed, sender, tick), with no
-generator state, so scheduling order cannot perturb it. The world draws the
-delays of up to ``DELAY_BLOCK`` ticks at once. ``run`` writes each tick's
-row of the record in place into arrays that double when full, and the
-record's fields are views of their written rows, so a run's memory tracks
-what it records. The rescue events are read from the finished run's record."""
+Every tick: deliver due messages, step the team against the tick's snapshot
+(so robots are order-independent within a tick), filter every robot's nominal
+input through its QP in one pass (a robot that is done asks for a zero input
+under no rows), saturate controls, integrate positions with explicit Euler,
+sense every pair's squared distance and range, and post the tick's broadcasts
+into a ring of (n, n) arrays by send tick. Identical (mission, config, seed)
+triples produce byte-identical outputs; a message's delay is a hash of (seed,
+sender, tick), with no generator state, so scheduling order cannot perturb
+it. The world draws the delays of up to ``DELAY_BLOCK`` ticks at once.
+``run`` writes each tick's row of the record in place into arrays that double
+when full, and the record's fields are views of their written rows, so a
+run's memory tracks what it records. The rescue events are read from the
+finished run's record."""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import EXECUTING, Inbox, Team, filter_team, step
-from .barriers import Collision, Connectivity, KeepWithin, ObstacleAvoid, _yaml
+from .agent import EXECUTING, AgentError, Inbox, Team, filter_team, step
+from .barriers import Collision, Connectivity, KeepWithin, _yaml
 from .geometry import _pairs, proximity_graph
 
 DELAY_BLOCK = 1024  # ticks whose delays are drawn at once
@@ -185,22 +186,22 @@ def make_world(plan, config):
 
 
 def tick(world, team, plan, config):
-    """Advance the world and the team by one tick, which must come before
-    ``config.max_ticks``; returns applied controls."""
+    """Advance the world and the team, started for ``plan``, by one tick,
+    which must come before ``config.max_ticks``; returns applied controls."""
     t, x, sensed = world.tick, world.positions, world.sensed
     if t >= config.max_ticks:
         # the delays and the message ring cover the ticks before the cap only
         raise SimConfigError(f"tick {t} is at or past max_ticks ({config.max_ticks})")
-    request, events = step(team, world, world.in_flight.pop(t), plan, config)
-    controls = np.zeros((plan.n, 2))
-    if len(request.robots):
-        solution = filter_team(request, plan.fcbf, config.speed_limit)
-        controls[request.robots - 1] = solution.u
-        for robot, status in zip(request.robots.tolist(), solution.statuses):
-            if status != "optimal":
-                # each robot's QP event follows its own step events
-                event = {"event": "qp_" + status, "robot": robot, "k": int(team.k[robot - 1])}
-                events.setdefault(robot, []).append(event)
+    if plan is not team.plan:
+        raise AgentError("the team was started for another plan")
+    request, events = step(team, world, world.in_flight.pop(t), config)
+    solution = filter_team(request, plan.fcbf, config.speed_limit)
+    controls = solution.u
+    for robot, status in enumerate(solution.statuses, 1):
+        if status != "optimal":
+            # each robot's QP event follows its own step events
+            event = {"event": "qp_" + status, "robot": robot, "k": int(team.k[robot - 1])}
+            events.setdefault(robot, []).append(event)
     for robot in sorted(events):
         for ev in events[robot]:
             ev["tick"] = t
@@ -378,7 +379,6 @@ def write_outputs(record, outdir):
     conn, near, coll = Connectivity(a, b, plan.delta), Connectivity(pi, pj, plan.delta), Collision(pi, pj, plan.min_sep)
     conn_keys = [f"conn,{i},{j}," for i, j in edges]
     coll_keys = [f"coll,{i},{j}," for i, j in zip(pi.tolist(), pj.tolist())]
-    obst = ObstacleAvoid(np.arange(1, record.n + 1)[:, None], plan.domain.obstacle_stack)
     # the tables of a block of ticks at a time, about 2**13 values each, so
     # that no table spans the run
     step = max(1, 2**13 // (record.n * (record.n + len(plan.domain.obstacles))))
@@ -390,7 +390,7 @@ def write_outputs(record, outdir):
             tables = [conn.value(x[:, a - 1] - x[:, b - 1]), near.value(d) >= 0, coll.value(d)]
             if plan.domain.obstacles:
                 # each robot's worst obstacle, the first one attaining the minimum
-                h = obst.value(x[:, :, None] - obst.center)
+                h = plan.domain.obstacle_values(x)
                 m = h.argmin(axis=-1)[..., None]
                 tables += [m[..., 0] + 1, np.take_along_axis(h, m, axis=-1)[..., 0]]
             for t, rows in enumerate(zip(*(table.tolist() for table in tables)), start=t0):

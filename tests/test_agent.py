@@ -162,7 +162,7 @@ class TestStep:
         plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(60.0))], [(0.0, 0.0), (0.15, 0.0)])
         team = team_in(plan, EXECUTING)
         world = snapshot(5, plan)
-        request, _ = step(team, world, inbox(plan, (1, 2, (0.15, 0.0))), plan, CONFIG)
+        request, _ = step(team, world, inbox(plan, (1, 2, (0.15, 0.0))), CONFIG)
         np.testing.assert_allclose(request.nominal[0], [0.15, 0.0], atol=1e-9)
         (conn_slots, conn_partners), (coll_slots, coll_partners), _ = pairwise_rows(request.graph)
         assert conn_partners[conn_slots == 0].tolist() == [2] and coll_partners[coll_slots == 0].tolist() == [2]
@@ -172,15 +172,18 @@ class TestStep:
         assert broadcast_of(team, world, 1)[2] == 1
 
     def test_halts_after_last_behavior(self):
-        plan = plan_of([two_robot_spec(GoToGoal(goals={}), ElapsedTime(0.01))], [(0.0, 0.0), (0.3, 0.0)])
+        # robot 1's law drives it to its goal until it finishes; from the
+        # finishing tick on it asks for a zero input and has no rows: it stays put
+        plan = plan_of([two_robot_spec(GoToGoal(goals={1: (1.0, 0.0)}), ElapsedTime(0.01))], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
         team.elapsed[0], team.sigma[0] = 1.0, 0.75
-        _, events = step(team, snapshot(10, plan), inbox(plan, (1, 2, (0.3, 0.0), 0.95)), plan, CONFIG)
+        request, events = step(team, snapshot(10, plan), inbox(plan, (1, 2, (0.3, 0.0), 0.95)), CONFIG)
         assert team.done[0]
         assert any(e["event"] == "mission_done_local" for e in events[1])
+        assert bits(request.nominal[0]) == bits([0.0, 0.0]) and request.graph.layout.counts[0] == 0
         world = snapshot(11, plan)
-        request, _ = step(team, world, inbox(plan), plan, CONFIG)
-        assert 1 not in request.robots.tolist()  # a robot that is done asks for no input: it stays put
+        request, _ = step(team, world, inbox(plan), CONFIG)
+        assert bits(request.nominal[0]) == bits([0.0, 0.0]) and request.graph.layout.counts[0] == 0
         assert broadcast_of(team, world, 1)[2] == 2  # broadcast keeps signalling progress
 
     def test_no_transition_without_own_flag(self):
@@ -191,7 +194,7 @@ class TestStep:
         plan = plan_of([spec, next_spec], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
         for t in range(50):
-            step(team, snapshot(t, plan), inbox(plan, (1, 2, (0.3, 0.0), 1.0, 0.0, 1, t)), plan, CONFIG)
+            step(team, snapshot(t, plan), inbox(plan, (1, 2, (0.3, 0.0), 1.0, 0.0, 1, t)), CONFIG)
             assert team.mode[0] == EXECUTING and team.k[0] == 1
             assert team.sigma[0] == 0.0
 
@@ -202,7 +205,7 @@ class TestStep:
         team.elapsed[0] = 1.0
         # neighbor already assembling toward behavior 2: its sigma was reset to
         # 0 but its index certifies completion of behavior 1
-        step(team, snapshot(3, plan), inbox(plan, (1, 2, (0.3, 0.0), 0.0, 0.0, 2)), plan, CONFIG)
+        step(team, snapshot(3, plan), inbox(plan, (1, 2, (0.3, 0.0), 0.0, 0.0, 2)), CONFIG)
         # the ahead neighbor drove sigma to 1, triggering the transition
         # (sigma resets to zero as part of it)
         assert team.mode[0] == ASSEMBLING and team.k[0] == 2
@@ -217,7 +220,7 @@ class TestStep:
             if team.done[0]:
                 break
             message = (1, 2, (0.3, 0.0), float(rng.uniform(0, 1)), float(rng.uniform(0, 1)), int(rng.integers(1, 3)), t)
-            step(team, snapshot(t, plan), inbox(plan, message), plan, CONFIG)
+            step(team, snapshot(t, plan), inbox(plan, message), CONFIG)
             assert 0.0 <= team.sigma.min() and team.sigma.max() <= 1.0
             assert 0.0 <= team.eta.min() and team.eta.max() <= 1.0
 
@@ -228,20 +231,21 @@ class TestStep:
         nxt = BehaviorSpec(Rendezvous(), InteractionGraph.from_edges(3, [(1, 3)]), ElapsedTime(1.0))
         plan = plan_of([prev, nxt], [(0.0, 0.0), (0.3, 0.0), (0.9, 0.0)])
         team = team_in(plan, ASSEMBLING, k=2)
-        request, _ = step(team, snapshot(2, plan), inbox(plan), plan, CONFIG)
+        request, _ = step(team, snapshot(2, plan), inbox(plan), CONFIG)
         (slots, partners), _, _ = pairwise_rows(request.graph)
-        assert request.robots.tolist() == [1, 2, 3] and partners[slots == 0].tolist() == [3, 2]
+        assert (request.graph.layout.slots == request.graph.rows.i - 1).all()
+        assert partners[slots == 0].tolist() == [3, 2]
         conn_partners = {j for kind, j in row_identity(request.graph, 0) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
     def test_assembling_requires_target(self):
         # a team started for a plan with two behaviors, assembling toward the
-        # second, stepped against a plan that has only the first
+        # second, ticked against a plan that has only the first
         spec = two_robot_spec(Rendezvous(), ElapsedTime(1.0))
         team = team_in(plan_of([spec, spec], [(0.0, 0.0), (0.3, 0.0)]), ASSEMBLING, k=2)
         plan = plan_of([spec], [(0.0, 0.0), (0.3, 0.0)])
         with pytest.raises(AgentError):
-            step(team, snapshot(0, plan), inbox(plan), plan, CONFIG)
+            tick(snapshot(0, plan), team, plan, CONFIG)
 
     def test_a_team_is_stepped_only_with_the_plan_it_was_started_for(self):
         # a copy of the plan of the same shape, with another first law and
@@ -254,7 +258,7 @@ class TestStep:
         other = replace(plan, behaviors=(first, *plan.behaviors[1:]), min_sep=0.3)
         assert len(other.behaviors) == len(plan.behaviors) and other.n == plan.n
         with pytest.raises(AgentError, match="another plan"):
-            step(team, world, world.in_flight.pop(world.tick), other, config)
+            tick(world, team, other, config)
 
     def test_a_required_neighbor_fails_every_step_from_the_tick_its_position_expires(self):
         # robots 1 and 2 out of range with the oracle off: each knows the
@@ -263,20 +267,20 @@ class TestStep:
         plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(1e6))], [(0.0, 0.0), (0.9, 0.0)])
         team = team_in(plan, EXECUTING)
         config = replace(CONFIG, oracle_sensing=False, staleness_ticks=5)
-        step(team, snapshot(0, plan), inbox(plan, (1, 2, (0.9, 0.0)), (2, 1, (0.0, 0.0))), plan, config)
+        step(team, snapshot(0, plan), inbox(plan, (1, 2, (0.9, 0.0)), (2, 1, (0.0, 0.0))), config)
         for t in range(1, 6):
-            step(team, snapshot(t, plan), inbox(plan), plan, config)
+            step(team, snapshot(t, plan), inbox(plan), config)
         for t in (6, 7):
             with pytest.raises(AgentError, match=r"robot 1: .* required neighbors \[2\]"):
-                step(team, snapshot(t, plan), inbox(plan), plan, config)
+                step(team, snapshot(t, plan), inbox(plan), config)
 
     def test_stale_cache_entries_expire(self):
         plan = plan_of([two_robot_spec(Rendezvous(), ElapsedTime(1e6))], [(0.0, 0.0), (0.3, 0.0)])
         team = team_in(plan, EXECUTING)
         config = replace(CONFIG, staleness_ticks=5)
-        step(team, snapshot(0, plan), inbox(plan, (1, 2, (0.3, 0.0))), plan, config)
+        step(team, snapshot(0, plan), inbox(plan, (1, 2, (0.3, 0.0))), config)
         assert team.cache.present[0, 1]
-        step(team, snapshot(10, plan), inbox(plan), plan, config)
+        step(team, snapshot(10, plan), inbox(plan), config)
         assert not team.cache.present[0, 1]
 
 
@@ -426,13 +430,9 @@ def robot_outputs(team, request, events, plan, i):
     """Everything robot i's step decides: its state, events, nominal and rows."""
     state = [team.k[i], team.mode[i], team.s_task[i], team.s_assembly[i]]
     state += bits([team.sigma[i], team.eta[i], team.elapsed[i]])
-    slot = np.flatnonzero(request.robots == i + 1)
-    if not len(slot):
-        return state, events.get(i + 1)
     normals, offsets = team_rows(request, plan.fcbf)
-    s = int(slot[0])
-    mine = request.graph.layout.slots == s  # the slot's rows, in their layout order
-    return (state, events.get(i + 1), bits(request.nominal[s]), row_identity(request.graph, s),
+    mine = request.graph.layout.slots == i  # the robot's rows, in their layout order
+    return (state, events.get(i + 1), bits(request.nominal[i]), row_identity(request.graph, i),
             bits(normals[mine]), bits(offsets[mine]))
 
 
@@ -450,7 +450,7 @@ def test_a_robot_reads_only_its_own_cache_row():
                     mine, now = copy.deepcopy(team, {id(plan): plan}), copy.deepcopy(world)
                     if scrambled:
                         scramble_all_but(mine.cache, i, t, rng, len(plan.behaviors))
-                    request, events = step(mine, now, now.in_flight.pop(t), plan, config)
+                    request, events = step(mine, now, now.in_flight.pop(t), config)
                     outputs.append(robot_outputs(mine, request, events, plan, i))
                 assert outputs[0] == outputs[1], (t, i)
                 checked += 1

@@ -208,7 +208,7 @@ class TestControlLaws:
         team, world = Team.start(plan), make_world(plan, config)
         team.mode[:] = EXECUTING
         with pytest.raises(AgentError, match=r"robot 1: .* required neighbors \[2\]"):
-            step(team, world, world.in_flight.pop(0), plan, config)
+            step(team, world, world.in_flight.pop(0), config)
 
     def test_composite_reads_its_groups_input(self):
         beh = Composite(
@@ -447,7 +447,7 @@ def team_and_reference(controller, graph, x, completion, latched=()):
     team, world = Team.start(plan), make_world(plan, config)
     team.mode[:] = EXECUTING
     team.s_task[list(latched)] = True
-    request, _ = step(team, world, world.in_flight.pop(0), plan, config)
+    request, _ = step(team, world, world.in_flight.pop(0), config)
     expected, done = [], []
     for me in range(1, n + 1):
         leaf, group = controller, range(1, n + 1)

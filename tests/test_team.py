@@ -56,11 +56,13 @@ class OwnRequest(NamedTuple):
 
 
 def as_team(requests, min_sep, domain, graph=None):
-    """The robots' requests as one ``TeamRequest``, robot by robot, on a
-    ``TickGraph`` built as ``step`` builds one, with the rows of ``min_sep``
-    and the domain's obstacles, or on ``graph``, which must have the same
-    structure, if its activation mask is the requests'. A graph built here
-    is keyed on the activation mask's bytes alone."""
+    """The robots' requests as one ``TeamRequest`` of the robots 1..n that
+    they name, on a ``TickGraph`` built as ``step`` builds one, with the rows
+    of ``min_sep`` and the domain's obstacles, or on ``graph``, which must
+    have the same structure, if its activation mask is the requests'. A
+    robot without a request is one that is done: it has no rows, a zero
+    nominal and a zero position. A graph built here is keyed on the
+    activation mask's bytes alone."""
     def rows(names):
         robots, others, where = [], [], []
         for r in requests:
@@ -73,17 +75,18 @@ def as_team(requests, min_sep, domain, graph=None):
     conn = rows(("partners", "partner_positions"))
     deltas = np.array([r.delta for r in requests for _ in r.partners])
     coll = rows(("colliders", "collider_positions"))
-    initial = tuple((s, kind) for s, r in enumerate(requests) for kind in r.initial)
-    index, x = np.array([r.robot - 1 for r in requests]), np.array([r.position for r in requests]).reshape(-1, 2)
-    stack = domain.obstacle_stack
-    active = ObstacleAvoid(index[:, None] + 1, stack).value(x[:, None] - stack.center) <= OBSTACLE_ACTIVATION
+    initial = tuple(sorted((kind for r in requests for kind in r.initial), key=lambda kind: kind.i))
+    n = max(max([r.robot, *r.partners, *r.colliders]) for r in requests)
+    index, x, nominal = [r.robot - 1 for r in requests], np.zeros((n, 2)), np.zeros((n, 2))
+    x[index], nominal[index] = [r.position for r in requests], [r.nominal for r in requests]
+    live = np.isin(np.arange(n), index)
+    active = (domain.obstacle_values(x) <= OBSTACLE_ACTIVATION) & live[:, None]
     key = (active.tobytes(),)
     if graph is None or graph.key != key:
-        n = 1 + max(max([r.robot, *r.partners, *r.colliders]) for r in requests)
         none = np.empty(0, dtype=int)
-        graph = TickGraph.of(key, n, index, (none, none), (*conn[:2], deltas), coll[:2], active, initial, min_sep,
-                             stack, (), None)
-    return TeamRequest(graph, x, np.array([r.nominal for r in requests]), np.concatenate((conn[2], coll[2])))
+        graph = TickGraph.of(key, n, (none, none), (*conn[:2], deltas), coll[:2], active, initial, min_sep,
+                             domain.obstacle_stack, (), None)
+    return TeamRequest(graph, x, nominal, np.concatenate((conn[2], coll[2])))
 
 
 def pairwise_rows(graph):
@@ -136,12 +139,12 @@ def own_rows(request, params, min_sep, domain):
     return np.reshape(normals, (-1, 2)), np.array(offsets), hard, [(type(kind), j) for kind, _, j in rows]
 
 
-def assert_own_rows(graph, team, s, request, params, min_sep, domain):
-    """Slot s of a team layout holds the robot's own rows bit for bit, with
-    their identity, then pad rows; returns the identity."""
+def assert_own_rows(graph, team, request, params, min_sep, domain):
+    """The robot's slot of a team layout, its id - 1, holds its own rows bit
+    for bit, with their identity, then pad rows; returns the identity."""
+    s = request.robot - 1
     m = team.counts[s]
     normals, offsets, hard, identity = own_rows(request, params, min_sep, domain)
-    assert team.robots[s] == request.robot
     got = row_identity(graph, s)
     assert got == identity
     assert team.hard[s, :m].tolist() == hard.tolist()
@@ -155,10 +158,9 @@ def assert_own_rows(graph, team, s, request, params, min_sep, domain):
 
 
 class Laid(NamedTuple):
-    """A team's rows as ``solve`` lays them out, (n, width + 4), with the
-    request's robots."""
+    """A team's rows as ``solve`` lays them out, (n, width + 4), robot i + 1
+    in layout row i."""
 
-    robots: np.ndarray
     counts: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
@@ -168,11 +170,12 @@ class Laid(NamedTuple):
 
 def layout_of(request, normals, offsets):
     """The rows ``team_rows`` gives for ``request`` in the solver's layout:
-    flat row k in the layout row of its slot ``graph.layout.slots[k]``."""
-    rows = request.graph.layout
-    assert (rows.cells // rows.hard.shape[1] == rows.slots).all()
+    flat row k in the layout row of its robot, ``graph.layout.slots[k]``."""
+    graph = request.graph
+    rows = graph.layout
+    assert (rows.cells // rows.hard.shape[1] == rows.slots).all() and (rows.slots == graph.rows.i - 1).all()
     laid = QpProblem(request.nominal, rows, normals, offsets, 1.0).laid_out()
-    return Laid(request.robots, rows.counts, *laid, rows.hard, rows.width)
+    return Laid(rows.counts, *laid, rows.hard, rows.width)
 
 
 def laid_out(request, params):
@@ -217,10 +220,9 @@ class TestTeamRows:
                 # a robot exactly at h = 3 of the last obstacle: its row is active
                 requests[0] = requests[0]._replace(position=np.array([2.0, 0.0]))
             graph, team = laid_out(as_team(requests, 0.12, domain), params)
-            assert team.robots.tolist() == [r.robot for r in requests]
-            assert len(graph.layout) == int(team.counts.sum())
-            for s, request in enumerate(requests):
-                got = assert_own_rows(graph, team, s, request, params, 0.12, domain)
+            assert len(team.counts) == len(requests) and len(graph.layout) == int(team.counts.sum())
+            for request in requests:
+                got = assert_own_rows(graph, team, request, params, 0.12, domain)
                 kinds_seen.update(kind for kind, _ in got)
                 # connectivity offsets square delta with Python's pow
                 x = request.position.tolist()
@@ -228,7 +230,7 @@ class TestTeamRows:
                 for k, p in zip(conn, request.partner_positions):
                     dx, dy = x[0] - float(p[0]), x[1] - float(p[1])
                     h = request.delta**2 - (dx * dx + dy * dy)
-                    assert bits(team.offsets[s, k]) == bits(-0.5 * scalar_rate(h, params))
+                    assert bits(team.offsets[request.robot - 1, k]) == bits(-0.5 * scalar_rate(h, params))
                 if np.array_equal(request.position, [2.0, 0.0]):
                     assert scalar_barrier(ObstacleAvoid(1, obstacles[-1]), request.position)[0] == 3.0
                     assert (ObstacleAvoid, len(obstacles)) in got
@@ -248,8 +250,8 @@ class TestTeamRows:
         ]
         rows = laid_out(as_team(requests, 0.12, Domain(-2, 2, -2, 2)), params)[1]
         want = [-0.5 * scalar_rate(d**2, params) for d in deltas]
-        assert rows.width == 1
-        assert bits(rows.offsets[:, 0]).tolist() == bits(want).tolist()
+        assert rows.width == 1 and rows.counts[n] == 0  # robot n + 1, every robot's partner, has no request
+        assert bits(rows.offsets[:n, 0]).tolist() == bits(want).tolist()
 
     def test_ticks_select_obstacle_rows_from_the_domain_stack(self, monkeypatch):
         # the active (robot, obstacle) pairs index the stack the domain
@@ -271,8 +273,8 @@ class TestTeamRows:
         domain = Domain(-1, 1, -1, 1, (Obstacle(np.zeros(2), 1.0, 1.0),))
         request = OwnRequest(3, np.array([0.9, 0.9]), np.zeros(2), 0.5, [], [], [], [], ())
         graph, rows = laid_out(as_team([request], 0.12, domain), FcbfParams())
-        assert len(graph.layout) == 1 and rows.robots.tolist() == [3]
-        assert row_identity(graph, 0) == [(ObstacleAvoid, 1)]
+        assert len(graph.layout) == 1 and rows.counts.tolist() == [0, 0, 1]
+        assert row_identity(graph, 2) == [(ObstacleAvoid, 1)]
 
 
 def per_tick_rows(monkeypatch):
@@ -306,21 +308,19 @@ def stack_rows(stack, cls):
 
 
 class TestOneRowCallPerTick:
-    """A tick that has rows builds them all with one ``constraint_row`` call
-    on its graph's row stack, obstacle and initial-constraint rows included,
-    and each active obstacle row's h is the activation test's h, bit for bit."""
+    """Every tick, the final one of a finished run too, builds its rows with
+    one ``constraint_row`` call on its graph's row stack, obstacle and
+    initial-constraint rows included, and each active obstacle row's h is
+    the activation test's h, bit for bit; a robot that is done has none."""
 
     def assert_one_call(self, ticks, domain):
         obstacle_ticks = 0
         for graph, request, calls in ticks:
-            if graph is None:  # no robot left to filter
-                assert calls == []
-                continue
-            assert [id(s) for s, _ in calls] == [id(graph.rows)]
+            assert graph is not None and [id(s) for s, _ in calls] == [id(graph.rows)]
             if domain.obstacles:
-                stack = domain.obstacle_stack
-                h = ObstacleAvoid(request.robots[:, None], stack).value(request.position[:, None] - stack.center)
-                active = h <= OBSTACLE_ACTIVATION
+                stack, live = domain.obstacle_stack, graph.key[0].live
+                h = ObstacleAvoid(1, stack).value(request.position[:, None] - stack.center)
+                active = (h <= OBSTACLE_ACTIVATION) & live[:, None]
                 assert stack_rows(graph.rows, ObstacleAvoid) == active.sum()
                 if active.any():
                     (rows, d), = calls
@@ -442,9 +442,9 @@ class TestTickGraph:
         expected, causes, last = [], {"stage": 0, "sensed": 0, "known": 0, "active": 0}, [None, None, None]
         stack = plan.domain.obstacle_stack
 
-        def observed(team, world, inbox, plan, config):
+        def observed(team, world, inbox, config):
             stage = team.k.tobytes(), team.mode.tobytes()
-            request, events = real_step(team, world, inbox, plan, config)
+            request, events = real_step(team, world, inbox, config)
             known = team.cache.view(world.positions, world.sensed, config.oracle_sensing)[1]
             h = ObstacleAvoid(1, stack).value(world.positions[:, None] - stack.center)
             masks = [world.sensed.tobytes(), known.tobytes(), (h <= OBSTACLE_ACTIVATION).tobytes()]
@@ -505,8 +505,8 @@ class TestTickGraph:
             before = len(built)
             graph, team = laid_out(as_team(requests, min_sep, domain, graph if same else None), params)
             assert len(built) == before + new
-            for s, request in enumerate(requests):
-                assert_own_rows(graph, team, s, request, params, min_sep, domain)
+            for request in requests:
+                assert_own_rows(graph, team, request, params, min_sep, domain)
 
     def test_solve_writes_into_none_of_its_problems_arrays_and_none_of_the_graphs(self):
         params = FcbfParams()
@@ -528,12 +528,13 @@ class TestTickGraph:
             assert got.u is not problem.nominal
         assert paths == {False, True}
         graph, later = laid_out(request, params)
-        for s, request in enumerate(requests):
-            assert_own_rows(graph, later, s, request, params, 0.12, domain)
+        for request in requests:
+            assert_own_rows(graph, later, request, params, 0.12, domain)
 
 
 def own_requests(request):
-    """Each slot of a ``TeamRequest`` as the robot's own request."""
+    """Each robot of a ``TeamRequest`` that is not done, in its stage, as
+    its own request."""
     graph = request.graph
     (slot, partners), (coll_slot, colliders), deltas = pairwise_rows(graph)
     m = len(slot)
@@ -542,8 +543,8 @@ def own_requests(request):
     initial = graph.rows.kinds[3:]
     initial_slots = graph.layout.slots[len(graph.layout) - len(initial):].tolist()
     requests = []
-    for s, robot in enumerate(request.robots.tolist()):
-        mine, close = slot == s, coll_slot == s
+    for s in graph.key[0].live.nonzero()[0].tolist():
+        robot, mine, close = s + 1, slot == s, coll_slot == s
         assert len(set(deltas[mine].tolist())) <= 1  # one range per robot
         requests.append(OwnRequest(
             robot, request.position[s], request.nominal[s], float(deltas[mine][0]) if mine.any() else 0.5,
@@ -570,8 +571,9 @@ class TestOneTablePerTick:
         def checked_rows(request, params):
             rows = real(request, params)
             layout = layout_of(request, *rows)
-            for s, own in enumerate(own_requests(request)):
-                got = assert_own_rows(request.graph, layout, s, own, params, plan.min_sep, plan.domain)
+            assert (request.graph.layout.slots == request.graph.rows.i - 1).all()
+            for own in own_requests(request):
+                got = assert_own_rows(request.graph, layout, own, params, plan.min_sep, plan.domain)
                 kinds.update(kind for kind, _ in got)
             return rows
 
