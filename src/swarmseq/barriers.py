@@ -122,30 +122,20 @@ class _Barrier:
         return 2.0 * d * self.scale
 
 
-def _pairs_a_robot_with_itself(i, j):
-    """For robots i and j, one robot i and a tuple j, or id arrays paired elementwise."""
-    same = i in j if isinstance(j, tuple) else i == j
-    return same if isinstance(same, bool) else bool(same.any())
-
-
 class _Pairwise(_Barrier):
     """A barrier h = c + s |x_i - x_j|^2 on robots i and j, about p = x_j,
     half of it enforced by each; scale is (s, s), and the gradient in x_j is
     the negation of dh/dx_i. Connectivity and collision are two choices of c
-    and s, and a ``RowStack`` takes them per barrier."""
+    and s, and a ``RowStack`` takes them per barrier. ``i`` and ``j`` are one
+    robot or one sequence each; p, the partner's position, is a tick's, so
+    ``center`` is None."""
 
     share = 0.5
+    center = None
 
     def __post_init__(self):
-        if _pairs_a_robot_with_itself(self.i, self.j):
+        if np.equal(self.i, self.j).any():
             raise ValueError(f"{type(self).__name__.lower()} barrier needs two distinct robots")
-
-    def stacked(self):
-        """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
-        barrier (``i`` and ``j`` one robot or one sequence each); p, the
-        partner's position, is a tick's (None)."""
-        n = np.broadcast(self.i, self.j).size
-        return np.full(n, self.i), None, np.full(n, self.c), np.full((n, 2), self.scale)
 
 
 @dataclass(frozen=True)
@@ -204,12 +194,6 @@ class ObstacleAvoid(_Barrier):
         m = slice(None) if self.index is None else np.asarray(self.index) - 1
         self.__dict__.update(center=self.obstacle.center[m], scale=self.obstacle.axes[m])
 
-    def stacked(self):
-        """The barriers as ``RowStack`` rows, (i, p, c, scale) one entry per
-        barrier (``i`` one robot or one per selected ellipse)."""
-        n = len(self.center)
-        return np.full(n, self.i), self.center, np.full(n, self.c), self.scale
-
 
 @dataclass(frozen=True)
 class KeepWithin(_Barrier):
@@ -231,10 +215,6 @@ class KeepWithin(_Barrier):
             raise ValueError("keep-within radius must be positive")
         object.__setattr__(self, "c", self.radius**2)
 
-    def stacked(self):
-        """The barrier as one ``RowStack`` row, (i, p, c, scale)."""
-        return np.array([self.i]), np.array([self.center]), np.array([self.c]), np.array([self.scale])
-
 
 @dataclass(frozen=True)
 class RowStack(_Barrier):
@@ -255,12 +235,18 @@ class RowStack(_Barrier):
 
     @classmethod
     def of(cls, kinds):
-        """The rows of ``kinds``, kind by kind, each a stack of its own."""
-        i, p, c, scale = zip(*(kind.stacked() for kind in kinds))
-        sizes = [len(a) for a in i]
-        center = np.concatenate([np.empty((0, 2)), *(a for a in p if a is not None)])
-        return cls(tuple(kinds), np.concatenate(i), center, np.concatenate(c), np.concatenate(scale),
-                   np.repeat([kind.share for kind in kinds], sizes), np.repeat([kind.hard for kind in kinds], sizes))
+        """The rows of ``kinds``, kind by kind, each a stack of its own: one
+        row per point of a kind's ``center``, read as (-1, 2), or for a
+        pairwise kind (``center`` None) one per pair of its ``i`` and ``j``
+        broadcast. Each kind's i, c and scale broadcast to its rows."""
+        points = [None if kind.center is None else np.reshape(kind.center, (-1, 2)) for kind in kinds]
+        sizes = [np.broadcast(kind.i, kind.j).size if p is None else len(p) for kind, p in zip(kinds, points)]
+
+        def rows(name, *shape):
+            return np.concatenate([np.full((n, *shape), getattr(kind, name)) for kind, n in zip(kinds, sizes)])
+
+        center = np.concatenate([np.empty((0, 2)), *(p for p in points if p is not None)])
+        return cls(tuple(kinds), rows("i"), center, rows("c"), rows("scale", 2), rows("share"), rows("hard"))
 
 
 @dataclass(frozen=True)

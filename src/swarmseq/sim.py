@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import EXECUTING, AgentError, Inbox, Team, filter_team, step
+from .agent import EXECUTING, Inbox, Team, filter_team, step
 from .barriers import Collision, Connectivity, KeepWithin, _yaml
 from .geometry import _pairs, proximity_graph
 
@@ -185,15 +185,13 @@ def make_world(plan, config):
     return WorldState(0, positions, proximity_graph(positions, plan.delta).mask, in_flight, [])
 
 
-def tick(world, team, plan, config):
-    """Advance the world and the team, started for ``plan``, by one tick,
-    which must come before ``config.max_ticks``; returns applied controls."""
-    t, x, sensed = world.tick, world.positions, world.sensed
+def tick(world, team, config):
+    """Advance the world and the team, on ``team.plan``, by one tick, which
+    must come before ``config.max_ticks``; returns applied controls."""
+    t, x, sensed, plan = world.tick, world.positions, world.sensed, team.plan
     if t >= config.max_ticks:
         # the delays and the message ring cover the ticks before the cap only
         raise SimConfigError(f"tick {t} is at or past max_ticks ({config.max_ticks})")
-    if plan is not team.plan:
-        raise AgentError("the team was started for another plan")
     request, events = step(team, world, world.in_flight.pop(t), config)
     solution = filter_team(request, plan.fcbf, config.speed_limit)
     controls = solution.u
@@ -237,7 +235,7 @@ def run(plan, config):
     outcome = "timeout"
     while world.tick < config.max_ticks:
         t = world.tick
-        controls = tick(world, team, plan, config)
+        controls = tick(world, team, config)
         if t == len(logs[1]):
             logs = [_doubled(log) for log in logs]
         logs[0][t + 1] = world.positions

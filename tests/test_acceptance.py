@@ -61,9 +61,9 @@ def demo_record():
 
 
 @pytest.fixture(scope="module")
-def securing_record():
-    plan, config = builtin_scenario("securing_a_building")
-    return plan, config, run(plan, config)
+def securing_record(securing_ticks):
+    """The flagship's session run (conftest.py): (plan, config, record)."""
+    return securing_ticks[:3]
 
 
 @pytest.fixture(scope="module")

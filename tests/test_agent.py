@@ -20,7 +20,7 @@ from swarmseq.agent import (
     team_rows,
 )
 from swarmseq.barriers import Connectivity, FcbfParams
-from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous, Scatter
+from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
 from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import DelaySpec, InFlight, SimConfig, WorldState, make_world, tick
@@ -238,28 +238,6 @@ class TestStep:
         conn_partners = {j for kind, j in row_identity(request.graph, 0) if kind is Connectivity}
         assert conn_partners == {2, 3}
 
-    def test_assembling_requires_target(self):
-        # a team started for a plan with two behaviors, assembling toward the
-        # second, ticked against a plan that has only the first
-        spec = two_robot_spec(Rendezvous(), ElapsedTime(1.0))
-        team = team_in(plan_of([spec, spec], [(0.0, 0.0), (0.3, 0.0)]), ASSEMBLING, k=2)
-        plan = plan_of([spec], [(0.0, 0.0), (0.3, 0.0)])
-        with pytest.raises(AgentError):
-            tick(snapshot(0, plan), team, plan, CONFIG)
-
-    def test_a_team_is_stepped_only_with_the_plan_it_was_started_for(self):
-        # a copy of the plan of the same shape, with another first law and
-        # min_sep, is another plan: the team's cached laws and rows are the
-        # first one's
-        plan, config = builtin_scenario("two_behavior_demo")
-        team, world = Team.start(plan), make_world(plan, config)
-        tick(world, team, plan, config)
-        first = replace(plan.behaviors[0], controller=Scatter())
-        other = replace(plan, behaviors=(first, *plan.behaviors[1:]), min_sep=0.3)
-        assert len(other.behaviors) == len(plan.behaviors) and other.n == plan.n
-        with pytest.raises(AgentError, match="another plan"):
-            tick(world, team, other, config)
-
     def test_a_required_neighbor_fails_every_step_from_the_tick_its_position_expires(self):
         # robots 1 and 2 out of range with the oracle off: each knows the
         # other from one message until it expires, on tick 6; the step of
@@ -454,5 +432,5 @@ def test_a_robot_reads_only_its_own_cache_row():
                     outputs.append(robot_outputs(mine, request, events, plan, i))
                 assert outputs[0] == outputs[1], (t, i)
                 checked += 1
-        tick(world, team, plan, config)
+        tick(world, team, config)
     assert checked == 10 * plan.n

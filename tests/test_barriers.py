@@ -404,9 +404,11 @@ class TestRowBlocks:
         assert bits(got[3]).tolist() == bits(0.8**2 - sq).tolist()
 
     def test_a_stack_may_not_pair_a_robot_with_itself(self):
-        with pytest.raises(ValueError):
-            Connectivity(2, (1, 2, 3), 0.5)
-        with pytest.raises(ValueError):
+        # j one robot, a tuple of robots or an id array, with one message
+        for j in (2, (1, 2, 3), np.array([3, 2])):
+            with pytest.raises(ValueError, match="^connectivity barrier needs two distinct robots$"):
+                Connectivity(2, j, 0.5)
+        with pytest.raises(ValueError, match="^collision barrier needs two distinct robots$"):
             Collision(np.array([1, 2]), np.array([3, 2]), 0.12)
         Connectivity(np.array([1, 2]), np.array([2, 3]), 0.5)
 

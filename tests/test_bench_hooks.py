@@ -137,7 +137,7 @@ def test_delay_bound_past_the_horizon_keeps_its_bytes(tmp_path):
     config = replace(config, max_ticks=60, delay=sim.DelaySpec.uniform(0, 100), seed=0)
     team, world = Team.start(plan), sim.make_world(plan, config)
     for _ in range(config.max_ticks):
-        sim.tick(world, team, plan, config)
+        sim.tick(world, team, config)
     assert team.cache.present.sum() == 10 and len(world.in_flight) == 400
     assert digest(sim.write_outputs(sim.run(plan, config), tmp_path)) == HORIZON_GOLDEN_DIGEST
 

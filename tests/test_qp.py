@@ -217,20 +217,40 @@ class TestRelaxation:
                             float(rng.uniform(0.3, 2.0)))
         return problem, kinds
 
+    @staticmethod
+    def relaxed_as_the_oracle(p):
+        """Whether ``p`` is relaxed, the solver's answer checked against the oracle's."""
+        got, ref = solve(p), oracle_solve(p)
+        assert got.status == ref.status
+        if got.status != "relaxed":
+            return False
+        assert float(np.max(np.abs(got.u - ref.u))) <= 1e-6
+        assert max(kkt_residuals(p, got).values()) <= 1e-8
+        return True
+
     def test_relaxed_instances_match_the_oracle(self):
+        # two pinned problems first, one hard and three soft rows, then three
+        # of each: each relaxes at a hard vertex whose winning candidate set
+        # is not the set it violates, so _relax solves it again
+        pinned = [
+            one_robot([-0.25, 0.5], block([[1, -1], [1, 2], [1, 1], [-1, 1]], [0.25, 0.25, -0.25, 0],
+                                          [True] + [False] * 3), 2.0),
+            one_robot([-0.25, -0.25], block([[2, 2], [-1, -2], [0, -2], [-2, -2], [-1, 2], [1, 1]],
+                                            [0.5, 0, -0.5, -0.5, -0.25, 0.25], [True] * 3 + [False] * 3), 2.0),
+        ]
+        for p in pinned:
+            with mock.patch.object(qp, "_penalized", wraps=qp._penalized) as penalized:
+                assert self.relaxed_as_the_oracle(p)
+            assert penalized.call_count == 2  # the candidates, then the re-solve
         rng = np.random.default_rng(2024)
         relaxed, paired = 0, {-1.0: 0, 1.0: 0}
         while relaxed < 1000:
             p, kinds = self.draw(rng)
-            got, ref = solve(p), oracle_solve(p)
-            assert got.status == ref.status
-            if got.status != "relaxed":
+            if not self.relaxed_as_the_oracle(p):
                 continue
             relaxed += 1
             for kind in kinds:
                 paired[kind] += 1
-            assert float(np.max(np.abs(got.u - ref.u))) <= 1e-6
-            assert max(kkt_residuals(p, got).values()) <= 1e-8
         assert min(paired.values()) >= 50, paired
 
     def test_forty_soft_and_twenty_hard_rows(self):

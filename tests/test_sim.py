@@ -97,7 +97,7 @@ class TestTickMechanics:
         team = Team.start(plan)
         world = make_world(plan, config)
         for _ in range(10):
-            tick(world, team, plan, config)
+            tick(world, team, config)
             store = world.in_flight
             pending = store.due >= 0
             sent = np.broadcast_to(store.sent[:, None, None], store.due.shape)
@@ -113,7 +113,7 @@ class TestTickMechanics:
         team = Team.start(plan)
         world = make_world(plan, config)
         for _ in range(20):
-            tick(world, team, plan, config)
+            tick(world, team, config)
             expected = proximity_graph(world.positions, plan.delta)
             assert {(i + 1, j + 1) for i, j in zip(*np.triu(world.sensed).nonzero())} == expected.edges
 
@@ -131,10 +131,10 @@ class TestTickMechanics:
         config = replace(config, max_ticks=5, delay=DelaySpec.uniform(0, 100))
         team, world = Team.start(plan), make_world(plan, config)
         for _ in range(5):
-            tick(world, team, plan, config)
+            tick(world, team, config)
         flying, positions = len(world.in_flight), world.positions
         with pytest.raises(SimConfigError, match=r"tick 5 is at or past max_ticks \(5\)"):
-            tick(world, team, plan, config)
+            tick(world, team, config)
         assert world.tick == 5 and len(world.in_flight) == flying and world.positions is positions
 
     def test_an_empty_escort_group_is_refused_before_the_first_tick(self, monkeypatch):
@@ -502,7 +502,7 @@ class TestMessageQueue:
         monkeypatch.setattr(sim_mod, "_delay_ticks", lambda c, s, t: blocks.append(t.ravel().tolist()) or real(c, s, t))
         team, world = Team.start(plan), make_world(plan, config)
         for _ in range(1100):
-            tick(world, team, plan, config)
+            tick(world, team, config)
         assert blocks == [list(range(1024)), list(range(1024, 1100))]
 
     @pytest.mark.parametrize("span, chi2_limit", [(2, 10.83), (11, 29.59), (16, 37.70)])

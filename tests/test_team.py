@@ -19,7 +19,7 @@ import pytest
 
 from swarmseq import agent, mission, sim
 from swarmseq.agent import OBSTACLE_ACTIVATION, Team, TeamRequest, TickGraph, team_rows
-from swarmseq.barriers import Collision, Connectivity, FcbfParams, KeepWithin, ObstacleAvoid, RowBlock
+from swarmseq.barriers import Collision, Connectivity, FcbfParams, KeepWithin, ObstacleAvoid, RowBlock, RowStack
 from swarmseq.geometry import Domain, Obstacle, proximity_graph
 from swarmseq.mission import builtin_scenario
 from swarmseq.qp import QpProblem, RowLayout, solve
@@ -106,7 +106,7 @@ def row_identity(graph, s):
     ``graph.layout.cells`` gives the row."""
     cells = []
     for kind in graph.rows.kinds:
-        n = len(kind.stacked()[0])
+        n = len(RowStack.of([kind]).i)
         other = getattr(kind, "j", getattr(kind, "index", None))
         cells += zip([type(kind)] * n, np.broadcast_to(other, n).tolist())
     at = dict(zip(graph.layout.cells.tolist(), cells))
@@ -304,7 +304,7 @@ def per_tick_rows(monkeypatch):
 
 def stack_rows(stack, cls):
     """How many rows of the barrier class ``cls`` the row stack holds."""
-    return sum(len(kind.stacked()[0]) for kind in stack.kinds if type(kind) is cls)
+    return sum(len(RowStack.of([kind]).i) for kind in stack.kinds if type(kind) is cls)
 
 
 class TestOneRowCallPerTick:
@@ -324,20 +324,20 @@ class TestOneRowCallPerTick:
                 assert stack_rows(graph.rows, ObstacleAvoid) == active.sum()
                 if active.any():
                     (rows, d), = calls
-                    sizes = [len(kind.stacked()[0]) for kind in rows.kinds]
+                    sizes = [len(RowStack.of([kind]).i) for kind in rows.kinds]
                     obstacle = np.repeat([type(kind) is ObstacleAvoid for kind in rows.kinds], sizes)
                     assert bits(rows.value(d)[obstacle]).tolist() == bits(h[active]).tolist()
                     obstacle_ticks += 1
             assert stack_rows(graph.rows, KeepWithin) == len(graph.key[0].initial)  # the stage's
         return obstacle_ticks
 
-    def test_securing_a_building_and_the_crowd_grid_make_one_call_a_tick(self, monkeypatch):
+    def test_securing_a_building_and_the_crowd_grid_make_one_call_a_tick(self, monkeypatch, securing_ticks):
+        # the flagship's ticks are the session run's (conftest.py)
+        plan, _, record, ticks = securing_ticks
+        assert record.ticks == len(ticks) == 11179
+        assert self.assert_one_call(ticks, plan.domain) > 1000
         crowd = load_bench_module("bench_workloads", WORKLOADS).crowd_mission_text(0, 6, 8)
         ticks = per_tick_rows(monkeypatch)
-        plan, config = builtin_scenario("securing_a_building")
-        assert run(plan, config).ticks == len(ticks) == 11179
-        assert self.assert_one_call(ticks, plan.domain) > 1000
-        ticks.clear()
         plan, config = mission.parse_mission(crowd)
         assert run(plan, config).ticks == len(ticks) == 436
         self.assert_one_call(ticks, plan.domain)
@@ -383,7 +383,7 @@ def ticks_of(scenario, changes, max_ticks=None):
     config = replace(config, **changes, max_ticks=max_ticks or config.max_ticks)
     team, world = Team.start(plan), make_world(plan, config)
     while world.tick < config.max_ticks and not team.done.all():
-        controls = tick(world, team, plan, config)
+        controls = tick(world, team, config)
         yield [a.tobytes() for a in (controls, world.positions, team.sigma, team.eta, team.mode, team.k)]
     yield world.event_log
 
@@ -463,7 +463,7 @@ class TestTickGraph:
         monkeypatch.setattr(sim, "step", observed)
         while world.tick < config.max_ticks and not team.done.all():
             builds.append(0)
-            tick(world, team, plan, config)
+            tick(world, team, config)
         assert builds == expected
         assert 0 < sum(builds) < len(builds) / 10
         assert causes["stage"] and causes["sensed"]
@@ -581,7 +581,7 @@ class TestOneTablePerTick:
         team, world = Team.start(plan), make_world(plan, config)
         for _ in range(300):
             assert np.array_equal(world.sensed, proximity_graph(world.positions, plan.delta).mask)
-            tick(world, team, plan, config)
+            tick(world, team, config)
         assert 1 < len(built) < 300  # rebuilt when the structure changed, else reused
         assert {Connectivity, Collision} <= kinds
         assert (ObstacleAvoid in kinds) == bool(plan.domain.obstacles)
