@@ -20,7 +20,7 @@ from swarmseq.agent import (
     team_rows,
 )
 from swarmseq.barriers import Connectivity, FcbfParams
-from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous
+from swarmseq.behaviors import ElapsedTime, GoToGoal, Rendezvous, Scatter
 from swarmseq.geometry import Domain, InteractionGraph, proximity_graph
 from swarmseq.mission import BehaviorSpec, MissionPlan, builtin_scenario
 from swarmseq.sim import DelaySpec, InFlight, SimConfig, WorldState, make_world, tick
@@ -237,6 +237,33 @@ class TestStep:
         assert partners[slots == 0].tolist() == [3, 2]
         conn_partners = {j for kind, j in row_identity(request.graph, 0) if kind is Connectivity}
         assert conn_partners == {2, 3}
+
+    def test_assembling_requires_target(self):
+        # three robots assembling toward the second behavior, whose graph is
+        # 1-3: a robot is assembled once every neighbor of its target graph
+        # is in range, and robot 2, with none, at once
+        prev = BehaviorSpec(Rendezvous(), InteractionGraph.from_edges(3, [(1, 2)]), ElapsedTime(1.0))
+        nxt = BehaviorSpec(Rendezvous(), InteractionGraph.from_edges(3, [(1, 3)]), ElapsedTime(1.0))
+        for third, assembled in (((0.9, 0.0), [False, True, False]), ((0.45, 0.0), [True, True, True])):
+            plan = plan_of([prev, nxt], [(0.0, 0.0), (0.3, 0.0), third])
+            team = team_in(plan, ASSEMBLING, k=2)
+            step(team, snapshot(0, plan), inbox(plan), CONFIG)
+            assert team.s_assembly.tolist() == assembled, third
+
+    def test_a_team_is_stepped_only_with_the_plan_it_was_started_for(self):
+        # a copy of the plan of the same shape, with another first law and
+        # min_sep, is another plan: a team started for it ticks on it, also
+        # in a world made for the first plan
+        plan, config = builtin_scenario("two_behavior_demo")
+        first = replace(plan.behaviors[0], controller=Scatter())
+        other = replace(plan, behaviors=(first, *plan.behaviors[1:]), min_sep=0.3)
+        assert bits(other.initial_positions) == bits(plan.initial_positions)
+        controls = {}
+        for started, world in ((other, plan), (other, other), (plan, plan)):
+            team = team_in(started, EXECUTING)
+            assert team.plan is started
+            controls[started is other, world is other] = bits(tick(make_world(world, config), team, config))
+        assert controls[True, False] == controls[True, True] != controls[False, False]
 
     def test_a_required_neighbor_fails_every_step_from_the_tick_its_position_expires(self):
         # robots 1 and 2 out of range with the oracle off: each knows the
