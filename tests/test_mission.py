@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import re
 from dataclasses import fields, replace
@@ -34,6 +35,47 @@ behaviors:
     graph: [[1, 2]]
     completion: {type: elapsed, duration: 1.0}
 """
+SIM_DT = "sim:\n  dt: 0.02\n"
+NO_BEHAVIORS = "mission: {n: 1, delta: 0.5, initial_positions: [[0, 0]]}\ndomain: {bounds: [-1, 1, -1, 1]}"
+
+# (id, text of MINIMAL + SIM_DT, its replacement, a pattern of the error)
+MALFORMED_SCALARS = [
+    ("dt", "dt: 0.02", "dt: abc", "dt"),
+    ("delay-max-missing", "dt: 0.02", "delay: {min: 1}", "max"),
+    ("delay-max", "dt: 0.02", "delay: {min: 1, max: x}", "max"),
+    ("delay-not-a-mapping", "dt: 0.02", "delay: uniform", "delay"),
+    ("seed", "dt: 0.02", "seed: [1]", "seed"),
+    ("delta", "delta: 0.5", "delta: far", "delta"),
+    ("n", "n: 2", "n: two", "'n'"),
+    ("bounds-entry", "bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, x, 1]", "bounds"),
+    ("bounds-length", "bounds: [-1, 1, -1, 1]", "bounds: [-1, 1]", "bounds"),
+    ("duration", "duration: 1.0", "duration: soon", "duration"),
+    ("delta-inf", "delta: 0.5", "delta: .inf", "delta"),
+    ("dt-nan", "dt: 0.02", "dt: .nan", "dt"),
+    ("speed-limit-nan", "dt: 0.02", "speed_limit: .nan", "speed_limit"),
+    ("n-fractional", "n: 2", "n: 2.5", "'n'"),
+    ("position-nan", "[[0.0, 0.0], [0.3, 0.0]]", "[[0.0, .nan], [0.3, 0.0]]", "2-vector"),
+    ("bounds-inf", "bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, .inf]", "bounds"),
+    ("edge-fractional", "graph: [[1, 2]]", "graph: [[1.5, 2]]", "edge"),
+    ("seed-fractional", "dt: 0.02", "seed: 1.5", "seed"),
+    ("staleness-fractional", "dt: 0.02", "staleness_ticks: 2.5", "staleness_ticks"),
+    ("angle-nan", "controller: rendezvous", "controller: cyclic_pursuit\n    angle: .nan", "angle"),
+    ("distance-robot-fractional", "controller: rendezvous", "controller: formation\n    distances: [[1.5, 2, 0.3]]",
+     "distances"),
+    ("distance-inf", "controller: rendezvous", "controller: formation\n    distances: [[1, 2, .inf]]", "distances"),
+    ("goal-robot", "controller: rendezvous", "controller: go_to_goal\n    goals: {first: [0, 0]}", "'goals'.*finite int"),
+    ("goal-robot-fractional", "controller: rendezvous", "controller: go_to_goal\n    goals: {1.5: [0, 0]}",
+     "'goals'.*finite int"),
+    ("goals-not-a-mapping", "controller: rendezvous", "controller: go_to_goal\n    goals: [[0, 0]]", "'goals'.*mapping"),
+    ("behaviors-scalar", "behaviors:\n", "behaviors: 5\nunused:\n", "'behaviors'.*list"),
+    ("positions-scalar", "[[0.0, 0.0], [0.3, 0.0]]", "5", "'initial_positions'.*list"),
+    ("obstacles-scalar", "bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, 1]\n  obstacles: 5",
+     "'obstacles'.*list"),
+    ("initial-constraints-scalar", "graph: [[1, 2]]", "graph: [[1, 2]]\n    initial_constraints: 5",
+     "'initial_constraints'.*list"),
+    ("distances-scalar", "controller: rendezvous", "controller: formation\n    distances: 5", "'distances'.*list"),
+    ("groups-scalar", "controller: rendezvous", "controller: composite\n    groups: 5", "'groups'.*list"),
+]
 
 
 class TestParsing:
@@ -50,7 +92,7 @@ class TestParsing:
 
     def test_missing_section(self):
         with pytest.raises(MissionFormatError, match="behaviors"):
-            parse_mission("mission: {n: 1, delta: 0.5, initial_positions: [[0, 0]]}\ndomain: {bounds: [-1, 1, -1, 1]}")
+            parse_mission(NO_BEHAVIORS)
 
     def test_unknown_controller(self):
         bad = MINIMAL.replace("rendezvous", "teleport")
@@ -64,52 +106,10 @@ class TestParsing:
             parse_mission(MINIMAL + "sim:\n  delta: 0.7\n")
 
     @pytest.mark.parametrize(
-        "old, new, match",
-        [
-            ("dt: 0.02", "dt: abc", "dt"),
-            ("dt: 0.02", "delay: {min: 1}", "max"),
-            ("dt: 0.02", "delay: {min: 1, max: x}", "max"),
-            ("dt: 0.02", "delay: uniform", "delay"),
-            ("dt: 0.02", "seed: [1]", "seed"),
-            ("delta: 0.5", "delta: far", "delta"),
-            ("n: 2", "n: two", "'n'"),
-            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, x, 1]", "bounds"),
-            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1]", "bounds"),
-            ("duration: 1.0", "duration: soon", "duration"),
-            ("delta: 0.5", "delta: .inf", "delta"),
-            ("dt: 0.02", "dt: .nan", "dt"),
-            ("dt: 0.02", "speed_limit: .nan", "speed_limit"),
-            ("n: 2", "n: 2.5", "'n'"),
-            ("[[0.0, 0.0], [0.3, 0.0]]", "[[0.0, .nan], [0.3, 0.0]]", "2-vector"),
-            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, .inf]", "bounds"),
-            ("graph: [[1, 2]]", "graph: [[1.5, 2]]", "edge"),
-            ("dt: 0.02", "seed: 1.5", "seed"),
-            ("dt: 0.02", "staleness_ticks: 2.5", "staleness_ticks"),
-            ("controller: rendezvous", "controller: cyclic_pursuit\n    angle: .nan", "angle"),
-            ("controller: rendezvous", "controller: formation\n    distances: [[1.5, 2, 0.3]]", "distances"),
-            ("controller: rendezvous", "controller: formation\n    distances: [[1, 2, .inf]]", "distances"),
-            ("controller: rendezvous", "controller: go_to_goal\n    goals: {first: [0, 0]}", "'goals'.*finite int"),
-            ("controller: rendezvous", "controller: go_to_goal\n    goals: {1.5: [0, 0]}", "'goals'.*finite int"),
-            ("controller: rendezvous", "controller: go_to_goal\n    goals: [[0, 0]]", "'goals'.*mapping"),
-            ("behaviors:\n", "behaviors: 5\nunused:\n", "'behaviors'.*list"),
-            ("[[0.0, 0.0], [0.3, 0.0]]", "5", "'initial_positions'.*list"),
-            ("bounds: [-1, 1, -1, 1]", "bounds: [-1, 1, -1, 1]\n  obstacles: 5", "'obstacles'.*list"),
-            ("graph: [[1, 2]]", "graph: [[1, 2]]\n    initial_constraints: 5", "'initial_constraints'.*list"),
-            ("controller: rendezvous", "controller: formation\n    distances: 5", "'distances'.*list"),
-            ("controller: rendezvous", "controller: composite\n    groups: 5", "'groups'.*list"),
-        ],
-        ids=[
-            "dt", "delay-max-missing", "delay-max", "delay-not-a-mapping", "seed", "delta", "n",
-            "bounds-entry", "bounds-length", "duration", "delta-inf", "dt-nan", "speed-limit-nan",
-            "n-fractional", "position-nan", "bounds-inf", "edge-fractional", "seed-fractional",
-            "staleness-fractional", "angle-nan", "distance-robot-fractional", "distance-inf",
-            "goal-robot", "goal-robot-fractional", "goals-not-a-mapping", "behaviors-scalar",
-            "positions-scalar", "obstacles-scalar", "initial-constraints-scalar", "distances-scalar",
-            "groups-scalar",
-        ],
+        "old, new, match", [case[1:] for case in MALFORMED_SCALARS], ids=[case[0] for case in MALFORMED_SCALARS]
     )
     def test_malformed_scalar(self, old, new, match):
-        text = MINIMAL + "sim:\n  dt: 0.02\n"
+        text = MINIMAL + SIM_DT
         assert old in text
         with pytest.raises(MissionFormatError, match=match):
             parse_mission(text.replace(old, new))
@@ -216,6 +216,95 @@ def _parse_error_cases():
 
 PARSE_ERRORS = _parse_error_cases()
 
+# the whole text of the error of each case above, by its id
+ERROR_TEXT = {
+    "dt": "'dt' in [sim] is not a finite float: 'abc'",
+    "delay-max-missing": "missing 'max' in [sim] delay",
+    "delay-max": "'max' in [sim] delay is not a finite int: 'x'",
+    "delay-not-a-mapping": "[sim] delay must be a mapping, got 'uniform'",
+    "seed": "'seed' in [sim] is not a finite int: [1]",
+    "delta": "'delta' in [mission] is not a finite float: 'far'",
+    "n": "'n' in [mission] is not a finite int: 'two'",
+    "bounds-entry": "expected 4 finite floats in [domain] bounds, got [-1, 1, 'x', 1]",
+    "bounds-length": "expected 4 finite floats in [domain] bounds, got [-1, 1]",
+    "duration": "'duration' in behavior 1 is not a finite float: 'soon'",
+    "delta-inf": "'delta' in [mission] is not a finite float: inf",
+    "dt-nan": "'dt' in [sim] is not a finite float: nan",
+    "speed-limit-nan": "'speed_limit' in [sim] is not a finite float: nan",
+    "n-fractional": "'n' in [mission] is not a finite int: 2.5",
+    "position-nan": "expected 2 finite floats in [mission] initial_positions (a 2-vector), got [0.0, nan]",
+    "bounds-inf": "expected 4 finite floats in [domain] bounds, got [-1, 1, -1, inf]",
+    "edge-fractional": "bad edge list in behavior 1: not a finite int: 1.5",
+    "seed-fractional": "'seed' in [sim] is not a finite int: 1.5",
+    "staleness-fractional": "'staleness_ticks' in [sim] is not a finite int: 2.5",
+    "angle-nan": "'angle' in behavior 1 is not a finite float: nan",
+    "distance-robot-fractional": "expected 2 finite ints in behavior 1 distances, got (1.5, 2.0)",
+    "distance-inf": "expected 3 finite floats in behavior 1 distances, got [1, 2, inf]",
+    "goal-robot": "'goals' in behavior 1 is not a finite int: 'first'",
+    "goal-robot-fractional": "'goals' in behavior 1 is not a finite int: 1.5",
+    "goals-not-a-mapping": "'goals' in behavior 1 must be a mapping, got [[0, 0]]",
+    "behaviors-scalar": "'behaviors' in document must be a list, got 5",
+    "positions-scalar": "'initial_positions' in [mission] must be a list, got 5",
+    "obstacles-scalar": "'obstacles' in [domain] must be a list, got 5",
+    "initial-constraints-scalar": "'initial_constraints' in behavior 1 must be a list, got 5",
+    "distances-scalar": "'distances' in behavior 1 must be a list, got 5",
+    "groups-scalar": "'groups' in behavior 1 must be a list, got 5",
+    "controller/missing": "missing 'controller' in behavior 1",
+    "formation/missing-distances": "missing 'distances' in behavior 1",
+    "leader_follower/missing-leader": "missing 'leader' in behavior 1",
+    "leader_follower/nan-leader": "'leader' in behavior 1 is not a finite int: nan",
+    "leader_follower/missing-goal": "missing 'goal' in behavior 1",
+    "leader_follower/nan-gain": "'gain' in behavior 1 is not a finite float: nan",
+    "leader_follower/missing-distances": "missing 'distances' in behavior 1",
+    "cyclic_pursuit/missing-angle": "missing 'angle' in behavior 1",
+    "cyclic_pursuit/nan-angle": "'angle' in behavior 1 is not a finite float: nan",
+    "lattice/missing-spacing": "missing 'spacing' in behavior 1",
+    "lattice/nan-spacing": "'spacing' in behavior 1 is not a finite float: nan",
+    "coverage/missing-coverage_bounds": "missing 'coverage_bounds' in behavior 1",
+    "go_to_goal/missing-goals": "missing 'goals' in behavior 1",
+    "go_to_goal/nan-gain": "'gain' in behavior 1 is not a finite float: nan",
+    "containment/missing-angle": "missing 'angle' in behavior 1",
+    "containment/nan-angle": "'angle' in behavior 1 is not a finite float: nan",
+    "containment/missing-goal": "missing 'goal' in behavior 1",
+    "containment/nan-gain": "'gain' in behavior 1 is not a finite float: nan",
+    "composite/missing-groups": "missing 'groups' in behavior 1",
+    "composite/group-missing-robots": "missing 'robots' in behavior 1 group 0",
+    "composite/group-missing-controller": "missing 'controller' in behavior 1 group 0",
+    "controller/unknown": "unknown controller 'teleport' in behavior 1",
+    "completion/missing-type": "missing 'type' in behavior 1",
+    "control_norm_below/missing-epsilon": "missing 'epsilon' in behavior 1",
+    "control_norm_below/nan-epsilon": "'epsilon' in behavior 1 is not a finite float: nan",
+    "elapsed/missing-duration": "missing 'duration' in behavior 1",
+    "elapsed/nan-duration": "'duration' in behavior 1 is not a finite float: nan",
+    "goal_reached/missing-goal": "missing 'goal' in behavior 1",
+    "goal_reached/missing-radius": "missing 'radius' in behavior 1",
+    "goal_reached/nan-radius": "'radius' in behavior 1 is not a finite float: nan",
+    "completion/unknown": "unknown completion type 'whenever' in behavior 1",
+    "keep_within/missing-type": "missing 'type' in behavior 1 initial constraint",
+    "keep_within/missing-robot": "missing 'robot' in behavior 1 initial constraint",
+    "keep_within/nan-robot": "'robot' in behavior 1 initial constraint is not a finite int: nan",
+    "keep_within/missing-center": "missing 'center' in behavior 1 initial constraint",
+    "keep_within/missing-radius": "missing 'radius' in behavior 1 initial constraint",
+    "keep_within/nan-radius": "'radius' in behavior 1 initial constraint is not a finite float: nan",
+    "keep_within/unknown": "unknown initial constraint type 'keep_out' in behavior 1 initial constraint",
+    "missing-section": "missing 'behaviors' in document",
+    "position-count": "expected 3 initial positions, got 2",
+}
+
+
+def broken_mission(case):
+    """The mission text of the parse-error case ``case`` (an id of ERROR_TEXT)."""
+    scalars = {c[0]: c[1:3] for c in MALFORMED_SCALARS}
+    if case in scalars:
+        return (MINIMAL + SIM_DT).replace(*scalars[case])
+    behaviors = {c[0]: c[1:4] for c in PARSE_ERRORS}
+    if case in behaviors:
+        controller, completion, edit = behaviors[case]
+        behavior = behavior_doc(controller, completion)
+        edit(behavior)
+        return mission_text(behavior)
+    return {"missing-section": NO_BEHAVIORS, "position-count": MINIMAL.replace("n: 2", "n: 3")}[case]
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("controller", sorted(CONTROLLERS))
@@ -235,6 +324,16 @@ class TestParseErrors:
         with pytest.raises(MissionFormatError, match=re.escape(match)):
             parse_mission(mission_text(behavior))
 
+    def test_every_case_has_its_error_text(self):
+        cases = [c[0] for c in MALFORMED_SCALARS + PARSE_ERRORS] + ["missing-section", "position-count"]
+        assert sorted(cases) == sorted(ERROR_TEXT)
+
+    @pytest.mark.parametrize("case", list(ERROR_TEXT))
+    def test_error_text(self, case):
+        with pytest.raises(MissionFormatError) as exc:
+            parse_mission(broken_mission(case))
+        assert str(exc.value) == ERROR_TEXT[case]
+
 
 def domain(plan):
     """The bounds and obstacles by value (an obstacle's center is an array)."""
@@ -242,7 +341,22 @@ def domain(plan):
     return (d.xmin, d.xmax, d.ymin, d.ymax), [(o.center.tolist(), o.a, o.b) for o in d.obstacles]
 
 
+# sha256 of serialize_mission's text of each built-in and of MINIMAL: the
+# fixed-point test cannot see a change that parse and serialize make alike
+SERIALIZED_SHA256 = {
+    "two_behavior_demo": "2cdbf48d5ef88f08f79dfc63a5bc7b16edaf9931503f1d7a653bea656283cd92",
+    "seven_behavior_energy": "4ab2d3acc1599b23c4cf72baca6a0303c8c8cfd7a2c81d1ed3e0419d864677cb",
+    "securing_a_building": "28a48e53d0ae1d205d898d386ae400bdaad5c4eea2cfa67c81477d28e259c874",
+    "MINIMAL": "45e621577701eff9840fe96c852da90ca171caa711e05f4ed8dcf4445fea7ad2",
+}
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("name", list(SERIALIZED_SHA256))
+    def test_serialized_bytes(self, name):
+        plan, config = parse_mission(MINIMAL) if name == "MINIMAL" else builtin_scenario(name)
+        assert hashlib.sha256(serialize_mission(plan, config).encode()).hexdigest() == SERIALIZED_SHA256[name]
+
     @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_serialize_parse_fixed_point(self, name):
         plan, config = builtin_scenario(name)
