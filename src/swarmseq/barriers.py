@@ -48,7 +48,8 @@ import numpy as np
 
 def _yaml(kind, key=None, **kw):
     """A field whose YAML form is converter ``kind`` under ``key`` (default:
-    the field's name; a dotted key names a nested mapping's entry)."""
+    the field's name; a dotted key names a nested mapping's entry, and an
+    empty last key the mapping itself, which then holds the value's keys)."""
     return field(metadata={"kind": kind, "key": key}, **kw)
 
 

@@ -390,9 +390,9 @@ class GoToGoal(Controller):
 
 @dataclass(frozen=True)
 class CompositeGroup:
-    robots: tuple
-    controller: Controller
-    edges: tuple = ()
+    robots: tuple = _yaml("ints")
+    controller: Controller = _yaml("controller", "")
+    edges: tuple = _yaml("edges", default=())
 
     def __post_init__(self):
         object.__setattr__(self, "robots", tuple(sorted(int(r) for r in self.robots)))

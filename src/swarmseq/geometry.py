@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import Connectivity, ObstacleAvoid
+from .barriers import Connectivity, ObstacleAvoid, _yaml
 
 
 class GeometryError(ValueError):
@@ -82,9 +82,9 @@ class Obstacle:
     ellipses, so that one barrier evaluation covers all of them.
     """
 
-    center: np.ndarray
-    a: float
-    b: float
+    center: np.ndarray = _yaml("vec")
+    a: float = _yaml("num")
+    b: float = _yaml("num")
     axes: np.ndarray = field(init=False, repr=False, compare=False)  # (a, b) on the last axis
 
     def __post_init__(self):

@@ -3,7 +3,9 @@
 Mission files are YAML documents with four sections (``mission``, ``domain``,
 ``behaviors``, ``sim``) and an optional ``rescue`` section for scenarios that
 track a subject to be escorted. The grammar is documented in the README and
-the packaged scenario files are the reference examples.
+the packaged scenario files are the reference examples. The document's shape
+is the field metadata of ``MissionPlan``, ``SimConfig`` and the types they
+hold, which ``_read`` and ``_write`` walk.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ class MissionFormatError(ValueError):
 class BehaviorSpec:
     """One step of the mission: controller, required graph, completion test."""
 
-    controller: object
-    required_graph: InteractionGraph
-    completion: object
-    initial_constraints: tuple = ()
-    name: str = ""
+    controller: object = _yaml("controller", "")
+    required_graph: InteractionGraph = _yaml("graph", "")
+    completion: object = _yaml("completion")
+    initial_constraints: tuple = _yaml("constraints", default=())
+    name: str = _yaml("name", default="")
 
 
 @dataclass(frozen=True)
@@ -58,18 +60,23 @@ class RescueProbe:
 
 @dataclass(frozen=True)
 class MissionPlan:
-    n: int
-    initial_positions: np.ndarray
-    behaviors: tuple
-    domain: Domain
-    fcbf: FcbfParams
-    delta: float
-    min_sep: float
-    rescue: RescueProbe | None = None
+    """The whole document but ``[sim]``: each field's metadata gives its YAML
+    converter kind and key path (``_read``/``_write``)."""
+
+    n: int = _yaml("int", "mission.n")
+    initial_positions: np.ndarray = _yaml("vecs", "mission.initial_positions")
+    behaviors: tuple = _yaml("behaviors")
+    domain: Domain = _yaml("domain", "domain.")
+    fcbf: FcbfParams = _yaml("fcbf", "mission.")
+    delta: float = _yaml("num", "mission.delta")
+    min_sep: float = _yaml("num", "mission.min_sep", default=0.12)
+    rescue: RescueProbe | None = _yaml("rescue", default=None)
 
     def __post_init__(self):
-        pos = np.asarray(self.initial_positions, dtype=float).reshape(self.n, 2)
-        object.__setattr__(self, "initial_positions", pos)
+        pos = np.asarray(self.initial_positions, dtype=float)
+        if len(pos) != self.n:
+            raise MissionFormatError(f"expected {self.n} initial positions, got {len(pos)}")
+        object.__setattr__(self, "initial_positions", pos.reshape(self.n, 2))
         object.__setattr__(self, "behaviors", tuple(self.behaviors))
 
 
@@ -114,7 +121,7 @@ def validate(plan):
     return out
 
 
-# --- document parsing ---------------------------------------------------------
+# --- the document's schema ----------------------------------------------------
 
 
 def _req(section, key, where, default=None):
@@ -137,7 +144,7 @@ def _cast(raw, cast=float):
     return value
 
 
-def _number(raw, key, where, cast=float):
+def _number(raw, key, where, cast=float, **_):
     try:
         return _cast(raw, cast)
     except _NOT_A_NUMBER:
@@ -169,59 +176,125 @@ def _expect(raw, key, where, cls=list):
     return raw
 
 
-def _edges(raw, where):
+def _edges(raw, key, where, **_):
     try:
         return [(_cast(i, int), _cast(j, int)) for i, j in raw]
     except _NOT_A_NUMBER as exc:
         raise MissionFormatError(f"bad edge list in {where}: {exc}") from None
 
 
-def _vec(raw, where):
+def _vec(raw, key, where, **_):
     return tuple(_nums(raw, 2, f"{where} (a 2-vector)"))
 
 
-def _distances(raw, key, where):
+def _once(items, what, key, where):
+    """The mapping of (key, value) ``items``, refusing a key given twice."""
+    out = {}
+    for k, value in items:
+        if k in out:
+            raise MissionFormatError(f"'{key}' in {where} gives {what} {k} twice")
+        out[k] = value
+    return out
+
+
+def _distances(raw, key, where, **_):
     triples = (_nums(t, 3, f"{where} {key}") for t in _expect(raw, key, where))
-    return {tuple(_nums((i, j), 2, f"{where} {key}", int)): t for i, j, t in triples}
+    edges = [(tuple(sorted(_nums((i, j), 2, f"{where} {key}", int))), t) for i, j, t in triples]
+    return _once(edges, "edge", key, where)
 
 
-def _goals(raw, key, where):
-    return {_number(i, key, where, int): _vec(g, where) for i, g in _expect(raw, key, where, dict).items()}
+def _goals(raw, key, where, **_):
+    items = _expect(raw, key, where, dict).items()
+    return _once([(_number(i, key, where, int), _vec(g, key, where)) for i, g in items], "robot", key, where)
 
 
-def _groups(raw, key, where):
-    groups = []
-    for gi, g in enumerate(_expect(raw, key, where)):
-        gwhere = f"{where} group {gi}"
-        groups.append(bh.CompositeGroup(robots=tuple(_nums(_req(g, "robots", gwhere), None, gwhere, int)),
-                                        controller=_named(CONTROLLERS, "controller", "controller", g, gwhere),
-                                        edges=tuple(_edges(g.get("edges", []), gwhere))))
-    return tuple(groups)
-
-
-def _delay(raw, key, where):
+def _delay(raw, key, where, **_):
     if raw is None or raw == "none":
         return DelaySpec.none()
     return DelaySpec.uniform(*(_num(raw, k, f"{where} {key}", cast=int) for k in ("min", "max")))
 
 
-def _group_doc(g):
-    return {"robots": list(g.robots), "edges": [list(e) for e in g.edges], **_doc(g.controller, "controller")}
+def _domain(raw, key, where, **_):
+    """A ``[domain]``: the four bounds, one YAML list, and the obstacles."""
+    obstacles = _OBSTACLES[0](_req(raw, "obstacles", where, []), "obstacles", where)
+    return Domain(*_nums(_req(raw, "bounds", where), 4, f"{where} bounds"), obstacles)
 
 
-# converter kind of a field (its ``metadata["kind"]``) -> (parse(raw, key, where), dump(value))
-_KINDS = {
-    "num": (_number, lambda v: v),
-    "int": (lambda raw, key, where: _number(raw, key, where, int), lambda v: v),
-    "ints": (lambda raw, key, where: tuple(_nums(raw, None, where, int)), list),
-    "flag": (lambda raw, key, where: _expect(raw, key, where, bool), bool),
-    "vec": (lambda raw, key, where: _vec(raw, where), list),
-    "delay": (_delay, lambda d: {"min": d.min_ticks, "max": d.max_ticks} if d.max_ticks else "none"),
-    "distances": (_distances, lambda d: [[i, j, t] for (i, j), t in sorted(d.items())]),
-    "bounds": (lambda raw, key, where: Domain(*_nums(raw, 4, where)), lambda d: [d.xmin, d.xmax, d.ymin, d.ymax]),
-    "goals": (_goals, lambda goals: {i: list(g) for i, g in sorted(goals.items())}),
-    "groups": (_groups, lambda groups: [_group_doc(g) for g in groups]),
-}
+def _object(cls):
+    """The parser of an instance of ``cls``, read from the mapping where it sits."""
+    return lambda raw, key, where, **built: _read(cls, raw, where, **built)
+
+
+def _named(table, what, tag):
+    """The (parse, dump) of an object whose class ``table`` names under its key ``tag``."""
+
+    def parse(raw, key, where, **_):
+        name = _req(raw, tag, where)
+        cls = table.get(name) if isinstance(name, str) else None
+        if cls is None:
+            raise MissionFormatError(f"unknown {what} '{name}' in {where}")
+        return _read(cls, raw, where)
+
+    return parse, lambda obj: {tag: obj.yaml, **_write(obj)}
+
+
+def _each(kind, place, optional=False):
+    """The (parse, dump) of a YAML list of ``kind``'s values, item k (from 0)
+    read at ``place(where, key, k)``; an ``optional`` list left empty is left out."""
+    parse, dump = kind
+    return (lambda raw, key, where, **built: tuple([parse(item, key, place(where, key, k), **built)
+                                                    for k, item in enumerate(_expect(raw, key, where))]),
+            lambda items: [dump(item) for item in items] or (None if optional else []))
+
+
+def _vec_doc(v):
+    # Python floats: an obstacle's center is an array
+    return [float(v[0]), float(v[1])]
+
+
+@functools.cache
+def _schema(cls):
+    """(field, (parse, dump), key path) of each field of ``cls`` with a YAML form."""
+    return [(f, _KINDS[f.metadata["kind"]], (f.name if f.metadata["key"] is None else f.metadata["key"]).split("."))
+            for f in fields(cls) if "kind" in f.metadata]
+
+
+def _read(cls, doc, where, **built):
+    """An instance of ``cls``: a field given in ``built`` takes that value, and
+    each other YAML field is read from ``doc`` by its kind's parser, which is
+    handed ``built`` too (every behavior's graph is built on the mission's
+    ``n``). An empty last key reads the enclosing mapping itself; a key left
+    out keeps the field's default, and only a field without one must be given."""
+    values = {}
+    for f, (parse, _), (*path, key) in _schema(cls):
+        if f.name in built:
+            values[f.name] = built[f.name]
+            continue
+        section, at = doc, where
+        for part in path:
+            # a top-level section is [section] in error text
+            section, at = _req(section, part, at), f"[{part}]" if at == "document" else f"{at} {part}"
+        raw = _req(section, key, at, None if f.default is MISSING else MISSING) if key else section
+        if raw is not MISSING:
+            values[f.name] = parse(raw, key, at, **built)
+    return cls(**values)
+
+
+def _write(obj):
+    """The YAML mapping of ``obj``'s YAML fields, the inverse of ``_read``: an
+    empty last key writes the value's keys into the enclosing mapping, and a
+    value that dumps as None leaves its key out."""
+    doc = {}
+    for f, (_, dump), (*path, key) in _schema(type(obj)):
+        value = dump(getattr(obj, f.name))
+        if value is None:
+            continue
+        section = doc
+        for part in path:
+            section = section.setdefault(part, {})
+        section.update({key: value} if key else value)
+    return doc
+
 
 # the YAML name of each controller, completion predicate and initial constraint -> its class
 CONTROLLERS = {
@@ -234,52 +307,35 @@ CONTROLLERS = {
 COMPLETIONS = {c.yaml: c for c in (bh.ControlNormBelow, bh.ElapsedTime, bh.GoalReached)}
 INITIAL_CONSTRAINTS = {KeepWithin.yaml: KeepWithin}
 
+_OBSTACLES = _each((_object(Obstacle), _write), lambda at, key, k: f"{at} obstacle")
 
-@functools.cache
-def _schema(cls):
-    """(field, (parse, dump), key path) of each field of ``cls`` with a YAML form."""
-    return [(f, _KINDS[f.metadata["kind"]], (f.metadata["key"] or f.name).split("."))
-            for f in fields(cls) if "kind" in f.metadata]
-
-
-def _read(cls, doc, where):
-    """An instance of ``cls``, each of its YAML fields read from ``doc`` by its
-    kind's parser; a key left out keeps the field's default, and only a field
-    without one must be given."""
-    values = {}
-    for f, (parse, _), (*path, key) in _schema(cls):
-        section, at = doc, where
-        for part in path:
-            section, at = _req(section, part, at), f"{at} {part}"
-        raw = _req(section, key, at, None if f.default is MISSING else MISSING)
-        if raw is not MISSING:
-            values[f.name] = parse(raw, key, at)
-    return cls(**values)
-
-
-def _write(obj):
-    """The YAML mapping of ``obj``'s YAML fields, the inverse of ``_read``."""
-    doc = {}
-    for f, (_, dump), (*path, key) in _schema(type(obj)):
-        section = doc
-        for part in path:
-            section = section.setdefault(part, {})
-        section[key] = dump(getattr(obj, f.name))
-    return doc
-
-
-def _named(table, what, tag, doc, where):
-    """The instance of the class ``table`` names under ``doc[tag]``, read from ``doc``."""
-    name = _req(doc, tag, where)
-    cls = table.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise MissionFormatError(f"unknown {what} '{name}' in {where}")
-    return _read(cls, doc, where)
-
-
-def _doc(obj, tag):
-    """The YAML mapping of a named object, the inverse of ``_named``."""
-    return {tag: obj.yaml, **_write(obj)}
+# converter kind of a field (its ``metadata["kind"]``) -> (parse(raw, key, where, **built), dump(value))
+_KINDS = {
+    "num": (_number, lambda v: v),
+    "int": (functools.partial(_number, cast=int), lambda v: v),
+    "ints": (lambda raw, key, where, **_: tuple(_nums(raw, None, where, int)), list),
+    "flag": (lambda raw, key, where, **_: _expect(raw, key, where, bool), bool),
+    "name": (lambda raw, key, where, **_: str(raw), lambda name: name or None),
+    "vec": (_vec, _vec_doc),
+    "vecs": _each((_vec, _vec_doc), lambda at, key, k: f"{at} {key}"),
+    "delay": (_delay, lambda d: {"min": d.min_ticks, "max": d.max_ticks} if d.max_ticks else "none"),
+    "distances": (_distances, lambda d: [[i, j, t] for (i, j), t in sorted(d.items())]),
+    "bounds": (lambda raw, key, where, **_: Domain(*_nums(raw, 4, where)), lambda d: [d.xmin, d.xmax, d.ymin, d.ymax]),
+    "domain": (_domain, lambda d: {"bounds": _KINDS["bounds"][1](d), "obstacles": _OBSTACLES[1](d.obstacles)}),
+    "goals": (_goals, lambda goals: {i: _vec_doc(g) for i, g in sorted(goals.items())}),
+    "edges": (_edges, lambda edges: [list(e) for e in edges]),
+    "graph": (lambda raw, key, where, n: InteractionGraph.from_edges(n, _edges(raw.get("graph", []), key, where)),
+              lambda g: {"graph": [list(e) for e in g.sorted_edges()]}),
+    "groups": _each((_object(bh.CompositeGroup), _write), lambda at, key, k: f"{at} group {k}"),
+    "controller": _named(CONTROLLERS, "controller", "controller"),
+    "completion": _named(COMPLETIONS, "completion type", "type"),
+    "constraints": _each(_named(INITIAL_CONSTRAINTS, "initial constraint type", "type"),
+                         lambda at, key, k: f"{at} initial constraint", optional=True),
+    "behaviors": _each((_object(BehaviorSpec), _write), lambda at, key, k: f"behavior {k + 1}"),
+    "fcbf": (_object(FcbfParams), _write),
+    "rescue": (lambda raw, key, where, **_: _read(RescueProbe, raw, f"[{key}]"),
+               lambda r: None if r is None else _write(r)),
+}
 
 
 def parse_mission(text):
@@ -290,100 +346,20 @@ def parse_mission(text):
         raise MissionFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise MissionFormatError("mission document must be a mapping")
-
-    mission = _req(doc, "mission", "document")
-    n = _num(mission, "n", "[mission]", cast=int)
-    delta = _num(mission, "delta", "[mission]")
-    positions = _expect(_req(mission, "initial_positions", "[mission]"), "initial_positions", "[mission]")
-    positions = [_vec(p, "[mission] initial_positions") for p in positions]
-    if len(positions) != n:
-        raise MissionFormatError(f"expected {n} initial positions, got {len(positions)}")
-
-    dom_doc = _req(doc, "domain", "document")
-    obstacles = tuple(
-        Obstacle(
-            center=np.asarray(_vec(_req(o, "center", "[domain] obstacle"), "[domain] obstacle")),
-            a=_num(o, "a", "[domain] obstacle"),
-            b=_num(o, "b", "[domain] obstacle"),
-        )
-        for o in _expect(_req(dom_doc, "obstacles", "[domain]", []), "obstacles", "[domain]")
-    )
-    domain = Domain(*_nums(_req(dom_doc, "bounds", "[domain]"), 4, "[domain] bounds"), obstacles)
-
-    specs = []
-    for bi, bdoc in enumerate(_expect(_req(doc, "behaviors", "document"), "behaviors", "document"), start=1):
-        where = f"behavior {bi}"
-        controller = _named(CONTROLLERS, "controller", "controller", bdoc, where)
-        graph = InteractionGraph.from_edges(n, _edges(bdoc.get("graph", []), where))
-        completion = _named(COMPLETIONS, "completion type", "type", _req(bdoc, "completion", where), where)
-        init = tuple(
-            _named(INITIAL_CONSTRAINTS, "initial constraint type", "type", c, f"{where} initial constraint")
-            for c in _expect(bdoc.get("initial_constraints", []), "initial_constraints", where)
-        )
-        specs.append(
-            BehaviorSpec(
-                controller=controller,
-                required_graph=graph,
-                completion=completion,
-                initial_constraints=init,
-                name=str(bdoc.get("name", "")),
-            )
-        )
-
-    plan = MissionPlan(
-        n=n,
-        initial_positions=np.asarray(positions),
-        behaviors=tuple(specs),
-        domain=domain,
-        fcbf=_read(FcbfParams, mission, "[mission]"),
-        delta=delta,
-        min_sep=_num(mission, "min_sep", "[mission]", 0.12),
-        rescue=_read(RescueProbe, doc["rescue"], "[rescue]") if "rescue" in doc else None,
-    )
-
+    # every behavior's graph is built on n, so n is read first
+    plan = _read(MissionPlan, doc, "document", n=_num(_req(doc, "mission", "document"), "n", "[mission]", cast=int))
     sim_doc = doc.get("sim", {})
-    if _num(sim_doc, "delta", "[sim]", delta) != delta:
+    if _num(sim_doc, "delta", "[sim]", plan.delta) != plan.delta:
         raise MissionFormatError(
-            f"[sim] delta {sim_doc['delta']} differs from [mission] delta {delta:g}; "
+            f"[sim] delta {sim_doc['delta']} differs from [mission] delta {plan.delta:g}; "
             "the sensing range is set in [mission] only"
         )
     return plan, _read(SimConfig, sim_doc, "[sim]")
 
 
-# --- document serialization ----------------------------------------------------
-
-
 def serialize_mission(plan, config):
     """Serialize a plan and config back to the YAML document form."""
-    doc = {
-        "mission": {
-            "n": plan.n,
-            "delta": plan.delta,
-            "min_sep": plan.min_sep,
-            **_write(plan.fcbf),
-            "initial_positions": [[float(x), float(y)] for x, y in plan.initial_positions],
-        },
-        "domain": {
-            "bounds": [plan.domain.xmin, plan.domain.xmax, plan.domain.ymin, plan.domain.ymax],
-            "obstacles": [
-                {"center": [float(o.center[0]), float(o.center[1])], "a": o.a, "b": o.b}
-                for o in plan.domain.obstacles
-            ],
-        },
-        "behaviors": [],
-        "sim": _write(config),
-    }
-    for spec in plan.behaviors:
-        bdoc = {"name": spec.name} if spec.name else {}
-        bdoc.update(_doc(spec.controller, "controller"))
-        bdoc["graph"] = [list(e) for e in spec.required_graph.sorted_edges()]
-        bdoc["completion"] = _doc(spec.completion, "type")
-        if spec.initial_constraints:
-            bdoc["initial_constraints"] = [_doc(c, "type") for c in spec.initial_constraints]
-        doc["behaviors"].append(bdoc)
-    if plan.rescue is not None:
-        doc["rescue"] = _write(plan.rescue)
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)
+    return yaml.safe_dump({**_write(plan), "sim": _write(config)}, sort_keys=True, default_flow_style=None)
 
 
 def load_mission_file(path):

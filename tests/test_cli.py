@@ -126,6 +126,19 @@ class TestValidateCommand:
 
 
 class TestRejectedInput:
+    @pytest.mark.parametrize("shape, message", [
+        ("controller: formation\n    distances: [[1, 2, 0.3], [2, 1, 0.45]]",
+         "'distances' in behavior 2 gives edge (1, 2) twice"),
+        ("controller: go_to_goal\n    goals: {1: [0.5, 0.5], '1': [-0.5, -0.5]}",
+         "'goals' in behavior 2 gives robot 1 twice"),
+    ], ids=["distances-edge", "goals-robot"])
+    def test_a_key_given_twice_is_a_format_error(self, tmp_path, capsys, shape, message):
+        # a repeated edge or robot once kept its last value, and the mission validated
+        path = tmp_path / "twice.yaml"
+        path.write_text(TINY.replace("controller: scatter", shape))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sim_delta_mismatch(self, tmp_path, capsys):
         text = TINY.replace("  delta: 0.5\n  speed_limit", "  delta: 0.7\n  speed_limit")
         assert text != TINY

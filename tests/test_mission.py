@@ -11,7 +11,7 @@ import yaml
 from swarmseq.barriers import Collision, FcbfParams
 from swarmseq.behaviors import CyclicPursuit, LeaderFollower
 from swarmseq import mission
-from swarmseq.geometry import Domain, InteractionGraph
+from swarmseq.geometry import Domain, InteractionGraph, Obstacle
 from swarmseq.mission import (
     MissionFormatError,
     MissionPlan,
@@ -533,6 +533,26 @@ class TestReadme:
     def test_grammar_lists_every_sim_key(self):
         listed = re.findall(r"^  (\w+):", self.grammar().split("\nsim:\n", 1)[1], re.M)
         assert sorted(listed) == sorted([f.name for f in fields(SimConfig) if "kind" in f.metadata] + ["delta"])
+
+    def section(self, name):
+        """The README grammar's ``name:`` section, up to the next blank line."""
+        return self.grammar().split(f"{name}:\n", 1)[1].split("\n\n", 1)[0]
+
+    def test_grammar_lists_every_mission_key(self):
+        # MissionPlan's mission.* keys, and FcbfParams' rate keys, which sit
+        # in [mission] itself: MissionPlan.fcbf's key is "mission."
+        listed = re.findall(r"^  (\w+):", self.section("mission"), re.M)
+        keys = [f.metadata["key"] or "" for f in fields(MissionPlan)]
+        schema = [k.removeprefix("mission.") for k in keys if k.startswith("mission.") and k != "mission."]
+        assert sorted(listed) == sorted(schema + [f.name for f in fields(FcbfParams)])
+
+    def test_grammar_lists_every_domain_and_obstacle_key(self):
+        listed = re.findall(r"^  (\w+):", self.section("domain"), re.M)
+        plan, _ = builtin_scenario("securing_a_building")
+        assert sorted(listed) == sorted(mission._write(plan)["domain"])
+        obstacle = re.search(r"^    - \{(.*)\}", self.section("domain"), re.M).group(1)
+        assert sorted(re.findall(r"(\w+):", obstacle)) == sorted(
+            f.metadata["key"] or f.name for f in fields(Obstacle) if "kind" in f.metadata)
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
