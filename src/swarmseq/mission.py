@@ -222,7 +222,7 @@ def _domain(raw, key, where, **_):
 
 def _object(cls):
     """The parser of an instance of ``cls``, read from the mapping where it sits."""
-    return lambda raw, key, where, **built: _read(cls, raw, where, **built)
+    return lambda raw, key, where, **ctx: _read(cls, raw, where, **ctx)
 
 
 def _named(table, what, tag):
@@ -242,8 +242,8 @@ def _each(kind, place, optional=False):
     """The (parse, dump) of a YAML list of ``kind``'s values, item k (from 0)
     read at ``place(where, key, k)``; an ``optional`` list left empty is left out."""
     parse, dump = kind
-    return (lambda raw, key, where, **built: tuple([parse(item, key, place(where, key, k), **built)
-                                                    for k, item in enumerate(_expect(raw, key, where))]),
+    return (lambda raw, key, where, **ctx: tuple([parse(item, key, place(where, key, k), **ctx)
+                                                  for k, item in enumerate(_expect(raw, key, where))]),
             lambda items: [dump(item) for item in items] or (None if optional else []))
 
 
@@ -259,24 +259,21 @@ def _schema(cls):
             for f in fields(cls) if "kind" in f.metadata]
 
 
-def _read(cls, doc, where, **built):
-    """An instance of ``cls``: a field given in ``built`` takes that value, and
-    each other YAML field is read from ``doc`` by its kind's parser, which is
-    handed ``built`` too (every behavior's graph is built on the mission's
-    ``n``). An empty last key reads the enclosing mapping itself; a key left
-    out keeps the field's default, and only a field without one must be given."""
+def _read(cls, doc, where, **ctx):
+    """An instance of ``cls``, each of its YAML fields read from ``doc`` by its
+    kind's parser, which is handed ``ctx`` (every behavior's graph is built on
+    the mission's ``n``). An empty last key reads the enclosing mapping itself;
+    a key left out keeps the field's default, and only a field without one
+    must be given."""
     values = {}
     for f, (parse, _), (*path, key) in _schema(cls):
-        if f.name in built:
-            values[f.name] = built[f.name]
-            continue
         section, at = doc, where
         for part in path:
             # a top-level section is [section] in error text
             section, at = _req(section, part, at), f"[{part}]" if at == "document" else f"{at} {part}"
         raw = _req(section, key, at, None if f.default is MISSING else MISSING) if key else section
         if raw is not MISSING:
-            values[f.name] = parse(raw, key, at, **built)
+            values[f.name] = parse(raw, key, at, **ctx)
     return cls(**values)
 
 
@@ -309,7 +306,7 @@ INITIAL_CONSTRAINTS = {KeepWithin.yaml: KeepWithin}
 
 _OBSTACLES = _each((_object(Obstacle), _write), lambda at, key, k: f"{at} obstacle")
 
-# converter kind of a field (its ``metadata["kind"]``) -> (parse(raw, key, where, **built), dump(value))
+# converter kind of a field (its ``metadata["kind"]``) -> (parse(raw, key, where, **ctx), dump(value))
 _KINDS = {
     "num": (_number, lambda v: v),
     "int": (functools.partial(_number, cast=int), lambda v: v),
@@ -346,7 +343,7 @@ def parse_mission(text):
         raise MissionFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise MissionFormatError("mission document must be a mapping")
-    # every behavior's graph is built on n, so n is read first
+    # every behavior's graph is built on n, so n is read first and handed to every parser
     plan = _read(MissionPlan, doc, "document", n=_num(_req(doc, "mission", "document"), "n", "[mission]", cast=int))
     sim_doc = doc.get("sim", {})
     if _num(sim_doc, "delta", "[sim]", plan.delta) != plan.delta:
